@@ -1,7 +1,6 @@
 //! Baseline timings for the five fusion presets over a fixed corpus — the
 //! perf trajectory anchor for future optimisation PRs — plus grouping
-//! throughput, old (two-pass) vs new (single-pass), so the ROADMAP's
-//! single-pass-grouping win stays measured.
+//! throughput at both granularities the presets use.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kf_core::{Fuser, Grouped};
@@ -21,10 +20,7 @@ fn fusion_presets(c: &mut Criterion) {
     }
 }
 
-/// Old-vs-new grouping: the single-pass build (provenance keys renumbered
-/// post-reduce) against the historical two-pass build (registry pre-pass).
-/// The single-pass variant projects and hashes each extraction's
-/// provenance key once instead of twice.
+/// Building the claim graph: the one shuffle a fusion run pays.
 fn grouping(c: &mut Criterion) {
     let corpus = Corpus::generate(&SynthConfig::small(), 42);
     let records = &corpus.batch.records;
@@ -39,15 +35,6 @@ fn grouping(c: &mut Criterion) {
         let mr = MrConfig::with_workers(4);
         c.bench_function(&format!("group/small/{tag}/single_pass"), |b| {
             b.iter(|| black_box(Grouped::build(black_box(records), granularity, &mr)))
-        });
-        c.bench_function(&format!("group/small/{tag}/two_pass_baseline"), |b| {
-            b.iter(|| {
-                black_box(Grouped::build_two_pass(
-                    black_box(records),
-                    granularity,
-                    &mr,
-                ))
-            })
         });
     }
 }

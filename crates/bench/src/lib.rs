@@ -20,11 +20,13 @@ pub use scenarios::{
     ScenarioRow, SCENARIO_NAMES,
 };
 
+use kf_core::{Fuser, GroupedArtifact};
 use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
 use kf_eval::{AblationRunner, EvalReport, MethodEval, Preset};
 use kf_mapreduce::MrConfig;
 use kf_synth::{Corpus, SynthConfig};
-use kf_types::TaskSpec;
+use kf_types::{Extraction, Granularity, TaskSpec};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Why [`ReproOptions::parse`] did not produce options.
@@ -603,22 +605,55 @@ pub fn run(opts: &ReproOptions) -> Result<EvalReport, String> {
     Ok(run_on_corpus(opts, &corpus))
 }
 
-/// The per-corpus inputs the error-taxonomy diagnosis pass shares across
-/// every preset: the batch-level support index, the generator-truth and
-/// scenario-truth joins, the extractor labels, and the MapReduce
-/// configuration the diagnoser partitions under.
+/// The claim graphs built so far over one corpus, keyed by what shapes
+/// the graph (granularity) and its grouping job's record (`MrConfig`).
+/// Presets of one granularity fuse over one shared graph: the three basic
+/// presets over the *(extractor, page)* graph, the two POPACCU+ presets
+/// over the fine one.
+#[derive(Default)]
+struct GraphCache(Mutex<Vec<(Granularity, MrConfig, Arc<GroupedArtifact>)>>);
+
+impl GraphCache {
+    /// The graph of `records` for this key, built on first request. Builds
+    /// and reuses are counted on the installed trace — call this under the
+    /// process-level trace, not a method's: which preset pays for a graph
+    /// depends on what else the process ran.
+    fn get_or_build(
+        &self,
+        records: &[Extraction],
+        granularity: Granularity,
+        mr: &MrConfig,
+    ) -> Arc<GroupedArtifact> {
+        let mut graphs = self.0.lock().expect("a graph build panicked");
+        if let Some((_, _, graph)) = graphs.iter().find(|(g, m, _)| (g, m) == (&granularity, mr)) {
+            kf_telemetry::add("fuse.graph_reuses", 1);
+            return graph.clone();
+        }
+        kf_telemetry::add("fuse.graph_builds", 1);
+        let graph = Arc::new(GroupedArtifact::build(records, granularity, mr));
+        graphs.push((granularity, *mr, graph.clone()));
+        graph
+    }
+}
+
+/// The per-corpus state every preset's run shares: the claim graphs
+/// (one per granularity, built on first use) and the inputs of the
+/// error-taxonomy diagnosis pass — the batch-level support index, the
+/// generator-truth and scenario-truth joins, the extractor labels, and
+/// the MapReduce configuration the diagnoser partitions under.
 ///
-/// Building this is the expensive prefix of a diagnosing run (a full
-/// MapReduce over the extraction batch), so callers that fuse the same
-/// corpus repeatedly — the `kf-dist` worker running one task per preset
-/// shard — build it once with [`build_diagnosis_context`] and hand it to
-/// [`run_on_corpus_with_context`] for every task.
+/// Building this is the expensive prefix of a diagnosing run (full
+/// MapReduce jobs over the extraction batch), so callers that fuse the
+/// same corpus repeatedly — the `kf-dist` worker running one task per
+/// preset shard — build it once with [`build_diagnosis_context`] and hand
+/// it to [`run_on_corpus_with_context`] for every task.
 pub struct DiagnosisContext {
     support: SupportIndex,
     truth: kf_types::FxHashMap<kf_types::Triple, kf_types::ErrorCategory>,
     scenario: kf_types::FxHashMap<kf_types::Triple, kf_types::ScenarioPhenomenon>,
     labels: Vec<String>,
     mr: MrConfig,
+    graphs: GraphCache,
 }
 
 /// Build the shared diagnosis inputs for `corpus`, or `None` when
@@ -645,18 +680,20 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
             scenario,
             labels,
             mr,
+            graphs: GraphCache::default(),
         }
     })
 }
 
 /// [`run`] over an existing corpus.
 ///
-/// Per preset: fuse (with provenance attribution when diagnosing),
-/// evaluate calibration/PR, and — unless `opts.diagnose` is off — run the
-/// `kf-diagnose` error-taxonomy pass so every method's report section
-/// carries the Fig. 17 breakdown plus the heuristic-vs-injected confusion
-/// matrix. The batch-level support index and generator-truth join are
-/// computed once ([`build_diagnosis_context`]) and shared by all presets.
+/// Per preset: fuse (over the claim graph of the preset's granularity,
+/// built once per corpus), evaluate calibration/PR, and — unless
+/// `opts.diagnose` is off — run the `kf-diagnose` error-taxonomy pass so
+/// every method's report section carries the Fig. 17 breakdown plus the
+/// heuristic-vs-injected confusion matrix. The batch-level support index
+/// and generator-truth join are computed once
+/// ([`build_diagnosis_context`]) and shared by all presets.
 ///
 /// Every preset runs under a fresh `kf-telemetry` trace; the resulting
 /// span tree and counters are attached as [`MethodEval::trace`], so
@@ -669,11 +706,13 @@ pub fn run_on_corpus(opts: &ReproOptions, corpus: &Corpus) -> EvalReport {
     run_on_corpus_with_context(opts, corpus, diagnosis.as_ref())
 }
 
-/// [`run_on_corpus`] with the diagnosis inputs prebuilt (`None` disables
-/// the taxonomy pass, exactly like `opts.diagnose == false`). The
-/// context must have been built from the same corpus and equivalent
-/// options; reusing it changes nothing about the produced bytes, only
-/// skips recomputing the support index.
+/// [`run_on_corpus`] with the shared per-corpus state prebuilt (`None`
+/// disables the taxonomy pass, exactly like `opts.diagnose == false`, and
+/// shares claim graphs within this call only). The context must have been
+/// built from the same corpus and equivalent options; reusing it changes
+/// nothing about the produced bytes — a cached graph replays its grouping
+/// job into every method's trace and counters — only skips recomputing
+/// the support index and the graphs.
 pub fn run_on_corpus_with_context(
     opts: &ReproOptions,
     corpus: &Corpus,
@@ -685,52 +724,42 @@ pub fn run_on_corpus_with_context(
         scale: opts.scale.clone(),
         ..Default::default()
     };
+    let call_local = GraphCache::default();
+    let graphs = diagnosis.map_or(&call_local, |ctx| &ctx.graphs);
     let methods: Vec<MethodEval> = opts
         .presets
         .iter()
         .map(|&preset| {
-            let run_one = || -> MethodEval {
-                // Without diagnosis the ablation runner's plain path
-                // applies — no provenance attribution is built.
-                let Some(ctx) = diagnosis else {
-                    return runner.run_preset(corpus, preset);
-                };
-                let mut config = preset.config();
-                if let Some(w) = opts.workers {
-                    config = config.with_workers(w);
-                }
-                let gold = preset.needs_gold().then_some(&corpus.gold);
-                let start = Instant::now();
-                let (output, attribution) =
-                    kf_core::Fuser::new(config).run_with_attribution(&corpus.batch, gold);
-                let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
-                let mut method: MethodEval =
-                    runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
-                let taxonomy = {
-                    let _span = kf_telemetry::span("diagnose");
-                    let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &ctx.support)
-                        .with_truth(&ctx.truth)
-                        .with_scenario(&ctx.scenario)
-                        .with_attribution(&attribution)
-                        .with_extractor_labels(&ctx.labels)
-                        .with_config(DiagnoseConfig {
-                            mr: ctx.mr,
-                            ..Default::default()
-                        })
-                        .run(&output);
-                    taxonomy
-                };
-                method.taxonomy = Some(taxonomy);
-                method
-            };
+            let mut config = preset.config();
+            if let Some(w) = opts.workers {
+                config = config.with_workers(w);
+            }
+            let gold = preset.needs_gold().then_some(&corpus.gold);
+            let start = Instant::now();
+            let graph = graphs.get_or_build(&corpus.batch.records, config.granularity, &config.mr);
             // Each preset runs under its own trace (shadowing any
             // process-level one), so the shard a preset happens to run in
             // never changes what its trace records.
             let trace = kf_telemetry::Trace::with_root("method");
-            let mut method = {
-                let _installed = kf_telemetry::install(&trace);
-                run_one()
-            };
+            let installed = kf_telemetry::install(&trace);
+            let (output, attribution) = Fuser::new(config).run_prebuilt(&graph, gold);
+            let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
+            let mut method = runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
+            if let Some(ctx) = diagnosis {
+                let _span = kf_telemetry::span("diagnose");
+                let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &ctx.support)
+                    .with_truth(&ctx.truth)
+                    .with_scenario(&ctx.scenario)
+                    .with_attribution(&attribution)
+                    .with_extractor_labels(&ctx.labels)
+                    .with_config(DiagnoseConfig {
+                        mr: ctx.mr,
+                        ..Default::default()
+                    })
+                    .run(&output);
+                method.taxonomy = Some(taxonomy);
+            }
+            drop(installed);
             method.trace = Some(trace.snapshot());
             method
         })

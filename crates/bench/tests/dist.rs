@@ -10,7 +10,8 @@
 //!   through `--dist-addr-file`, one worker killed by `KF_DIST_FAIL`;
 //! * property level, over (worker count × kill point): re-dispatch must
 //!   conserve the deterministic trace section and never duplicate
-//!   `mr.*` counter mass in the merge.
+//!   `mr.*` counter mass in the merge — including when a survivor serves
+//!   several same-granularity tasks from one cached claim graph.
 
 use kf_bench::{run_on_corpus, ReproOptions};
 use kf_dist::{run_worker, Coordinator, CoordinatorConfig, FailSpec, WorkerConfig};
@@ -255,12 +256,14 @@ fn repro_binary_distributed_run_survives_killed_worker() {
     }
 }
 
-/// Cheap three-preset options for the property sweep: no diagnosis, so
-/// a case is one fuse+eval per preset.
+/// Three-preset options for the property sweep. All three presets share
+/// one granularity and diagnosis stays on, so a worker's per-connection
+/// context holds one claim graph and every task after its first is served
+/// from the cache: with two workers and the victim dead, the survivor
+/// builds once and replays the grouping job twice.
 fn prop_options() -> ReproOptions {
     ReproOptions {
         presets: vec![Preset::Vote, Preset::Accu, Preset::PopAccu],
-        diagnose: false,
         ..options()
     }
 }
@@ -275,6 +278,22 @@ fn prop_reference() -> &'static (String, u64) {
         let single = run_on_corpus(&opts, &corpus);
         let mass = mr_counter_mass(&single);
         assert!(mass > 0, "tiny corpus fusion must record mr.* counters");
+        // The single-process run shares its graph too (one build, two
+        // reuses). A replayed grouping job must weigh exactly what a
+        // fresh one does: the mass is that of three runs that each built
+        // their own graph.
+        let alone: u64 = opts
+            .presets
+            .iter()
+            .map(|&preset| {
+                let one = ReproOptions {
+                    presets: vec![preset],
+                    ..opts.clone()
+                };
+                mr_counter_mass(&run_on_corpus(&one, &corpus))
+            })
+            .sum();
+        assert_eq!(mass, alone, "a cached graph changed the mr.* mass");
         (single.to_json_string(), mass)
     })
 }
@@ -308,7 +327,9 @@ proptest! {
     /// is its first task; later points fall mid-stream or after its
     /// work), re-dispatch reassembles the exact single-process report:
     /// the deterministic trace section is conserved and `mr.*` counter
-    /// mass is never duplicated by a replica completion.
+    /// mass is never duplicated — not by a replica completion, and not by
+    /// a survivor replaying one cached graph's grouping job into each of
+    /// the tasks it serves.
     #[test]
     fn redispatch_conserves_trace_and_never_duplicates_mr_mass(
         n_workers in 2usize..=3,
@@ -323,7 +344,7 @@ proptest! {
             prop_assert_eq!(
                 mr_counter_mass(&merged),
                 *reference_mass,
-                "a replica completion leaked into the merge"
+                "a replica completion or a cached-graph replay leaked into the merge"
             );
             prop_assert_eq!(
                 &merged.to_json_string(),

@@ -4,10 +4,12 @@
 //! are fused in, merging the shard reports reassembles a combined trace
 //! identical to the single-process run's, because every method's trace
 //! derives only from the corpus and its own configuration (the
-//! determinism ledger), never from which process happened to host it.
+//! determinism ledger), never from which process happened to host it —
+//! nor from whether the claim graph it fused over was built for it or
+//! shared with an earlier preset.
 
-use kf_bench::{run_on_corpus, shard_presets, ReproOptions};
-use kf_eval::{merge_reports, Preset};
+use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, shard_presets, ReproOptions};
+use kf_eval::{merge_reports, EvalReport, Preset};
 use kf_synth::{Corpus, SynthConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -32,6 +34,50 @@ fn options(seed: u64) -> ReproOptions {
         workers: Some(2),
         deterministic: true,
         ..Default::default()
+    }
+}
+
+/// Five presets span two granularities, so one `run_on_corpus` builds two
+/// claim graphs and reuses them three times — counted on the process-level
+/// trace only — and no method's report section can tell which it got: each
+/// is byte-equal to the same preset run alone (its own graph, built for
+/// it), exactly as a `kf-dist` worker would run it from a task spec.
+#[test]
+fn shared_graphs_are_counted_once_and_invisible_in_method_sections() {
+    let opts = options(3);
+    let corpus = Corpus::generate(&SynthConfig::tiny(), opts.seed);
+    let process = kf_telemetry::Trace::new();
+    let shared = {
+        let _installed = kf_telemetry::install(&process);
+        run_on_corpus(&opts, &corpus)
+    };
+    let process = process.snapshot();
+    let counter = |name: &str| {
+        let found = process.counters.iter().find(|c| c.name == name);
+        found.map(|c| c.value)
+    };
+    assert_eq!(counter("fuse.graph_builds"), Some(2));
+    assert_eq!(counter("fuse.graph_reuses"), Some(3));
+    // The grouping jobs' own telemetry went with the graphs into the
+    // method traces; the process level saw the support-index job only.
+    assert_eq!(counter("mr.jobs"), Some(1));
+
+    assert_eq!(shared.methods.len(), Preset::ALL.len());
+    for (spec, method) in dist_task_specs(&opts).iter().zip(&shared.methods) {
+        let alone = run_on_corpus(&options_for_task(spec).unwrap(), &corpus);
+        let section = EvalReport {
+            corpus: shared.corpus.clone(),
+            methods: vec![method.clone()],
+        };
+        assert_eq!(
+            section.to_json_string(),
+            alone.to_json_string(),
+            "{}: section depends on graph sharing",
+            method.name
+        );
+        let trace = method.trace.as_ref().expect("method trace");
+        let group = trace.root.child("fuse").and_then(|f| f.child("group"));
+        assert_eq!(group.map(|g| g.calls), Some(1), "{}", method.name);
     }
 }
 

@@ -179,21 +179,24 @@ impl FusionConfig {
         self
     }
 
-    /// Builder-style: set worker parallelism. Adjusts workers and the
-    /// partition ratio in place, preserving other engine knobs
-    /// (`chunk_records`, `spill_threshold_records`, `spill_dir`).
+    /// Builder-style: set worker parallelism — of the grouping job and of
+    /// the round kernels. Adjusts workers and the partition ratio in
+    /// place, preserving other engine knobs (`chunk_records`,
+    /// `spill_threshold_records`, `spill_dir`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.mr.workers = workers.max(1);
         self.mr.partitions = workers.max(1) * 4;
         self
     }
 
-    /// Builder-style: bound every pipeline round's grouped shuffle
-    /// residency to roughly `records`, spilling partition accumulators to
-    /// sorted run files beyond it (`0` disables spilling). Applies to the
-    /// grouping pass and both fusion stages — output is byte-identical
-    /// with spilling on or off; `FusionOutput::stats` reports
-    /// `peak_grouped_records` / `spilled_bytes` across all rounds.
+    /// Builder-style: bound the grouping job's grouped shuffle residency
+    /// to roughly `records`, spilling partition accumulators to sorted run
+    /// files beyond it (`0` disables spilling). The grouping job is the
+    /// only shuffle a fusion run performs — Stages I/II are kernels over
+    /// the claim graph it builds and hold only that graph (4 bytes per
+    /// claim plus its 4-byte-per-claim transpose). Output is
+    /// byte-identical with spilling on or off; `FusionOutput::stats`
+    /// reports the job's `peak_grouped_records` / `spilled_bytes`.
     pub fn with_spill_threshold(mut self, records: usize) -> Self {
         self.mr.spill_threshold_records = records;
         self

@@ -22,14 +22,16 @@
 //! [`FusionConfig::popaccu`], [`FusionConfig::popaccu_plus_unsup`],
 //! [`FusionConfig::popaccu_plus`]) match the named systems in the paper.
 //!
-//! Execution follows the paper's three-stage MapReduce architecture
-//! (Fig. 8) on the [`kf_mapreduce`] substrate, with reducer-side reservoir
-//! sampling (`L`) and forced termination (`R`). The grouping stage
-//! ([`Grouped::build`]) is a single MapReduce pass — provenance keys ship
-//! packed through the shuffle and dense sorted ids are assigned in a
-//! post-reduce renumbering — and honours the engine's chunked-shuffle
-//! memory envelope (`MrConfig::chunk_records`); see the repository's
-//! `ARCHITECTURE.md` for the data flow.
+//! Execution follows the paper's three-stage architecture (Fig. 8), with
+//! reservoir sampling (`L`) and forced termination (`R`). The grouping
+//! stage ([`Grouped::build`]) is a single MapReduce pass on the
+//! [`kf_mapreduce`] substrate — provenance keys ship packed through the
+//! shuffle and dense sorted ids are assigned in a post-reduce renumbering —
+//! and honours the engine's memory envelope (`MrConfig::chunk_records`,
+//! `MrConfig::spill_threshold_records`). It shuffles the claim graph
+//! once; the rounds are kernels over that immutable graph, which several
+//! runs can share ([`GroupedArtifact`], [`Fuser::run_prebuilt`]). See the
+//! repository's `ARCHITECTURE.md` for the data flow.
 //!
 //! ```
 //! use kf_core::{Fuser, FusionConfig};
@@ -50,12 +52,13 @@
 
 pub mod config;
 pub mod ext;
+mod fanout;
 pub mod methods;
 pub mod observation;
 pub mod pipeline;
 pub mod result;
 
 pub use config::{FusionConfig, InitAccuracy, Method};
-pub use observation::{Grouped, ItemGroup, ProvRegistry, ValueGroup};
+pub use observation::{Grouped, GroupedArtifact};
 pub use pipeline::Fuser;
 pub use result::{FusionOutput, ProvenanceAttribution, ScoredTriple};

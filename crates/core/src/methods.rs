@@ -24,38 +24,60 @@ fn clamp_acc(a: f64) -> f64 {
     a.clamp(0.01, 0.99)
 }
 
+/// One provenance's ACCU vote `ln(N·A/(1−A))`; a value's vote score
+/// `C(v)` is the sum over its provenances.
+#[inline]
+pub fn accu_vote(a: f64, n_false: f64) -> f64 {
+    let a = clamp_acc(a);
+    (n_false * a / (1.0 - a)).ln()
+}
+
+/// One provenance's accuracy log-odds `ln(A/(1−A))`, POPACCU's
+/// counterpart of [`accu_vote`].
+#[inline]
+pub fn log_odds(a: f64) -> f64 {
+    let a = clamp_acc(a);
+    (a / (1.0 - a)).ln()
+}
+
 /// VOTE (§4.1): `P(v) = m(v) / n` over provenance counts.
 pub fn vote(counts: &[usize]) -> Vec<f64> {
+    let mut out = Vec::new();
+    vote_into(counts, &mut out);
+    out
+}
+
+/// [`vote`] into a reused buffer.
+pub(crate) fn vote_into(counts: &[usize], out: &mut Vec<f64>) {
     let n: usize = counts.iter().sum();
-    if n == 0 {
-        return vec![0.0; counts.len()];
-    }
-    counts.iter().map(|&m| m as f64 / n as f64).collect()
+    out.clear();
+    out.extend(
+        counts
+            .iter()
+            .map(|&m| if n == 0 { 0.0 } else { m as f64 / n as f64 }),
+    );
 }
 
 /// ACCU (\[11\], §4.1): Bayesian analysis with `N` uniformly-distributed
 /// false values. `cands[i]` is the accuracy list of value *i*'s
 /// provenances.
 pub fn accu(cands: &[Vec<f64>], n_false: f64) -> Vec<f64> {
-    let k = cands.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    // Vote score C(v) = Σ ln(N·A/(1−A)).
     let scores: Vec<f64> = cands
         .iter()
-        .map(|accs| {
-            accs.iter()
-                .map(|&a| {
-                    let a = clamp_acc(a);
-                    (n_false * a / (1.0 - a)).ln()
-                })
-                .sum()
-        })
+        .map(|accs| accs.iter().map(|&a| accu_vote(a, n_false)).sum())
         .collect();
+    let mut out = Vec::new();
+    accu_into(&scores, n_false, &mut out);
+    out
+}
+
+/// [`accu`] from per-value vote scores (sums of [`accu_vote`]) into a
+/// reused buffer.
+pub(crate) fn accu_into(scores: &[f64], n_false: f64, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend_from_slice(scores);
     // Unobserved false values contribute (N − k) candidates at score 0.
-    let unobserved = (n_false - k as f64).max(0.0);
-    softmax_with_extra_mass(&scores, unobserved)
+    softmax_with_extra_mass(out, (n_false - scores.len() as f64).max(0.0));
 }
 
 /// POPACCU (\[14\], §4.1): like ACCU but the false-value distribution ρ is
@@ -63,76 +85,75 @@ pub fn accu(cands: &[Vec<f64>], n_false: f64) -> Vec<f64> {
 /// raw provenance count `n(v)` of value *i* (used for the popularity
 /// estimate), `inner_iters` bounds the per-item fixpoint.
 pub fn popaccu(cands: &[Vec<f64>], counts: &[usize], inner_iters: usize) -> Vec<f64> {
-    let k = cands.len();
-    if k == 0 {
-        return Vec::new();
-    }
     debug_assert_eq!(cands.len(), counts.len());
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return vec![0.0; k];
-    }
-
-    // Accuracy log-odds are fixed across the fixpoint.
     let base_scores: Vec<f64> = cands
         .iter()
-        .map(|accs| {
-            accs.iter()
-                .map(|&a| {
-                    let a = clamp_acc(a);
-                    (a / (1.0 - a)).ln()
-                })
-                .sum()
-        })
+        .map(|accs| accs.iter().map(|&a| log_odds(a)).sum())
         .collect();
+    let (mut work, mut probs) = (Vec::new(), Vec::new());
+    popaccu_into(&base_scores, counts, inner_iters, &mut work, &mut probs);
+    probs
+}
 
+/// [`popaccu`] from per-value base scores (sums of [`log_odds`], fixed
+/// across the fixpoint) into `probs`, with `work` as scratch.
+pub(crate) fn popaccu_into(
+    base_scores: &[f64],
+    counts: &[usize],
+    inner_iters: usize,
+    work: &mut Vec<f64>,
+    probs: &mut Vec<f64>,
+) {
+    let total: usize = counts.iter().sum();
     // Initialise with the vote shares.
-    let mut probs: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
+    vote_into(counts, probs);
+    if total == 0 {
+        return;
+    }
 
     const RHO_FLOOR: f64 = 1e-6;
     const DELTA: f64 = 1e-3; // popularity smoothing
     for _ in 0..inner_iters.max(1) {
         // ρ(v) ∝ n(v)·(1 − P(v)): the expected share of value v among the
         // *false* observations of this item.
-        let masses: Vec<f64> = counts
-            .iter()
-            .zip(&probs)
-            .map(|(&n, &p)| n as f64 * (1.0 - p) + DELTA)
-            .collect();
-        let mass_total: f64 = masses.iter().sum();
-        let scores: Vec<f64> = base_scores
-            .iter()
-            .zip(&masses)
-            .zip(counts)
-            .map(|((&s, &m), &n)| {
-                let rho = (m / mass_total).max(RHO_FLOOR);
-                s - n as f64 * rho.ln()
-            })
-            .collect();
+        work.clear();
+        work.extend(
+            counts
+                .iter()
+                .zip(probs.iter())
+                .map(|(&n, &p)| n as f64 * (1.0 - p) + DELTA),
+        );
+        let mass_total: f64 = work.iter().sum();
+        for ((w, &s), &n) in work.iter_mut().zip(base_scores).zip(counts) {
+            let rho = (*w / mass_total).max(RHO_FLOOR);
+            *w = s - n as f64 * rho.ln();
+        }
         // One unit of extra mass models the unobserved-truth event; it is
         // what pins the singleton case to P = A exactly:
         // P = (A/(1−A)) / (A/(1−A) + 1) = A.
-        let new_probs = softmax_with_extra_mass(&scores, 1.0);
-        let delta: f64 = new_probs
-            .iter()
-            .zip(&probs)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        probs = new_probs;
+        softmax_with_extra_mass(work, 1.0);
+        let mut delta = 0.0;
+        for (p, &new) in probs.iter_mut().zip(work.iter()) {
+            delta += (new - *p).abs();
+            *p = new;
+        }
         if delta < 1e-9 {
             break;
         }
     }
-    probs
 }
 
-/// `exp(scores) / (Σ exp(scores) + extra_mass·exp(0))`, computed stably in
-/// log space.
-fn softmax_with_extra_mass(scores: &[f64], extra_mass: f64) -> Vec<f64> {
+/// Replace `scores` with `exp(scores) / (Σ exp(scores) +
+/// extra_mass·exp(0))`, computed stably in log space.
+fn softmax_with_extra_mass(scores: &mut [f64], extra_mass: f64) {
     let max = scores.iter().copied().fold(0.0f64, f64::max); // includes the 0 of extra mass
-    let denom: f64 =
-        scores.iter().map(|&s| (s - max).exp()).sum::<f64>() + extra_mass * (-max).exp();
-    scores.iter().map(|&s| (s - max).exp() / denom).collect()
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+    }
+    let denom: f64 = scores.iter().sum::<f64>() + extra_mass * (-max).exp();
+    for s in scores.iter_mut() {
+        *s /= denom;
+    }
 }
 
 #[cfg(test)]
@@ -320,7 +341,8 @@ mod tests {
 
     #[test]
     fn softmax_extra_mass_normalises() {
-        let p = softmax_with_extra_mass(&[1.0, 2.0], 3.0);
+        let mut p = [1.0, 2.0];
+        softmax_with_extra_mass(&mut p, 3.0);
         let explicit: f64 = p.iter().sum();
         assert!(explicit < 1.0);
         // Reconstruct the implicit mass: scores e^1, e^2, extra 3·e^0.
@@ -331,7 +353,8 @@ mod tests {
 
     #[test]
     fn softmax_handles_huge_scores() {
-        let p = softmax_with_extra_mass(&[800.0, 1.0], 100.0);
+        let mut p = [800.0, 1.0];
+        softmax_with_extra_mass(&mut p, 100.0);
         assert!(approx(p[0], 1.0, 1e-9));
         assert!(p[1] >= 0.0 && p[1] < 1e-12);
     }

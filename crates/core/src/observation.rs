@@ -1,111 +1,79 @@
-//! Grouping raw extractions into the structures the fusion rounds operate
-//! on: per-data-item value groups and the provenance registry.
+//! Grouping raw extractions into the structure the fusion rounds operate
+//! on: the **claim graph** — which provenances claim which triples.
 //!
 //! This is Stage I's shuffle (map by data item) plus the provenance
 //! dimension-reduction of §4.1 — an *(Extractor, URL)* pair (or a coarser /
-//! finer key, §4.3.1) becomes a dense integer id with an accuracy slot.
-//! The grouping is built once per fusion run with a **single** MapReduce
-//! pass ([`Grouped::build`]): the mapper emits the full [`ProvenanceKey`]
-//! alongside each observation, and the dense sorted ids are assigned in a
-//! post-reduce renumbering step, so each extraction's provenance key is
-//! projected and hashed once instead of twice (the historical two-pass
-//! scheme is retained as [`Grouped::build_two_pass`] for differential
-//! testing and as the benchmark baseline). The grouping is then shared
-//! (read-only) by all rounds; only the accuracy array mutates between
-//! rounds.
+//! finer key, §4.3.1) becomes a dense integer id. The graph is built with
+//! a **single** MapReduce pass ([`Grouped::build`]): the mapper emits the
+//! full [`ProvenanceKey`] alongside each observation, and the dense sorted
+//! ids are assigned in a post-reduce renumbering step, so each
+//! extraction's provenance key is projected and hashed once.
+//!
+//! A [`Grouped`] is immutable and columnar (CSR): triples are *slots* in
+//! data-item order, each with a run of provenance ids, plus the transpose
+//! (each provenance's slots, ascending). Nothing in it changes between
+//! fusion rounds or between presets of one granularity, so one graph
+//! serves many runs ([`GroupedArtifact`]); accuracies, probabilities and
+//! every other per-run value live in the run, not here.
 
-use kf_mapreduce::{map_reduce, map_reduce_combined_with_stats, Emitter, JobStats, MrConfig};
+use crate::fanout::run_tasks;
+use kf_mapreduce::{map_reduce_combined_with_stats, Emitter, JobStats, MrConfig};
+use kf_telemetry::{Trace, TraceReport};
 use kf_types::{
-    DataItem, Extraction, FxHashMap, FxHashSet, FxMixHashMap, FxMixHashSet, Granularity,
-    ProvenanceKey, Triple, Value,
+    DataItem, Extraction, FxMixHashMap, FxMixHashSet, Granularity, ProvenanceKey, Triple, Value,
 };
+use std::ops::Range;
+use std::sync::Mutex;
 
-/// One candidate value of a data item with its supporting provenances.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValueGroup {
-    /// The candidate value.
-    pub value: Value,
-    /// Dense provenance ids supporting it (deduplicated, sorted).
-    pub provs: Vec<u32>,
-    /// Distinct extractors supporting it (Fig. 18's second axis).
-    pub n_extractors: u16,
-    /// Distinct pages supporting it (Fig. 7's axis).
-    pub n_pages: u32,
-}
-
-/// All candidate values observed for one data item.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ItemGroup {
-    /// The data item.
-    pub item: DataItem,
-    /// Candidate values, sorted by value for determinism.
-    pub values: Vec<ValueGroup>,
-}
-
-impl ItemGroup {
-    /// Total provenance count over all values (VOTE's denominator `n`).
-    pub fn total_provenances(&self) -> usize {
-        self.values.iter().map(|v| v.provs.len()).sum()
-    }
-
-    /// The triple for value index `vi`.
-    pub fn triple(&self, vi: usize) -> Triple {
-        Triple::new(
-            self.item.subject,
-            self.item.predicate,
-            self.values[vi].value,
-        )
-    }
-}
-
-/// Registry of provenances at the configured granularity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProvRegistry {
-    /// The keys, indexed by dense id.
-    pub keys: Vec<ProvenanceKey>,
-    /// Number of unique triples each provenance supports (its *coverage*
-    /// in §4.3.2 terms).
-    pub support: Vec<u32>,
-    /// Current accuracy estimate.
-    pub accuracy: Vec<f64>,
-    /// Whether the accuracy has ever been re-evaluated from data (true) or
-    /// still carries its initial value (false). Drives refinement I.
-    pub evaluated: Vec<bool>,
-}
-
-impl ProvRegistry {
-    /// Number of provenances.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Reset all accuracies to `a` and clear evaluation flags.
-    pub fn reset_accuracy(&mut self, a: f64) {
-        for slot in &mut self.accuracy {
-            *slot = a;
-        }
-        for e in &mut self.evaluated {
-            *e = false;
-        }
-    }
-}
-
-/// The full grouped view of a batch.
+/// The claim graph of a batch at one granularity.
+///
+/// Slot `s` is one unique triple; item `i` owns the contiguous slots
+/// [`Grouped::item_slots`]`(i)`, in value order, and items are sorted, so
+/// slot order is canonical triple order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grouped {
-    /// Item groups, sorted by data item.
-    pub items: Vec<ItemGroup>,
-    /// Provenance registry.
-    pub provs: ProvRegistry,
+    /// Data items, sorted.
+    items: Vec<DataItem>,
+    /// Item `i`'s slots are `item_offsets[i]..item_offsets[i + 1]`.
+    item_offsets: Vec<u32>,
+    /// Per slot: the candidate value (sorted within an item).
+    values: Vec<Value>,
+    /// Per slot: distinct extractors supporting it (Fig. 18's second axis).
+    n_extractors: Vec<u16>,
+    /// Per slot: distinct pages supporting it (Fig. 7's axis).
+    n_pages: Vec<u32>,
+    /// Slot `s`'s provenances are `provs[slot_offsets[s]..slot_offsets[s + 1]]`.
+    slot_offsets: Vec<u32>,
+    /// Dense provenance ids, deduplicated and sorted within a slot.
+    provs: Vec<u32>,
+    /// Provenance keys by dense id, sorted.
+    keys: Vec<ProvenanceKey>,
+    /// Provenance `p`'s slots are `slots[prov_offsets[p]..prov_offsets[p + 1]]`.
+    prov_offsets: Vec<u32>,
+    /// The transpose of `provs`: each provenance's slots, ascending.
+    slots: Vec<u32>,
+}
+
+/// Offsets into the flat columns are `u32`: 4 bytes per claim in each
+/// direction is the whole point of the layout.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("claim graph exceeds u32 offsets")
+}
+
+/// Map contiguous chunks of `input`, one per worker, in parallel; results
+/// come back in chunk order.
+fn map_chunks<I: Sync, R: Send>(
+    workers: usize,
+    input: &[I],
+    f: impl Fn(&[I]) -> R + Sync,
+) -> Vec<R> {
+    let chunk = input.len().div_ceil(workers.max(1)).max(1);
+    let f = &f;
+    run_tasks(input.chunks(chunk).map(|c| move || f(c)).collect())
 }
 
 impl Grouped {
-    /// Build the grouped view of `batch` at `granularity` using the
+    /// Build the claim graph of `batch` at `granularity` using the
     /// MapReduce engine — a single pass; see [`Grouped::build_with_stats`].
     pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Grouped {
         Self::build_with_stats(batch, granularity, mr).0
@@ -119,9 +87,7 @@ impl Grouped {
     /// provenance key through the shuffle, and the reducer deduplicates
     /// per-value support keyed by `ProvenanceKey`. Dense ids are assigned
     /// afterwards in a renumbering step over the distinct keys, sorted so
-    /// the id space is deterministic — identical to what the historical
-    /// registry pre-pass produced ([`Grouped::build_two_pass`]), but each
-    /// extraction's key is projected and hashed once instead of twice.
+    /// the id space is deterministic.
     ///
     /// The pass registers a sort-and-deduplicate
     /// [`Combiner`](kf_mapreduce::Combiner): on the chunked/external
@@ -143,10 +109,10 @@ impl Grouped {
         // packed `u128` form (16 bytes through the shuffle instead of the
         // full Option-struct), projected and hashed once per extraction.
         type Obs = (Value, u128, u16, u32);
-        /// One per-value header: `(value, start, len, n_extractors,
-        /// n_pages)`, where `start..start + len` indexes the item's flat
-        /// packed-key buffer. Dense ids do not exist yet.
-        type RawValues = Vec<(Value, u32, u32, u16, u32)>;
+        /// One per-value header: `(value, len, n_extractors, n_pages)`;
+        /// the value's `len` packed keys follow its predecessors' in the
+        /// item's flat key buffer. Dense ids do not exist yet.
+        type RawValues = Vec<(Value, u32, u16, u32)>;
         let (mut raw, stats) = map_reduce_combined_with_stats(
             mr,
             batch,
@@ -183,12 +149,12 @@ impl Grouped {
                 let mut i = 0;
                 while i < observations.len() {
                     let value = observations[i].0;
-                    let start = flat.len() as u32;
+                    let start = flat.len();
                     exts.clear();
                     pages.clear();
                     while i < observations.len() && observations[i].0 == value {
                         let (_, key, ext, page) = observations[i];
-                        if flat.len() as u32 == start || *flat.last().unwrap() != key {
+                        if flat.len() == start || *flat.last().unwrap() != key {
                             flat.push(key);
                         }
                         exts.push(ext);
@@ -201,8 +167,7 @@ impl Grouped {
                     pages.dedup();
                     headers.push((
                         value,
-                        start,
-                        flat.len() as u32 - start,
+                        (flat.len() - start) as u32,
                         exts.len() as u16,
                         pages.len() as u32,
                     ));
@@ -214,244 +179,223 @@ impl Grouped {
         // globally so output order is independent of the partition count.
         raw.sort_unstable_by_key(|g| g.0);
 
-        // ---- Post-reduce renumbering ---------------------------------------
-        // Distinct provenance keys, sorted, become the dense id space —
-        // the same ids the registry pre-pass used to assign (packed-word
-        // order equals key order within a granularity). Because id
-        // assignment is monotone in key order, each group's key list
-        // (sorted by packed key) maps directly to a sorted id list. Both
-        // steps run parallel over contiguous item chunks (concatenated in
-        // order, so the result is deterministic), mirroring the
-        // parallelism the reducers had.
-        let workers = mr.workers.max(1);
-        let chunk_size = raw.len().div_ceil(workers).max(1);
-
-        let mut packed_keys: Vec<u128> = if workers == 1 {
-            let mut set: FxMixHashSet<u128> = FxMixHashSet::default();
-            for (_, _, flat) in &raw {
-                set.extend(flat.iter().copied());
-            }
-            set.into_iter().collect()
-        } else {
-            let mut sets: Vec<FxMixHashSet<u128>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = raw
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut set: FxMixHashSet<u128> = FxMixHashSet::default();
-                            for (_, _, flat) in chunk {
-                                set.extend(flat.iter().copied());
-                            }
-                            set
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    sets.push(h.join().expect("key-collection worker panicked"));
-                }
-            });
-            let mut union = sets.pop().unwrap_or_default();
-            for set in sets {
-                union.extend(set);
-            }
-            union.into_iter().collect()
+        // ---- Flatten into columns ------------------------------------------
+        let mut g = Grouped {
+            items: Vec::with_capacity(raw.len()),
+            item_offsets: vec![0],
+            values: Vec::new(),
+            n_extractors: Vec::new(),
+            n_pages: Vec::new(),
+            slot_offsets: vec![0],
+            provs: Vec::new(),
+            keys: Vec::new(),
+            prov_offsets: Vec::new(),
+            slots: Vec::new(),
         };
+        let mut packed: Vec<u128> = Vec::with_capacity(batch.len());
+        let mut claims = 0usize;
+        for (item, headers, flat) in raw {
+            g.items.push(item);
+            for (value, len, n_extractors, n_pages) in headers {
+                g.values.push(value);
+                g.n_extractors.push(n_extractors);
+                g.n_pages.push(n_pages);
+                claims += len as usize;
+                g.slot_offsets.push(offset(claims));
+            }
+            g.item_offsets.push(offset(g.values.len()));
+            packed.extend(flat);
+        }
+
+        // ---- Post-reduce renumbering ---------------------------------------
+        // Distinct provenance keys, sorted, become the dense id space
+        // (packed-word order equals key order within a granularity).
+        // Because id assignment is monotone in key order, each slot's key
+        // run (sorted by packed key) maps directly to a sorted id run.
+        // Both sweeps fan out over contiguous chunks of the claim column.
+        let mut sets = map_chunks(mr.workers, &packed, |chunk| {
+            chunk.iter().copied().collect::<FxMixHashSet<u128>>()
+        });
+        let mut union = sets.pop().unwrap_or_default();
+        for set in sets {
+            union.extend(set);
+        }
+        let mut packed_keys: Vec<u128> = union.into_iter().collect();
         packed_keys.sort_unstable();
         let key_index: FxMixHashMap<u128, u32> = packed_keys
             .iter()
             .enumerate()
             .map(|(i, k)| (*k, i as u32))
             .collect();
-        let keys: Vec<ProvenanceKey> = packed_keys
+        g.keys = packed_keys
             .iter()
             .map(|&w| ProvenanceKey::unpack(w))
             .collect();
-        let n = keys.len();
+        g.provs = map_chunks(mr.workers, &packed, |chunk| {
+            chunk.iter().map(|k| key_index[k]).collect::<Vec<u32>>()
+        })
+        .concat();
 
-        // Rebuild the groups with dense ids and count support (the number
-        // of unique triples each provenance contributes; the (value, prov)
-        // pairs are already deduplicated) in the same sweep. Each value's
-        // run in `flat` is sorted by packed key, and id assignment is
-        // monotone in that order, so the mapped id lists come out sorted.
-        let renumber =
-            |chunk: Vec<(DataItem, RawValues, Vec<u128>)>| -> (Vec<ItemGroup>, Vec<u32>) {
-                let mut support = vec![0u32; n];
-                let items = chunk
-                    .into_iter()
-                    .map(|(item, headers, flat)| ItemGroup {
-                        item,
-                        values: headers
-                            .into_iter()
-                            .map(|(value, start, len, n_extractors, n_pages)| ValueGroup {
-                                value,
-                                provs: flat[start as usize..(start + len) as usize]
-                                    .iter()
-                                    .map(|k| {
-                                        let pid = key_index[k];
-                                        support[pid as usize] += 1;
-                                        pid
-                                    })
-                                    .collect(),
-                                n_extractors,
-                                n_pages,
-                            })
-                            .collect(),
-                    })
-                    .collect();
-                (items, support)
-            };
-
-        let (items, support) = if workers == 1 {
-            renumber(raw)
-        } else {
-            // Split from the back with split_off (each element moves once;
-            // draining the front would shift the whole remainder per chunk).
-            let mut chunks: Vec<Vec<_>> = Vec::new();
-            while !raw.is_empty() {
-                let at = raw.len() - chunk_size.min(raw.len());
-                chunks.push(raw.split_off(at));
-            }
-            chunks.reverse();
-            let mut parts: Vec<(Vec<ItemGroup>, Vec<u32>)> = Vec::new();
-            std::thread::scope(|scope| {
-                let renumber = &renumber;
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| scope.spawn(move || renumber(chunk)))
-                    .collect();
-                for h in handles {
-                    parts.push(h.join().expect("renumber worker panicked"));
-                }
-            });
-            let mut items = Vec::new();
-            let mut support = vec![0u32; n];
-            for (part_items, part_support) in parts {
-                items.extend(part_items);
-                for (total, local) in support.iter_mut().zip(part_support) {
-                    *total += local;
-                }
-            }
-            (items, support)
-        };
-        let grouped = Grouped {
-            items,
-            provs: ProvRegistry {
-                keys,
-                support,
-                accuracy: vec![0.0; n],
-                evaluated: vec![false; n],
-            },
-        };
-        (grouped, stats)
-    }
-
-    /// The historical two-pass build: a registry pre-pass assigns dense
-    /// provenance ids, then a second pass groups by data item. Retained as
-    /// the measured baseline for `benches/fusion_methods.rs` and for
-    /// differential tests — its output must stay byte-identical to
-    /// [`Grouped::build`].
-    pub fn build_two_pass(
-        batch: &[Extraction],
-        granularity: Granularity,
-        mr: &MrConfig,
-    ) -> Grouped {
-        // ---- Pass A: the provenance registry ------------------------------
-        // Distinct provenance keys, sorted for dense-id determinism.
-        let mut keys: Vec<ProvenanceKey> = map_reduce(
-            mr,
-            batch,
-            |e: &Extraction, emit: &mut Emitter<ProvenanceKey, ()>| {
-                emit.emit(
-                    ProvenanceKey::at(granularity, &e.provenance, e.triple.predicate),
-                    (),
-                );
-            },
-            |k, _vs| vec![*k],
-        );
-        keys.sort_unstable();
-        let key_index: FxHashMap<ProvenanceKey, u32> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (*k, i as u32))
-            .collect();
-
-        // ---- Pass B: group by data item ------------------------------------
-        // Emit (item, (value, prov_id, extractor, page)); reduce into
-        // deduplicated value groups.
-        type Obs = (Value, u32, u16, u32);
-        let mut items: Vec<ItemGroup> = map_reduce(
-            mr,
-            batch,
-            |e: &Extraction, emit: &mut Emitter<DataItem, Obs>| {
-                let pid =
-                    key_index[&ProvenanceKey::at(granularity, &e.provenance, e.triple.predicate)];
-                emit.emit(
-                    e.triple.data_item(),
-                    (
-                        e.triple.object,
-                        pid,
-                        e.provenance.extractor.raw(),
-                        e.provenance.page.raw(),
-                    ),
-                );
-            },
-            |item, observations| {
-                // Per-value (provenance ids, extractors, pages).
-                type Support = (FxHashSet<u32>, FxHashSet<u16>, FxHashSet<u32>);
-                let mut by_value: FxHashMap<Value, Support> = FxHashMap::default();
-                for (value, pid, ext, page) in observations {
-                    let slot = by_value.entry(value).or_default();
-                    slot.0.insert(pid);
-                    slot.1.insert(ext);
-                    slot.2.insert(page);
-                }
-                let mut values: Vec<ValueGroup> = by_value
-                    .into_iter()
-                    .map(|(value, (pids, exts, pages))| {
-                        let mut provs: Vec<u32> = pids.into_iter().collect();
-                        provs.sort_unstable();
-                        ValueGroup {
-                            value,
-                            provs,
-                            n_extractors: exts.len() as u16,
-                            n_pages: pages.len() as u32,
-                        }
-                    })
-                    .collect();
-                values.sort_unstable_by_key(|v| v.value);
-                vec![ItemGroup {
-                    item: *item,
-                    values,
-                }]
-            },
-        );
-        items.sort_unstable_by_key(|g| g.item);
-
-        let mut support = vec![0u32; keys.len()];
-        for group in &items {
-            for vg in &group.values {
-                for &pid in &vg.provs {
-                    support[pid as usize] += 1;
-                }
+        // ---- Transpose -----------------------------------------------------
+        // A counting sort by provenance: visiting slots in ascending order
+        // leaves every provenance's slot list ascending — the order in
+        // which a by-provenance shuffle of the slots would deliver them.
+        g.prov_offsets = vec![0; g.keys.len() + 1];
+        for &p in &g.provs {
+            g.prov_offsets[p as usize + 1] += 1;
+        }
+        for p in 0..g.keys.len() {
+            g.prov_offsets[p + 1] += g.prov_offsets[p];
+        }
+        let mut cursor = g.prov_offsets.clone();
+        g.slots = vec![0; g.provs.len()];
+        for slot in 0..g.values.len() {
+            for &p in &g.provs[g.slot_offsets[slot] as usize..g.slot_offsets[slot + 1] as usize] {
+                g.slots[cursor[p as usize] as usize] = slot as u32;
+                cursor[p as usize] += 1;
             }
         }
-
-        let n = keys.len();
-        Grouped {
-            items,
-            provs: ProvRegistry {
-                keys,
-                support,
-                accuracy: vec![0.0; n],
-                evaluated: vec![false; n],
-            },
-        }
+        (g, stats)
     }
 
-    /// Total number of unique triples.
+    /// Number of data items.
+    pub fn n_items(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Total number of unique triples (slots).
     pub fn n_triples(&self) -> usize {
-        self.items.iter().map(|g| g.values.len()).sum()
+        self.values.len()
+    }
+
+    /// Number of provenances at the graph's granularity.
+    pub fn n_provenances(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Number of `(triple, provenance)` claims — edges of the graph.
+    pub fn n_claims(&self) -> usize {
+        self.provs.len()
+    }
+
+    /// Data item `i` (items are sorted).
+    pub fn item(&self, i: usize) -> DataItem {
+        self.items[i]
+    }
+
+    /// The slots of item `i`: its candidate values, in value order.
+    #[inline]
+    pub fn item_slots(&self, i: usize) -> Range<usize> {
+        self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize
+    }
+
+    /// Claims on the items before `i` (`i` may be `n_items()`).
+    pub fn claims_before_item(&self, i: usize) -> usize {
+        self.slot_offsets[self.item_offsets[i] as usize] as usize
+    }
+
+    /// The triple in `slot`, whose data item is item `i`.
+    pub fn triple(&self, i: usize, slot: usize) -> Triple {
+        let item = self.items[i];
+        Triple::new(item.subject, item.predicate, self.values[slot])
+    }
+
+    /// Distinct extractors supporting `slot`.
+    pub fn n_extractors(&self, slot: usize) -> u16 {
+        self.n_extractors[slot]
+    }
+
+    /// Distinct pages supporting `slot`.
+    pub fn n_pages(&self, slot: usize) -> u32 {
+        self.n_pages[slot]
+    }
+
+    /// Dense ids of the provenances claiming `slot` (deduplicated, sorted).
+    #[inline]
+    pub fn slot_provs(&self, slot: usize) -> &[u32] {
+        &self.provs[self.slot_offsets[slot] as usize..self.slot_offsets[slot + 1] as usize]
+    }
+
+    /// Provenance keys by dense id, sorted.
+    pub fn keys(&self) -> &[ProvenanceKey] {
+        &self.keys
+    }
+
+    /// The slots provenance `p` claims, ascending.
+    #[inline]
+    pub fn prov_slots(&self, p: usize) -> &[u32] {
+        &self.slots[self.prov_offsets[p] as usize..self.prov_offsets[p + 1] as usize]
+    }
+
+    /// Claims made by provenances before `p` (`p` may be
+    /// `n_provenances()`).
+    pub fn claims_before_prov(&self, p: usize) -> usize {
+        self.prov_offsets[p] as usize
+    }
+
+    /// Number of unique triples provenance `p` supports (its *coverage* in
+    /// §4.3.2 terms).
+    pub fn support(&self, p: usize) -> u32 {
+        self.prov_offsets[p + 1] - self.prov_offsets[p]
+    }
+
+    /// The claim columns `(slot_offsets, provs)` — what a
+    /// [`ProvenanceAttribution`](crate::ProvenanceAttribution) copies.
+    pub(crate) fn claim_columns(&self) -> (&[u32], &[u32]) {
+        (&self.slot_offsets, &self.provs)
+    }
+}
+
+/// A claim graph together with the record of the job that built it: one
+/// build serves many fusion runs ([`Fuser::run_prebuilt`](crate::Fuser::run_prebuilt)),
+/// and no run's output can tell whether it was the one that paid for it.
+///
+/// Every use replays the grouping job's counters into
+/// `FusionOutput::stats` and its telemetry (span subtree, `mr.*`
+/// counters, histograms) into the installed trace, exactly as if the job
+/// had just run there; only the wall-clock is charged once, to the first
+/// use.
+#[derive(Debug)]
+pub struct GroupedArtifact {
+    grouped: Grouped,
+    stats: JobStats,
+    /// The grouping job's trace, rooted at `group`; quarantined once
+    /// replayed.
+    telemetry: Mutex<TraceReport>,
+}
+
+impl GroupedArtifact {
+    /// Build the graph ([`Grouped::build_with_stats`]), recording the
+    /// job's telemetry with it instead of into the installed trace.
+    pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Self {
+        let trace = Trace::with_root("group");
+        let (grouped, stats) = {
+            let _recording = kf_telemetry::install(&trace);
+            Grouped::build_with_stats(batch, granularity, mr)
+        };
+        GroupedArtifact {
+            grouped,
+            stats,
+            telemetry: Mutex::new(trace.snapshot()),
+        }
+    }
+
+    /// The graph.
+    pub fn grouped(&self) -> &Grouped {
+        &self.grouped
+    }
+
+    /// The grouping job's execution counters.
+    pub fn stats(&self) -> JobStats {
+        self.stats
+    }
+
+    /// Replay the grouping job's telemetry under the installed trace's
+    /// open span.
+    pub(crate) fn replay_telemetry(&self) {
+        let mut telemetry = self.telemetry.lock().expect("a telemetry replay panicked");
+        kf_telemetry::graft(&telemetry);
+        telemetry.quarantine_timings();
     }
 }
 
@@ -485,20 +429,19 @@ mod tests {
             ext(2, 1, 10, 0, 100), // different item
         ];
         let g = build(&batch);
-        assert_eq!(g.items.len(), 2);
+        assert_eq!(g.n_items(), 2);
         assert_eq!(g.n_triples(), 3);
-        let first = &g.items[0];
-        assert_eq!(first.item, DataItem::new(EntityId(1), PredicateId(1)));
-        assert_eq!(first.values.len(), 2);
-        let v10 = first
-            .values
-            .iter()
-            .find(|v| v.value == Value::Entity(EntityId(10)))
-            .unwrap();
-        assert_eq!(v10.provs.len(), 2);
-        assert_eq!(v10.n_extractors, 2);
-        assert_eq!(v10.n_pages, 2);
-        assert_eq!(first.total_provenances(), 3);
+        assert_eq!(g.n_claims(), 4);
+        assert_eq!(g.item(0), DataItem::new(EntityId(1), PredicateId(1)));
+        assert_eq!(g.item_slots(0), 0..2);
+        assert_eq!(g.item_slots(1), 2..3);
+        // Values come out sorted, so slot 0 is the value 10.
+        assert_eq!(g.triple(0, 0).object, Value::Entity(EntityId(10)));
+        assert_eq!(g.slot_provs(0).len(), 2);
+        assert_eq!(g.n_extractors(0), 2);
+        assert_eq!(g.n_pages(0), 2);
+        assert_eq!(g.slot_provs(1).len(), 1);
+        assert_eq!(g.claims_before_item(1), 3);
     }
 
     #[test]
@@ -506,8 +449,8 @@ mod tests {
         // The same (triple, provenance) seen twice counts once.
         let batch = vec![ext(1, 1, 10, 0, 100), ext(1, 1, 10, 0, 100)];
         let g = build(&batch);
-        assert_eq!(g.items[0].values[0].provs.len(), 1);
-        assert_eq!(g.provs.support, vec![1]);
+        assert_eq!(g.slot_provs(0), &[0]);
+        assert_eq!(g.support(0), 1);
     }
 
     #[test]
@@ -515,8 +458,41 @@ mod tests {
         // Provenance (0, page 100) supports two different triples.
         let batch = vec![ext(1, 1, 10, 0, 100), ext(2, 1, 10, 0, 100)];
         let g = build(&batch);
-        assert_eq!(g.provs.len(), 1);
-        assert_eq!(g.provs.support[0], 2);
+        assert_eq!(g.n_provenances(), 1);
+        assert_eq!(g.support(0), 2);
+        assert_eq!(g.prov_slots(0), &[0, 1]);
+    }
+
+    #[test]
+    fn transpose_lists_each_provenances_slots_ascending() {
+        let batch: Vec<Extraction> = (0..600)
+            .map(|i| ext(i % 29, i % 3, i % 7, (i % 4) as u16, i % 90))
+            .collect();
+        for mr in [MrConfig::sequential(), MrConfig::with_workers(5)] {
+            let g = Grouped::build(&batch, Granularity::ExtractorPage, &mr);
+            // Count every provenance's claims from the forward lists...
+            let mut degree = vec![0u32; g.n_provenances()];
+            for slot in 0..g.n_triples() {
+                for &p in g.slot_provs(slot) {
+                    degree[p as usize] += 1;
+                    // ...and find each claim in the transpose.
+                    assert!(g.prov_slots(p as usize).contains(&(slot as u32)));
+                }
+            }
+            for (p, &claims) in degree.iter().enumerate() {
+                assert_eq!(g.support(p), claims, "support is the degree of {p}");
+                assert_eq!(g.prov_slots(p).len() as u32, claims);
+                assert!(
+                    g.prov_slots(p).windows(2).all(|w| w[0] < w[1]),
+                    "slots of {p} not strictly ascending"
+                );
+                assert_eq!(
+                    g.claims_before_prov(p + 1) - g.claims_before_prov(p),
+                    claims as usize
+                );
+            }
+            assert_eq!(g.claims_before_prov(g.n_provenances()), g.n_claims());
+        }
     }
 
     #[test]
@@ -525,12 +501,12 @@ mod tests {
         let batch = vec![ext(1, 1, 10, 0, 100), ext(1, 1, 10, 0, 101)];
         let page_g = Grouped::build(&batch, Granularity::ExtractorPage, &MrConfig::sequential());
         let site_g = Grouped::build(&batch, Granularity::ExtractorSite, &MrConfig::sequential());
-        assert_eq!(page_g.provs.len(), 2);
-        assert_eq!(site_g.provs.len(), 1);
-        assert_eq!(page_g.items[0].values[0].provs.len(), 2);
-        assert_eq!(site_g.items[0].values[0].provs.len(), 1);
+        assert_eq!(page_g.n_provenances(), 2);
+        assert_eq!(site_g.n_provenances(), 1);
+        assert_eq!(page_g.slot_provs(0).len(), 2);
+        assert_eq!(site_g.slot_provs(0).len(), 1);
         // Page-level detail (n_pages) survives the merge.
-        assert_eq!(site_g.items[0].values[0].n_pages, 2);
+        assert_eq!(site_g.n_pages(0), 2);
     }
 
     #[test]
@@ -544,43 +520,22 @@ mod tests {
             Granularity::ExtractorPage,
             &MrConfig::with_workers(7),
         );
-        assert_eq!(a.items.len(), b.items.len());
-        for (x, y) in a.items.iter().zip(&b.items) {
-            assert_eq!(x.item, y.item);
-            assert_eq!(x.values.len(), y.values.len());
-            for (vx, vy) in x.values.iter().zip(&y.values) {
-                assert_eq!(vx.value, vy.value);
-                assert_eq!(vx.provs, vy.provs);
-            }
+        assert_eq!(a, b);
+        // Sorted by data item, values sorted within an item, keys sorted.
+        assert!((1..a.n_items()).all(|i| a.item(i - 1) < a.item(i)));
+        for i in 0..a.n_items() {
+            let values: Vec<Value> = a.item_slots(i).map(|s| a.triple(i, s).object).collect();
+            assert!(values.windows(2).all(|w| w[0] < w[1]));
         }
-        // Sorted by data item.
-        assert!(a.items.windows(2).all(|w| w[0].item <= w[1].item));
+        assert!(a.keys().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn empty_batch_builds_empty_grouping() {
         let g = build(&[]);
-        assert!(g.items.is_empty());
-        assert!(g.provs.is_empty());
-        assert_eq!(g.n_triples(), 0);
-    }
-
-    #[test]
-    fn single_pass_matches_two_pass_baseline() {
-        let batch: Vec<Extraction> = (0..500)
-            .map(|i| ext(i % 23, i % 5, i % 9, (i % 6) as u16, i % 70))
-            .collect();
-        for g in [
-            Granularity::ExtractorPage,
-            Granularity::ExtractorSitePredicatePattern,
-            Granularity::PageOnly,
-        ] {
-            for mr in [MrConfig::sequential(), MrConfig::with_workers(5)] {
-                let single = Grouped::build(&batch, g, &mr);
-                let two = Grouped::build_two_pass(&batch, g, &mr);
-                assert_eq!(single, two, "granularity {g:?}, mr {mr:?}");
-            }
-        }
+        assert_eq!((g.n_items(), g.n_triples(), g.n_provenances()), (0, 0, 0));
+        assert_eq!(g.claims_before_item(0), 0);
+        assert_eq!(g.claims_before_prov(0), 0);
     }
 
     #[test]
@@ -659,13 +614,49 @@ mod tests {
     }
 
     #[test]
-    fn registry_reset() {
-        let batch = vec![ext(1, 1, 10, 0, 100)];
-        let mut g = build(&batch);
-        g.provs.accuracy[0] = 0.3;
-        g.provs.evaluated[0] = true;
-        g.provs.reset_accuracy(0.8);
-        assert_eq!(g.provs.accuracy[0], 0.8);
-        assert!(!g.provs.evaluated[0]);
+    fn artifact_replays_its_grouping_job_on_every_use() {
+        let batch: Vec<Extraction> = (0..300)
+            .map(|i| ext(i % 17, i % 2, i % 5, (i % 3) as u16, i % 40))
+            .collect();
+        let mr = MrConfig::sequential();
+        // A build records nothing into the installed trace...
+        let host = Trace::new();
+        let artifact = {
+            let _t = kf_telemetry::install(&host);
+            GroupedArtifact::build(&batch, Granularity::ExtractorPage, &mr)
+        };
+        assert!(host.snapshot().counters.is_empty());
+        assert_eq!(artifact.stats().map_input, batch.len() as u64);
+        assert_eq!(
+            artifact.grouped(),
+            &Grouped::build(&batch, Granularity::ExtractorPage, &mr)
+        );
+        // ...every use does, identically up to wall-clock: the first use
+        // is charged the build's time, later ones none.
+        let uses: Vec<TraceReport> = (0..2)
+            .map(|_| {
+                let trace = Trace::new();
+                {
+                    let _t = kf_telemetry::install(&trace);
+                    artifact.replay_telemetry();
+                }
+                trace.snapshot()
+            })
+            .collect();
+        let group = |r: &TraceReport| r.root.child("group").expect("group span").clone();
+        assert_eq!(group(&uses[0]).calls, 1);
+        assert!(group(&uses[0]).child("shuffle").is_some());
+        assert!(group(&uses[0]).total_ns > 0);
+        assert_eq!(group(&uses[1]).total_ns, 0);
+        let jobs = |r: &TraceReport| {
+            r.counters
+                .iter()
+                .find(|c| c.name == "mr.jobs")
+                .map(|c| c.value)
+        };
+        assert_eq!(jobs(&uses[0]), Some(1));
+        let mut uses = uses;
+        uses.iter_mut().for_each(TraceReport::quarantine_timings);
+        assert_eq!(uses[0], uses[1]);
     }
 }

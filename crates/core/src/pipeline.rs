@@ -1,29 +1,37 @@
 //! The three-stage iterative fusion pipeline (Fig. 8).
 //!
-//! * **Stage I** — partition by data item, compute triple probabilities
-//!   from the current provenance accuracies (VOTE / ACCU / POPACCU).
-//! * **Stage II** — partition by provenance, re-estimate each provenance's
-//!   accuracy as the mean probability of (a sample of) its triples.
+//! * **Stage I** — per data item, compute triple probabilities from the
+//!   current provenance accuracies (VOTE / ACCU / POPACCU).
+//! * **Stage II** — per provenance, re-estimate its accuracy as the mean
+//!   probability of (a sample of) its triples.
 //! * Iterate I ↔ II until convergence or `R` rounds (the paper forces
 //!   termination at `R = 5`), then
 //! * **Stage III** — output deduplicated scored triples.
 //!
+//! The paper partitions by data item and by provenance with a MapReduce
+//! shuffle per stage per round. Here the partitioning is done **once**,
+//! when the claim graph ([`Grouped`]) is built: it holds every item's
+//! claims contiguously and, transposed, every provenance's. The rounds
+//! are then direct kernels over that immutable graph — Stage I scores
+//! contiguous item ranges, Stage II gathers over the transpose — fanned
+//! over `FusionConfig::mr.workers` threads, and all mutable state
+//! (accuracies, probabilities) belongs to the run.
+//!
 //! The refinements of §4.3 hook in here: granularity is applied when the
-//! provenance registry is built; the coverage filter restricts round 1 to
+//! graph is built; the coverage filter restricts round 1 to
 //! multiply-supported items and drops never-evaluated provenances
 //! afterwards; the accuracy threshold deactivates low-quality provenances
 //! with a mean-accuracy fallback; and the gold standard can seed the
 //! initial accuracies (semi-supervised POPACCU+).
 
 use crate::config::{FusionConfig, InitAccuracy, Method};
+use crate::fanout::run_tasks;
 use crate::methods;
-use crate::observation::{Grouped, ItemGroup};
+use crate::observation::{Grouped, GroupedArtifact};
 use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
-use kf_mapreduce::{map_reduce_with_stats, Emitter, IterativeDriver, JobStats, Reservoir};
+use kf_mapreduce::{IterativeDriver, Reservoir};
 use kf_types::{hash, Extraction, ExtractionBatch, GoldStandard, Label};
-
-/// One Stage-I result: `(slot index, probability, fallback flag)`.
-type SlotScore = (usize, Option<f64>, bool);
+use std::ops::Range;
 
 /// The fusion engine. Construct with a [`FusionConfig`], then call
 /// [`Fuser::run`] on a batch of extractions (optionally with a gold
@@ -31,6 +39,26 @@ type SlotScore = (usize, Option<f64>, bool);
 #[derive(Debug, Clone, Default)]
 pub struct Fuser {
     config: FusionConfig,
+}
+
+/// One fusion run over a (shared, immutable) claim graph: everything the
+/// rounds mutate, per provenance and per slot.
+struct Run<'a> {
+    cfg: &'a FusionConfig,
+    grouped: &'a Grouped,
+    /// The contiguous item ranges Stage I's workers own, and the
+    /// provenance ranges Stage II's do — both cut at equal claim counts.
+    item_cuts: Vec<Range<usize>>,
+    prov_cuts: Vec<Range<usize>>,
+    /// Current accuracy estimate per provenance.
+    accuracy: Vec<f64>,
+    /// Whether the accuracy has ever been re-evaluated from data (true) or
+    /// still carries its initial value (false). Drives refinement I.
+    evaluated: Vec<bool>,
+    /// Per slot: the triple's probability, `None` when unpredicted.
+    probs: Vec<Option<f64>>,
+    /// Per slot: whether the probability is the mean-accuracy fallback.
+    fallback: Vec<bool>,
 }
 
 impl Fuser {
@@ -62,66 +90,64 @@ impl Fuser {
         batch: &ExtractionBatch,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, ProvenanceAttribution) {
-        let (output, grouped) = self.run_grouped(&batch.records, gold);
-        let per_triple = grouped
-            .items
-            .iter()
-            .flat_map(|g| g.values.iter().map(|vg| vg.provs.clone()))
-            .collect::<Vec<_>>();
-        let attribution = ProvenanceAttribution::new(
-            grouped.provs.keys,
-            grouped.provs.accuracy,
-            grouped.provs.evaluated,
-            per_triple.into_iter(),
-        );
-        debug_assert_eq!(attribution.len(), output.scored.len());
-        (output, attribution)
+        let graph =
+            GroupedArtifact::build(&batch.records, self.config.granularity, &self.config.mr);
+        self.run_prebuilt(&graph, gold)
     }
 
     /// [`Fuser::run`] over a raw record slice.
     pub fn run_records(&self, records: &[Extraction], gold: Option<&GoldStandard>) -> FusionOutput {
-        self.run_grouped(records, gold).0
+        let graph = GroupedArtifact::build(records, self.config.granularity, &self.config.mr);
+        self.run_graph(&graph, gold).0
     }
 
-    /// The engine behind [`Fuser::run_records`]: fuse and also hand back
-    /// the grouped view (with final accuracies) the run operated on.
-    fn run_grouped(
+    /// [`Fuser::run_with_attribution`] over a claim graph built earlier —
+    /// by [`GroupedArtifact::build`] from the same records, at this
+    /// configuration's granularity — and possibly shared with other runs.
+    /// Output, `FusionOutput::stats` and recorded telemetry are exactly
+    /// those of a run that built the graph itself.
+    pub fn run_prebuilt(
         &self,
-        records: &[Extraction],
+        graph: &GroupedArtifact,
         gold: Option<&GoldStandard>,
-    ) -> (FusionOutput, Grouped) {
+    ) -> (FusionOutput, ProvenanceAttribution) {
+        let (output, run) = self.run_graph(graph, gold);
+        let attribution = ProvenanceAttribution::new(run.grouped, run.accuracy, run.evaluated);
+        debug_assert_eq!(attribution.len(), output.scored.len());
+        (output, attribution)
+    }
+
+    /// The engine behind every entry point: fuse over `graph` and hand
+    /// back the finished run with the output.
+    fn run_graph<'a>(
+        &'a self,
+        graph: &'a GroupedArtifact,
+        gold: Option<&GoldStandard>,
+    ) -> (FusionOutput, Run<'a>) {
         let cfg = &self.config;
         let _fuse = kf_telemetry::span("fuse");
-        // The grouping job's counters (including the single grouping pass's
-        // shuffle volume and residency peak) seed the pipeline totals.
-        let (mut grouped, mut stats) = {
-            let _group = kf_telemetry::span("group");
-            Grouped::build_with_stats(records, cfg.granularity, &cfg.mr)
-        };
+        // The grouping job is part of every run's record, whoever ran it.
+        graph.replay_telemetry();
+        let grouped = graph.grouped();
 
         // ---- Accuracy initialisation (§4.3.3) -----------------------------
-        grouped.provs.reset_accuracy(cfg.default_accuracy);
-        if let InitAccuracy::FromGold { sample_rate } = cfg.init {
-            if let Some(gold) = gold {
-                init_accuracy_from_gold(
-                    &mut grouped,
-                    gold,
-                    sample_rate,
-                    cfg.default_accuracy,
-                    cfg.seed,
-                );
-            }
+        let n = grouped.n_provenances();
+        let workers = cfg.mr.workers;
+        let mut run = Run {
+            cfg,
+            grouped,
+            item_cuts: balanced_cuts(grouped.n_items(), workers, |i| {
+                grouped.claims_before_item(i)
+            }),
+            prov_cuts: balanced_cuts(n, workers, |p| grouped.claims_before_prov(p)),
+            accuracy: vec![cfg.default_accuracy; n],
+            evaluated: vec![false; n],
+            probs: vec![None; grouped.n_triples()],
+            fallback: vec![false; grouped.n_triples()],
+        };
+        if let (InitAccuracy::FromGold { sample_rate }, Some(gold)) = (cfg.init, gold) {
+            run.init_accuracy_from_gold(gold, sample_rate);
         }
-
-        // Per-(item, value) probability slots, flattened.
-        let mut offsets = Vec::with_capacity(grouped.items.len() + 1);
-        offsets.push(0usize);
-        for g in &grouped.items {
-            offsets.push(offsets.last().unwrap() + g.values.len());
-        }
-        let n_slots = *offsets.last().unwrap();
-        let mut probs: Vec<Option<f64>> = vec![None; n_slots];
-        let mut fallback_flags: Vec<bool> = vec![false; n_slots];
 
         // ---- Iterate Stage I ↔ Stage II ------------------------------------
         let driver = IterativeDriver {
@@ -134,30 +160,18 @@ impl Fuser {
             let round_start = std::time::Instant::now();
             kf_telemetry::add("fuse.rounds", 1);
             // Stage I: probabilities from current accuracies.
-            let (stage1, s1_stats) = {
+            {
                 let _s1 = kf_telemetry::span("stage1");
-                self.stage_one(&grouped, &offsets, round)
-            };
-            stats.merge(&s1_stats);
-            for (slot, p, fb) in stage1 {
-                probs[slot] = p;
-                fallback_flags[slot] = fb;
+                run.stage_one(round);
             }
-
-            // VOTE runs a single stage-I pass; no accuracy iteration.
-            if !cfg.method.iterative() {
-                round_deltas.push(0.0);
-                kf_telemetry::push_series("fuse.round_delta", 0.0);
-                kf_telemetry::record_time("fuse.round_ns", round_start.elapsed().as_nanos() as u64);
-                return 0.0;
-            }
-
-            // Stage II: accuracies from probabilities.
-            let (delta, s2_stats) = {
+            // Stage II: accuracies from probabilities. VOTE runs a single
+            // stage-I pass; no accuracy iteration.
+            let delta = if cfg.method.iterative() {
                 let _s2 = kf_telemetry::span("stage2");
-                self.stage_two(&mut grouped, &offsets, &probs, round)
+                run.stage_two(round)
+            } else {
+                0.0
             };
-            stats.merge(&s2_stats);
             round_deltas.push(delta);
             kf_telemetry::push_series("fuse.round_delta", delta);
             kf_telemetry::record_time("fuse.round_ns", round_start.elapsed().as_nanos() as u64);
@@ -165,304 +179,308 @@ impl Fuser {
         });
 
         // ---- Stage III: deduplicated output --------------------------------
-        let mut scored = Vec::with_capacity(n_slots);
-        for (gi, group) in grouped.items.iter().enumerate() {
-            for (vi, vg) in group.values.iter().enumerate() {
-                let slot = offsets[gi] + vi;
+        let mut scored = Vec::with_capacity(grouped.n_triples());
+        for i in 0..grouped.n_items() {
+            for slot in grouped.item_slots(i) {
                 scored.push(ScoredTriple {
-                    triple: group.triple(vi),
-                    probability: probs[slot],
-                    n_provenances: vg.provs.len() as u32,
-                    n_extractors: vg.n_extractors,
-                    n_pages: vg.n_pages,
-                    fallback: fallback_flags[slot],
+                    triple: grouped.triple(i, slot),
+                    probability: run.probs[slot],
+                    n_provenances: grouped.slot_provs(slot).len() as u32,
+                    n_extractors: grouped.n_extractors(slot),
+                    n_pages: grouped.n_pages(slot),
+                    fallback: run.fallback[slot],
                 });
             }
         }
 
-        kf_telemetry::add("fuse.provenances", grouped.provs.len() as u64);
+        kf_telemetry::add("fuse.provenances", n as u64);
         kf_telemetry::add("fuse.scored_triples", scored.len() as u64);
         let output = FusionOutput {
             scored,
             outcome,
             round_deltas,
-            n_provenances: grouped.provs.len(),
-            stats,
+            n_provenances: n,
+            stats: graph.stats(),
         };
-        (output, grouped)
+        (output, run)
     }
+}
 
-    /// Stage I: compute per-slot probabilities. Returns
-    /// `(slot, probability, fallback_flag)` tuples.
-    fn stage_one(
-        &self,
-        grouped: &Grouped,
-        offsets: &[usize],
-        round: usize,
-    ) -> (Vec<SlotScore>, JobStats) {
-        let cfg = &self.config;
-        let provs = &grouped.provs;
-        let coverage_filtering = cfg.filter_by_coverage;
-        let threshold = cfg.accuracy_threshold;
+impl Run<'_> {
+    /// Initialise provenance accuracies from the LCWA gold standard
+    /// (§4.3.3): accuracy = fraction of the provenance's gold-labelled
+    /// triples that are labelled true, over a `sample_rate` subset of gold
+    /// items; provenances with no labelled triples keep the default.
+    fn init_accuracy_from_gold(&mut self, gold: &GoldStandard, sample_rate: f64) {
+        let grouped = self.grouped;
+        let n = grouped.n_provenances();
+        let mut true_counts = vec![0u32; n];
+        let mut labelled_counts = vec![0u32; n];
 
-        // A provenance is *active* when it survives the refinements.
-        let active = |pid: u32| -> bool {
-            let i = pid as usize;
-            if coverage_filtering && round > 0 && !provs.evaluated[i] {
-                return false;
-            }
-            if let Some(theta) = threshold {
-                // The threshold applies to evaluated accuracies; an
-                // unevaluated provenance still carries the default.
-                if provs.accuracy[i] < theta {
-                    return false;
+        for i in 0..grouped.n_items() {
+            // Item-level subsampling of the gold standard, deterministic.
+            if sample_rate < 1.0 {
+                let h = hash::hash_u64(grouped.item(i).encode() ^ self.cfg.seed ^ 0x00c0_ffee);
+                if (h % 1_000_000) as f64 / 1_000_000.0 >= sample_rate {
+                    continue;
                 }
             }
-            true
-        };
+            for slot in grouped.item_slots(i) {
+                let is_true = match gold.label(&grouped.triple(i, slot)) {
+                    Label::True => true,
+                    Label::False => false,
+                    Label::Unknown => continue,
+                };
+                for &pid in grouped.slot_provs(slot) {
+                    labelled_counts[pid as usize] += 1;
+                    true_counts[pid as usize] += is_true as u32;
+                }
+            }
+        }
 
-        let indices: Vec<usize> = (0..grouped.items.len()).collect();
-        let (out, stats) = map_reduce_with_stats(
-            &cfg.mr,
-            &indices,
-            |&gi, emit: &mut Emitter<usize, Vec<SlotScore>>| {
-                let group = &grouped.items[gi];
-                let slot0 = offsets[gi];
-                let results = self.score_item(group, grouped, round, slot0, &active);
-                emit.emit(gi, results);
-            },
-            |_gi, mut vs| vs.pop().into_iter().collect(),
-        );
-        (out.into_iter().flatten().collect(), stats)
+        for p in 0..n {
+            if labelled_counts[p] > 0 {
+                self.accuracy[p] = true_counts[p] as f64 / labelled_counts[p] as f64;
+                self.evaluated[p] = true;
+            }
+        }
     }
 
-    /// Score one data item under the configured method and filters.
-    fn score_item(
-        &self,
-        group: &ItemGroup,
-        grouped: &Grouped,
-        round: usize,
-        slot0: usize,
-        active: &dyn Fn(u32) -> bool,
-    ) -> Vec<SlotScore> {
-        let cfg = &self.config;
-        let provs = &grouped.provs;
-
-        // Coverage filter, round 1 (§4.3.2): only score items where at
-        // least one triple has more than one provenance, so that the
-        // subsequent accuracy evaluation rests on non-trivial evidence.
-        // Items whose provenances already carry informative (gold-seeded)
-        // accuracies are exempt — those are exactly the provenances the
-        // filter exists to protect against.
-        if cfg.filter_by_coverage
-            && round == 0
-            && cfg.method.iterative()
-            && !group.values.iter().any(|v| v.provs.len() > 1)
-            && !group
-                .values
-                .iter()
-                .any(|v| v.provs.iter().any(|&p| provs.evaluated[p as usize]))
-        {
-            return (0..group.values.len())
-                .map(|vi| (slot0 + vi, None, false))
-                .collect();
-        }
-
-        // Active provenance lists per value (sampled at L).
-        let mut cands: Vec<Vec<f64>> = Vec::with_capacity(group.values.len());
-        let mut counts: Vec<usize> = Vec::with_capacity(group.values.len());
-        for vg in &group.values {
-            let active_pids: Vec<u32> = vg.provs.iter().copied().filter(|&p| active(p)).collect();
-            let sampled = Reservoir::sample_vec(
-                active_pids,
-                cfg.sample_limit,
-                hash::hash_u64(group.item.encode() ^ (round as u64) ^ cfg.seed),
-            );
-            counts.push(sampled.len());
-            cands.push(
-                sampled
-                    .iter()
-                    .map(|&p| provs.accuracy[p as usize])
-                    .collect(),
-            );
-        }
-
-        let any_active = counts.iter().any(|&c| c > 0);
-        if !any_active {
-            // Every provenance was filtered. With an accuracy threshold the
-            // paper compensates with the mean accuracy of the triple's own
-            // provenances; with pure coverage filtering there is no
-            // prediction.
-            return group
-                .values
-                .iter()
-                .enumerate()
-                .map(|(vi, vg)| {
-                    let has_evaluated = vg.provs.iter().any(|&p| provs.evaluated[p as usize]);
-                    if cfg.accuracy_threshold.is_some() && has_evaluated {
-                        let mean = vg
-                            .provs
-                            .iter()
-                            .map(|&p| provs.accuracy[p as usize])
-                            .sum::<f64>()
-                            / vg.provs.len() as f64;
-                        (slot0 + vi, Some(mean), true)
-                    } else {
-                        (slot0 + vi, None, false)
-                    }
-                })
-                .collect();
-        }
-
-        let probabilities = match cfg.method {
-            Method::Vote => methods::vote(&counts),
-            Method::Accu => methods::accu(&cands, cfg.n_false_values),
-            Method::PopAccu => methods::popaccu(&cands, &counts, cfg.popaccu_inner_iters),
+    /// Stage I: rewrite every slot's probability and fallback flag from
+    /// the current accuracies. Each worker scores one range of items into
+    /// the matching disjoint slices of the slot columns.
+    fn stage_one(&mut self, round: usize) {
+        let (cfg, grouped) = (self.cfg, self.grouped);
+        // A provenance's vote term depends on its accuracy alone: one
+        // logarithm per provenance per round, not one per claim.
+        let accuracy = self.accuracy.iter();
+        let terms: Vec<f64> = match cfg.method {
+            Method::Vote => Vec::new(),
+            Method::Accu => accuracy
+                .map(|&a| methods::accu_vote(a, cfg.n_false_values))
+                .collect(),
+            Method::PopAccu => accuracy.map(|&a| methods::log_odds(a)).collect(),
         };
-
-        group
-            .values
-            .iter()
-            .enumerate()
-            .map(|(vi, vg)| {
-                if counts[vi] == 0 {
-                    // This value's provenances were all filtered even though
-                    // siblings survived: same fallback policy.
-                    let has_evaluated = vg.provs.iter().any(|&p| provs.evaluated[p as usize]);
-                    if cfg.accuracy_threshold.is_some() && has_evaluated {
-                        let mean = vg
-                            .provs
-                            .iter()
-                            .map(|&p| provs.accuracy[p as usize])
-                            .sum::<f64>()
-                            / vg.provs.len() as f64;
-                        (slot0 + vi, Some(mean), true)
-                    } else {
-                        (slot0 + vi, None, false)
-                    }
-                } else {
-                    (slot0 + vi, Some(probabilities[vi]), false)
-                }
-            })
-            .collect()
+        let scorer = ItemScorer {
+            cfg,
+            grouped,
+            round,
+            accuracy: &self.accuracy,
+            evaluated: &self.evaluated,
+            terms: &terms,
+        };
+        let (mut probs, mut fallback) = (&mut self.probs[..], &mut self.fallback[..]);
+        let mut tasks = Vec::with_capacity(self.item_cuts.len());
+        for items in &self.item_cuts {
+            let n_slots =
+                grouped.item_slots(items.end - 1).end - grouped.item_slots(items.start).start;
+            let (p, rest) = probs.split_at_mut(n_slots);
+            probs = rest;
+            let (f, rest) = fallback.split_at_mut(n_slots);
+            fallback = rest;
+            let scorer = &scorer;
+            tasks.push(move || scorer.score_items(items.clone(), p, f));
+        }
+        run_tasks(tasks);
     }
 
     /// Stage II: re-estimate provenance accuracies as the mean probability
     /// of (a sample of) their triples. Returns the mean absolute accuracy
     /// change.
     ///
-    /// Deliberately runs **without** a combiner: the reducer reservoir-
-    /// samples its values and accumulates `f64`s, both of which are
-    /// order-sensitive, so partial pre-reduction would change the bytes
-    /// of the output (see the determinism ledger in `ARCHITECTURE.md`).
-    /// The external shuffle (`MrConfig::spill_threshold_records`) still
-    /// bounds this stage's grouped residency by spilling the full value
-    /// lists and replaying them in input order.
-    fn stage_two(
-        &self,
-        grouped: &mut Grouped,
-        offsets: &[usize],
-        probs: &[Option<f64>],
-        round: usize,
-    ) -> (f64, JobStats) {
-        let cfg = &self.config;
-        let items = &grouped.items;
+    /// A provenance's probabilities are gathered through the transpose in
+    /// ascending slot order — the order a by-provenance shuffle of the
+    /// slots delivers — so the reservoir draws and the `f64` sum are the
+    /// same whatever the worker count. Each worker owns one range of
+    /// provenances; the changes are summed afterwards, in provenance
+    /// order, for the same reason.
+    fn stage_two(&mut self, round: usize) -> f64 {
+        let (cfg, grouped) = (self.cfg, self.grouped);
         let skip_unevaluated = cfg.filter_by_coverage && round > 0;
-        let evaluated_snapshot = grouped.provs.evaluated.clone();
-
-        let indices: Vec<usize> = (0..items.len()).collect();
-        let (updates, stats) = map_reduce_with_stats(
-            &cfg.mr,
-            &indices,
-            |&gi, emit: &mut Emitter<u32, f64>| {
-                let group = &items[gi];
-                for (vi, vg) in group.values.iter().enumerate() {
-                    let Some(p) = probs[offsets[gi] + vi] else {
+        let probs = &self.probs;
+        let (mut accuracy, mut evaluated) = (&mut self.accuracy[..], &mut self.evaluated[..]);
+        let mut tasks = Vec::with_capacity(self.prov_cuts.len());
+        for range in &self.prov_cuts {
+            let (acc, rest) = accuracy.split_at_mut(range.len());
+            accuracy = rest;
+            let (eval, rest) = evaluated.split_at_mut(range.len());
+            evaluated = rest;
+            tasks.push(move || {
+                // `|Δ accuracy|` of every provenance this round updates.
+                let mut deltas = Vec::new();
+                let mut values = Vec::new();
+                for (i, p) in range.clone().enumerate() {
+                    if skip_unevaluated && !eval[i] {
                         continue;
-                    };
-                    for &pid in &vg.provs {
-                        if skip_unevaluated && !evaluated_snapshot[pid as usize] {
-                            continue;
-                        }
-                        emit.emit(pid, p);
                     }
+                    values.clear();
+                    let slots = grouped.prov_slots(p).iter();
+                    values.extend(slots.filter_map(|&s| probs[s as usize]));
+                    if values.is_empty() {
+                        continue;
+                    }
+                    let sampled;
+                    let mut sample = &values;
+                    if values.len() > cfg.sample_limit {
+                        let seed = hash::hash_u64((p as u64) ^ ((round as u64) << 32) ^ cfg.seed);
+                        sampled = Reservoir::sample_vec(values.clone(), cfg.sample_limit, seed);
+                        sample = &sampled;
+                    }
+                    let mean = sample.iter().sum::<f64>() / sample.len() as f64;
+                    deltas.push((acc[i] - mean).abs());
+                    acc[i] = mean.clamp(0.0, 1.0);
+                    eval[i] = true;
                 }
-            },
-            |pid, values| {
-                let sampled = Reservoir::sample_vec(
-                    values,
-                    cfg.sample_limit,
-                    hash::hash_u64((*pid as u64) ^ ((round as u64) << 32) ^ cfg.seed),
-                );
-                if sampled.is_empty() {
-                    return Vec::new();
-                }
-                let mean = sampled.iter().sum::<f64>() / sampled.len() as f64;
-                vec![(*pid, mean)]
-            },
-        );
-
-        let mut delta_sum = 0.0;
-        let mut updated = 0usize;
-        for (pid, accuracy) in updates {
-            let i = pid as usize;
-            delta_sum += (grouped.provs.accuracy[i] - accuracy).abs();
-            grouped.provs.accuracy[i] = accuracy.clamp(0.0, 1.0);
-            grouped.provs.evaluated[i] = true;
-            updated += 1;
+                deltas
+            });
         }
-        let delta = if updated == 0 {
-            0.0
-        } else {
-            delta_sum / updated as f64
-        };
-        (delta, stats)
+        let deltas = run_tasks(tasks).concat();
+        match deltas.len() {
+            0 => 0.0,
+            updated => deltas.iter().sum::<f64>() / updated as f64,
+        }
     }
 }
 
-/// Initialise provenance accuracies from the LCWA gold standard (§4.3.3):
-/// accuracy = fraction of the provenance's gold-labelled triples that are
-/// labelled true, over a `sample_rate` subset of gold items; provenances
-/// with no labelled triples keep the default.
-fn init_accuracy_from_gold(
-    grouped: &mut Grouped,
-    gold: &GoldStandard,
-    sample_rate: f64,
-    default_accuracy: f64,
-    seed: u64,
-) {
-    let n = grouped.provs.len();
-    let mut true_counts = vec![0u32; n];
-    let mut labelled_counts = vec![0u32; n];
-
-    for group in &grouped.items {
-        // Item-level subsampling of the gold standard, deterministic.
-        if sample_rate < 1.0 {
-            let h = hash::hash_u64(group.item.encode() ^ seed ^ 0x00c0_ffee);
-            if (h % 1_000_000) as f64 / 1_000_000.0 >= sample_rate {
-                continue;
-            }
-        }
-        for (vi, vg) in group.values.iter().enumerate() {
-            let label = gold.label(&group.triple(vi));
-            let is_true = match label {
-                Label::True => true,
-                Label::False => false,
-                Label::Unknown => continue,
-            };
-            for &pid in &vg.provs {
-                labelled_counts[pid as usize] += 1;
-                true_counts[pid as usize] += is_true as u32;
-            }
+/// Cut `0..n` into at most `parts` contiguous non-empty ranges of roughly
+/// equal weight, where `before(i)` is the total weight of `0..i`.
+fn balanced_cuts(n: usize, parts: usize, before: impl Fn(usize) -> usize) -> Vec<Range<usize>> {
+    let parts = parts.max(1);
+    let prefix: Vec<usize> = (0..=n).map(before).collect();
+    let mut cuts = Vec::with_capacity(parts);
+    let mut start = 0;
+    for part in 1..=parts {
+        let end = prefix.partition_point(|&w| w < prefix[n] * part / parts);
+        let end = if part == parts { n } else { end };
+        if end > start {
+            cuts.push(start..end);
+            start = end;
         }
     }
+    cuts
+}
 
-    for i in 0..n {
-        if labelled_counts[i] > 0 {
-            grouped.provs.accuracy[i] = true_counts[i] as f64 / labelled_counts[i] as f64;
-            grouped.provs.evaluated[i] = true;
-        } else {
-            grouped.provs.accuracy[i] = default_accuracy;
+/// Stage I's view of one round: the graph, the configuration and the
+/// accuracies the round reads.
+struct ItemScorer<'a> {
+    cfg: &'a FusionConfig,
+    grouped: &'a Grouped,
+    round: usize,
+    accuracy: &'a [f64],
+    evaluated: &'a [bool],
+    /// Per-provenance vote terms under the configured method.
+    terms: &'a [f64],
+}
+
+impl ItemScorer<'_> {
+    /// A provenance is *active* when it survives the refinements.
+    fn active(&self, pid: u32) -> bool {
+        let (cfg, i) = (self.cfg, pid as usize);
+        let unevaluable = cfg.filter_by_coverage && self.round > 0 && !self.evaluated[i];
+        // The threshold applies to evaluated accuracies; an unevaluated
+        // provenance still carries the default.
+        !unevaluable && !cfg.accuracy_threshold.is_some_and(|t| self.accuracy[i] < t)
+    }
+
+    /// The prediction for a value none of whose provenances is active.
+    /// With an accuracy threshold the paper compensates with the mean
+    /// accuracy of the triple's own provenances; with pure coverage
+    /// filtering there is no prediction.
+    fn fallback_mean(&self, slot: usize) -> Option<f64> {
+        let provs = self.grouped.slot_provs(slot);
+        let has_evaluated = provs.iter().any(|&p| self.evaluated[p as usize]);
+        (self.cfg.accuracy_threshold.is_some() && has_evaluated).then(|| {
+            provs
+                .iter()
+                .map(|&p| self.accuracy[p as usize])
+                .sum::<f64>()
+                / provs.len() as f64
+        })
+    }
+
+    /// Score `items` under the configured method and filters into
+    /// `probs` / `fallback`, the slices of those items' slots.
+    fn score_items(&self, items: Range<usize>, probs: &mut [Option<f64>], fallback: &mut [bool]) {
+        let (cfg, grouped) = (self.cfg, self.grouped);
+        let base = grouped.item_slots(items.start).start;
+        let filtering =
+            (cfg.filter_by_coverage && self.round > 0) || cfg.accuracy_threshold.is_some();
+        // Buffers reused from item to item: one value's active provenances;
+        // per value, their (sampled) count and summed vote terms; the
+        // method's scratch and output.
+        let (mut active, mut counts, mut scores) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut work, mut out) = (Vec::new(), Vec::new());
+        probs.fill(None);
+        fallback.fill(false);
+        for i in items {
+            let slots = grouped.item_slots(i);
+            // Coverage filter, round 1 (§4.3.2): only score items where at
+            // least one triple has more than one provenance, so that the
+            // subsequent accuracy evaluation rests on non-trivial
+            // evidence. Items whose provenances already carry informative
+            // (gold-seeded) accuracies are exempt — those are exactly the
+            // provenances the filter exists to protect against.
+            if cfg.filter_by_coverage
+                && self.round == 0
+                && cfg.method.iterative()
+                && !slots.clone().any(|slot| {
+                    let provs = grouped.slot_provs(slot);
+                    provs.len() > 1 || provs.iter().any(|&p| self.evaluated[p as usize])
+                })
+            {
+                continue;
+            }
+
+            // Active provenances per value (sampled at L): their count
+            // and their summed vote terms.
+            counts.clear();
+            scores.clear();
+            for slot in slots.clone() {
+                let mut pids = grouped.slot_provs(slot);
+                if filtering {
+                    active.clear();
+                    active.extend(pids.iter().copied().filter(|&p| self.active(p)));
+                    pids = &active;
+                }
+                let sampled;
+                if pids.len() > cfg.sample_limit {
+                    let seed =
+                        hash::hash_u64(grouped.item(i).encode() ^ (self.round as u64) ^ cfg.seed);
+                    sampled = Reservoir::sample_vec(pids.to_vec(), cfg.sample_limit, seed);
+                    pids = &sampled;
+                }
+                counts.push(pids.len());
+                if cfg.method != Method::Vote {
+                    let terms = pids.iter().map(|&p| self.terms[p as usize]);
+                    scores.push(terms.sum());
+                }
+            }
+
+            // With every provenance of the item filtered, no value has a
+            // Bayesian prediction.
+            if counts.iter().any(|&c| c > 0) {
+                match cfg.method {
+                    Method::Vote => methods::vote_into(&counts, &mut out),
+                    Method::Accu => methods::accu_into(&scores, cfg.n_false_values, &mut out),
+                    Method::PopAccu => methods::popaccu_into(
+                        &scores,
+                        &counts,
+                        cfg.popaccu_inner_iters,
+                        &mut work,
+                        &mut out,
+                    ),
+                }
+            }
+            for (vi, slot) in slots.enumerate() {
+                if counts[vi] > 0 {
+                    probs[slot - base] = Some(out[vi]);
+                } else if let Some(mean) = self.fallback_mean(slot) {
+                    // This value's provenances were all filtered (whether
+                    // or not siblings survived): the fallback policy.
+                    probs[slot - base] = Some(mean);
+                    fallback[slot - base] = true;
+                }
+            }
         }
     }
 }
@@ -555,6 +573,9 @@ mod tests {
 
     #[test]
     fn methods_run_in_parallel_identically() {
+        // The kernels write disjoint slices and Stage II sums in
+        // provenance order, so the worker count is unobservable — down to
+        // the last bit of every probability and convergence delta.
         let batch: ExtractionBatch = (0..2000)
             .map(|i| ext(i % 50, i % 3, i % 7, (i % 5) as u16, i % 400))
             .collect();
@@ -562,21 +583,22 @@ mod tests {
             FusionConfig::vote(),
             FusionConfig::accu(),
             FusionConfig::popaccu(),
+            FusionConfig::popaccu_plus_unsup().with_sample_limit(3),
         ] {
-            let a = seq(cfg).run(&batch, None);
-            let b = Fuser::new(FusionConfig {
-                mr: MrConfig::with_workers(8),
-                ..cfg
-            })
-            .run(&batch, None);
-            assert_eq!(a.scored.len(), b.scored.len());
-            for (x, y) in a.scored.iter().zip(&b.scored) {
-                assert_eq!(x.triple, y.triple);
-                match (x.probability, y.probability) {
-                    (Some(px), Some(py)) => assert!((px - py).abs() < 1e-12),
-                    (None, None) => {}
-                    other => panic!("prediction mismatch: {other:?}"),
-                }
+            let bits = |workers: usize| {
+                let out = Fuser::new(cfg.with_workers(workers)).run(&batch, None);
+                let scored: Vec<_> = out
+                    .scored
+                    .iter()
+                    .map(|s| (s.triple, s.probability.map(f64::to_bits), s.fallback))
+                    .collect();
+                let deltas: Vec<u64> = out.round_deltas.iter().map(|d| d.to_bits()).collect();
+                (scored, deltas, out.outcome.rounds())
+            };
+            let sequential = bits(1);
+            assert_eq!(sequential.0.len(), batch.unique_triples());
+            for workers in [2, 8] {
+                assert_eq!(sequential, bits(workers), "{:?} × {workers}", cfg.method);
             }
         }
     }
@@ -715,11 +737,11 @@ mod tests {
 
     #[test]
     fn spilled_pipeline_is_byte_identical_with_bounded_grouped_peak() {
-        // The whole 5-round pipeline (grouping + Stages I/II per round)
-        // with the external shuffle on must reproduce the in-memory run
-        // exactly — including per-slot probabilities, which depend on
-        // value order through reservoir sampling and f64 accumulation —
-        // while `JobStats` proves the grouped envelope held.
+        // The whole pipeline with the external shuffle on (the grouping
+        // job spills; the rounds never shuffle) must reproduce the
+        // in-memory run exactly — including per-slot probabilities, which
+        // depend on value order through reservoir sampling and f64
+        // accumulation — while `JobStats` proves the grouped envelope held.
         let batch: ExtractionBatch = (0..3000)
             .map(|i| ext(i % 120, i % 3, i % 6, (i % 7) as u16, i % 400))
             .collect();
@@ -751,7 +773,7 @@ mod tests {
                 cfg.method
             );
             // Every wave (≤ ~2×128 records) fits under the threshold, so
-            // no round's grouped residency may cross it.
+            // the grouping job's grouped residency may not cross it.
             assert!(
                 spilled.stats.peak_grouped_records <= threshold as u64,
                 "{:?}: grouped peak {} above the {} threshold",

@@ -1,5 +1,6 @@
 //! Fusion output types.
 
+use crate::observation::Grouped;
 use kf_mapreduce::{JobStats, RoundOutcome};
 use kf_types::{ExtractorId, FxHashMap, ProvenanceKey, Triple};
 use serde::{Deserialize, Serialize};
@@ -102,38 +103,28 @@ pub struct ProvenanceAttribution {
     pub evaluated: Vec<bool>,
     /// `offsets[i]..offsets[i + 1]` indexes `prov_ids` for scored triple
     /// `i`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Flattened per-triple provenance id lists (sorted, deduplicated).
     prov_ids: Vec<u32>,
 }
 
 impl ProvenanceAttribution {
-    /// Assemble from per-triple provenance id lists (in scored order) and
-    /// the registry columns.
-    pub(crate) fn new(
-        keys: Vec<ProvenanceKey>,
-        accuracy: Vec<f64>,
-        evaluated: Vec<bool>,
-        per_triple: impl Iterator<Item = Vec<u32>>,
-    ) -> Self {
-        let mut offsets = vec![0usize];
-        let mut prov_ids = Vec::new();
-        for provs in per_triple {
-            prov_ids.extend(provs);
-            offsets.push(prov_ids.len());
-        }
+    /// Assemble from the claim graph the run used and the run's final
+    /// accuracy columns.
+    pub(crate) fn new(grouped: &Grouped, accuracy: Vec<f64>, evaluated: Vec<bool>) -> Self {
+        let (offsets, prov_ids) = grouped.claim_columns();
         ProvenanceAttribution {
-            keys,
+            keys: grouped.keys().to_vec(),
             accuracy,
             evaluated,
-            offsets,
-            prov_ids,
+            offsets: offsets.to_vec(),
+            prov_ids: prov_ids.to_vec(),
         }
     }
 
     /// Number of attributed triples.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.len().saturating_sub(1)
     }
 
     /// True when no triples are attributed.
@@ -143,7 +134,7 @@ impl ProvenanceAttribution {
 
     /// Dense provenance ids supporting scored triple `i` (sorted).
     pub fn provs(&self, i: usize) -> &[u32] {
-        &self.prov_ids[self.offsets[i]..self.offsets[i + 1]]
+        &self.prov_ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Distinct extractors supporting scored triple `i`, in id order.
@@ -229,28 +220,35 @@ mod tests {
 
     #[test]
     fn attribution_indexing_and_extractor_dedup() {
-        use kf_types::{ExtractorId, Granularity, PageId, PatternId, Provenance, SiteId};
-        // Three provenances: extractor 0 on two pages, extractor 2 on one.
-        let keys: Vec<ProvenanceKey> = [(0u16, 10u32), (0, 11), (2, 12)]
-            .iter()
-            .map(|&(e, pg)| {
-                ProvenanceKey::at(
-                    Granularity::ExtractorPage,
-                    &Provenance::new(ExtractorId(e), PageId(pg), SiteId(0), PatternId::NONE),
-                    PredicateId(0),
-                )
-            })
-            .collect();
-        let attribution = ProvenanceAttribution::new(
-            keys,
-            vec![0.9, 0.5, 0.2],
-            vec![true, true, false],
-            vec![vec![0, 1, 2], vec![2], vec![]].into_iter(),
-        );
-        assert_eq!(attribution.len(), 3);
+        use kf_mapreduce::MrConfig;
+        use kf_types::{
+            Extraction, ExtractorId, Granularity, PageId, PatternId, Provenance, SiteId,
+        };
+        // Three provenances: extractor 0 on two pages, extractor 2 on one;
+        // the first triple is claimed by all three, the second by the last.
+        let claim = |object: u32, extractor: u16, page: u32| {
+            Extraction::new(
+                Triple::new(EntityId(1), PredicateId(0), Value::Entity(EntityId(object))),
+                Provenance::new(
+                    ExtractorId(extractor),
+                    PageId(page),
+                    SiteId(0),
+                    PatternId::NONE,
+                ),
+            )
+        };
+        let batch = [
+            claim(7, 0, 10),
+            claim(7, 0, 11),
+            claim(7, 2, 12),
+            claim(8, 2, 12),
+        ];
+        let grouped = Grouped::build(&batch, Granularity::ExtractorPage, &MrConfig::sequential());
+        let attribution =
+            ProvenanceAttribution::new(&grouped, vec![0.9, 0.5, 0.2], vec![true, true, false]);
+        assert_eq!(attribution.len(), 2);
         assert_eq!(attribution.provs(0), &[0, 1, 2]);
         assert_eq!(attribution.provs(1), &[2]);
-        assert!(attribution.provs(2).is_empty());
         // Extractor 0 appears via two provenances but is reported once.
         assert_eq!(
             attribution.extractors(0),
@@ -258,6 +256,6 @@ mod tests {
         );
         let mean = attribution.mean_accuracy(0).unwrap();
         assert!((mean - (0.9 + 0.5 + 0.2) / 3.0).abs() < 1e-12);
-        assert_eq!(attribution.mean_accuracy(2), None);
+        assert_eq!(ProvenanceAttribution::default().len(), 0);
     }
 }

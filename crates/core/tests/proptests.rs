@@ -1,16 +1,18 @@
 //! Property-based tests for the fusion methods: probabilistic invariants
-//! that must hold for any candidate-set shape — and for the grouping
-//! stage: single-pass, two-pass, chunked and unchunked builds must agree
-//! exactly for any corpus shape.
+//! that must hold for any candidate-set shape — for the grouping stage:
+//! chunked, spilled and in-memory builds must agree exactly for any corpus
+//! shape — and for the round kernels: every preset must match, bit for
+//! bit, a sequential oracle written here from the paper's definitions.
 
 use kf_core::methods::{accu, popaccu, vote};
-use kf_core::Grouped;
-use kf_mapreduce::MrConfig;
+use kf_core::{Fuser, FusionConfig, Grouped, InitAccuracy, Method};
+use kf_mapreduce::{MrConfig, Reservoir};
 use kf_types::{
-    EntityId, Extraction, ExtractorId, Granularity, PageId, PatternId, PredicateId, Provenance,
-    SiteId, Triple, Value,
+    hash, DataItem, EntityId, Extraction, ExtractionBatch, ExtractorId, GoldStandard, Granularity,
+    Label, PageId, PatternId, PredicateId, Provenance, ProvenanceKey, SiteId, Triple, Value,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Arbitrary extraction batches spanning the corpus shapes that matter for
 /// grouping: few/many items, value conflicts, shared and singleton
@@ -40,6 +42,265 @@ fn arb_batch() -> impl Strategy<Value = Vec<Extraction>> {
 /// accuracies lie in (0, 1).
 fn arb_cands() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.05f64..0.95, 1..10), 1..8)
+}
+
+// ---- The sequential oracle ------------------------------------------------
+// Stage I and Stage II written naively over ordered maps, straight from
+// §4.1–4.3 (and sharing nothing with `kf_core::pipeline` or its kernels):
+// what the CSR kernels must reproduce bit for bit, reservoir draws and
+// `f64` summation order included.
+
+/// What a fusion run is compared on.
+#[derive(Debug, PartialEq)]
+struct Fused {
+    /// Per triple in canonical order: probability bits, fallback flag.
+    scored: Vec<(Triple, Option<u64>, bool)>,
+    /// Per provenance in key order: final accuracy bits, evaluated flag.
+    provenances: Vec<(ProvenanceKey, u64, bool)>,
+    rounds: usize,
+}
+
+fn clamped(a: f64) -> f64 {
+    a.clamp(0.01, 0.99)
+}
+
+/// `exp(s) / (Σ exp(s) + extra)`, stably.
+fn oracle_softmax(scores: &[f64], extra: f64) -> Vec<f64> {
+    let max = scores.iter().copied().fold(0.0f64, f64::max);
+    let denom = scores.iter().map(|&s| (s - max).exp()).sum::<f64>() + extra * (-max).exp();
+    scores.iter().map(|&s| (s - max).exp() / denom).collect()
+}
+
+/// Probabilities of one item's values from the accuracies of each
+/// value's (sampled, active) provenances — §4.1.
+fn oracle_method(cfg: &FusionConfig, cands: &[Vec<f64>]) -> Vec<f64> {
+    let counts: Vec<f64> = cands.iter().map(|c| c.len() as f64).collect();
+    let total: f64 = counts.iter().sum();
+    let vote_shares: Vec<f64> = counts.iter().map(|&m| m / total).collect();
+    match cfg.method {
+        Method::Vote => vote_shares,
+        Method::Accu => {
+            let n = cfg.n_false_values;
+            let scores: Vec<f64> = cands
+                .iter()
+                .map(|accs| {
+                    accs.iter()
+                        .map(|&a| (n * clamped(a) / (1.0 - clamped(a))).ln())
+                        .sum()
+                })
+                .collect();
+            oracle_softmax(&scores, (n - cands.len() as f64).max(0.0))
+        }
+        Method::PopAccu => {
+            let base: Vec<f64> = cands
+                .iter()
+                .map(|accs| {
+                    accs.iter()
+                        .map(|&a| (clamped(a) / (1.0 - clamped(a))).ln())
+                        .sum()
+                })
+                .collect();
+            let mut probs = vote_shares;
+            for _ in 0..cfg.popaccu_inner_iters.max(1) {
+                let masses: Vec<f64> = counts
+                    .iter()
+                    .zip(&probs)
+                    .map(|(&n, &p)| n * (1.0 - p) + 1e-3)
+                    .collect();
+                let mass_total: f64 = masses.iter().sum();
+                let scores: Vec<f64> = (0..cands.len())
+                    .map(|v| base[v] - counts[v] * (masses[v] / mass_total).max(1e-6).ln())
+                    .collect();
+                let next = oracle_softmax(&scores, 1.0);
+                let moved: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
+                probs = next;
+                if moved < 1e-9 {
+                    break;
+                }
+            }
+            probs
+        }
+    }
+}
+
+fn oracle(batch: &[Extraction], cfg: &FusionConfig, gold: Option<&GoldStandard>) -> Fused {
+    // The claims: item → value → provenances, everything ordered.
+    let mut claims: BTreeMap<DataItem, BTreeMap<Value, BTreeSet<ProvenanceKey>>> = BTreeMap::new();
+    for e in batch {
+        claims
+            .entry(e.triple.data_item())
+            .or_default()
+            .entry(e.triple.object)
+            .or_default()
+            .insert(ProvenanceKey::at(
+                cfg.granularity,
+                &e.provenance,
+                e.triple.predicate,
+            ));
+    }
+    // A provenance's dense id (it seeds Stage II's sampler) is its rank.
+    let keys: BTreeSet<ProvenanceKey> = claims
+        .values()
+        .flatten()
+        .flat_map(|(_, ps)| ps)
+        .copied()
+        .collect();
+    let id: HashMap<ProvenanceKey, u64> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| (*k, i as u64))
+        .collect();
+
+    // (accuracy, evaluated) per provenance — §4.3.3 initialisation.
+    let mut acc: HashMap<ProvenanceKey, (f64, bool)> = keys
+        .iter()
+        .map(|k| (*k, (cfg.default_accuracy, false)))
+        .collect();
+    if let (InitAccuracy::FromGold { sample_rate }, Some(gold)) = (cfg.init, gold) {
+        let mut tally: HashMap<ProvenanceKey, (u32, u32)> = HashMap::new();
+        for (item, values) in &claims {
+            let h = hash::hash_u64(item.encode() ^ cfg.seed ^ 0x00c0_ffee);
+            if sample_rate < 1.0 && (h % 1_000_000) as f64 / 1_000_000.0 >= sample_rate {
+                continue;
+            }
+            for (value, provs) in values {
+                let truth = match gold.label(&Triple::new(item.subject, item.predicate, *value)) {
+                    Label::True => 1,
+                    Label::False => 0,
+                    Label::Unknown => continue,
+                };
+                for p in provs {
+                    let t = tally.entry(*p).or_default();
+                    t.0 += truth;
+                    t.1 += 1;
+                }
+            }
+        }
+        for (p, (true_n, labelled)) in tally {
+            acc.insert(p, (true_n as f64 / labelled as f64, true));
+        }
+    }
+
+    let mut probs: BTreeMap<(DataItem, Value), (Option<f64>, bool)> = BTreeMap::new();
+    let mut rounds = 0;
+    for round in 0..cfg.rounds.max(1) {
+        rounds = round + 1;
+        // ---- Stage I: per data item -------------------------------------
+        for (item, values) in &claims {
+            let active = |p: &ProvenanceKey| {
+                let (a, evaluated) = acc[p];
+                let unevaluable = cfg.filter_by_coverage && round > 0 && !evaluated;
+                let inaccurate = cfg.accuracy_threshold.is_some_and(|theta| a < theta);
+                !unevaluable && !inaccurate
+            };
+            // §4.3.2, first round: an item is only scored on non-trivial
+            // (multiply supported or gold-seeded) evidence.
+            let trivial = values
+                .values()
+                .all(|ps| ps.len() <= 1 && ps.iter().all(|p| !acc[p].1));
+            let skip = cfg.filter_by_coverage && round == 0 && cfg.method.iterative() && trivial;
+            let seed = hash::hash_u64(item.encode() ^ (round as u64) ^ cfg.seed);
+            let cands: Vec<Vec<f64>> = values
+                .values()
+                .map(|ps| {
+                    let survivors: Vec<ProvenanceKey> =
+                        ps.iter().filter(|p| active(p)).copied().collect();
+                    Reservoir::sample_vec(survivors, cfg.sample_limit, seed)
+                        .iter()
+                        .map(|p| acc[p].0)
+                        .collect()
+                })
+                .collect();
+            let scores = if cands.iter().any(|c| !c.is_empty()) {
+                oracle_method(cfg, &cands)
+            } else {
+                Vec::new()
+            };
+            for (v, (value, ps)) in values.iter().enumerate() {
+                let prediction = if skip {
+                    (None, false)
+                } else if !cands[v].is_empty() {
+                    (Some(scores[v]), false)
+                } else if cfg.accuracy_threshold.is_some() && ps.iter().any(|p| acc[p].1) {
+                    // Every provenance filtered: mean-accuracy fallback.
+                    (
+                        Some(ps.iter().map(|p| acc[p].0).sum::<f64>() / ps.len() as f64),
+                        true,
+                    )
+                } else {
+                    (None, false)
+                };
+                probs.insert((*item, *value), prediction);
+            }
+        }
+        if !cfg.method.iterative() {
+            break;
+        }
+        // ---- Stage II: per provenance -----------------------------------
+        let mut by_prov: BTreeMap<ProvenanceKey, Vec<f64>> = BTreeMap::new();
+        for (item, values) in &claims {
+            for (value, ps) in values {
+                if let (Some(p), _) = probs[&(*item, *value)] {
+                    for prov in ps {
+                        by_prov.entry(*prov).or_default().push(p);
+                    }
+                }
+            }
+        }
+        let (mut moved, mut updated) = (0.0, 0usize);
+        for (prov, values) in by_prov {
+            if cfg.filter_by_coverage && round > 0 && !acc[&prov].1 {
+                continue;
+            }
+            let seed = hash::hash_u64(id[&prov] ^ ((round as u64) << 32) ^ cfg.seed);
+            let sample = Reservoir::sample_vec(values, cfg.sample_limit, seed);
+            let mean = sample.iter().sum::<f64>() / sample.len() as f64;
+            moved += (acc[&prov].0 - mean).abs();
+            updated += 1;
+            acc.insert(prov, (mean.clamp(0.0, 1.0), true));
+        }
+        if updated == 0 || moved / (updated as f64) < cfg.tolerance {
+            break;
+        }
+    }
+
+    Fused {
+        scored: probs
+            .into_iter()
+            .map(|((item, value), (p, fallback))| {
+                let triple = Triple::new(item.subject, item.predicate, value);
+                (triple, p.map(f64::to_bits), fallback)
+            })
+            .collect(),
+        provenances: keys
+            .iter()
+            .map(|k| (*k, acc[k].0.to_bits(), acc[k].1))
+            .collect(),
+        rounds,
+    }
+}
+
+/// The same run through `kf_core`, projected the same way.
+fn fused(batch: &[Extraction], cfg: FusionConfig, gold: Option<&GoldStandard>) -> Fused {
+    let batch = ExtractionBatch::from_records(batch.to_vec());
+    let (out, attribution) = Fuser::new(cfg).run_with_attribution(&batch, gold);
+    Fused {
+        scored: out
+            .scored
+            .iter()
+            .map(|s| (s.triple, s.probability.map(f64::to_bits), s.fallback))
+            .collect(),
+        provenances: (0..attribution.keys.len())
+            .map(|p| {
+                (
+                    attribution.keys[p],
+                    attribution.accuracy[p].to_bits(),
+                    attribution.evaluated[p],
+                )
+            })
+            .collect(),
+        rounds: out.outcome.rounds(),
+    }
 }
 
 proptest! {
@@ -109,10 +370,9 @@ proptest! {
     }
 
     /// Chunked and unchunked shuffles build identical `Grouped` output for
-    /// any corpus shape, worker count and chunk quota — and both match the
-    /// historical two-pass baseline.
+    /// any corpus shape, worker count and chunk quota.
     #[test]
-    fn grouping_is_invariant_to_chunking_and_passes(
+    fn grouping_is_invariant_to_chunking(
         batch in arb_batch(),
         workers in 1usize..7,
         chunk_records in 1usize..100,
@@ -128,12 +388,6 @@ proptest! {
             &MrConfig::with_workers(workers).with_chunk_records(chunk_records),
         );
         prop_assert_eq!(&reference, &chunked);
-        let two_pass = Grouped::build_two_pass(
-            &batch,
-            Granularity::ExtractorSitePredicatePattern,
-            &MrConfig::with_workers(workers),
-        );
-        prop_assert_eq!(&reference, &two_pass);
     }
 
     /// The external shuffle — spilled run files, k-way merged, with the
@@ -185,6 +439,44 @@ proptest! {
         prop_assert!(
             chunked.peak_resident_records <= (chunk_records as u64).min(batch.len() as u64)
         );
+    }
+
+    /// The round kernels against the sequential oracle: all five presets,
+    /// with the reservoir never, sometimes and almost always entered (both
+    /// sampling sites are order-sensitive), at any worker count.
+    /// Probability bits, fallback flags, final accuracies, `evaluated`
+    /// flags and the round count must all match.
+    #[test]
+    fn kernels_match_the_sequential_oracle(
+        batch in arb_batch(),
+        workers in 1usize..5,
+        seed in 0u64..4,
+    ) {
+        // LCWA gold for every other subject: one true value per item.
+        let mut gold = GoldStandard::new();
+        for e in batch.iter().filter(|e| e.triple.subject.0 % 2 == 0) {
+            let truth = Value::Entity(EntityId(e.triple.subject.0 % 8));
+            gold.insert(e.triple.data_item(), truth);
+        }
+        for preset in [
+            FusionConfig::vote(),
+            FusionConfig::accu(),
+            FusionConfig::popaccu(),
+            FusionConfig::popaccu_plus_unsup(),
+            FusionConfig::popaccu_plus(),
+        ] {
+            for sample_limit in [1, 3, 1_000_000] {
+                let cfg = FusionConfig { seed, ..preset }
+                    .with_sample_limit(sample_limit)
+                    .with_workers(workers);
+                let gold = matches!(cfg.init, InitAccuracy::FromGold { .. }).then_some(&gold);
+                prop_assert_eq!(
+                    fused(&batch, cfg, gold),
+                    oracle(&batch, &cfg, gold),
+                    "{:?} L={} init={:?}", cfg.method, sample_limit, cfg.init
+                );
+            }
+        }
     }
 
     /// VOTE probabilities always sum to exactly 1 over non-empty counts.

@@ -22,7 +22,7 @@
 //! * a thread-local installation ([`install`]) with free functions
 //!   ([`span`], [`add`], [`record_max`], [`push_series`],
 //!   [`record_time`], [`record_value`], [`record_traffic`],
-//!   [`set_gauge`]) that are
+//!   [`set_gauge`], [`graft`]) that are
 //!   no-ops when no trace is installed — so library code instruments
 //!   unconditionally and pays nothing in untraced runs.
 //! * [`TraceReport`] — the frozen snapshot: mergeable across shard runs
@@ -63,9 +63,9 @@ pub use report::{
     fmt_ns, CounterSnapshot, MergeRule, SeriesSnapshot, SpanNode, TraceReport, MAX_SPAN_DEPTH,
 };
 pub use runtime::{
-    add, current, install, push_series, record_max, record_time, record_traffic, record_value,
-    set_gauge, span, ActiveSpan, CounterHandle, HistogramHandle, InstallGuard, LiveHistogram,
-    SpanGuard, Trace,
+    add, current, graft, install, push_series, record_max, record_time, record_traffic,
+    record_value, set_gauge, span, ActiveSpan, CounterHandle, HistogramHandle, InstallGuard,
+    LiveHistogram, SpanGuard, Trace,
 };
 
 #[cfg(test)]
@@ -231,6 +231,57 @@ mod tests {
         assert_eq!(vote.calls, 2);
         assert_eq!(vote.child("fuse").unwrap().calls, 2);
         assert_eq!(run.counters[0].value, 6);
+    }
+
+    #[test]
+    fn graft_replays_a_report_under_the_open_span() {
+        // Work recorded once, into a private trace...
+        let record = |t: &Trace| {
+            let _s = t.span("shuffle");
+            t.add("mr.jobs", 1);
+            t.record_max("mr.peak", 9);
+            t.record_value("mr.wave.records", 64);
+            t.record_time("mr.wave.map_ns", 1_500);
+        };
+        let private = Trace::with_root("group");
+        record(&private);
+        let recorded = private.snapshot();
+        let mut replay = recorded.clone();
+        replay.quarantine_timings();
+
+        // ...then used twice: the first use is charged its wall-clock, the
+        // second replays the deterministic section only.
+        let host = Trace::new();
+        {
+            let _t = install(&host);
+            let _fuse = span("fuse");
+            graft(&recorded);
+            graft(&replay);
+        }
+        let mut grafted = host.snapshot();
+        let group = grafted.root.child("fuse").unwrap().child("group").unwrap();
+        assert_eq!((group.calls, group.total_ns), (2, recorded.root.total_ns));
+        assert_eq!(group.child("shuffle").unwrap().calls, 2);
+        let maps = &grafted.histograms[0];
+        assert_eq!(
+            (maps.name.as_str(), maps.count, maps.sum),
+            ("mr.wave.map_ns", 2, 1_500)
+        );
+
+        // Recording the same work live, twice, is indistinguishable in the
+        // deterministic section.
+        let live = Trace::new();
+        {
+            let _fuse = live.span("fuse");
+            for _ in 0..2 {
+                let _group = live.span("group");
+                record(&live);
+            }
+        }
+        let mut live = live.snapshot();
+        live.quarantine_timings();
+        grafted.quarantine_timings();
+        assert_eq!(grafted, live);
     }
 
     #[test]

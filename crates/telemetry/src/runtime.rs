@@ -15,6 +15,7 @@
 
 use crate::histogram::{bucket_index, GaugeSnapshot, HistKind, HistogramSnapshot, BUCKET_COUNT};
 use crate::report::{CounterSnapshot, MergeRule, SeriesSnapshot, SpanNode, TraceReport};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -34,11 +35,16 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// thousand waves produce one `wave` node with `calls == 1000`, keeping
 /// traces compact and the deterministic section stable.
 struct ArenaNode {
-    name: &'static str,
+    name: Name,
     calls: u64,
     total_ns: u64,
     children: Vec<usize>,
 }
+
+/// A span, counter, series, histogram or gauge name: `&'static str` from
+/// instrumented code (borrowed, no allocation), owned when it arrives
+/// inside a grafted [`TraceReport`].
+type Name = Cow<'static, str>;
 
 struct SpanArena {
     /// Node 0 is the root; it is closed only by [`Trace::snapshot`].
@@ -47,6 +53,40 @@ struct SpanArena {
     /// (a child is never its own ancestor), so closing by position is
     /// unambiguous.
     stack: Vec<usize>,
+}
+
+impl SpanArena {
+    /// The child of `parent` named `name`, created (with no calls yet) on
+    /// first use.
+    fn child(&mut self, parent: usize, name: Name) -> usize {
+        let existing = self.nodes[parent]
+            .children
+            .iter()
+            .copied()
+            .find(|&c| self.nodes[c].name == name);
+        existing.unwrap_or_else(|| {
+            let idx = self.nodes.len();
+            self.nodes.push(ArenaNode {
+                name,
+                calls: 0,
+                total_ns: 0,
+                children: Vec::new(),
+            });
+            self.nodes[parent].children.push(idx);
+            idx
+        })
+    }
+
+    /// Add `node`'s calls and time to the child of `parent` with its name,
+    /// then its children beneath that, recursively.
+    fn graft(&mut self, parent: usize, node: &SpanNode) {
+        let idx = self.child(parent, Cow::Owned(node.name.clone()));
+        self.nodes[idx].calls += node.calls;
+        self.nodes[idx].total_ns += node.total_ns;
+        for c in &node.children {
+            self.graft(idx, c);
+        }
+    }
 }
 
 struct CounterCell {
@@ -89,6 +129,16 @@ impl LiveHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Add a frozen histogram's observations bucket-wise (the live side
+    /// of [`HistogramSnapshot::merge`]).
+    fn absorb(&self, snap: &HistogramSnapshot) {
+        self.count.fetch_add(snap.count, Ordering::Relaxed);
+        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
+        for b in &snap.buckets {
+            self.buckets[b.index as usize].fetch_add(b.count, Ordering::Relaxed);
+        }
+    }
+
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -121,10 +171,10 @@ struct Inner {
     started: Instant,
     root_name: &'static str,
     spans: Mutex<SpanArena>,
-    counters: Mutex<BTreeMap<&'static str, Arc<CounterCell>>>,
-    series: Mutex<BTreeMap<&'static str, Vec<f64>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<HistogramCell>>>,
-    gauges: Mutex<BTreeMap<&'static str, f64>>,
+    counters: Mutex<BTreeMap<Name, Arc<CounterCell>>>,
+    series: Mutex<BTreeMap<Name, Vec<f64>>>,
+    histograms: Mutex<BTreeMap<Name, Arc<HistogramCell>>>,
+    gauges: Mutex<BTreeMap<Name, f64>>,
 }
 
 /// A run-scoped telemetry registry: a tree of timed spans, a set of
@@ -157,7 +207,7 @@ impl Trace {
                 root_name,
                 spans: Mutex::new(SpanArena {
                     nodes: vec![ArenaNode {
-                        name: root_name,
+                        name: Cow::Borrowed(root_name),
                         calls: 0,
                         total_ns: 0,
                         children: Vec::new(),
@@ -181,22 +231,7 @@ impl Trace {
         let node = {
             let mut arena = lock_unpoisoned(&self.inner.spans);
             let parent = *arena.stack.last().expect("root frame is never popped");
-            let existing = arena.nodes[parent]
-                .children
-                .iter()
-                .copied()
-                .find(|&c| arena.nodes[c].name == name);
-            let node = existing.unwrap_or_else(|| {
-                let idx = arena.nodes.len();
-                arena.nodes.push(ArenaNode {
-                    name,
-                    calls: 0,
-                    total_ns: 0,
-                    children: Vec::new(),
-                });
-                arena.nodes[parent].children.push(idx);
-                idx
-            });
+            let node = arena.child(parent, Cow::Borrowed(name));
             arena.stack.push(node);
             node
         };
@@ -212,6 +247,10 @@ impl Trace {
     /// registration; later calls reuse the existing cell regardless of
     /// the rule they pass.
     pub fn counter(&self, name: &'static str, rule: MergeRule) -> CounterHandle {
+        self.counter_named(Cow::Borrowed(name), rule)
+    }
+
+    fn counter_named(&self, name: Name, rule: MergeRule) -> CounterHandle {
         let cell = lock_unpoisoned(&self.inner.counters)
             .entry(name)
             .or_insert_with(|| {
@@ -239,7 +278,7 @@ impl Trace {
     /// [`TraceReport::quarantine_timings`].
     pub fn push_series(&self, name: &'static str, value: f64) {
         lock_unpoisoned(&self.inner.series)
-            .entry(name)
+            .entry(Cow::Borrowed(name))
             .or_default()
             .push(value);
     }
@@ -248,6 +287,10 @@ impl Trace {
     /// `kind` on first use. Like counters, a histogram's kind is fixed
     /// by its first registration.
     pub fn histogram(&self, name: &'static str, kind: HistKind) -> HistogramHandle {
+        self.histogram_named(Cow::Borrowed(name), kind)
+    }
+
+    fn histogram_named(&self, name: Name, kind: HistKind) -> HistogramHandle {
         let cell = lock_unpoisoned(&self.inner.histograms)
             .entry(name)
             .or_insert_with(|| {
@@ -280,7 +323,46 @@ impl Trace {
 
     /// Set the named gauge to `value` (last write wins).
     pub fn set_gauge(&self, name: &'static str, value: f64) {
-        lock_unpoisoned(&self.inner.gauges).insert(name, value);
+        lock_unpoisoned(&self.inner.gauges).insert(Cow::Borrowed(name), value);
+    }
+
+    /// Replay a frozen trace into this one, as if its recording had
+    /// happened here: `report`'s root becomes (or merges into) a child of
+    /// the innermost open span, named after itself, and its counters,
+    /// series, histograms and gauges merge under the rules of
+    /// [`TraceReport::merge`]. This is how work done once and shared —
+    /// a cached artifact's build — still shows up in the trace of every
+    /// run that uses it; graft a
+    /// [quarantined](TraceReport::quarantine_timings) report to replay the
+    /// deterministic section without re-charging the wall-clock.
+    pub fn graft(&self, report: &TraceReport) {
+        {
+            let mut arena = lock_unpoisoned(&self.inner.spans);
+            let parent = *arena.stack.last().expect("root frame is never popped");
+            arena.graft(parent, &report.root);
+        }
+        for c in &report.counters {
+            let handle = self.counter_named(Cow::Owned(c.name.clone()), c.rule);
+            match c.rule {
+                MergeRule::Add => handle.add(c.value),
+                MergeRule::Max => handle.record_max(c.value),
+            }
+        }
+        for s in &report.series {
+            lock_unpoisoned(&self.inner.series)
+                .entry(Cow::Owned(s.name.clone()))
+                .or_default()
+                .extend_from_slice(&s.values);
+        }
+        for h in &report.histograms {
+            self.histogram_named(Cow::Owned(h.name.clone()), h.kind)
+                .cell
+                .live
+                .absorb(h);
+        }
+        for g in &report.gauges {
+            lock_unpoisoned(&self.inner.gauges).insert(Cow::Owned(g.name.clone()), g.value);
+        }
     }
 
     /// Freeze the current state into a [`TraceReport`]. Open spans
@@ -296,27 +378,27 @@ impl Trace {
         };
         let counters = lock_unpoisoned(&self.inner.counters)
             .iter()
-            .map(|(&name, cell)| CounterSnapshot {
-                name: name.to_owned(),
+            .map(|(name, cell)| CounterSnapshot {
+                name: name.to_string(),
                 value: cell.value.load(Ordering::Relaxed),
                 rule: cell.rule,
             })
             .collect();
         let series = lock_unpoisoned(&self.inner.series)
             .iter()
-            .map(|(&name, values)| SeriesSnapshot {
-                name: name.to_owned(),
+            .map(|(name, values)| SeriesSnapshot {
+                name: name.to_string(),
                 values: values.clone(),
             })
             .collect();
         let histograms = lock_unpoisoned(&self.inner.histograms)
             .iter()
-            .map(|(&name, cell)| cell.live.snapshot(name, cell.kind))
+            .map(|(name, cell)| cell.live.snapshot(name, cell.kind))
             .collect();
         let gauges = lock_unpoisoned(&self.inner.gauges)
             .iter()
-            .map(|(&name, &value)| GaugeSnapshot {
-                name: name.to_owned(),
+            .map(|(name, &value)| GaugeSnapshot {
+                name: name.to_string(),
                 value,
             })
             .collect();
@@ -338,7 +420,7 @@ impl Trace {
 fn build_node(nodes: &[ArenaNode], idx: usize) -> SpanNode {
     let n = &nodes[idx];
     SpanNode {
-        name: n.name.to_owned(),
+        name: n.name.to_string(),
         calls: n.calls,
         total_ns: n.total_ns,
         children: n.children.iter().map(|&c| build_node(nodes, c)).collect(),
@@ -529,6 +611,14 @@ pub fn record_value(name: &'static str, value: u64) {
 pub fn record_traffic(name: &'static str, bytes: u64) {
     if let Some(t) = current() {
         t.record_traffic(name, bytes);
+    }
+}
+
+/// [`Trace::graft`] onto the installed trace, under the calling thread's
+/// innermost open span; no-op without one.
+pub fn graft(report: &TraceReport) {
+    if let Some(t) = current() {
+        t.graft(report);
     }
 }
 

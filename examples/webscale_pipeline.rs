@@ -1,9 +1,9 @@
-//! The scaling story: run the three-stage MapReduce fusion pipeline over
-//! the large corpus preset with explicit worker counts and inspect the
-//! engine's execution counters (the paper's Fig. 8 architecture) —
-//! including a forced spill-to-disk run proving the external shuffle
-//! reproduces the in-memory output byte-for-byte under a bounded memory
-//! envelope.
+//! The scaling story: run the three-stage fusion pipeline (the paper's
+//! Fig. 8 architecture) over the large corpus preset with explicit worker
+//! counts and inspect the execution counters of its one MapReduce job,
+//! the grouping pass that builds the claim graph — including a forced
+//! spill-to-disk run proving the external shuffle reproduces the
+//! in-memory output byte-for-byte under a bounded memory envelope.
 //!
 //! ```text
 //! cargo run --release --example webscale_pipeline
@@ -71,8 +71,9 @@ fn main() {
 
     // External shuffle: additionally bound the *grouped* records resident
     // across partition accumulators. Past the threshold, partitions spill
-    // to sorted run files (KvCodec-encoded) and every round reduces by
-    // k-way merging its runs — output must still be byte-identical.
+    // to sorted run files (KvCodec-encoded) and the grouping job reduces
+    // by k-way merging its runs — the claim graph, and so the output,
+    // must still be byte-identical.
     // KF_SPILL_THRESHOLD overrides the envelope; CI sets it tiny so the
     // disk path is exercised on every push.
     let spill_threshold: usize = std::env::var("KF_SPILL_THRESHOLD")
@@ -105,9 +106,7 @@ fn main() {
     );
     // The engine invariant: grouped residency never exceeds the threshold
     // OR the largest single wave, whichever is bigger — a wave can
-    // overshoot only because a single input's emissions never split, and
-    // Stage II's Zipf-head items (the paper's 2.7M-extraction data items)
-    // can emit more than a small threshold in one go.
+    // overshoot only because a single input's emissions never split.
     let envelope = (spill_threshold as u64).max(spilled.stats.peak_resident_records);
     assert!(
         spilled.stats.peak_grouped_records <= envelope,

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for the CI bench plumbing: the tolerance bands, baseline
-selection and exit codes of `bench_check.py`, and the log-parse and
-artifact-fold paths of `bench_json.py`.
+selection and exit codes of `bench_check.py`, the log-parse and
+artifact-fold paths of `bench_json.py`, and the structural trace gate of
+`trace_check.py`.
 
 Run directly (CI's lint job does) or through unittest:
 
@@ -21,6 +22,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_check  # noqa: E402
 import bench_json  # noqa: E402
+import trace_check  # noqa: E402
 
 
 def ns_row(row_id, mean_ns):
@@ -269,6 +271,30 @@ class BenchJsonFolds(unittest.TestCase):
             sys.argv = old_argv
         self.assertEqual(code, 0, out.getvalue())
         return json.loads(out.getvalue())["rows"]
+
+
+class TraceCheck(unittest.TestCase):
+    @staticmethod
+    def trace(builds, reuses, round_children):
+        span = lambda name, *children: {"name": name, "calls": 1, "children": list(children)}
+        fuse = span("fuse", span("group", span("shuffle")), span("round", *round_children))
+        method = span("vote", fuse, span("diagnose", span("shuffle")))
+        counters = [
+            {"name": "fuse.graph_builds", "value": builds, "merge": "add"},
+            {"name": "fuse.graph_reuses", "value": reuses, "merge": "add"},
+        ]
+        return {"run": {"deterministic": {"spans": span("run", method), "counters": counters}}}
+
+    def test_kernel_rounds_with_two_shared_graphs_pass(self):
+        leaf = {"name": "stage1", "calls": 1}
+        self.assertEqual(trace_check.check(self.trace(2, 3, [leaf])), [])
+
+    def test_wrong_build_counts_and_shuffling_rounds_are_named(self):
+        stage = {"name": "stage2", "calls": 5, "children": [{"name": "shuffle", "calls": 5}]}
+        errors = trace_check.check(self.trace(5, 0, [stage]))
+        self.assertEqual(len(errors), 3, errors)
+        self.assertIn("fuse.graph_builds = 5, expected 2", errors)
+        self.assertIn("run/vote/fuse/round/stage2/shuffle", errors[2])
 
 
 if __name__ == "__main__":
