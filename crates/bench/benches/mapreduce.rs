@@ -185,11 +185,12 @@ fn large_corpus_peak_records(c: &mut Criterion) {
     });
 }
 
-/// Memory-envelope gate for the diagnosis pass: the `kf-diagnose`
-/// support-profile job (the per-extractor attribution behind the Fig. 17
-/// taxonomy) maps the whole batch, so it must honour the same external
-/// shuffle bounds as the fusion pipeline — spilled output identical to
-/// the in-memory build with the grouped peak at or under the threshold.
+/// Memory-envelope gate for the diagnosis pass: a standalone
+/// `SupportIndex::build` (the per-extractor attribution behind the Fig. 17
+/// taxonomy) runs the claims job over the whole batch, so it must honour
+/// the same external shuffle bounds as the fusion pipeline — spilled
+/// output identical to the in-memory build with the grouped peak at or
+/// under the threshold.
 fn diagnose_support_envelope(c: &mut Criterion) {
     use kf_diagnose::SupportIndex;
 

@@ -20,9 +20,9 @@ pub use scenarios::{
     ScenarioRow, SCENARIO_NAMES,
 };
 
-use kf_core::{Fuser, GroupedArtifact};
+use kf_core::{Claims, Fuser, GroupedArtifact};
 use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
-use kf_eval::{AblationRunner, EvalReport, MethodEval, Preset};
+use kf_eval::{AblationRunner, CorpusSummary, EvalReport, MethodEval, Preset};
 use kf_mapreduce::MrConfig;
 use kf_synth::{Corpus, SynthConfig};
 use kf_types::{Extraction, Granularity, TaskSpec};
@@ -605,45 +605,80 @@ pub fn run(opts: &ReproOptions) -> Result<EvalReport, String> {
     Ok(run_on_corpus(opts, &corpus))
 }
 
-/// The claim graphs built so far over one corpus, keyed by what shapes
-/// the graph (granularity) and its grouping job's record (`MrConfig`).
-/// Presets of one granularity fuse over one shared graph: the three basic
-/// presets over the *(extractor, page)* graph, the two POPACCU+ presets
-/// over the fine one.
+/// The MapReduce configuration a run's presets and diagnosis share
+/// (`None` = library default).
+fn engine_config(workers: Option<usize>) -> MrConfig {
+    workers.map_or_else(MrConfig::default, MrConfig::with_workers)
+}
+
+/// What has been grouped so far over one corpus: its [`Claims`] — the one
+/// shuffle of the extractions, keyed by the grouping job's `MrConfig` —
+/// and the claim graphs projected from them, one per granularity. Presets
+/// of one granularity fuse over one shared graph: the three basic presets
+/// over the *(extractor, page)* graph, the two POPACCU+ presets over the
+/// fine one; the support index and the corpus summary read the claims.
 #[derive(Default)]
-struct GraphCache(Mutex<Vec<(Granularity, MrConfig, Arc<GroupedArtifact>)>>);
+struct GraphCache(Mutex<Grouping>);
+
+#[derive(Default)]
+struct Grouping {
+    claims: Vec<(MrConfig, Arc<Claims>)>,
+    graphs: Vec<(Granularity, MrConfig, Arc<GroupedArtifact>)>,
+}
+
+impl Grouping {
+    fn claims(&mut self, records: &[Extraction], mr: &MrConfig) -> Arc<Claims> {
+        if let Some((_, claims)) = self.claims.iter().find(|(m, _)| m == mr) {
+            return claims.clone();
+        }
+        kf_telemetry::add("fuse.claims_builds", 1);
+        let claims = Arc::new(Claims::build(records, mr));
+        self.claims.push((*mr, claims.clone()));
+        claims
+    }
+}
 
 impl GraphCache {
-    /// The graph of `records` for this key, built on first request. Builds
-    /// and reuses are counted on the installed trace — call this under the
-    /// process-level trace, not a method's: which preset pays for a graph
-    /// depends on what else the process ran.
-    fn get_or_build(
+    /// The claims of `records` grouped under `mr`, built on first request.
+    /// Builds, projections and reuses are counted on the installed trace —
+    /// call these under the process-level trace, not a method's: which
+    /// preset pays for what depends on what else the process ran.
+    fn claims(&self, records: &[Extraction], mr: &MrConfig) -> Arc<Claims> {
+        let mut grouping = self.0.lock().expect("a claims build panicked");
+        grouping.claims(records, mr)
+    }
+
+    /// The graph of `records` at `granularity`, projected on first request
+    /// from the claims grouped under `mr`.
+    fn graph(
         &self,
         records: &[Extraction],
         granularity: Granularity,
         mr: &MrConfig,
     ) -> Arc<GroupedArtifact> {
-        let mut graphs = self.0.lock().expect("a graph build panicked");
-        if let Some((_, _, graph)) = graphs.iter().find(|(g, m, _)| (g, m) == (&granularity, mr)) {
+        let mut grouping = self.0.lock().expect("a graph build panicked");
+        let mut cached = grouping.graphs.iter();
+        if let Some((_, _, graph)) = cached.find(|(g, m, _)| (g, m) == (&granularity, mr)) {
             kf_telemetry::add("fuse.graph_reuses", 1);
             return graph.clone();
         }
+        let claims = grouping.claims(records, mr);
         kf_telemetry::add("fuse.graph_builds", 1);
-        let graph = Arc::new(GroupedArtifact::build(records, granularity, mr));
-        graphs.push((granularity, *mr, graph.clone()));
+        let graph = Arc::new(GroupedArtifact::project(&claims, granularity));
+        grouping.graphs.push((granularity, *mr, graph.clone()));
         graph
     }
 }
 
-/// The per-corpus state every preset's run shares: the claim graphs
-/// (one per granularity, built on first use) and the inputs of the
-/// error-taxonomy diagnosis pass — the batch-level support index, the
-/// generator-truth and scenario-truth joins, the extractor labels, and
-/// the MapReduce configuration the diagnoser partitions under.
+/// The per-corpus state every preset's run shares: the grouped claims
+/// and the claim graphs projected from them (one per granularity, on
+/// first use) and the inputs of the error-taxonomy diagnosis pass — the
+/// batch-level support index, the generator-truth and scenario-truth
+/// joins, the extractor labels, and the MapReduce configuration the
+/// diagnoser partitions under.
 ///
-/// Building this is the expensive prefix of a diagnosing run (full
-/// MapReduce jobs over the extraction batch), so callers that fuse the
+/// Building this is the expensive prefix of a diagnosing run (the one
+/// MapReduce job over the extraction batch), so callers that fuse the
 /// same corpus repeatedly — the `kf-dist` worker running one task per
 /// preset shard — build it once with [`build_diagnosis_context`] and hand
 /// it to [`run_on_corpus_with_context`] for every task.
@@ -657,18 +692,16 @@ pub struct DiagnosisContext {
 }
 
 /// Build the shared diagnosis inputs for `corpus`, or `None` when
-/// `opts.diagnose` is off. The support index is shared by all presets,
+/// `opts.diagnose` is off. The support index — a projection of the
+/// corpus's grouped claims, which this groups — is shared by all presets,
 /// so its cost is recorded on the *process-level* trace (under a
 /// `support_index` span), not any method's.
 pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<DiagnosisContext> {
-    let mr = opts.workers.map_or_else(MrConfig::default, |w| MrConfig {
-        workers: w.max(1),
-        partitions: w.max(1) * 4,
-        ..MrConfig::default()
-    });
+    let mr = engine_config(opts.workers);
     opts.diagnose.then(|| {
         let _span = kf_telemetry::span("support_index");
-        let (support, _) = SupportIndex::build(&corpus.batch.records, &mr);
+        let graphs = GraphCache::default();
+        let support = SupportIndex::from_claims(&graphs.claims(&corpus.batch.records, &mr));
         let truth = corpus.taxonomy_truth();
         // Empty for honest corpora; hostile checkpoints carry their
         // injected phenomena into every method's taxonomy section.
@@ -680,17 +713,45 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
             scenario,
             labels,
             mr,
-            graphs: GraphCache::default(),
+            graphs,
         }
     })
 }
 
+/// [`AblationRunner::corpus_summary`] read off the corpus's grouped
+/// `claims` instead of two more passes over its records: slots are the
+/// unique triples, and a triple's LCWA label counts once per record.
+fn corpus_summary(runner: &AblationRunner, corpus: &Corpus, claims: &Claims) -> CorpusSummary {
+    let (mut labelled, mut correct) = (0usize, 0usize);
+    for i in 0..claims.n_items() {
+        for slot in claims.item_slots(i) {
+            if let Some(ok) = corpus.gold.label(&claims.triple(i, slot)).as_bool() {
+                labelled += claims.n_records(slot) as usize;
+                correct += claims.n_records(slot) as usize * ok as usize;
+            }
+        }
+    }
+    CorpusSummary {
+        scale: runner.scale.clone(),
+        seed: corpus.seed,
+        n_records: corpus.batch.len(),
+        n_unique_triples: claims.n_triples(),
+        n_data_items: claims.n_items(),
+        n_gold_items: corpus.gold.n_items(),
+        lcwa_accuracy: match labelled {
+            0 => 0.0,
+            _ => correct as f64 / labelled as f64,
+        },
+    }
+}
+
 /// [`run`] over an existing corpus.
 ///
-/// Per preset: fuse (over the claim graph of the preset's granularity,
-/// built once per corpus), evaluate calibration/PR, and — unless
-/// `opts.diagnose` is off — run the `kf-diagnose` error-taxonomy pass so
-/// every method's report section carries the Fig. 17 breakdown plus the
+/// The extractions are shuffled once per corpus; per preset: fuse (over
+/// the claim graph of the preset's granularity, projected once from the
+/// grouped claims), evaluate calibration/PR, and — unless `opts.diagnose`
+/// is off — run the `kf-diagnose` error-taxonomy pass so every method's
+/// report section carries the Fig. 17 breakdown plus the
 /// heuristic-vs-injected confusion matrix. The batch-level support index
 /// and generator-truth join are computed once
 /// ([`build_diagnosis_context`]) and shared by all presets.
@@ -708,11 +769,11 @@ pub fn run_on_corpus(opts: &ReproOptions, corpus: &Corpus) -> EvalReport {
 
 /// [`run_on_corpus`] with the shared per-corpus state prebuilt (`None`
 /// disables the taxonomy pass, exactly like `opts.diagnose == false`, and
-/// shares claim graphs within this call only). The context must have been
-/// built from the same corpus and equivalent options; reusing it changes
-/// nothing about the produced bytes — a cached graph replays its grouping
-/// job into every method's trace and counters — only skips recomputing
-/// the support index and the graphs.
+/// shares claims and graphs within this call only). The context must have
+/// been built from the same corpus and equivalent options; reusing it
+/// changes nothing about the produced bytes — a cached graph replays its
+/// grouping job into every method's trace and counters — only skips
+/// regrouping the corpus and recomputing the support index and graphs.
 pub fn run_on_corpus_with_context(
     opts: &ReproOptions,
     corpus: &Corpus,
@@ -736,16 +797,24 @@ pub fn run_on_corpus_with_context(
             }
             let gold = preset.needs_gold().then_some(&corpus.gold);
             let start = Instant::now();
-            let graph = graphs.get_or_build(&corpus.batch.records, config.granularity, &config.mr);
+            let graph = graphs.graph(&corpus.batch.records, config.granularity, &config.mr);
             // Each preset runs under its own trace (shadowing any
             // process-level one), so the shard a preset happens to run in
             // never changes what its trace records.
             let trace = kf_telemetry::Trace::with_root("method");
             let installed = kf_telemetry::install(&trace);
-            let (output, attribution) = Fuser::new(config).run_prebuilt(&graph, gold);
+            let fuser = Fuser::new(config);
+            // Only the taxonomy pass reads the attribution columns.
+            let (output, diagnosis) = match diagnosis {
+                None => (fuser.run_unattributed(&graph, gold), None),
+                Some(ctx) => {
+                    let (output, attribution) = fuser.run_prebuilt(&graph, gold);
+                    (output, Some((ctx, attribution)))
+                }
+            };
             let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
             let mut method = runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
-            if let Some(ctx) = diagnosis {
+            if let Some((ctx, attribution)) = diagnosis {
                 let _span = kf_telemetry::span("diagnose");
                 let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &ctx.support)
                     .with_truth(&ctx.truth)
@@ -764,8 +833,9 @@ pub fn run_on_corpus_with_context(
             method
         })
         .collect();
+    let claims = graphs.claims(&corpus.batch.records, &engine_config(opts.workers));
     let mut report = EvalReport {
-        corpus: runner.corpus_summary(corpus),
+        corpus: corpus_summary(&runner, corpus, &claims),
         methods,
     };
     if opts.deterministic {

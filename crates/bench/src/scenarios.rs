@@ -15,7 +15,6 @@
 
 use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
 use kf_eval::{AblationRunner, Json, Preset};
-use kf_mapreduce::MrConfig;
 use kf_synth::{
     CopyingConfig, Corpus, DriftConfig, LinkageConfig, ScenarioConfig, SpamConfig, SynthConfig,
 };
@@ -257,7 +256,8 @@ impl ScenarioMatrix {
     }
 }
 
-/// Fuse, evaluate and diagnose one scenario under every preset.
+/// Fuse, evaluate and diagnose one scenario under every preset — over
+/// one grouping of the scenario corpus, as [`crate::run_on_corpus`] does.
 fn run_scenario_row(
     scale: &str,
     scenario: &str,
@@ -266,17 +266,15 @@ fn run_scenario_row(
     workers: Option<usize>,
 ) -> Result<ScenarioRow, String> {
     let corpus = scenario_corpus(scale, scenario, seed)?;
-    let mr = workers.map_or_else(MrConfig::default, |w| MrConfig {
-        workers: w.max(1),
-        partitions: w.max(1) * 4,
-        ..MrConfig::default()
-    });
+    let mr = crate::engine_config(workers);
     let runner = AblationRunner {
         workers,
         scale: scale.to_string(),
         ..Default::default()
     };
-    let (support, _) = SupportIndex::build(&corpus.batch.records, &mr);
+    let records = &corpus.batch.records;
+    let graphs = crate::GraphCache::default();
+    let support = SupportIndex::from_claims(&graphs.claims(records, &mr));
     let truth = corpus.taxonomy_truth();
     let scenario_truth = corpus.scenario_truth();
     let injected: std::collections::BTreeSet<Triple> = scenario_truth.keys().copied().collect();
@@ -288,8 +286,8 @@ fn run_scenario_row(
             config = config.with_workers(w);
         }
         let gold = preset.needs_gold().then_some(&corpus.gold);
-        let (output, attribution) =
-            kf_core::Fuser::new(config).run_with_attribution(&corpus.batch, gold);
+        let graph = graphs.graph(records, config.granularity, &config.mr);
+        let (output, attribution) = kf_core::Fuser::new(config).run_prebuilt(&graph, gold);
         let eval = runner.evaluate(preset, &output, &corpus.gold, 0.0);
         let (hb, hn) = band_accuracy(&corpus, &output, 0.9, 1.01);
         let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &support)

@@ -5,11 +5,11 @@
 //! identical to the single-process run's, because every method's trace
 //! derives only from the corpus and its own configuration (the
 //! determinism ledger), never from which process happened to host it —
-//! nor from whether the claim graph it fused over was built for it or
-//! shared with an earlier preset.
+//! nor from whether the claims it fused over were grouped for it or
+//! shared with every other preset.
 
 use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, shard_presets, ReproOptions};
-use kf_eval::{merge_reports, EvalReport, Preset};
+use kf_eval::{merge_reports, AblationRunner, EvalReport, Preset};
 use kf_synth::{Corpus, SynthConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -37,13 +37,15 @@ fn options(seed: u64) -> ReproOptions {
     }
 }
 
-/// Five presets span two granularities, so one `run_on_corpus` builds two
-/// claim graphs and reuses them three times — counted on the process-level
-/// trace only — and no method's report section can tell which it got: each
-/// is byte-equal to the same preset run alone (its own graph, built for
-/// it), exactly as a `kf-dist` worker would run it from a task spec.
+/// One `run_on_corpus` shuffles the extractions once: the five presets span
+/// two granularities, so the one claims build is projected twice and the
+/// graphs reused three times, the support index and the summary counts read
+/// the same claims — all counted on the process-level trace only — and no
+/// method's report section can tell what it shared: each is byte-equal to
+/// the same preset run alone (its own grouping job, run for it), exactly as
+/// a `kf-dist` worker would run it from a task spec.
 #[test]
-fn shared_graphs_are_counted_once_and_invisible_in_method_sections() {
+fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     let opts = options(3);
     let corpus = Corpus::generate(&SynthConfig::tiny(), opts.seed);
     let process = kf_telemetry::Trace::new();
@@ -56,11 +58,20 @@ fn shared_graphs_are_counted_once_and_invisible_in_method_sections() {
         let found = process.counters.iter().find(|c| c.name == name);
         found.map(|c| c.value)
     };
+    assert_eq!(counter("fuse.claims_builds"), Some(1));
     assert_eq!(counter("fuse.graph_builds"), Some(2));
     assert_eq!(counter("fuse.graph_reuses"), Some(3));
-    // The grouping jobs' own telemetry went with the graphs into the
-    // method traces; the process level saw the support-index job only.
-    assert_eq!(counter("mr.jobs"), Some(1));
+    // The grouping job's own telemetry went with the graphs into the
+    // method traces, and nothing else shuffles the raw records: the
+    // process level saw no MapReduce job at all.
+    assert_eq!(counter("mr.jobs"), None);
+
+    // The summary read off the claims is the one counted off the records.
+    let runner = AblationRunner {
+        scale: opts.scale.clone(),
+        ..Default::default()
+    };
+    assert_eq!(shared.corpus, runner.corpus_summary(&corpus));
 
     assert_eq!(shared.methods.len(), Preset::ALL.len());
     for (spec, method) in dist_task_specs(&opts).iter().zip(&shared.methods) {

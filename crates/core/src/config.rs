@@ -191,12 +191,14 @@ impl FusionConfig {
 
     /// Builder-style: bound the grouping job's grouped shuffle residency
     /// to roughly `records`, spilling partition accumulators to sorted run
-    /// files beyond it (`0` disables spilling). The grouping job is the
-    /// only shuffle a fusion run performs — Stages I/II are kernels over
-    /// the claim graph it builds and hold only that graph (4 bytes per
-    /// claim plus its 4-byte-per-claim transpose). Output is
-    /// byte-identical with spilling on or off; `FusionOutput::stats`
-    /// reports the job's `peak_grouped_records` / `spilled_bytes`.
+    /// files beyond it (`0` disables spilling). The grouping job
+    /// ([`Claims::build`](crate::Claims::build)) is the only shuffle a
+    /// fusion run performs — the claim graph is a projection of the
+    /// grouped claims, and Stages I/II are kernels over that graph and
+    /// hold only it (4 bytes per claim plus its 4-byte-per-claim
+    /// transpose). Output is byte-identical with spilling on or off;
+    /// `FusionOutput::stats` reports the job's `peak_grouped_records` /
+    /// `spilled_bytes`.
     pub fn with_spill_threshold(mut self, records: usize) -> Self {
         self.mr.spill_threshold_records = records;
         self

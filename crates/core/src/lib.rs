@@ -24,14 +24,16 @@
 //!
 //! Execution follows the paper's three-stage architecture (Fig. 8), with
 //! reservoir sampling (`L`) and forced termination (`R`). The grouping
-//! stage ([`Grouped::build`]) is a single MapReduce pass on the
-//! [`kf_mapreduce`] substrate — provenance keys ship packed through the
-//! shuffle and dense sorted ids are assigned in a post-reduce renumbering —
-//! and honours the engine's memory envelope (`MrConfig::chunk_records`,
-//! `MrConfig::spill_threshold_records`). It shuffles the claim graph
-//! once; the rounds are kernels over that immutable graph, which several
-//! runs can share ([`GroupedArtifact`], [`Fuser::run_prebuilt`]). See the
-//! repository's `ARCHITECTURE.md` for the data flow.
+//! stage ([`Claims::build`]) is a single MapReduce pass on the
+//! [`kf_mapreduce`] substrate — raw provenances ship through the shuffle,
+//! whatever granularity will name them — and honours the engine's memory
+//! envelope (`MrConfig::chunk_records`,
+//! `MrConfig::spill_threshold_records`). It shuffles the extractions
+//! once; a claim graph ([`Grouped`]) is a projection of the grouped
+//! claims at one granularity, and the rounds are kernels over that
+//! immutable graph, which several runs can share ([`GroupedArtifact`],
+//! [`Fuser::run_prebuilt`]). See the repository's `ARCHITECTURE.md` for
+//! the data flow.
 //!
 //! ```
 //! use kf_core::{Fuser, FusionConfig};
@@ -59,6 +61,6 @@ pub mod pipeline;
 pub mod result;
 
 pub use config::{FusionConfig, InitAccuracy, Method};
-pub use observation::{Grouped, GroupedArtifact};
+pub use observation::{Claims, Grouped, GroupedArtifact};
 pub use pipeline::Fuser;
 pub use result::{FusionOutput, ProvenanceAttribution, ScoredTriple};

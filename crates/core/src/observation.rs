@@ -1,13 +1,18 @@
-//! Grouping raw extractions into the structure the fusion rounds operate
-//! on: the **claim graph** — which provenances claim which triples.
+//! Grouping raw extractions into the structures the fusion rounds operate
+//! on: the granularity-free grouped [`Claims`] of a batch and, projected
+//! from them, the **claim graph** — which provenances claim which triples.
 //!
 //! This is Stage I's shuffle (map by data item) plus the provenance
 //! dimension-reduction of §4.1 — an *(Extractor, URL)* pair (or a coarser /
-//! finer key, §4.3.1) becomes a dense integer id. The graph is built with
-//! a **single** MapReduce pass ([`Grouped::build`]): the mapper emits the
-//! full [`ProvenanceKey`] alongside each observation, and the dense sorted
-//! ids are assigned in a post-reduce renumbering step, so each
-//! extraction's provenance key is projected and hashed once.
+//! finer key, §4.3.1) becomes a dense integer id. The batch is shuffled
+//! **once** ([`Claims::build`], a single MapReduce pass): the mapper emits
+//! each extraction's value and raw [`Provenance`] keyed by data item, and
+//! the reducer leaves every triple its sorted, distinct provenances. A
+//! granularity only decides how a provenance is *named*, so a claim graph
+//! is a projection kernel over those columns ([`Claims::project`]): key
+//! each claim with [`ProvenanceKey::at`], deduplicate within the triple,
+//! number the distinct keys densely in sorted order, transpose — no
+//! second shuffle, however many granularities are compared.
 //!
 //! A [`Grouped`] is immutable and columnar (CSR): triples are *slots* in
 //! data-item order, each with a run of provenance ids, plus the transpose
@@ -16,14 +21,399 @@
 //! serves many runs ([`GroupedArtifact`]); accuracies, probabilities and
 //! every other per-run value live in the run, not here.
 
-use crate::fanout::run_tasks;
 use kf_mapreduce::{map_reduce_combined_with_stats, Emitter, JobStats, MrConfig};
-use kf_telemetry::{Trace, TraceReport};
+use kf_telemetry::{SpanNode, Trace, TraceReport};
 use kf_types::{
-    DataItem, Extraction, FxMixHashMap, FxMixHashSet, Granularity, ProvenanceKey, Triple, Value,
+    DataItem, Extraction, ExtractorId, FxMixHashMap, Granularity, KvCodec, PageId, PatternId,
+    Provenance, ProvenanceKey, SiteId, Triple, Value,
 };
 use std::ops::Range;
 use std::sync::Mutex;
+use std::time::Instant;
+
+/// Offsets into the flat columns are `u32`: 4 bytes per claim in each
+/// direction is the whole point of the layout.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("claim graph exceeds u32 offsets")
+}
+
+/// One extraction as it rides the grouping shuffle, 32 bytes: the value,
+/// the raw provenance (its fields inline and in [`Provenance`]'s order, so
+/// sorting observations sorts each value's provenances) and how many
+/// input records it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Obs {
+    value: Value,
+    extractor: ExtractorId,
+    page: PageId,
+    site: SiteId,
+    pattern: PatternId,
+    /// Exact duplicates collapse in the combiner; their number survives
+    /// here. A run that outgrows a `u16` stays split in two.
+    records: u16,
+}
+
+impl Obs {
+    fn provenance(&self) -> Provenance {
+        Provenance::new(self.extractor, self.page, self.site, self.pattern)
+    }
+
+    /// Sort `observations` and fold exact duplicates — same value, same
+    /// provenance — into one observation carrying their record count.
+    fn combine(observations: &mut Vec<Obs>) {
+        observations.sort_unstable();
+        observations.dedup_by(|next, kept| {
+            let same = (next.value, next.provenance()) == (kept.value, kept.provenance());
+            match kept.records.checked_add(next.records) {
+                Some(sum) if same => {
+                    kept.records = sum;
+                    true
+                }
+                _ => false,
+            }
+        });
+    }
+}
+
+impl KvCodec for Obs {
+    fn encode(&self, out: &mut Vec<u8>) {
+        KvCodec::encode(&self.value, out);
+        self.provenance().encode(out);
+        self.records.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let value = Value::decode(input)?;
+        let p = Provenance::decode(input)?;
+        Some(Obs {
+            value,
+            extractor: p.extractor,
+            page: p.page,
+            site: p.site,
+            pattern: p.pattern,
+            records: u16::decode(input)?,
+        })
+    }
+}
+
+/// The record of a grouping job — its execution counters and its trace,
+/// rooted at `group` — kept with what the job built, so that every use of
+/// a shared build replays the job exactly as if it had just run there.
+#[derive(Debug)]
+struct JobRecord {
+    stats: JobStats,
+    /// Quarantined once its wall-clock has been charged to a use.
+    telemetry: Mutex<TraceReport>,
+}
+
+impl JobRecord {
+    /// A copy of the telemetry carrying whatever wall-clock is still
+    /// uncharged, which this record gives up.
+    fn hand_over(&self) -> TraceReport {
+        let mut telemetry = self.telemetry.lock().expect("a telemetry replay panicked");
+        let copy = telemetry.clone();
+        telemetry.quarantine_timings();
+        copy
+    }
+
+    /// Replay the job's telemetry under the installed trace's open span:
+    /// span calls, counters and histograms every time, the wall-clock the
+    /// first time only.
+    fn replay(&self) {
+        let mut telemetry = self.telemetry.lock().expect("a telemetry replay panicked");
+        kf_telemetry::graft(&telemetry);
+        telemetry.quarantine_timings();
+    }
+}
+
+/// The grouped extractions of a batch, before a provenance granularity is
+/// chosen: every data item's candidate values and, per value, the sorted
+/// distinct raw provenances that extracted it — the output of the **one**
+/// shuffle a corpus needs, with the record of the job that ran it. Claim
+/// graphs at any granularity ([`Claims::project`]), the diagnosis support
+/// index and the corpus summary counts are all projections of these
+/// columns.
+///
+/// Slot `s` is one unique triple; item `i` owns the contiguous slots
+/// [`Claims::item_slots`]`(i)`, in value order, and items are sorted, so
+/// slot order is canonical triple order — every projected [`Grouped`] has
+/// the same slots.
+#[derive(Debug)]
+pub struct Claims {
+    /// Data items, sorted.
+    items: Vec<DataItem>,
+    /// Item `i`'s slots are `item_offsets[i]..item_offsets[i + 1]`.
+    item_offsets: Vec<u32>,
+    /// Per slot: the candidate value (sorted within an item).
+    values: Vec<Value>,
+    /// Per slot: distinct extractors supporting it (Fig. 18's second axis).
+    n_extractors: Vec<u16>,
+    /// Per slot: distinct pages supporting it (Fig. 7's axis).
+    n_pages: Vec<u32>,
+    /// Per slot: extraction records carrying it, duplicates included.
+    n_records: Vec<u32>,
+    /// Slot `s`'s provenances are `provs[slot_offsets[s]..slot_offsets[s + 1]]`.
+    slot_offsets: Vec<u32>,
+    /// Raw provenances, distinct and sorted within a slot.
+    provs: Vec<Provenance>,
+    job: JobRecord,
+}
+
+impl Claims {
+    /// Group `batch` with one MapReduce pass, keeping the job's telemetry
+    /// with the result instead of recording it into the installed trace
+    /// ([`Claims::replay_telemetry`], or a projected [`GroupedArtifact`],
+    /// replays it).
+    ///
+    /// The mapper emits `(item, (value, provenance))`; the reducer sorts
+    /// an item's observations, so values come out sorted and each value's
+    /// provenances form a sorted run that deduplicates by adjacency — no
+    /// per-value hash sets, and one flat provenance buffer per item.
+    ///
+    /// The pass registers a sort-and-fold
+    /// [`Combiner`](kf_mapreduce::Combiner): on the chunked/external
+    /// shuffle path (`MrConfig::chunk_records` /
+    /// `MrConfig::spill_threshold_records`), per-item observation buffers
+    /// are sorted and exact duplicates folded into a record count while
+    /// waves merge and before partitions spill. The reducer does the same
+    /// regardless, so output is byte-identical with or without the
+    /// combiner — it only shrinks grouped residency and spilled bytes on
+    /// duplicate-heavy corpora (the same `(triple, provenance)` seen in
+    /// several re-crawls).
+    pub fn build(batch: &[Extraction], mr: &MrConfig) -> Claims {
+        /// One per-value header: `(value, distinct provenances,
+        /// n_extractors, n_pages, n_records)`; the value's provenances
+        /// follow its predecessors' in the item's flat buffer.
+        type Headers = Vec<(Value, u32, u16, u32, u32)>;
+        let trace = Trace::with_root("group");
+        let recording = kf_telemetry::install(&trace);
+        let (mut raw, stats) = map_reduce_combined_with_stats(
+            mr,
+            batch,
+            |e: &Extraction, emit: &mut Emitter<DataItem, Obs>| {
+                emit.emit(
+                    e.triple.data_item(),
+                    Obs {
+                        value: e.triple.object,
+                        extractor: e.provenance.extractor,
+                        page: e.provenance.page,
+                        site: e.provenance.site,
+                        pattern: e.provenance.pattern,
+                        records: 1,
+                    },
+                );
+            },
+            // A reducer-invariant rewrite (engine contract): the reducer
+            // below folds again, and record counts add up either way.
+            Obs::combine,
+            |item, mut observations| {
+                Obs::combine(&mut observations);
+                let mut headers: Headers = Vec::new();
+                let mut flat: Vec<Provenance> = Vec::with_capacity(observations.len());
+                let mut pages: Vec<PageId> = Vec::new();
+                let mut i = 0;
+                while i < observations.len() {
+                    let value = observations[i].value;
+                    let start = flat.len();
+                    let (mut n_extractors, mut n_records) = (0u16, 0u32);
+                    pages.clear();
+                    while i < observations.len() && observations[i].value == value {
+                        let p = observations[i].provenance();
+                        let previous = flat[start..].last().copied();
+                        // Equal neighbours are one duplicate run, split
+                        // because it outgrew a `u16`.
+                        if previous != Some(p) {
+                            // Sorted by extractor first: a new extractor
+                            // shows as a change from the predecessor.
+                            let same_extractor =
+                                previous.is_some_and(|q| q.extractor == p.extractor);
+                            n_extractors += u16::from(!same_extractor);
+                            flat.push(p);
+                            pages.push(p.page);
+                        }
+                        n_records += u32::from(observations[i].records);
+                        i += 1;
+                    }
+                    pages.sort_unstable();
+                    pages.dedup();
+                    let n_provs = (flat.len() - start) as u32;
+                    headers.push((value, n_provs, n_extractors, pages.len() as u32, n_records));
+                }
+                vec![(*item, headers, flat)]
+            },
+        );
+        // The engine only orders keys within a shuffle partition; sort
+        // globally so output order is independent of the partition count.
+        raw.sort_unstable_by_key(|g| g.0);
+
+        // ---- Flatten into columns ------------------------------------------
+        let mut items = Vec::with_capacity(raw.len());
+        let (mut item_offsets, mut slot_offsets) = (vec![0], vec![0]);
+        let (mut values, mut n_extractors, mut n_pages) = (Vec::new(), Vec::new(), Vec::new());
+        let mut n_records = Vec::new();
+        let mut provs = Vec::with_capacity(raw.iter().map(|g| g.2.len()).sum());
+        let mut claims = 0usize;
+        for (item, headers, flat) in raw {
+            items.push(item);
+            for (value, n_provs, extractors, pages, records) in headers {
+                values.push(value);
+                n_extractors.push(extractors);
+                n_pages.push(pages);
+                n_records.push(records);
+                claims += n_provs as usize;
+                slot_offsets.push(offset(claims));
+            }
+            item_offsets.push(offset(values.len()));
+            provs.extend(flat);
+        }
+        drop(recording);
+        Claims {
+            items,
+            item_offsets,
+            values,
+            n_extractors,
+            n_pages,
+            n_records,
+            slot_offsets,
+            provs,
+            job: JobRecord {
+                stats,
+                telemetry: Mutex::new(trace.snapshot()),
+            },
+        }
+    }
+
+    /// The claim graph of these claims at `granularity` — a kernel over
+    /// the columns, not a job: every claim is keyed with
+    /// [`ProvenanceKey::at`] (in its packed `u128` form) and each slot's
+    /// keys sorted and deduplicated, since provenances distinct in full
+    /// may share a key; the distinct keys, sorted, become the dense id
+    /// space; a counting sort by provenance builds the transpose.
+    pub fn project(&self, granularity: Granularity) -> Grouped {
+        // ---- Key every claim -----------------------------------------------
+        let mut packed: Vec<u128> = Vec::with_capacity(self.provs.len());
+        let mut slot_offsets = Vec::with_capacity(self.slot_offsets.len());
+        slot_offsets.push(0);
+        let mut run: Vec<u128> = Vec::new();
+        for (i, item) in self.items.iter().enumerate() {
+            for slot in self.item_slots(i) {
+                let keys = self.slot_provenances(slot).iter();
+                run.clear();
+                run.extend(keys.map(|p| ProvenanceKey::at(granularity, p, item.predicate).pack()));
+                run.sort_unstable();
+                run.dedup();
+                packed.extend_from_slice(&run);
+                slot_offsets.push(offset(packed.len()));
+            }
+        }
+
+        // ---- Renumbering ---------------------------------------------------
+        // Distinct provenance keys, sorted, become the dense id space
+        // (packed-word order equals key order within a granularity): one
+        // hash pass numbers the keys as they first appear, sorting the
+        // distinct ones ranks them, and the ranks replace the first-seen
+        // numbers. Because id assignment is monotone in key order, each
+        // slot's key run (sorted by packed key) becomes a sorted id run.
+        let mut first_seen: FxMixHashMap<u128, u32> = FxMixHashMap::default();
+        let mut provs: Vec<u32> = Vec::with_capacity(packed.len());
+        for &key in &packed {
+            let next = first_seen.len() as u32;
+            provs.push(*first_seen.entry(key).or_insert(next));
+        }
+        let mut packed_keys: Vec<(u128, u32)> = first_seen.into_iter().collect();
+        packed_keys.sort_unstable();
+        let mut rank = vec![0u32; packed_keys.len()];
+        for (id, &(_, seen)) in packed_keys.iter().enumerate() {
+            rank[seen as usize] = id as u32;
+        }
+        provs.iter_mut().for_each(|p| *p = rank[*p as usize]);
+        let keys: Vec<ProvenanceKey> = packed_keys
+            .iter()
+            .map(|&(key, _)| ProvenanceKey::unpack(key))
+            .collect();
+
+        // ---- Transpose -----------------------------------------------------
+        // A counting sort by provenance: visiting slots in ascending order
+        // leaves every provenance's slot list ascending — the order in
+        // which a by-provenance shuffle of the slots would deliver them.
+        let mut prov_offsets = vec![0; keys.len() + 1];
+        for &p in &provs {
+            prov_offsets[p as usize + 1] += 1;
+        }
+        for p in 0..keys.len() {
+            prov_offsets[p + 1] += prov_offsets[p];
+        }
+        let mut cursor = prov_offsets.clone();
+        let mut slots = vec![0; provs.len()];
+        for slot in 0..self.values.len() {
+            for &p in &provs[slot_offsets[slot] as usize..slot_offsets[slot + 1] as usize] {
+                slots[cursor[p as usize] as usize] = slot as u32;
+                cursor[p as usize] += 1;
+            }
+        }
+        Grouped {
+            items: self.items.clone(),
+            item_offsets: self.item_offsets.clone(),
+            values: self.values.clone(),
+            n_extractors: self.n_extractors.clone(),
+            n_pages: self.n_pages.clone(),
+            slot_offsets,
+            provs,
+            keys,
+            prov_offsets,
+            slots,
+        }
+    }
+
+    /// Number of data items.
+    pub fn n_items(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Total number of unique triples (slots).
+    pub fn n_triples(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The slots of item `i`: its candidate values, in value order.
+    pub fn item_slots(&self, i: usize) -> Range<usize> {
+        self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize
+    }
+
+    /// The triple in `slot`, whose data item is item `i`.
+    pub fn triple(&self, i: usize, slot: usize) -> Triple {
+        let item = self.items[i];
+        Triple::new(item.subject, item.predicate, self.values[slot])
+    }
+
+    /// Distinct pages supporting `slot`.
+    pub fn n_pages(&self, slot: usize) -> u32 {
+        self.n_pages[slot]
+    }
+
+    /// Extraction records carrying `slot`'s triple, duplicates included.
+    pub fn n_records(&self, slot: usize) -> u32 {
+        self.n_records[slot]
+    }
+
+    /// The raw provenances that extracted `slot`'s triple, distinct and
+    /// sorted (by extractor, then page).
+    pub fn slot_provenances(&self, slot: usize) -> &[Provenance] {
+        &self.provs[self.slot_offsets[slot] as usize..self.slot_offsets[slot + 1] as usize]
+    }
+
+    /// The grouping job's execution counters.
+    pub fn stats(&self) -> JobStats {
+        self.job.stats
+    }
+
+    /// Replay the grouping job's telemetry under the installed trace's
+    /// open span — what a caller that built these claims for itself owes
+    /// its trace.
+    pub fn replay_telemetry(&self) {
+        self.job.replay();
+    }
+}
 
 /// The claim graph of a batch at one granularity.
 ///
@@ -54,208 +444,24 @@ pub struct Grouped {
     slots: Vec<u32>,
 }
 
-/// Offsets into the flat columns are `u32`: 4 bytes per claim in each
-/// direction is the whole point of the layout.
-fn offset(n: usize) -> u32 {
-    u32::try_from(n).expect("claim graph exceeds u32 offsets")
-}
-
-/// Map contiguous chunks of `input`, one per worker, in parallel; results
-/// come back in chunk order.
-fn map_chunks<I: Sync, R: Send>(
-    workers: usize,
-    input: &[I],
-    f: impl Fn(&[I]) -> R + Sync,
-) -> Vec<R> {
-    let chunk = input.len().div_ceil(workers.max(1)).max(1);
-    let f = &f;
-    run_tasks(input.chunks(chunk).map(|c| move || f(c)).collect())
-}
-
 impl Grouped {
-    /// Build the claim graph of `batch` at `granularity` using the
-    /// MapReduce engine — a single pass; see [`Grouped::build_with_stats`].
+    /// Build the claim graph of `batch` at `granularity`: group the batch
+    /// ([`Claims::build`], one MapReduce pass) and project the result
+    /// ([`Claims::project`]).
     pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Grouped {
         Self::build_with_stats(batch, granularity, mr).0
     }
 
     /// [`Grouped::build`] variant that also returns the grouping job's
     /// execution counters (shuffle volume, peak resident records).
-    ///
-    /// The build is a **single** MapReduce pass: the mapper emits
-    /// `(item, (value, ProvenanceKey, extractor, page))`, carrying the full
-    /// provenance key through the shuffle, and the reducer deduplicates
-    /// per-value support keyed by `ProvenanceKey`. Dense ids are assigned
-    /// afterwards in a renumbering step over the distinct keys, sorted so
-    /// the id space is deterministic.
-    ///
-    /// The pass registers a sort-and-deduplicate
-    /// [`Combiner`](kf_mapreduce::Combiner): on the chunked/external
-    /// shuffle path (`MrConfig::chunk_records` /
-    /// `MrConfig::spill_threshold_records`), per-item observation buffers
-    /// are sorted and exact duplicates dropped while waves merge and
-    /// before partitions spill. The reducer re-sorts and deduplicates
-    /// regardless, so output is byte-identical with or without the
-    /// combiner — it only shrinks grouped residency and spilled bytes on
-    /// duplicate-heavy corpora (the same `(triple, provenance)` seen from
-    /// several pages or re-crawls).
     pub fn build_with_stats(
         batch: &[Extraction],
         granularity: Granularity,
         mr: &MrConfig,
     ) -> (Grouped, JobStats) {
-        // ---- The single grouping pass --------------------------------------
-        // The provenance key rides along with every observation in its
-        // packed `u128` form (16 bytes through the shuffle instead of the
-        // full Option-struct), projected and hashed once per extraction.
-        type Obs = (Value, u128, u16, u32);
-        /// One per-value header: `(value, len, n_extractors, n_pages)`;
-        /// the value's `len` packed keys follow its predecessors' in the
-        /// item's flat key buffer. Dense ids do not exist yet.
-        type RawValues = Vec<(Value, u32, u16, u32)>;
-        let (mut raw, stats) = map_reduce_combined_with_stats(
-            mr,
-            batch,
-            |e: &Extraction, emit: &mut Emitter<DataItem, Obs>| {
-                emit.emit(
-                    e.triple.data_item(),
-                    (
-                        e.triple.object,
-                        ProvenanceKey::at(granularity, &e.provenance, e.triple.predicate).pack(),
-                        e.provenance.extractor.raw(),
-                        e.provenance.page.raw(),
-                    ),
-                );
-            },
-            // Combiner: exact-duplicate observations collapse early. The
-            // reducer below sorts and deduplicates anyway, so this is a
-            // reducer-invariant rewrite (engine contract) — it only trims
-            // the accumulators and the spill files.
-            |observations: &mut Vec<Obs>| {
-                observations.sort_unstable();
-                observations.dedup();
-            },
-            |item, mut observations| {
-                // Sort by (value, packed key, …): values come out sorted,
-                // and each value's provenance keys form sorted runs that
-                // deduplicate by adjacency — no per-value hash sets, and
-                // one flat key buffer per item instead of one Vec per
-                // value.
-                observations.sort_unstable();
-                let mut headers: RawValues = Vec::new();
-                let mut flat: Vec<u128> = Vec::new();
-                let mut exts: Vec<u16> = Vec::new();
-                let mut pages: Vec<u32> = Vec::new();
-                let mut i = 0;
-                while i < observations.len() {
-                    let value = observations[i].0;
-                    let start = flat.len();
-                    exts.clear();
-                    pages.clear();
-                    while i < observations.len() && observations[i].0 == value {
-                        let (_, key, ext, page) = observations[i];
-                        if flat.len() == start || *flat.last().unwrap() != key {
-                            flat.push(key);
-                        }
-                        exts.push(ext);
-                        pages.push(page);
-                        i += 1;
-                    }
-                    exts.sort_unstable();
-                    exts.dedup();
-                    pages.sort_unstable();
-                    pages.dedup();
-                    headers.push((
-                        value,
-                        (flat.len() - start) as u32,
-                        exts.len() as u16,
-                        pages.len() as u32,
-                    ));
-                }
-                vec![(*item, headers, flat)]
-            },
-        );
-        // The engine only orders keys within a shuffle partition; sort
-        // globally so output order is independent of the partition count.
-        raw.sort_unstable_by_key(|g| g.0);
-
-        // ---- Flatten into columns ------------------------------------------
-        let mut g = Grouped {
-            items: Vec::with_capacity(raw.len()),
-            item_offsets: vec![0],
-            values: Vec::new(),
-            n_extractors: Vec::new(),
-            n_pages: Vec::new(),
-            slot_offsets: vec![0],
-            provs: Vec::new(),
-            keys: Vec::new(),
-            prov_offsets: Vec::new(),
-            slots: Vec::new(),
-        };
-        let mut packed: Vec<u128> = Vec::with_capacity(batch.len());
-        let mut claims = 0usize;
-        for (item, headers, flat) in raw {
-            g.items.push(item);
-            for (value, len, n_extractors, n_pages) in headers {
-                g.values.push(value);
-                g.n_extractors.push(n_extractors);
-                g.n_pages.push(n_pages);
-                claims += len as usize;
-                g.slot_offsets.push(offset(claims));
-            }
-            g.item_offsets.push(offset(g.values.len()));
-            packed.extend(flat);
-        }
-
-        // ---- Post-reduce renumbering ---------------------------------------
-        // Distinct provenance keys, sorted, become the dense id space
-        // (packed-word order equals key order within a granularity).
-        // Because id assignment is monotone in key order, each slot's key
-        // run (sorted by packed key) maps directly to a sorted id run.
-        // Both sweeps fan out over contiguous chunks of the claim column.
-        let mut sets = map_chunks(mr.workers, &packed, |chunk| {
-            chunk.iter().copied().collect::<FxMixHashSet<u128>>()
-        });
-        let mut union = sets.pop().unwrap_or_default();
-        for set in sets {
-            union.extend(set);
-        }
-        let mut packed_keys: Vec<u128> = union.into_iter().collect();
-        packed_keys.sort_unstable();
-        let key_index: FxMixHashMap<u128, u32> = packed_keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (*k, i as u32))
-            .collect();
-        g.keys = packed_keys
-            .iter()
-            .map(|&w| ProvenanceKey::unpack(w))
-            .collect();
-        g.provs = map_chunks(mr.workers, &packed, |chunk| {
-            chunk.iter().map(|k| key_index[k]).collect::<Vec<u32>>()
-        })
-        .concat();
-
-        // ---- Transpose -----------------------------------------------------
-        // A counting sort by provenance: visiting slots in ascending order
-        // leaves every provenance's slot list ascending — the order in
-        // which a by-provenance shuffle of the slots would deliver them.
-        g.prov_offsets = vec![0; g.keys.len() + 1];
-        for &p in &g.provs {
-            g.prov_offsets[p as usize + 1] += 1;
-        }
-        for p in 0..g.keys.len() {
-            g.prov_offsets[p + 1] += g.prov_offsets[p];
-        }
-        let mut cursor = g.prov_offsets.clone();
-        g.slots = vec![0; g.provs.len()];
-        for slot in 0..g.values.len() {
-            for &p in &g.provs[g.slot_offsets[slot] as usize..g.slot_offsets[slot + 1] as usize] {
-                g.slots[cursor[p as usize] as usize] = slot as u32;
-                cursor[p as usize] += 1;
-            }
-        }
-        (g, stats)
+        let claims = Claims::build(batch, mr);
+        claims.replay_telemetry();
+        (claims.project(granularity), claims.stats())
     }
 
     /// Number of data items.
@@ -346,9 +552,11 @@ impl Grouped {
     }
 }
 
-/// A claim graph together with the record of the job that built it: one
-/// build serves many fusion runs ([`Fuser::run_prebuilt`](crate::Fuser::run_prebuilt)),
-/// and no run's output can tell whether it was the one that paid for it.
+/// A claim graph together with the record of the grouping job behind it:
+/// one build serves many fusion runs ([`Fuser::run_prebuilt`](crate::Fuser::run_prebuilt)),
+/// and no run's output can tell whether it was the one that paid for it —
+/// nor whether the job's [`Claims`] were grouped for this graph alone or
+/// projected at other granularities too.
 ///
 /// Every use replays the grouping job's counters into
 /// `FusionOutput::stats` and its telemetry (span subtree, `mr.*`
@@ -358,26 +566,39 @@ impl Grouped {
 #[derive(Debug)]
 pub struct GroupedArtifact {
     grouped: Grouped,
-    stats: JobStats,
-    /// The grouping job's trace, rooted at `group`; quarantined once
-    /// replayed.
-    telemetry: Mutex<TraceReport>,
+    job: JobRecord,
 }
 
 impl GroupedArtifact {
-    /// Build the graph ([`Grouped::build_with_stats`]), recording the
-    /// job's telemetry with it instead of into the installed trace.
+    /// Group `batch` ([`Claims::build`]) and project the claims at
+    /// `granularity`; the claims are dropped once projected.
     pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Self {
-        let trace = Trace::with_root("group");
-        let (grouped, stats) = {
-            let _recording = kf_telemetry::install(&trace);
-            Grouped::build_with_stats(batch, granularity, mr)
+        Self::project(&Claims::build(batch, mr), granularity)
+    }
+
+    /// The graph of `claims` at `granularity` ([`Claims::project`]), with
+    /// their grouping job's record. The job does not depend on the
+    /// granularity, so the artifact is the one
+    /// [`GroupedArtifact::build`] makes from the same batch, however many
+    /// other projections share the claims; the job's wall-clock goes with
+    /// the first of them.
+    pub fn project(claims: &Claims, granularity: Granularity) -> Self {
+        let start = Instant::now();
+        let grouped = claims.project(granularity);
+        let mut telemetry = claims.job.hand_over();
+        // The projection is the tail of the `group` span.
+        let total_ns = start.elapsed().as_nanos() as u64;
+        telemetry.root.total_ns += total_ns;
+        telemetry.root.children.push(SpanNode {
+            calls: 1,
+            total_ns,
+            ..SpanNode::leaf("project")
+        });
+        let job = JobRecord {
+            stats: claims.job.stats,
+            telemetry: Mutex::new(telemetry),
         };
-        GroupedArtifact {
-            grouped,
-            stats,
-            telemetry: Mutex::new(trace.snapshot()),
-        }
+        GroupedArtifact { grouped, job }
     }
 
     /// The graph.
@@ -387,15 +608,13 @@ impl GroupedArtifact {
 
     /// The grouping job's execution counters.
     pub fn stats(&self) -> JobStats {
-        self.stats
+        self.job.stats
     }
 
     /// Replay the grouping job's telemetry under the installed trace's
     /// open span.
     pub(crate) fn replay_telemetry(&self) {
-        let mut telemetry = self.telemetry.lock().expect("a telemetry replay panicked");
-        kf_telemetry::graft(&telemetry);
-        telemetry.quarantine_timings();
+        self.job.replay();
     }
 }
 
@@ -614,6 +833,66 @@ mod tests {
     }
 
     #[test]
+    fn claims_keep_raw_provenances_and_record_counts() {
+        // Triple (1, 1, 10): extractor 0 on page 100 twice and on page 101
+        // (same site), extractor 1 on page 100.
+        let batch = vec![
+            ext(1, 1, 10, 0, 100),
+            ext(1, 1, 10, 0, 100),
+            ext(1, 1, 10, 0, 101),
+            ext(1, 1, 10, 1, 100),
+            ext(1, 1, 11, 0, 100),
+        ];
+        let claims = Claims::build(&batch, &MrConfig::sequential());
+        assert_eq!((claims.n_items(), claims.n_triples()), (1, 2));
+        assert_eq!(claims.item_slots(0), 0..2);
+        assert_eq!(claims.triple(0, 1), batch[4].triple);
+        let distinct = [
+            batch[0].provenance,
+            batch[2].provenance,
+            batch[3].provenance,
+        ];
+        assert_eq!(claims.slot_provenances(0), &distinct);
+        assert_eq!((claims.n_records(0), claims.n_pages(0)), (4, 2));
+        assert_eq!((claims.n_records(1), claims.n_pages(1)), (1, 1));
+        // Site granularity merges the two pages of extractor 0.
+        let site = claims.project(Granularity::ExtractorSite);
+        assert_eq!(site.slot_provs(0).len(), 2);
+        assert_eq!((site.n_extractors(0), site.n_pages(0)), (2, 2));
+        assert_eq!(
+            claims
+                .project(Granularity::ExtractorPage)
+                .slot_provs(0)
+                .len(),
+            3
+        );
+    }
+
+    #[test]
+    fn record_counts_survive_the_combiner_past_a_u16() {
+        // 70,000 copies of one extraction outgrow the observation's `u16`
+        // count while waves merge; the per-slot count is exact anyway.
+        assert_eq!(std::mem::size_of::<Obs>(), 32);
+        let mut batch = vec![ext(1, 1, 10, 0, 100); 70_000];
+        batch.push(ext(1, 1, 10, 2, 7));
+        for mr in [
+            MrConfig::sequential(),
+            MrConfig::with_workers(3).with_chunk_records(9_000),
+            MrConfig::sequential()
+                .with_chunk_records(20_000)
+                .with_spill_threshold(1),
+        ] {
+            let claims = Claims::build(&batch, &mr);
+            assert_eq!(claims.n_records(0), 70_001, "{mr:?}");
+            assert_eq!(claims.slot_provenances(0).len(), 2);
+            assert_eq!(
+                claims.project(Granularity::ExtractorPage).n_extractors(0),
+                2
+            );
+        }
+    }
+
+    #[test]
     fn artifact_replays_its_grouping_job_on_every_use() {
         let batch: Vec<Extraction> = (0..300)
             .map(|i| ext(i % 17, i % 2, i % 5, (i % 3) as u16, i % 40))
@@ -633,19 +912,10 @@ mod tests {
         );
         // ...every use does, identically up to wall-clock: the first use
         // is charged the build's time, later ones none.
-        let uses: Vec<TraceReport> = (0..2)
-            .map(|_| {
-                let trace = Trace::new();
-                {
-                    let _t = kf_telemetry::install(&trace);
-                    artifact.replay_telemetry();
-                }
-                trace.snapshot()
-            })
-            .collect();
-        let group = |r: &TraceReport| r.root.child("group").expect("group span").clone();
+        let uses = replays(&artifact, 2);
         assert_eq!(group(&uses[0]).calls, 1);
         assert!(group(&uses[0]).child("shuffle").is_some());
+        assert_eq!(group(&uses[0]).child("project").map(|p| p.calls), Some(1));
         assert!(group(&uses[0]).total_ns > 0);
         assert_eq!(group(&uses[1]).total_ns, 0);
         let jobs = |r: &TraceReport| {
@@ -658,5 +928,49 @@ mod tests {
         let mut uses = uses;
         uses.iter_mut().for_each(TraceReport::quarantine_timings);
         assert_eq!(uses[0], uses[1]);
+    }
+
+    /// What `n` successive uses of `artifact` each record.
+    fn replays(artifact: &GroupedArtifact, n: usize) -> Vec<TraceReport> {
+        (0..n)
+            .map(|_| {
+                let trace = Trace::new();
+                {
+                    let _t = kf_telemetry::install(&trace);
+                    artifact.replay_telemetry();
+                }
+                trace.snapshot()
+            })
+            .collect()
+    }
+
+    fn group(r: &TraceReport) -> SpanNode {
+        r.root.child("group").expect("group span").clone()
+    }
+
+    #[test]
+    fn projections_of_shared_claims_are_the_artifacts_built_alone() {
+        let batch: Vec<Extraction> = (0..900)
+            .map(|i| ext(i % 31, i % 3, i % 6, (i % 4) as u16, i % 70))
+            .collect();
+        let mr = MrConfig::with_workers(2);
+        let claims = Claims::build(&batch, &mr);
+        let mut job_ns = Vec::new();
+        for granularity in Granularity::ALL {
+            let shared = GroupedArtifact::project(&claims, granularity);
+            let alone = GroupedArtifact::build(&batch, granularity, &mr);
+            assert_eq!(shared.grouped(), alone.grouped(), "{granularity:?}");
+            assert_eq!(shared.stats(), alone.stats());
+            let mut shared_use = replays(&shared, 1).remove(0);
+            let mut alone_use = replays(&alone, 1).remove(0);
+            let shuffle = |r: &TraceReport| group(r).child("shuffle").map(|s| s.total_ns);
+            job_ns.push(shuffle(&shared_use).expect("shuffle span"));
+            shared_use.quarantine_timings();
+            alone_use.quarantine_timings();
+            assert_eq!(shared_use, alone_use, "{granularity:?}");
+        }
+        // The one job's wall-clock went with the first projection only.
+        assert!(job_ns[0] > 0);
+        assert!(job_ns[1..].iter().all(|&ns| ns == 0), "{job_ns:?}");
     }
 }

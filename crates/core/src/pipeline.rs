@@ -46,8 +46,9 @@ pub struct Fuser {
 struct Run<'a> {
     cfg: &'a FusionConfig,
     grouped: &'a Grouped,
-    /// The contiguous item ranges Stage I's workers own, and the
-    /// provenance ranges Stage II's do — both cut at equal claim counts.
+    /// The contiguous item ranges Stage I is cut into, and the provenance
+    /// ranges Stage II is — [`CHUNKS_PER_WORKER`] per worker, which the
+    /// workers pull one after another.
     item_cuts: Vec<Range<usize>>,
     prov_cuts: Vec<Range<usize>>,
     /// Current accuracy estimate per provenance.
@@ -101,11 +102,22 @@ impl Fuser {
         self.run_graph(&graph, gold).0
     }
 
-    /// [`Fuser::run_with_attribution`] over a claim graph built earlier —
-    /// by [`GroupedArtifact::build`] from the same records, at this
-    /// configuration's granularity — and possibly shared with other runs.
-    /// Output, `FusionOutput::stats` and recorded telemetry are exactly
-    /// those of a run that built the graph itself.
+    /// [`Fuser::run`] over a claim graph built earlier — by
+    /// [`GroupedArtifact::build`] from the same records (or projected from
+    /// their [`Claims`](crate::Claims)), at this configuration's
+    /// granularity — and possibly shared with other runs. Output,
+    /// `FusionOutput::stats` and recorded telemetry are exactly those of a
+    /// run that built the graph itself.
+    pub fn run_unattributed(
+        &self,
+        graph: &GroupedArtifact,
+        gold: Option<&GoldStandard>,
+    ) -> FusionOutput {
+        self.run_graph(graph, gold).0
+    }
+
+    /// [`Fuser::run_unattributed`] that also returns the
+    /// [`ProvenanceAttribution`], as [`Fuser::run_with_attribution`] does.
     pub fn run_prebuilt(
         &self,
         graph: &GroupedArtifact,
@@ -136,10 +148,12 @@ impl Fuser {
         let mut run = Run {
             cfg,
             grouped,
-            item_cuts: balanced_cuts(grouped.n_items(), workers, |i| {
+            item_cuts: balanced_cuts(grouped.n_items(), workers * CHUNKS_PER_WORKER, |i| {
                 grouped.claims_before_item(i)
             }),
-            prov_cuts: balanced_cuts(n, workers, |p| grouped.claims_before_prov(p)),
+            prov_cuts: balanced_cuts(n, workers * CHUNKS_PER_WORKER, |p| {
+                grouped.claims_before_prov(p)
+            }),
             accuracy: vec![cfg.default_accuracy; n],
             evaluated: vec![false; n],
             probs: vec![None; grouped.n_triples()],
@@ -247,7 +261,7 @@ impl Run<'_> {
     }
 
     /// Stage I: rewrite every slot's probability and fallback flag from
-    /// the current accuracies. Each worker scores one range of items into
+    /// the current accuracies. Each task scores one range of items into
     /// the matching disjoint slices of the slot columns.
     fn stage_one(&mut self, round: usize) {
         let (cfg, grouped) = (self.cfg, self.grouped);
@@ -281,7 +295,7 @@ impl Run<'_> {
             let scorer = &scorer;
             tasks.push(move || scorer.score_items(items.clone(), p, f));
         }
-        run_tasks(tasks);
+        run_tasks(cfg.mr.workers, tasks);
     }
 
     /// Stage II: re-estimate provenance accuracies as the mean probability
@@ -291,7 +305,7 @@ impl Run<'_> {
     /// A provenance's probabilities are gathered through the transpose in
     /// ascending slot order — the order a by-provenance shuffle of the
     /// slots delivers — so the reservoir draws and the `f64` sum are the
-    /// same whatever the worker count. Each worker owns one range of
+    /// same whatever the worker count. Each task owns one range of
     /// provenances; the changes are summed afterwards, in provenance
     /// order, for the same reason.
     fn stage_two(&mut self, round: usize) -> f64 {
@@ -334,13 +348,20 @@ impl Run<'_> {
                 deltas
             });
         }
-        let deltas = run_tasks(tasks).concat();
+        let deltas = run_tasks(cfg.mr.workers, tasks).concat();
         match deltas.len() {
             0 => 0.0,
             updated => deltas.iter().sum::<f64>() / updated as f64,
         }
     }
 }
+
+/// How many ranges per worker each stage is cut into, at equal claim
+/// counts. A range's cost per claim varies — Stage I also pays per value
+/// and per inner POPACCU iteration — so one range per worker leaves most
+/// of the work with one of them; several short ranges pulled on demand
+/// balance whatever the cost model.
+const CHUNKS_PER_WORKER: usize = 8;
 
 /// Cut `0..n` into at most `parts` contiguous non-empty ranges of roughly
 /// equal weight, where `before(i)` is the total weight of `0..i`.

@@ -1,11 +1,12 @@
 //! Property-based tests for the fusion methods: probabilistic invariants
 //! that must hold for any candidate-set shape — for the grouping stage:
-//! chunked, spilled and in-memory builds must agree exactly for any corpus
-//! shape — and for the round kernels: every preset must match, bit for
-//! bit, a sequential oracle written here from the paper's definitions.
+//! the claim graph projected from chunked, spilled and in-memory claims
+//! must equal, at every granularity, an ordered-map oracle written here —
+//! and for the round kernels: every preset must match, bit for bit, a
+//! sequential oracle written here from the paper's definitions.
 
 use kf_core::methods::{accu, popaccu, vote};
-use kf_core::{Fuser, FusionConfig, Grouped, InitAccuracy, Method};
+use kf_core::{Claims, Fuser, FusionConfig, Grouped, InitAccuracy, Method};
 use kf_mapreduce::{MrConfig, Reservoir};
 use kf_types::{
     hash, DataItem, EntityId, Extraction, ExtractionBatch, ExtractorId, GoldStandard, Granularity,
@@ -42,6 +43,78 @@ fn arb_batch() -> impl Strategy<Value = Vec<Extraction>> {
 /// accuracies lie in (0, 1).
 fn arb_cands() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.05f64..0.95, 1..10), 1..8)
+}
+
+// ---- The claim-graph oracle -----------------------------------------------
+// What `Claims::build(..).project(g)` must produce, spelled out over
+// ordered maps and sets (sharing nothing with `kf_core::observation`):
+// items and values in order, per triple its distinct provenance keys,
+// extractors and pages, dense ids by key rank, and the transpose.
+
+/// Per triple, in canonical order: its provenance keys, distinct
+/// extractors and distinct pages.
+type OracleSlots = BTreeMap<
+    Triple,
+    (
+        BTreeSet<ProvenanceKey>,
+        BTreeSet<ExtractorId>,
+        BTreeSet<PageId>,
+    ),
+>;
+
+fn assert_matches_graph_oracle(graph: &Grouped, batch: &[Extraction], granularity: Granularity) {
+    let mut slots = OracleSlots::new();
+    for e in batch {
+        let slot = slots.entry(e.triple).or_default();
+        slot.0.insert(ProvenanceKey::at(
+            granularity,
+            &e.provenance,
+            e.triple.predicate,
+        ));
+        slot.1.insert(e.provenance.extractor);
+        slot.2.insert(e.provenance.page);
+    }
+    let keys: BTreeSet<ProvenanceKey> = slots.values().flat_map(|s| s.0.iter().copied()).collect();
+    let keys: Vec<ProvenanceKey> = keys.into_iter().collect();
+    let id = |key: &ProvenanceKey| keys.binary_search(key).expect("a known key") as u32;
+    let items: BTreeSet<DataItem> = slots.keys().map(Triple::data_item).collect();
+
+    assert_eq!(graph.n_items(), items.len());
+    assert_eq!(graph.n_triples(), slots.len());
+    assert_eq!(graph.keys(), &keys[..]);
+    // Forward lists: triples in canonical order, ids sorted per slot.
+    let mut transpose: Vec<Vec<u32>> = vec![Vec::new(); keys.len()];
+    let mut oracle = slots.iter();
+    let mut claims = 0;
+    for (i, item) in items.iter().enumerate() {
+        assert_eq!(graph.item(i), *item);
+        assert_eq!(graph.claims_before_item(i), claims);
+        for slot in graph.item_slots(i) {
+            let (triple, (provs, extractors, pages)) = oracle.next().expect("a slot too many");
+            assert_eq!(graph.triple(i, slot), *triple);
+            let ids: Vec<u32> = provs.iter().map(id).collect();
+            assert_eq!(graph.slot_provs(slot), &ids[..], "{triple:?}");
+            assert_eq!(graph.n_extractors(slot) as usize, extractors.len());
+            assert_eq!(graph.n_pages(slot) as usize, pages.len());
+            ids.iter()
+                .for_each(|&p| transpose[p as usize].push(slot as u32));
+            claims += ids.len();
+        }
+    }
+    assert!(oracle.next().is_none(), "a slot too few");
+    assert_eq!(
+        (graph.n_claims(), graph.claims_before_item(items.len())),
+        (claims, claims)
+    );
+    // Transpose: each provenance's slots, ascending.
+    let mut before = 0;
+    for (p, slots) in transpose.iter().enumerate() {
+        assert_eq!(graph.prov_slots(p), &slots[..], "{:?}", keys[p]);
+        assert_eq!(graph.support(p) as usize, slots.len());
+        assert_eq!(graph.claims_before_prov(p), before);
+        before += slots.len();
+    }
+    assert_eq!(graph.claims_before_prov(keys.len()), claims);
 }
 
 // ---- The sequential oracle ------------------------------------------------
@@ -369,53 +442,33 @@ proptest! {
         }
     }
 
-    /// Chunked and unchunked shuffles build identical `Grouped` output for
-    /// any corpus shape, worker count and chunk quota.
+    /// One shuffle, many projections: claims grouped in memory, in
+    /// chunked waves or through spilled run files (k-way merged, the
+    /// folding combiner active) project, at every granularity, to exactly
+    /// the graph of the ordered-map oracle — for any corpus shape, worker
+    /// count, chunk quota and spill threshold (order included: `Grouped`
+    /// equality covers item order, value order and dense provenance ids).
     #[test]
-    fn grouping_is_invariant_to_chunking(
+    fn projected_claims_match_the_graph_oracle_under_every_engine_configuration(
         batch in arb_batch(),
-        workers in 1usize..7,
+        workers in 1usize..5,
         chunk_records in 1usize..100,
+        spill_threshold in 1usize..50,
     ) {
-        let reference = Grouped::build(
-            &batch,
-            Granularity::ExtractorSitePredicatePattern,
-            &MrConfig::sequential(),
-        );
-        let chunked = Grouped::build(
-            &batch,
-            Granularity::ExtractorSitePredicatePattern,
-            &MrConfig::with_workers(workers).with_chunk_records(chunk_records),
-        );
-        prop_assert_eq!(&reference, &chunked);
-    }
-
-    /// The external shuffle — spilled run files, k-way merged, with the
-    /// dedup combiner active — builds exactly the same `Grouped` as the
-    /// fully in-memory path, for any corpus shape, worker count, chunk
-    /// quota and spill threshold (order included: `Grouped` equality
-    /// covers item order, value order and dense provenance ids).
-    #[test]
-    fn grouping_is_invariant_to_spilling(
-        batch in arb_batch(),
-        workers in 1usize..7,
-        chunk_records in 1usize..100,
-        spill_threshold in 1usize..200,
-    ) {
-        for granularity in [
-            Granularity::ExtractorPage,
-            Granularity::ExtractorSitePredicatePattern,
-        ] {
-            let reference = Grouped::build(&batch, granularity, &MrConfig::sequential());
-            let spilled = Grouped::build(
-                &batch,
-                granularity,
-                &MrConfig::with_workers(workers)
-                    .with_chunk_records(chunk_records)
-                    .with_spill_threshold(spill_threshold),
-            );
-            prop_assert_eq!(&reference, &spilled, "granularity {:?}", granularity);
+        let in_memory = MrConfig::with_workers(workers);
+        let chunked = in_memory.with_chunk_records(chunk_records);
+        let spilled = chunked.with_spill_threshold(spill_threshold);
+        let claims = [in_memory, chunked, spilled].map(|mr| Claims::build(&batch, &mr));
+        for granularity in Granularity::ALL {
+            let graph = claims[0].project(granularity);
+            assert_matches_graph_oracle(&graph, &batch, granularity);
+            for other in &claims[1..] {
+                prop_assert_eq!(&graph, &other.project(granularity), "{:?}", granularity);
+            }
         }
+        // Another worker count changes nothing either.
+        let sequential = Grouped::build(&batch, Granularity::ExtractorSite, &MrConfig::sequential());
+        prop_assert_eq!(&sequential, &claims[2].project(Granularity::ExtractorSite));
     }
 
     /// The chunked grouping peak respects the quota (grouping emits one

@@ -1,4 +1,4 @@
-//! The support-profile job: who produced each unique triple, and from how
+//! The support profiles: who produced each unique triple, and from how
 //! many pages.
 //!
 //! The taxonomy classifiers need per-extractor attribution that
@@ -6,13 +6,16 @@
 //! positive supported by *one extractor on many pages* is the signature
 //! of a systematic (pattern, data item) extraction breakage, while broad
 //! cross-extractor agreement marks a faithfully extracted (and therefore
-//! probably LCWA-artifact) triple. [`SupportIndex::build`] derives that
-//! attribution from the raw extraction batch with one MapReduce job on
-//! the existing engine, so it inherits the chunked/spill residency
-//! envelope — on the large corpus the job's grouped residency is
-//! bench-asserted to hold `MrConfig::spill_threshold_records`.
+//! probably LCWA-artifact) triple. That attribution is a projection of
+//! the batch's grouped [`Claims`] — each triple's distinct raw
+//! provenances, reduced to (extractor, page) pairs
+//! ([`SupportIndex::from_claims`]) — so it costs no shuffle of its own
+//! when the claims are already grouped for fusion, and the grouping job's
+//! chunked/spill residency envelope
+//! (`MrConfig::spill_threshold_records`) is the only one it is under.
 
-use kf_mapreduce::{map_reduce_combined_with_stats, Emitter, JobStats, MrConfig};
+use kf_core::Claims;
+use kf_mapreduce::{JobStats, MrConfig};
 use kf_types::{Extraction, ExtractorId, FxHashMap, Triple};
 
 /// The support shape of one unique triple: how many distinct pages
@@ -66,54 +69,45 @@ pub struct SupportIndex {
 }
 
 impl SupportIndex {
-    /// Build the index with one MapReduce job over `records`: map each
-    /// extraction to `(triple, (extractor, page))`, sort-and-deduplicate
-    /// as a combiner (reducer-invariant — the reducer re-sorts and
-    /// deduplicates regardless), and reduce each triple's distinct
-    /// support pairs into a profile. Honours every engine residency knob
-    /// in `mr` (`chunk_records`, `spill_threshold_records`).
+    /// Group `records` ([`Claims::build`], one MapReduce job honouring
+    /// every engine residency knob in `mr`) and index the claims
+    /// ([`SupportIndex::from_claims`]). Returns the job's counters and
+    /// replays its telemetry into the installed trace. Callers that fuse
+    /// the same records share one `Claims` with the fusion runs instead.
     pub fn build(records: &[Extraction], mr: &MrConfig) -> (SupportIndex, JobStats) {
-        let (profiles, stats) = map_reduce_combined_with_stats(
-            mr,
-            records,
-            |e: &Extraction, emit: &mut Emitter<Triple, (u16, u32)>| {
-                emit.emit(
-                    e.triple,
-                    (e.provenance.extractor.raw(), e.provenance.page.raw()),
-                );
-            },
-            |pairs: &mut Vec<(u16, u32)>| {
-                pairs.sort_unstable();
-                pairs.dedup();
-            },
-            |triple, mut pairs| {
-                pairs.sort_unstable();
-                pairs.dedup();
-                let mut pages: Vec<u32> = pairs.iter().map(|&(_, page)| page).collect();
-                pages.sort_unstable();
-                pages.dedup();
-                // `pairs` is sorted by (extractor, page) and distinct, so
-                // per-extractor page counts are run lengths.
+        let claims = Claims::build(records, mr);
+        claims.replay_telemetry();
+        (SupportIndex::from_claims(&claims), claims.stats())
+    }
+
+    /// The index of grouped `claims`: per unique triple, its distinct
+    /// (extractor, page) support pairs counted per extractor.
+    pub fn from_claims(claims: &Claims) -> SupportIndex {
+        let mut map = FxHashMap::default();
+        map.reserve(claims.n_triples());
+        for i in 0..claims.n_items() {
+            for slot in claims.item_slots(i) {
+                // Provenances are distinct and sorted by (extractor, page,
+                // …), so distinct pairs are runs, and so are extractors.
                 let mut per_extractor: Vec<(ExtractorId, u32)> = Vec::new();
-                for &(ext, _) in &pairs {
+                let mut last_page = None;
+                for p in claims.slot_provenances(slot) {
                     match per_extractor.last_mut() {
-                        Some((prev, n)) if prev.raw() == ext => *n += 1,
-                        _ => per_extractor.push((ExtractorId(ext), 1)),
+                        Some((extractor, n)) if *extractor == p.extractor => {
+                            *n += u32::from(last_page != Some(p.page));
+                        }
+                        _ => per_extractor.push((p.extractor, 1)),
                     }
+                    last_page = Some(p.page);
                 }
-                vec![(
-                    *triple,
-                    SupportProfile {
-                        n_pages: pages.len() as u32,
-                        per_extractor,
-                    },
-                )]
-            },
-        );
-        let index = SupportIndex {
-            map: profiles.into_iter().collect(),
-        };
-        (index, stats)
+                let profile = SupportProfile {
+                    n_pages: claims.n_pages(slot),
+                    per_extractor,
+                };
+                map.insert(claims.triple(i, slot), profile);
+            }
+        }
+        SupportIndex { map }
     }
 
     /// The profile of a triple, if it appears in the batch.
@@ -193,6 +187,47 @@ mod tests {
             if mr.spill_threshold_records > 0 {
                 assert!(stats.spilled_bytes > 0, "spill path not exercised");
                 assert!(stats.peak_grouped_records <= base_stats.peak_grouped_records);
+            }
+        }
+    }
+
+    #[test]
+    fn from_claims_matches_a_naive_support_pair_oracle() {
+        use std::collections::{BTreeMap, BTreeSet};
+        // Pages revisited with different patterns and re-crawled verbatim:
+        // neither may count a (extractor, page) pair twice.
+        let mut records: Vec<Extraction> = (0..2_000)
+            .map(|i| {
+                let mut e = ext(i % 23, (i % 5) as u16, (i * 7) % 60);
+                e.provenance.pattern = PatternId(i % 3);
+                e
+            })
+            .collect();
+        records.extend_from_within(..500);
+        let mut pairs: BTreeMap<Triple, BTreeSet<(ExtractorId, PageId)>> = BTreeMap::new();
+        for e in &records {
+            let pair = (e.provenance.extractor, e.provenance.page);
+            pairs.entry(e.triple).or_default().insert(pair);
+        }
+        for mr in [
+            MrConfig::sequential(),
+            MrConfig::with_workers(3)
+                .with_chunk_records(200)
+                .with_spill_threshold(300),
+        ] {
+            let index = SupportIndex::from_claims(&Claims::build(&records, &mr));
+            assert_eq!(index.len(), pairs.len());
+            for (triple, pairs) in &pairs {
+                let pages: BTreeSet<PageId> = pairs.iter().map(|&(_, page)| page).collect();
+                let mut per_extractor: BTreeMap<ExtractorId, u32> = BTreeMap::new();
+                for &(extractor, _) in pairs {
+                    *per_extractor.entry(extractor).or_default() += 1;
+                }
+                let expected = SupportProfile {
+                    n_pages: pages.len() as u32,
+                    per_extractor: per_extractor.into_iter().collect(),
+                };
+                assert_eq!(index.get(triple), Some(&expected), "{triple:?}");
             }
         }
     }

@@ -452,52 +452,52 @@ where
 
     let _reduce = kf_telemetry::span("reduce");
     let mut results: Vec<(usize, Vec<O>, u64)> = Vec::with_capacity(partitions);
+    let (next, slots, reducer) = (&next_partition, &partition_slots, &reducer);
+    // The calling thread is one of the reduce workers, so — as in the map
+    // phase — one worker means no thread at all.
+    let reduce_partitions = || {
+        let mut local: Vec<(usize, Vec<O>, u64)> = Vec::new();
+        loop {
+            let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if p >= slots.len() {
+                break;
+            }
+            let payload = slots[p]
+                .lock()
+                .expect("partition lock poisoned")
+                .take()
+                .expect("partition taken twice");
+            let groups = match payload {
+                Partition::Spilled(runs) => {
+                    // Runs are key-sorted; the streaming merge
+                    // reduces directly.
+                    let (out, n_keys) = merge_reduce_runs(&runs, reducer);
+                    local.push((p, out, n_keys));
+                    continue;
+                }
+                Partition::Grouped(groups) => groups,
+                Partition::Raw(records) => {
+                    let mut groups: Groups<K, V> = FxHashMap::default();
+                    merge_buffers(&mut groups, vec![records], None);
+                    groups
+                }
+            };
+            let mut keyed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
+            keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let n_keys = keyed.len() as u64;
+            let mut out = Vec::new();
+            for (k, vs) in keyed {
+                out.extend(reducer(&k, vs));
+            }
+            local.push((p, out, n_keys));
+        }
+        local
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next_partition;
-                let reducer = &reducer;
-                let slots = &partition_slots;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, Vec<O>, u64)> = Vec::new();
-                    loop {
-                        let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if p >= slots.len() {
-                            break;
-                        }
-                        let payload = slots[p]
-                            .lock()
-                            .expect("partition lock poisoned")
-                            .take()
-                            .expect("partition taken twice");
-                        let groups = match payload {
-                            Partition::Spilled(runs) => {
-                                // Runs are key-sorted; the streaming merge
-                                // reduces directly.
-                                let (out, n_keys) = merge_reduce_runs(&runs, reducer);
-                                local.push((p, out, n_keys));
-                                continue;
-                            }
-                            Partition::Grouped(groups) => groups,
-                            Partition::Raw(records) => {
-                                let mut groups: Groups<K, V> = FxHashMap::default();
-                                merge_buffers(&mut groups, vec![records], None);
-                                groups
-                            }
-                        };
-                        let mut keyed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-                        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                        let n_keys = keyed.len() as u64;
-                        let mut out = Vec::new();
-                        for (k, vs) in keyed {
-                            out.extend(reducer(&k, vs));
-                        }
-                        local.push((p, out, n_keys));
-                    }
-                    local
-                })
-            })
+        let handles: Vec<_> = (1..workers)
+            .map(|_| scope.spawn(reduce_partitions))
             .collect();
+        results.extend(reduce_partitions());
         for h in handles {
             results.extend(h.join().expect("reduce worker panicked"));
         }

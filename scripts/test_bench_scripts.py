@@ -275,26 +275,28 @@ class BenchJsonFolds(unittest.TestCase):
 
 class TraceCheck(unittest.TestCase):
     @staticmethod
-    def trace(builds, reuses, round_children):
+    def trace(claims, builds, reuses, round_children):
         span = lambda name, *children: {"name": name, "calls": 1, "children": list(children)}
         fuse = span("fuse", span("group", span("shuffle")), span("round", *round_children))
         method = span("vote", fuse, span("diagnose", span("shuffle")))
         counters = [
+            {"name": "fuse.claims_builds", "value": claims, "merge": "add"},
             {"name": "fuse.graph_builds", "value": builds, "merge": "add"},
             {"name": "fuse.graph_reuses", "value": reuses, "merge": "add"},
         ]
         return {"run": {"deterministic": {"spans": span("run", method), "counters": counters}}}
 
-    def test_kernel_rounds_with_two_shared_graphs_pass(self):
+    def test_kernel_rounds_with_two_graphs_projected_from_one_shuffle_pass(self):
         leaf = {"name": "stage1", "calls": 1}
-        self.assertEqual(trace_check.check(self.trace(2, 3, [leaf])), [])
+        self.assertEqual(trace_check.check(self.trace(1, 2, 3, [leaf])), [])
 
     def test_wrong_build_counts_and_shuffling_rounds_are_named(self):
         stage = {"name": "stage2", "calls": 5, "children": [{"name": "shuffle", "calls": 5}]}
-        errors = trace_check.check(self.trace(5, 0, [stage]))
-        self.assertEqual(len(errors), 3, errors)
+        errors = trace_check.check(self.trace(5, 5, 0, [stage]))
+        self.assertEqual(len(errors), 4, errors)
+        self.assertIn("fuse.claims_builds = 5, expected 1", errors)
         self.assertIn("fuse.graph_builds = 5, expected 2", errors)
-        self.assertIn("run/vote/fuse/round/stage2/shuffle", errors[2])
+        self.assertIn("run/vote/fuse/round/stage2/shuffle", errors[3])
 
 
 if __name__ == "__main__":

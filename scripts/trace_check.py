@@ -6,9 +6,11 @@
 Two facts about a five-preset run that byte-comparing two traces cannot
 catch, because a regression would change both the same way:
 
-* the presets span two provenance granularities, so exactly 2 claim
-  graphs are built and 3 presets reuse one (`fuse.graph_builds`,
-  `fuse.graph_reuses` — process-level counters);
+* the extractions are shuffled once: exactly 1 claims build
+  (`fuse.claims_builds`); the presets span two provenance granularities,
+  so the claims are projected into exactly 2 claim graphs and 3 presets
+  reuse one (`fuse.graph_builds`, `fuse.graph_reuses`) — all
+  process-level counters;
 * fusion rounds are kernels over the claim graph: no `round` span has a
   `shuffle` descendant (the grouping job's shuffle sits under
   `fuse/group`, the diagnosis job's under `diagnose`).
@@ -19,7 +21,7 @@ Exits 1 naming every violated fact.
 import json
 import sys
 
-EXPECTED = {"fuse.graph_builds": 2, "fuse.graph_reuses": 3}
+EXPECTED = {"fuse.claims_builds": 1, "fuse.graph_builds": 2, "fuse.graph_reuses": 3}
 
 
 def shuffling_rounds(node, path="", in_round=False):
@@ -54,7 +56,7 @@ def main():
     for error in errors:
         print(f"TRACE CHECK FAILED: {error}", file=sys.stderr)
     if not errors:
-        print("trace check: 2 graph builds, 3 reuses, no round shuffles")
+        print("trace check: 1 claims build, 2 graph projections, 3 reuses, no round shuffles")
     return 1 if errors else 0
 
 
