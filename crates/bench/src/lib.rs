@@ -20,13 +20,14 @@ pub use scenarios::{
     ScenarioRow, SCENARIO_NAMES,
 };
 
-use kf_core::{Claims, Fuser, GroupedArtifact};
+use kf_core::{Claims, Fuser, FusionConfig, FusionOutput, GroupedArtifact, Method};
 use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
 use kf_eval::{AblationRunner, CorpusSummary, EvalReport, MethodEval, Preset};
-use kf_mapreduce::MrConfig;
+use kf_mapreduce::{run_tasks, MrConfig};
 use kf_synth::{Corpus, SynthConfig};
+use kf_telemetry::Trace;
 use kf_types::{Extraction, Granularity, TaskSpec};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Why [`ReproOptions::parse`] did not produce options.
@@ -66,7 +67,8 @@ pub struct ReproOptions {
     /// than defaulted — shard mode substitutes its own default file name
     /// only when it was not.
     pub out_explicit: bool,
-    /// Fusion worker threads (`None` = library default).
+    /// Threads the run keeps busy — one budget for the whole run, spent on
+    /// presets first (`None` = library default).
     pub workers: Option<usize>,
     /// Calibration bins per curve.
     pub bins: usize,
@@ -401,7 +403,9 @@ options:
   --out PATH                       report path (default: report.json;
                                    binary shard report in --shard mode)
   --no-out                         skip writing the report file
-  --workers N                      fusion worker threads
+  --workers N                      threads the run keeps busy: presets
+                                   first, kernel ranges with what is
+                                   left; the report does not depend on it
   --bins N                         calibration bins (default: 10)
   --presets a,b,c                  subset of: vote,accu,popaccu,
                                    popaccu_plus_unsup,popaccu_plus
@@ -611,41 +615,59 @@ fn engine_config(workers: Option<usize>) -> MrConfig {
     workers.map_or_else(MrConfig::default, MrConfig::with_workers)
 }
 
+/// Values built once per key. The list is locked to find (or add) a key's
+/// cell, never while a value is built: builds under different keys overlap,
+/// and whoever asks for a key being built waits for that one build.
+type BuiltOnce<K, V> = Mutex<Vec<(K, Arc<OnceLock<Arc<V>>>)>>;
+
+/// The value under `key`, built by the first caller to ask for it, and
+/// whether that was this call.
+fn get_or_build<K: PartialEq, V>(
+    cells: &BuiltOnce<K, V>,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> (Arc<V>, bool) {
+    let cell = {
+        let mut cells = cells.lock().expect("a cell lookup cannot panic");
+        let at = cells.iter().position(|(k, _)| *k == key);
+        let at = at.unwrap_or_else(|| {
+            cells.push((key, Arc::default()));
+            cells.len() - 1
+        });
+        cells[at].1.clone()
+    };
+    let mut built = false;
+    let value = cell.get_or_init(|| {
+        built = true;
+        Arc::new(build())
+    });
+    (value.clone(), built)
+}
+
 /// What has been grouped so far over one corpus: its [`Claims`] — the one
 /// shuffle of the extractions, keyed by the grouping job's `MrConfig` —
 /// and the claim graphs projected from them, one per granularity. Presets
 /// of one granularity fuse over one shared graph: the three basic presets
 /// over the *(extractor, page)* graph, the two POPACCU+ presets over the
 /// fine one; the support index and the corpus summary read the claims.
+///
+/// Builds, projections and reuses are counted on the installed trace —
+/// ask under the process-level trace, not a method's: which preset pays
+/// for what depends on what else the process ran.
 #[derive(Default)]
-struct GraphCache(Mutex<Grouping>);
-
-#[derive(Default)]
-struct Grouping {
-    claims: Vec<(MrConfig, Arc<Claims>)>,
-    graphs: Vec<(Granularity, MrConfig, Arc<GroupedArtifact>)>,
-}
-
-impl Grouping {
-    fn claims(&mut self, records: &[Extraction], mr: &MrConfig) -> Arc<Claims> {
-        if let Some((_, claims)) = self.claims.iter().find(|(m, _)| m == mr) {
-            return claims.clone();
-        }
-        kf_telemetry::add("fuse.claims_builds", 1);
-        let claims = Arc::new(Claims::build(records, mr));
-        self.claims.push((*mr, claims.clone()));
-        claims
-    }
+struct GraphCache {
+    claims: BuiltOnce<MrConfig, Claims>,
+    graphs: BuiltOnce<(Granularity, MrConfig), GroupedArtifact>,
 }
 
 impl GraphCache {
     /// The claims of `records` grouped under `mr`, built on first request.
-    /// Builds, projections and reuses are counted on the installed trace —
-    /// call these under the process-level trace, not a method's: which
-    /// preset pays for what depends on what else the process ran.
     fn claims(&self, records: &[Extraction], mr: &MrConfig) -> Arc<Claims> {
-        let mut grouping = self.0.lock().expect("a claims build panicked");
-        grouping.claims(records, mr)
+        let (claims, built) = get_or_build(&self.claims, *mr, || Claims::build(records, mr));
+        if built {
+            kf_telemetry::add("fuse.claims_builds", 1);
+        }
+        claims
     }
 
     /// The graph of `records` at `granularity`, projected on first request
@@ -656,18 +678,31 @@ impl GraphCache {
         granularity: Granularity,
         mr: &MrConfig,
     ) -> Arc<GroupedArtifact> {
-        let mut grouping = self.0.lock().expect("a graph build panicked");
-        let mut cached = grouping.graphs.iter();
-        if let Some((_, _, graph)) = cached.find(|(g, m, _)| (g, m) == (&granularity, mr)) {
-            kf_telemetry::add("fuse.graph_reuses", 1);
-            return graph.clone();
-        }
-        let claims = grouping.claims(records, mr);
-        kf_telemetry::add("fuse.graph_builds", 1);
-        let graph = Arc::new(GroupedArtifact::project(&claims, granularity));
-        grouping.graphs.push((granularity, *mr, graph.clone()));
+        let (graph, built) = get_or_build(&self.graphs, (granularity, *mr), || {
+            GroupedArtifact::project(&self.claims(records, mr), granularity)
+        });
+        let counter = if built {
+            "fuse.graph_builds"
+        } else {
+            "fuse.graph_reuses"
+        };
+        kf_telemetry::add(counter, 1);
         graph
     }
+}
+
+/// A unit of a scheduled run: anything [`run_tasks`] may put on any of the
+/// run's threads, writing its result where its maker told it to.
+type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// `task`, counting on `process` — the trace its scheduler had installed —
+/// on whichever thread runs it. Counters only: a trace has one span stack,
+/// which stays with the scheduling thread.
+fn counted_on<'a>(process: &'a Option<Trace>, task: impl FnOnce() + Send + 'a) -> Task<'a> {
+    Box::new(move || {
+        let _installed = process.as_ref().map(kf_telemetry::install);
+        task()
+    })
 }
 
 /// The per-corpus state every preset's run shares: the grouped claims
@@ -695,23 +730,33 @@ pub struct DiagnosisContext {
 /// `opts.diagnose` is off. The support index — a projection of the
 /// corpus's grouped claims, which this groups — is shared by all presets,
 /// so its cost is recorded on the *process-level* trace (under a
-/// `support_index` span), not any method's.
+/// `support_index` span), not any method's. The truth joins do not read
+/// the claims: they run beside the grouping job, as the second task of a
+/// two-task fan-out.
 pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<DiagnosisContext> {
     let mr = engine_config(opts.workers);
     opts.diagnose.then(|| {
         let _span = kf_telemetry::span("support_index");
+        let process = kf_telemetry::current();
         let graphs = GraphCache::default();
-        let support = SupportIndex::from_claims(&graphs.claims(&corpus.batch.records, &mr));
-        let truth = corpus.taxonomy_truth();
-        // Empty for honest corpora; hostile checkpoints carry their
-        // injected phenomena into every method's taxonomy section.
-        let scenario = corpus.scenario_truth();
-        let labels: Vec<String> = corpus.extractors.iter().map(|e| e.name.clone()).collect();
+        let (mut support, mut truths) = (None, None);
+        let group = counted_on(&process, || {
+            let claims = graphs.claims(&corpus.batch.records, &mr);
+            support = Some(SupportIndex::from_claims(&claims));
+        });
+        // The scenario join is empty for honest corpora; hostile
+        // checkpoints carry their injected phenomena into every method's
+        // taxonomy section.
+        let join: Task = Box::new(|| {
+            truths = Some((corpus.taxonomy_truth(), corpus.scenario_truth()));
+        });
+        run_tasks(mr.workers, vec![group, join]);
+        let (truth, scenario) = truths.expect("the join task ran");
         DiagnosisContext {
-            support,
+            support: support.expect("the grouping task ran"),
             truth,
             scenario,
-            labels,
+            labels: corpus.extractors.iter().map(|e| e.name.clone()).collect(),
             mr,
             graphs,
         }
@@ -721,7 +766,7 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
 /// [`AblationRunner::corpus_summary`] read off the corpus's grouped
 /// `claims` instead of two more passes over its records: slots are the
 /// unique triples, and a triple's LCWA label counts once per record.
-fn corpus_summary(runner: &AblationRunner, corpus: &Corpus, claims: &Claims) -> CorpusSummary {
+fn corpus_summary(scale: &str, corpus: &Corpus, claims: &Claims) -> CorpusSummary {
     let (mut labelled, mut correct) = (0usize, 0usize);
     for i in 0..claims.n_items() {
         for slot in claims.item_slots(i) {
@@ -732,7 +777,7 @@ fn corpus_summary(runner: &AblationRunner, corpus: &Corpus, claims: &Claims) -> 
         }
     }
     CorpusSummary {
-        scale: runner.scale.clone(),
+        scale: scale.to_string(),
         seed: corpus.seed,
         n_records: corpus.batch.len(),
         n_unique_triples: claims.n_triples(),
@@ -755,6 +800,11 @@ fn corpus_summary(runner: &AblationRunner, corpus: &Corpus, claims: &Claims) -> 
 /// heuristic-vs-injected confusion matrix. The batch-level support index
 /// and generator-truth join are computed once
 /// ([`build_diagnosis_context`]) and shared by all presets.
+///
+/// The presets are independent runs over shared, immutable graphs, so the
+/// run's `workers` go to whole presets first ([`run_tasks`]) and to the
+/// kernel ranges and job phases inside them with what is left; the report
+/// does not depend on `workers`.
 ///
 /// Every preset runs under a fresh `kf-telemetry` trace; the resulting
 /// span tree and counters are attached as [`MethodEval::trace`], so
@@ -779,29 +829,80 @@ pub fn run_on_corpus_with_context(
     corpus: &Corpus,
     diagnosis: Option<&DiagnosisContext>,
 ) -> EvalReport {
+    let (methods, summary) = fuse_presets(
+        opts,
+        corpus,
+        diagnosis,
+        |_, _, method| method,
+        |claims| corpus_summary(&opts.scale, corpus, claims),
+    );
+    let mut report = EvalReport {
+        corpus: summary,
+        methods,
+    };
+    if opts.deterministic {
+        // Wall-clock is the report's only nondeterministic content; one
+        // quarantine pass zeroes every timing field (fuse_ms and all span
+        // durations) so single-process and merged sharded runs are
+        // byte-identical.
+        report.quarantine_timings();
+    }
+    report
+}
+
+/// How long `config`'s rounds take next to another preset's over the same
+/// corpus, from what the configuration shows: the round cap, and
+/// POPACCU's inner iterations per round.
+fn relative_cost(config: &FusionConfig) -> usize {
+    let per_round = match config.method {
+        Method::PopAccu => 1 + config.popaccu_inner_iters,
+        Method::Vote | Method::Accu => 1,
+    };
+    config.rounds * per_round
+}
+
+/// The schedule of a run: every preset of `opts` as one task — project
+/// its granularity's graph if no other preset has, fuse, evaluate,
+/// diagnose, all but the projection under its own `method` trace, then
+/// `finish(preset, output, evaluation)` — plus `summarize(claims)` as one
+/// more, handed to [`run_tasks`] longest preset first. Returns what the
+/// presets finished as, in `opts.presets` order, and the summary.
+pub(crate) fn fuse_presets<T: Send, S: Send>(
+    opts: &ReproOptions,
+    corpus: &Corpus,
+    diagnosis: Option<&DiagnosisContext>,
+    finish: impl Fn(Preset, &FusionOutput, MethodEval) -> T + Sync,
+    summarize: impl FnOnce(&Claims) -> S + Send,
+) -> (Vec<T>, S) {
     let runner = AblationRunner {
         n_bins: opts.bins,
         workers: opts.workers,
         scale: opts.scale.clone(),
         ..Default::default()
     };
+    let mr = engine_config(opts.workers);
     let call_local = GraphCache::default();
     let graphs = diagnosis.map_or(&call_local, |ctx| &ctx.graphs);
-    let methods: Vec<MethodEval> = opts
-        .presets
-        .iter()
-        .map(|&preset| {
-            let mut config = preset.config();
-            if let Some(w) = opts.workers {
-                config = config.with_workers(w);
-            }
+    let records = &corpus.batch.records;
+    let process = kf_telemetry::current();
+    let (runner, finish) = (&runner, &finish);
+
+    let mut finished: Vec<Option<T>> = opts.presets.iter().map(|_| None).collect();
+    let mut summary = None;
+    let mut tasks: Vec<(usize, Task)> = Vec::with_capacity(finished.len() + 1);
+    for (&preset, slot) in opts.presets.iter().zip(&mut finished) {
+        let mut config = preset.config();
+        if let Some(w) = opts.workers {
+            config = config.with_workers(w);
+        }
+        let fuse = move || {
             let gold = preset.needs_gold().then_some(&corpus.gold);
             let start = Instant::now();
-            let graph = graphs.graph(&corpus.batch.records, config.granularity, &config.mr);
-            // Each preset runs under its own trace (shadowing any
-            // process-level one), so the shard a preset happens to run in
-            // never changes what its trace records.
-            let trace = kf_telemetry::Trace::with_root("method");
+            let graph = graphs.graph(records, config.granularity, &config.mr);
+            // Each preset runs under its own trace (shadowing the
+            // process-level one), so neither the shard nor the thread a
+            // preset happens to run in changes what its trace records.
+            let trace = Trace::with_root("method");
             let installed = kf_telemetry::install(&trace);
             let fuser = Fuser::new(config);
             // Only the taxonomy pass reads the attribution columns.
@@ -830,22 +931,21 @@ pub fn run_on_corpus_with_context(
             }
             drop(installed);
             method.trace = Some(trace.snapshot());
-            method
-        })
-        .collect();
-    let claims = graphs.claims(&corpus.batch.records, &engine_config(opts.workers));
-    let mut report = EvalReport {
-        corpus: corpus_summary(&runner, corpus, &claims),
-        methods,
-    };
-    if opts.deterministic {
-        // Wall-clock is the report's only nondeterministic content; one
-        // quarantine pass zeroes every timing field (fuse_ms and all span
-        // durations) so single-process and merged sharded runs are
-        // byte-identical.
-        report.quarantine_timings();
+            *slot = Some(finish(preset, &output, method));
+        };
+        tasks.push((relative_cost(&config), counted_on(&process, fuse)));
     }
-    report
+    let summarize = || summary = Some(summarize(&graphs.claims(records, &mr)));
+    tasks.push((0, counted_on(&process, summarize)));
+    // Stable: presets of equal cost keep report order.
+    tasks.sort_by_key(|(cost, _)| std::cmp::Reverse(*cost));
+    run_tasks(
+        mr.workers,
+        tasks.into_iter().map(|(_, task)| task).collect(),
+    );
+
+    let finished = finished.into_iter().map(|t| t.expect("every preset ran"));
+    (finished.collect(), summary.expect("the summary task ran"))
 }
 
 #[cfg(test)]
@@ -1162,6 +1262,39 @@ mod tests {
         // The JSON report names the section for every preset.
         let json = report.to_json_string();
         assert_eq!(json.matches("\"taxonomy\"").count(), 5);
+    }
+
+    /// What the schedule hands `finish` is the preset fused alone, to the
+    /// bit, whatever the budget — one thread, two presets side by side with
+    /// their kernels inline, more threads than tasks.
+    #[test]
+    fn scheduled_presets_fuse_to_the_bits_of_a_preset_fused_alone() {
+        let corpus = Corpus::generate(&SynthConfig::tiny(), 5);
+        let bits = |output: &FusionOutput| {
+            let scored = output.scored.iter();
+            let scored: Vec<_> = scored
+                .map(|s| (s.triple, s.probability.map(f64::to_bits), s.fallback))
+                .collect();
+            let deltas: Vec<u64> = output.round_deltas.iter().map(|d| d.to_bits()).collect();
+            (scored, deltas, output.n_provenances, output.stats)
+        };
+        for workers in [1, 2, 8] {
+            let opts = ReproOptions {
+                scale: "tiny".into(),
+                workers: Some(workers),
+                ..Default::default()
+            };
+            let diagnosis = build_diagnosis_context(&opts, &corpus);
+            let keep_bits = |_: Preset, output: &FusionOutput, _: MethodEval| bits(output);
+            let (scheduled, ()) =
+                fuse_presets(&opts, &corpus, diagnosis.as_ref(), keep_bits, |_| ());
+            for (preset, scheduled) in Preset::ALL.into_iter().zip(scheduled) {
+                let gold = preset.needs_gold().then_some(&corpus.gold);
+                let config = preset.config().with_workers(workers);
+                let alone = Fuser::new(config).run(&corpus.batch, gold);
+                assert!(scheduled == bits(&alone), "{preset:?} × {workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! mass each method let through — the `scenarios.json` artifact CI
 //! uploads on every push.
 
-use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
-use kf_eval::{AblationRunner, Json, Preset};
+use crate::ReproOptions;
+use kf_core::FusionOutput;
+use kf_eval::{Json, MethodEval, Preset};
 use kf_synth::{
     CopyingConfig, Corpus, DriftConfig, LinkageConfig, ScenarioConfig, SpamConfig, SynthConfig,
 };
-use kf_types::{GroupBreakdown, Label, ScenarioPhenomenon, Triple};
+use kf_types::{GroupBreakdown, Label, ScenarioPhenomenon};
 
 /// Every scenario the matrix runs, `honest` first as the baseline.
 pub const SCENARIO_NAMES: [&str; 5] = ["honest", "copying", "spam", "drift", "linkage"];
@@ -256,8 +257,9 @@ impl ScenarioMatrix {
     }
 }
 
-/// Fuse, evaluate and diagnose one scenario under every preset — over
-/// one grouping of the scenario corpus, as [`crate::run_on_corpus`] does.
+/// Fuse, evaluate and diagnose one scenario under every preset — the
+/// schedule of [`crate::run_on_corpus`] over the scenario corpus, each
+/// preset finished as a matrix cell.
 fn run_scenario_row(
     scale: &str,
     scenario: &str,
@@ -266,52 +268,29 @@ fn run_scenario_row(
     workers: Option<usize>,
 ) -> Result<ScenarioRow, String> {
     let corpus = scenario_corpus(scale, scenario, seed)?;
-    let mr = crate::engine_config(workers);
-    let runner = AblationRunner {
-        workers,
+    let opts = ReproOptions {
         scale: scale.to_string(),
+        workers,
+        presets: presets.to_vec(),
         ..Default::default()
     };
-    let records = &corpus.batch.records;
-    let graphs = crate::GraphCache::default();
-    let support = SupportIndex::from_claims(&graphs.claims(records, &mr));
-    let truth = corpus.taxonomy_truth();
-    let scenario_truth = corpus.scenario_truth();
-    let injected: std::collections::BTreeSet<Triple> = scenario_truth.keys().copied().collect();
-
-    let mut cells = Vec::with_capacity(presets.len());
-    for &preset in presets {
-        let mut config = preset.config();
-        if let Some(w) = workers {
-            config = config.with_workers(w);
-        }
-        let gold = preset.needs_gold().then_some(&corpus.gold);
-        let graph = graphs.graph(records, config.granularity, &config.mr);
-        let (output, attribution) = kf_core::Fuser::new(config).run_prebuilt(&graph, gold);
-        let eval = runner.evaluate(preset, &output, &corpus.gold, 0.0);
-        let (hb, hn) = band_accuracy(&corpus, &output, 0.9, 1.01);
-        let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &support)
-            .with_truth(&truth)
-            .with_scenario(&scenario_truth)
-            .with_attribution(&attribution)
-            .with_config(DiagnoseConfig {
-                mr,
-                ..Default::default()
-            })
-            .run(&output);
-        cells.push(ScenarioCell {
+    let diagnosis = crate::build_diagnosis_context(&opts, &corpus).expect("rows diagnose");
+    let cell = |preset: Preset, output: &FusionOutput, eval: MethodEval| {
+        let (hb, hn) = band_accuracy(&corpus, output, 0.9, 1.01);
+        ScenarioCell {
             method: preset.name().to_string(),
             wdev: eval.wdev(),
             auc_pr: eval.auc_pr(),
-            separation: separation(&corpus, &output),
+            separation: separation(&corpus, output),
             high_band_accuracy: hb,
             high_band_n: hn,
-            phenomenon_mass: taxonomy.scenarios,
-        });
-    }
+            phenomenon_mass: eval.taxonomy.expect("rows diagnose").scenarios,
+        }
+    };
+    let (cells, ()) = crate::fuse_presets(&opts, &corpus, Some(&diagnosis), cell, |_| ());
     Ok(ScenarioRow {
         scenario: scenario.to_string(),
-        n_injected: injected.len(),
+        n_injected: diagnosis.scenario.len(),
         cells,
     })
 }
@@ -319,7 +298,8 @@ fn run_scenario_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kf_core::{FusionOutput, ScoredTriple};
+    use kf_core::ScoredTriple;
+    use kf_types::Triple;
 
     /// Every gold triple (LCWA labels every value of a known item, so
     /// these are all labelled), sorted for determinism.

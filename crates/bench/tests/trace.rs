@@ -11,6 +11,7 @@
 use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, shard_presets, ReproOptions};
 use kf_eval::{merge_reports, AblationRunner, EvalReport, Preset};
 use kf_synth::{Corpus, SynthConfig};
+use kf_telemetry::TraceReport;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -37,23 +38,32 @@ fn options(seed: u64) -> ReproOptions {
     }
 }
 
+/// `run_on_corpus` under a process-level trace: the report and that trace,
+/// its wall-clock quarantined.
+fn traced_run(opts: &ReproOptions, corpus: &Corpus) -> (EvalReport, TraceReport) {
+    let process = kf_telemetry::Trace::new();
+    let report = {
+        let _installed = kf_telemetry::install(&process);
+        run_on_corpus(opts, corpus)
+    };
+    let mut process = process.snapshot();
+    process.quarantine_timings();
+    (report, process)
+}
+
 /// One `run_on_corpus` shuffles the extractions once: the five presets span
 /// two granularities, so the one claims build is projected twice and the
 /// graphs reused three times, the support index and the summary counts read
-/// the same claims — all counted on the process-level trace only — and no
-/// method's report section can tell what it shared: each is byte-equal to
-/// the same preset run alone (its own grouping job, run for it), exactly as
-/// a `kf-dist` worker would run it from a task spec.
+/// the same claims — all counted on the process-level trace only, from
+/// whichever threads the run's tasks landed on — and no method's report
+/// section can tell what it shared: each is byte-equal to the same preset
+/// run alone (its own grouping job, run for it), exactly as a `kf-dist`
+/// worker would run it from a task spec.
 #[test]
 fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     let opts = options(3);
     let corpus = Corpus::generate(&SynthConfig::tiny(), opts.seed);
-    let process = kf_telemetry::Trace::new();
-    let shared = {
-        let _installed = kf_telemetry::install(&process);
-        run_on_corpus(&opts, &corpus)
-    };
-    let process = process.snapshot();
+    let (shared, process) = traced_run(&opts, &corpus);
     let counter = |name: &str| {
         let found = process.counters.iter().find(|c| c.name == name);
         found.map(|c| c.value)
@@ -65,6 +75,15 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     // method traces, and nothing else shuffles the raw records: the
     // process level saw no MapReduce job at all.
     assert_eq!(counter("mr.jobs"), None);
+    // Tasks count on the process-level trace but open no spans on it: the
+    // only one is the scheduling thread's, around the diagnosis prefix.
+    let spans: Vec<_> = process.root.children.iter().collect();
+    assert_eq!(spans.len(), 1);
+    assert_eq!(
+        (spans[0].name.as_str(), spans[0].calls),
+        ("support_index", 1)
+    );
+    assert!(spans[0].children.is_empty());
 
     // The summary read off the claims is the one counted off the records.
     let runner = AblationRunner {
@@ -89,6 +108,30 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
         let trace = method.trace.as_ref().expect("method trace");
         let group = trace.root.child("fuse").and_then(|f| f.child("group"));
         assert_eq!(group.map(|g| g.calls), Some(1), "{}", method.name);
+    }
+}
+
+/// `workers` is how many threads a run may keep busy, never what it
+/// computes: the deterministic report and the process-level trace are
+/// byte-equal whatever the budget — one thread and no fan-out at all, two
+/// (twice: which thread took which preset differs from run to run), more
+/// threads than presets.
+#[test]
+fn the_report_and_the_process_trace_do_not_depend_on_the_worker_budget() {
+    let corpus = Corpus::generate(&SynthConfig::tiny(), 3);
+    let run = |workers| {
+        let opts = ReproOptions {
+            workers: Some(workers),
+            ..options(3)
+        };
+        let (report, process) = traced_run(&opts, &corpus);
+        (report.to_json_string(), process)
+    };
+    let sequential = run(1);
+    for workers in [2, 2, 3, 8] {
+        let fanned_out = run(workers);
+        assert!(fanned_out.0 == sequential.0, "{workers} workers: report");
+        assert_eq!(fanned_out.1, sequential.1, "{workers} workers: trace");
     }
 }
 

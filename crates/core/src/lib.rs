@@ -54,7 +54,6 @@
 
 pub mod config;
 pub mod ext;
-mod fanout;
 pub mod methods;
 pub mod observation;
 pub mod pipeline;

@@ -13,9 +13,11 @@
 //! when the claim graph ([`Grouped`]) is built: it holds every item's
 //! claims contiguously and, transposed, every provenance's. The rounds
 //! are then direct kernels over that immutable graph — Stage I scores
-//! contiguous item ranges, Stage II gathers over the transpose — fanned
-//! over `FusionConfig::mr.workers` threads, and all mutable state
-//! (accuracies, probabilities) belongs to the run.
+//! contiguous item ranges, Stage II gathers over the transpose — each cut
+//! into range tasks by `FusionConfig::mr.workers` and handed to
+//! [`kf_mapreduce::run_tasks`] (which runs them on the calling thread while
+//! the run's worker budget is spent on whole presets), and all mutable
+//! state (accuracies, probabilities) belongs to the run.
 //!
 //! The refinements of §4.3 hook in here: granularity is applied when the
 //! graph is built; the coverage filter restricts round 1 to
@@ -25,11 +27,10 @@
 //! initial accuracies (semi-supervised POPACCU+).
 
 use crate::config::{FusionConfig, InitAccuracy, Method};
-use crate::fanout::run_tasks;
 use crate::methods;
 use crate::observation::{Grouped, GroupedArtifact};
 use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
-use kf_mapreduce::{IterativeDriver, Reservoir};
+use kf_mapreduce::{run_tasks, IterativeDriver, Reservoir};
 use kf_types::{hash, Extraction, ExtractionBatch, GoldStandard, Label};
 use std::ops::Range;
 

@@ -28,6 +28,7 @@
 //! runs replay in spill order, which preserves exactly that order. The
 //! design is documented in the repository's `ARCHITECTURE.md`.
 
+use crate::fanout::run_tasks;
 use crate::spill::{merge_reduce_runs, write_run, SpillDir};
 use crate::stats::JobStats;
 use kf_types::hash::hash_one;
@@ -39,7 +40,9 @@ use std::time::Instant;
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MrConfig {
-    /// Number of worker threads for the map and reduce phases.
+    /// How many map chunks a wave is cut into, and the most threads the
+    /// map, merge and reduce phases keep busy ([`run_tasks`]: fewer when
+    /// the job runs inside a task of a run whose worker budget is spent).
     pub workers: usize,
     /// Number of shuffle partitions. More partitions smooth out key skew at
     /// the cost of per-partition overhead; defaults to `4 × workers`.
@@ -436,76 +439,37 @@ where
     let _spill_dir = outcome.spill_dir;
 
     // ---- Reduce phase ----------------------------------------------------
-    // Workers steal whole partitions off a shared index. Keys are reduced in
-    // sorted order within a partition for deterministic output; partition
-    // results are re-assembled in partition order at the end.
-    let next_partition = std::sync::atomic::AtomicUsize::new(0);
-    // Partition data sits in Mutex<Option<..>> slots so exactly one worker
-    // takes each partition; contention is one lock acquisition per
-    // partition, not per record.
-    type PartitionSlot<K, V> = std::sync::Mutex<Option<Partition<K, V>>>;
-    let partition_slots: Vec<PartitionSlot<K, V>> = outcome
-        .partitions
-        .into_iter()
-        .map(|p| std::sync::Mutex::new(Some(p)))
-        .collect();
-
+    // One task per partition. Keys are reduced in sorted order within a
+    // partition for deterministic output; the results come back in
+    // partition order.
     let _reduce = kf_telemetry::span("reduce");
-    let mut results: Vec<(usize, Vec<O>, u64)> = Vec::with_capacity(partitions);
-    let (next, slots, reducer) = (&next_partition, &partition_slots, &reducer);
-    // The calling thread is one of the reduce workers, so — as in the map
-    // phase — one worker means no thread at all.
-    let reduce_partitions = || {
-        let mut local: Vec<(usize, Vec<O>, u64)> = Vec::new();
-        loop {
-            let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if p >= slots.len() {
-                break;
+    let reducer = &reducer;
+    let reduce_partition = |payload: Partition<K, V>| {
+        let groups = match payload {
+            // Runs are key-sorted; the streaming merge reduces directly.
+            Partition::Spilled(runs) => return merge_reduce_runs(&runs, reducer),
+            Partition::Grouped(groups) => groups,
+            Partition::Raw(records) => {
+                let mut groups: Groups<K, V> = FxHashMap::default();
+                merge_buffers(&mut groups, vec![records], None);
+                groups
             }
-            let payload = slots[p]
-                .lock()
-                .expect("partition lock poisoned")
-                .take()
-                .expect("partition taken twice");
-            let groups = match payload {
-                Partition::Spilled(runs) => {
-                    // Runs are key-sorted; the streaming merge
-                    // reduces directly.
-                    let (out, n_keys) = merge_reduce_runs(&runs, reducer);
-                    local.push((p, out, n_keys));
-                    continue;
-                }
-                Partition::Grouped(groups) => groups,
-                Partition::Raw(records) => {
-                    let mut groups: Groups<K, V> = FxHashMap::default();
-                    merge_buffers(&mut groups, vec![records], None);
-                    groups
-                }
-            };
-            let mut keyed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-            keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let n_keys = keyed.len() as u64;
-            let mut out = Vec::new();
-            for (k, vs) in keyed {
-                out.extend(reducer(&k, vs));
-            }
-            local.push((p, out, n_keys));
+        };
+        let mut keyed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let n_keys = keyed.len() as u64;
+        let mut out = Vec::new();
+        for (k, vs) in keyed {
+            out.extend(reducer(&k, vs));
         }
-        local
+        (out, n_keys)
     };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| scope.spawn(reduce_partitions))
-            .collect();
-        results.extend(reduce_partitions());
-        for h in handles {
-            results.extend(h.join().expect("reduce worker panicked"));
-        }
-    });
-    results.sort_unstable_by_key(|r| r.0);
+    let tasks = outcome.partitions.into_iter();
+    let tasks = tasks.map(|payload| move || reduce_partition(payload));
+    let results = run_tasks(workers, tasks.collect());
 
     let mut output = Vec::new();
-    for (_, out, n_keys) in results {
+    for (out, n_keys) in results {
         stats.reduce_keys += n_keys;
         stats.reduce_output += out.len() as u64;
         output.extend(out);
@@ -531,9 +495,9 @@ where
     (output, stats)
 }
 
-/// Map `inputs` across up to `workers` threads (contiguous chunks, so
-/// per-key value order follows input order) and return the emitters in
-/// worker (= input) order.
+/// Map `inputs` as up to `workers` tasks (contiguous chunks, so per-key
+/// value order follows input order) and return the emitters in chunk
+/// (= input) order.
 fn map_slice<I, K, V, M>(
     inputs: &[I],
     workers: usize,
@@ -546,37 +510,19 @@ where
     V: Send,
     M: Fn(&I, &mut Emitter<K, V>) + Sync,
 {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
     let chunk_size = inputs.len().div_ceil(workers).max(1);
-    if workers == 1 || inputs.len() <= chunk_size {
-        // Single chunk: run inline, no thread spawn.
+    let map_chunk = |chunk: &[I]| {
         let mut emitter = Emitter::new(partitions);
-        for input in inputs {
+        for input in chunk {
             mapper(input, &mut emitter);
         }
-        return vec![emitter];
-    }
-    let mut out = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut emitter = Emitter::new(partitions);
-                    for input in chunk {
-                        mapper(input, &mut emitter);
-                    }
-                    emitter
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("map worker panicked"));
-        }
-    });
-    out
+        emitter
+    };
+    let chunks = inputs.chunks(chunk_size);
+    run_tasks(
+        workers,
+        chunks.map(|chunk| move || map_chunk(chunk)).collect(),
+    )
 }
 
 /// One-shot shuffle: map everything, then concatenate each partition's
@@ -878,13 +824,17 @@ where
     K: Hash + Eq + Send,
     V: Send,
 {
-    // Below this many records a wave is merged inline: spawning merge
-    // threads per tiny wave (small `chunk_records`) would cost more than
-    // the moves themselves.
+    // Below this many records a wave is merged on the calling thread:
+    // helper threads per tiny wave (small `chunk_records`) would cost more
+    // than the moves themselves.
     const PARALLEL_MERGE_THRESHOLD: u64 = 4_096;
     let wave_records: u64 = emitters.iter().map(|e| e.emitted).sum();
-    let partitions = groups.len();
-    let mut per_partition: Vec<Vec<Vec<(K, V)>>> = (0..partitions).map(|_| Vec::new()).collect();
+    let workers = if wave_records < PARALLEL_MERGE_THRESHOLD {
+        1
+    } else {
+        workers
+    };
+    let mut per_partition: Vec<Vec<Vec<(K, V)>>> = groups.iter().map(|_| Vec::new()).collect();
     for emitter in emitters {
         for (p, buf) in emitter.buffers.into_iter().enumerate() {
             if !buf.is_empty() {
@@ -892,40 +842,12 @@ where
             }
         }
     }
-    if workers == 1 || partitions == 1 || wave_records < PARALLEL_MERGE_THRESHOLD {
-        let (mut delta, mut combines) = (0i64, 0u64);
-        for (group, bufs) in groups.iter_mut().zip(per_partition) {
-            let (d, c) = merge_buffers(group, bufs, combiner);
-            delta += d;
-            combines += c;
-        }
-        return (delta, combines);
-    }
-    type MergeTask<'a, K, V> = (&'a mut Groups<K, V>, Vec<Vec<(K, V)>>);
-    let mut tasks: Vec<MergeTask<'_, K, V>> = groups.iter_mut().zip(per_partition).collect();
-    let per_worker = tasks.len().div_ceil(workers).max(1);
-    let (mut delta, mut combines) = (0i64, 0u64);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        while !tasks.is_empty() {
-            let chunk: Vec<_> = tasks.drain(..per_worker.min(tasks.len())).collect();
-            handles.push(scope.spawn(move || {
-                let (mut local, mut local_combines) = (0i64, 0u64);
-                for (group, bufs) in chunk {
-                    let (d, c) = merge_buffers(group, bufs, combiner);
-                    local += d;
-                    local_combines += c;
-                }
-                (local, local_combines)
-            }));
-        }
-        for h in handles {
-            let (d, c) = h.join().expect("merge worker panicked");
-            delta += d;
-            combines += c;
-        }
-    });
-    (delta, combines)
+    let tasks = groups.iter_mut().zip(per_partition);
+    let tasks = tasks.map(|(group, bufs)| move || merge_buffers(group, bufs, combiner));
+    let merged = run_tasks(workers, tasks.collect()).into_iter();
+    merged.fold((0, 0), |(delta, combines), (d, c)| {
+        (delta + d, combines + c)
+    })
 }
 
 /// Append raw buffers into a group accumulator, combining any group whose

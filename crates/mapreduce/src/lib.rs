@@ -11,6 +11,9 @@
 //!
 //! * [`map_reduce`] — a generic map → shuffle → reduce execution over
 //!   scoped worker threads with hash partitioning,
+//! * [`run_tasks`] — the one fan-out every layer shares (the engine's map
+//!   and reduce phases, the fusion kernels, the preset schedule), under
+//!   one worker budget per run,
 //! * [`MrConfig::chunk_records`] — the **chunked shuffle**: instead of
 //!   materialising the whole map output before reduction, inputs are
 //!   mapped in bounded waves whose buffers merge into reduce-side group
@@ -42,6 +45,7 @@
 
 pub mod driver;
 pub mod engine;
+mod fanout;
 pub mod job;
 pub mod sampling;
 mod spill;
@@ -52,6 +56,7 @@ pub use engine::{
     map_reduce, map_reduce_combined, map_reduce_combined_with_stats, map_reduce_with_stats,
     Combiner, Emitter, MrConfig,
 };
+pub use fanout::run_tasks;
 pub use job::{round_robin, JobDescription};
 pub use sampling::Reservoir;
 pub use stats::JobStats;

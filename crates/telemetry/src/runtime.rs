@@ -12,6 +12,13 @@
 //! runs (worker threads do the flat work; the coordinator owns phase
 //! structure). A span guard dropped out of order records its timing but
 //! only unwinds the stack down to its own frame.
+//!
+//! So a trace keeps **one** span stack: when a run fans out into tasks,
+//! spans on the run's trace are opened from the calling thread only — a
+//! task that needs spans records them into a trace of its own (a method
+//! trace). Counters are a different matter: a task handed the caller's
+//! trace ([`current`] captured before the fan-out, [`install`]ed on
+//! whichever thread runs the task) may add to them from there.
 
 use crate::histogram::{bucket_index, GaugeSnapshot, HistKind, HistogramSnapshot, BUCKET_COUNT};
 use crate::report::{CounterSnapshot, MergeRule, SeriesSnapshot, SpanNode, TraceReport};
@@ -56,9 +63,9 @@ struct SpanArena {
 }
 
 impl SpanArena {
-    /// The child of `parent` named `name`, created (with no calls yet) on
-    /// first use.
-    fn child(&mut self, parent: usize, name: Name) -> usize {
+    /// The child of `parent` named `name`, created (with no calls yet, under
+    /// the name `own` makes) on first use.
+    fn child(&mut self, parent: usize, name: &str, own: impl FnOnce() -> Name) -> usize {
         let existing = self.nodes[parent]
             .children
             .iter()
@@ -67,7 +74,7 @@ impl SpanArena {
         existing.unwrap_or_else(|| {
             let idx = self.nodes.len();
             self.nodes.push(ArenaNode {
-                name,
+                name: own(),
                 calls: 0,
                 total_ns: 0,
                 children: Vec::new(),
@@ -80,13 +87,31 @@ impl SpanArena {
     /// Add `node`'s calls and time to the child of `parent` with its name,
     /// then its children beneath that, recursively.
     fn graft(&mut self, parent: usize, node: &SpanNode) {
-        let idx = self.child(parent, Cow::Owned(node.name.clone()));
+        let idx = self.child(parent, &node.name, || Cow::Owned(node.name.clone()));
         self.nodes[idx].calls += node.calls;
         self.nodes[idx].total_ns += node.total_ns;
         for c in &node.children {
             self.graft(idx, c);
         }
     }
+}
+
+/// The cell registered in `map` under `name`, registered as `own()` →
+/// `new()` on first use. A name is looked up borrowed, so one that arrives
+/// inside a grafted report is copied only when it is new to the trace.
+fn cell<V>(
+    map: &Mutex<BTreeMap<Name, Arc<V>>>,
+    name: &str,
+    own: impl FnOnce() -> Name,
+    new: impl FnOnce() -> V,
+) -> Arc<V> {
+    let mut map = lock_unpoisoned(map);
+    if let Some(cell) = map.get(name) {
+        return cell.clone();
+    }
+    let cell = Arc::new(new());
+    map.insert(own(), cell.clone());
+    cell
 }
 
 struct CounterCell {
@@ -231,7 +256,7 @@ impl Trace {
         let node = {
             let mut arena = lock_unpoisoned(&self.inner.spans);
             let parent = *arena.stack.last().expect("root frame is never popped");
-            let node = arena.child(parent, Cow::Borrowed(name));
+            let node = arena.child(parent, name, || Cow::Borrowed(name));
             arena.stack.push(node);
             node
         };
@@ -247,20 +272,22 @@ impl Trace {
     /// registration; later calls reuse the existing cell regardless of
     /// the rule they pass.
     pub fn counter(&self, name: &'static str, rule: MergeRule) -> CounterHandle {
-        self.counter_named(Cow::Borrowed(name), rule)
+        self.counter_named(name, || Cow::Borrowed(name), rule)
     }
 
-    fn counter_named(&self, name: Name, rule: MergeRule) -> CounterHandle {
-        let cell = lock_unpoisoned(&self.inner.counters)
-            .entry(name)
-            .or_insert_with(|| {
-                Arc::new(CounterCell {
-                    value: AtomicU64::new(0),
-                    rule,
-                })
-            })
-            .clone();
-        CounterHandle { cell }
+    fn counter_named(
+        &self,
+        name: &str,
+        own: impl FnOnce() -> Name,
+        rule: MergeRule,
+    ) -> CounterHandle {
+        let new = || CounterCell {
+            value: AtomicU64::new(0),
+            rule,
+        };
+        CounterHandle {
+            cell: cell(&self.inner.counters, name, own, new),
+        }
     }
 
     /// Add `delta` to the named [`MergeRule::Add`] counter.
@@ -287,20 +314,22 @@ impl Trace {
     /// `kind` on first use. Like counters, a histogram's kind is fixed
     /// by its first registration.
     pub fn histogram(&self, name: &'static str, kind: HistKind) -> HistogramHandle {
-        self.histogram_named(Cow::Borrowed(name), kind)
+        self.histogram_named(name, || Cow::Borrowed(name), kind)
     }
 
-    fn histogram_named(&self, name: Name, kind: HistKind) -> HistogramHandle {
-        let cell = lock_unpoisoned(&self.inner.histograms)
-            .entry(name)
-            .or_insert_with(|| {
-                Arc::new(HistogramCell {
-                    kind,
-                    live: LiveHistogram::new(),
-                })
-            })
-            .clone();
-        HistogramHandle { cell }
+    fn histogram_named(
+        &self,
+        name: &str,
+        own: impl FnOnce() -> Name,
+        kind: HistKind,
+    ) -> HistogramHandle {
+        let new = || HistogramCell {
+            kind,
+            live: LiveHistogram::new(),
+        };
+        HistogramHandle {
+            cell: cell(&self.inner.histograms, name, own, new),
+        }
     }
 
     /// Record a wall-clock duration (nanoseconds) into the named
@@ -342,26 +371,35 @@ impl Trace {
             arena.graft(parent, &report.root);
         }
         for c in &report.counters {
-            let handle = self.counter_named(Cow::Owned(c.name.clone()), c.rule);
+            let handle = self.counter_named(&c.name, || Cow::Owned(c.name.clone()), c.rule);
             match c.rule {
                 MergeRule::Add => handle.add(c.value),
                 MergeRule::Max => handle.record_max(c.value),
             }
         }
         for s in &report.series {
-            lock_unpoisoned(&self.inner.series)
-                .entry(Cow::Owned(s.name.clone()))
-                .or_default()
-                .extend_from_slice(&s.values);
+            let mut series = lock_unpoisoned(&self.inner.series);
+            match series.get_mut(s.name.as_str()) {
+                Some(values) => values.extend_from_slice(&s.values),
+                None => {
+                    series.insert(Cow::Owned(s.name.clone()), s.values.clone());
+                }
+            }
         }
         for h in &report.histograms {
-            self.histogram_named(Cow::Owned(h.name.clone()), h.kind)
+            self.histogram_named(&h.name, || Cow::Owned(h.name.clone()), h.kind)
                 .cell
                 .live
                 .absorb(h);
         }
         for g in &report.gauges {
-            lock_unpoisoned(&self.inner.gauges).insert(Cow::Owned(g.name.clone()), g.value);
+            let mut gauges = lock_unpoisoned(&self.inner.gauges);
+            match gauges.get_mut(g.name.as_str()) {
+                Some(value) => *value = g.value,
+                None => {
+                    gauges.insert(Cow::Owned(g.name.clone()), g.value);
+                }
+            }
         }
     }
 
