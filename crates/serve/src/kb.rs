@@ -10,8 +10,14 @@
 //! plus three indexes built at compile time —
 //!
 //! * **item index** — contiguous runs of `(subject, predicate)` over the
-//!   triple columns, binary-searchable, so a belief-distribution lookup
-//!   is two `partition_point`s and a slice;
+//!   triple columns: the item keys, strictly ascending, and one row
+//!   offset per item. *Stored* is only that; the hash table that finds an
+//!   item in one probe is *derived* from these columns each time a
+//!   [`KbReader`](crate::KbReader) is made (open-addressed, load factor
+//!   ≤ 0.5, see [`reader`](crate::reader)) and never written to the
+//!   file, so the checkpoint format and its validation know nothing of
+//!   it. A belief-distribution lookup is that probe plus two offsets; an
+//!   exact-triple lookup then searches the item's own run;
 //! * **predicate index** — a per-predicate permutation of triple rows
 //!   ordered by calibrated confidence (descending, ties broken by
 //!   canonical triple order), so top-k is a slice of precomputed ranks;
@@ -447,13 +453,18 @@ impl FusedKb {
         self.prov_keys.len()
     }
 
+    /// Reconstruct the object stored at `row`.
+    #[inline]
+    pub(crate) fn object_at(&self, row: usize) -> Value {
+        obj_value(self.obj_tags[row], self.obj_payloads[row]).expect("validated at decode")
+    }
+
     /// Reconstruct the triple stored at `row`.
     pub(crate) fn triple_at(&self, row: usize) -> Triple {
         Triple {
             subject: EntityId(self.subjects[row]),
             predicate: kf_types::PredicateId(self.predicates[row]),
-            object: obj_value(self.obj_tags[row], self.obj_payloads[row])
-                .expect("validated at decode"),
+            object: self.object_at(row),
         }
     }
 
@@ -471,7 +482,9 @@ impl FusedKb {
         Ok(kb)
     }
 
-    /// Structural invariants the binary-search read path relies on.
+    /// Structural invariants the read path relies on unchecked (distinct
+    /// sorted item keys for the derived item table, sorted runs and ids
+    /// for the searches inside them, in-range rows and offsets).
     /// Checked after every decode so a corrupted-but-parseable payload is
     /// rejected as `Corrupt` instead of serving garbage.
     fn validate(&self) -> bool {
@@ -498,7 +511,7 @@ impl FusedKb {
             return false;
         }
         // Canonical order, strictly: equal adjacent triples would break
-        // binary-search uniqueness.
+        // lookup uniqueness.
         if !(1..n).all(|i| self.triple_at(i - 1) < self.triple_at(i)) {
             return false;
         }
@@ -632,8 +645,9 @@ impl KvCodec for FusedKb {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use kf_core::ScoredTriple;
     use kf_eval::{Binning, CalibrationBin};
     use kf_synth::SynthConfig;
 
@@ -651,8 +665,8 @@ mod tests {
     }
 
     /// A parseable payload with a broken structural invariant must be
-    /// rejected by decode-time validation — the read path binary-searches
-    /// these columns unchecked.
+    /// rejected by decode-time validation — the read path indexes and
+    /// searches these columns unchecked.
     #[test]
     fn broken_invariants_fail_decode() {
         let kb = fixture();
@@ -767,25 +781,39 @@ mod tests {
         assert_eq!(label_from_tag(3), None);
     }
 
-    /// An empty fusion output compiles to an empty-but-valid KB.
-    #[test]
-    fn empty_output_compiles_and_roundtrips() {
+    /// A KB serving exactly `triples` (unattributed, every probability
+    /// 0.5): the hand-made fixture for edge-case keys.
+    pub(crate) fn kb_serving(triples: &[Triple]) -> FusedKb {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 5);
+        let scored = triples.iter().map(|&triple| ScoredTriple {
+            triple,
+            probability: Some(0.5),
+            n_provenances: 1,
+            n_extractors: 1,
+            n_pages: 1,
+            fallback: false,
+        });
         let output = FusionOutput {
-            scored: Vec::new(),
+            scored: scored.collect(),
             ..Fuser::new(Preset::Vote.config()).run(&corpus.batch, None)
         };
         let attribution = ProvenanceAttribution::default();
         let runner = AblationRunner::default();
         let method = runner.evaluate(Preset::Vote, &output, &corpus.gold, 0.0);
-        let kb = FusedKb::compile_from_parts(
+        FusedKb::compile_from_parts(
             runner.corpus_summary(&corpus),
             &method,
             &output,
             &attribution,
             &corpus.gold,
             Vec::new(),
-        );
+        )
+    }
+
+    /// An empty fusion output compiles to an empty-but-valid KB.
+    #[test]
+    fn empty_output_compiles_and_roundtrips() {
+        let kb = kb_serving(&[]);
         assert_eq!(kb.n_triples(), 0);
         assert_eq!(kb.n_items(), 0);
         assert_eq!(kb.n_predicates(), 0);

@@ -1,27 +1,50 @@
 //! `KbReader`: the concurrent, zero-copy query surface over a loaded
 //! [`FusedKb`].
 //!
-//! One KB arena is loaded once and wrapped in an [`Arc`]; every
-//! [`KbReader`] clone shares it. The KB is immutable after load, so the
-//! reader is [`Sync`] by construction — no locks, no interior
-//! mutability, and any number of threads can query one reader (or cheap
-//! clones of it) concurrently with answers identical to a
-//! single-threaded run.
+//! One KB arena is loaded once and wrapped in an [`Arc`] together with
+//! the item table derived from it; every [`KbReader`] clone shares both.
+//! The KB is immutable after load, so the reader is [`Sync`] by
+//! construction — no locks, no interior mutability, and any number of
+//! threads can query one reader (or cheap clones of it) concurrently with
+//! answers identical to a single-threaded run.
 //!
-//! The hot read path allocates nothing: lookups are binary searches over
-//! the columnar indexes, and answers are [`Copy`] row views
+//! # The point-query path
+//!
+//! `belief`, `lookup` and `drilldown` all start with one probe of the
+//! **item table**: an open-addressed `u32` table over the stored item
+//! index (`slot = item + 1`, `0` = empty), keyed by a multiplicative hash
+//! of `subject << 32 | predicate`, linear probing. Its capacity is the
+//! power of two ≥ 2 × `n_items` (never below 2), so the load factor is at
+//! most 0.5: a probe always reaches an empty slot, and the expected chain
+//! is under two slots. Every candidate slot is confirmed against the
+//! stored `item_subjects` / `item_predicates` columns, so a hash
+//! collision costs a step, never a wrong answer. `belief` is the probe
+//! plus the item's two offsets; `lookup` / `drilldown` then search the
+//! item's own row run (objects ascend inside it) by typed [`Value`](kf_types::Value)
+//! comparison — the payload column is not order-preserving for negative
+//! numerics. `top_k` is a binary search of the (few) predicate ids and a
+//! slice of the precomputed ranking.
+//!
+//! The table is *derived*: built by [`KbReader::new`] from columns
+//! [`FusedKb`]'s decode-time validation has already accepted (item keys
+//! strictly ascending, hence distinct), never written to the checkpoint.
+//! The file format, `FusedKb` equality and the hostile-bytes surface
+//! therefore do not know it exists; the price is one pass over the item
+//! columns per open (≈ 8 B and a few ns per item).
+//!
+//! The hot read path allocates nothing: answers are [`Copy`] row views
 //! ([`TripleView`], [`ProvSupport`]) or borrowed slices of the arena
 //! ([`Belief`], [`TopK`], [`Drilldown`]). Telemetry is counters
-//! (`serve.query`, `serve.topk`, per-index hit/miss) — free-function
-//! no-ops unless a trace is installed, so serving without a trace pays
-//! one atomic-free branch per counter — plus an optional
-//! [`ServeMetrics`] recorder attached with [`KbReader::with_metrics`]:
-//! per-kind latency and result-size histograms recorded into
-//! preallocated per-thread shards, also allocation-free.
+//! (`serve.query`, `serve.topk`, per-index hit/miss) on the installed
+//! trace — each query looks at the thread's trace slot once, so serving
+//! without a trace pays one atomic-free branch per query — plus an
+//! optional [`ServeMetrics`] recorder attached with
+//! [`KbReader::with_metrics`]: per-kind latency and result-size
+//! histograms recorded into preallocated per-thread shards, also
+//! allocation-free.
 
 use crate::kb::{label_from_tag, FusedKb};
 use crate::metrics::{MetricTimer, QueryKind, ServeMetrics};
-use kf_telemetry::add;
 use kf_types::checkpoint::CheckpointError;
 use kf_types::{DataItem, Label, PredicateId, ProvenanceKey, Triple};
 use std::path::Path;
@@ -30,8 +53,20 @@ use std::sync::Arc;
 /// A shareable, `Sync` handle over one loaded [`FusedKb`] arena.
 #[derive(Debug, Clone)]
 pub struct KbReader {
-    kb: Arc<FusedKb>,
+    loaded: Arc<Loaded>,
     metrics: Option<Arc<ServeMetrics>>,
+}
+
+/// What every clone of a reader shares: the arena and the item table
+/// derived from it (see the [module docs](self)).
+#[derive(Debug)]
+struct Loaded {
+    kb: FusedKb,
+    /// `item index + 1` per occupied slot, `0` = empty; power-of-two
+    /// length ≥ 2 × `n_items`.
+    slots: Box<[u32]>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
 }
 
 /// One served triple row, copied out of the columns.
@@ -93,10 +128,9 @@ pub struct ProvSupport {
     pub evaluated: bool,
 }
 
-/// Binary search: first index in `0..len` for which `less` is false.
+/// Binary search: first index in `lo..hi` for which `less` is false.
 #[inline]
-fn lower_bound(len: usize, mut less: impl FnMut(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, len);
+fn lower_bound(mut lo: usize, mut hi: usize, mut less: impl FnMut(usize) -> bool) -> usize {
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if less(mid) {
@@ -108,11 +142,86 @@ fn lower_bound(len: usize, mut less: impl FnMut(usize) -> bool) -> usize {
     lo
 }
 
+/// Count one finished query on the installed trace, if there is one: the
+/// thread's trace slot is consulted once per query, however many counters
+/// the query bumps.
+#[inline]
+fn count(counters: &[&'static str]) {
+    if let Some(trace) = kf_telemetry::current() {
+        for name in counters {
+            trace.add(name, 1);
+        }
+    }
+}
+
+/// 2^64 / φ, odd: consecutive keys land far apart in the top bits.
+const ITEM_HASH_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Multiplicative hash of an item key; the table uses its top bits.
+#[inline]
+fn item_hash(subject: u32, predicate: u32) -> u64 {
+    ((subject as u64) << 32 | predicate as u64).wrapping_mul(ITEM_HASH_MULTIPLIER)
+}
+
+impl Loaded {
+    fn new(kb: FusedKb) -> Loaded {
+        // At least two slots: one item (or none) still leaves an empty
+        // slot to end a probe on, and the shift stays below 64.
+        let capacity = (2 * kb.n_items()).next_power_of_two().max(2);
+        let shift = 64 - capacity.trailing_zeros();
+        let mut slots = vec![0u32; capacity].into_boxed_slice();
+        for (i, (&s, &p)) in kb.item_subjects.iter().zip(&kb.item_predicates).enumerate() {
+            let mut at = (item_hash(s, p) >> shift) as usize;
+            while slots[at] != 0 {
+                at = (at + 1) & (capacity - 1);
+            }
+            // `i < n_items ≤ n_triples ≤ u32::MAX` (offsets are `u32`).
+            slots[at] = i as u32 + 1;
+        }
+        Loaded { kb, slots, shift }
+    }
+
+    /// The one probe every point query starts with: the stored item index
+    /// of `(subject, predicate)`.
+    #[inline]
+    fn find_item(&self, subject: u32, predicate: u32) -> Option<usize> {
+        let kb = &self.kb;
+        let mask = self.slots.len() - 1;
+        let mut at = (item_hash(subject, predicate) >> self.shift) as usize;
+        loop {
+            // Load factor ≤ 0.5: an empty slot always ends the chain.
+            let i = self.slots[at].checked_sub(1)? as usize;
+            if kb.item_subjects[i] == subject && kb.item_predicates[i] == predicate {
+                return Some(i);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The item's row range in the triple columns.
+    #[inline]
+    fn item_rows(&self, item: usize) -> (usize, usize) {
+        let offsets = &self.kb.item_offsets;
+        (offsets[item] as usize, offsets[item + 1] as usize)
+    }
+
+    fn find_row(&self, triple: &Triple) -> Option<u32> {
+        let kb = &self.kb;
+        let item = self.find_item(triple.subject.0, triple.predicate.0)?;
+        let (start, end) = self.item_rows(item);
+        // The object payload column is not order-preserving for negative
+        // numerics, so comparisons reconstruct the typed value.
+        let row = lower_bound(start, end, |j| kb.object_at(j) < triple.object);
+        (row < end && kb.object_at(row) == triple.object).then_some(row as u32)
+    }
+}
+
 impl KbReader {
-    /// Wrap an in-memory KB.
+    /// Wrap an in-memory KB (builds the item table: one pass over the
+    /// item columns).
     pub fn new(kb: FusedKb) -> Self {
         KbReader {
-            kb: Arc::new(kb),
+            loaded: Arc::new(Loaded::new(kb)),
             metrics: None,
         }
     }
@@ -137,35 +246,31 @@ impl KbReader {
 
     /// The underlying arena.
     pub fn kb(&self) -> &FusedKb {
-        &self.kb
+        &self.loaded.kb
     }
 
     /// Copy out the row view at `row` (callers get rows from the index
     /// views below).
     #[inline]
     pub fn view(&self, row: u32) -> TripleView {
-        view_at(&self.kb, row)
+        view_at(self.kb(), row)
     }
 
     /// The belief distribution of `(subject, predicate)`, or `None` when
     /// the KB has no prediction for the item.
     pub fn belief(&self, item: DataItem) -> Option<Belief<'_>> {
         let timer = MetricTimer::start(self.metrics.as_deref(), QueryKind::Belief);
-        add("serve.query", 1);
-        let kb = &*self.kb;
-        let key = (item.subject.0, item.predicate.0);
-        let m = kb.item_subjects.len();
-        let i = lower_bound(m, |j| (kb.item_subjects[j], kb.item_predicates[j]) < key);
-        if i == m || (kb.item_subjects[i], kb.item_predicates[i]) != key {
-            add("serve.miss.item", 1);
+        let Some(i) = self.loaded.find_item(item.subject.0, item.predicate.0) else {
+            count(&["serve.query", "serve.miss.item"]);
             timer.finish(false, 0);
             return None;
-        }
-        add("serve.hit.item", 1);
+        };
+        count(&["serve.query", "serve.hit.item"]);
+        let (start, end) = self.loaded.item_rows(i);
         let belief = Belief {
-            kb,
-            start: kb.item_offsets[i] as usize,
-            end: kb.item_offsets[i + 1] as usize,
+            kb: self.kb(),
+            start,
+            end,
         };
         timer.finish(true, belief.len() as u64);
         Some(belief)
@@ -176,12 +281,10 @@ impl KbReader {
     /// KB serves no triple of that predicate.
     pub fn top_k(&self, predicate: PredicateId, k: usize) -> Option<TopK<'_>> {
         let timer = MetricTimer::start(self.metrics.as_deref(), QueryKind::TopK);
-        add("serve.query", 1);
-        add("serve.topk", 1);
-        let kb = &*self.kb;
+        let kb = self.kb();
         match kb.pred_ids.binary_search(&predicate.0) {
             Ok(i) => {
-                add("serve.hit.pred", 1);
+                count(&["serve.query", "serve.topk", "serve.hit.pred"]);
                 let start = kb.pred_offsets[i] as usize;
                 let end = kb.pred_offsets[i + 1] as usize;
                 let end = start + k.min(end - start);
@@ -193,7 +296,7 @@ impl KbReader {
                 Some(top)
             }
             Err(_) => {
-                add("serve.miss.pred", 1);
+                count(&["serve.query", "serve.topk", "serve.miss.pred"]);
                 timer.finish(false, 0);
                 None
             }
@@ -204,26 +307,27 @@ impl KbReader {
     /// not predict it.
     pub fn lookup(&self, triple: &Triple) -> Option<TripleView> {
         let timer = MetricTimer::start(self.metrics.as_deref(), QueryKind::Lookup);
-        add("serve.query", 1);
-        let Some(row) = self.find_row(triple) else {
+        let Some(row) = self.loaded.find_row(triple) else {
+            count(&["serve.query", "serve.miss.triple"]);
             timer.finish(false, 0);
             return None;
         };
+        count(&["serve.query", "serve.hit.triple"]);
         timer.finish(true, 1);
-        Some(view_at(&self.kb, row))
+        Some(view_at(self.kb(), row))
     }
 
     /// Provenance drill-down for an exact triple: every supporting
     /// provenance with its final learned accuracy.
     pub fn drilldown(&self, triple: &Triple) -> Option<Drilldown<'_>> {
         let timer = MetricTimer::start(self.metrics.as_deref(), QueryKind::Drilldown);
-        add("serve.query", 1);
-        add("serve.drilldown", 1);
-        let Some(row) = self.find_row(triple) else {
+        let Some(row) = self.loaded.find_row(triple) else {
+            count(&["serve.query", "serve.drilldown", "serve.miss.triple"]);
             timer.finish(false, 0);
             return None;
         };
-        let kb = &*self.kb;
+        count(&["serve.query", "serve.drilldown", "serve.hit.triple"]);
+        let kb = self.kb();
         let start = kb.prov_offsets[row as usize] as usize;
         let end = kb.prov_offsets[row as usize + 1] as usize;
         let drill = Drilldown {
@@ -237,22 +341,10 @@ impl KbReader {
 
     /// Extractor display name for `id`, when the KB carries one.
     pub fn extractor_name(&self, id: u32) -> Option<&str> {
-        self.kb.extractor_names.get(id as usize).map(String::as_str)
-    }
-
-    fn find_row(&self, triple: &Triple) -> Option<u32> {
-        let kb = &*self.kb;
-        let n = kb.n_triples();
-        // The object payload column is not order-preserving for negative
-        // numerics, so comparisons reconstruct the typed triple.
-        let i = lower_bound(n, |j| kb.triple_at(j) < *triple);
-        if i < n && kb.triple_at(i) == *triple {
-            add("serve.hit.triple", 1);
-            Some(i as u32)
-        } else {
-            add("serve.miss.triple", 1);
-            None
-        }
+        self.kb()
+            .extractor_names
+            .get(id as usize)
+            .map(String::as_str)
     }
 }
 
@@ -299,13 +391,16 @@ impl<'a> Belief<'a> {
     /// The most confident candidate (calibrated descending, ties in
     /// canonical order).
     pub fn best(&self) -> TripleView {
-        let mut best = self.get(0);
-        for v in self.iter().skip(1) {
-            if v.calibrated > best.calibrated {
-                best = v;
+        // Arg-max over the one column that decides it; only the winner
+        // is materialised.
+        let calibrated = &self.kb.calibrated[self.start..self.end];
+        let mut best = 0;
+        for (j, &c) in calibrated.iter().enumerate().skip(1) {
+            if c > calibrated[best] {
+                best = j;
             }
         }
-        best
+        self.get(best)
     }
 }
 
@@ -382,5 +477,147 @@ impl<'a> Drilldown<'a> {
             .map(|&id| self.kb.prov_accuracy[id as usize])
             .sum();
         Some(sum / self.ids.len() as f64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kb::tests::kb_serving;
+    use kf_telemetry::Trace;
+    use kf_types::{EntityId, Numeric, StrId, Value};
+
+    fn triple(subject: u32, predicate: u32, object: Value) -> Triple {
+        Triple {
+            subject: EntityId(subject),
+            predicate: PredicateId(predicate),
+            object,
+        }
+    }
+
+    fn item(subject: u32, predicate: u32) -> DataItem {
+        DataItem::new(EntityId(subject), PredicateId(predicate))
+    }
+
+    /// No item and one item: the table still has an empty slot to stop
+    /// on, and no shift by 64.
+    #[test]
+    fn empty_and_one_item_kbs_answer() {
+        let t = triple(3, 4, Value::Str(StrId(5)));
+        let empty = KbReader::new(kb_serving(&[]));
+        assert_eq!(empty.loaded.slots.len(), 2);
+        assert!(empty.lookup(&t).is_none());
+        assert!(empty.drilldown(&t).is_none());
+        assert!(empty.belief(t.data_item()).is_none());
+        assert!(empty.belief(item(0, 0)).is_none());
+
+        let one = KbReader::new(kb_serving(&[t]));
+        assert_eq!(one.loaded.slots.len(), 2);
+        assert_eq!(one.lookup(&t).expect("served").triple, t);
+        assert_eq!(one.drilldown(&t).expect("served").view().row, 0);
+        assert_eq!(one.belief(t.data_item()).expect("served").len(), 1);
+        for absent in [item(4, 3), item(3, 5), item(0, 0), item(u32::MAX, u32::MAX)] {
+            assert!(one.belief(absent).is_none(), "{absent:?}");
+        }
+        assert!(one.lookup(&triple(3, 4, Value::Str(StrId(6)))).is_none());
+    }
+
+    /// Ids 0 and `u32::MAX` and the swapped pair `(a, b)` / `(b, a)` are
+    /// all distinct keys; every key not served stays absent.
+    #[test]
+    fn edge_ids_and_swapped_pairs_are_distinct_keys() {
+        const M: u32 = u32::MAX;
+        let keys = [(0, 0), (0, M), (M, 0), (M, M), (7, 9), (9, 7)];
+        let triples: Vec<Triple> = keys
+            .iter()
+            .zip(0..)
+            .map(|(&(s, p), i)| triple(s, p, Value::Entity(EntityId(i))))
+            .collect();
+        let reader = KbReader::new(kb_serving(&triples));
+        assert_eq!(reader.kb().n_items(), keys.len());
+        for (&(s, p), t) in keys.iter().zip(&triples) {
+            let belief = reader.belief(item(s, p)).expect("served item");
+            assert_eq!(belief.len(), 1);
+            assert_eq!(belief.best().triple, *t);
+            assert_eq!(reader.lookup(t).expect("served triple").triple, *t);
+        }
+        for (s, p) in [(7, 7), (9, 9), (0, 7), (7, 0), (M, 9), (9, M), (1, 0)] {
+            assert!(reader.belief(item(s, p)).is_none(), "({s}, {p})");
+        }
+    }
+
+    /// Clones and `with_metrics` share the arena and its table; nothing
+    /// is rebuilt.
+    #[test]
+    fn clones_share_the_item_table() {
+        let reader = KbReader::new(kb_serving(&[triple(1, 2, Value::Num(Numeric(-3)))]));
+        let clone = reader.clone();
+        assert!(Arc::ptr_eq(&reader.loaded, &clone.loaded));
+        let metered = clone.with_metrics(Arc::new(ServeMetrics::new()));
+        assert!(Arc::ptr_eq(&reader.loaded, &metered.loaded));
+    }
+
+    /// The `serve.*` counters one traced query adds, by kind and outcome.
+    #[test]
+    fn traced_queries_count_exactly_their_counters() {
+        let t = triple(1, 2, Value::Str(StrId(3)));
+        let other_object = triple(1, 2, Value::Str(StrId(4)));
+        let other_item = triple(2, 1, Value::Str(StrId(3)));
+        let reader = KbReader::new(kb_serving(&[t]));
+        let counted = |query: &dyn Fn()| -> Vec<(String, u64)> {
+            let trace = Trace::new();
+            {
+                let _installed = kf_telemetry::install(&trace);
+                query();
+            }
+            let counters = trace.snapshot().counters;
+            counters.into_iter().map(|c| (c.name, c.value)).collect()
+        };
+        let expect = |query: &dyn Fn(), names: &[&str]| {
+            let want: Vec<(String, u64)> = names.iter().map(|n| (n.to_string(), 1)).collect();
+            assert_eq!(counted(query), want);
+        };
+        // Counter snapshots are sorted by name.
+        expect(
+            &|| assert!(reader.lookup(&t).is_some()),
+            &["serve.hit.triple", "serve.query"],
+        );
+        for absent in [&other_object, &other_item] {
+            expect(
+                &|| assert!(reader.lookup(absent).is_none()),
+                &["serve.miss.triple", "serve.query"],
+            );
+            expect(
+                &|| assert!(reader.drilldown(absent).is_none()),
+                &["serve.drilldown", "serve.miss.triple", "serve.query"],
+            );
+        }
+        expect(
+            &|| assert!(reader.drilldown(&t).is_some()),
+            &["serve.drilldown", "serve.hit.triple", "serve.query"],
+        );
+        expect(
+            &|| assert!(reader.belief(t.data_item()).is_some()),
+            &["serve.hit.item", "serve.query"],
+        );
+        expect(
+            &|| assert!(reader.belief(other_item.data_item()).is_none()),
+            &["serve.miss.item", "serve.query"],
+        );
+        expect(
+            &|| assert!(reader.top_k(t.predicate, 3).is_some()),
+            &["serve.hit.pred", "serve.query", "serve.topk"],
+        );
+        expect(
+            &|| assert!(reader.top_k(PredicateId(9), 3).is_none()),
+            &["serve.miss.pred", "serve.query", "serve.topk"],
+        );
+        // `view` and the answer accessors count nothing.
+        expect(
+            &|| {
+                reader.view(0);
+            },
+            &[],
+        );
     }
 }

@@ -11,8 +11,9 @@ use kf_core::{Fuser, ProvenanceAttribution, ScoredTriple};
 use kf_eval::{AblationRunner, CalibrationCurve, EvalReport, Preset};
 use kf_serve::{FusedKb, KbBuildOptions, KbReader};
 use kf_synth::{Corpus, SynthConfig, WebConfig, WorldConfig};
-use kf_types::{DataItem, EntityId, KvCodec, Label, PredicateId, Triple};
+use kf_types::{DataItem, EntityId, KvCodec, Label, Numeric, PredicateId, StrId, Triple, Value};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -112,6 +113,7 @@ fn check_oracle(cfg: &SynthConfig, seed: u64, preset: Preset) {
     check_rows(&reader, &expected, curve, &corpus, &attribution);
     check_beliefs(&reader, &expected);
     check_rankings(&reader, &expected, curve);
+    check_item_probe(&reader, &expected, curve);
 
     // Triples the fuser could not score are not served.
     for st in output.scored.iter().filter(|st| st.probability.is_none()) {
@@ -198,6 +200,105 @@ fn check_beliefs(reader: &KbReader, expected: &[(usize, &ScoredTriple)]) {
             predicate: PredicateId(u32::MAX),
         })
         .is_none());
+}
+
+/// The same payload under the other two `Value` variants.
+fn other_variants(v: Value) -> [Value; 2] {
+    let (entity, string, num) = (
+        |x: u32| Value::Entity(EntityId(x)),
+        |x: u32| Value::Str(StrId(x)),
+        |x: u32| Value::Num(Numeric(x as i64)),
+    );
+    match v {
+        Value::Entity(EntityId(x)) => [string(x), num(x)],
+        Value::Str(StrId(x)) => [entity(x), num(x)],
+        // Truncation is fine: any entity/string id makes a probe.
+        Value::Num(Numeric(x)) => [entity(x as u32), string(x as u32)],
+    }
+}
+
+/// `v` with its payload moved by `by` inside its variant, if that exists.
+fn stepped(v: Value, by: i32) -> Option<Value> {
+    Some(match v {
+        Value::Entity(EntityId(x)) => Value::Entity(EntityId(x.checked_add_signed(by)?)),
+        Value::Str(StrId(x)) => Value::Str(StrId(x.checked_add_signed(by)?)),
+        Value::Num(Numeric(x)) => Value::Num(Numeric(x.checked_add(by.into())?)),
+    })
+}
+
+/// The item probe against a sequential walk of the expected rows: every
+/// served row is found at its own row number, every item with its exact
+/// row range and a `best()` equal to a linear arg-max of the oracle's
+/// calibrated values — and the keys a hash table gets wrong when it
+/// trusts its hash are all absent: same subject under a predicate it has
+/// no item for, the served item with an object just outside its run, and
+/// a served object's payload under another `Value` variant.
+fn check_item_probe(
+    reader: &KbReader,
+    expected: &[(usize, &ScoredTriple)],
+    curve: &CalibrationCurve,
+) {
+    let served: BTreeSet<Triple> = expected.iter().map(|&(_, st)| st.triple).collect();
+    let items: BTreeSet<(EntityId, PredicateId)> =
+        served.iter().map(|t| (t.subject, t.predicate)).collect();
+    let max_pred = items.iter().map(|&(_, p)| p.0).max().unwrap_or(0);
+    let calibrated =
+        |row: usize| oracle_calibrate(curve, expected[row].1.probability.expect("predicted"));
+    let absent = |t: Triple| {
+        assert!(!served.contains(&t), "probe {t:?} is served");
+        assert!(reader.lookup(&t).is_none(), "{t:?}");
+        assert!(reader.drilldown(&t).is_none(), "{t:?}");
+    };
+
+    let mut i = 0;
+    while i < expected.len() {
+        let first = expected[i].1.triple;
+        let run = expected[i..]
+            .iter()
+            .take_while(|(_, st)| st.triple.data_item() == first.data_item())
+            .count();
+        let j = i + run;
+
+        let belief = reader.belief(first.data_item()).expect("served item");
+        assert_eq!((belief.get(0).row as usize, belief.len()), (i, run));
+        let mut best = i;
+        for (row, &(_, st)) in (i..).zip(&expected[i..j]) {
+            if calibrated(row) > calibrated(best) {
+                best = row;
+            }
+            let t = st.triple;
+            assert_eq!(reader.lookup(&t).expect("served row").row as usize, row);
+            let drill = reader.drilldown(&t).expect("served row");
+            assert_eq!(drill.view().row as usize, row);
+            for object in other_variants(t.object) {
+                let probe = Triple { object, ..t };
+                if !served.contains(&probe) {
+                    absent(probe);
+                }
+            }
+        }
+        assert_eq!(belief.best().row as usize, best);
+
+        // Just below the run's first object and just above its last.
+        let last = expected[j - 1].1.triple;
+        let outside = [stepped(first.object, -1), stepped(last.object, 1)];
+        for object in outside.into_iter().flatten() {
+            absent(Triple { object, ..first });
+        }
+
+        // The same subject under every predicate it has no item for.
+        for p in (0..=max_pred + 1).map(PredicateId) {
+            if !items.contains(&(first.subject, p)) {
+                let item = DataItem::new(first.subject, p);
+                assert!(reader.belief(item).is_none(), "{item:?}");
+                absent(Triple {
+                    predicate: p,
+                    ..first
+                });
+            }
+        }
+        i = j;
+    }
 }
 
 /// Predicate rankings: for every predicate, the full top-k must equal

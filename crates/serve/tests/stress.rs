@@ -9,7 +9,7 @@
 
 use kf_serve::{FusedKb, KbBuildOptions, KbReader};
 use kf_synth::{Corpus, SynthConfig};
-use kf_types::{DataItem, PredicateId, Triple};
+use kf_types::{DataItem, EntityId, PredicateId, Triple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -97,8 +97,22 @@ fn query_row(reader: &KbReader, row: u32, h: u64) -> u64 {
         h = mix(h, p.id as u64);
         h = mix(h, p.accuracy.to_bits());
     }
-    // Misses exercise the not-found paths without allocating either.
+    // Misses exercise the not-found paths without allocating either:
+    // an unserved predicate, an item no probe chain holds, and a served
+    // item with an object outside its run (ids this high are never
+    // allocated).
     h = mix(h, reader.top_k(PredicateId(u32::MAX), 3).is_none() as u64);
+    let no_item = DataItem {
+        subject: EntityId(u32::MAX - row),
+        predicate,
+    };
+    h = mix(h, reader.belief(no_item).is_none() as u64);
+    let no_object = Triple {
+        object: Value::Entity(EntityId(u32::MAX - row)),
+        ..v.triple
+    };
+    h = mix(h, reader.lookup(&no_object).is_none() as u64);
+    h = mix(h, reader.drilldown(&no_object).is_none() as u64);
     h
 }
 
@@ -167,8 +181,9 @@ fn hot_path_does_not_allocate_with_metrics_enabled() {
     );
     // And the recording actually happened: both passes landed.
     let snap = metrics.snapshot();
-    // Per row: 1 lookup + 1 belief + 1 top_k + 1 drilldown + 1 top_k miss.
-    assert_eq!(snap.total_queries(), 2 * 5 * n as u64);
+    // Per row: lookup, belief, top_k and drilldown, each once hitting
+    // and once missing.
+    assert_eq!(snap.total_queries(), 2 * 8 * n as u64);
 }
 
 /// 8 threads × disjoint row ranges, all on one shared reader: every
