@@ -1,9 +1,9 @@
 //! # kf-bench — the experiment harness
 //!
-//! Shared machinery behind the `repro` binary and the criterion benches:
-//! option parsing for the reproduction CLI, corpus-scale presets, and the
-//! end-to-end generate → fuse → evaluate driver whose output is the
-//! diffable `report.json`.
+//! Shared machinery behind the `repro` binary and the repo benchmark
+//! (`benchmark/`, see its README): option parsing for the reproduction
+//! CLI, corpus-scale presets, and the end-to-end generate → fuse →
+//! evaluate driver whose output is the diffable `report.json`.
 //!
 //! ```
 //! use kf_bench::{ReproOptions, run};
@@ -215,10 +215,14 @@ impl ReproOptions {
                     let v = value("--presets")?;
                     let mut presets = Vec::new();
                     for name in v.split(',') {
-                        presets.push(
-                            Preset::by_name(name.trim())
-                                .ok_or_else(|| invalid(format!("unknown preset {name:?}")))?,
-                        );
+                        let preset = Preset::by_name(name.trim())
+                            .ok_or_else(|| invalid(format!("unknown preset {name:?}")))?;
+                        // A report names each method once: a repeat would
+                        // only fail later, in the shard merge.
+                        if presets.contains(&preset) {
+                            return Err(invalid(format!("--presets names {name:?} twice")));
+                        }
+                        presets.push(preset);
                     }
                     if presets.is_empty() {
                         return Err(invalid("--presets needs at least one name".to_string()));
@@ -409,6 +413,7 @@ options:
   --bins N                         calibration bins (default: 10)
   --presets a,b,c                  subset of: vote,accu,popaccu,
                                    popaccu_plus_unsup,popaccu_plus
+                                   (names each preset at most once)
   --no-diagnose                    skip the Fig. 17 error-taxonomy pass
                                    (per-preset \"taxonomy\" report section)
   --trace PATH                     write the whole-run trace (phase span
@@ -994,6 +999,7 @@ mod tests {
         assert!(ReproOptions::parse(["--scale", "huge"]).is_err());
         assert!(ReproOptions::parse(["--seed", "abc"]).is_err());
         assert!(ReproOptions::parse(["--presets", "nope"]).is_err());
+        assert!(ReproOptions::parse(["--presets", "vote,accu,vote"]).is_err());
         assert!(ReproOptions::parse(["--frobnicate"]).is_err());
         assert!(ReproOptions::parse(["--seed"]).is_err());
     }

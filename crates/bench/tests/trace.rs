@@ -108,6 +108,22 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
         let trace = method.trace.as_ref().expect("method trace");
         let group = trace.root.child("fuse").and_then(|f| f.child("group"));
         assert_eq!(group.map(|g| g.calls), Some(1), "{}", method.name);
+        // Fusion rounds are kernels over the claim graph: the grouping job's
+        // shuffle sits under `fuse/group` (so the walk finds one where one
+        // is) and no `round` span has one anywhere beneath it.
+        let paths = trace.flat_timings();
+        let shuffles_below = |ancestor: &str| {
+            paths.iter().any(|(path, _)| {
+                let mut below = path.split('/').skip_while(|&span| span != ancestor);
+                below.any(|span| span == "shuffle")
+            })
+        };
+        assert!(shuffles_below("group"), "{}", method.name);
+        assert!(
+            !shuffles_below("round"),
+            "{}: a round shuffles",
+            method.name
+        );
     }
 }
 
@@ -173,11 +189,11 @@ proptest! {
         }
     }
 
-    /// The serve bench's rebased quantile math: per-client latency
-    /// histograms merged bucket-wise must report every quantile within
-    /// one bucket's relative error (`2^-SUB_BUCKET_BITS`) of the exact
-    /// pooled-sort answer the bench used to compute — over lumpy,
-    /// multi-octave latency shapes and uneven client splits.
+    /// Serving quantile math: per-client latency histograms merged
+    /// bucket-wise must report every quantile within one bucket's
+    /// relative error (`2^-SUB_BUCKET_BITS`) of the exact pooled-sort
+    /// answer — over lumpy, multi-octave latency shapes and uneven
+    /// client splits.
     #[test]
     fn merged_client_histograms_agree_with_pooled_sort(
         seed in 0u64..1_000,
@@ -205,8 +221,8 @@ proptest! {
             })
             .collect();
 
-        // Split across clients the way the bench does (equal budgets,
-        // remainder dropped), record per-client, merge.
+        // Split across clients (equal budgets, remainder dropped),
+        // record per-client, merge.
         let per_client = samples.len() / clients;
         let mut pooled = HistogramSnapshot::empty("lat", HistKind::Time);
         for c in 0..clients {

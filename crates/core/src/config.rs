@@ -2,10 +2,9 @@
 
 use kf_mapreduce::MrConfig;
 use kf_types::Granularity;
-use serde::{Deserialize, Serialize};
 
 /// The fusion method (§4.1 selects these three from the DF literature).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Method {
     /// Baseline: probability = provenance-count fraction `m/n`.
     Vote,
@@ -37,7 +36,7 @@ impl Method {
 }
 
 /// How provenance accuracies are initialised (§4.3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InitAccuracy {
     /// Flat default accuracy (the basic models; default 0.8).
     Default,

@@ -3,8 +3,8 @@
 //!
 //! These are deliberately separate from the core pipeline: the paper
 //! *proposes* them without building them, so we keep the faithful
-//! reproduction pure and layer the proposals on top where the ablation
-//! benches can measure their effect.
+//! reproduction pure and layer the proposals on top where an ablation
+//! can measure their effect.
 //!
 //! * [`FunctionalityModel`] — §5.3: learn the expected number of true
 //!   values per predicate and renormalise multi-truth items so that

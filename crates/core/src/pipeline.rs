@@ -31,7 +31,7 @@ use crate::methods;
 use crate::observation::{Grouped, GroupedArtifact};
 use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
 use kf_mapreduce::{run_tasks, IterativeDriver, Reservoir};
-use kf_types::{hash, Extraction, ExtractionBatch, GoldStandard, Label};
+use kf_types::{hash, ExtractionBatch, GoldStandard, Label};
 use std::ops::Range;
 
 /// The fusion engine. Construct with a [`FusionConfig`], then call
@@ -78,7 +78,9 @@ impl Fuser {
     /// configuration asks for gold-standard accuracy initialisation; pass
     /// `None` for fully unsupervised runs.
     pub fn run(&self, batch: &ExtractionBatch, gold: Option<&GoldStandard>) -> FusionOutput {
-        self.run_records(&batch.records, gold)
+        let graph =
+            GroupedArtifact::build(&batch.records, self.config.granularity, &self.config.mr);
+        self.run_unattributed(&graph, gold)
     }
 
     /// [`Fuser::run`] that also returns the per-value
@@ -95,12 +97,6 @@ impl Fuser {
         let graph =
             GroupedArtifact::build(&batch.records, self.config.granularity, &self.config.mr);
         self.run_prebuilt(&graph, gold)
-    }
-
-    /// [`Fuser::run`] over a raw record slice.
-    pub fn run_records(&self, records: &[Extraction], gold: Option<&GoldStandard>) -> FusionOutput {
-        let graph = GroupedArtifact::build(records, self.config.granularity, &self.config.mr);
-        self.run_graph(&graph, gold).0
     }
 
     /// [`Fuser::run`] over a claim graph built earlier — by
@@ -513,8 +509,8 @@ mod tests {
     use crate::config::{FusionConfig, InitAccuracy, Method};
     use kf_mapreduce::MrConfig;
     use kf_types::{
-        DataItem, EntityId, ExtractorId, PageId, PatternId, PredicateId, Provenance, SiteId,
-        Triple, Value,
+        DataItem, EntityId, Extraction, ExtractorId, PageId, PatternId, PredicateId, Provenance,
+        SiteId, Triple, Value,
     };
 
     /// Build an extraction with distinct provenance per (extractor, page).

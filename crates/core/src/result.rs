@@ -3,10 +3,9 @@
 use crate::observation::Grouped;
 use kf_mapreduce::{JobStats, RoundOutcome};
 use kf_types::{ExtractorId, FxHashMap, ProvenanceKey, Triple};
-use serde::{Deserialize, Serialize};
 
 /// One unique triple with its estimated truthfulness probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredTriple {
     /// The triple.
     pub triple: Triple,

@@ -174,7 +174,7 @@ mod tests {
         let records: Vec<Extraction> = (0..3_000)
             .map(|i| ext(i % 40, (i % 7) as u16, i % 180))
             .collect();
-        let (base, base_stats) = SupportIndex::build(&records, &MrConfig::sequential());
+        let (base, _) = SupportIndex::build(&records, &MrConfig::sequential());
         for mr in [
             MrConfig::with_workers(4),
             MrConfig::with_workers(4).with_chunk_records(256),
@@ -186,7 +186,9 @@ mod tests {
             assert_eq!(base.map, other.map, "mr {mr:?}");
             if mr.spill_threshold_records > 0 {
                 assert!(stats.spilled_bytes > 0, "spill path not exercised");
-                assert!(stats.peak_grouped_records <= base_stats.peak_grouped_records);
+                // Every wave (≤ 256) fits under the threshold, so the
+                // pre-merge spill keeps grouped residency at or under it.
+                assert!(stats.peak_grouped_records <= mr.spill_threshold_records as u64);
             }
         }
     }

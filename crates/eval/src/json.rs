@@ -1,11 +1,9 @@
 //! A minimal JSON document builder and writer.
 //!
-//! The evaluation report must serialize to JSON, but this workspace builds
-//! without crates.io access, so `serde_json` is unavailable (the in-repo
-//! `serde` shim only accepts derive annotations). Emitting JSON is the easy
-//! half of the problem; this module implements exactly that: a [`Json`]
-//! value tree with escaping-correct, locale-independent output. Parsing is
-//! intentionally out of scope.
+//! The evaluation report must serialize to JSON and this workspace builds
+//! without crates.io access, so this module is the one JSON writer: a
+//! [`Json`] value tree with escaping-correct, locale-independent output.
+//! Parsing is intentionally out of scope.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

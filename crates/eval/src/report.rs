@@ -2,9 +2,8 @@
 //!
 //! One fusion run produces a [`MethodEval`]; an ablation over the paper's
 //! five presets produces an [`EvalReport`]. Reports serialize to JSON (via
-//! the in-repo [`crate::json`] writer) so successive PRs can diff
-//! `report.json` and catch quality regressions, the same way `BENCH_*.json`
-//! files track performance.
+//! the in-repo [`crate::json`] writer) so two runs' `report.json` files
+//! can be diffed to catch quality regressions.
 //!
 //! # `report.json` schema (version 1)
 //!

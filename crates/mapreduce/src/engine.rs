@@ -104,7 +104,7 @@ impl Default for MrConfig {
 
 impl MrConfig {
     /// A single-threaded configuration; useful for debugging and for
-    /// baseline measurements in the scaling benches.
+    /// baseline measurements.
     pub fn sequential() -> Self {
         MrConfig {
             workers: 1,

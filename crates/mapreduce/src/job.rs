@@ -1,15 +1,7 @@
-//! Job descriptions: the static shape of a sharded run, factored out of
-//! the execution engines that consume it.
-//!
-//! PRs 2–5 grew two consumers of the same round-robin split — the
-//! `repro --shard i/n` process fan-out and now the `kf-dist`
-//! coordinator's task table — and each had hand-rolled the arithmetic.
-//! This module owns it: [`round_robin`] is the one definition of which
-//! unit lands on which shard, and [`JobDescription`] names a whole
-//! sharded job (every unit, the shard count) so a coordinator can
-//! enumerate dispatchable shards and check completeness without knowing
-//! what the units *are* (ablation presets today, corpus partitions
-//! later).
+//! The static shape of a sharded run: [`round_robin`] is the one
+//! definition of which unit lands on which shard, shared by the
+//! `repro --shard i/n` process fan-out and the `kf-dist` coordinator's
+//! task table.
 //!
 //! The split is deliberately round-robin rather than contiguous: unit
 //! lists are ordered cheapest-first in practice (the ablation ladder
@@ -36,59 +28,6 @@ pub fn round_robin<T: Clone>(units: &[T], index: usize, of: usize) -> Vec<T> {
         .collect()
 }
 
-/// The static description of a sharded job: every unit of work, in
-/// canonical order, and how many shards split it. Pure data — no
-/// execution state — so a coordinator can derive its whole task table
-/// up front and an observer can audit completeness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobDescription {
-    /// Every unit of the job, in canonical (merge) order. Unit names
-    /// are opaque here; the consumer resolves them (preset names for an
-    /// ablation job).
-    pub units: Vec<String>,
-    /// How many shards split the units. Shards with no units (when
-    /// `shard_count > units.len()`) are legal and empty.
-    pub shard_count: usize,
-}
-
-impl JobDescription {
-    /// Describe a job splitting `units` across `shard_count` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `shard_count == 0` — a job with no shards cannot run.
-    pub fn new(units: Vec<String>, shard_count: usize) -> JobDescription {
-        assert!(shard_count >= 1, "a job needs at least one shard");
-        JobDescription { units, shard_count }
-    }
-
-    /// The units shard `index` runs — [`round_robin`] over the job's
-    /// units.
-    pub fn shard_units(&self, index: usize) -> Vec<String> {
-        round_robin(&self.units, index, self.shard_count)
-    }
-
-    /// Indexes of shards that carry at least one unit — what a
-    /// coordinator actually dispatches (trailing shards are empty when
-    /// there are more shards than units).
-    pub fn populated_shards(&self) -> Vec<usize> {
-        (0..self.shard_count)
-            .filter(|&i| i < self.units.len())
-            .collect()
-    }
-
-    /// Check that `done` (unit lists reported back per shard, any
-    /// order) covers every unit exactly once — the coordinator's
-    /// completeness audit before merging.
-    pub fn is_complete(&self, done: &[Vec<String>]) -> bool {
-        let mut seen: Vec<&String> = done.iter().flatten().collect();
-        seen.sort();
-        let mut want: Vec<&String> = self.units.iter().collect();
-        want.sort();
-        seen == want
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,29 +52,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn round_robin_rejects_out_of_range_shard() {
         round_robin(&[1, 2, 3], 2, 2);
-    }
-
-    #[test]
-    fn job_description_enumerates_and_audits() {
-        let units: Vec<String> = ["vote", "accu", "popaccu"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let job = JobDescription::new(units.clone(), 5);
-        assert_eq!(job.populated_shards(), vec![0, 1, 2]);
-        assert_eq!(job.shard_units(0), vec!["vote".to_string()]);
-        assert_eq!(job.shard_units(3), Vec::<String>::new());
-
-        let done: Vec<Vec<String>> = (0..5).map(|i| job.shard_units(i)).collect();
-        assert!(job.is_complete(&done));
-        // Order of completion reports does not matter.
-        let mut shuffled = done.clone();
-        shuffled.reverse();
-        assert!(job.is_complete(&shuffled));
-        // A missing or duplicated unit fails the audit.
-        assert!(!job.is_complete(&done[..2]));
-        let mut dup = done;
-        dup.push(vec!["vote".to_string()]);
-        assert!(!job.is_complete(&dup));
     }
 }

@@ -32,7 +32,7 @@
 //!   per-key work at `L` records (§4.1 "we sample L triples each time"),
 //! * [`IterativeDriver`] — round iteration with convergence detection and
 //!   forced termination after `R` rounds (§4.1, Fig. 14),
-//! * [`JobStats`] — counters for observability, the scaling benches, and
+//! * [`JobStats`] — counters for observability, the benchmark, and
 //!   the memory-envelope gates.
 //!
 //! The engine is deterministic: given the same inputs, configuration and
@@ -57,6 +57,6 @@ pub use engine::{
     Combiner, Emitter, MrConfig,
 };
 pub use fanout::run_tasks;
-pub use job::{round_robin, JobDescription};
+pub use job::round_robin;
 pub use sampling::Reservoir;
 pub use stats::JobStats;

@@ -338,7 +338,7 @@ fn watch(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// A deterministic query mix (the bench's kind rotation over strided
+/// A deterministic query mix (a kind rotation over strided
 /// rows), run until `stop`: every kind exercised, mostly hits.
 fn drive_queries(reader: &KbReader, stop: &AtomicBool, client: u64) {
     let n = reader.kb().n_triples() as u64;

@@ -4,10 +4,8 @@
 //! laptop scale, the statistical properties the paper's evaluation depends
 //! on — see DESIGN.md "Substitutions" for the full mapping.
 
-use serde::{Deserialize, Serialize};
-
 /// World-model parameters: the ground truth the web imperfectly reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Number of entity types (paper: 1.1K; scaled down).
     pub n_types: usize,
@@ -61,7 +59,7 @@ impl Default for WorldConfig {
 }
 
 /// Freebase-style gold-KB parameters (§3.2.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GoldConfig {
     /// Probability that a data item is known to the gold KB (paper: 40% of
     /// extracted triples have gold labels).
@@ -91,7 +89,7 @@ impl Default for GoldConfig {
 }
 
 /// Web-corpus parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WebConfig {
     /// Number of web sites.
     pub n_sites: usize,
@@ -144,7 +142,7 @@ impl Default for WebConfig {
 /// methods see them as independent corroboration (§5.2's copying
 /// phenomenon — exactly what ACCU-family methods mis-model without copy
 /// detection).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CopyingConfig {
     /// Probability that a copier replicates a source record instead of
     /// doing its own extraction. `0.0` disables the scenario.
@@ -166,7 +164,7 @@ impl Default for CopyingConfig {
 /// asserts the *same* wrong value (the item's popular false value when
 /// one was minted, a fresh wrong value otherwise), flagged as a source
 /// error.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpamConfig {
     /// Number of spam pages to append. `0` disables the scenario.
     pub n_pages: usize,
@@ -197,7 +195,7 @@ impl Default for SpamConfig {
 /// instead (flagged as a source error — the page is out of date). Early
 /// and late pages therefore disagree, and the stale claims are faithful
 /// extractions of source-wrong content (Fig. 17's LCWA-artifact shape).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftConfig {
     /// Fraction of data items whose truth flipped. `0.0` disables the
     /// scenario.
@@ -224,7 +222,7 @@ impl Default for DriftConfig {
 /// (a → b → c → a), multiplying the distinct wrong values linkage errors
 /// can land on. `error_boost` additionally scales every extractor's
 /// entity- and predicate-linkage error weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkageConfig {
     /// Confusable group size (≥ 2). The default 2 is the honest world's
     /// symmetric pairing.
@@ -247,7 +245,7 @@ impl Default for LinkageConfig {
 /// `ScenarioConfig` takes exactly the honest generator's code paths and
 /// produces byte-identical corpora (pinned by the
 /// `scenario_defaults_preserve_default_corpus` regression test).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioConfig {
     /// Correlated (copying) extractors.
     pub copying: CopyingConfig,
@@ -271,7 +269,7 @@ impl ScenarioConfig {
 }
 
 /// Top-level generator configuration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SynthConfig {
     /// World-model parameters.
     pub world: WorldConfig,
@@ -330,7 +328,7 @@ impl SynthConfig {
         SynthConfig::default()
     }
 
-    /// Large corpus for scaling benches.
+    /// Large corpus for scaling runs.
     pub fn large() -> Self {
         SynthConfig {
             world: WorldConfig {

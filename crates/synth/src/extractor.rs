@@ -27,11 +27,10 @@ use crate::world::World;
 use kf_types::{hash, ExtractorId, PatternId, SiteId, Triple, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Relative mix of the three extraction error kinds (need not sum to 1;
 /// normalised at use).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorProfile {
     /// Triple-identification errors: junk object values.
     pub triple_id: f64,
@@ -53,7 +52,7 @@ impl ErrorProfile {
 }
 
 /// How an extractor assigns confidence scores (Fig. 21 shows four shapes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfidenceModel {
     /// Correlated with correctness, centred away from the extremes
     /// (TXT1-style: mass around 0.4–0.7).
@@ -75,7 +74,7 @@ pub enum ConfidenceModel {
 /// Which sites an extractor runs on (§3.1.3: TXT2–TXT4 share a framework
 /// but run on normal pages / newswire / Wikipedia respectively; DOM5 runs
 /// only on Wikipedia).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteFilter {
     /// All sites.
     All,
@@ -100,7 +99,7 @@ impl SiteFilter {
 }
 
 /// Full specification of one simulated extractor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractorSpec {
     /// Display name (TXT1 … ANO).
     pub name: String,

@@ -32,9 +32,10 @@ use std::path::Path;
 /// batch, sections, outcomes) followed by the small extractor list, the
 /// seed and the hostile-scenario ground truth (format version 4; empty
 /// for honest corpora). Segments let [`Corpus::decode`] rebuild the expensive parts
-/// on parallel threads — the reason checkpoint loads beat regeneration by
-/// the ≥ 5× the `corpus/load` bench asserts — without changing the bytes:
-/// encoding stays sequential, deterministic and canonical.
+/// on parallel threads — the reason checkpoint loads beat regeneration
+/// (`synth.load_s` against `synth.generate_s` in the benchmark) — without
+/// changing the bytes: encoding stays sequential, deterministic and
+/// canonical.
 impl KvCodec for Corpus {
     fn encode(&self, out: &mut Vec<u8>) {
         let _enc = kf_telemetry::span("corpus_encode");

@@ -13,10 +13,9 @@ use kf_types::{hash, DataItem, EntityId, FxHashMap, PageId, SiteId, Value};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The four kinds of web content the paper extracts from (§3.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContentType {
     /// Free text (sentences, phrases).
     Txt,
@@ -84,7 +83,7 @@ pub struct Page {
 
 /// Site classes used to model extractor targeting (§3.1.3: TXT2–TXT4 run on
 /// normal pages / newswire / Wikipedia respectively; DOM5 on Wikipedia).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteClass {
     /// The single high-quality encyclopedia site (site 0).
     Wikipedia,

@@ -276,8 +276,7 @@ impl TraceReport {
     }
 
     /// Preorder list of `(slash-joined path, total_ns)` for every span —
-    /// the flat timing section of `trace.json`, and what
-    /// `scripts/bench_json.py --trace` folds into BENCH rows.
+    /// the flat timing section of `trace.json`.
     pub fn flat_timings(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         fn walk(node: &SpanNode, prefix: &str, out: &mut Vec<(String, u64)>) {

@@ -2,12 +2,11 @@
 //!
 //! The MapReduce engine's spill-to-disk partitions (see `kf-mapreduce`)
 //! need to serialize `(key, values)` groups to sorted run files and read
-//! them back byte-identically. The vendored `serde` shim is derive-only
-//! (no real serialization), so this module provides a small, explicit
-//! binary codec instead: fixed-width little-endian integers, tagged
-//! enums, and length-prefixed sequences. No self-description, no
-//! versioning — a run file is written and read by the same process, so
-//! the schema is the Rust type itself.
+//! them back byte-identically. This module is the workspace's one
+//! codec: a small, explicit binary format of fixed-width little-endian
+//! integers, tagged enums, and length-prefixed sequences. No
+//! self-description, no versioning — a run file is written and read by
+//! the same process, so the schema is the Rust type itself.
 //!
 //! Implementations exist for the primitives and containers the fusion
 //! shuffles move (unsigned/signed integers, `f64` via its bit pattern,

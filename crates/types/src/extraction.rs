@@ -2,7 +2,6 @@
 
 use crate::provenance::Provenance;
 use crate::triple::Triple;
-use serde::{Deserialize, Serialize};
 
 /// One extracted `(triple, provenance)` observation, optionally carrying the
 /// extractor-assigned confidence (§3.1.1: 99.5% of extracted triples have
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// The corpus is a bag of these: the same triple typically appears many
 /// times with different provenances, and the same provenance contributes
 /// many triples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Extraction {
     /// The extracted knowledge triple.
     pub triple: Triple,
@@ -46,7 +45,7 @@ impl Extraction {
 ///
 /// Thin wrapper over `Vec<Extraction>` with corpus-level convenience
 /// accessors used by tests, examples and the statistics module.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtractionBatch {
     /// The extraction records.
     pub records: Vec<Extraction>,

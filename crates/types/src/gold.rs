@@ -12,10 +12,9 @@
 use crate::hash::FxHashMap;
 use crate::triple::{DataItem, Triple};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Gold-standard label under LCWA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
     /// Triple occurs in the gold KB.
     True,
@@ -39,7 +38,7 @@ impl Label {
 
 /// A trusted partial KB (the paper uses Freebase) mapping known data items
 /// to their accepted object values.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct GoldStandard {
     items: FxHashMap<DataItem, Vec<Value>>,
     n_triples: usize,

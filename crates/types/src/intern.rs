@@ -5,7 +5,6 @@
 
 use crate::hash::{FxBuildHasher, FxHashMap};
 use crate::ids::StrId;
-use serde::{Deserialize, Serialize};
 use std::hash::BuildHasher;
 
 /// An append-only string interner. Not thread-safe by itself; corpus
@@ -18,14 +17,12 @@ use std::hash::BuildHasher;
 /// keeps the index clone-free and allocation-free per entry, which makes
 /// [`Interner::rebuild_index`] — and therefore checkpoint loading —
 /// cheap.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Interner {
     strings: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<u64, StrId>,
     /// Ids displaced from `index` by a hash collision (kept tiny; scanned
     /// linearly with full string comparison).
-    #[serde(skip)]
     collisions: Vec<StrId>,
 }
 
@@ -36,7 +33,7 @@ fn hash_str(s: &str) -> u64 {
 }
 
 /// Checkpoint encoding: the dense string table only. The reverse index is
-/// derived state and is rebuilt on decode, mirroring the serde skip.
+/// derived state and is rebuilt on decode.
 impl crate::KvCodec for Interner {
     fn encode(&self, out: &mut Vec<u8>) {
         self.strings.encode(out);

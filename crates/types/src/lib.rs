@@ -9,8 +9,7 @@
 //! paper); the [`GoldStandard`] with its local closed-world assumption
 //! (LCWA) labelling (§3.2.1); [`KvCodec`], the hand-rolled binary
 //! codec the MapReduce engine's external shuffle uses to spill grouped
-//! partitions to sorted run files (the vendored serde shim is derive-only,
-//! so real serialization lives here); and the [`checkpoint`] container —
+//! partitions to sorted run files; and the [`checkpoint`] container —
 //! magic bytes + format version + artifact kind over `KvCodec` payloads —
 //! that corpus snapshots and shard reports persist through, including the
 //! atomic write-then-rename helper shared with the spill writer.

@@ -10,7 +10,6 @@
 //! triple's predicate) onto the chosen granularity.
 
 use crate::ids::{ExtractorId, PageId, PatternId, PredicateId, SiteId};
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 
 /// Full provenance of one extraction: which extractor produced it, from
@@ -18,7 +17,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// This is the "rich provenance information" of §3.1.1 — much richer than
 /// the bare source identity used in data fusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Provenance {
     /// The extractor that produced the triple.
     pub extractor: ExtractorId,
@@ -44,7 +43,7 @@ impl Provenance {
 }
 
 /// The granularity at which provenance accuracy is evaluated (§4.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Granularity {
     /// *(Extractor, URL)* — the basic adaptation of §4.1.
     #[default]
@@ -88,7 +87,7 @@ impl Granularity {
 /// A provenance projected onto a [`Granularity`]: the unit whose accuracy
 /// the fusion algorithms estimate. Fields not included in the granularity
 /// are `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ProvenanceKey {
     /// Extractor dimension, when included.
     pub extractor: Option<ExtractorId>,

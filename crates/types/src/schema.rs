@@ -10,10 +10,9 @@
 use crate::codec::KvCodec;
 use crate::ids::{EntityId, PredicateId, StrId, TypeId};
 use crate::intern::Interner;
-use serde::{Deserialize, Serialize};
 
 /// What kind of object values a predicate takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueKind {
     /// Object is a KB entity (23M of the paper's unique objects).
     Entity,
@@ -24,7 +23,7 @@ pub enum ValueKind {
 }
 
 /// Schema information for one predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredicateInfo {
     /// Human-readable name, e.g. `people/person/birth_date`.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct PredicateInfo {
 }
 
 /// Catalog entry for one entity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntityInfo {
     /// Interned canonical name.
     pub name: StrId,
@@ -48,7 +47,7 @@ pub struct EntityInfo {
 /// The schema catalog: types, predicates, entities and the shared string
 /// interner. Built once (by `kf-synth` or by a user loading real data),
 /// then read-only during fusion.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Catalog {
     types: Vec<String>,
     predicates: Vec<PredicateInfo>,

@@ -1,11 +1,9 @@
 //! Small statistics helpers shared by the corpus generator and the
 //! evaluation suite (Table 1's mean/median/min/max skew rows).
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a skewed count distribution, in the shape of Table 1's lower
 /// half: `#Triples/type  77K  465  1  14M` etc.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewSummary {
     /// Arithmetic mean.
     pub mean: f64,

@@ -14,9 +14,7 @@
 //!
 //! Every type implements [`KvCodec`], so taxonomy cells can
 //! ride through the MapReduce engine's external shuffle and whole reports
-//! serialize to the same hand-rolled binary format as spill files
-//! (extending codec coverage toward whole-output serialization, since the
-//! vendored serde shim is derive-only).
+//! serialize to the same hand-rolled binary format as spill files.
 
 use crate::codec::KvCodec;
 

@@ -2,11 +2,10 @@
 
 use crate::ids::{EntityId, PredicateId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A *data item* in data-fusion terms: a `(subject, predicate)` pair
 /// describing one aspect of an entity — e.g. *(Tom Cruise, birth date)*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataItem {
     /// Subject entity.
     pub subject: EntityId,
@@ -30,7 +29,7 @@ impl DataItem {
 
 /// An RDF-style knowledge triple `(subject, predicate, object)` —
 /// e.g. *(Tom Cruise, birth date, 7/3/1962)*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Triple {
     /// Subject entity.
     pub subject: EntityId,

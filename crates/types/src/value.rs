@@ -6,7 +6,6 @@
 //! so numbers are stored as fixed-point [`Numeric`] rather than `f64`.
 
 use crate::ids::{EntityId, StrId};
-use serde::{Deserialize, Serialize};
 
 /// Fixed-point decimal with three fractional digits.
 ///
@@ -14,8 +13,7 @@ use serde::{Deserialize, Serialize};
 /// as categorical, §5.4), so exact equality semantics matter more than
 /// floating-point range. Milli-precision covers dates-as-years, heights,
 /// populations and the like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Numeric(pub i64);
 
 impl Numeric {
@@ -42,7 +40,7 @@ impl Numeric {
 }
 
 /// The object slot of a triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A reconciled KB entity.
     Entity(EntityId),
