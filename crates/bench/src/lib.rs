@@ -520,20 +520,28 @@ pub fn shard_presets(presets: &[Preset], index: usize, of: usize) -> Vec<Preset>
 }
 
 /// The task table a `--serve-coordinator` run dispatches: one
-/// [`TaskSpec`] per preset, in ablation order, each carrying the fusion
-/// parameters of this run. One preset per task keeps every shard report
-/// deterministic for its `(corpus, task)` pair — the property that makes
-/// re-dispatched replicas interchangeable in the merge — and gives the
-/// scheduler the finest work units the merge semantics allow.
+/// [`TaskSpec`] per preset, each carrying the fusion parameters of this
+/// run, costliest first by the same `relative_cost` the in-process
+/// schedule sorts by (stable: presets of equal cost keep report order) —
+/// the coordinator hands tasks out in table order, and the longest must
+/// not be the last to start. `task_id` is the table position,
+/// `shard_index` the preset's position in the report; the merge puts
+/// methods back in report order whatever order their shards arrive in.
+/// One preset per task keeps every shard report deterministic for its
+/// `(corpus, task)` pair — the property that makes re-dispatched
+/// replicas interchangeable in the merge — and gives the scheduler the
+/// finest work units the merge semantics allow.
 pub fn dist_task_specs(opts: &ReproOptions) -> Vec<TaskSpec> {
-    opts.presets
-        .iter()
+    let mut order: Vec<usize> = (0..opts.presets.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(relative_cost(&opts.presets[i].config())));
+    order
+        .into_iter()
         .enumerate()
-        .map(|(i, preset)| TaskSpec {
-            task_id: i as u32,
+        .map(|(task_id, i)| TaskSpec {
+            task_id: task_id as u32,
             shard_index: i as u32,
             shard_count: opts.presets.len() as u32,
-            presets: vec![preset.name().to_string()],
+            presets: vec![opts.presets[i].name().to_string()],
             scale: opts.scale.clone(),
             bins: opts.bins as u64,
             workers: opts.workers.unwrap_or(0) as u64,
@@ -1202,19 +1210,24 @@ mod tests {
         for (i, spec) in specs.iter().enumerate() {
             assert_eq!(spec.task_id, i as u32);
             assert_eq!(spec.shard_count, Preset::ALL.len() as u32);
-            assert_eq!(spec.presets, vec![Preset::ALL[i].name().to_string()]);
+            let preset = Preset::ALL[spec.shard_index as usize];
+            assert_eq!(spec.presets, vec![preset.name().to_string()]);
             let back = options_for_task(spec).unwrap();
             assert_eq!(back.scale, "tiny");
             assert_eq!(back.bins, 7);
             assert_eq!(back.workers, Some(3));
             assert!(back.deterministic && back.diagnose);
-            assert_eq!(back.presets, vec![Preset::ALL[i]]);
+            assert_eq!(back.presets, vec![preset]);
         }
+        // Costliest first, report order among equals: the three POPACCU
+        // variants (45 inner iterations each), then ACCU (5), then VOTE (1).
+        let order: Vec<u32> = specs.iter().map(|s| s.shard_index).collect();
+        assert_eq!(order, [2, 3, 4, 1, 0]);
         // The union over tasks is the preset list, each exactly once —
         // the invariant the merge's duplicate check enforces later.
-        let union: Vec<String> = specs.iter().flat_map(|s| s.presets.clone()).collect();
-        let names: Vec<String> = Preset::ALL.iter().map(|p| p.name().to_string()).collect();
-        assert_eq!(union, names);
+        let mut union: Vec<u32> = order;
+        union.sort_unstable();
+        assert_eq!(union, [0, 1, 2, 3, 4]);
         // workers == 0 encodes the library default.
         let spec = &dist_task_specs(&ReproOptions {
             workers: None,

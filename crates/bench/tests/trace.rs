@@ -93,7 +93,10 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     assert_eq!(shared.corpus, runner.corpus_summary(&corpus));
 
     assert_eq!(shared.methods.len(), Preset::ALL.len());
-    for (spec, method) in dist_task_specs(&opts).iter().zip(&shared.methods) {
+    // The task table is costliest-first; `shard_index` is a task's place
+    // in the report.
+    for spec in &dist_task_specs(&opts) {
+        let method = &shared.methods[spec.shard_index as usize];
         let alone = run_on_corpus(&options_for_task(spec).unwrap(), &corpus);
         let section = EvalReport {
             corpus: shared.corpus.clone(),

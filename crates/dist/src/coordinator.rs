@@ -1,20 +1,31 @@
 //! The coordinator: task table, worker registry, heartbeat monitor and
 //! the re-dispatch state machine.
 //!
-//! All protocol decisions run on the thread that called
-//! [`Coordinator::run`]; one reader thread per connection does nothing
-//! but turn frames into events on a channel. That single-threaded core
-//! keeps the state machine auditable — there is exactly one place a
-//! task changes state — and means every `dist.*` counter lands on the
-//! trace installed by the caller.
+//! Three kinds of thread, one of which decides anything. The
+//! **acceptor** blocks in `accept` and hands each socket to the engine.
+//! Each **connection's thread** performs the registration exchange itself
+//! (read `Hello`, check both versions, write `Welcome` and the corpus
+//! frame, or `Reject`, under a write timeout), reports `Registered`, and
+//! from then on only turns frames into events; the corpus frame is
+//! encoded once per run and shared, so ships overlap and a peer that
+//! stops reading stalls only its own thread. The **engine** is the thread
+//! that called [`Coordinator::run`]: it writes nothing to a connection
+//! before its `Registered` (a task frame cannot land inside a half-written
+//! corpus frame), is the one place a task changes state, records every
+//! `dist.*` counter on the caller's trace, and sleeps until the next
+//! event or the next deadline it set itself (a back-off running out, a
+//! heartbeat going stale, the idle timeout).
 
 use crate::DistError;
 use kf_eval::EvalReport;
 use kf_types::checkpoint::{self, ArtifactKind};
 use kf_types::wire::{self, TaskSpec, WireMsg, PROTOCOL_VERSION};
 use kf_types::FORMAT_VERSION;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::io::Write;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of a coordinator run. `Default` is sized for real
@@ -24,10 +35,12 @@ pub struct CoordinatorConfig {
     /// Cadence workers are told to heartbeat at ([`WireMsg::Welcome`]).
     pub heartbeat_interval: Duration,
     /// Silence after which a worker is declared lost and its in-flight
-    /// tasks re-queued. Must comfortably exceed the interval.
+    /// tasks re-queued. Must comfortably exceed the interval. Also how
+    /// long a write to a peer may stall before its connection is dropped.
     pub heartbeat_timeout: Duration,
     /// Delay before the first re-dispatch of a failed task; doubles on
-    /// every further attempt of the same task.
+    /// every further attempt of the same task. The first re-dispatch
+    /// after a worker *loss* does not wait: that is not a failed task.
     pub redispatch_backoff: Duration,
     /// Re-dispatches a single task may consume before the run aborts
     /// with [`DistError::TaskExhausted`].
@@ -70,16 +83,35 @@ pub struct Coordinator {
     config: CoordinatorConfig,
 }
 
-/// What a connection's reader thread reports to the core loop.
+/// What the acceptor and the connection threads report to the engine.
 enum Event {
-    /// One decoded frame, plus its size on the wire.
+    /// A peer connected — or `accept` failed, and the acceptor stopped.
+    Accepted(std::io::Result<TcpStream>),
+    /// One decoded frame, plus its size on the wire. A first `Hello` is
+    /// answered by the connection's thread; the engine only counts it.
     Frame {
         conn: usize,
         msg: WireMsg,
         bytes: u64,
     },
-    /// The connection hit EOF or an error; no more frames will come.
+    /// The connection's thread wrote `Welcome` (`bytes` on the wire) and
+    /// the corpus frame: the worker may be dispatched to.
+    Registered {
+        conn: usize,
+        name: String,
+        bytes: u64,
+    },
+    /// The connection hit EOF or an error, or its registration failed
+    /// or was refused; no more events will come from it.
     Closed { conn: usize },
+}
+
+/// What a connection's thread needs for the registration exchange.
+struct Registration {
+    /// The encoded [`WireMsg::Corpus`] frame, built once per run.
+    corpus_frame: Vec<u8>,
+    heartbeat_interval_ms: u64,
+    write_timeout: Duration,
 }
 
 /// Where a task is in its life cycle.
@@ -120,9 +152,21 @@ struct ConnState {
     worker: Option<WorkerState>,
 }
 
+/// Why a task is re-queued: its worker was lost (EOF, stale heartbeats,
+/// failed send), or reported it failed (or sent an undecodable report).
+#[derive(Clone, Copy, PartialEq)]
+enum Requeue {
+    WorkerLost,
+    TaskFailed,
+}
+
 /// The single-threaded protocol core.
 struct Engine {
     conns: Vec<ConnState>,
+    /// One thread per accepted connection, joined at teardown.
+    conn_threads: Vec<JoinHandle<()>>,
+    registration: Arc<Registration>,
+    events: mpsc::Sender<Event>,
     tasks: Vec<TaskState>,
     specs: Vec<TaskSpec>,
     config: CoordinatorConfig,
@@ -140,7 +184,6 @@ impl Coordinator {
         config: CoordinatorConfig,
     ) -> Result<Coordinator, DistError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Coordinator {
             listener,
             tasks,
@@ -156,20 +199,37 @@ impl Coordinator {
 
     /// Drive the job to completion and return the shard reports in task
     /// order. Blocks the calling thread; workers may connect at any
-    /// point during the run.
+    /// point during the run. Every thread the run starts is joined, and
+    /// the listening port released, before it returns.
     pub fn run(self) -> Result<Vec<EvalReport>, DistError> {
-        let corpus_msg = WireMsg::Corpus {
+        // Where the teardown reaches the acceptor (loopback if unspecified).
+        let mut wake_addr = self.listener.local_addr()?;
+        match wake_addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => wake_addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => wake_addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        let corpus_frame = wire::encode_frame(&WireMsg::Corpus {
             bytes: self.corpus_bytes,
-        };
+        })?;
+        kf_telemetry::add("dist.corpus.frame_encodes", 1);
+
+        let (tx, rx) = mpsc::channel::<Event>();
+        let now = Instant::now();
         let mut engine = Engine {
             conns: Vec::new(),
+            conn_threads: Vec::new(),
+            registration: Arc::new(Registration {
+                corpus_frame,
+                heartbeat_interval_ms: self.config.heartbeat_interval.as_millis() as u64,
+                write_timeout: self.config.heartbeat_timeout,
+            }),
+            events: tx.clone(),
             tasks: self
                 .tasks
                 .iter()
                 .map(|_| TaskState {
-                    status: TaskStatus::Pending {
-                        not_before: Instant::now(),
-                    },
+                    status: TaskStatus::Pending { not_before: now },
                     attempts: 0,
                     last_error: String::new(),
                     report: None,
@@ -177,71 +237,31 @@ impl Coordinator {
                 .collect(),
             specs: self.tasks,
             config: self.config,
-            last_progress: Instant::now(),
+            last_progress: now,
             fatal: None,
         };
-        let (tx, rx) = mpsc::channel::<Event>();
-        let mut readers = Vec::new();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let (listener, stop) = (self.listener, stop.clone());
+            std::thread::spawn(move || {
+                // Owns the listener: the port is released when this ends.
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let failed = stream.is_err();
+                    if tx.send(Event::Accepted(stream)).is_err() || failed {
+                        break;
+                    }
+                }
+            })
+        };
 
         let outcome = loop {
-            // Admit new connections; each gets a dedicated reader thread.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        // Accepted sockets may inherit the listener's
-                        // nonblocking flag on some platforms; readers
-                        // want blocking reads.
-                        stream.set_nonblocking(false)?;
-                        let _ = stream.set_nodelay(true);
-                        let conn = engine.conns.len();
-                        let mut read_half = stream.try_clone()?;
-                        let tx = tx.clone();
-                        readers.push(std::thread::spawn(move || loop {
-                            match wire::read_frame(&mut read_half) {
-                                Ok((msg, bytes)) => {
-                                    if tx
-                                        .send(Event::Frame {
-                                            conn,
-                                            msg,
-                                            bytes: bytes as u64,
-                                        })
-                                        .is_err()
-                                    {
-                                        break;
-                                    }
-                                }
-                                Err(_) => {
-                                    let _ = tx.send(Event::Closed { conn });
-                                    break;
-                                }
-                            }
-                        }));
-                        engine.conns.push(ConnState {
-                            stream,
-                            open: true,
-                            worker: None,
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-
-            // Drain the event queue (bounded wait doubles as the tick).
-            match rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(event) => {
-                    engine.handle(event, &corpus_msg);
-                    while let Ok(event) = rx.try_recv() {
-                        engine.handle(event, &corpus_msg);
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("tx kept alive above"),
-            }
-
-            engine.check_heartbeats();
-            engine.dispatch_pending();
-
+            let now = Instant::now();
+            engine.check_heartbeats(now);
+            engine.dispatch_pending(now);
             if let Some(fatal) = engine.fatal.take() {
                 break Err(fatal);
             }
@@ -252,17 +272,21 @@ impl Coordinator {
             {
                 break Ok(());
             }
-            let live = engine
-                .conns
-                .iter()
-                .any(|c| c.open && c.worker.as_ref().is_some_and(|w| !w.lost));
-            if !live && engine.last_progress.elapsed() > engine.config.idle_timeout {
+            let Some(deadline) = engine.next_deadline(now) else {
                 break Err(DistError::NoWorkers);
+            };
+            // Sleep until an event or the deadline, then drain the queue.
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if let Ok(event) = rx.recv_timeout(wait) {
+                engine.handle(event);
+                while let Ok(event) = rx.try_recv() {
+                    engine.handle(event);
+                }
             }
         };
 
         // Teardown: tell survivors to exit, then unblock and join every
-        // reader. Errors here don't change the outcome.
+        // thread. Errors here don't change the outcome.
         for conn in 0..engine.conns.len() {
             if engine.conns[conn].open && engine.conns[conn].worker.is_some() {
                 engine.send(conn, &WireMsg::Shutdown);
@@ -271,9 +295,14 @@ impl Coordinator {
         for conn in &mut engine.conns {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        drop(tx);
-        for reader in readers {
-            let _ = reader.join();
+        for thread in engine.conn_threads.drain(..) {
+            let _ = thread.join();
+        }
+        // A connection of our own wakes the acceptor to see the flag; if
+        // even that fails it is left to end at the next one, not hang us.
+        stop.store(true, Ordering::SeqCst);
+        if TcpStream::connect(wake_addr).is_ok() || acceptor.is_finished() {
+            let _ = acceptor.join();
         }
 
         outcome?;
@@ -290,6 +319,68 @@ impl Coordinator {
         let reports = self.run()?;
         kf_eval::merge_reports(reports).map_err(|e| DistError::Merge(e.to_string()))
     }
+}
+
+/// A connection's thread: register the peer, then turn its frames into
+/// events until the socket ends. Always finishes with [`Event::Closed`].
+fn serve_connection(
+    conn: usize,
+    mut stream: TcpStream,
+    registration: &Registration,
+    events: &mpsc::Sender<Event>,
+) {
+    if register(conn, &mut stream, registration, events).is_some() {
+        while let Ok((msg, bytes)) = wire::read_frame(&mut stream) {
+            let bytes = bytes as u64;
+            if events.send(Event::Frame { conn, msg, bytes }).is_err() {
+                break;
+            }
+        }
+    }
+    let _ = events.send(Event::Closed { conn });
+}
+
+/// The registration exchange, on the connection's own thread: `Hello`
+/// in; `Welcome` and the corpus frame, or `Reject`, out. `Some` once the
+/// peer is a registered worker and the engine has been told.
+fn register(
+    conn: usize,
+    stream: &mut TcpStream,
+    registration: &Registration,
+    events: &mpsc::Sender<Event>,
+) -> Option<()> {
+    let (msg, bytes) = wire::read_frame(stream).ok()?;
+    // The engine counts the frame, and hangs up on anything but a `Hello`.
+    let hello = matches!(msg, WireMsg::Hello { .. }).then(|| msg.clone());
+    let bytes = bytes as u64;
+    events.send(Event::Frame { conn, msg, bytes }).ok()?;
+    let WireMsg::Hello {
+        protocol,
+        format,
+        worker: name,
+    } = hello?
+    else {
+        return None;
+    };
+    // On the socket, so the engine's write half is bounded as well.
+    stream
+        .set_write_timeout(Some(registration.write_timeout))
+        .ok()?;
+    if protocol != PROTOCOL_VERSION || format != FORMAT_VERSION {
+        let reason = format!(
+            "version skew: worker speaks protocol {protocol} / format {format}, \
+             coordinator speaks {PROTOCOL_VERSION} / {FORMAT_VERSION}"
+        );
+        let _ = wire::write_frame(stream, &WireMsg::Reject { reason });
+        return None;
+    }
+    let welcome = WireMsg::Welcome {
+        worker_id: conn as u32,
+        heartbeat_interval_ms: registration.heartbeat_interval_ms,
+    };
+    let bytes = wire::write_frame(stream, &welcome).ok()? as u64;
+    stream.write_all(&registration.corpus_frame).ok()?;
+    events.send(Event::Registered { conn, name, bytes }).ok()
 }
 
 impl Engine {
@@ -309,35 +400,53 @@ impl Engine {
         }
     }
 
-    fn handle(&mut self, event: Event, corpus_msg: &WireMsg) {
+    fn count_sent(bytes: u64) {
+        kf_telemetry::add("dist.rpc.sent", 1);
+        kf_telemetry::record_traffic("dist.rpc.sent_bytes", bytes);
+    }
+
+    fn handle(&mut self, event: Event) {
         match event {
+            Event::Accepted(Ok(stream)) => self.admit(stream),
+            Event::Accepted(Err(e)) => self.fatal = Some(e.into()),
             Event::Closed { conn } => self.drop_conn(conn),
+            Event::Registered { conn, name, bytes } => {
+                Self::count_sent(bytes);
+                Self::count_sent(self.registration.corpus_frame.len() as u64);
+                self.log(format!(
+                    "registered worker {name} (id {conn}), corpus shipped"
+                ));
+                self.conns[conn].worker = Some(WorkerState {
+                    name,
+                    last_seen: Instant::now(),
+                    lost: false,
+                    in_flight: Vec::new(),
+                });
+                kf_telemetry::add("dist.worker.registered", 1);
+                self.last_progress = Instant::now();
+            }
             Event::Frame { conn, msg, bytes } => {
                 kf_telemetry::add("dist.rpc.recv", 1);
                 kf_telemetry::record_traffic("dist.rpc.recv_bytes", bytes);
+                let registered = self.conns[conn].worker.is_some();
                 match msg {
-                    WireMsg::Hello {
-                        protocol,
-                        format,
-                        worker,
-                    } => self.handle_hello(conn, protocol, format, worker, corpus_msg),
-                    WireMsg::Heartbeat { .. } => {
+                    // Being answered by the connection's own thread.
+                    WireMsg::Hello { .. } if !registered => {}
+                    WireMsg::Heartbeat { .. } if registered => {
                         if let Some(w) = self.conns[conn].worker.as_mut() {
                             w.last_seen = Instant::now();
                         }
                     }
-                    WireMsg::TaskDone { task_id, report } => {
+                    WireMsg::TaskDone { task_id, report } if registered => {
                         self.handle_done(conn, task_id, &report)
                     }
-                    WireMsg::TaskFailed { task_id, error } => {
-                        kf_telemetry::add("dist.task.failed", 1);
-                        self.requeue(task_id, &error);
+                    WireMsg::TaskFailed { task_id, error } if registered => {
+                        self.fail_task(conn, task_id, &error)
                     }
-                    other => {
-                        // A coordinator-only message echoed back, or a
-                        // frame before Hello: protocol violation.
+                    _ => {
+                        // Anything but `Hello` before registration, a second
+                        // `Hello`, or a coordinator-only message echoed back.
                         kf_telemetry::add("dist.rpc.protocol_error", 1);
-                        let _ = other;
                         self.drop_conn(conn);
                     }
                 }
@@ -345,44 +454,22 @@ impl Engine {
         }
     }
 
-    fn handle_hello(
-        &mut self,
-        conn: usize,
-        protocol: u32,
-        format: u16,
-        name: String,
-        corpus_msg: &WireMsg,
-    ) {
-        if self.conns[conn].worker.is_some() {
-            self.drop_conn(conn); // double Hello
+    /// Give an accepted socket its connection id and its thread.
+    fn admit(&mut self, stream: TcpStream) {
+        let _ = stream.set_nodelay(true);
+        let Ok(read_half) = stream.try_clone() else {
             return;
-        }
-        if protocol != PROTOCOL_VERSION || format != FORMAT_VERSION {
-            let reason = format!(
-                "version skew: worker speaks protocol {protocol} / format {format}, \
-                 coordinator speaks {PROTOCOL_VERSION} / {FORMAT_VERSION}"
-            );
-            self.send(conn, &WireMsg::Reject { reason });
-            self.drop_conn(conn);
-            return;
-        }
-        let welcome = WireMsg::Welcome {
-            worker_id: conn as u32,
-            heartbeat_interval_ms: self.config.heartbeat_interval.as_millis() as u64,
         };
-        if self.send(conn, &welcome) && self.send(conn, corpus_msg) {
-            self.log(format!(
-                "registered worker {name} (id {conn}), corpus shipped"
-            ));
-            self.conns[conn].worker = Some(WorkerState {
-                name,
-                last_seen: Instant::now(),
-                lost: false,
-                in_flight: Vec::new(),
-            });
-            kf_telemetry::add("dist.worker.registered", 1);
-            self.last_progress = Instant::now();
-        }
+        let conn = self.conns.len();
+        let (registration, events) = (self.registration.clone(), self.events.clone());
+        self.conn_threads.push(std::thread::spawn(move || {
+            serve_connection(conn, read_half, &registration, &events)
+        }));
+        self.conns.push(ConnState {
+            stream,
+            open: true,
+            worker: None,
+        });
     }
 
     fn handle_done(&mut self, conn: usize, task_id: u32, report_bytes: &[u8]) {
@@ -419,16 +506,28 @@ impl Engine {
                 }
                 self.last_progress = Instant::now();
             }
-            Err(e) => {
-                kf_telemetry::add("dist.task.failed", 1);
-                self.requeue(task_id, &format!("undecodable shard report: {e}"));
-            }
+            Err(e) => self.fail_task(conn, task_id, &format!("undecodable shard report: {e}")),
         }
     }
 
-    /// Return a task to the pending queue with exponentially backed-off
-    /// eligibility. No-op unless the task is currently `Running`.
-    fn requeue(&mut self, task_id: u32, error: &str) {
+    /// A worker reports (or shows, by an undecodable report) a task
+    /// failed. Honoured only from the worker the task is in flight on: one
+    /// declared lost no longer speaks for a task running elsewhere.
+    fn fail_task(&mut self, conn: usize, task_id: u32, error: &str) {
+        let holds = self.conns[conn]
+            .worker
+            .as_ref()
+            .is_some_and(|w| w.in_flight.contains(&task_id));
+        if holds {
+            kf_telemetry::add("dist.task.failed", 1);
+            self.requeue(task_id, error, Requeue::TaskFailed);
+        }
+    }
+
+    /// Return a task to the pending queue: straight back after a worker
+    /// loss, behind an exponential back-off if it failed or on any later
+    /// re-dispatch. No-op unless the task is currently `Running`.
+    fn requeue(&mut self, task_id: u32, error: &str, cause: Requeue) {
         let Some(task) = self.tasks.get_mut(task_id as usize) else {
             return;
         };
@@ -444,8 +543,12 @@ impl Engine {
             });
             return;
         }
-        let backoff = self.config.redispatch_backoff
-            * 2u32.saturating_pow(task.attempts.saturating_sub(1).min(16));
+        let backoff = if cause == Requeue::WorkerLost && task.attempts == 1 {
+            Duration::ZERO
+        } else {
+            self.config.redispatch_backoff
+                * 2u32.saturating_pow(task.attempts.saturating_sub(1).min(16))
+        };
         task.status = TaskStatus::Pending {
             not_before: Instant::now() + backoff,
         };
@@ -456,9 +559,34 @@ impl Engine {
         }
     }
 
+    /// Whether a connection is a registered worker that can take work.
+    fn is_live(conn: &ConnState) -> bool {
+        conn.open && conn.worker.as_ref().is_some_and(|w| !w.lost)
+    }
+
+    /// When the engine must next act unprompted: the earliest back-off to
+    /// run out, and the earliest heartbeat to go stale or — with no live
+    /// worker — the idle timeout. `None` once that last one has passed.
+    fn next_deadline(&self, now: Instant) -> Option<Instant> {
+        let backoffs = self.tasks.iter().filter_map(|t| match t.status {
+            // A task already due waits for a worker, which is an event.
+            TaskStatus::Pending { not_before } if not_before > now => Some(not_before),
+            _ => None,
+        });
+        let stale = self
+            .conns
+            .iter()
+            .filter(|c| Self::is_live(c))
+            .filter_map(|c| c.worker.as_ref())
+            .map(|w| w.last_seen + self.config.heartbeat_timeout);
+        let idle = self.last_progress + self.config.idle_timeout;
+        let liveness = stale.min().or((now < idle).then_some(idle))?;
+        Some(backoffs.min().map_or(liveness, |b| b.min(liveness)))
+    }
+
     /// Declare workers with stale heartbeats lost and re-queue their
     /// in-flight tasks. The socket stays open — see [`WorkerState::lost`].
-    fn check_heartbeats(&mut self) {
+    fn check_heartbeats(&mut self, now: Instant) {
         let timeout = self.config.heartbeat_timeout;
         let mut orphaned: Vec<u32> = Vec::new();
         let mut stale: Vec<String> = Vec::new();
@@ -467,7 +595,7 @@ impl Engine {
                 continue;
             }
             if let Some(w) = conn.worker.as_mut() {
-                if !w.lost && w.last_seen.elapsed() > timeout {
+                if !w.lost && now.saturating_duration_since(w.last_seen) >= timeout {
                     w.lost = true;
                     kf_telemetry::add("dist.worker.lost", 1);
                     stale.push(w.name.clone());
@@ -481,14 +609,13 @@ impl Engine {
             ));
         }
         for task_id in orphaned {
-            self.requeue(task_id, "worker heartbeats went stale");
+            self.requeue(task_id, "worker heartbeats went stale", Requeue::WorkerLost);
         }
     }
 
     /// Hand every due pending task to the live worker with the least
     /// in-flight load (lowest connection id on ties).
-    fn dispatch_pending(&mut self) {
-        let now = Instant::now();
+    fn dispatch_pending(&mut self, now: Instant) {
         for task_id in 0..self.tasks.len() {
             let due = match self.tasks[task_id].status {
                 TaskStatus::Pending { not_before } => not_before <= now,
@@ -497,15 +624,18 @@ impl Engine {
             if !due {
                 continue;
             }
+            let msg = WireMsg::Task {
+                spec: self.specs[task_id].clone(),
+            };
             let target = self
                 .conns
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| {
-                    c.open
-                        && c.worker.as_ref().is_some_and(|w| {
-                            !w.lost && w.in_flight.len() < self.config.max_in_flight
-                        })
+                    Self::is_live(c)
+                        && c.worker
+                            .as_ref()
+                            .is_some_and(|w| w.in_flight.len() < self.config.max_in_flight)
                 })
                 .min_by_key(|&(id, c)| {
                     (
@@ -518,9 +648,6 @@ impl Engine {
                 // Every live worker is at capacity (or none exists);
                 // the task stays pending until a slot frees up.
                 return;
-            };
-            let msg = WireMsg::Task {
-                spec: self.specs[task_id].clone(),
             };
             if self.send(conn, &msg) {
                 self.log(format!(
@@ -540,7 +667,7 @@ impl Engine {
                 self.last_progress = Instant::now();
             }
             // On send failure the connection was dropped and its tasks
-            // re-queued; the next tick retries against survivors.
+            // re-queued; its `Closed` event has the survivors retried.
         }
     }
 
@@ -552,8 +679,7 @@ impl Engine {
         }
         match wire::write_frame(&mut self.conns[conn].stream, msg) {
             Ok(bytes) => {
-                kf_telemetry::add("dist.rpc.sent", 1);
-                kf_telemetry::record_traffic("dist.rpc.sent_bytes", bytes as u64);
+                Self::count_sent(bytes as u64);
                 true
             }
             Err(_) => {
@@ -579,7 +705,11 @@ impl Engine {
                 }
                 (Some(w.name.clone()), std::mem::take(&mut w.in_flight))
             }
-            None => (None, Vec::new()),
+            None => {
+                // Hung up early, refused, out of protocol, or stalled.
+                kf_telemetry::add("dist.conn.unregistered", 1);
+                (None, Vec::new())
+            }
         };
         if let Some(name) = name {
             self.log(format!(
@@ -587,7 +717,7 @@ impl Engine {
             ));
         }
         for task_id in orphaned {
-            self.requeue(task_id, "worker connection closed");
+            self.requeue(task_id, "worker connection closed", Requeue::WorkerLost);
         }
     }
 }

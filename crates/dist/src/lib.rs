@@ -7,9 +7,11 @@
 //!
 //! * A [`Coordinator`] listens on a socket, registers workers through a
 //!   versioned handshake ([`kf_types::wire`]), ships each one the corpus
-//!   checkpoint, dispatches preset-shard [`kf_types::TaskSpec`]s, and
-//!   collects shard [`kf_eval::EvalReport`]s, k-way merging them exactly as
-//!   `--merge` does ([`kf_eval::merge_reports`]).
+//!   checkpoint (one frame encoded per run, written from each worker's
+//!   own connection thread), dispatches preset-shard
+//!   [`kf_types::TaskSpec`]s, and collects shard [`kf_eval::EvalReport`]s,
+//!   k-way merging them exactly as `--merge` does
+//!   ([`kf_eval::merge_reports`]).
 //! * A worker ([`run_worker`]) connects (with exponential backoff),
 //!   receives the corpus once, and answers tasks with checkpoint-framed
 //!   shard reports, heartbeating from a side thread so a long fuse never
@@ -21,8 +23,14 @@
 //! state machine per task (*pending → dispatched → done*):
 //!
 //! * A worker whose connection drops, or whose heartbeats go stale,
-//!   is marked **lost**: its in-flight tasks are re-queued with
-//!   exponential backoff and re-dispatched to survivors.
+//!   is marked **lost**: its in-flight tasks are re-dispatched to
+//!   survivors — at once the first time (a loss says nothing about the
+//!   task); a task a worker *reports* failed, or on a later attempt, waits
+//!   out an exponential backoff. Only the worker holding a task can fail it.
+//! * A peer is nobody until it has registered: any first frame but
+//!   `Hello` drops the connection (`dist.rpc.protocol_error`), and a peer
+//!   that stops reading its corpus frame stalls only its own thread, until
+//!   the write times out.
 //! * A lost-but-alive worker (heartbeats stopped, socket open — the
 //!   "hung" case) may still deliver results later. Completions are
 //!   accepted **first-wins** per task; any later completion is counted

@@ -1,6 +1,8 @@
 //! End-to-end coordinator/worker tests over localhost TCP: clean runs,
 //! injected worker death (kill), hung workers (mute), task failure
-//! retry, version-skew rejection, and the no-workers timeout.
+//! retry, version-skew rejection, the no-workers timeout, and peers that
+//! break the protocol, speak for tasks they no longer hold, or stop
+//! reading.
 //!
 //! The invariant every fault scenario pins: the merged report is
 //! byte-identical to the reference single-process report, no matter
@@ -12,8 +14,10 @@ use kf_synth::{Corpus, SynthConfig};
 use kf_types::checkpoint::{self, ArtifactKind};
 use kf_types::wire::{self, TaskSpec, WireMsg, PROTOCOL_VERSION};
 use kf_types::FORMAT_VERSION;
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::Read;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn tiny_corpus() -> Corpus {
     Corpus::generate(&SynthConfig::tiny(), 11)
@@ -84,6 +88,55 @@ fn test_config() -> CoordinatorConfig {
         max_in_flight: 1,
         verbose: false,
     }
+}
+
+/// Run the coordinator under a fresh trace: the merged report, and a
+/// reader of that trace's counters.
+fn run_traced(coordinator: Coordinator) -> (Result<EvalReport, DistError>, impl Fn(&str) -> u64) {
+    let trace = kf_telemetry::Trace::new();
+    let merged = {
+        let _installed = kf_telemetry::install(&trace);
+        coordinator.run_merged()
+    };
+    let report = trace.snapshot();
+    let counter = move |name: &str| {
+        report
+            .counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    (merged, counter)
+}
+
+/// [`run_traced`] on a thread of its own, for tests that drive a peer by
+/// hand while the run is under way.
+fn spawn_coordinator(
+    coordinator: Coordinator,
+) -> std::thread::JoinHandle<(Result<EvalReport, DistError>, impl Fn(&str) -> u64)> {
+    std::thread::spawn(move || run_traced(coordinator))
+}
+
+fn spawn_worker(addr: &str, name: &str) -> std::thread::JoinHandle<Result<(), DistError>> {
+    let config = WorkerConfig::new(addr, name);
+    std::thread::spawn(move || run_worker(&config, run_task))
+}
+
+/// A hand-driven peer: connect and register like a worker, returning the
+/// socket just after the corpus frame.
+fn register_by_hand(addr: &str, name: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let hello = WireMsg::Hello {
+        protocol: PROTOCOL_VERSION,
+        format: FORMAT_VERSION,
+        worker: name.into(),
+    };
+    wire::write_frame(&mut stream, &hello).expect("send hello");
+    for expected in ["welcome", "corpus"] {
+        let (msg, _) = wire::read_frame(&mut stream).expect("read registration reply");
+        assert_eq!(msg.name(), expected);
+    }
+    stream
 }
 
 fn bind_coordinator(corpus: &Corpus, config: CoordinatorConfig) -> (Coordinator, String) {
@@ -179,23 +232,10 @@ fn mute_worker_is_timed_out_and_its_late_result_suppressed() {
     // Run under a trace so the completion accounting is checkable: every
     // task completes exactly once; replicas land in the duplicate
     // counter, never in completed.
-    let trace = kf_telemetry::Trace::new();
-    let merged = {
-        let _installed = kf_telemetry::install(&trace);
-        coordinator
-            .run_merged()
-            .expect("run survives a hung worker")
-    };
+    let (merged, counter) = run_traced(coordinator);
+    let merged = merged.expect("run survives a hung worker");
     let _ = mute.join().unwrap(); // exits Ok (late shutdown) or with a broken pipe
     fast.join().unwrap().expect("fast worker exits cleanly");
-    let report = trace.snapshot();
-    let counter = |name: &str| {
-        report
-            .counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    };
     assert_eq!(
         counter("dist.task.completed"),
         Preset::ALL.len() as u64,
@@ -284,10 +324,241 @@ fn run_without_workers_hits_the_idle_timeout() {
     let corpus = tiny_corpus();
     let mut config = test_config();
     config.idle_timeout = Duration::from_millis(200);
-    let (coordinator, _addr) = bind_coordinator(&corpus, config);
+    let (coordinator, addr) = bind_coordinator(&corpus, config);
     match coordinator.run() {
         Err(DistError::NoWorkers) => {}
         other => panic!("expected NoWorkers, got {other:?}"),
+    }
+    // The acceptor owned the listener; it was joined, so the port is free.
+    TcpListener::bind(addr.as_str()).expect("a failed run releases its port");
+}
+
+#[test]
+fn frames_before_registration_drop_the_connection() {
+    let corpus = tiny_corpus();
+    let (coordinator, addr) = bind_coordinator(&corpus, test_config());
+    let run = spawn_coordinator(coordinator);
+    // A peer that never says Hello claims task 0 with a well-formed report
+    // — of another corpus, so accepting it could not go unnoticed — and is
+    // hung up on. Only then do the workers start: the claim arrived while
+    // every task was pending.
+    let mut rogue = TcpStream::connect(&addr).expect("connect");
+    let foreign = run_task(
+        &Corpus::generate(&SynthConfig::tiny(), 12),
+        &task_specs()[0],
+    )
+    .unwrap();
+    let claim = WireMsg::TaskDone {
+        task_id: 0,
+        report: checkpoint::encode(ArtifactKind::Report, &foreign),
+    };
+    wire::write_frame(&mut rogue, &claim).expect("send claim");
+    let mut rest = Vec::new();
+    let _ = rogue.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "an unregistered peer is told nothing");
+
+    let workers = [spawn_worker(&addr, "w0"), spawn_worker(&addr, "w1")];
+    let (merged, counter) = run.join().unwrap();
+    for w in workers {
+        w.join().unwrap().expect("worker exits cleanly");
+    }
+    assert_eq!(counter("dist.rpc.protocol_error"), 1);
+    assert_eq!(counter("dist.conn.unregistered"), 1);
+    assert_eq!(counter("dist.task.completed"), Preset::ALL.len() as u64);
+    assert_eq!(
+        merged.expect("run completes").to_json_string(),
+        reference_report(&corpus).to_json_string()
+    );
+}
+
+#[test]
+fn task_failed_from_a_worker_that_lost_the_task_is_ignored() {
+    let corpus = tiny_corpus();
+    let (coordinator, addr) = bind_coordinator(&corpus, test_config());
+    let run = spawn_coordinator(coordinator);
+    // The ghost registers, is handed the first task and goes silent, so it
+    // is declared lost and the task goes to the other worker.
+    let mut ghost = register_by_hand(&addr, "ghost");
+    let held = match wire::read_frame(&mut ghost).expect("read task").0 {
+        WireMsg::Task { spec } => spec.task_id,
+        other => panic!("expected a task, got {}", other.name()),
+    };
+    // That worker says when it starts the ghost's task and holds it
+    // (Running, on its ledger) until released.
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let config = WorkerConfig::new(addr.clone(), "holder");
+        std::thread::spawn(move || {
+            run_worker(&config, move |corpus, spec| {
+                if spec.task_id == held {
+                    started_tx.send(()).expect("test is listening");
+                    release_rx.recv().expect("test releases the task");
+                }
+                run_task(corpus, spec)
+            })
+        })
+    };
+    started_rx
+        .recv()
+        .expect("the ghost's task reaches the holder");
+    // Now the ghost reports the task failed. The coordinator handles a
+    // connection's frames in order, so once it has hung up on the echoed
+    // Welcome that follows (a protocol violation) the failure report has
+    // been dealt with.
+    let failed = WireMsg::TaskFailed {
+        task_id: held,
+        error: "late".into(),
+    };
+    wire::write_frame(&mut ghost, &failed).expect("send failure");
+    let echo = WireMsg::Welcome {
+        worker_id: 0,
+        heartbeat_interval_ms: 1,
+    };
+    wire::write_frame(&mut ghost, &echo).expect("send violation");
+    let _ = ghost.read_to_end(&mut Vec::new());
+    release_tx.send(()).expect("holder is waiting");
+
+    let (merged, counter) = run.join().unwrap();
+    holder.join().unwrap().expect("holder exits cleanly");
+    // One dispatch per task plus the one re-dispatch after the loss: the
+    // ghost's report neither re-queued the task under its holder nor made
+    // it run twice.
+    assert_eq!(counter("dist.task.redispatched"), 1);
+    assert_eq!(
+        counter("dist.task.dispatched"),
+        Preset::ALL.len() as u64 + 1
+    );
+    assert_eq!(counter("dist.task.duplicate"), 0);
+    assert_eq!(counter("dist.task.failed"), 0);
+    assert_eq!(
+        merged.expect("run completes").to_json_string(),
+        reference_report(&corpus).to_json_string()
+    );
+}
+
+#[test]
+fn lost_workers_task_is_redispatched_without_backoff() {
+    let corpus = tiny_corpus();
+    let mut config = test_config();
+    // Failures would wait this out; a loss must not.
+    config.redispatch_backoff = Duration::from_secs(10);
+    let (coordinator, addr) = bind_coordinator(&corpus, config);
+    let start = Instant::now();
+    let run = spawn_coordinator(coordinator);
+    // The victim dies the moment its first task arrives, holding it.
+    let victim = {
+        let mut config = WorkerConfig::new(addr.clone(), "victim");
+        config.fail = Some(FailSpec::parse("victim:4:kill").unwrap());
+        std::thread::spawn(move || run_worker(&config, run_task))
+    };
+    let survivor = spawn_worker(&addr, "survivor");
+    let (merged, counter) = run.join().unwrap();
+    let elapsed = start.elapsed();
+    assert!(matches!(victim.join().unwrap(), Err(DistError::Injected)));
+    survivor.join().unwrap().expect("survivor exits cleanly");
+    assert_eq!(counter("dist.task.redispatched"), 1);
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "the orphaned task waited out the failure back-off: {elapsed:?}"
+    );
+    assert_eq!(
+        merged.expect("run completes").to_json_string(),
+        reference_report(&corpus).to_json_string()
+    );
+}
+
+#[test]
+fn stalled_peer_stalls_nobody() {
+    // A display name of 16 MiB makes the corpus frame larger than any
+    // socket buffer, so a peer that never reads blocks the write to it.
+    let mut corpus = tiny_corpus();
+    corpus.extractors[0].name = "x".repeat(16 << 20);
+    let config = test_config();
+    let write_timeout = config.heartbeat_timeout;
+    let (coordinator, addr) = bind_coordinator(&corpus, config);
+    let run = spawn_coordinator(coordinator);
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    let hello = WireMsg::Hello {
+        protocol: PROTOCOL_VERSION,
+        format: FORMAT_VERSION,
+        worker: "stalled".into(),
+    };
+    wire::write_frame(&mut stalled, &hello).expect("send hello");
+    // Two real workers whose first task each outlasts the write timeout
+    // (a write that stops making progress is given up after at most two),
+    // so the stalled connection is dropped mid-run, not by the teardown.
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
+            let config = WorkerConfig::new(addr.clone(), format!("w{i}"));
+            std::thread::spawn(move || {
+                let mut first = true;
+                run_worker(&config, move |corpus, spec| {
+                    if std::mem::take(&mut first) {
+                        std::thread::sleep(write_timeout * 4);
+                    }
+                    run_task(corpus, spec)
+                })
+            })
+        })
+        .collect();
+    let (merged, counter) = run.join().unwrap();
+    for w in workers {
+        w.join().unwrap().expect("worker exits cleanly");
+    }
+    assert_eq!(counter("dist.worker.registered"), 2);
+    assert_eq!(counter("dist.conn.unregistered"), 1, "dropped mid-run");
+    assert_eq!(counter("dist.corpus.frame_encodes"), 1);
+    assert_eq!(
+        merged.expect("run completes").to_json_string(),
+        reference_report(&corpus).to_json_string()
+    );
+    // What the coordinator wrote to the stalled peer: the Welcome, then a
+    // corpus frame cut short — so no task can have followed it.
+    let (welcome, _) = wire::read_frame(&mut stalled).expect("read welcome");
+    assert_eq!(welcome.name(), "welcome");
+    let mut prefix = [0u8; 4];
+    stalled.read_exact(&mut prefix).expect("read frame prefix");
+    let mut rest = Vec::new();
+    let _ = stalled.read_to_end(&mut rest);
+    assert!(rest.len() < u32::from_le_bytes(prefix) as usize);
+    // Every thread of the run was joined, the acceptor (which owned the
+    // listener) among them: the port can be bound again.
+    TcpListener::bind(addr.as_str()).expect("a finished run releases its port");
+}
+
+#[test]
+fn corpus_frame_is_encoded_once_whatever_the_worker_count() {
+    let corpus = tiny_corpus();
+    for n in 1..=3u64 {
+        let (coordinator, addr) = bind_coordinator(&corpus, test_config());
+        let run = spawn_coordinator(coordinator);
+        // Every worker holds its first task until all of them have one, so
+        // all n register however short the run.
+        let all_busy = Arc::new(Barrier::new(n as usize));
+        let peers: Vec<_> = (0..n)
+            .map(|i| {
+                let config = WorkerConfig::new(addr.clone(), format!("w{i}"));
+                let all_busy = all_busy.clone();
+                std::thread::spawn(move || {
+                    let mut first = true;
+                    run_worker(&config, move |corpus, spec| {
+                        if std::mem::take(&mut first) {
+                            all_busy.wait();
+                        }
+                        run_task(corpus, spec)
+                    })
+                })
+            })
+            .collect();
+        let (merged, counter) = run.join().unwrap();
+        for w in peers {
+            w.join().unwrap().expect("worker exits cleanly");
+        }
+        merged.expect("run completes");
+        assert_eq!(counter("dist.corpus.frame_encodes"), 1, "{n} workers");
+        assert_eq!(counter("dist.worker.registered"), n);
+        assert_eq!(counter("dist.rpc.protocol_error"), 0);
     }
 }
 

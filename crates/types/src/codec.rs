@@ -53,6 +53,30 @@ pub trait KvCodec: Sized {
     /// Decode one value from the front of `input`, advancing it past the
     /// consumed bytes. Returns `None` on truncated or malformed input.
     fn decode(input: &mut &[u8]) -> Option<Self>;
+
+    /// Append the encodings of `items` back to back — the body of a
+    /// `Vec<Self>`. `u8` overrides the loop with one copy, same bytes.
+    #[inline]
+    fn encode_run(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decode `len` values back to back ([`encode_run`](Self::encode_run)'s
+    /// inverse), guarding the pre-allocation against a corrupt `len`: each
+    /// element encodes to at least one byte unless `Self` is zero-sized.
+    #[inline]
+    fn decode_run(input: &mut &[u8], len: usize) -> Option<Vec<Self>> {
+        if std::mem::size_of::<Self>() > 0 && len > input.len() {
+            return None;
+        }
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(Self::decode(input)?);
+        }
+        Some(items)
+    }
 }
 
 /// Split `n` bytes off the front of `input`, advancing it.
@@ -82,7 +106,28 @@ macro_rules! int_codec {
     )*};
 }
 
-int_codec!(u8, u16, u32, u64, u128, i8, i16, i32, i64);
+int_codec!(u16, u32, u64, u128, i8, i16, i32, i64);
+
+/// A run of bytes is its own encoding: checkpoints riding inside wire
+/// frames move as one copy in each direction.
+impl KvCodec for u8 {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(take(input, 1)?[0])
+    }
+    #[inline]
+    fn encode_run(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    #[inline]
+    fn decode_run(input: &mut &[u8], len: usize) -> Option<Vec<u8>> {
+        Some(take(input, len)?.to_vec())
+    }
+}
 
 /// `usize` travels as `u64` so run files do not depend on the platform's
 /// pointer width.
@@ -186,23 +231,12 @@ impl<T: KvCodec> KvCodec for Vec<T> {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_run(self, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let len = usize::try_from(u64::decode(input)?).ok()?;
-        // Guard the pre-allocation against corrupt headers: each element
-        // encodes to at least one byte unless `T` is zero-sized.
-        if std::mem::size_of::<T>() > 0 && len > input.len() {
-            return None;
-        }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(T::decode(input)?);
-        }
-        Some(items)
+        T::decode_run(input, len)
     }
 }
 

@@ -16,6 +16,11 @@
 //! payload := KvCodec encoding of one WireMsg (tagged enum)
 //! ```
 //!
+//! [`encode_frame`] builds those bytes ([`write_frame`] writes them in
+//! one call), so a sender with one message for many peers encodes it
+//! once; the artifact bytes inside move as one copy in each direction
+//! ([`KvCodec::encode_run`]'s `u8` override).
+//!
 //! # Versioned handshake
 //!
 //! The first frame on every connection is [`WireMsg::Hello`], carrying
@@ -280,22 +285,37 @@ impl WireMsg {
     }
 }
 
+/// The length prefix for a payload of `len` bytes, or
+/// [`io::ErrorKind::InvalidInput`] past [`MAX_FRAME_BYTES`].
+fn frame_prefix(len: usize) -> io::Result<[u8; 4]> {
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes exceeds the cap"),
+        ));
+    }
+    Ok((len as u32).to_le_bytes())
+}
+
+/// One whole frame — length prefix and payload — exactly as
+/// [`write_frame`] puts it on the wire; the coordinator builds its corpus
+/// frame once and writes these bytes to every worker.
+pub fn encode_frame(msg: &WireMsg) -> io::Result<Vec<u8>> {
+    let mut frame = vec![0u8; 4];
+    msg.encode(&mut frame);
+    let prefix = frame_prefix(frame.len() - 4)?;
+    frame[..4].copy_from_slice(&prefix);
+    Ok(frame)
+}
+
 /// Write one frame, returning the total bytes put on the wire (length
 /// prefix included). Flushes, so a frame is either fully queued to the
 /// kernel or errored — never half-buffered across a send boundary.
 pub fn write_frame(w: &mut impl Write, msg: &WireMsg) -> io::Result<usize> {
-    let mut payload = Vec::new();
-    msg.encode(&mut payload);
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame payload of {} bytes exceeds the cap", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    let frame = encode_frame(msg)?;
+    w.write_all(&frame)?;
     w.flush()?;
-    Ok(payload.len() + 4)
+    Ok(frame.len())
 }
 
 /// Read one frame, returning the message and the total bytes consumed.
@@ -396,6 +416,29 @@ mod tests {
             assert_eq!(back, msg);
             assert_eq!(consumed, wire.len());
         }
+    }
+
+    #[test]
+    fn encode_frame_is_what_write_frame_writes() {
+        for msg in all_messages() {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &msg).unwrap();
+            assert_eq!(encode_frame(&msg).unwrap(), wire, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn payloads_over_the_cap_are_invalid_input() {
+        // The check both `encode_frame` and `write_frame` go through; a
+        // real payload of that size is not something a test should build.
+        assert_eq!(
+            frame_prefix(MAX_FRAME_BYTES).unwrap(),
+            (MAX_FRAME_BYTES as u32).to_le_bytes()
+        );
+        assert_eq!(
+            frame_prefix(MAX_FRAME_BYTES + 1).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
     }
 
     #[test]

@@ -2,6 +2,59 @@
 
 use kf_types::*;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Records the largest single allocation each thread has asked for (the
+/// per-thread accounting of `crates/serve/tests/stress.rs`, by size), so
+/// a decoder can be shown not to trust a length prefix.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // Never allocates: a const-initialised Cell needs no lazy init.
+    LARGEST.with(|c| c.set(c.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// A length prefix that promises more elements than there are bytes left
+/// is refused before anything is reserved for it — on `u8`'s one-copy
+/// path and on the element-wise default alike.
+#[test]
+fn inflated_length_prefix_is_refused_without_allocating() {
+    let mut buf = Vec::new();
+    (1u64 << 40).encode(&mut buf);
+    buf.extend_from_slice(&[7; 64]);
+    LARGEST.with(|c| c.set(0));
+    assert_eq!(Vec::<u8>::decode(&mut &buf[..]), None);
+    assert_eq!(Vec::<u32>::decode(&mut &buf[..]), None);
+    assert_eq!(Vec::<String>::decode(&mut &buf[..]), None);
+    let largest = LARGEST.with(|c| c.get());
+    assert!(largest <= buf.len(), "decode allocated {largest} bytes");
+}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -46,6 +99,50 @@ proptest! {
         roundtrip(&key);
         // A spilled group frame: (key, Vec<value>) as the engine writes it.
         roundtrip(&(triple.data_item(), values));
+    }
+
+    /// `Vec<T>` moves its body through `encode_run` / `decode_run` — one
+    /// copy for `u8`, the provided loop for everything else — and both
+    /// write exactly the bytes of the element-wise loop and read them back.
+    #[test]
+    fn run_codec_matches_the_elementwise_loop(
+        bytes in prop::collection::vec(any::<u8>(), 0..300),
+        words in prop::collection::vec(any::<u32>(), 0..100),
+        strings in prop::collection::vec("[a-z]{1,8}", 0..20),
+    ) {
+        fn check<T: KvCodec + PartialEq + std::fmt::Debug>(xs: &Vec<T>) {
+            let mut reference = Vec::new();
+            (xs.len() as u64).encode(&mut reference);
+            for x in xs {
+                x.encode(&mut reference);
+            }
+            let mut buf = Vec::new();
+            xs.encode(&mut buf);
+            prop_assert_eq!(&buf, &reference);
+
+            let mut input = &buf[..];
+            prop_assert_eq!(Vec::<T>::decode(&mut input).as_ref(), Some(xs));
+            prop_assert!(input.is_empty(), "decode left {} bytes", input.len());
+
+            let mut input = &buf[..];
+            let len = u64::decode(&mut input).unwrap();
+            let elementwise: Vec<T> = (0..len).map(|_| T::decode(&mut input).unwrap()).collect();
+            prop_assert_eq!(&elementwise, xs);
+            prop_assert!(input.is_empty());
+        }
+        check(&bytes);
+        check(&words);
+        check(&strings);
+    }
+
+    /// Every proper prefix of an encoded byte vector is truncated input.
+    #[test]
+    fn truncated_byte_vectors_never_decode(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+        let mut buf = Vec::new();
+        bytes.encode(&mut buf);
+        for cut in 0..buf.len() {
+            prop_assert_eq!(Vec::<u8>::decode(&mut &buf[..cut]), None, "cut at {}", cut);
+        }
     }
 
     /// Value::encode never collides across variants for realistic id ranges.
