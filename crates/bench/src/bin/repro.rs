@@ -104,34 +104,19 @@ fn main() {
 
     // ---- Worker subflow: serve a coordinator until shut down ------------
     // Runs before any corpus work: the corpus and every fusion parameter
-    // arrive over the wire. The diagnosis context (support index, truth
-    // joins) is built once per connection and reused across tasks — the
-    // corpus is shipped once, so it cannot change under the cache.
+    // arrive over the wire.
     if let Some(addr) = &opts.worker {
         let fault = FailSpec::from_env()
             .unwrap_or_else(|e| fail(&format!("bad KF_DIST_FAIL fault spec: {e}")));
         let mut config = WorkerConfig::new(addr.clone(), opts.worker_name.clone());
         config.fail = fault;
-        let mut diagnosis = None;
+        let mut run_task = kf_bench::task_runner();
         let result = run_worker(&config, |corpus, spec| {
-            let task_opts = kf_bench::options_for_task(spec)?;
-            let ctx = if task_opts.diagnose {
-                if diagnosis.is_none() {
-                    diagnosis = kf_bench::build_diagnosis_context(&task_opts, corpus);
-                }
-                diagnosis.as_ref()
-            } else {
-                None
-            };
             println!(
                 "worker {}: task {} [{}]",
-                opts.worker_name,
-                spec.task_id,
-                spec.presets.join(", "),
+                opts.worker_name, spec.task_id, spec.preset
             );
-            Ok(kf_bench::run_on_corpus_with_context(
-                &task_opts, corpus, ctx,
-            ))
+            run_task(corpus, spec)
         });
         if let Err(e) = result {
             fail(&format!("worker {}: {e}", opts.worker_name));

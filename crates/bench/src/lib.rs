@@ -68,7 +68,7 @@ pub struct ReproOptions {
     /// only when it was not.
     pub out_explicit: bool,
     /// Threads the run keeps busy — one budget for the whole run, spent on
-    /// presets first (`None` = library default).
+    /// presets first (`None` = library default; `--workers` takes ≥ 1).
     pub workers: Option<usize>,
     /// Calibration bins per curve.
     pub bins: usize,
@@ -82,8 +82,9 @@ pub struct ReproOptions {
     pub save_corpus: Option<String>,
     /// Load the corpus from this checkpoint instead of regenerating.
     pub corpus: Option<String>,
-    /// Run only shard `i` of `n` (`--shard i/n`): the presets at indices
-    /// `j` with `j % n == i`, persisted as a binary shard report.
+    /// Run only shard `i` of `n` (`--shard i/n`): the tasks at positions
+    /// `j ≡ i (mod n)` of the run's costliest-first task table
+    /// ([`shard_presets`]), persisted as a binary shard report.
     pub shard: Option<(usize, usize)>,
     /// Merge mode: treat the positional arguments as binary shard-report
     /// paths, reassemble the full report, and write it to `out` as JSON.
@@ -200,10 +201,12 @@ impl ReproOptions {
                 }
                 "--workers" => {
                     let v = value("--workers")?;
-                    opts.workers = Some(
-                        v.parse()
-                            .map_err(|_| invalid(format!("bad worker count {v:?}")))?,
-                    );
+                    // 0 would mean one thread in-process but "library
+                    // default" once shipped in a `TaskSpec`.
+                    let n = v.parse::<usize>().ok().filter(|&n| n > 0);
+                    opts.workers = Some(n.ok_or_else(|| {
+                        invalid(format!("bad worker count {v:?} (expected at least 1)"))
+                    })?);
                 }
                 "--bins" => {
                     let v = value("--bins")?;
@@ -407,9 +410,10 @@ options:
   --out PATH                       report path (default: report.json;
                                    binary shard report in --shard mode)
   --no-out                         skip writing the report file
-  --workers N                      threads the run keeps busy: presets
-                                   first, kernel ranges with what is
-                                   left; the report does not depend on it
+  --workers N                      threads the run keeps busy (N >= 1):
+                                   presets first, kernel ranges with what
+                                   is left; the report does not depend
+                                   on it
   --bins N                         calibration bins (default: 10)
   --presets a,b,c                  subset of: vote,accu,popaccu,
                                    popaccu_plus_unsup,popaccu_plus
@@ -424,9 +428,10 @@ checkpointing & sharding:
                                    checkpoint, and exit without fusing
   --corpus PATH                    load the corpus from a checkpoint
                                    instead of regenerating
-  --shard I/N                      fuse only shard I of N (presets at
-                                   indices j with j % N == I); writes a
-                                   binary shard report to --out (default:
+  --shard I/N                      fuse only shard I of N (the tasks at
+                                   positions j % N == I of the costliest-
+                                   first task table); writes a binary
+                                   shard report to --out (default:
                                    report-shardIofN.bin)
   --merge SHARD.bin ...            merge binary shard reports back into
                                    one report.json (positional paths);
@@ -509,39 +514,61 @@ pub fn obtain_corpus(opts: &ReproOptions) -> Result<(Corpus, bool), String> {
     }
 }
 
-/// The presets shard `index` of `of` is responsible for: round-robin over
-/// `presets` (index `j` goes to shard `j % of`), so every shard gets a
-/// near-equal mix of cheap and expensive presets and the union over all
-/// shards is exactly `presets`, each exactly once. The split itself
-/// lives in [`kf_mapreduce::round_robin`], shared with the `kf-dist`
-/// coordinator's task table.
-pub fn shard_presets(presets: &[Preset], index: usize, of: usize) -> Vec<Preset> {
-    kf_mapreduce::round_robin(presets, index, of)
+/// How long `config`'s rounds take next to another preset's over the same
+/// corpus, from what the configuration shows: the round cap, and
+/// POPACCU's inner iterations per round.
+fn relative_cost(config: &FusionConfig) -> usize {
+    let per_round = match config.method {
+        Method::PopAccu => 1 + config.popaccu_inner_iters,
+        Method::Vote | Method::Accu => 1,
+    };
+    config.rounds * per_round
 }
 
-/// The task table a `--serve-coordinator` run dispatches: one
-/// [`TaskSpec`] per preset, each carrying the fusion parameters of this
-/// run, costliest first by the same `relative_cost` the in-process
-/// schedule sorts by (stable: presets of equal cost keep report order) —
-/// the coordinator hands tasks out in table order, and the longest must
-/// not be the last to start. `task_id` is the table position,
-/// `shard_index` the preset's position in the report; the merge puts
-/// methods back in report order whatever order their shards arrive in.
-/// One preset per task keeps every shard report deterministic for its
-/// `(corpus, task)` pair — the property that makes re-dispatched
-/// replicas interchangeable in the merge — and gives the scheduler the
-/// finest work units the merge semantics allow.
+/// The task table of a run over `presets` — the one way a run is split,
+/// whatever fans it out: one task per preset, named by its position in
+/// `presets`, costliest first by [`relative_cost`] (stable: presets of
+/// equal cost keep report order), so the longest never starts last. The
+/// in-process schedule hands its tasks to [`run_tasks`] in this order,
+/// [`dist_task_specs`] numbers it, and [`shard_presets`] stripes it. One
+/// preset per task keeps every shard report deterministic for its
+/// `(corpus, task)` pair — what makes re-dispatched replicas
+/// interchangeable in the merge — and is the finest work unit the merge
+/// semantics allow.
+fn task_table(presets: &[Preset]) -> Vec<usize> {
+    let mut table: Vec<usize> = (0..presets.len()).collect();
+    table.sort_by_key(|&at| std::cmp::Reverse(relative_cost(&presets[at].config())));
+    table
+}
+
+/// The presets shard `index` of `of` fuses (`--shard i/n`): the tasks at
+/// positions `j ≡ index (mod of)` of the run's costliest-first task
+/// table, in table order. Striping that table gives every shard a
+/// near-equal share of the expensive presets; the union over all shards
+/// is exactly `presets`, each exactly once.
+///
+/// # Panics
+///
+/// Panics when `index >= of` — a malformed shard request is a caller bug,
+/// not a recoverable condition.
+pub fn shard_presets(presets: &[Preset], index: usize, of: usize) -> Vec<Preset> {
+    assert!(index < of, "shard {index}/{of} out of range");
+    let slice = task_table(presets).into_iter().skip(index).step_by(of);
+    slice.map(|at| presets[at]).collect()
+}
+
+/// The tasks a `--serve-coordinator` run dispatches: the run's task table
+/// as [`TaskSpec`]s, each carrying its preset and the fusion parameters of
+/// this run, `task_id` = table position. The coordinator hands tasks out
+/// in table order; the merge puts methods back in report order whatever
+/// order their shards arrive in.
 pub fn dist_task_specs(opts: &ReproOptions) -> Vec<TaskSpec> {
-    let mut order: Vec<usize> = (0..opts.presets.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(relative_cost(&opts.presets[i].config())));
-    order
+    task_table(&opts.presets)
         .into_iter()
         .enumerate()
-        .map(|(task_id, i)| TaskSpec {
+        .map(|(task_id, at)| TaskSpec {
             task_id: task_id as u32,
-            shard_index: i as u32,
-            shard_count: opts.presets.len() as u32,
-            presets: vec![opts.presets[i].name().to_string()],
+            preset: opts.presets[at].name().to_string(),
             scale: opts.scale.clone(),
             bins: opts.bins as u64,
             workers: opts.workers.unwrap_or(0) as u64,
@@ -553,28 +580,41 @@ pub fn dist_task_specs(opts: &ReproOptions) -> Vec<TaskSpec> {
 
 /// The [`ReproOptions`] a worker reconstructs from a dispatched
 /// [`TaskSpec`]: the inverse of [`dist_task_specs`] for every field a
-/// task carries (`workers == 0` encodes "library default"). Errors on an
-/// unknown preset name — the coordinator speaking a preset this build
-/// does not know is a deployment skew the worker must surface, not fuse
-/// around.
+/// task carries (`workers == 0` encodes "library default"; a parsed
+/// `--workers` is never 0). Errors on an unknown preset name — the
+/// coordinator speaking a preset this build does not know is a deployment
+/// skew the worker must surface, not fuse around.
 pub fn options_for_task(spec: &TaskSpec) -> Result<ReproOptions, String> {
-    let presets = spec
-        .presets
-        .iter()
-        .map(|name| {
-            Preset::by_name(name)
-                .ok_or_else(|| format!("task {}: unknown preset {name:?}", spec.task_id))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let preset = Preset::by_name(&spec.preset)
+        .ok_or_else(|| format!("task {}: unknown preset {:?}", spec.task_id, spec.preset))?;
     Ok(ReproOptions {
         scale: spec.scale.clone(),
         bins: spec.bins as usize,
         workers: (spec.workers > 0).then_some(spec.workers as usize),
-        presets,
+        presets: vec![preset],
         diagnose: spec.diagnose,
         deterministic: spec.deterministic,
         ..ReproOptions::default()
     })
+}
+
+/// The runner a `kf-dist` worker answers tasks with, one per connection
+/// (`repro --worker` and the tests hand it to `kf_dist::run_worker`):
+/// rebuild the options from the spec ([`options_for_task`]), build the
+/// diagnosis context the first time a task diagnoses and reuse it for
+/// every later one — the corpus is shipped once per connection, so it
+/// cannot change under the cache — and fuse with
+/// [`run_on_corpus_with_context`].
+pub fn task_runner() -> impl FnMut(&Corpus, &TaskSpec) -> Result<EvalReport, String> {
+    let mut diagnosis = None;
+    move |corpus: &Corpus, spec: &TaskSpec| {
+        let opts = options_for_task(spec)?;
+        if opts.diagnose && diagnosis.is_none() {
+            diagnosis = build_diagnosis_context(&opts, corpus);
+        }
+        let ctx = diagnosis.as_ref().filter(|_| opts.diagnose);
+        Ok(run_on_corpus_with_context(&opts, corpus, ctx))
+    }
 }
 
 /// Load binary shard reports and merge them into the full report (the
@@ -595,7 +635,9 @@ pub fn merge_shards(paths: &[String]) -> Result<EvalReport, String> {
 /// Shared by the single-run and `--merge` subflows of `repro`, so a
 /// sharded reproduction emits a servable artifact directly from the
 /// in-memory merged report — no second load/decode pass over the
-/// artifacts it just wrote.
+/// artifacts it just wrote. It goes through [`kf_serve::FusedKb::compile`],
+/// which re-runs the `kb_method` preset's fusion: the report keeps no
+/// per-triple scores.
 pub fn compile_kb(
     opts: &ReproOptions,
     report: &EvalReport,
@@ -727,8 +769,8 @@ fn counted_on<'a>(process: &'a Option<Trace>, task: impl FnOnce() + Send + 'a) -
 ///
 /// Building this is the expensive prefix of a diagnosing run (the one
 /// MapReduce job over the extraction batch), so callers that fuse the
-/// same corpus repeatedly — the `kf-dist` worker running one task per
-/// preset shard — build it once with [`build_diagnosis_context`] and hand
+/// same corpus repeatedly — a `kf-dist` worker's [`task_runner`], one task
+/// per preset — build it once with [`build_diagnosis_context`] and hand
 /// it to [`run_on_corpus_with_context`] for every task.
 pub struct DiagnosisContext {
     support: SupportIndex,
@@ -863,23 +905,12 @@ pub fn run_on_corpus_with_context(
     report
 }
 
-/// How long `config`'s rounds take next to another preset's over the same
-/// corpus, from what the configuration shows: the round cap, and
-/// POPACCU's inner iterations per round.
-fn relative_cost(config: &FusionConfig) -> usize {
-    let per_round = match config.method {
-        Method::PopAccu => 1 + config.popaccu_inner_iters,
-        Method::Vote | Method::Accu => 1,
-    };
-    config.rounds * per_round
-}
-
 /// The schedule of a run: every preset of `opts` as one task — project
 /// its granularity's graph if no other preset has, fuse, evaluate,
 /// diagnose, all but the projection under its own `method` trace, then
-/// `finish(preset, output, evaluation)` — plus `summarize(claims)` as one
-/// more, handed to [`run_tasks`] longest preset first. Returns what the
-/// presets finished as, in `opts.presets` order, and the summary.
+/// `finish(preset, output, evaluation)` — handed to [`run_tasks`] in
+/// task-table order, plus `summarize(claims)` as one more, last. Returns
+/// what the presets finished as, in `opts.presets` order, and the summary.
 pub(crate) fn fuse_presets<T: Send, S: Send>(
     opts: &ReproOptions,
     corpus: &Corpus,
@@ -901,9 +932,12 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
     let (runner, finish) = (&runner, &finish);
 
     let mut finished: Vec<Option<T>> = opts.presets.iter().map(|_| None).collect();
+    let mut slots: Vec<_> = finished.iter_mut().map(Some).collect();
     let mut summary = None;
-    let mut tasks: Vec<(usize, Task)> = Vec::with_capacity(finished.len() + 1);
-    for (&preset, slot) in opts.presets.iter().zip(&mut finished) {
+    let mut tasks: Vec<Task> = Vec::with_capacity(slots.len() + 1);
+    for at in task_table(&opts.presets) {
+        let preset = opts.presets[at];
+        let slot = slots[at].take().expect("the table names each preset once");
         let mut config = preset.config();
         if let Some(w) = opts.workers {
             config = config.with_workers(w);
@@ -946,16 +980,11 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
             method.trace = Some(trace.snapshot());
             *slot = Some(finish(preset, &output, method));
         };
-        tasks.push((relative_cost(&config), counted_on(&process, fuse)));
+        tasks.push(counted_on(&process, fuse));
     }
     let summarize = || summary = Some(summarize(&graphs.claims(records, &mr)));
-    tasks.push((0, counted_on(&process, summarize)));
-    // Stable: presets of equal cost keep report order.
-    tasks.sort_by_key(|(cost, _)| std::cmp::Reverse(*cost));
-    run_tasks(
-        mr.workers,
-        tasks.into_iter().map(|(_, task)| task).collect(),
-    );
+    tasks.push(counted_on(&process, summarize));
+    run_tasks(mr.workers, tasks);
 
     let finished = finished.into_iter().map(|t| t.expect("every preset ran"));
     (finished.collect(), summary.expect("the summary task ran"))
@@ -1006,6 +1035,7 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(ReproOptions::parse(["--scale", "huge"]).is_err());
         assert!(ReproOptions::parse(["--seed", "abc"]).is_err());
+        assert!(ReproOptions::parse(["--workers", "0"]).is_err());
         assert!(ReproOptions::parse(["--presets", "nope"]).is_err());
         assert!(ReproOptions::parse(["--presets", "vote,accu,vote"]).is_err());
         assert!(ReproOptions::parse(["--frobnicate"]).is_err());
@@ -1206,28 +1236,24 @@ mod tests {
             ..Default::default()
         };
         let specs = dist_task_specs(&opts);
-        assert_eq!(specs.len(), Preset::ALL.len());
+        let mut tasks = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
             assert_eq!(spec.task_id, i as u32);
-            assert_eq!(spec.shard_count, Preset::ALL.len() as u32);
-            let preset = Preset::ALL[spec.shard_index as usize];
-            assert_eq!(spec.presets, vec![preset.name().to_string()]);
             let back = options_for_task(spec).unwrap();
             assert_eq!(back.scale, "tiny");
             assert_eq!(back.bins, 7);
             assert_eq!(back.workers, Some(3));
             assert!(back.deterministic && back.diagnose);
-            assert_eq!(back.presets, vec![preset]);
+            assert_eq!(back.presets.len(), 1);
+            assert_eq!(back.presets[0].name(), spec.preset);
+            tasks.push(back.presets[0]);
         }
         // Costliest first, report order among equals: the three POPACCU
-        // variants (45 inner iterations each), then ACCU (5), then VOTE (1).
-        let order: Vec<u32> = specs.iter().map(|s| s.shard_index).collect();
-        assert_eq!(order, [2, 3, 4, 1, 0]);
-        // The union over tasks is the preset list, each exactly once —
-        // the invariant the merge's duplicate check enforces later.
-        let mut union: Vec<u32> = order;
-        union.sort_unstable();
-        assert_eq!(union, [0, 1, 2, 3, 4]);
+        // variants (45 inner iterations each), then ACCU (5), then VOTE
+        // (1) — each preset exactly once, the invariant the merge's
+        // duplicate check enforces later.
+        use Preset::*;
+        assert_eq!(tasks, [PopAccu, PopAccuPlusUnsup, PopAccuPlus, Accu, Vote]);
         // workers == 0 encodes the library default.
         let spec = &dist_task_specs(&ReproOptions {
             workers: None,
@@ -1237,23 +1263,58 @@ mod tests {
         assert_eq!(options_for_task(spec).unwrap().workers, None);
         // Unknown preset names surface as deployment skew, not a panic.
         let mut bad = specs[0].clone();
-        bad.presets = vec!["warp-drive".into()];
+        bad.preset = "warp-drive".into();
         assert!(options_for_task(&bad).unwrap_err().contains("warp-drive"));
     }
 
+    /// `--shard i/n` stripes the task table: for every split the slices
+    /// cover the run's presets exactly once, for the default list and for
+    /// a `--presets` subset alike.
     #[test]
-    fn shard_presets_partition_round_robin() {
-        let all = Preset::ALL.to_vec();
-        let s0 = shard_presets(&all, 0, 2);
-        let s1 = shard_presets(&all, 1, 2);
-        assert_eq!(s0, vec![Preset::Vote, Preset::PopAccu, Preset::PopAccuPlus]);
-        assert_eq!(s1, vec![Preset::Accu, Preset::PopAccuPlusUnsup]);
-        // The union over shards is exactly the preset list, each once.
-        let mut union: Vec<Preset> = s0.into_iter().chain(s1).collect();
-        union.sort_by_key(|p| Preset::ALL.iter().position(|q| q == p).unwrap());
-        assert_eq!(union, all);
-        // One shard = the whole list.
-        assert_eq!(shard_presets(&all, 0, 1), all);
+    fn shard_slices_cover_every_preset_exactly_once() {
+        use Preset::*;
+        for presets in [Preset::ALL.to_vec(), vec![Vote, PopAccuPlus, Accu]] {
+            for of in 1..=6 {
+                let mut union: Vec<Preset> = (0..of)
+                    .flat_map(|i| shard_presets(&presets, i, of))
+                    .collect();
+                union.sort_by_key(|p| presets.iter().position(|q| q == p));
+                assert_eq!(union, presets, "{of} shards of {presets:?}");
+            }
+        }
+        // Slices are in table order; one shard is the whole table.
+        assert_eq!(shard_presets(&Preset::ALL, 0, 3), [PopAccu, Accu]);
+        assert_eq!(shard_presets(&Preset::ALL, 1, 3), [PopAccuPlusUnsup, Vote]);
+        assert_eq!(shard_presets(&Preset::ALL, 2, 3), [PopAccuPlus]);
+        let table = [PopAccu, PopAccuPlusUnsup, PopAccuPlus, Accu, Vote];
+        assert_eq!(shard_presets(&Preset::ALL, 0, 1), table);
+    }
+
+    /// With one thread the schedule runs its tasks one after another, so
+    /// the presets finish in task-table order.
+    #[test]
+    fn one_worker_finishes_presets_in_table_order() {
+        let corpus = Corpus::generate(&SynthConfig::tiny(), 5);
+        let opts = ReproOptions {
+            scale: "tiny".into(),
+            workers: Some(1),
+            presets: vec![Preset::Vote, Preset::PopAccuPlus, Preset::Accu],
+            diagnose: false,
+            ..Default::default()
+        };
+        let order = Mutex::new(Vec::new());
+        let note = |preset: Preset, _: &FusionOutput, _: MethodEval| {
+            order.lock().unwrap().push(preset);
+        };
+        let (finished, ()) = fuse_presets(&opts, &corpus, None, note, |_| ());
+        assert_eq!(finished.len(), 3);
+        let order = order.into_inner().unwrap();
+        assert_eq!(order, [Preset::PopAccuPlus, Preset::Accu, Preset::Vote]);
+        let table: Vec<Preset> = task_table(&opts.presets)
+            .into_iter()
+            .map(|at| opts.presets[at])
+            .collect();
+        assert_eq!(order, table);
     }
 
     #[test]

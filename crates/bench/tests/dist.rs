@@ -53,9 +53,9 @@ fn test_config() -> CoordinatorConfig {
     }
 }
 
-/// The worker-side runner the `repro --worker` subflow uses: rebuild the
-/// options from the task spec, fuse, with the diagnosis context built
-/// once per connection and shared across tasks.
+/// A worker thread answering tasks with the runner `repro --worker` uses
+/// ([`kf_bench::task_runner`]: the diagnosis context built once per
+/// connection and shared across tasks).
 fn spawn_worker(
     addr: String,
     name: &str,
@@ -63,23 +63,7 @@ fn spawn_worker(
 ) -> std::thread::JoinHandle<Result<(), kf_dist::DistError>> {
     let mut config = WorkerConfig::new(addr, name);
     config.fail = fail.map(|s| FailSpec::parse(s).expect("valid fail spec"));
-    std::thread::spawn(move || {
-        let mut diagnosis = None;
-        run_worker(&config, |corpus, spec| {
-            let task_opts = kf_bench::options_for_task(spec)?;
-            let ctx = if task_opts.diagnose {
-                if diagnosis.is_none() {
-                    diagnosis = kf_bench::build_diagnosis_context(&task_opts, corpus);
-                }
-                diagnosis.as_ref()
-            } else {
-                None
-            };
-            Ok(kf_bench::run_on_corpus_with_context(
-                &task_opts, corpus, ctx,
-            ))
-        })
-    })
+    std::thread::spawn(move || run_worker(&config, kf_bench::task_runner()))
 }
 
 /// Run a full coordinator/worker round over `opts` on localhost.

@@ -8,7 +8,7 @@
 //! nor from whether the claims it fused over were grouped for it or
 //! shared with every other preset.
 
-use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, shard_presets, ReproOptions};
+use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, ReproOptions};
 use kf_eval::{merge_reports, AblationRunner, EvalReport, Preset};
 use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::TraceReport;
@@ -93,10 +93,11 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     assert_eq!(shared.corpus, runner.corpus_summary(&corpus));
 
     assert_eq!(shared.methods.len(), Preset::ALL.len());
-    // The task table is costliest-first; `shard_index` is a task's place
-    // in the report.
+    // The task table is costliest-first; a task's section is the method
+    // named after its preset.
     for spec in &dist_task_specs(&opts) {
-        let method = &shared.methods[spec.shard_index as usize];
+        let method = shared.methods.iter().find(|m| m.name == spec.preset);
+        let method = method.expect("every task's preset is in the report");
         let alone = run_on_corpus(&options_for_task(spec).unwrap(), &corpus);
         let section = EvalReport {
             corpus: shared.corpus.clone(),
@@ -166,11 +167,14 @@ proptest! {
             // Single-process reference.
             let single = run_on_corpus(&options(seed), &corpus);
 
-            // The same presets fused shard by shard, then merged.
-            let shards: Vec<_> = (0..n_shards)
-                .map(|index| {
+            // The same presets fused shard by shard — contiguous slices of
+            // the report order, a split no fan-out uses — then merged.
+            let per_shard = Preset::ALL.len().div_ceil(n_shards);
+            let shards: Vec<_> = Preset::ALL
+                .chunks(per_shard)
+                .map(|slice| {
                     let mut opts = options(seed);
-                    opts.presets = shard_presets(&Preset::ALL, index, n_shards);
+                    opts.presets = slice.to_vec();
                     run_on_corpus(&opts, &corpus)
                 })
                 .collect();
@@ -178,10 +182,11 @@ proptest! {
 
             // Per-method traces are conserved verbatim...
             prop_assert_eq!(single.methods.len(), merged.methods.len());
-            for (a, b) in single.methods.iter().zip(&merged.methods) {
-                prop_assert_eq!(&a.name, &b.name);
+            for a in &single.methods {
+                let b = merged.methods.iter().find(|b| b.name == a.name);
+                prop_assert!(b.is_some(), "{} missing from the merge", a.name);
                 prop_assert!(a.trace.is_some(), "{} lost its trace", a.name);
-                prop_assert_eq!(&a.trace, &b.trace, "{} trace drifted", a.name);
+                prop_assert_eq!(&a.trace, &b.unwrap().trace, "{} trace drifted", a.name);
             }
 
             // ...and so is the combined whole-run trace (counters added,

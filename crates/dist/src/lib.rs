@@ -8,14 +8,17 @@
 //! * A [`Coordinator`] listens on a socket, registers workers through a
 //!   versioned handshake ([`kf_types::wire`]), ships each one the corpus
 //!   checkpoint (one frame encoded per run, written from each worker's
-//!   own connection thread), dispatches preset-shard
-//!   [`kf_types::TaskSpec`]s, and collects shard [`kf_eval::EvalReport`]s,
+//!   own connection thread), dispatches one-preset
+//!   [`kf_types::TaskSpec`]s in the order it was given them (`repro`
+//!   gives it `kf_bench`'s costliest-first task table, the same one
+//!   `--shard` stripes), and collects shard [`kf_eval::EvalReport`]s,
 //!   k-way merging them exactly as `--merge` does
 //!   ([`kf_eval::merge_reports`]).
 //! * A worker ([`run_worker`]) connects (with exponential backoff),
 //!   receives the corpus once, and answers tasks with checkpoint-framed
 //!   shard reports, heartbeating from a side thread so a long fuse never
-//!   reads as death.
+//!   reads as death. What a task runs is the caller's runner
+//!   (`kf_bench::task_runner` for `repro --worker`).
 //!
 //! ## Robustness model
 //!

@@ -32,16 +32,16 @@ fn ablation() -> AblationRunner {
     }
 }
 
-/// One task per preset — the same split the repro CLI dispatches.
+/// One task per preset, in report order: the coordinator dispatches
+/// whatever table it is given (`repro`'s is costliest-first), and the
+/// merge restores report order either way.
 fn task_specs() -> Vec<TaskSpec> {
     Preset::ALL
         .iter()
         .enumerate()
         .map(|(i, p)| TaskSpec {
             task_id: i as u32,
-            shard_index: i as u32,
-            shard_count: Preset::ALL.len() as u32,
-            presets: vec![p.name().to_string()],
+            preset: p.name().to_string(),
             scale: "tiny".into(),
             bins: 10,
             workers: 2,
@@ -51,21 +51,15 @@ fn task_specs() -> Vec<TaskSpec> {
         .collect()
 }
 
-/// The worker-side task runner: fuse the task's presets, quarantine
+/// The worker-side task runner: fuse the task's preset, quarantine
 /// timings (the tasks say `deterministic`).
 fn run_task(corpus: &Corpus, spec: &TaskSpec) -> Result<EvalReport, String> {
     let runner = ablation();
-    let methods = spec
-        .presets
-        .iter()
-        .map(|name| {
-            let preset = Preset::by_name(name).ok_or_else(|| format!("unknown preset {name}"))?;
-            Ok(runner.run_preset(corpus, preset))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let preset =
+        Preset::by_name(&spec.preset).ok_or_else(|| format!("unknown preset {}", spec.preset))?;
     let mut report = EvalReport {
         corpus: runner.corpus_summary(corpus),
-        methods,
+        methods: vec![runner.run_preset(corpus, preset)],
     };
     report.quarantine_timings();
     Ok(report)
@@ -286,32 +280,37 @@ fn failing_task_is_retried_until_a_worker_succeeds() {
 fn version_skew_is_rejected_at_the_handshake() {
     let corpus = tiny_corpus();
     let (coordinator, addr) = bind_coordinator(&corpus, test_config());
-    let skewed = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            wire::write_frame(
-                &mut stream,
-                &WireMsg::Hello {
-                    protocol: PROTOCOL_VERSION + 1,
+    // A build from before the one-preset `TaskSpec` (protocol 1) and one
+    // from the future.
+    assert_eq!(PROTOCOL_VERSION, 2);
+    let skewed: Vec<_> = [1, PROTOCOL_VERSION + 1]
+        .into_iter()
+        .map(|protocol| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                let hello = WireMsg::Hello {
+                    protocol,
                     format: FORMAT_VERSION,
                     worker: "stale-build".into(),
-                },
-            )
-            .expect("send hello");
-            match wire::read_frame(&mut stream).expect("read reply").0 {
-                WireMsg::Reject { reason } => reason,
-                other => panic!("expected reject, got {}", other.name()),
-            }
+                };
+                wire::write_frame(&mut stream, &hello).expect("send hello");
+                match wire::read_frame(&mut stream).expect("read reply").0 {
+                    WireMsg::Reject { reason } => reason,
+                    other => panic!("expected reject, got {}", other.name()),
+                }
+            })
         })
-    };
+        .collect();
     let worker = {
         let addr = addr.clone();
         std::thread::spawn(move || run_worker(&WorkerConfig::new(addr, "current"), run_task))
     };
     let merged = coordinator.run_merged().expect("run completes");
-    let reason = skewed.join().unwrap();
-    assert!(reason.contains("version skew"), "{reason}");
+    for skewed in skewed {
+        let reason = skewed.join().unwrap();
+        assert!(reason.contains("version skew"), "{reason}");
+    }
     worker
         .join()
         .unwrap()

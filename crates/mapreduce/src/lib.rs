@@ -11,9 +11,11 @@
 //!
 //! * [`map_reduce`] — a generic map → shuffle → reduce execution over
 //!   scoped worker threads with hash partitioning,
-//! * [`run_tasks`] — the one fan-out every layer shares (the engine's map
-//!   and reduce phases, the fusion kernels, the preset schedule), under
-//!   one worker budget per run,
+//! * [`run_tasks`] — the one in-process fan-out every layer shares (the
+//!   engine's map and reduce phases, the fusion kernels, the preset
+//!   schedule), under one worker budget per run; how a run's presets are
+//!   split across processes (`repro --shard`, `kf-dist`) is `kf-bench`'s
+//!   task table, not this crate's,
 //! * [`MrConfig::chunk_records`] — the **chunked shuffle**: instead of
 //!   materialising the whole map output before reduction, inputs are
 //!   mapped in bounded waves whose buffers merge into reduce-side group
@@ -46,7 +48,6 @@
 pub mod driver;
 pub mod engine;
 mod fanout;
-pub mod job;
 pub mod sampling;
 mod spill;
 pub mod stats;
@@ -57,6 +58,5 @@ pub use engine::{
     Combiner, Emitter, MrConfig,
 };
 pub use fanout::run_tasks;
-pub use job::round_robin;
 pub use sampling::Reservoir;
 pub use stats::JobStats;

@@ -313,9 +313,13 @@ impl FusedKb {
         ))
     }
 
-    /// Compile a KB from an already-fused output and its evaluation —
-    /// the zero-extra-fusion path `repro` uses when it just produced
-    /// both.
+    /// Compile a KB from an already-fused output and its evaluation, with
+    /// no fusion of its own. [`compile`](Self::compile) (what
+    /// `repro --build-kb` and `kf-serve build --report` call) and
+    /// [`build_from_corpus`](Self::build_from_corpus) (`kf-serve build`)
+    /// end here after fusing the preset themselves, and the repo
+    /// benchmark's publish cycle calls it directly; `repro` does not — its
+    /// report keeps no per-triple scores, so its KB re-runs one fusion.
     pub fn compile_from_parts(
         corpus: CorpusSummary,
         method: &MethodEval,

@@ -22,9 +22,14 @@
 //! * [`repl`] — the line-oriented query language behind the `kf-serve`
 //!   CLI, exposed as a library so tests can drive it.
 //!
-//! Build a KB either from artifacts on disk (`kf-serve build`, or
-//! [`FusedKb::compile`]) or directly at the end of a `repro` run
-//! (`--build-kb`, via [`FusedKb::compile_from_parts`]).
+//! Build a KB from a corpus snapshot and its evaluation report
+//! ([`FusedKb::compile`]: `kf-serve build --report`, and the end of a
+//! `repro --build-kb` run, which hands over the report and corpus still
+//! in memory), or from the snapshot alone ([`FusedKb::build_from_corpus`]:
+//! `kf-serve build`). A report holds no per-triple scores, so both re-run
+//! the served preset's fusion and finish in
+//! [`FusedKb::compile_from_parts`], which compiles an output already
+//! fused and evaluated.
 //!
 //! ```
 //! use kf_serve::{FusedKb, KbBuildOptions, KbReader};

@@ -45,8 +45,9 @@ use std::io::{self, Read, Write};
 /// Version of the message vocabulary in this module. Bump on any change
 /// to [`WireMsg`] or [`TaskSpec`] encodings (variant added, field added
 /// or reordered, retagged); the handshake turns a mismatch into a
-/// [`WireMsg::Reject`] rather than a misparse.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// [`WireMsg::Reject`] rather than a misparse. Version 2 shrank
+/// [`TaskSpec`] to one preset and dropped its shard numbering.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a single frame's payload (1 GiB). A corpus checkpoint
 /// at the paper scale is ~tens of MiB; anything near this bound is a
@@ -54,23 +55,20 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// allocation it would imply.
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// One dispatchable slice of a distributed reproduction run: the preset
-/// shard a worker fuses, plus every option that affects the bytes of
-/// its shard report. The coordinator derives these from its own CLI
-/// options so all workers run under identical evaluation settings —
-/// the precondition for the byte-identical merge.
+/// One dispatchable task of a distributed reproduction run: the one
+/// preset a worker fuses, plus every option that affects the bytes of
+/// its shard report — exactly what the worker reads. The coordinator
+/// derives these from its own CLI options so all workers run under
+/// identical evaluation settings — the precondition for the
+/// byte-identical merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpec {
     /// Coordinator-assigned id, echoed in [`WireMsg::TaskDone`] /
     /// [`WireMsg::TaskFailed`]; the duplicate-completion ledger is
     /// keyed by it.
     pub task_id: u32,
-    /// Which shard of the round-robin split this task is.
-    pub shard_index: u32,
-    /// Total shards in the split.
-    pub shard_count: u32,
-    /// Preset names this shard fuses (resolved by the worker).
-    pub presets: Vec<String>,
+    /// Name of the preset this task fuses (resolved by the worker).
+    pub preset: String,
     /// Corpus scale label recorded in the report header.
     pub scale: String,
     /// Calibration bins per curve.
@@ -86,9 +84,7 @@ pub struct TaskSpec {
 impl KvCodec for TaskSpec {
     fn encode(&self, out: &mut Vec<u8>) {
         self.task_id.encode(out);
-        self.shard_index.encode(out);
-        self.shard_count.encode(out);
-        self.presets.encode(out);
+        self.preset.encode(out);
         self.scale.encode(out);
         self.bins.encode(out);
         self.workers.encode(out);
@@ -98,9 +94,7 @@ impl KvCodec for TaskSpec {
     fn decode(input: &mut &[u8]) -> Option<Self> {
         Some(TaskSpec {
             task_id: u32::decode(input)?,
-            shard_index: u32::decode(input)?,
-            shard_count: u32::decode(input)?,
-            presets: Vec::decode(input)?,
+            preset: String::decode(input)?,
             scale: String::decode(input)?,
             bins: u64::decode(input)?,
             workers: u64::decode(input)?,
@@ -151,7 +145,7 @@ pub enum WireMsg {
         /// Checkpoint bytes ([`crate::checkpoint::ArtifactKind::Corpus`]).
         bytes: Vec<u8>,
     },
-    /// A shard dispatch.
+    /// A task dispatch.
     Task {
         /// What to fuse and under which settings.
         spec: TaskSpec,
@@ -356,9 +350,7 @@ mod tests {
     fn sample_task() -> TaskSpec {
         TaskSpec {
             task_id: 3,
-            shard_index: 3,
-            shard_count: 5,
-            presets: vec!["popaccu_plus".into()],
+            preset: "popaccu_plus".into(),
             scale: "paper".into(),
             bins: 10,
             workers: 0,

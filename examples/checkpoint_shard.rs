@@ -53,6 +53,8 @@ fn main() {
     zero_fuse_ms(&mut single);
 
     // ---- Fan out: shard i of 2 loads the checkpoint and fuses its slice -
+    // Any disjoint split merges to the same bytes. This one alternates
+    // report order; `repro --shard` stripes its costliest-first task table.
     let mut shards = Vec::new();
     for index in 0..2usize {
         let shard_corpus = Corpus::load(&corpus_path).expect("shard loads checkpoint");
