@@ -261,15 +261,8 @@ pub fn run_worker(
 
     let outcome = (|| -> Result<(), DistError> {
         let corpus = match recv(&mut reader)? {
-            WireMsg::Corpus { bytes } => {
-                // One decode fans out over a thread per segment already, so
-                // workers sharing a process (tests, the benchmark) take
-                // turns; side by side they only oversubscribe the cores.
-                static DECODING: Mutex<()> = Mutex::new(());
-                let _one_at_a_time = DECODING.lock().unwrap_or_else(|p| p.into_inner());
-                checkpoint::decode::<Corpus>(ArtifactKind::Corpus, &bytes)
-                    .map_err(|e| DistError::Checkpoint(format!("corpus: {e}")))?
-            }
+            WireMsg::Corpus { bytes } => checkpoint::decode::<Corpus>(ArtifactKind::Corpus, &bytes)
+                .map_err(|e| DistError::Checkpoint(format!("corpus: {e}")))?,
             other => {
                 return Err(DistError::Protocol(format!(
                     "expected corpus, got {}",

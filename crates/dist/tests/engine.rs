@@ -1,8 +1,8 @@
 //! End-to-end coordinator/worker tests over localhost TCP: clean runs,
 //! injected worker death (kill), hung workers (mute), task failure
 //! retry, version-skew rejection, the no-workers timeout, and peers that
-//! break the protocol, speak for tasks they no longer hold, or stop
-//! reading.
+//! break the protocol, speak for tasks they no longer hold or that do not
+//! exist, or stop reading.
 //!
 //! The invariant every fault scenario pins: the merged report is
 //! byte-identical to the reference single-process report, no matter
@@ -430,6 +430,55 @@ fn task_failed_from_a_worker_that_lost_the_task_is_ignored() {
     );
     assert_eq!(counter("dist.task.duplicate"), 0);
     assert_eq!(counter("dist.task.failed"), 0);
+    assert_eq!(
+        merged.expect("run completes").to_json_string(),
+        reference_report(&corpus).to_json_string()
+    );
+}
+
+#[test]
+fn out_of_range_task_id_is_ignored_or_dropped() {
+    let corpus = tiny_corpus();
+    let (coordinator, addr) = bind_coordinator(&corpus, test_config());
+    let run = spawn_coordinator(coordinator);
+    // The only worker so far, the peer is handed the first task. It then
+    // speaks for the task one past the end of the table: a failure, which
+    // is ignored, and a well-formed completion, which drops it. No real
+    // worker exists yet, so the run cannot be what ends the connection.
+    let mut peer = register_by_hand(&addr, "out-of-range");
+    let (task, _) = wire::read_frame(&mut peer).expect("read task");
+    assert_eq!(task.name(), "task");
+    let task_id = task_specs().len() as u32;
+    let failed = WireMsg::TaskFailed {
+        task_id,
+        error: "no such task".into(),
+    };
+    wire::write_frame(&mut peer, &failed).expect("send failure");
+    let report = run_task(&corpus, &task_specs()[0]).unwrap();
+    let done = WireMsg::TaskDone {
+        task_id,
+        report: checkpoint::encode(ArtifactKind::Report, &report),
+    };
+    wire::write_frame(&mut peer, &done).expect("send completion");
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut rest = Vec::new();
+    peer.read_to_end(&mut rest)
+        .expect("the completion drops the connection");
+    assert!(rest.is_empty(), "nothing follows the first task");
+
+    let workers = [spawn_worker(&addr, "w0"), spawn_worker(&addr, "w1")];
+    let (merged, counter) = run.join().unwrap();
+    for w in workers {
+        w.join().unwrap().expect("worker exits cleanly");
+    }
+    assert_eq!(counter("dist.task.failed"), 0);
+    assert_eq!(counter("dist.rpc.protocol_error"), 0);
+    assert_eq!(counter("dist.worker.lost"), 1);
+    // The peer's task ran once more, elsewhere; nothing completed twice.
+    assert_eq!(counter("dist.task.redispatched"), 1);
+    assert_eq!(counter("dist.task.duplicate"), 0);
+    assert_eq!(counter("dist.task.completed"), Preset::ALL.len() as u64);
     assert_eq!(
         merged.expect("run completes").to_json_string(),
         reference_report(&corpus).to_json_string()

@@ -31,11 +31,16 @@ use std::path::Path;
 /// The corpus encodes as six length-prefixed segments (world, web, gold,
 /// batch, sections, outcomes) followed by the small extractor list, the
 /// seed and the hostile-scenario ground truth (format version 4; empty
-/// for honest corpora). Segments let [`Corpus::decode`] rebuild the expensive parts
-/// on parallel threads — the reason checkpoint loads beat regeneration
-/// (`synth.load_s` against `synth.generate_s` in the benchmark) — without
-/// changing the bytes: encoding stays sequential, deterministic and
-/// canonical.
+/// for honest corpora). Encoding is sequential, deterministic and
+/// canonical. Each segment is a length-prefixed validation unit: its
+/// decode must consume it exactly, and a length that overruns the input
+/// fails before any segment is decoded.
+///
+/// [`Corpus::decode`] rebuilds every segment on the calling thread, one
+/// after another. The corpus outlives the decode, so its allocations
+/// belong in the arena of the thread that keeps it; a short-lived helper
+/// thread per segment would leave each segment pinning an arena of its
+/// own (PR 23 traced `dist_small`'s `peak_rss_mb` to exactly that).
 impl KvCodec for Corpus {
     fn encode(&self, out: &mut Vec<u8>) {
         let _enc = kf_telemetry::span("corpus_encode");
@@ -87,71 +92,15 @@ impl KvCodec for Corpus {
         let extractors = Vec::<ExtractorSpec>::decode(input)?;
         let seed = u64::decode(input)?;
         let scenario = ScenarioTruth::decode(input)?;
-
-        // A `Vec<u8>` encodes to the same bytes as a `u8` column, so the
-        // tag vectors decode as one contiguous block each.
-        let decode_sections = || -> Option<Vec<ContentType>> {
-            let mut seg = sections_seg;
-            let tags = codec::decode_column::<u8>(&mut seg)?;
-            if !seg.is_empty() {
-                return None;
-            }
-            tags.into_iter()
-                .map(|tag| ContentType::ALL.get(tag as usize).copied())
-                .collect()
-        };
-        let decode_outcomes = || -> Option<Vec<ExtractionOutcome>> {
-            let mut seg = outcomes_seg;
-            let tags = codec::decode_column::<u8>(&mut seg)?;
-            if !seg.is_empty() {
-                return None;
-            }
-            tags.into_iter()
-                .map(|tag| ExtractionOutcome::ALL.get(tag as usize).copied())
-                .collect()
-        };
-        // Fan the segment decodes out over threads when the host has the
-        // cores for it; single-core hosts decode inline (the thread
-        // round-trips would only add overhead). Output is identical.
-        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        let (world, web, gold, batch, sections, outcomes) = if parallel {
-            std::thread::scope(|s| {
-                let world = s.spawn(|| codec::decode_segment_all::<World>(world_seg));
-                let web = s.spawn(|| codec::decode_segment_all::<Web>(web_seg));
-                let gold = s.spawn(|| codec::decode_segment_all::<GoldStandard>(gold_seg));
-                let batch = s.spawn(|| codec::decode_segment_all::<ExtractionBatch>(batch_seg));
-                let sections = s.spawn(decode_sections);
-                // The current thread takes a share too.
-                let outcomes = decode_outcomes();
-                fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-                    h.join().expect("segment decode does not panic")
-                }
-                (
-                    join(world),
-                    join(web),
-                    join(gold),
-                    join(batch),
-                    join(sections),
-                    outcomes,
-                )
-            })
-        } else {
-            (
-                codec::decode_segment_all::<World>(world_seg),
-                codec::decode_segment_all::<Web>(web_seg),
-                codec::decode_segment_all::<GoldStandard>(gold_seg),
-                codec::decode_segment_all::<ExtractionBatch>(batch_seg),
-                decode_sections(),
-                decode_outcomes(),
-            )
-        };
+        // Every segment decodes on the calling thread, in file order (see
+        // the impl doc for why).
         let corpus = Corpus {
-            world: world?,
-            web: web?,
-            gold: gold?,
-            batch: batch?,
-            sections: sections?,
-            outcomes: outcomes?,
+            world: codec::decode_segment_all::<World>(world_seg)?,
+            web: codec::decode_segment_all::<Web>(web_seg)?,
+            gold: codec::decode_segment_all::<GoldStandard>(gold_seg)?,
+            batch: codec::decode_segment_all::<ExtractionBatch>(batch_seg)?,
+            sections: decode_tags(sections_seg, &ContentType::ALL)?,
+            outcomes: decode_tags(outcomes_seg, &ExtractionOutcome::ALL)?,
             extractors,
             seed,
             scenario,
@@ -179,6 +128,19 @@ impl KvCodec for Corpus {
         }
         Some(corpus)
     }
+}
+
+/// Decode a tag segment (sections or outcomes): one byte per record, each
+/// an index into `all`. A `Vec<u8>` encodes to the same bytes as a `u8`
+/// column, so the tags decode as one contiguous block.
+fn decode_tags<T: Copy>(mut seg: &[u8], all: &[T]) -> Option<Vec<T>> {
+    let tags = codec::decode_column::<u8>(&mut seg)?;
+    if !seg.is_empty() {
+        return None;
+    }
+    tags.into_iter()
+        .map(|tag| all.get(tag as usize).copied())
+        .collect()
 }
 
 /// Scenario ground truth travels field-ordered; the spam/drift vectors

@@ -387,69 +387,18 @@ impl World {
     }
 }
 
-/// Everything in a [`World`] except the catalog, as one decodable unit —
-/// the second of the two length-prefixed segments the world encodes as,
-/// so a decoder can rebuild the catalog (string-interner heavy) and the
-/// fact tables on separate threads.
-struct WorldBody {
-    facts: FxHashMap<DataItem, Vec<Value>>,
-    items: Vec<DataItem>,
-    hierarchy: FxHashMap<Value, Value>,
-    hierarchy_interior: FxHashSet<Value>,
-    confusables: FxHashMap<EntityId, EntityId>,
-    siblings: FxHashMap<PredicateId, PredicateId>,
-    hierarchy_entities: Vec<EntityId>,
-    entities_by_type: Vec<Vec<EntityId>>,
-    noise_values: Vec<Value>,
-}
-
-impl WorldBody {
-    /// Decode one body from a whole segment, requiring exact consumption.
-    fn decode_all(mut segment: &[u8]) -> Option<Self> {
-        let body = Self::decode(&mut segment)?;
-        segment.is_empty().then_some(body)
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let groups = kf_types::codec::decode_item_values_columns(input)?;
-        let mut items = Vec::with_capacity(groups.len());
-        let mut facts = FxHashMap::default();
-        facts.reserve(groups.len());
-        for (item, values) in groups {
-            if facts.insert(item, values).is_some() {
-                return None;
-            }
-            items.push(item);
-        }
-        let hierarchy: FxHashMap<Value, Value> = kf_types::codec::decode_map(input)?;
-        let hierarchy_interior: FxHashSet<Value> = hierarchy.values().copied().collect();
-        Some(WorldBody {
-            facts,
-            items,
-            hierarchy,
-            hierarchy_interior,
-            confusables: kf_types::codec::decode_map(input)?,
-            siblings: kf_types::codec::decode_map(input)?,
-            hierarchy_entities: Vec::decode(input)?,
-            entities_by_type: Vec::decode(input)?,
-            noise_values: Vec::decode(input)?,
-        })
-    }
-}
-
 /// Checkpoint encoding: two length-prefixed segments — the catalog, then
-/// everything else (`WorldBody`) — decoded on separate threads (corpus
-/// loads race corpus regeneration in CI; see `crate::persist`). Facts
+/// everything else (the body) — decoded one after another on the calling
+/// thread, the one that keeps the world (see `crate::persist`). Facts
 /// ride with [`World::items`] in insertion order (preserving
 /// deterministic iteration exactly); the hierarchy / confusable / sibling
 /// maps encode in sorted key order so the bytes are canonical; the
 /// interior-node set is derived state, recomputed from the decoded
 /// hierarchy rather than stored.
-impl kf_types::KvCodec for World {
+impl KvCodec for World {
     fn encode(&self, out: &mut Vec<u8>) {
         kf_types::codec::encode_segment(&self.catalog, out);
-        // Body segment, written in place (the body encoder reads `self`'s
-        // fields directly; `WorldBody` exists for the decode side).
+        // Body segment, written in place from `self`'s fields.
         let at = out.len();
         out.extend_from_slice(&[0u8; 8]);
         kf_types::codec::encode_item_values_columns(
@@ -471,34 +420,34 @@ impl kf_types::KvCodec for World {
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let catalog_seg = kf_types::codec::take_segment(input)?;
-        let body_seg = kf_types::codec::take_segment(input)?;
-        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        let (catalog, body) = if parallel {
-            std::thread::scope(|s| {
-                let catalog =
-                    s.spawn(|| kf_types::codec::decode_segment_all::<Catalog>(catalog_seg));
-                let body = WorldBody::decode_all(body_seg);
-                (catalog.join().expect("catalog decode does not panic"), body)
-            })
-        } else {
-            (
-                kf_types::codec::decode_segment_all::<Catalog>(catalog_seg),
-                WorldBody::decode_all(body_seg),
-            )
-        };
-        let (catalog, body) = (catalog?, body?);
-        Some(World {
+        let mut body = kf_types::codec::take_segment(input)?;
+        let catalog = kf_types::codec::decode_segment_all::<Catalog>(catalog_seg)?;
+        let groups = kf_types::codec::decode_item_values_columns(&mut body)?;
+        let mut items = Vec::with_capacity(groups.len());
+        let mut facts = FxHashMap::default();
+        facts.reserve(groups.len());
+        for (item, values) in groups {
+            if facts.insert(item, values).is_some() {
+                return None;
+            }
+            items.push(item);
+        }
+        let hierarchy: FxHashMap<Value, Value> = kf_types::codec::decode_map(&mut body)?;
+        let hierarchy_interior: FxHashSet<Value> = hierarchy.values().copied().collect();
+        let world = World {
             catalog,
-            facts: body.facts,
-            items: body.items,
-            hierarchy: body.hierarchy,
-            hierarchy_interior: body.hierarchy_interior,
-            confusables: body.confusables,
-            siblings: body.siblings,
-            hierarchy_entities: body.hierarchy_entities,
-            entities_by_type: body.entities_by_type,
-            noise_values: body.noise_values,
-        })
+            facts,
+            items,
+            hierarchy,
+            hierarchy_interior,
+            confusables: kf_types::codec::decode_map(&mut body)?,
+            siblings: kf_types::codec::decode_map(&mut body)?,
+            hierarchy_entities: Vec::decode(&mut body)?,
+            entities_by_type: Vec::decode(&mut body)?,
+            noise_values: Vec::decode(&mut body)?,
+        };
+        // The body must consume its segment exactly.
+        body.is_empty().then_some(world)
     }
 }
 

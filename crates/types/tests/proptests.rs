@@ -1,44 +1,11 @@
 //! Property-based tests for the core data model.
 
+#[path = "support/largest_alloc.rs"]
+mod largest_alloc;
+
 use kf_types::*;
+use largest_alloc::largest_during;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Records the largest single allocation each thread has asked for (the
-/// per-thread accounting of `crates/serve/tests/stress.rs`, by size), so
-/// a decoder can be shown not to trust a length prefix.
-struct LargestAlloc;
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // Never allocates: a const-initialised Cell needs no lazy init.
-    LARGEST.with(|c| c.set(c.get().max(size)));
-}
-
-unsafe impl GlobalAlloc for LargestAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: LargestAlloc = LargestAlloc;
 
 /// A length prefix that promises more elements than there are bytes left
 /// is refused before anything is reserved for it — on `u8`'s one-copy
@@ -48,11 +15,11 @@ fn inflated_length_prefix_is_refused_without_allocating() {
     let mut buf = Vec::new();
     (1u64 << 40).encode(&mut buf);
     buf.extend_from_slice(&[7; 64]);
-    LARGEST.with(|c| c.set(0));
-    assert_eq!(Vec::<u8>::decode(&mut &buf[..]), None);
-    assert_eq!(Vec::<u32>::decode(&mut &buf[..]), None);
-    assert_eq!(Vec::<String>::decode(&mut &buf[..]), None);
-    let largest = LARGEST.with(|c| c.get());
+    let ((), largest) = largest_during(|| {
+        assert_eq!(Vec::<u8>::decode(&mut &buf[..]), None);
+        assert_eq!(Vec::<u32>::decode(&mut &buf[..]), None);
+        assert_eq!(Vec::<String>::decode(&mut &buf[..]), None);
+    });
     assert!(largest <= buf.len(), "decode allocated {largest} bytes");
 }
 
