@@ -13,9 +13,9 @@
 //! # Checkpoint once, fan out, merge (byte-identical to a single run,
 //! # embedded method traces included):
 //! cargo run --release --bin repro -- --save-corpus corpus.kfc
-//! cargo run --release --bin repro -- --corpus corpus.kfc --deterministic --shard 0/2 --out s0.bin
-//! cargo run --release --bin repro -- --corpus corpus.kfc --deterministic --shard 1/2 --out s1.bin
-//! cargo run --release --bin repro -- --merge s0.bin s1.bin --out report.json
+//! cargo run --release --bin repro -- --corpus corpus.kfc --deterministic --shard 0/2
+//! cargo run --release --bin repro -- --corpus corpus.kfc --deterministic --shard 1/2
+//! cargo run --release --bin repro -- --merge report-shard0of2.bin report-shard1of2.bin
 //!
 //! # Same fan-out over TCP (kf-dist): a coordinator dispatches one task
 //! # per preset to registered workers and merges the shard reports.
@@ -24,10 +24,15 @@
 //! cargo run --release --bin repro -- --worker "$(cat addr.txt)" --worker-name w0 &
 //! cargo run --release --bin repro -- --worker "$(cat addr.txt)" --worker-name w1
 //! ```
+//!
+//! A process runs in exactly one [`Mode`], so `main` is one `match` over
+//! it; the report it produces is shown, written, compiled into the KB and
+//! traced by one shared tail.
 
-use kf_bench::{merge_shards, obtain_corpus, shard_presets, ParseError, ReproOptions};
+use kf_bench::{merge_shards, obtain_corpus, shard_presets, Mode, ParseError, ReproOptions};
 use kf_dist::{run_worker, Coordinator, CoordinatorConfig, FailSpec, WorkerConfig};
 use kf_eval::{trace_to_json, Json, MethodEval};
+use kf_synth::Corpus;
 use kf_telemetry::{Trace, TraceReport};
 use kf_types::checkpoint::{self, ArtifactKind};
 use std::time::Instant;
@@ -82,6 +87,30 @@ fn write_trace(path: &str, full: &TraceReport, methods: &[MethodEval]) {
     }
 }
 
+/// Load the corpus checkpoint or generate the corpus, under the
+/// process-level `corpus` span.
+fn load_corpus(opts: &ReproOptions) -> Corpus {
+    let start = Instant::now();
+    let (corpus, loaded) = {
+        let _span = kf_telemetry::span("corpus");
+        obtain_corpus(opts).unwrap_or_else(|e| fail(&e))
+    };
+    println!(
+        "corpus[{} seed={}, {}]: {} records, {} unique triples, {} items, \
+         {} gold items, lcwa accuracy {:.3} ({:.2}s)",
+        opts.scale,
+        corpus.seed,
+        if loaded { "loaded" } else { "generated" },
+        corpus.batch.len(),
+        corpus.batch.unique_triples(),
+        corpus.batch.unique_data_items(),
+        corpus.gold.n_items(),
+        corpus.lcwa_accuracy(),
+        start.elapsed().as_secs_f64(),
+    );
+    corpus
+}
+
 fn main() {
     let mut opts = match ReproOptions::parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
@@ -102,65 +131,111 @@ fn main() {
     let process = Trace::with_root("run");
     let _telemetry = kf_telemetry::install(&process);
 
-    // ---- Worker subflow: serve a coordinator until shut down ------------
-    // Runs before any corpus work: the corpus and every fusion parameter
-    // arrive over the wire.
-    if let Some(addr) = &opts.worker {
-        let fault = FailSpec::from_env()
-            .unwrap_or_else(|e| fail(&format!("bad KF_DIST_FAIL fault spec: {e}")));
-        let mut config = WorkerConfig::new(addr.clone(), opts.worker_name.clone());
-        config.fail = fault;
-        let mut run_task = kf_bench::task_runner();
-        let result = run_worker(&config, |corpus, spec| {
+    // What the mode produced: a report (a shard's is partial) and, when
+    // it has one, the corpus that report measured.
+    let (report, corpus) = match &opts.mode {
+        Mode::Worker { addr, name } => {
+            // The corpus and every fusion parameter arrive over the wire.
+            let mut config = WorkerConfig::new(addr.clone(), name.clone());
+            config.fail = FailSpec::from_env()
+                .unwrap_or_else(|e| fail(&format!("bad KF_DIST_FAIL fault spec: {e}")));
+            let mut run_task = kf_bench::task_runner();
+            run_worker(&config, |corpus, spec| {
+                println!("worker {name}: task {} [{}]", spec.task_id, spec.preset);
+                run_task(corpus, spec)
+            })
+            .unwrap_or_else(|e| fail(&format!("worker {name}: {e}")));
+            println!("worker {name}: coordinator shut us down cleanly");
+            (None, None)
+        }
+        Mode::Merge(paths) => {
+            let report = merge_shards(paths).unwrap_or_else(|e| fail(&e));
             println!(
-                "worker {}: task {} [{}]",
-                opts.worker_name, spec.task_id, spec.preset
+                "merged {} shard report(s): {} methods on corpus[{} seed={}]",
+                paths.len(),
+                report.methods.len(),
+                report.corpus.scale,
+                report.corpus.seed,
             );
-            run_task(corpus, spec)
-        });
-        if let Err(e) = result {
-            fail(&format!("worker {}: {e}", opts.worker_name));
+            // Shard reports carry no extractions: the KB compiles against
+            // the snapshot the shards fused (parse requires --corpus).
+            let corpus = opts.build_kb.as_ref().map(|_| {
+                let (corpus, _) = obtain_corpus(&opts).unwrap_or_else(|e| fail(&e));
+                corpus
+            });
+            (Some(report), corpus)
         }
-        println!(
-            "worker {}: coordinator shut us down cleanly",
-            opts.worker_name
-        );
-        if let Some(path) = &opts.trace {
-            let full = full_run_trace(&process, &[], opts.deterministic);
-            write_trace(path, &full, &[]);
+        Mode::SaveCorpus(path) => {
+            let corpus = load_corpus(&opts);
+            let start = Instant::now();
+            corpus
+                .save(path)
+                .unwrap_or_else(|e| fail(&format!("failed to save corpus {path:?}: {e}")));
+            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+            println!(
+                "saved corpus checkpoint {path} ({:.1} MiB, {:.2}s)",
+                bytes as f64 / (1024.0 * 1024.0),
+                start.elapsed().as_secs_f64(),
+            );
+            (None, None)
         }
-        return;
-    }
+        Mode::Shard { index, of } => {
+            let corpus = load_corpus(&opts);
+            opts.presets = shard_presets(&opts.presets, *index, *of);
+            let names: Vec<&str> = opts.presets.iter().map(|p| p.name()).collect();
+            println!("shard {index}/{of}: presets [{}]", names.join(", "));
+            (Some(kf_bench::run_on_corpus(&opts, &corpus)), Some(corpus))
+        }
+        Mode::Coordinator { bind, addr_file } => {
+            let corpus = load_corpus(&opts);
+            let coordinator = Coordinator::bind(
+                bind,
+                kf_bench::dist_task_specs(&opts),
+                checkpoint::encode(ArtifactKind::Corpus, &corpus),
+                CoordinatorConfig {
+                    verbose: true,
+                    ..CoordinatorConfig::default()
+                },
+            )
+            .unwrap_or_else(|e| fail(&format!("cannot bind coordinator on {bind}: {e}")));
+            let addr = coordinator
+                .local_addr()
+                .unwrap_or_else(|e| fail(&format!("coordinator has no local address: {e}")));
+            println!(
+                "coordinator listening on {addr}: {} task(s), one preset each",
+                opts.presets.len()
+            );
+            if let Some(path) = addr_file {
+                std::fs::write(path, addr.to_string())
+                    .unwrap_or_else(|e| fail(&format!("failed to write address file {path}: {e}")));
+                println!("wrote coordinator address to {path}");
+            }
+            // The shard reports merge in ablation order: the same report
+            // object a single-process run produces.
+            let report = coordinator
+                .run_merged()
+                .unwrap_or_else(|e| fail(&format!("distributed run failed: {e}")));
+            (Some(report), Some(corpus))
+        }
+        Mode::Run => {
+            let corpus = load_corpus(&opts);
+            (Some(kf_bench::run_on_corpus(&opts, &corpus)), Some(corpus))
+        }
+    };
 
-    // ---- Merge subflow: shard reports in, one report.json out ----------
-    if opts.merge {
-        let report = merge_shards(&opts.merge_inputs).unwrap_or_else(|e| fail(&e));
-        println!(
-            "merged {} shard report(s): {} methods on corpus[{} seed={}]",
-            opts.merge_inputs.len(),
-            report.methods.len(),
-            report.corpus.scale,
-            report.corpus.seed,
-        );
+    if let Some(report) = &report {
         println!();
         print!("{}", report.summary_table());
-        if let Some(path) = &opts.out {
-            match std::fs::write(path, report.to_json_string()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(e) => fail(&format!("failed to write {path}: {e}")),
-            }
-        }
-        // Merged report → fused KB, no second report decode pass: the
-        // in-memory report is compiled directly against the corpus
-        // snapshot the shards fused (parse guarantees --corpus is set).
-        if opts.build_kb.is_some() {
-            let path = opts.corpus.as_deref().expect("parse requires --corpus");
-            let corpus = kf_synth::Corpus::load(path)
-                .unwrap_or_else(|e| fail(&format!("failed to load corpus {path:?}: {e}")));
-            let kb = kf_bench::compile_kb(&opts, &report, &corpus).unwrap_or_else(|e| fail(&e));
+        // The report is still in memory: the KB compiles straight from it,
+        // without a load/decode round-trip (parse rejects --build-kb where
+        // there is no corpus to compile against).
+        if let Some(path) = &opts.build_kb {
+            let corpus = corpus
+                .as_ref()
+                .expect("parse pairs --build-kb with a corpus");
+            let kb = kf_bench::compile_kb(&opts, report, corpus).unwrap_or_else(|e| fail(&e));
             println!(
-                "\nbuilt fused KB {} [{}]: {} triples, {} items, {} predicates, {} provenances",
-                opts.build_kb.as_deref().unwrap_or("?"),
+                "\nbuilt fused KB {path} [{}]: {} triples, {} items, {} predicates, {} provenances",
                 kb.method,
                 kb.n_triples(),
                 kb.n_items(),
@@ -168,150 +243,26 @@ fn main() {
                 kb.n_provenances(),
             );
         }
-        let full = full_run_trace(&process, &report.methods, opts.deterministic);
+        // Before the trace is read: a shard report's save is on it.
+        if let Some(path) = &opts.out {
+            let written = match opts.mode {
+                Mode::Shard { .. } => report.save(path).map_err(|e| e.to_string()),
+                _ => std::fs::write(path, report.to_json_string()).map_err(|e| e.to_string()),
+            };
+            match written {
+                Ok(()) => println!("\nwrote {path} ({} methods)", report.methods.len()),
+                Err(e) => fail(&format!("failed to write {path}: {e}")),
+            }
+        }
+    }
+
+    let methods = report.as_ref().map_or(&[][..], |r| r.methods.as_slice());
+    let full = full_run_trace(&process, methods, opts.deterministic);
+    if report.is_some() {
         println!();
         print!("{}", full.summary());
-        if let Some(path) = &opts.trace {
-            write_trace(path, &full, &report.methods);
-        }
-        return;
-    }
-
-    // ---- Corpus: load the checkpoint or generate ------------------------
-    let start = Instant::now();
-    let (corpus, loaded) = {
-        let _span = kf_telemetry::span("corpus");
-        obtain_corpus(&opts).unwrap_or_else(|e| fail(&e))
-    };
-    println!(
-        "corpus[{} seed={}, {}]: {} records, {} unique triples, {} items, \
-         {} gold items, lcwa accuracy {:.3} ({:.2}s)",
-        opts.scale,
-        corpus.seed,
-        if loaded { "loaded" } else { "generated" },
-        corpus.batch.len(),
-        corpus.batch.unique_triples(),
-        corpus.batch.unique_data_items(),
-        corpus.gold.n_items(),
-        corpus.lcwa_accuracy(),
-        start.elapsed().as_secs_f64(),
-    );
-
-    // ---- Snapshot subflow: save the checkpoint and exit -----------------
-    if let Some(path) = &opts.save_corpus {
-        let start = Instant::now();
-        corpus
-            .save(path)
-            .unwrap_or_else(|e| fail(&format!("failed to save corpus {path:?}: {e}")));
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "saved corpus checkpoint {path} ({:.1} MiB, {:.2}s)",
-            bytes as f64 / (1024.0 * 1024.0),
-            start.elapsed().as_secs_f64(),
-        );
-        if let Some(tpath) = &opts.trace {
-            let full = full_run_trace(&process, &[], opts.deterministic);
-            write_trace(tpath, &full, &[]);
-        }
-        return;
-    }
-
-    // ---- Shard subflow: fuse this shard's presets, write binary report --
-    if let Some((index, of)) = opts.shard {
-        opts.presets = shard_presets(&opts.presets, index, of);
-        let names: Vec<&str> = opts.presets.iter().map(|p| p.name()).collect();
-        println!("shard {index}/{of}: presets [{}]", names.join(", "));
-        let report = kf_bench::run_on_corpus(&opts, &corpus);
-        // An explicit --out is honoured verbatim (and --no-out skips the
-        // write); only a defaulted path is replaced by the shard name.
-        let path = match (&opts.out, opts.out_explicit) {
-            (Some(path), true) => Some(path.clone()),
-            (None, true) => None,
-            _ => Some(format!("report-shard{index}of{of}.bin")),
-        };
-        match path {
-            Some(path) => {
-                report.save(&path).unwrap_or_else(|e| {
-                    fail(&format!("failed to write shard report {path:?}: {e}"))
-                });
-                println!(
-                    "wrote shard report {path} ({} methods)",
-                    report.methods.len()
-                );
-            }
-            None => println!("--no-out: shard report not written"),
-        }
-        if let Some(tpath) = &opts.trace {
-            let full = full_run_trace(&process, &report.methods, opts.deterministic);
-            write_trace(tpath, &full, &report.methods);
-        }
-        return;
-    }
-
-    // ---- Coordinator subflow / single-process run -----------------------
-    // A coordinator run produces the same report object a single-process
-    // run does (the shard reports merge in ablation order), so the whole
-    // output tail — summary table, KB compilation, trace — is shared.
-    let report = if let Some(bind) = &opts.serve_coordinator {
-        let tasks = kf_bench::dist_task_specs(&opts);
-        let coordinator = Coordinator::bind(
-            bind.as_str(),
-            tasks,
-            checkpoint::encode(ArtifactKind::Corpus, &corpus),
-            CoordinatorConfig {
-                verbose: true,
-                ..CoordinatorConfig::default()
-            },
-        )
-        .unwrap_or_else(|e| fail(&format!("cannot bind coordinator on {bind}: {e}")));
-        let addr = coordinator
-            .local_addr()
-            .unwrap_or_else(|e| fail(&format!("coordinator has no local address: {e}")));
-        println!(
-            "coordinator listening on {addr}: {} task(s), one preset each",
-            opts.presets.len()
-        );
-        if let Some(path) = &opts.dist_addr_file {
-            std::fs::write(path, addr.to_string())
-                .unwrap_or_else(|e| fail(&format!("failed to write address file {path}: {e}")));
-            println!("wrote coordinator address to {path}");
-        }
-        coordinator
-            .run_merged()
-            .unwrap_or_else(|e| fail(&format!("distributed run failed: {e}")))
-    } else {
-        kf_bench::run_on_corpus(&opts, &corpus)
-    };
-    println!();
-    print!("{}", report.summary_table());
-
-    // The corpus and report are both still in memory: the KB compiles
-    // straight from them, without a load/decode round-trip.
-    if opts.build_kb.is_some() {
-        let kb = kf_bench::compile_kb(&opts, &report, &corpus).unwrap_or_else(|e| fail(&e));
-        println!(
-            "\nbuilt fused KB {} [{}]: {} triples, {} items, {} predicates, {} provenances",
-            opts.build_kb.as_deref().unwrap_or("?"),
-            kb.method,
-            kb.n_triples(),
-            kb.n_items(),
-            kb.n_predicates(),
-            kb.n_provenances(),
-        );
-    }
-
-    let full = full_run_trace(&process, &report.methods, opts.deterministic);
-    println!();
-    print!("{}", full.summary());
-    println!();
-
-    if let Some(path) = &opts.out {
-        match std::fs::write(path, report.to_json_string()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => fail(&format!("failed to write {path}: {e}")),
-        }
     }
     if let Some(path) = &opts.trace {
-        write_trace(path, &full, &report.methods);
+        write_trace(path, &full, methods);
     }
 }

@@ -50,9 +50,44 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The one role a `repro` process plays, with the inputs only that role
+/// reads. A process runs in exactly one mode: [`ReproOptions::parse`]
+/// rejects a second mode flag, and a mode's own options given without it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mode {
+    /// Fuse every preset in this process and write the JSON report (the
+    /// default).
+    Run,
+    /// Generate (or load) the corpus, save it as a checkpoint at this
+    /// path, and exit without fusing (`--save-corpus PATH`).
+    SaveCorpus(String),
+    /// Fuse only the tasks at positions `j ≡ index (mod of)` of the run's
+    /// costliest-first task table ([`shard_presets`]) and write them to
+    /// `out` as a binary shard report (`--shard index/of`).
+    Shard { index: usize, of: usize },
+    /// Reassemble the full report from these binary shard reports and
+    /// write it to `out` as JSON (`--merge PATH...`).
+    Merge(Vec<String>),
+    /// Bind `bind`, ship the corpus to registering workers, dispatch one
+    /// task per preset and merge their shard reports
+    /// (`--serve-coordinator ADDR`). The bound address is also written to
+    /// `addr_file` once listening (`--dist-addr-file PATH`), so scripts
+    /// can start workers without guessing ports.
+    Coordinator {
+        bind: String,
+        addr_file: Option<String>,
+    },
+    /// Connect to the coordinator at `addr` and answer tasks until told to
+    /// shut down (`--worker ADDR`), announcing `name` in the handshake
+    /// (`--worker-name`, default `worker`; `KF_DIST_FAIL` matches on it).
+    Worker { addr: String, name: String },
+}
+
 /// Options of the `repro` binary.
 #[derive(Debug, Clone)]
 pub struct ReproOptions {
+    /// What this process does (default: a single run).
+    pub mode: Mode,
     /// Corpus scale preset: `tiny`, `small`, `paper` (default) or `large`.
     pub scale: String,
     /// Hostile-corpus scenario applied on top of the scale preset
@@ -60,13 +95,10 @@ pub struct ReproOptions {
     pub scenario: String,
     /// Corpus generator seed.
     pub seed: u64,
-    /// Where to write the JSON report (`None` = don't write). In `--shard`
-    /// mode this is the *binary* shard-report path instead.
+    /// Where to write the JSON report (`None` = don't write). In
+    /// [`Mode::Shard`] this is the *binary* shard-report path instead,
+    /// `report-shard{i}of{n}.bin` unless `--out` / `--no-out` was given.
     pub out: Option<String>,
-    /// Whether `out` was set explicitly (`--out` / `--no-out`) rather
-    /// than defaulted — shard mode substitutes its own default file name
-    /// only when it was not.
-    pub out_explicit: bool,
     /// Threads the run keeps busy — one budget for the whole run, spent on
     /// presets first (`None` = library default; `--workers` takes ≥ 1).
     pub workers: Option<usize>,
@@ -77,20 +109,8 @@ pub struct ReproOptions {
     /// Run the Fig. 17 error-taxonomy diagnosis per preset and embed the
     /// `taxonomy` section in the report (default: true).
     pub diagnose: bool,
-    /// Generate the corpus, save it as a checkpoint at this path, and
-    /// exit without fusing (the snapshot subflow).
-    pub save_corpus: Option<String>,
     /// Load the corpus from this checkpoint instead of regenerating.
     pub corpus: Option<String>,
-    /// Run only shard `i` of `n` (`--shard i/n`): the tasks at positions
-    /// `j ≡ i (mod n)` of the run's costliest-first task table
-    /// ([`shard_presets`]), persisted as a binary shard report.
-    pub shard: Option<(usize, usize)>,
-    /// Merge mode: treat the positional arguments as binary shard-report
-    /// paths, reassemble the full report, and write it to `out` as JSON.
-    pub merge: bool,
-    /// Positional shard-report paths (merge mode only).
-    pub merge_inputs: Vec<String>,
     /// Zero every wall-clock field (`fuse_ms` and all span timings in the
     /// embedded traces) so reports from different runs (single vs.
     /// sharded) are byte-comparable.
@@ -106,50 +126,33 @@ pub struct ReproOptions {
     /// Which preset's scores the KB serves (`--kb-method`, default
     /// `popaccu_plus`). Must be among the presets the report contains.
     pub kb_method: String,
-    /// Run as a distributed coordinator: bind this address, ship the
-    /// corpus to registering workers, dispatch one task per preset, and
-    /// merge the shard reports (`--serve-coordinator ADDR`).
-    pub serve_coordinator: Option<String>,
-    /// Run as a distributed worker: connect to this coordinator address
-    /// and answer tasks until told to shut down (`--worker ADDR`).
-    pub worker: Option<String>,
-    /// Name this worker announces in its handshake (`--worker-name`,
-    /// default `worker`); fault injection (`KF_DIST_FAIL`) matches on it.
-    pub worker_name: String,
-    /// Coordinator only: write the actually bound address (useful with
-    /// port 0) to this file once listening (`--dist-addr-file PATH`), so
-    /// scripts can start workers without guessing ports.
-    pub dist_addr_file: Option<String>,
 }
 
 impl Default for ReproOptions {
     fn default() -> Self {
         ReproOptions {
+            mode: Mode::Run,
             scale: "paper".to_string(),
             scenario: "honest".to_string(),
             seed: 42,
             out: Some("report.json".to_string()),
-            out_explicit: false,
             workers: None,
             bins: 10,
             presets: Preset::ALL.to_vec(),
             diagnose: true,
-            save_corpus: None,
             corpus: None,
-            shard: None,
-            merge: false,
-            merge_inputs: Vec::new(),
             deterministic: false,
             trace: None,
             build_kb: None,
             kb_method: "popaccu_plus".to_string(),
-            serve_coordinator: None,
-            worker: None,
-            worker_name: "worker".to_string(),
-            dist_addr_file: None,
         }
     }
 }
+
+/// The flags a worker takes: the coordinator ships the corpus and every
+/// fusion parameter, and a worker writes no report and no KB, so any other
+/// flag would be parsed and then ignored.
+const WORKER_FLAGS: [&str; 4] = ["--worker", "--worker-name", "--trace", "--deterministic"];
 
 impl ReproOptions {
     /// Parse CLI arguments (without the program name).
@@ -160,6 +163,22 @@ impl ReproOptions {
     {
         let invalid = |msg: String| ParseError::Invalid(msg);
         let mut opts = ReproOptions::default();
+        // The mode and the flag that chose it. Its own options may come
+        // before or after it, so they are gathered on the side and
+        // attached once every argument is read.
+        let mut chosen: Option<(&'static str, Mode)> = None;
+        let mut choose = |flag: &'static str, mode: Mode| match &chosen {
+            Some((earlier, _)) if *earlier != flag => Err(invalid(format!(
+                "{earlier} and {flag} choose different modes; a process runs in one"
+            ))),
+            _ => {
+                chosen = Some((flag, mode));
+                Ok(())
+            }
+        };
+        let (mut worker_name, mut addr_file, mut paths) = (None, None, Vec::new());
+        // Every flag given, for the checks that depend on another flag.
+        let mut flags: Vec<String> = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             let arg = arg.as_ref();
@@ -168,6 +187,9 @@ impl ReproOptions {
                     .map(|v| v.as_ref().to_string())
                     .ok_or_else(|| ParseError::Invalid(format!("{name} requires a value")))
             };
+            if arg.starts_with('-') {
+                flags.push(arg.to_string());
+            }
             match arg {
                 "--scale" => {
                     let v = value("--scale")?;
@@ -191,14 +213,8 @@ impl ReproOptions {
                     let v = value("--seed")?;
                     opts.seed = v.parse().map_err(|_| invalid(format!("bad seed {v:?}")))?;
                 }
-                "--out" => {
-                    opts.out = Some(value("--out")?);
-                    opts.out_explicit = true;
-                }
-                "--no-out" => {
-                    opts.out = None;
-                    opts.out_explicit = true;
-                }
+                "--out" => opts.out = Some(value("--out")?),
+                "--no-out" => opts.out = None,
                 "--workers" => {
                     let v = value("--workers")?;
                     // 0 would mean one thread in-process but "library
@@ -233,20 +249,23 @@ impl ReproOptions {
                     opts.presets = presets;
                 }
                 "--no-diagnose" => opts.diagnose = false,
-                "--save-corpus" => opts.save_corpus = Some(value("--save-corpus")?),
+                "--save-corpus" => {
+                    choose("--save-corpus", Mode::SaveCorpus(value("--save-corpus")?))?
+                }
                 "--corpus" => opts.corpus = Some(value("--corpus")?),
                 "--shard" => {
                     let v = value("--shard")?;
                     let parsed = v.split_once('/').and_then(|(i, n)| {
-                        let i: usize = i.parse().ok()?;
-                        let n: usize = n.parse().ok()?;
-                        (n >= 1 && i < n).then_some((i, n))
+                        let index: usize = i.parse().ok()?;
+                        let of: usize = n.parse().ok()?;
+                        (of >= 1 && index < of).then_some(Mode::Shard { index, of })
                     });
-                    opts.shard = Some(parsed.ok_or_else(|| {
+                    let mode = parsed.ok_or_else(|| {
                         invalid(format!("bad shard spec {v:?} (expected i/n with i < n)"))
-                    })?);
+                    })?;
+                    choose("--shard", mode)?;
                 }
-                "--merge" => opts.merge = true,
+                "--merge" => choose("--merge", Mode::Merge(Vec::new()))?,
                 "--deterministic" => opts.deterministic = true,
                 "--trace" => opts.trace = Some(value("--trace")?),
                 "--build-kb" => opts.build_kb = Some(value("--build-kb")?),
@@ -258,98 +277,115 @@ impl ReproOptions {
                     opts.kb_method = v;
                 }
                 "--serve-coordinator" => {
-                    opts.serve_coordinator = Some(value("--serve-coordinator")?)
+                    let bind = value("--serve-coordinator")?;
+                    let addr_file = None;
+                    choose("--serve-coordinator", Mode::Coordinator { bind, addr_file })?;
                 }
-                "--worker" => opts.worker = Some(value("--worker")?),
-                "--worker-name" => opts.worker_name = value("--worker-name")?,
-                "--dist-addr-file" => opts.dist_addr_file = Some(value("--dist-addr-file")?),
+                "--worker" => {
+                    let (addr, name) = (value("--worker")?, "worker".to_string());
+                    choose("--worker", Mode::Worker { addr, name })?;
+                }
+                "--worker-name" => worker_name = Some(value("--worker-name")?),
+                "--dist-addr-file" => addr_file = Some(value("--dist-addr-file")?),
                 "--help" | "-h" => return Err(ParseError::Help),
-                other if !other.starts_with('-') => {
-                    opts.merge_inputs.push(other.to_string());
-                }
+                other if !other.starts_with('-') => paths.push(other.to_string()),
                 other => return Err(invalid(format!("unknown argument {other:?}\n{USAGE}"))),
             }
         }
-        if opts.serve_coordinator.is_some() && opts.worker.is_some() {
-            return Err(invalid(
-                "--serve-coordinator and --worker are different processes; pick one".to_string(),
-            ));
-        }
-        if opts.serve_coordinator.is_some()
-            && (opts.shard.is_some() || opts.merge || opts.save_corpus.is_some())
-        {
-            return Err(invalid(
-                "--serve-coordinator is its own fan-out: it cannot be combined with \
-                 --shard/--merge/--save-corpus"
-                    .to_string(),
-            ));
-        }
-        if opts.worker.is_some() {
-            let conflict = opts.shard.is_some()
-                || opts.merge
-                || opts.save_corpus.is_some()
-                || opts.corpus.is_some()
-                || opts.build_kb.is_some()
-                || opts.out_explicit;
-            if conflict {
+        let given = |flag: &str| flags.iter().any(|f| f == flag);
+        opts.mode = chosen.map_or(Mode::Run, |(_, mode)| mode);
+
+        // Each mode's own options, attached to it or rejected without it.
+        match (&mut opts.mode, worker_name) {
+            (Mode::Worker { name, .. }, Some(n)) => *name = n,
+            (_, Some(_)) => {
                 return Err(invalid(
-                    "--worker receives its corpus and task parameters from the \
-                     coordinator and writes no report; it cannot be combined with \
-                     --shard/--merge/--save-corpus/--corpus/--build-kb/--out/--no-out"
+                    "--worker-name only makes sense with --worker".to_string(),
+                ))
+            }
+            _ => {}
+        }
+        match (&mut opts.mode, addr_file) {
+            (Mode::Coordinator { addr_file, .. }, file) => *addr_file = file,
+            (_, Some(_)) => {
+                return Err(invalid(
+                    "--dist-addr-file only makes sense with --serve-coordinator (workers \
+                     take the address as the --worker argument)"
                         .to_string(),
-                ));
+                ))
             }
-            if opts.scenario != "honest" {
+            _ => {}
+        }
+        match (&mut opts.mode, paths) {
+            (Mode::Merge(inputs), paths) => *inputs = paths,
+            (_, paths) if !paths.is_empty() => {
+                return Err(invalid(format!(
+                    "positional argument {:?} only allowed with --merge\n{USAGE}",
+                    paths[0]
+                )))
+            }
+            _ => {}
+        }
+
+        match &opts.mode {
+            Mode::Run | Mode::Coordinator { .. } => {}
+            Mode::SaveCorpus(_) | Mode::Shard { .. } if opts.build_kb.is_some() => {
                 return Err(invalid(
-                    "--scenario applies at corpus-generation time; a --worker fuses \
-                     whatever corpus the coordinator ships"
+                    "--build-kb needs a finished report: --save-corpus exits before \
+                     fusing, and a --shard report is partial (build the KB from the \
+                     merged report instead)"
                         .to_string(),
-                ));
+                ))
             }
-        }
-        if opts.dist_addr_file.is_some() && opts.serve_coordinator.is_none() {
-            return Err(invalid(
-                "--dist-addr-file only makes sense with --serve-coordinator (workers \
-                 take the address as the --worker argument)"
-                    .to_string(),
-            ));
-        }
-        if opts.merge {
-            if opts.merge_inputs.is_empty() {
-                return Err(invalid(
-                    "--merge needs at least one shard-report path".to_string(),
-                ));
-            }
-            if opts.shard.is_some() || opts.save_corpus.is_some() {
-                return Err(invalid(
-                    "--merge cannot be combined with --shard/--save-corpus".to_string(),
-                ));
-            }
-            // Shard reports carry no extractions, so compiling a KB out
-            // of a merge needs the corpus snapshot the shards ran on;
-            // without --build-kb a corpus would be silently unused.
-            match (&opts.build_kb, &opts.corpus) {
-                (Some(_), None) => {
-                    return Err(invalid(
-                        "--merge --build-kb needs --corpus (the snapshot the shards \
-                         fused, to compile the KB from)"
-                            .to_string(),
-                    ))
+            Mode::SaveCorpus(_) => {}
+            Mode::Shard { index, of } => {
+                // An explicit --out is honoured verbatim (and --no-out
+                // skips the write); only the default is replaced.
+                if !given("--out") && !given("--no-out") {
+                    opts.out = Some(format!("report-shard{index}of{of}.bin"));
                 }
-                (None, Some(_)) => {
-                    return Err(invalid(
-                        "--merge only accepts --corpus together with --build-kb".to_string(),
-                    ))
-                }
-                _ => {}
             }
-        } else if !opts.merge_inputs.is_empty() {
-            return Err(invalid(format!(
-                "positional argument {:?} only allowed with --merge\n{USAGE}",
-                opts.merge_inputs[0]
-            )));
+            Mode::Merge(inputs) => {
+                if inputs.is_empty() {
+                    return Err(invalid(
+                        "--merge needs at least one shard-report path".to_string(),
+                    ));
+                }
+                // Shard reports carry no extractions, so compiling a KB
+                // out of a merge needs the corpus snapshot the shards ran
+                // on; without --build-kb a corpus would be silently unused.
+                match (&opts.build_kb, &opts.corpus) {
+                    (Some(_), None) => {
+                        return Err(invalid(
+                            "--merge --build-kb needs --corpus (the snapshot the shards \
+                             fused, to compile the KB from)"
+                                .to_string(),
+                        ))
+                    }
+                    (None, Some(_)) => {
+                        return Err(invalid(
+                            "--merge only accepts --corpus together with --build-kb".to_string(),
+                        ))
+                    }
+                    _ => {}
+                }
+            }
+            Mode::Worker { .. } => {
+                let ignored: Vec<&str> = (flags.iter().map(String::as_str))
+                    .filter(|flag| !WORKER_FLAGS.contains(flag))
+                    .collect();
+                if !ignored.is_empty() {
+                    return Err(invalid(format!(
+                        "--worker receives its corpus and task parameters from the \
+                         coordinator and writes no report, so it takes only {}, not {}",
+                        WORKER_FLAGS.join(", "),
+                        ignored.join(", ")
+                    )));
+                }
+            }
         }
-        if opts.scenario != "honest" && (opts.corpus.is_some() || opts.merge) {
+        let merge = matches!(opts.mode, Mode::Merge(_));
+        if opts.scenario != "honest" && (opts.corpus.is_some() || merge) {
             return Err(invalid(
                 "--scenario applies at corpus-generation time; a checkpoint loaded \
                  with --corpus (or shard reports under --merge) already embeds its \
@@ -357,39 +393,20 @@ impl ReproOptions {
                     .to_string(),
             ));
         }
-        if opts.save_corpus.is_some() && opts.shard.is_some() {
+        if opts.build_kb.is_none() && given("--kb-method") {
             return Err(invalid(
-                "--save-corpus cannot be combined with --shard (the snapshot subflow \
-                 exits before fusing)"
-                    .to_string(),
+                "--kb-method only makes sense with --build-kb".to_string(),
             ));
         }
-        if opts.build_kb.is_some() {
-            if opts.shard.is_some() {
-                return Err(invalid(
-                    "--build-kb cannot be combined with --shard (a shard report is \
-                     partial; build the KB from the merged report instead)"
-                        .to_string(),
-                ));
-            }
-            if opts.save_corpus.is_some() {
-                return Err(invalid(
-                    "--build-kb cannot be combined with --save-corpus (the snapshot \
-                     subflow exits before fusing)"
-                        .to_string(),
-                ));
-            }
-            let method = Preset::by_name(&opts.kb_method)
-                .ok_or_else(|| invalid(format!("unknown --kb-method {:?}", opts.kb_method)))?;
-            // In merge mode the preset list describes this process, not
-            // the shard runs; membership is checked against the merged
-            // report at runtime instead.
-            if !opts.merge && !opts.presets.contains(&method) {
-                return Err(invalid(format!(
-                    "--kb-method {} is not among the presets this run fuses",
-                    opts.kb_method
-                )));
-            }
+        // In merge mode the preset list describes this process, not the
+        // shard runs; membership is checked against the merged report at
+        // runtime instead.
+        let fused = opts.presets.iter().any(|p| p.name() == opts.kb_method);
+        if opts.build_kb.is_some() && !merge && !fused {
+            return Err(invalid(format!(
+                "--kb-method {} is not among the presets this run fuses",
+                opts.kb_method
+            )));
         }
         Ok(opts)
     }
@@ -399,6 +416,10 @@ impl ReproOptions {
 pub const USAGE: &str = "\
 repro — generate a synthetic corpus, fuse it under the paper's five presets,
 evaluate calibration and PR quality, and write a diffable report.json.
+
+A process runs in one mode: a single run (default), or exactly one of
+--save-corpus, --shard, --merge, --serve-coordinator and --worker. A
+second mode flag, or a mode's own option without its mode, is rejected.
 
 options:
   --scale tiny|small|paper|large   corpus size (default: paper)
@@ -449,12 +470,16 @@ distributed execution:
   --worker ADDR                    connect to a coordinator at ADDR and
                                    answer tasks until shut down; corpus
                                    and fusion parameters arrive over the
-                                   wire, so most other flags are rejected
-  --worker-name NAME               handshake name (default: worker); the
-                                   KF_DIST_FAIL fault injection matches it
-  --dist-addr-file PATH            coordinator: write the bound address to
-                                   PATH once listening, so scripts can
-                                   start workers without guessing ports
+                                   wire, so a worker takes only
+                                   --worker-name, --trace and
+                                   --deterministic
+  --worker-name NAME               --worker: handshake name (default:
+                                   worker); the KF_DIST_FAIL fault
+                                   injection matches it
+  --dist-addr-file PATH            --serve-coordinator: write the bound
+                                   address to PATH once listening, so
+                                   scripts can start workers without
+                                   guessing ports
 
 serving:
   --build-kb PATH                  also compile the finished report into
@@ -462,8 +487,8 @@ serving:
                                    it with kf-serve); with --merge this
                                    needs --corpus, so sharded runs emit
                                    a servable artifact in one pass
-  --kb-method NAME                 preset the KB serves (default:
-                                   popaccu_plus)
+  --kb-method NAME                 --build-kb: preset the KB serves
+                                   (default: popaccu_plus)
 ";
 
 /// The corpus configuration for a scale name.
@@ -617,8 +642,8 @@ pub fn task_runner() -> impl FnMut(&Corpus, &TaskSpec) -> Result<EvalReport, Str
     }
 }
 
-/// Load binary shard reports and merge them into the full report (the
-/// `--merge` subflow).
+/// Load binary shard reports and merge them into the full report
+/// ([`Mode::Merge`]).
 pub fn merge_shards(paths: &[String]) -> Result<EvalReport, String> {
     let mut shards = Vec::with_capacity(paths.len());
     for path in paths {
@@ -632,10 +657,11 @@ pub fn merge_shards(paths: &[String]) -> Result<EvalReport, String> {
 /// corpus it measured, and save it at `opts.build_kb`. Returns the
 /// serving KB for log lines.
 ///
-/// Shared by the single-run and `--merge` subflows of `repro`, so a
-/// sharded reproduction emits a servable artifact directly from the
-/// in-memory merged report — no second load/decode pass over the
-/// artifacts it just wrote. It goes through [`kf_serve::FusedKb::compile`],
+/// `repro` calls it on whichever finished report its mode produced — a
+/// single run's, a coordinator's or a `--merge`'s — so a sharded
+/// reproduction emits a servable artifact directly from the in-memory
+/// merged report, with no second load/decode pass over the artifacts it
+/// just wrote. It goes through [`kf_serve::FusedKb::compile`],
 /// which re-runs the `kb_method` preset's fusion: the report keeps no
 /// per-triple scores.
 pub fn compile_kb(
@@ -1076,49 +1102,13 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(opts.corpus.as_deref(), Some("c.kfc"));
-        assert_eq!(opts.shard, Some((1, 3)));
+        assert_eq!(opts.mode, Mode::Shard { index: 1, of: 3 });
         assert!(opts.deterministic);
         assert_eq!(opts.out.as_deref(), Some("s1.bin"));
 
         let opts = ReproOptions::parse(["--save-corpus", "snap.kfc", "--scale", "tiny"]).unwrap();
-        assert_eq!(opts.save_corpus.as_deref(), Some("snap.kfc"));
-
-        // Explicitness of --out / --no-out is tracked so shard mode can
-        // tell a defaulted report.json from a requested one.
-        assert!(
-            !ReproOptions::parse(Vec::<String>::new())
-                .unwrap()
-                .out_explicit
-        );
-        assert!(
-            ReproOptions::parse(["--out", "report.json"])
-                .unwrap()
-                .out_explicit
-        );
-        let no_out = ReproOptions::parse(["--no-out"]).unwrap();
-        assert!(no_out.out_explicit && no_out.out.is_none());
-
-        let opts = ReproOptions::parse(["--merge", "a.bin", "b.bin", "--out", "m.json"]).unwrap();
-        assert!(opts.merge);
-        assert_eq!(opts.merge_inputs, vec!["a.bin", "b.bin"]);
-    }
-
-    #[test]
-    fn parse_rejects_invalid_shard_and_merge_combos() {
-        // Malformed shard specs.
-        for bad in ["2/2", "3/2", "x/2", "1", "1/0", "/2", "1/"] {
-            assert!(ReproOptions::parse(["--shard", bad]).is_err(), "{bad}");
-        }
-        // Positionals without --merge.
-        assert!(ReproOptions::parse(["stray.bin"]).is_err());
-        // Merge without inputs, or combined with generation/shard flags.
-        assert!(ReproOptions::parse(["--merge"]).is_err());
-        assert!(ReproOptions::parse(["--merge", "a.bin", "--shard", "0/2"]).is_err());
-        assert!(ReproOptions::parse(["--merge", "a.bin", "--corpus", "c.kfc"]).is_err());
-        assert!(ReproOptions::parse(["--merge", "a.bin", "--save-corpus", "c.kfc"]).is_err());
-        // Snapshot mode exits before fusing, so a shard request with it
-        // is a contradiction, not a silent no-op.
-        assert!(ReproOptions::parse(["--save-corpus", "c.kfc", "--shard", "0/2"]).is_err());
+        assert_eq!(opts.mode, Mode::SaveCorpus("snap.kfc".into()));
+        assert_eq!(opts.scale, "tiny");
     }
 
     #[test]
@@ -1142,30 +1132,9 @@ mod tests {
             "c.kfc",
         ])
         .unwrap();
-        assert!(opts.merge);
+        assert_eq!(opts.mode, Mode::Merge(vec!["a.bin".into(), "b.bin".into()]));
         assert_eq!(opts.build_kb.as_deref(), Some("out.kb"));
         assert_eq!(opts.corpus.as_deref(), Some("c.kfc"));
-    }
-
-    #[test]
-    fn parse_rejects_invalid_build_kb_combos() {
-        // Unknown or un-run serving method.
-        assert!(ReproOptions::parse(["--build-kb", "o.kb", "--kb-method", "nope"]).is_err());
-        assert!(ReproOptions::parse([
-            "--build-kb",
-            "o.kb",
-            "--presets",
-            "vote",
-            "--kb-method",
-            "accu"
-        ])
-        .is_err());
-        // A shard report is partial; the snapshot subflow never fuses.
-        assert!(ReproOptions::parse(["--build-kb", "o.kb", "--shard", "0/2"]).is_err());
-        assert!(ReproOptions::parse(["--build-kb", "o.kb", "--save-corpus", "c.kfc"]).is_err());
-        // Merge + KB without the corpus, and merge + corpus without a KB.
-        assert!(ReproOptions::parse(["--merge", "a.bin", "--build-kb", "o.kb"]).is_err());
-        assert!(ReproOptions::parse(["--merge", "a.bin", "--corpus", "c.kfc"]).is_err());
     }
 
     #[test]
@@ -1178,52 +1147,234 @@ mod tests {
             "--deterministic",
         ])
         .unwrap();
-        assert_eq!(opts.serve_coordinator.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(opts.dist_addr_file.as_deref(), Some("addr.txt"));
+        let coordinator = Mode::Coordinator {
+            bind: "127.0.0.1:0".into(),
+            addr_file: Some("addr.txt".into()),
+        };
+        assert_eq!(opts.mode, coordinator);
+        assert!(opts.deterministic);
 
         let opts =
             ReproOptions::parse(["--worker", "127.0.0.1:7000", "--worker-name", "w3"]).unwrap();
-        assert_eq!(opts.worker.as_deref(), Some("127.0.0.1:7000"));
-        assert_eq!(opts.worker_name, "w3");
-        assert_eq!(
-            ReproOptions::parse(Vec::<String>::new())
-                .unwrap()
-                .worker_name,
-            "worker"
-        );
+        let worker = Mode::Worker {
+            addr: "127.0.0.1:7000".into(),
+            name: "w3".into(),
+        };
+        assert_eq!(opts.mode, worker);
+    }
+
+    /// `args` is rejected as a contradiction, not as garbage or a help
+    /// request; the message says why.
+    fn invalid(args: &[&str]) -> String {
+        match ReproOptions::parse(args) {
+            Err(ParseError::Invalid(msg)) => msg,
+            other => panic!("{args:?} parsed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_rejects_invalid_shard_and_merge_combos() {
+        // Malformed shard specs.
+        for bad in ["2/2", "3/2", "x/2", "1", "1/0", "/2", "1/"] {
+            invalid(&["--shard", bad]);
+        }
+        // Positionals without --merge.
+        invalid(&["stray.bin"]);
+        // Merge without inputs, or combined with another mode or with a
+        // corpus it would not use.
+        invalid(&["--merge"]);
+        invalid(&["--merge", "a.bin", "--shard", "0/2"]);
+        invalid(&["--merge", "a.bin", "--corpus", "c.kfc"]);
+        invalid(&["--merge", "a.bin", "--save-corpus", "c.kfc"]);
+        // Snapshot mode exits before fusing, so a shard request with it
+        // is a contradiction, not a silent no-op.
+        invalid(&["--save-corpus", "c.kfc", "--shard", "0/2"]);
+    }
+
+    #[test]
+    fn parse_rejects_invalid_build_kb_combos() {
+        // Unknown or un-run serving method.
+        invalid(&["--build-kb", "o.kb", "--kb-method", "nope"]);
+        invalid(&[
+            "--build-kb",
+            "o.kb",
+            "--presets",
+            "vote",
+            "--kb-method",
+            "accu",
+        ]);
+        // A shard report is partial; the snapshot mode never fuses.
+        invalid(&["--build-kb", "o.kb", "--shard", "0/2"]);
+        invalid(&["--build-kb", "o.kb", "--save-corpus", "c.kfc"]);
+        // Merge + KB without the corpus, and merge + corpus without a KB.
+        invalid(&["--merge", "a.bin", "--build-kb", "o.kb"]);
+        invalid(&["--merge", "a.bin", "--corpus", "c.kfc"]);
+        // A serving method with no KB to serve it.
+        invalid(&["--kb-method", "vote"]);
+        invalid(&[
+            "--scale",
+            "tiny",
+            "--no-out",
+            "--worker-name",
+            "ghost",
+            "--kb-method",
+            "vote",
+        ]);
     }
 
     #[test]
     fn parse_rejects_invalid_dist_combos() {
         // One process is one role.
-        assert!(
-            ReproOptions::parse(["--serve-coordinator", "127.0.0.1:0", "--worker", "a:1"]).is_err()
-        );
+        invalid(&["--serve-coordinator", "127.0.0.1:0", "--worker", "a:1"]);
         // The coordinator replaces the process-level fan-out flags.
         for extra in [
             ["--shard", "0/2"],
             ["--merge", "a.bin"],
             ["--save-corpus", "c.kfc"],
         ] {
-            let args = ["--serve-coordinator", "127.0.0.1:0", extra[0], extra[1]];
-            assert!(ReproOptions::parse(args).is_err(), "{extra:?}");
+            invalid(&["--serve-coordinator", "127.0.0.1:0", extra[0], extra[1]]);
         }
-        // A worker's corpus and parameters come over the wire.
-        for extra in [
-            ["--shard", "0/2"],
-            ["--merge", "a.bin"],
-            ["--save-corpus", "c.kfc"],
-            ["--corpus", "c.kfc"],
-            ["--build-kb", "o.kb"],
-            ["--out", "r.json"],
-            ["--scenario", "spam"],
-        ] {
-            let args = ["--worker", "127.0.0.1:7000", extra[0], extra[1]];
-            assert!(ReproOptions::parse(args).is_err(), "{extra:?}");
+        // A worker's corpus and parameters come over the wire, and it
+        // writes no report or KB.
+        let extras: [&[&str]; 14] = [
+            &["--shard", "0/2"],
+            &["--merge", "a.bin"],
+            &["--save-corpus", "c.kfc"],
+            &["--corpus", "c.kfc"],
+            &["--build-kb", "o.kb"],
+            &["--out", "r.json"],
+            &["--no-out"],
+            &["--scenario", "spam"],
+            &["--presets", "vote"],
+            &["--bins", "3"],
+            &["--seed", "5"],
+            &["--scale", "tiny"],
+            &["--workers", "2"],
+            &["--no-diagnose"],
+        ];
+        for extra in extras {
+            invalid(&[&["--worker", "127.0.0.1:7000"][..], extra].concat());
         }
         // The address file is the coordinator's rendezvous output.
-        assert!(ReproOptions::parse(["--dist-addr-file", "addr.txt"]).is_err());
-        assert!(ReproOptions::parse(["--worker", "a:1", "--dist-addr-file", "addr.txt"]).is_err());
+        invalid(&["--dist-addr-file", "addr.txt"]);
+        invalid(&["--worker", "a:1", "--dist-addr-file", "addr.txt"]);
+    }
+
+    /// A process runs in one mode. Two mode flags, or a mode's own option
+    /// outside it, are `ParseError::Invalid`; the accepted forms parse to
+    /// exactly their mode, each with its own inputs attached.
+    #[test]
+    fn parse_accepts_one_mode_and_rejects_the_rest() {
+        let modes: [(&str, &[&str]); 6] = [
+            ("", &[]),
+            ("--save-corpus", &["--save-corpus", "c.kfc"]),
+            ("--shard", &["--shard", "0/2"]),
+            ("--merge", &["--merge", "a.bin"]),
+            (
+                "--serve-coordinator",
+                &["--serve-coordinator", "127.0.0.1:0"],
+            ),
+            ("--worker", &["--worker", "127.0.0.1:7000"]),
+        ];
+
+        // All ten pairs of mode flags, in either order, named together in
+        // the message.
+        for (first, a) in &modes[1..] {
+            for (second, b) in modes[1..].iter().filter(|(flag, _)| flag != first) {
+                let msg = invalid(&[*a, *b].concat());
+                assert!(msg.contains(first) && msg.contains(second), "{msg}");
+            }
+        }
+        // Each mode's own option, outside its mode.
+        let own: [(&str, &[&str]); 3] = [
+            ("--worker", &["--worker-name", "w"]),
+            ("--serve-coordinator", &["--dist-addr-file", "addr.txt"]),
+            ("--merge", &["stray.bin"]),
+        ];
+        for (owner, option) in own {
+            for (flag, args) in modes.iter().filter(|(flag, _)| *flag != owner) {
+                let row = [*args, option].concat();
+                assert!(!invalid(&row).is_empty(), "{flag} {option:?}");
+            }
+        }
+
+        let shard = |index, of| Mode::Shard { index, of };
+        let merge = |paths: &[&str]| Mode::Merge(paths.iter().map(|p| p.to_string()).collect());
+        let coordinator = |addr_file: Option<&str>| Mode::Coordinator {
+            bind: "127.0.0.1:0".into(),
+            addr_file: addr_file.map(Into::into),
+        };
+        let worker = |name: &str| Mode::Worker {
+            addr: "a:1".into(),
+            name: name.into(),
+        };
+        let json = Some("report.json");
+        let accepted: &[(&[&str], Mode, Option<&str>)] = &[
+            (&[], Mode::Run, json),
+            (
+                &["--save-corpus", "c.kfc"],
+                Mode::SaveCorpus("c.kfc".into()),
+                json,
+            ),
+            // A defaulted report path becomes the shard's own file name;
+            // an explicit --out or --no-out is honoured verbatim.
+            (
+                &["--shard", "1/3"],
+                shard(1, 3),
+                Some("report-shard1of3.bin"),
+            ),
+            (
+                &["--out", "s.bin", "--shard", "1/3"],
+                shard(1, 3),
+                Some("s.bin"),
+            ),
+            (&["--shard", "0/2", "--no-out"], shard(0, 2), None),
+            // Repeating a mode flag is not a second mode: the last wins.
+            (
+                &["--shard", "0/2", "--shard", "1/2"],
+                shard(1, 2),
+                Some("report-shard1of2.bin"),
+            ),
+            (
+                &["a.bin", "--merge", "b.bin"],
+                merge(&["a.bin", "b.bin"]),
+                json,
+            ),
+            (
+                &["--serve-coordinator", "127.0.0.1:0"],
+                coordinator(None),
+                json,
+            ),
+            (
+                &[
+                    "--dist-addr-file",
+                    "f",
+                    "--serve-coordinator",
+                    "127.0.0.1:0",
+                ],
+                coordinator(Some("f")),
+                json,
+            ),
+            (&["--worker", "a:1"], worker("worker"), json),
+            (
+                &[
+                    "--worker-name",
+                    "w3",
+                    "--worker",
+                    "a:1",
+                    "--trace",
+                    "t.json",
+                    "--deterministic",
+                ],
+                worker("w3"),
+                json,
+            ),
+        ];
+        for (args, mode, out) in accepted {
+            let opts = ReproOptions::parse(*args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!(&opts.mode, mode, "{args:?}");
+            assert_eq!(opts.out.as_deref(), *out, "{args:?}");
+        }
     }
 
     #[test]

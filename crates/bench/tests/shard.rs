@@ -105,3 +105,61 @@ fn shard_reports_roundtrip_and_refuse_foreign_corpora() {
     std::fs::remove_file(&path).unwrap();
     std::fs::remove_file(&other_path).unwrap();
 }
+
+/// The same flow through the `repro` binary, from a scratch working
+/// directory: the shards run without `--out`, so they write their default
+/// `report-shard{i}of{n}.bin` names there, and a `--merge` of those with
+/// `--build-kb` must reproduce a single `--deterministic` run's report and
+/// KB byte for byte.
+#[test]
+fn repro_binary_shards_and_merges_like_a_single_run() {
+    use std::process::Command;
+
+    let dir = tmp_path("cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let repro = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro spawns");
+        assert!(
+            out.status.success(),
+            "repro {args:?} failed:\n{}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+    };
+    let tiny = ["--scale", "tiny", "--deterministic", "--corpus", "c.kfc"];
+
+    repro(&["--scale", "tiny", "--seed", "11", "--save-corpus", "c.kfc"]);
+    repro(
+        &[
+            &tiny[..],
+            &["--out", "single.json", "--build-kb", "single.kb"],
+        ]
+        .concat(),
+    );
+    repro(&[&tiny[..], &["--shard", "0/2"]].concat());
+    repro(&[&tiny[..], &["--shard", "1/2"]].concat());
+    repro(&[
+        "--merge",
+        "report-shard0of2.bin",
+        "report-shard1of2.bin",
+        "--build-kb",
+        "m.kb",
+        "--corpus",
+        "c.kfc",
+    ]);
+
+    let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
+    assert!(
+        read("report.json") == read("single.json"),
+        "the merged report differs from the single run's"
+    );
+    assert!(
+        read("m.kb") == read("single.kb"),
+        "the merged run's KB differs from the single run's"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -30,6 +30,11 @@ use std::time::{Duration, Instant};
 
 /// Tuning knobs of a coordinator run. `Default` is sized for real
 /// (CI/operator) runs; tests shrink the intervals.
+///
+/// A worker holds at most one task at a time. Workers fuse serially, so
+/// a deeper queue would only front-load whoever registers first — later
+/// registrants would sit idle — and widen the re-dispatch blast radius
+/// when that worker dies.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     /// Cadence workers are told to heartbeat at ([`WireMsg::Welcome`]).
@@ -49,11 +54,6 @@ pub struct CoordinatorConfig {
     /// live workers (and no progress) before aborting with
     /// [`DistError::NoWorkers`].
     pub idle_timeout: Duration,
-    /// Tasks a single worker may have outstanding at once. Workers fuse
-    /// serially, so anything beyond 1 only front-loads the queue of
-    /// whoever registers first — later registrants would sit idle — and
-    /// widens the re-dispatch blast radius when that worker dies.
-    pub max_in_flight: usize,
     /// Narrate registrations, dispatches, losses and completions on
     /// stderr — the operator transcript; tests leave it off.
     pub verbose: bool,
@@ -67,7 +67,6 @@ impl Default for CoordinatorConfig {
             redispatch_backoff: Duration::from_millis(100),
             max_redispatch: 5,
             idle_timeout: Duration::from_secs(60),
-            max_in_flight: 1,
             verbose: false,
         }
     }
@@ -120,8 +119,8 @@ enum TaskStatus {
     /// Waiting for dispatch, not before the embedded deadline (backoff).
     Pending { not_before: Instant },
     /// Sent to a worker, result outstanding. (Which worker is tracked
-    /// in the per-worker `in_flight` ledgers, where loss handling
-    /// needs it.)
+    /// in the per-worker `in_flight` slots, where loss handling needs
+    /// it.)
     Running,
     /// A completion was accepted; later replicas are duplicates.
     Done,
@@ -143,7 +142,8 @@ struct WorkerState {
     /// stays open: a hung worker may still deliver a late completion,
     /// which first-wins/duplicate accounting handles.
     lost: bool,
-    in_flight: Vec<u32>,
+    /// The task this worker is running, if any.
+    in_flight: Option<u32>,
 }
 
 struct ConnState {
@@ -420,7 +420,7 @@ impl Engine {
                     name,
                     last_seen: Instant::now(),
                     lost: false,
-                    in_flight: Vec::new(),
+                    in_flight: None,
                 });
                 kf_telemetry::add("dist.worker.registered", 1);
                 self.last_progress = Instant::now();
@@ -498,12 +498,8 @@ impl Engine {
                     self.worker_name(conn)
                 ));
                 // The winning replica may not be the one this task is
-                // marked Running on; clear it from every ledger.
-                for c in &mut self.conns {
-                    if let Some(w) = c.worker.as_mut() {
-                        w.in_flight.retain(|&t| t != task_id);
-                    }
-                }
+                // marked Running on; clear it from every slot.
+                self.release(task_id);
                 self.last_progress = Instant::now();
             }
             Err(e) => self.fail_task(conn, task_id, &format!("undecodable shard report: {e}")),
@@ -517,7 +513,7 @@ impl Engine {
         let holds = self.conns[conn]
             .worker
             .as_ref()
-            .is_some_and(|w| w.in_flight.contains(&task_id));
+            .is_some_and(|w| w.in_flight == Some(task_id));
         if holds {
             kf_telemetry::add("dist.task.failed", 1);
             self.requeue(task_id, error, Requeue::TaskFailed);
@@ -552,9 +548,16 @@ impl Engine {
         task.status = TaskStatus::Pending {
             not_before: Instant::now() + backoff,
         };
+        self.release(task_id);
+    }
+
+    /// Free every worker holding `task_id`.
+    fn release(&mut self, task_id: u32) {
         for c in &mut self.conns {
             if let Some(w) = c.worker.as_mut() {
-                w.in_flight.retain(|&t| t != task_id);
+                if w.in_flight == Some(task_id) {
+                    w.in_flight = None;
+                }
             }
         }
     }
@@ -599,7 +602,7 @@ impl Engine {
                     w.lost = true;
                     kf_telemetry::add("dist.worker.lost", 1);
                     stale.push(w.name.clone());
-                    orphaned.append(&mut w.in_flight);
+                    orphaned.extend(w.in_flight.take());
                 }
             }
         }
@@ -613,8 +616,8 @@ impl Engine {
         }
     }
 
-    /// Hand every due pending task to the live worker with the least
-    /// in-flight load (lowest connection id on ties).
+    /// Hand every due pending task to the idle live worker with the
+    /// lowest connection id.
     fn dispatch_pending(&mut self, now: Instant) {
         for task_id in 0..self.tasks.len() {
             let due = match self.tasks[task_id].status {
@@ -627,26 +630,11 @@ impl Engine {
             let msg = WireMsg::Task {
                 spec: self.specs[task_id].clone(),
             };
-            let target = self
-                .conns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    Self::is_live(c)
-                        && c.worker
-                            .as_ref()
-                            .is_some_and(|w| w.in_flight.len() < self.config.max_in_flight)
-                })
-                .min_by_key(|&(id, c)| {
-                    (
-                        c.worker.as_ref().map_or(usize::MAX, |w| w.in_flight.len()),
-                        id,
-                    )
-                })
-                .map(|(id, _)| id);
+            let idle = |c: &ConnState| c.worker.as_ref().is_some_and(|w| w.in_flight.is_none());
+            let target = (self.conns.iter()).position(|c| Self::is_live(c) && idle(c));
             let Some(conn) = target else {
-                // Every live worker is at capacity (or none exists);
-                // the task stays pending until a slot frees up.
+                // Every live worker is busy (or none exists); the task
+                // stays pending until one frees up.
                 return;
             };
             if self.send(conn, &msg) {
@@ -662,7 +650,7 @@ impl Engine {
                 }
                 task.attempts += 1;
                 if let Some(w) = self.conns[conn].worker.as_mut() {
-                    w.in_flight.push(task_id as u32);
+                    w.in_flight = Some(task_id as u32);
                 }
                 self.last_progress = Instant::now();
             }
@@ -703,12 +691,12 @@ impl Engine {
                     w.lost = true;
                     kf_telemetry::add("dist.worker.lost", 1);
                 }
-                (Some(w.name.clone()), std::mem::take(&mut w.in_flight))
+                (Some(w.name.clone()), w.in_flight.take())
             }
             None => {
                 // Hung up early, refused, out of protocol, or stalled.
                 kf_telemetry::add("dist.conn.unregistered", 1);
-                (None, Vec::new())
+                (None, None)
             }
         };
         if let Some(name) = name {
@@ -716,7 +704,7 @@ impl Engine {
                 "worker {name} lost (connection closed); re-queueing its tasks"
             ));
         }
-        for task_id in orphaned {
+        if let Some(task_id) = orphaned {
             self.requeue(task_id, "worker connection closed", Requeue::WorkerLost);
         }
     }

@@ -79,7 +79,6 @@ fn test_config() -> CoordinatorConfig {
         redispatch_backoff: Duration::from_millis(5),
         max_redispatch: 10,
         idle_timeout: Duration::from_secs(30),
-        max_in_flight: 1,
         verbose: false,
     }
 }

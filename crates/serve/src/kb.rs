@@ -40,8 +40,8 @@ use kf_eval::{AblationRunner, CalibrationCurve, CorpusSummary, EvalReport, Metho
 use kf_synth::Corpus;
 use kf_telemetry::{add, span};
 use kf_types::checkpoint::{self, ArtifactKind, CheckpointError};
-use kf_types::codec::{decode_column, encode_column};
-use kf_types::{EntityId, GoldStandard, KvCodec, Label, Numeric, StrId, Triple, Value};
+use kf_types::codec::{decode_column, encode_column, value_columns, value_from_columns};
+use kf_types::{EntityId, GoldStandard, KvCodec, Label, Triple, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -182,25 +182,6 @@ pub(crate) fn label_from_tag(tag: u8) -> Option<Label> {
         0 => Some(Label::False),
         1 => Some(Label::True),
         2 => Some(Label::Unknown),
-        _ => None,
-    }
-}
-
-/// `Value` → (variant tag, 8-byte payload), losslessly.
-pub(crate) fn obj_columns(v: Value) -> (u8, u64) {
-    match v {
-        Value::Entity(e) => (0, e.0 as u64),
-        Value::Str(s) => (1, s.0 as u64),
-        Value::Num(n) => (2, n.0 as u64),
-    }
-}
-
-/// Inverse of [`obj_columns`].
-pub(crate) fn obj_value(tag: u8, payload: u64) -> Option<Value> {
-    match tag {
-        0 => Some(Value::Entity(EntityId(u32::try_from(payload).ok()?))),
-        1 => Some(Value::Str(StrId(u32::try_from(payload).ok()?))),
-        2 => Some(Value::Num(Numeric(payload as i64))),
         _ => None,
     }
 }
@@ -378,7 +359,7 @@ impl FusedKb {
         for (row, &orig) in kept.iter().enumerate() {
             let st = &scored[orig as usize];
             let t = st.triple;
-            let (tag, payload) = obj_columns(t.object);
+            let (tag, payload) = value_columns(t.object);
             kb.subjects.push(t.subject.0);
             kb.predicates.push(t.predicate.0);
             kb.obj_tags.push(tag);
@@ -460,7 +441,7 @@ impl FusedKb {
     /// Reconstruct the object stored at `row`.
     #[inline]
     pub(crate) fn object_at(&self, row: usize) -> Value {
-        obj_value(self.obj_tags[row], self.obj_payloads[row]).expect("validated at decode")
+        value_from_columns(self.obj_tags[row], self.obj_payloads[row]).expect("validated at decode")
     }
 
     /// Reconstruct the triple stored at `row`.
@@ -507,7 +488,7 @@ impl FusedKb {
             return false;
         }
         let values_ok = (0..n).all(|i| {
-            obj_value(self.obj_tags[i], self.obj_payloads[i]).is_some()
+            value_from_columns(self.obj_tags[i], self.obj_payloads[i]).is_some()
                 && self.labels[i] <= 2
                 && self.fallback[i] <= 1
         });
@@ -654,6 +635,7 @@ pub(crate) mod tests {
     use kf_core::ScoredTriple;
     use kf_eval::{Binning, CalibrationBin};
     use kf_synth::SynthConfig;
+    use kf_types::{Numeric, StrId};
 
     fn fixture() -> FusedKb {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 9);
@@ -773,12 +755,12 @@ pub(crate) mod tests {
             Value::Num(Numeric(i64::MIN)),
             Value::Num(Numeric(i64::MAX)),
         ] {
-            let (tag, payload) = obj_columns(v);
-            assert_eq!(obj_value(tag, payload), Some(v));
+            let (tag, payload) = value_columns(v);
+            assert_eq!(value_from_columns(tag, payload), Some(v));
         }
-        assert_eq!(obj_value(3, 0), None);
+        assert_eq!(value_from_columns(3, 0), None);
         // Entity/str payloads wider than u32 are malformed.
-        assert_eq!(obj_value(0, u64::MAX), None);
+        assert_eq!(value_from_columns(0, u64::MAX), None);
         for l in [Label::False, Label::True, Label::Unknown] {
             assert_eq!(label_from_tag(label_tag(l)), Some(l));
         }

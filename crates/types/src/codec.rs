@@ -578,31 +578,23 @@ pub fn decode_column<T: PodColumn>(input: &mut &[u8]) -> Option<Vec<T>> {
     Some(bytes.chunks_exact(T::WIDTH).map(T::get_le).collect())
 }
 
-/// Stable one-byte tag of a [`Value`] variant (also the tag used by the
-/// element-wise `Value` encoding).
+/// A [`Value`] as its two column entries, losslessly: the stable one-byte
+/// variant tag (also the tag of the element-wise `Value` encoding) and a
+/// full-fidelity 8-byte payload (unlike [`Value::encode`], which packs the
+/// tag into the top bits and truncates large numerics).
 #[inline]
-fn value_tag(v: Value) -> u8 {
+pub fn value_columns(v: Value) -> (u8, u64) {
     match v {
-        Value::Entity(_) => 0,
-        Value::Str(_) => 1,
-        Value::Num(_) => 2,
+        Value::Entity(e) => (0, e.0 as u64),
+        Value::Str(s) => (1, s.0 as u64),
+        Value::Num(n) => (2, n.0 as u64),
     }
 }
 
-/// Full-fidelity 8-byte payload of a [`Value`] (unlike
-/// [`Value::encode`], which packs the tag into the top bits and truncates
-/// large numerics).
+/// Inverse of [`value_columns`]: `None` on an unknown tag, or on an entity
+/// or string payload wider than 32 bits.
 #[inline]
-fn value_payload(v: Value) -> u64 {
-    match v {
-        Value::Entity(e) => e.0 as u64,
-        Value::Str(s) => s.0 as u64,
-        Value::Num(n) => n.0 as u64,
-    }
-}
-
-#[inline]
-fn value_from_columns(tag: u8, payload: u64) -> Option<Value> {
+pub fn value_from_columns(tag: u8, payload: u64) -> Option<Value> {
     match tag {
         0 => Some(Value::Entity(EntityId(u32::try_from(payload).ok()?))),
         1 => Some(Value::Str(StrId(u32::try_from(payload).ok()?))),
@@ -617,10 +609,10 @@ pub fn encode_value_columns(values: &[Value], out: &mut Vec<u8>) {
     (values.len() as u64).encode(out);
     out.reserve(values.len() * 9);
     for &v in values {
-        out.push(value_tag(v));
+        out.push(value_columns(v).0);
     }
     for &v in values {
-        value_payload(v).put_le(out);
+        value_columns(v).1.put_le(out);
     }
 }
 
@@ -661,12 +653,12 @@ where
     out.reserve(n_values * 9);
     for (_, values) in groups.clone() {
         for &v in values {
-            out.push(value_tag(v));
+            out.push(value_columns(v).0);
         }
     }
     for (_, values) in groups {
         for &v in values {
-            value_payload(v).put_le(out);
+            value_columns(v).1.put_le(out);
         }
     }
 }
@@ -711,7 +703,7 @@ pub fn decode_item_values_columns(input: &mut &[u8]) -> Option<Vec<(DataItem, Ve
 /// Append a length-prefixed segment: 8 placeholder bytes, `value`'s
 /// encoding, then the byte length patched into the placeholder. Segments
 /// let a decoder slice a composite encoding into independently decodable
-/// (and therefore parallel-decodable) parts without re-parsing — the
+/// (and independently validated) parts without re-parsing — the
 /// corpus checkpoint codec in `kf-synth` frames its large fields this
 /// way.
 pub fn encode_segment<T: KvCodec>(value: &T, out: &mut Vec<u8>) {
