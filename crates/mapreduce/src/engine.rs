@@ -1,32 +1,29 @@
 //! The map → shuffle → reduce execution engine.
 //!
-//! Three shuffle strategies share one reduce phase:
+//! There is one shuffle: inputs are mapped in *waves*, and each wave's
+//! buffers merge into per-partition reduce-side group accumulators as
+//! soon as it is mapped. Two knobs shape it and nothing else:
 //!
-//! * **Unchunked** (`chunk_records == 0`, the default): the whole map
-//!   output is materialised in per-partition buffers before any grouping
-//!   happens. Peak raw-record residency equals the full shuffle volume
-//!   (`JobStats::map_output`).
-//! * **Chunked** (`chunk_records > 0`): inputs are mapped in bounded
-//!   *waves* sized so each wave emits roughly `chunk_records` records; as
-//!   each wave's buffers fill they are immediately merged into
-//!   per-partition reduce-side group accumulators and freed. Peak
-//!   raw-record residency is the largest single wave
-//!   ([`JobStats::peak_resident_records`]), not the whole shuffle.
-//! * **External** (`spill_threshold_records > 0`): the chunked shuffle
-//!   additionally bounds the *grouped* residency. An optional
-//!   [`Combiner`] partially reduces group accumulators as waves merge,
-//!   and when the grouped records resident across all partitions would
-//!   cross the threshold, partitions spill to sorted run files (encoded
-//!   with [`kf_types::KvCodec`], see the `spill` module) and reduce by a
-//!   k-way merge of runs. [`JobStats::peak_grouped_records`] and
-//!   [`JobStats::spilled_bytes`] report the envelope.
+//! * **`chunk_records`** sizes the waves. `0` (the default) maps the
+//!   whole input as one wave, so peak raw-record residency is the whole
+//!   shuffle volume (`JobStats::map_output`); `C > 0` sizes each wave to
+//!   emit roughly `C` records, so the peak is the largest single wave
+//!   ([`JobStats::peak_resident_records`]).
+//! * **`spill_threshold_records`** bounds the *grouped* residency. An
+//!   optional [`Combiner`] partially reduces group accumulators as waves
+//!   merge, and when the grouped records resident across all partitions
+//!   would cross the threshold, partitions spill to sorted run files
+//!   (encoded with [`kf_types::KvCodec`], see the `spill` module) and
+//!   reduce by a k-way merge of runs. [`JobStats::peak_grouped_records`]
+//!   and [`JobStats::spilled_bytes`] report the envelope.
 //!
-//! All paths are deterministic and produce identical output: waves are
-//! processed in input order and, within a wave, worker buffers are merged
-//! in worker order (workers own contiguous input chunks), so a key's
-//! values always reach the reducer ordered by input index — and spilled
-//! runs replay in spill order, which preserves exactly that order. The
-//! design is documented in the repository's `ARCHITECTURE.md`.
+//! Every wave schedule produces identical output: waves are processed in
+//! input order and, within a wave, worker buffers are merged in worker
+//! order (workers own contiguous input chunks), so a key's values always
+//! reach the reducer ordered by input index — and spilled runs replay in
+//! spill order, which preserves exactly that order. The crate's proptests
+//! check that order against a sequential group-by. The design is
+//! documented in the repository's `ARCHITECTURE.md`.
 
 use crate::fanout::run_tasks;
 use crate::spill::{merge_reduce_runs, write_run, SpillDir};
@@ -50,8 +47,8 @@ pub struct MrConfig {
     /// `partitions: 0` must not panic the shuffle router).
     pub partitions: usize,
     /// Soft cap on raw (mapper-emitted, not yet grouped) shuffle records
-    /// resident in memory at once. `0` disables chunking and materialises
-    /// the whole map output before reduction. The cap is approximate: a
+    /// resident in memory at once. `0` maps the whole input as one wave
+    /// (unless a spill threshold is set, below). The cap is approximate: a
     /// wave may overshoot when the mapper fan-out spikes, and a single
     /// input's emissions are never split across waves.
     pub chunk_records: usize,
@@ -63,8 +60,8 @@ pub struct MrConfig {
     /// threshold would be crossed by merging the next wave, every
     /// non-empty partition serializes its accumulator to a sorted run
     /// file and frees the memory; the partition later reduces by k-way
-    /// merging its runs. Requires a chunked shuffle: when
-    /// `chunk_records == 0`, the engine chunks at this threshold. The cap
+    /// merging its runs. Spilling needs more than one wave: when
+    /// `chunk_records == 0`, the engine sizes waves at this threshold. The cap
     /// is respected exactly as long as a single wave fits it (i.e.
     /// `chunk_records <= spill_threshold_records`); a single oversized
     /// wave can overshoot, because waves never split.
@@ -158,8 +155,8 @@ impl MrConfig {
 /// Partial reduction applied to group accumulators while the shuffle is
 /// still running — the classic MapReduce combiner, adapted to this
 /// engine's reduce-side accumulation: it rewrites a group's value buffer
-/// in place (typically folding many records into few) as chunked waves
-/// merge and immediately before a partition spills to disk.
+/// in place (typically folding many records into few) as waves merge and
+/// immediately before a partition spills to disk.
 ///
 /// # Contract
 ///
@@ -168,10 +165,10 @@ impl MrConfig {
 /// That holds for associative, order-insensitive folds over the values
 /// (integer counts and sums, min/max, sort-and-deduplicate) but *not* for
 /// order-sensitive reductions (floating-point accumulation, reservoir
-/// sampling): for those, don't combine. The engine only runs combiners on
-/// the chunked/external path, so the in-memory baseline
-/// (`chunk_records == 0`, no spill) always shows the reference output to
-/// compare against; the crate's proptests pin the equality.
+/// sampling): for those, don't combine. A combiner only bounds memory, so
+/// a job with neither `chunk_records` nor a spill threshold (one wave,
+/// nothing to bound) never runs it; the crate's proptests check combined
+/// output against a sequential fold.
 ///
 /// Closures implement the trait directly:
 ///
@@ -301,10 +298,9 @@ where
 }
 
 /// [`map_reduce`] with a [`Combiner`] partially reducing group
-/// accumulators on the chunked/external shuffle path. With
-/// `chunk_records == 0` and spilling disabled the combiner never runs
-/// (there are no waves to combine between) and the job behaves exactly
-/// like [`map_reduce`].
+/// accumulators as waves merge and partitions spill. With
+/// `chunk_records == 0` and spilling disabled the job is one wave, the
+/// combiner never runs, and the job behaves exactly like [`map_reduce`].
 pub fn map_reduce_combined<I, K, V, O, M, C, R>(
     cfg: &MrConfig,
     inputs: &[I],
