@@ -75,6 +75,16 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     // method traces, and nothing else shuffles the raw records: the
     // process level saw no MapReduce job at all.
     assert_eq!(counter("mr.jobs"), None);
+    // The whole-run trace sees every job the methods replayed or ran (the
+    // claims build, the diagnosis passes): none sets a quota, so each is
+    // one wave — a ramp would count about log2(inputs) waves a job.
+    let run = shared.combined_trace().expect("combined trace");
+    let run_counter = |name: &str| {
+        let found = run.counters.iter().find(|c| c.name == name);
+        found.map(|c| c.value)
+    };
+    assert!(run_counter("mr.jobs") > Some(0));
+    assert_eq!(run_counter("mr.waves"), run_counter("mr.jobs"));
     // Tasks count on the process-level trace but open no spans on it: the
     // only one is the scheduling thread's, around the diagnosis prefix.
     let spans: Vec<_> = process.root.children.iter().collect();

@@ -758,23 +758,23 @@ mod tests {
     }
 
     #[test]
-    fn chunked_build_matches_unchunked_with_bounded_peak() {
+    fn chunked_build_matches_one_wave_with_bounded_peak() {
         let batch: Vec<Extraction> = (0..4_000)
             .map(|i| ext(i % 37, i % 4, i % 11, (i % 8) as u16, i % 250))
             .collect();
         let mr = MrConfig::with_workers(4);
-        let (unchunked, base_stats) =
+        let (one_wave, base_stats) =
             Grouped::build_with_stats(&batch, Granularity::ExtractorPage, &mr);
-        // Unchunked: the whole shuffle (one record per extraction) resident.
+        // One wave: the whole shuffle (one record per extraction) resident.
         assert_eq!(base_stats.peak_resident_records, batch.len() as u64);
 
         let chunked_mr = mr.with_chunk_records(512);
         let (chunked, chunk_stats) =
             Grouped::build_with_stats(&batch, Granularity::ExtractorPage, &chunked_mr);
-        assert_eq!(unchunked, chunked);
+        assert_eq!(one_wave, chunked);
         assert!(
             chunk_stats.peak_resident_records < base_stats.peak_resident_records,
-            "peak {} not below unchunked {}",
+            "peak {} not below one wave's {}",
             chunk_stats.peak_resident_records,
             base_stats.peak_resident_records
         );

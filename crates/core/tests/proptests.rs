@@ -472,18 +472,18 @@ proptest! {
     }
 
     /// The chunked grouping peak respects the quota (grouping emits one
-    /// record per extraction) while the unchunked peak is the whole batch.
+    /// record per extraction) while the one-wave peak is the whole batch.
     #[test]
     fn grouping_peak_is_bounded_by_quota(
         batch in arb_batch(),
         chunk_records in 1usize..64,
     ) {
-        let (_, unchunked) = Grouped::build_with_stats(
+        let (_, one_wave) = Grouped::build_with_stats(
             &batch,
             Granularity::ExtractorPage,
             &MrConfig::sequential(),
         );
-        prop_assert_eq!(unchunked.peak_resident_records, batch.len() as u64);
+        prop_assert_eq!(one_wave.peak_resident_records, batch.len() as u64);
         let (_, chunked) = Grouped::build_with_stats(
             &batch,
             Granularity::ExtractorPage,

@@ -173,10 +173,10 @@ impl MrConfig {
 /// Closures implement the trait directly:
 ///
 /// ```
-/// use kf_mapreduce::{map_reduce_combined, Emitter, MrConfig};
+/// use kf_mapreduce::{map_reduce_combined_with_stats, Emitter, MrConfig};
 ///
 /// let docs = ["a b a", "b a", "a"];
-/// let counts: Vec<(String, u64)> = map_reduce_combined(
+/// let (counts, _stats) = map_reduce_combined_with_stats(
 ///     &MrConfig::sequential().with_chunk_records(2),
 ///     &docs,
 ///     |doc: &&str, emit: &mut Emitter<String, u64>| {
@@ -245,16 +245,14 @@ type Groups<K, V> = FxHashMap<K, Vec<V>>;
 
 /// What the shuffle hands to a reduce worker for one partition.
 enum Partition<K, V> {
-    /// Unchunked: raw records, grouped inside the reduce worker.
-    Raw(Vec<(K, V)>),
-    /// Chunked: records already merged into groups wave by wave.
+    /// In memory: records already merged into groups wave by wave.
     Grouped(Groups<K, V>),
     /// External: the partition spilled; reduce by k-way merging its
     /// sorted run files (in spill order).
     Spilled(Vec<PathBuf>),
 }
 
-/// Run a MapReduce job.
+/// Run a MapReduce job and return its output with execution counters.
 ///
 /// * `inputs` — the input records; read-only, shared across map workers.
 /// * `mapper` — called once per input with an [`Emitter`]; may emit any
@@ -265,21 +263,9 @@ enum Partition<K, V> {
 ///
 /// Output records are returned grouped by partition and sorted by key within
 /// each partition, so the overall output is deterministic — and identical
-/// whether the shuffle is unchunked, chunked ([`MrConfig::chunk_records`]),
-/// or spilled to disk ([`MrConfig::spill_threshold_records`]).
-pub fn map_reduce<I, K, V, O, M, R>(cfg: &MrConfig, inputs: &[I], mapper: M, reducer: R) -> Vec<O>
-where
-    I: Sync,
-    K: Hash + Eq + Ord + Send + KvCodec,
-    V: Send + KvCodec,
-    O: Send,
-    M: Fn(&I, &mut Emitter<K, V>) + Sync,
-    R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
-{
-    run_job(cfg, inputs, mapper, None, reducer).0
-}
-
-/// [`map_reduce`] variant that also returns execution counters.
+/// whether the job runs as one wave, in waves of
+/// [`MrConfig::chunk_records`], or spilled to disk
+/// ([`MrConfig::spill_threshold_records`]).
 pub fn map_reduce_with_stats<I, K, V, O, M, R>(
     cfg: &MrConfig,
     inputs: &[I],
@@ -297,30 +283,10 @@ where
     run_job(cfg, inputs, mapper, None, reducer)
 }
 
-/// [`map_reduce`] with a [`Combiner`] partially reducing group
+/// [`map_reduce_with_stats`] with a [`Combiner`] partially reducing group
 /// accumulators as waves merge and partitions spill. With
-/// `chunk_records == 0` and spilling disabled the job is one wave, the
-/// combiner never runs, and the job behaves exactly like [`map_reduce`].
-pub fn map_reduce_combined<I, K, V, O, M, C, R>(
-    cfg: &MrConfig,
-    inputs: &[I],
-    mapper: M,
-    combiner: C,
-    reducer: R,
-) -> Vec<O>
-where
-    I: Sync,
-    K: Hash + Eq + Ord + Send + KvCodec,
-    V: Send + KvCodec,
-    O: Send,
-    M: Fn(&I, &mut Emitter<K, V>) + Sync,
-    C: Combiner<V>,
-    R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
-{
-    run_job(cfg, inputs, mapper, Some(&combiner), reducer).0
-}
-
-/// [`map_reduce_combined`] variant that also returns execution counters.
+/// `chunk_records == 0` and spilling disabled the job is one wave and the
+/// combiner never runs.
 pub fn map_reduce_combined_with_stats<I, K, V, O, M, C, R>(
     cfg: &MrConfig,
     inputs: &[I],
@@ -340,27 +306,7 @@ where
     run_job(cfg, inputs, mapper, Some(&combiner), reducer)
 }
 
-/// What the shuffle phase hands to the reduce phase.
-struct ShuffleOutcome<K, V> {
-    partitions: Vec<Partition<K, V>>,
-    map_output: u64,
-    /// Peak raw (mapper-emitted, ungrouped) records resident at once.
-    peak_raw: u64,
-    /// Peak grouped records resident across all accumulators at once.
-    peak_grouped: u64,
-    spilled_bytes: u64,
-    /// Run files written (mid-wave spills plus tail flushes).
-    spill_runs: u64,
-    /// Combiner invocations across merge, spill and flush.
-    combiner_invocations: u64,
-    /// Map waves executed (`0` for the unchunked shuffle).
-    waves: u64,
-    /// Keeps the spill directory (and its run files) alive until the
-    /// reduce phase has merged them; dropping it removes everything.
-    spill_dir: Option<SpillDir>,
-}
-
-/// The engine behind every public entry point.
+/// The engine behind both public entry points.
 fn run_job<I, K, V, O, M, R>(
     cfg: &MrConfig,
     inputs: &[I],
@@ -381,58 +327,33 @@ where
     let mut stats = JobStats::new(inputs.len() as u64);
 
     // ---- Map + shuffle ---------------------------------------------------
-    // Spilling needs wave-merged accumulators to snapshot, so it implies a
-    // chunked shuffle; without an explicit quota, chunk at the spill
-    // threshold itself.
+    // Spilling needs more than one wave, so without an explicit quota the
+    // waves are sized at the spill threshold itself; with neither, the
+    // whole input is one wave. One wave has nothing for a combiner to
+    // bound, so it runs without one.
     let quota = if cfg.chunk_records > 0 {
         cfg.chunk_records
     } else {
         cfg.spill_threshold_records
     };
-    let outcome = {
+    let combiner = combiner.filter(|_| quota > 0);
+    // Bind the spill-dir guard so run files survive until reduction
+    // finishes; the drop at the end of this function (or during a panic
+    // unwind) removes the spill directory.
+    let (payloads, waves, _spill_dir) = {
         let _shuffle = kf_telemetry::span("shuffle");
-        if quota == 0 {
-            let (records, map_output) = {
-                let _map = kf_telemetry::span("map");
-                shuffle_unchunked(inputs, workers, partitions, &mapper)
-            };
-            ShuffleOutcome {
-                partitions: records.into_iter().map(Partition::Raw).collect(),
-                map_output,
-                // The whole raw shuffle is resident at once, and the reduce
-                // phase groups it wholesale.
-                peak_raw: map_output,
-                peak_grouped: map_output,
-                spilled_bytes: 0,
-                spill_runs: 0,
-                combiner_invocations: 0,
-                waves: 0,
-                spill_dir: None,
-            }
-        } else {
-            shuffle_external(
-                inputs,
-                workers,
-                partitions,
-                quota,
-                cfg.spill_threshold_records,
-                cfg.spill_dir,
-                combiner,
-                &mapper,
-            )
-        }
+        shuffle(
+            inputs,
+            workers,
+            partitions,
+            quota,
+            cfg.spill_threshold_records,
+            cfg.spill_dir,
+            combiner,
+            &mapper,
+            &mut stats,
+        )
     };
-    stats.map_output = outcome.map_output;
-    stats.peak_resident_records = outcome.peak_raw;
-    stats.peak_grouped_records = outcome.peak_grouped;
-    stats.spilled_bytes = outcome.spilled_bytes;
-    stats.spill_runs = outcome.spill_runs;
-    stats.combiner_invocations = outcome.combiner_invocations;
-    let waves = outcome.waves;
-    // Bind the guard so run files survive until reduction finishes; the
-    // drop at the end of this function (or during a panic unwind) removes
-    // the spill directory.
-    let _spill_dir = outcome.spill_dir;
 
     // ---- Reduce phase ----------------------------------------------------
     // One task per partition. Keys are reduced in sorted order within a
@@ -445,11 +366,6 @@ where
             // Runs are key-sorted; the streaming merge reduces directly.
             Partition::Spilled(runs) => return merge_reduce_runs(&runs, reducer),
             Partition::Grouped(groups) => groups,
-            Partition::Raw(records) => {
-                let mut groups: Groups<K, V> = FxHashMap::default();
-                merge_buffers(&mut groups, vec![records], None);
-                groups
-            }
         };
         let mut keyed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
         keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -460,7 +376,7 @@ where
         }
         (out, n_keys)
     };
-    let tasks = outcome.partitions.into_iter();
+    let tasks = payloads.into_iter();
     let tasks = tasks.map(|payload| move || reduce_partition(payload));
     let results = run_tasks(workers, tasks.collect());
 
@@ -521,42 +437,22 @@ where
     )
 }
 
-/// One-shot shuffle: map everything, then concatenate each partition's
-/// buffers in worker order. Returns `(per-partition raw records, map_output)`.
-fn shuffle_unchunked<I, K, V, M>(
-    inputs: &[I],
-    workers: usize,
-    partitions: usize,
-    mapper: &M,
-) -> (Vec<Vec<(K, V)>>, u64)
-where
-    I: Sync,
-    K: Hash + Send,
-    V: Send,
-    M: Fn(&I, &mut Emitter<K, V>) + Sync,
-{
-    let emitters = map_slice(inputs, workers, partitions, mapper);
-    let map_output = emitters.iter().map(|e| e.emitted).sum();
-    let mut partition_records: Vec<Vec<(K, V)>> = (0..partitions).map(|_| Vec::new()).collect();
-    for emitter in emitters {
-        for (p, buf) in emitter.buffers.into_iter().enumerate() {
-            partition_records[p].extend(buf);
-        }
-    }
-    (partition_records, map_output)
-}
-
 /// One batch handed to the spill-writer thread: taken partition
 /// accumulators with the run paths they must be written to.
 type SpillBatch<K, V> = Vec<(Groups<K, V>, PathBuf)>;
 
-/// Wave-based shuffle with optional combining and spilling: map bounded
-/// input waves, merging each wave's buffers into per-partition group
-/// accumulators as they fill (so at most roughly `quota` raw records are
-/// resident at once), combining group buffers as they grow, and spilling
-/// all accumulators to sorted run files whenever merging the next wave
-/// would push grouped residency past `spill_threshold` (`0` = never).
-/// Wave sizes adapt to the observed mapper fan-out.
+/// The shuffle: map input waves, merging each wave's buffers into
+/// per-partition group accumulators as they fill (so at most roughly
+/// `quota` raw records are resident at once; `0` maps the whole input as
+/// one wave), combining group buffers as they grow, and spilling all
+/// accumulators to sorted run files whenever merging the next wave would
+/// push grouped residency past `spill_threshold` (`0` = never). Wave
+/// sizes adapt to the observed mapper fan-out.
+///
+/// Writes the six shuffle counters of `stats` (`map_output`, both peaks,
+/// `spilled_bytes`, `spill_runs`, `combiner_invocations`) and returns the
+/// reduce-side partitions, the number of waves, and the spill directory
+/// guard, which must outlive the reduce phase that reads its run files.
 ///
 /// Run-file encode+write runs on a dedicated **spill-writer thread**,
 /// double-buffered against the next wave's map work: the coordinating
@@ -569,7 +465,7 @@ type SpillBatch<K, V> = Vec<(Groups<K, V>, PathBuf)>;
 /// are byte-identical to the synchronous path — the writer thread only
 /// changes *when* the bytes hit disk, never which bytes.
 #[allow(clippy::too_many_arguments)]
-fn shuffle_external<I, K, V, M>(
+fn shuffle<I, K, V, M>(
     inputs: &[I],
     workers: usize,
     partitions: usize,
@@ -578,27 +474,21 @@ fn shuffle_external<I, K, V, M>(
     spill_base: Option<&'static str>,
     combiner: Option<&dyn Combiner<V>>,
     mapper: &M,
-) -> ShuffleOutcome<K, V>
+    stats: &mut JobStats,
+) -> (Vec<Partition<K, V>>, u64, Option<SpillDir>)
 where
     I: Sync,
     K: Hash + Eq + Ord + Send + KvCodec,
     V: Send + KvCodec,
     M: Fn(&I, &mut Emitter<K, V>) + Sync,
 {
-    let quota = quota.max(1);
     let mut groups: Vec<Groups<K, V>> = (0..partitions).map(|_| FxHashMap::default()).collect();
     let mut runs: Vec<Vec<PathBuf>> = (0..partitions).map(|_| Vec::new()).collect();
     // Created lazily on the first spill, so jobs that stay under the
     // threshold never touch the filesystem.
     let mut spill_dir: Option<SpillDir> = None;
-    let mut spilled_bytes = 0u64;
-    let mut spill_runs = 0u64;
-    let mut combiner_invocations = 0u64;
     let mut waves = 0u64;
     let mut resident = 0u64; // grouped records currently accumulated
-    let mut peak_grouped = 0u64;
-    let mut emitted_total = 0u64;
-    let mut peak_raw = 0u64;
     std::thread::scope(|scope| {
         type Writer<'s, K, V> = (
             std::sync::mpsc::SyncSender<SpillBatch<K, V>>,
@@ -626,7 +516,11 @@ where
             //    *starts* in its hottest region (Zipf-head items first) the
             //    cold estimate can only overshoot the quota by ~2×, at the
             //    cost of ~log2(quota) tiny ramp-up waves.
-            let wave_len = if consumed == 0 {
+            //
+            // A quota of 0 takes the whole input as one wave, past the ramp.
+            let wave_len = if quota == 0 {
+                inputs.len()
+            } else if consumed == 0 {
                 1
             } else {
                 let fanout = (last_wave.1 as f64 / last_wave.0 as f64).max(1.0);
@@ -645,8 +539,8 @@ where
             };
             let wave_emitted: u64 = emitters.iter().map(|e| e.emitted).sum();
             kf_telemetry::record_value("mr.wave.records", wave_emitted);
-            peak_raw = peak_raw.max(wave_emitted);
-            emitted_total += wave_emitted;
+            stats.peak_resident_records = stats.peak_resident_records.max(wave_emitted);
+            stats.map_output += wave_emitted;
             consumed += wave_len;
             last_wave = (wave_len, wave_emitted);
             // Spill BEFORE the merge that would cross the threshold, so the
@@ -671,7 +565,7 @@ where
                     runs[p].push(path.clone());
                     batch.push((std::mem::take(group), path));
                 }
-                spill_runs += batch.len() as u64;
+                stats.spill_runs += batch.len() as u64;
                 let (tx, _) = writer.get_or_insert_with(|| {
                     let (tx, rx) = std::sync::mpsc::sync_channel::<SpillBatch<K, V>>(0);
                     let handle = scope.spawn(move || {
@@ -718,19 +612,19 @@ where
                     "mr.wave.merge_ns",
                     merge_start.elapsed().as_nanos() as u64,
                 );
-                combiner_invocations += combines;
+                stats.combiner_invocations += combines;
                 delta
             };
             resident = resident.saturating_add_signed(delta);
-            peak_grouped = peak_grouped.max(resident);
+            stats.peak_grouped_records = stats.peak_grouped_records.max(resident);
         }
         // Drain the writer before reading any run file back.
         if let Some((tx, handle)) = writer.take() {
             drop(tx);
             match handle.join() {
                 Ok((bytes, combines)) => {
-                    spilled_bytes += bytes;
-                    combiner_invocations += combines;
+                    stats.spilled_bytes += bytes;
+                    stats.combiner_invocations += combines;
                 }
                 Err(panic) => std::panic::resume_unwind(panic),
             }
@@ -754,9 +648,9 @@ where
                     let dir = spill_dir.as_ref().expect("runs exist without a spill dir");
                     let path = dir.run_path(p, run_files.len());
                     let (bytes, combines) = spill_one(group, &path, combiner);
-                    spilled_bytes += bytes;
-                    combiner_invocations += combines;
-                    spill_runs += 1;
+                    stats.spilled_bytes += bytes;
+                    stats.combiner_invocations += combines;
+                    stats.spill_runs += 1;
                     run_files.push(path);
                 }
                 Partition::Spilled(run_files)
@@ -764,18 +658,7 @@ where
         })
         .collect();
     drop(_flush);
-
-    ShuffleOutcome {
-        partitions: partitions_out,
-        map_output: emitted_total,
-        peak_raw,
-        peak_grouped,
-        spilled_bytes,
-        spill_runs,
-        combiner_invocations,
-        waves,
-        spill_dir,
-    }
+    (partitions_out, waves, spill_dir)
 }
 
 /// Sort, (re-)combine and write one partition accumulator as the run file
@@ -880,7 +763,7 @@ mod tests {
 
     /// Classic word count over synthetic "documents".
     fn word_count(cfg: &MrConfig, docs: &[&str]) -> Vec<(String, usize)> {
-        map_reduce(
+        map_reduce_with_stats(
             cfg,
             docs,
             |doc: &&str, emit: &mut Emitter<String, usize>| {
@@ -890,6 +773,7 @@ mod tests {
             },
             |word, counts| vec![(word.clone(), counts.len())],
         )
+        .0
     }
 
     #[test]
@@ -924,12 +808,13 @@ mod tests {
     fn output_is_deterministic_across_runs() {
         let inputs: Vec<u64> = (0..10_000).collect();
         let run = || {
-            map_reduce(
+            map_reduce_with_stats(
                 &MrConfig::with_workers(6),
                 &inputs,
                 |&x, emit: &mut Emitter<u64, u64>| emit.emit(x % 97, x),
                 |k, vs| vec![(*k, vs.iter().sum::<u64>())],
             )
+            .0
         };
         assert_eq!(run(), run());
     }
@@ -938,7 +823,7 @@ mod tests {
     fn values_arrive_in_input_order() {
         // Reducer sees values ordered by input index even with many workers.
         let inputs: Vec<u32> = (0..5_000).collect();
-        let out = map_reduce(
+        let (out, _) = map_reduce_with_stats(
             &MrConfig::with_workers(8),
             &inputs,
             |&x, emit: &mut Emitter<u32, u32>| emit.emit(x % 3, x),
@@ -955,7 +840,7 @@ mod tests {
         // The chunked shuffle must preserve the same per-key value order:
         // waves run in input order and worker buffers merge in input order.
         let inputs: Vec<u32> = (0..5_000).collect();
-        let out = map_reduce(
+        let (out, _) = map_reduce_with_stats(
             &MrConfig::with_workers(8).with_chunk_records(256),
             &inputs,
             |&x, emit: &mut Emitter<u32, u32>| emit.emit(x % 3, x),
@@ -988,12 +873,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_output_matches_unchunked_exactly() {
+    fn chunked_output_matches_one_wave_exactly() {
         let docs: Vec<String> = (0..800)
             .map(|i| format!("w{} w{} shared", i % 17, i % 29))
             .collect();
         let doc_refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let unchunked = word_count(&MrConfig::with_workers(4), &doc_refs);
+        let one_wave = word_count(&MrConfig::with_workers(4), &doc_refs);
         for chunk in [1usize, 7, 64, 1 << 20] {
             let chunked = word_count(
                 &MrConfig::with_workers(4).with_chunk_records(chunk),
@@ -1001,7 +886,7 @@ mod tests {
             );
             // Not just set equality: the partition-then-key output order is
             // identical, so plain == must hold.
-            assert_eq!(unchunked, chunked, "chunk_records = {chunk}");
+            assert_eq!(one_wave, chunked, "chunk_records = {chunk}");
         }
     }
 
@@ -1089,7 +974,8 @@ mod tests {
             emit.emit(key, 1);
         };
         let reducer = |k: &u64, vs: Vec<u64>| vec![(*k, vs.iter().sum::<u64>())];
-        let baseline = map_reduce(&MrConfig::with_workers(4), &inputs, mapper, reducer);
+        let (baseline, _) =
+            map_reduce_with_stats(&MrConfig::with_workers(4), &inputs, mapper, reducer);
         let cfg = MrConfig::with_workers(4)
             .with_chunk_records(512)
             .with_spill_threshold(2_048);
@@ -1246,12 +1132,13 @@ mod tests {
         // still be byte-identical and nothing may panic.
         let inputs: Vec<u64> = (0..2_000).collect();
         let job = |cfg: &MrConfig| {
-            map_reduce(
+            map_reduce_with_stats(
                 cfg,
                 &inputs,
                 |&x, emit: &mut Emitter<u64, u64>| emit.emit(x % 31, x),
                 |k, vs| vec![(*k, vs.iter().sum::<u64>())],
             )
+            .0
         };
         let base = job(&MrConfig::with_workers(3));
         let spilled = job(&MrConfig::with_workers(3)
@@ -1335,7 +1222,7 @@ mod tests {
 
         // Reducer panic: the unwind must still remove every spill file.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map_reduce(
+            map_reduce_with_stats(
                 &cfg,
                 &inputs,
                 |&x, emit: &mut Emitter<u64, u64>| emit.emit(x % 13, x),
@@ -1386,7 +1273,7 @@ mod tests {
                 .with_chunk_records(64)
                 .with_spill_threshold(16),
         ] {
-            let out: Vec<u32> = map_reduce(
+            let (out, _) = map_reduce_with_stats(
                 &cfg,
                 &Vec::<u32>::new(),
                 |&x, emit: &mut Emitter<u32, u32>| emit.emit(x, x),
@@ -1408,7 +1295,7 @@ mod tests {
                 .with_chunk_records(1_000)
                 .with_spill_threshold(4_000),
         ] {
-            let out = map_reduce(
+            let (out, _) = map_reduce_with_stats(
                 &cfg,
                 &inputs,
                 |&x, emit: &mut Emitter<u32, u32>| {
@@ -1440,10 +1327,56 @@ mod tests {
         assert_eq!(stats.map_output, 200);
         assert_eq!(stats.reduce_keys, 10); // keys 0..10 (x%5 ⊂ x%10)
         assert_eq!(stats.reduce_output, 200);
-        // Unchunked: the whole shuffle is resident at once, raw and grouped.
+        // One wave: the whole shuffle is resident at once, raw and grouped.
         assert_eq!(stats.peak_resident_records, 200);
         assert_eq!(stats.peak_grouped_records, 200);
         assert_eq!(stats.spilled_bytes, 0);
+    }
+
+    #[test]
+    fn one_wave_job_skips_the_ramp_and_the_combiner() {
+        // Neither a chunk quota nor a spill threshold: the whole input is
+        // mapped as one wave (the ramp would cut it into ~log2(n) waves),
+        // and the supplied combiner never runs — one wave has nothing for
+        // it to bound, though these 7 hot keys would trip it at once.
+        let job = |inputs: &[u64]| {
+            let trace = kf_telemetry::Trace::new();
+            let (_, stats) = {
+                let _t = kf_telemetry::install(&trace);
+                map_reduce_combined_with_stats(
+                    &MrConfig::with_workers(4),
+                    inputs,
+                    |&x, emit: &mut Emitter<u64, u64>| emit.emit(x % 7, 1),
+                    |vs: &mut Vec<u64>| {
+                        let sum: u64 = vs.drain(..).sum();
+                        vs.push(sum);
+                    },
+                    |k, vs| vec![(*k, vs.iter().sum::<u64>())],
+                )
+            };
+            let report = trace.snapshot();
+            let waves = report.counters.iter().find(|c| c.name == "mr.waves");
+            let wave_spans = report.root.child("shuffle").and_then(|s| s.child("wave"));
+            assert_eq!(
+                wave_spans.map_or(0, |w| w.calls),
+                waves.map_or(0, |c| c.value),
+                "one wave span per counted wave"
+            );
+            (stats, waves.map_or(0, |c| c.value))
+        };
+
+        let inputs: Vec<u64> = (0..20_000).collect();
+        let (stats, waves) = job(&inputs);
+        assert_eq!(waves, 1);
+        assert_eq!(stats.combiner_invocations, 0);
+        assert_eq!(stats.map_output, 20_000);
+        assert_eq!(stats.peak_resident_records, stats.map_output);
+        assert_eq!(stats.peak_grouped_records, stats.map_output);
+
+        // An empty input has no wave to run.
+        let (stats, waves) = job(&[]);
+        assert_eq!(waves, 0);
+        assert_eq!(stats, JobStats::new(0));
     }
 
     #[test]
@@ -1499,7 +1432,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_peak_is_bounded_below_unchunked() {
+    fn chunked_peak_is_bounded_below_one_wave() {
         let inputs: Vec<u64> = (0..50_000).collect();
         let job = |cfg: &MrConfig| {
             map_reduce_with_stats(
@@ -1510,16 +1443,16 @@ mod tests {
             )
             .1
         };
-        let unchunked = job(&MrConfig::with_workers(4));
-        assert_eq!(unchunked.peak_resident_records, unchunked.map_output);
+        let one_wave = job(&MrConfig::with_workers(4));
+        assert_eq!(one_wave.peak_resident_records, one_wave.map_output);
 
         let chunked = job(&MrConfig::with_workers(4).with_chunk_records(2_048));
-        assert_eq!(chunked.map_output, unchunked.map_output);
+        assert_eq!(chunked.map_output, one_wave.map_output);
         assert!(
-            chunked.peak_resident_records < unchunked.peak_resident_records,
-            "peak {} not below unchunked {}",
+            chunked.peak_resident_records < one_wave.peak_resident_records,
+            "peak {} not below one wave's {}",
             chunked.peak_resident_records,
-            unchunked.peak_resident_records
+            one_wave.peak_resident_records
         );
         // Fan-out here is exactly 1, so the bound is tight up to one wave.
         assert!(
@@ -1532,7 +1465,7 @@ mod tests {
     #[test]
     fn more_workers_than_inputs() {
         let inputs = vec![1u32, 2];
-        let out = map_reduce(
+        let (out, _) = map_reduce_with_stats(
             &MrConfig::with_workers(16),
             &inputs,
             |&x, emit: &mut Emitter<u32, u32>| emit.emit(x, x),
@@ -1544,7 +1477,7 @@ mod tests {
     #[test]
     fn multi_output_reducer() {
         let inputs = vec![1u32, 1, 2];
-        let mut out = map_reduce(
+        let (mut out, _) = map_reduce_with_stats(
             &MrConfig::sequential(),
             &inputs,
             |&x, emit: &mut Emitter<u32, u32>| emit.emit(x, x),

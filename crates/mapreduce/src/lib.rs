@@ -9,27 +9,28 @@
 //!
 //! This crate provides the same programming model on a single machine:
 //!
-//! * [`map_reduce`] — a generic map → shuffle → reduce execution over
-//!   scoped worker threads with hash partitioning,
+//! * [`map_reduce_with_stats`] — a generic map → shuffle → reduce
+//!   execution over scoped worker threads with hash partitioning, returning
+//!   the output with its [`JobStats`],
 //! * [`run_tasks`] — the one in-process fan-out every layer shares (the
 //!   engine's map and reduce phases, the fusion kernels, the preset
 //!   schedule), under one worker budget per run; how a run's presets are
 //!   split across processes (`repro --shard`, `kf-dist`) is `kf-bench`'s
 //!   task table, not this crate's,
-//! * [`MrConfig::chunk_records`] — the **chunked shuffle**: instead of
-//!   materialising the whole map output before reduction, inputs are
-//!   mapped in bounded waves whose buffers merge into reduce-side group
-//!   accumulators as they fill, capping raw shuffle residency near the
-//!   quota (reported as [`JobStats::peak_resident_records`]),
+//! * [`MrConfig::chunk_records`] — the **chunked shuffle**: inputs are
+//!   mapped in waves whose buffers merge into reduce-side group
+//!   accumulators as they fill. `0` maps the whole input as one wave; a
+//!   quota caps raw shuffle residency near it (reported as
+//!   [`JobStats::peak_resident_records`]),
 //! * [`MrConfig::spill_threshold_records`] — the **external shuffle**:
 //!   when grouped residency would cross the threshold, partition
 //!   accumulators spill to sorted run files (serialized with the
 //!   hand-rolled [`kf_types::KvCodec`]) and reduce by k-way merge,
 //!   capping grouped residency too ([`JobStats::peak_grouped_records`],
 //!   [`JobStats::spilled_bytes`]),
-//! * [`Combiner`] / [`map_reduce_combined`] — partial reduction of group
-//!   accumulators while the shuffle runs (counts, sums, dedup), shrinking
-//!   both the resident groups and the spilled bytes,
+//! * [`Combiner`] / [`map_reduce_combined_with_stats`] — partial
+//!   reduction of group accumulators while the shuffle runs (counts, sums,
+//!   dedup), shrinking both the resident groups and the spilled bytes,
 //! * [`Reservoir`] — the reducer-side uniform sampling the paper uses to cap
 //!   per-key work at `L` records (§4.1 "we sample L triples each time"),
 //! * [`IterativeDriver`] — round iteration with convergence detection and
@@ -54,8 +55,7 @@ pub mod stats;
 
 pub use driver::{IterativeDriver, RoundOutcome};
 pub use engine::{
-    map_reduce, map_reduce_combined, map_reduce_combined_with_stats, map_reduce_with_stats,
-    Combiner, Emitter, MrConfig,
+    map_reduce_combined_with_stats, map_reduce_with_stats, Combiner, Emitter, MrConfig,
 };
 pub use fanout::run_tasks;
 pub use sampling::Reservoir;

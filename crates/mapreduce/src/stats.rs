@@ -12,9 +12,10 @@ pub struct JobStats {
     /// Records produced by reducers.
     pub reduce_output: u64,
     /// Peak number of raw (mapper-emitted, not yet grouped) shuffle records
-    /// resident in memory at once. Equals `map_output` for an unchunked
-    /// shuffle; with [`MrConfig::chunk_records`](crate::MrConfig) set it is
-    /// the largest single wave, bounded near the configured quota.
+    /// resident in memory at once: the largest single wave. Equals
+    /// `map_output` for a one-wave job; with
+    /// [`MrConfig::chunk_records`](crate::MrConfig) set it is bounded near
+    /// the configured quota.
     pub peak_resident_records: u64,
     /// Peak number of *grouped* records resident across all partition
     /// accumulators at once. Equals `map_output` when nothing spills

@@ -2,7 +2,8 @@
 //! must be observationally equivalent to a sequential group-by, for any
 //! input and any worker/partition configuration.
 
-use kf_mapreduce::{map_reduce, Emitter, MrConfig, Reservoir};
+use kf_mapreduce::{map_reduce_with_stats, Emitter, MrConfig, Reservoir};
+use kf_types::hash::hash_one;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -15,8 +16,18 @@ fn reference_sum(pairs: &[(u16, u32)]) -> BTreeMap<u16, u64> {
     m
 }
 
+/// Sequential reference group-by: each key's values in input order.
+fn reference_groups(pairs: &[(u16, u32)]) -> BTreeMap<u16, Vec<u32>> {
+    let mut m: BTreeMap<u16, Vec<u32>> = BTreeMap::new();
+    for &(k, v) in pairs {
+        m.entry(k).or_default().push(v);
+    }
+    m
+}
+
 proptest! {
-    /// map_reduce(sum) == sequential group-by sum, for any worker count.
+    /// The engine's sums == sequential group-by sums, for any worker count
+    /// and chunk quota.
     #[test]
     fn equivalent_to_sequential_groupby(
         pairs in prop::collection::vec((any::<u16>(), 0u32..1000), 0..300),
@@ -25,11 +36,11 @@ proptest! {
         chunk_records in 0usize..65,
     ) {
         let cfg = MrConfig { workers, partitions, chunk_records, ..MrConfig::default() };
-        let out: Vec<(u16, u64)> = map_reduce(
+        let (out, _) = map_reduce_with_stats(
             &cfg,
             &pairs,
             |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
-            |k, vs| vec![(*k, vs.iter().map(|&v| v as u64).sum())],
+            |k, vs| vec![(*k, vs.iter().map(|&v| v as u64).sum::<u64>())],
         );
         let got: BTreeMap<u16, u64> = out.into_iter().collect();
         prop_assert_eq!(got, reference_sum(&pairs));
@@ -42,7 +53,7 @@ proptest! {
         workers in 1usize..9,
     ) {
         let cfg = MrConfig::with_workers(workers);
-        let out: Vec<usize> = map_reduce(
+        let (out, _) = map_reduce_with_stats(
             &cfg,
             &keys,
             |&k, emit: &mut Emitter<u8, ()>| emit.emit(k, ()),
@@ -57,12 +68,13 @@ proptest! {
         pairs in prop::collection::vec((any::<u16>(), any::<u32>()), 0..200),
     ) {
         let run = |workers| {
-            map_reduce(
+            map_reduce_with_stats(
                 &MrConfig::with_workers(workers),
                 &pairs,
                 |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
                 |k, vs| vec![(*k, vs.len(), vs.iter().map(|&v| v as u64).sum::<u64>())],
             )
+            .0
         };
         let mut a = run(1);
         let mut b = run(7);
@@ -71,34 +83,39 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The chunked shuffle is observationally identical to the unchunked
-    /// one — not just as a multiset: the partition-then-sorted-key output
-    /// order matches exactly, for any chunk quota.
+    /// Every wave schedule — one wave, chunked, spilled — is a sequential
+    /// group-by exactly: each key's value list is its values in input
+    /// order, and the output runs partition by partition (the key's hash
+    /// modulo the partition count, the router `Emitter::emit` uses), keys
+    /// sorted within each.
     #[test]
-    fn chunked_shuffle_matches_unchunked_exactly(
+    fn output_matches_sequential_groupby_exactly(
         pairs in prop::collection::vec((any::<u16>(), any::<u32>()), 0..400),
         workers in 1usize..9,
         partitions in 1usize..17,
-        chunk_records in 1usize..130,
+        chunk_records in 0usize..130,
+        spill_threshold in 0usize..200,
     ) {
-        let base = MrConfig { workers, partitions, chunk_records: 0, ..MrConfig::default() };
-        let run = |cfg: &MrConfig| {
-            map_reduce(
-                cfg,
-                &pairs,
-                |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
-                // Keep the raw value list so per-key value *order* is
-                // compared too, not only aggregates.
-                |k, vs| vec![(*k, vs)],
-            )
+        let cfg = MrConfig {
+            workers,
+            partitions,
+            chunk_records,
+            spill_threshold_records: spill_threshold,
+            ..MrConfig::default()
         };
-        let unchunked = run(&base);
-        let chunked = run(&MrConfig { chunk_records, ..base });
-        prop_assert_eq!(unchunked, chunked);
+        let (out, _) = map_reduce_with_stats(
+            &cfg,
+            &pairs,
+            |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
+            |k, vs| vec![(*k, vs)],
+        );
+        let mut expected: Vec<(u16, Vec<u32>)> = reference_groups(&pairs).into_iter().collect();
+        expected.sort_by_key(|(k, _)| (hash_one(k) % partitions as u64, *k));
+        prop_assert_eq!(out, expected);
     }
 
-    /// Chunking never raises the raw-residency peak above the unchunked
-    /// baseline, and the peak respects the quota when fan-out is 1.
+    /// Chunking never raises the raw-residency peak above one wave's, and
+    /// the peak respects the quota when fan-out is 1.
     #[test]
     fn chunked_peak_is_bounded(
         n in 1usize..500,
@@ -116,43 +133,10 @@ proptest! {
         prop_assert!(stats.peak_resident_records <= (chunk_records as u64).min(n as u64));
     }
 
-    /// The external shuffle (spill-to-disk runs, k-way merged) is
-    /// observationally identical to the fully in-memory path — exact
-    /// output equality including per-key value order and overall order —
-    /// for any input, worker/partition layout, chunk quota and spill
-    /// threshold.
-    #[test]
-    fn spilled_output_matches_in_memory_exactly(
-        pairs in prop::collection::vec((any::<u16>(), any::<u32>()), 0..400),
-        workers in 1usize..9,
-        partitions in 1usize..17,
-        chunk_records in 0usize..130,
-        spill_threshold in 1usize..200,
-    ) {
-        let base = MrConfig { workers, partitions, ..MrConfig::default() };
-        let run = |cfg: &MrConfig| {
-            map_reduce(
-                cfg,
-                &pairs,
-                |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
-                // Keep the raw value list so per-key value *order* is
-                // compared too, not only aggregates.
-                |k, vs| vec![(*k, vs)],
-            )
-        };
-        let in_memory = run(&base);
-        let spilled = run(&MrConfig {
-            chunk_records,
-            spill_threshold_records: spill_threshold,
-            ..base
-        });
-        prop_assert_eq!(in_memory, spilled);
-    }
-
     /// Combining (an associative integer-sum fold) composed with spilling
-    /// produces exactly the in-memory, uncombined output, and the spilled
-    /// run respects the grouped-residency threshold whenever a single
-    /// wave fits under it.
+    /// produces exactly the sequential sums, and the spilled run respects
+    /// the grouped-residency threshold whenever a single wave fits under
+    /// it.
     #[test]
     fn combined_and_spilled_sum_matches_in_memory(
         pairs in prop::collection::vec((any::<u8>(), 0u32..1000), 0..400),
@@ -164,7 +148,6 @@ proptest! {
             emit.emit(k, v as u64);
         };
         let reducer = |k: &u8, vs: Vec<u64>| vec![(*k, vs.iter().sum::<u64>())];
-        let in_memory = map_reduce(&MrConfig::with_workers(workers), &pairs, mapper, reducer);
         let cfg = MrConfig::with_workers(workers)
             .with_chunk_records(chunk_records)
             .with_spill_threshold(spill_threshold);
@@ -178,7 +161,10 @@ proptest! {
             },
             reducer,
         );
-        prop_assert_eq!(in_memory, combined);
+        let combined: BTreeMap<u16, u64> =
+            combined.into_iter().map(|(k, s)| (k.into(), s)).collect();
+        let wide: Vec<(u16, u32)> = pairs.iter().map(|&(k, v)| (k.into(), v)).collect();
+        prop_assert_eq!(combined, reference_sum(&wide));
         if chunk_records <= spill_threshold {
             // A wave can overshoot the chunk quota ~2× during the ramp,
             // but the pre-merge spill keeps the grouped residency bounded

@@ -132,7 +132,7 @@ fn main() {
     );
 
     // Reducer-side sampling (the paper's L) barely moves the output while
-    // bounding per-key work — Fig. 14's claim. (`full` is the unchunked
+    // bounding per-key work — Fig. 14's claim. (`full` is the one-wave
     // run from above.)
     let sampled =
         Fuser::new(FusionConfig::popaccu().with_sample_limit(1_000)).run(&corpus.batch, None);
