@@ -25,6 +25,22 @@ fn reference_groups(pairs: &[(u16, u32)]) -> BTreeMap<u16, Vec<u32>> {
     m
 }
 
+/// Asserts the engine's output under `cfg` is a sequential group-by
+/// exactly: each key's value list is its values in input order, and the
+/// output runs partition by partition (the key's hash modulo the partition
+/// count, the router `Emitter::emit` uses), keys sorted within each.
+fn assert_matches_sequential_groupby(cfg: &MrConfig, pairs: &[(u16, u32)]) {
+    let (out, _) = map_reduce_with_stats(
+        cfg,
+        pairs,
+        |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
+        |k, vs| vec![(*k, vs)],
+    );
+    let mut expected: Vec<(u16, Vec<u32>)> = reference_groups(pairs).into_iter().collect();
+    expected.sort_by_key(|(k, _)| (hash_one(k) % cfg.partitions as u64, *k));
+    assert_eq!(out, expected);
+}
+
 proptest! {
     /// The engine's sums == sequential group-by sums, for any worker count
     /// and chunk quota.
@@ -83,13 +99,25 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Every wave schedule — one wave, chunked, spilled — is a sequential
-    /// group-by exactly: each key's value list is its values in input
-    /// order, and the output runs partition by partition (the key's hash
-    /// modulo the partition count, the router `Emitter::emit` uses), keys
-    /// sorted within each.
+    /// The chunked shuffle is a sequential group-by exactly, for any chunk
+    /// quota — 0 being the one-wave (unchunked) job — not just as a
+    /// multiset: see [`assert_matches_sequential_groupby`].
     #[test]
-    fn output_matches_sequential_groupby_exactly(
+    fn chunked_shuffle_matches_unchunked_exactly(
+        pairs in prop::collection::vec((any::<u16>(), any::<u32>()), 0..400),
+        workers in 1usize..9,
+        partitions in 1usize..17,
+        chunk_records in 0usize..130,
+    ) {
+        let cfg = MrConfig { workers, partitions, chunk_records, ..MrConfig::default() };
+        assert_matches_sequential_groupby(&cfg, &pairs);
+    }
+
+    /// The external shuffle (spill-to-disk runs, k-way merged) is the same
+    /// exact sequential group-by as the in-memory job, for any chunk quota
+    /// and spill threshold (0 = never spill).
+    #[test]
+    fn spilled_output_matches_in_memory_exactly(
         pairs in prop::collection::vec((any::<u16>(), any::<u32>()), 0..400),
         workers in 1usize..9,
         partitions in 1usize..17,
@@ -103,15 +131,7 @@ proptest! {
             spill_threshold_records: spill_threshold,
             ..MrConfig::default()
         };
-        let (out, _) = map_reduce_with_stats(
-            &cfg,
-            &pairs,
-            |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
-            |k, vs| vec![(*k, vs)],
-        );
-        let mut expected: Vec<(u16, Vec<u32>)> = reference_groups(&pairs).into_iter().collect();
-        expected.sort_by_key(|(k, _)| (hash_one(k) % partitions as u64, *k));
-        prop_assert_eq!(out, expected);
+        assert_matches_sequential_groupby(&cfg, &pairs);
     }
 
     /// Chunking never raises the raw-residency peak above one wave's, and
