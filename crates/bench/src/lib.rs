@@ -20,14 +20,14 @@ pub use scenarios::{
     ScenarioRow, SCENARIO_NAMES,
 };
 
-use kf_core::{Claims, Fuser, FusionConfig, FusionOutput, GroupedArtifact, Method};
+use kf_core::{Claims, Fuser, FusionConfig, FusionOutput, Grouped, Method};
 use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
 use kf_eval::{AblationRunner, CorpusSummary, EvalReport, MethodEval, Preset};
 use kf_mapreduce::{run_tasks, MrConfig};
 use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::Trace;
-use kf_types::{Extraction, Granularity, TaskSpec};
-use std::sync::{Arc, Mutex, OnceLock};
+use kf_types::{Granularity, TaskSpec};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Why [`ReproOptions::parse`] did not produce options.
@@ -696,79 +696,55 @@ fn engine_config(workers: Option<usize>) -> MrConfig {
     workers.map_or_else(MrConfig::default, MrConfig::with_workers)
 }
 
-/// Values built once per key. The list is locked to find (or add) a key's
-/// cell, never while a value is built: builds under different keys overlap,
-/// and whoever asks for a key being built waits for that one build.
-type BuiltOnce<K, V> = Mutex<Vec<(K, Arc<OnceLock<Arc<V>>>)>>;
-
-/// The value under `key`, built by the first caller to ask for it, and
-/// whether that was this call.
-fn get_or_build<K: PartialEq, V>(
-    cells: &BuiltOnce<K, V>,
-    key: K,
-    build: impl FnOnce() -> V,
-) -> (Arc<V>, bool) {
-    let cell = {
-        let mut cells = cells.lock().expect("a cell lookup cannot panic");
-        let at = cells.iter().position(|(k, _)| *k == key);
-        let at = at.unwrap_or_else(|| {
-            cells.push((key, Arc::default()));
-            cells.len() - 1
-        });
-        cells[at].1.clone()
-    };
-    let mut built = false;
-    let value = cell.get_or_init(|| {
-        built = true;
-        Arc::new(build())
-    });
-    (value.clone(), built)
+/// The grouped state of one corpus: its [`Claims`] — the one shuffle of
+/// the extractions — and one cell per granularity for the claim graph
+/// projected from them, filled before the first preset that needs it
+/// fans out. Presets of one granularity fuse over one shared graph: the
+/// three basic presets over the *(extractor, page)* graph, the two
+/// POPACCU+ presets over the fine one; the support index and the corpus
+/// summary read the claims.
+struct Grouping {
+    claims: Claims,
+    graphs: [OnceLock<Grouped>; Granularity::ALL.len()],
 }
 
-/// What has been grouped so far over one corpus: its [`Claims`] — the one
-/// shuffle of the extractions, keyed by the grouping job's `MrConfig` —
-/// and the claim graphs projected from them, one per granularity. Presets
-/// of one granularity fuse over one shared graph: the three basic presets
-/// over the *(extractor, page)* graph, the two POPACCU+ presets over the
-/// fine one; the support index and the corpus summary read the claims.
-///
-/// Builds, projections and reuses are counted on the installed trace —
-/// ask under the process-level trace, not a method's: which preset pays
-/// for what depends on what else the process ran.
-#[derive(Default)]
-struct GraphCache {
-    claims: BuiltOnce<MrConfig, Claims>,
-    graphs: BuiltOnce<(Granularity, MrConfig), GroupedArtifact>,
-}
-
-impl GraphCache {
-    /// The claims of `records` grouped under `mr`, built on first request.
-    fn claims(&self, records: &[Extraction], mr: &MrConfig) -> Arc<Claims> {
-        let (claims, built) = get_or_build(&self.claims, *mr, || Claims::build(records, mr));
-        if built {
-            kf_telemetry::add("fuse.claims_builds", 1);
+impl Grouping {
+    fn new(claims: Claims) -> Self {
+        Grouping {
+            claims,
+            graphs: Default::default(),
         }
-        claims
     }
 
-    /// The graph of `records` at `granularity`, projected on first request
-    /// from the claims grouped under `mr`.
-    fn graph(
-        &self,
-        records: &[Extraction],
-        granularity: Granularity,
-        mr: &MrConfig,
-    ) -> Arc<GroupedArtifact> {
-        let (graph, built) = get_or_build(&self.graphs, (granularity, *mr), || {
-            GroupedArtifact::project(&self.claims(records, mr), granularity)
-        });
-        let counter = if built {
-            "fuse.graph_builds"
-        } else {
-            "fuse.graph_reuses"
-        };
-        kf_telemetry::add(counter, 1);
-        graph
+    fn cell(&self, granularity: Granularity) -> &OnceLock<Grouped> {
+        let at = Granularity::ALL.iter().position(|&g| g == granularity);
+        &self.graphs[at.expect("every granularity is in ALL")]
+    }
+
+    /// Project each of `granularities` that has no graph yet, side by
+    /// side on `workers` threads, under one `project` span of the calling
+    /// thread's trace (none when every graph exists).
+    fn project(&self, granularities: impl IntoIterator<Item = Granularity>, workers: usize) {
+        let mut missing: Vec<Granularity> = Vec::new();
+        for g in granularities {
+            if self.cell(g).get().is_none() && !missing.contains(&g) {
+                missing.push(g);
+            }
+        }
+        if missing.is_empty() {
+            return;
+        }
+        let _span = kf_telemetry::span("project");
+        // A run sharing this grouping may have set a cell first; its graph
+        // is the same.
+        let project = |g: Granularity| move || drop(self.cell(g).set(self.claims.project(g)));
+        run_tasks(workers, missing.into_iter().map(project).collect());
+    }
+
+    /// The graph at `granularity`, once [`Grouping::project`]ed.
+    fn graph(&self, granularity: Granularity) -> &Grouped {
+        let graph = self.cell(granularity).get();
+        graph.expect("graphs are projected before the presets fan out")
     }
 }
 
@@ -776,19 +752,9 @@ impl GraphCache {
 /// run's threads, writing its result where its maker told it to.
 type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-/// `task`, counting on `process` — the trace its scheduler had installed —
-/// on whichever thread runs it. Counters only: a trace has one span stack,
-/// which stays with the scheduling thread.
-fn counted_on<'a>(process: &'a Option<Trace>, task: impl FnOnce() + Send + 'a) -> Task<'a> {
-    Box::new(move || {
-        let _installed = process.as_ref().map(kf_telemetry::install);
-        task()
-    })
-}
-
 /// The per-corpus state every preset's run shares: the grouped claims
 /// and the claim graphs projected from them (one per granularity, on
-/// first use) and the inputs of the error-taxonomy diagnosis pass — the
+/// first use), and the inputs of the error-taxonomy diagnosis pass — the
 /// batch-level support index, the generator-truth and scenario-truth
 /// joins, the extractor labels, and the MapReduce configuration the
 /// diagnoser partitions under.
@@ -804,26 +770,24 @@ pub struct DiagnosisContext {
     scenario: kf_types::FxHashMap<kf_types::Triple, kf_types::ScenarioPhenomenon>,
     labels: Vec<String>,
     mr: MrConfig,
-    graphs: GraphCache,
+    grouping: Grouping,
 }
 
 /// Build the shared diagnosis inputs for `corpus`, or `None` when
-/// `opts.diagnose` is off. The support index — a projection of the
-/// corpus's grouped claims, which this groups — is shared by all presets,
-/// so its cost is recorded on the *process-level* trace (under a
-/// `support_index` span), not any method's. The truth joins do not read
-/// the claims: they run beside the grouping job, as the second task of a
-/// two-task fan-out.
+/// `opts.diagnose` is off. The grouped claims and the support index — a
+/// projection of them — are shared by all presets, so their cost is
+/// recorded on the *process-level* trace (the grouping job as a `group`
+/// span under a `support_index` span), not any method's. The truth joins
+/// do not read the claims: they run beside the grouping job, as the
+/// second task of a two-task fan-out.
 pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<DiagnosisContext> {
     let mr = engine_config(opts.workers);
     opts.diagnose.then(|| {
         let _span = kf_telemetry::span("support_index");
-        let process = kf_telemetry::current();
-        let graphs = GraphCache::default();
-        let (mut support, mut truths) = (None, None);
-        let group = counted_on(&process, || {
-            let claims = graphs.claims(&corpus.batch.records, &mr);
-            support = Some(SupportIndex::from_claims(&claims));
+        let (mut grouped, mut truths) = (None, None);
+        let group: Task = Box::new(|| {
+            let claims = Claims::build(&corpus.batch.records, &mr);
+            grouped = Some((SupportIndex::from_claims(&claims), claims));
         });
         // The scenario join is empty for honest corpora; hostile
         // checkpoints carry their injected phenomena into every method's
@@ -832,14 +796,16 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
             truths = Some((corpus.taxonomy_truth(), corpus.scenario_truth()));
         });
         run_tasks(mr.workers, vec![group, join]);
+        let (support, claims) = grouped.expect("the grouping task ran");
+        kf_telemetry::graft(claims.trace());
         let (truth, scenario) = truths.expect("the join task ran");
         DiagnosisContext {
-            support: support.expect("the grouping task ran"),
+            support,
             truth,
             scenario,
             labels: corpus.extractors.iter().map(|e| e.name.clone()).collect(),
             mr,
-            graphs,
+            grouping: Grouping::new(claims),
         }
     })
 }
@@ -873,9 +839,11 @@ fn corpus_summary(scale: &str, corpus: &Corpus, claims: &Claims) -> CorpusSummar
 
 /// [`run`] over an existing corpus.
 ///
-/// The extractions are shuffled once per corpus; per preset: fuse (over
-/// the claim graph of the preset's granularity, projected once from the
-/// grouped claims), evaluate calibration/PR, and — unless `opts.diagnose`
+/// The extractions are shuffled once per corpus, and each granularity's
+/// claim graph projected once from the grouped claims, both before the
+/// presets fan out and both recorded on the process-level trace; per
+/// preset: fuse over its granularity's graph, evaluate calibration/PR,
+/// and — unless `opts.diagnose`
 /// is off — run the `kf-diagnose` error-taxonomy pass so every method's
 /// report section carries the Fig. 17 breakdown plus the
 /// heuristic-vs-injected confusion matrix. The batch-level support index
@@ -900,11 +868,11 @@ pub fn run_on_corpus(opts: &ReproOptions, corpus: &Corpus) -> EvalReport {
 
 /// [`run_on_corpus`] with the shared per-corpus state prebuilt (`None`
 /// disables the taxonomy pass, exactly like `opts.diagnose == false`, and
-/// shares claims and graphs within this call only). The context must have
-/// been built from the same corpus and equivalent options; reusing it
-/// changes nothing about the produced bytes — a cached graph replays its
-/// grouping job into every method's trace and counters — only skips
-/// regrouping the corpus and recomputing the support index and graphs.
+/// groups the corpus within this call only). The context must have been
+/// built from the same corpus and equivalent options; reusing it changes
+/// nothing about the produced bytes — no method's trace records the
+/// grouping job or a projection — only skips regrouping the corpus and
+/// recomputing the support index and the graphs it already holds.
 pub fn run_on_corpus_with_context(
     opts: &ReproOptions,
     corpus: &Corpus,
@@ -931,10 +899,11 @@ pub fn run_on_corpus_with_context(
     report
 }
 
-/// The schedule of a run: every preset of `opts` as one task — project
-/// its granularity's graph if no other preset has, fuse, evaluate,
-/// diagnose, all but the projection under its own `method` trace, then
-/// `finish(preset, output, evaluation)` — handed to [`run_tasks`] in
+/// The schedule of a run: group the corpus unless `diagnosis` already
+/// has, and project each granularity the presets need that it does not
+/// hold yet ([`Grouping::project`]); then every preset of `opts`
+/// as one task — fuse, evaluate, diagnose, under its own `method` trace,
+/// then `finish(preset, output, evaluation)` — handed to [`run_tasks`] in
 /// task-table order, plus `summarize(claims)` as one more, last. Returns
 /// what the presets finished as, in `opts.presets` order, and the summary.
 pub(crate) fn fuse_presets<T: Send, S: Send>(
@@ -951,10 +920,21 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
         ..Default::default()
     };
     let mr = engine_config(opts.workers);
-    let call_local = GraphCache::default();
-    let graphs = diagnosis.map_or(&call_local, |ctx| &ctx.graphs);
-    let records = &corpus.batch.records;
-    let process = kf_telemetry::current();
+    let call_local;
+    let grouping = match diagnosis {
+        Some(ctx) => &ctx.grouping,
+        None => {
+            let claims = Claims::build(&corpus.batch.records, &mr);
+            kf_telemetry::graft(claims.trace());
+            call_local = Grouping::new(claims);
+            &call_local
+        }
+    };
+    grouping.project(
+        opts.presets.iter().map(|p| p.config().granularity),
+        mr.workers,
+    );
+    let stats = grouping.claims.stats();
     let (runner, finish) = (&runner, &finish);
 
     let mut finished: Vec<Option<T>> = opts.presets.iter().map(|_| None).collect();
@@ -968,21 +948,21 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
         if let Some(w) = opts.workers {
             config = config.with_workers(w);
         }
+        let graph = grouping.graph(config.granularity);
         let fuse = move || {
             let gold = preset.needs_gold().then_some(&corpus.gold);
-            let start = Instant::now();
-            let graph = graphs.graph(records, config.granularity, &config.mr);
             // Each preset runs under its own trace (shadowing the
             // process-level one), so neither the shard nor the thread a
             // preset happens to run in changes what its trace records.
             let trace = Trace::with_root("method");
             let installed = kf_telemetry::install(&trace);
             let fuser = Fuser::new(config);
+            let start = Instant::now();
             // Only the taxonomy pass reads the attribution columns.
             let (output, diagnosis) = match diagnosis {
-                None => (fuser.run_unattributed(&graph, gold), None),
+                None => (fuser.run_unattributed(graph, stats, gold), None),
                 Some(ctx) => {
-                    let (output, attribution) = fuser.run_prebuilt(&graph, gold);
+                    let (output, attribution) = fuser.run_prebuilt(graph, stats, gold);
                     (output, Some((ctx, attribution)))
                 }
             };
@@ -1006,10 +986,9 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
             method.trace = Some(trace.snapshot());
             *slot = Some(finish(preset, &output, method));
         };
-        tasks.push(counted_on(&process, fuse));
+        tasks.push(Box::new(fuse));
     }
-    let summarize = || summary = Some(summarize(&graphs.claims(records, &mr)));
-    tasks.push(counted_on(&process, summarize));
+    tasks.push(Box::new(|| summary = Some(summarize(&grouping.claims))));
     run_tasks(mr.workers, tasks);
 
     let finished = finished.into_iter().map(|t| t.expect("every preset ran"));
@@ -1019,6 +998,7 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn parse_defaults() {

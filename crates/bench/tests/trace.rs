@@ -4,14 +4,13 @@
 //! are fused in, merging the shard reports reassembles a combined trace
 //! identical to the single-process run's, because every method's trace
 //! derives only from the corpus and its own configuration (the
-//! determinism ledger), never from which process happened to host it —
-//! nor from whether the claims it fused over were grouped for it or
-//! shared with every other preset.
+//! determinism ledger), never from which process happened to host it;
+//! the grouping job all presets share is the process's to record.
 
 use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, ReproOptions};
 use kf_eval::{merge_reports, AblationRunner, EvalReport, Preset};
 use kf_synth::{Corpus, SynthConfig};
-use kf_telemetry::TraceReport;
+use kf_telemetry::{SpanNode, TraceReport};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -51,49 +50,60 @@ fn traced_run(opts: &ReproOptions, corpus: &Corpus) -> (EvalReport, TraceReport)
     (report, process)
 }
 
-/// One `run_on_corpus` shuffles the extractions once: the five presets span
-/// two granularities, so the one claims build is projected twice and the
-/// graphs reused three times, the support index and the summary counts read
-/// the same claims — all counted on the process-level trace only, from
-/// whichever threads the run's tasks landed on — and no method's report
-/// section can tell what it shared: each is byte-equal to the same preset
-/// run alone (its own grouping job, run for it), exactly as a `kf-dist`
-/// worker would run it from a task spec.
+/// Every span named `name` in the tree under `node`, `node` included.
+fn spans_named<'a>(node: &'a SpanNode, name: &str, found: &mut Vec<&'a SpanNode>) {
+    if node.name == name {
+        found.push(node);
+    }
+    for child in &node.children {
+        spans_named(child, name, found);
+    }
+}
+
+fn counter(trace: &TraceReport, name: &str) -> Option<u64> {
+    let found = trace.counters.iter().find(|c| c.name == name);
+    found.map(|c| c.value)
+}
+
+/// One `run_on_corpus` shuffles the extractions once, before the presets
+/// fan out, and records that job once, where it ran: the process-level
+/// trace holds the one `group` subtree (under `support_index`, beside the
+/// truth joins) with its `mr.*` counters, and one `project` span, in
+/// which the graphs of the two granularities the five presets span were
+/// projected side by side. The support index and the summary counts read
+/// the same claims. No method trace has a `group` span, and no method's
+/// report section can tell what it shared: each is byte-equal to the
+/// same preset run alone, exactly as a `kf-dist` worker would run it from
+/// a task spec.
 #[test]
 fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     let opts = options(3);
     let corpus = Corpus::generate(&SynthConfig::tiny(), opts.seed);
     let (shared, process) = traced_run(&opts, &corpus);
-    let counter = |name: &str| {
-        let found = process.counters.iter().find(|c| c.name == name);
-        found.map(|c| c.value)
-    };
-    assert_eq!(counter("fuse.claims_builds"), Some(1));
-    assert_eq!(counter("fuse.graph_builds"), Some(2));
-    assert_eq!(counter("fuse.graph_reuses"), Some(3));
-    // The grouping job's own telemetry went with the graphs into the
-    // method traces, and nothing else shuffles the raw records: the
-    // process level saw no MapReduce job at all.
-    assert_eq!(counter("mr.jobs"), None);
-    // The whole-run trace sees every job the methods replayed or ran (the
-    // claims build, the diagnosis passes): none sets a quota, so each is
-    // one wave — a ramp would count about log2(inputs) waves a job.
-    let run = shared.combined_trace().expect("combined trace");
-    let run_counter = |name: &str| {
-        let found = run.counters.iter().find(|c| c.name == name);
-        found.map(|c| c.value)
-    };
-    assert!(run_counter("mr.jobs") > Some(0));
-    assert_eq!(run_counter("mr.waves"), run_counter("mr.jobs"));
-    // Tasks count on the process-level trace but open no spans on it: the
-    // only one is the scheduling thread's, around the diagnosis prefix.
-    let spans: Vec<_> = process.root.children.iter().collect();
-    assert_eq!(spans.len(), 1);
+    assert_eq!(counter(&process, "mr.jobs"), Some(1));
     assert_eq!(
-        (spans[0].name.as_str(), spans[0].calls),
-        ("support_index", 1)
+        counter(&process, "mr.map_input"),
+        Some(corpus.batch.len() as u64)
     );
-    assert!(spans[0].children.is_empty());
+    let spans = process.root.children.iter();
+    let spans: Vec<_> = spans.map(|s| (s.name.as_str(), s.calls)).collect();
+    assert_eq!(spans, [("support_index", 1), ("project", 1)]);
+    let mut groups = Vec::new();
+    spans_named(&process.root, "group", &mut groups);
+    assert_eq!(groups.len(), 1);
+    assert_eq!(groups[0].calls, 1);
+    assert_eq!(process.root.children[0].children, [groups[0].clone()]);
+
+    // The whole-run trace sees every job once: the claims build and one
+    // diagnosis pass per preset. None sets a quota, so each is one wave —
+    // a ramp would count about log2(inputs) waves a job.
+    let mut run = process.clone();
+    for m in &shared.methods {
+        run.absorb(&m.name, m.trace.as_ref().expect("method trace"));
+    }
+    let jobs = 1 + Preset::ALL.len() as u64;
+    assert_eq!(counter(&run, "mr.jobs"), Some(jobs));
+    assert_eq!(counter(&run, "mr.waves"), Some(jobs));
 
     // The summary read off the claims is the one counted off the records.
     let runner = AblationRunner {
@@ -120,11 +130,15 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
             method.name
         );
         let trace = method.trace.as_ref().expect("method trace");
-        let group = trace.root.child("fuse").and_then(|f| f.child("group"));
-        assert_eq!(group.map(|g| g.calls), Some(1), "{}", method.name);
-        // Fusion rounds are kernels over the claim graph: the grouping job's
-        // shuffle sits under `fuse/group` (so the walk finds one where one
-        // is) and no `round` span has one anywhere beneath it.
+        let mut groups = Vec::new();
+        spans_named(&trace.root, "group", &mut groups);
+        assert!(
+            groups.is_empty(),
+            "{}: a method records a group",
+            method.name
+        );
+        // Fusion rounds are kernels over the claim graph: the only
+        // shuffle in a method's trace is its diagnosis pass's.
         let paths = trace.flat_timings();
         let shuffles_below = |ancestor: &str| {
             paths.iter().any(|(path, _)| {
@@ -132,12 +146,45 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
                 below.any(|span| span == "shuffle")
             })
         };
-        assert!(shuffles_below("group"), "{}", method.name);
+        assert!(shuffles_below("diagnose"), "{}", method.name);
+        assert!(!shuffles_below("fuse"), "{}: fusion shuffles", method.name);
+    }
+}
+
+/// The phase table adds up: in a timed run, the children of every span —
+/// of the process-level trace and of each method's — sum to no more than
+/// the span itself, so every nanosecond a span reports happened inside it.
+#[test]
+fn every_span_covers_its_children_in_a_timed_run() {
+    fn check(node: &SpanNode, path: &str) {
+        let path = format!("{path}/{}", node.name);
+        let children: u64 = node.children.iter().map(|c| c.total_ns).sum();
         assert!(
-            !shuffles_below("round"),
-            "{}: a round shuffles",
-            method.name
+            children <= node.total_ns,
+            "{path}: children sum to {children} ns, the span to {} ns",
+            node.total_ns
         );
+        for child in &node.children {
+            check(child, &path);
+        }
+    }
+    let corpus = Corpus::generate(&SynthConfig::tiny(), 3);
+    for workers in [1, 2] {
+        let opts = ReproOptions {
+            workers: Some(workers),
+            deterministic: false,
+            ..options(3)
+        };
+        let process = kf_telemetry::Trace::new();
+        let report = {
+            let _installed = kf_telemetry::install(&process);
+            run_on_corpus(&opts, &corpus)
+        };
+        check(&process.snapshot().root, &format!("{workers} workers: "));
+        for m in &report.methods {
+            let trace = m.trace.as_ref().expect("method trace");
+            check(&trace.root, &format!("{workers} workers: {}", m.name));
+        }
     }
 }
 

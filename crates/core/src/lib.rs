@@ -31,9 +31,10 @@
 //! `MrConfig::spill_threshold_records`). It shuffles the extractions
 //! once; a claim graph ([`Grouped`]) is a projection of the grouped
 //! claims at one granularity, and the rounds are kernels over that
-//! immutable graph, which several runs can share ([`GroupedArtifact`],
-//! [`Fuser::run_prebuilt`]). See the repository's `ARCHITECTURE.md` for
-//! the data flow.
+//! immutable graph, which several runs can share
+//! ([`Fuser::run_prebuilt`]). The claims keep their grouping job's trace
+//! ([`Claims::trace`]); whoever built them grafts it into its own trace,
+//! once. See the repository's `ARCHITECTURE.md` for the data flow.
 //!
 //! ```
 //! use kf_core::{Fuser, FusionConfig};
@@ -60,6 +61,6 @@ pub mod pipeline;
 pub mod result;
 
 pub use config::{FusionConfig, InitAccuracy, Method};
-pub use observation::{Claims, Grouped, GroupedArtifact};
+pub use observation::{Claims, Grouped};
 pub use pipeline::Fuser;
 pub use result::{FusionOutput, ProvenanceAttribution, ScoredTriple};

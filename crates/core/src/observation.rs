@@ -18,18 +18,16 @@
 //! data-item order, each with a run of provenance ids, plus the transpose
 //! (each provenance's slots, ascending). Nothing in it changes between
 //! fusion rounds or between presets of one granularity, so one graph
-//! serves many runs ([`GroupedArtifact`]); accuracies, probabilities and
-//! every other per-run value live in the run, not here.
+//! serves many runs; accuracies, probabilities and every other per-run
+//! value live in the run, not here.
 
 use kf_mapreduce::{map_reduce_combined_with_stats, Emitter, JobStats, MrConfig};
-use kf_telemetry::{SpanNode, Trace, TraceReport};
+use kf_telemetry::{Trace, TraceReport};
 use kf_types::{
     DataItem, Extraction, ExtractorId, FxMixHashMap, Granularity, KvCodec, PageId, PatternId,
     Provenance, ProvenanceKey, SiteId, Triple, Value,
 };
 use std::ops::Range;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Offsets into the flat columns are `u32`: 4 bytes per claim in each
 /// direction is the whole point of the layout.
@@ -96,43 +94,13 @@ impl KvCodec for Obs {
     }
 }
 
-/// The record of a grouping job — its execution counters and its trace,
-/// rooted at `group` — kept with what the job built, so that every use of
-/// a shared build replays the job exactly as if it had just run there.
-#[derive(Debug)]
-struct JobRecord {
-    stats: JobStats,
-    /// Quarantined once its wall-clock has been charged to a use.
-    telemetry: Mutex<TraceReport>,
-}
-
-impl JobRecord {
-    /// A copy of the telemetry carrying whatever wall-clock is still
-    /// uncharged, which this record gives up.
-    fn hand_over(&self) -> TraceReport {
-        let mut telemetry = self.telemetry.lock().expect("a telemetry replay panicked");
-        let copy = telemetry.clone();
-        telemetry.quarantine_timings();
-        copy
-    }
-
-    /// Replay the job's telemetry under the installed trace's open span:
-    /// span calls, counters and histograms every time, the wall-clock the
-    /// first time only.
-    fn replay(&self) {
-        let mut telemetry = self.telemetry.lock().expect("a telemetry replay panicked");
-        kf_telemetry::graft(&telemetry);
-        telemetry.quarantine_timings();
-    }
-}
-
 /// The grouped extractions of a batch, before a provenance granularity is
 /// chosen: every data item's candidate values and, per value, the sorted
 /// distinct raw provenances that extracted it — the output of the **one**
-/// shuffle a corpus needs, with the record of the job that ran it. Claim
-/// graphs at any granularity ([`Claims::project`]), the diagnosis support
-/// index and the corpus summary counts are all projections of these
-/// columns.
+/// shuffle a corpus needs, with the record of the job that ran it
+/// ([`Claims::trace`], [`Claims::stats`]). Claim graphs at any
+/// granularity ([`Claims::project`]), the diagnosis support index and the
+/// corpus summary counts are all projections of these columns.
 ///
 /// Slot `s` is one unique triple; item `i` owns the contiguous slots
 /// [`Claims::item_slots`]`(i)`, in value order, and items are sorted, so
@@ -156,14 +124,17 @@ pub struct Claims {
     slot_offsets: Vec<u32>,
     /// Raw provenances, distinct and sorted within a slot.
     provs: Vec<Provenance>,
-    job: JobRecord,
+    /// The grouping job's trace, rooted at `group`.
+    trace: TraceReport,
+    /// The grouping job's execution counters.
+    stats: JobStats,
 }
 
 impl Claims {
     /// Group `batch` with one MapReduce pass, keeping the job's telemetry
-    /// with the result instead of recording it into the installed trace
-    /// ([`Claims::replay_telemetry`], or a projected [`GroupedArtifact`],
-    /// replays it).
+    /// with the result ([`Claims::trace`]) instead of recording it into
+    /// the installed trace: the claims may be built on any thread, and
+    /// whoever owns the trace the job ran for grafts it there, once.
     ///
     /// The mapper emits `(item, (value, provenance))`; the reducer sorts
     /// an item's observations, so values come out sorted and each value's
@@ -276,10 +247,8 @@ impl Claims {
             n_records,
             slot_offsets,
             provs,
-            job: JobRecord {
-                stats,
-                telemetry: Mutex::new(trace.snapshot()),
-            },
+            trace: trace.snapshot(),
+            stats,
         }
     }
 
@@ -404,14 +373,14 @@ impl Claims {
 
     /// The grouping job's execution counters.
     pub fn stats(&self) -> JobStats {
-        self.job.stats
+        self.stats
     }
 
-    /// Replay the grouping job's telemetry under the installed trace's
-    /// open span — what a caller that built these claims for itself owes
-    /// its trace.
-    pub fn replay_telemetry(&self) {
-        self.job.replay();
+    /// The grouping job's trace, rooted at `group` — what the caller that
+    /// built these claims grafts into its own trace
+    /// ([`kf_telemetry::graft`]), exactly once.
+    pub fn trace(&self) -> &TraceReport {
+        &self.trace
     }
 }
 
@@ -446,22 +415,14 @@ pub struct Grouped {
 
 impl Grouped {
     /// Build the claim graph of `batch` at `granularity`: group the batch
-    /// ([`Claims::build`], one MapReduce pass) and project the result
-    /// ([`Claims::project`]).
+    /// ([`Claims::build`], one MapReduce pass), graft the job's record
+    /// into the installed trace and project the result
+    /// ([`Claims::project`]) under a `project` span.
     pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Grouped {
-        Self::build_with_stats(batch, granularity, mr).0
-    }
-
-    /// [`Grouped::build`] variant that also returns the grouping job's
-    /// execution counters (shuffle volume, peak resident records).
-    pub fn build_with_stats(
-        batch: &[Extraction],
-        granularity: Granularity,
-        mr: &MrConfig,
-    ) -> (Grouped, JobStats) {
         let claims = Claims::build(batch, mr);
-        claims.replay_telemetry();
-        (claims.project(granularity), claims.stats())
+        kf_telemetry::graft(claims.trace());
+        let _span = kf_telemetry::span("project");
+        claims.project(granularity)
     }
 
     /// Number of data items.
@@ -552,72 +513,6 @@ impl Grouped {
     }
 }
 
-/// A claim graph together with the record of the grouping job behind it:
-/// one build serves many fusion runs ([`Fuser::run_prebuilt`](crate::Fuser::run_prebuilt)),
-/// and no run's output can tell whether it was the one that paid for it —
-/// nor whether the job's [`Claims`] were grouped for this graph alone or
-/// projected at other granularities too.
-///
-/// Every use replays the grouping job's counters into
-/// `FusionOutput::stats` and its telemetry (span subtree, `mr.*`
-/// counters, histograms) into the installed trace, exactly as if the job
-/// had just run there; only the wall-clock is charged once, to the first
-/// use.
-#[derive(Debug)]
-pub struct GroupedArtifact {
-    grouped: Grouped,
-    job: JobRecord,
-}
-
-impl GroupedArtifact {
-    /// Group `batch` ([`Claims::build`]) and project the claims at
-    /// `granularity`; the claims are dropped once projected.
-    pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Self {
-        Self::project(&Claims::build(batch, mr), granularity)
-    }
-
-    /// The graph of `claims` at `granularity` ([`Claims::project`]), with
-    /// their grouping job's record. The job does not depend on the
-    /// granularity, so the artifact is the one
-    /// [`GroupedArtifact::build`] makes from the same batch, however many
-    /// other projections share the claims; the job's wall-clock goes with
-    /// the first of them.
-    pub fn project(claims: &Claims, granularity: Granularity) -> Self {
-        let start = Instant::now();
-        let grouped = claims.project(granularity);
-        let mut telemetry = claims.job.hand_over();
-        // The projection is the tail of the `group` span.
-        let total_ns = start.elapsed().as_nanos() as u64;
-        telemetry.root.total_ns += total_ns;
-        telemetry.root.children.push(SpanNode {
-            calls: 1,
-            total_ns,
-            ..SpanNode::leaf("project")
-        });
-        let job = JobRecord {
-            stats: claims.job.stats,
-            telemetry: Mutex::new(telemetry),
-        };
-        GroupedArtifact { grouped, job }
-    }
-
-    /// The graph.
-    pub fn grouped(&self) -> &Grouped {
-        &self.grouped
-    }
-
-    /// The grouping job's execution counters.
-    pub fn stats(&self) -> JobStats {
-        self.job.stats
-    }
-
-    /// Replay the grouping job's telemetry under the installed trace's
-    /// open span.
-    pub(crate) fn replay_telemetry(&self) {
-        self.job.replay();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,6 +532,13 @@ mod tests {
 
     fn build(batch: &[Extraction]) -> Grouped {
         Grouped::build(batch, Granularity::ExtractorPage, &MrConfig::sequential())
+    }
+
+    /// The *(extractor, page)* graph of `batch` and its grouping job's
+    /// counters.
+    fn graph_and_stats(batch: &[Extraction], mr: &MrConfig) -> (Grouped, JobStats) {
+        let claims = Claims::build(batch, mr);
+        (claims.project(Granularity::ExtractorPage), claims.stats())
     }
 
     #[test]
@@ -763,14 +665,12 @@ mod tests {
             .map(|i| ext(i % 37, i % 4, i % 11, (i % 8) as u16, i % 250))
             .collect();
         let mr = MrConfig::with_workers(4);
-        let (one_wave, base_stats) =
-            Grouped::build_with_stats(&batch, Granularity::ExtractorPage, &mr);
+        let (one_wave, base_stats) = graph_and_stats(&batch, &mr);
         // One wave: the whole shuffle (one record per extraction) resident.
         assert_eq!(base_stats.peak_resident_records, batch.len() as u64);
 
         let chunked_mr = mr.with_chunk_records(512);
-        let (chunked, chunk_stats) =
-            Grouped::build_with_stats(&batch, Granularity::ExtractorPage, &chunked_mr);
+        let (chunked, chunk_stats) = graph_and_stats(&batch, &chunked_mr);
         assert_eq!(one_wave, chunked);
         assert!(
             chunk_stats.peak_resident_records < base_stats.peak_resident_records,
@@ -789,15 +689,13 @@ mod tests {
             .map(|i| ext(i % 37, i % 4, i % 11, (i % 8) as u16, i % 250))
             .collect();
         let mr = MrConfig::with_workers(4);
-        let (in_memory, base_stats) =
-            Grouped::build_with_stats(&batch, Granularity::ExtractorPage, &mr);
+        let (in_memory, base_stats) = graph_and_stats(&batch, &mr);
         // Without spilling, every grouped observation waits in memory.
         assert_eq!(base_stats.peak_grouped_records, batch.len() as u64);
         assert_eq!(base_stats.spilled_bytes, 0);
 
         let spill_mr = mr.with_chunk_records(256).with_spill_threshold(1_024);
-        let (spilled, spill_stats) =
-            Grouped::build_with_stats(&batch, Granularity::ExtractorPage, &spill_mr);
+        let (spilled, spill_stats) = graph_and_stats(&batch, &spill_mr);
         assert_eq!(in_memory, spilled, "spilled grouping must be identical");
         assert!(spill_stats.spilled_bytes > 0, "disk path not exercised");
         // Grouping emits one record per extraction and every wave (≤ 512)
@@ -815,13 +713,9 @@ mod tests {
         // collapses the duplicates while waves merge, so grouped residency
         // stays near the number of *distinct* observations.
         let batch: Vec<Extraction> = (0..5_000).map(|i| ext(i % 5, 1, 1, 0, i % 2)).collect();
-        let (in_memory, _) =
-            Grouped::build_with_stats(&batch, Granularity::ExtractorPage, &MrConfig::sequential());
-        let (combined, stats) = Grouped::build_with_stats(
-            &batch,
-            Granularity::ExtractorPage,
-            &MrConfig::sequential().with_chunk_records(200),
-        );
+        let (in_memory, _) = graph_and_stats(&batch, &MrConfig::sequential());
+        let (combined, stats) =
+            graph_and_stats(&batch, &MrConfig::sequential().with_chunk_records(200));
         assert_eq!(in_memory, combined);
         // 10 distinct (item, value, prov) observations; without combining
         // the grouped peak would be the full 5,000.
@@ -893,59 +787,32 @@ mod tests {
     }
 
     #[test]
-    fn artifact_replays_its_grouping_job_on_every_use() {
+    fn claims_carry_their_job_record_and_a_build_records_nothing() {
         let batch: Vec<Extraction> = (0..300)
             .map(|i| ext(i % 17, i % 2, i % 5, (i % 3) as u16, i % 40))
             .collect();
         let mr = MrConfig::sequential();
         // A build records nothing into the installed trace...
         let host = Trace::new();
-        let artifact = {
+        let claims = {
             let _t = kf_telemetry::install(&host);
-            GroupedArtifact::build(&batch, Granularity::ExtractorPage, &mr)
+            Claims::build(&batch, &mr)
         };
         assert!(host.snapshot().counters.is_empty());
-        assert_eq!(artifact.stats().map_input, batch.len() as u64);
-        assert_eq!(
-            artifact.grouped(),
-            &Grouped::build(&batch, Granularity::ExtractorPage, &mr)
-        );
-        // ...every use does, identically up to wall-clock: the first use
-        // is charged the build's time, later ones none.
-        let uses = replays(&artifact, 2);
-        assert_eq!(group(&uses[0]).calls, 1);
-        assert!(group(&uses[0]).child("shuffle").is_some());
-        assert_eq!(group(&uses[0]).child("project").map(|p| p.calls), Some(1));
-        assert!(group(&uses[0]).total_ns > 0);
-        assert_eq!(group(&uses[1]).total_ns, 0);
-        let jobs = |r: &TraceReport| {
-            r.counters
-                .iter()
-                .find(|c| c.name == "mr.jobs")
-                .map(|c| c.value)
-        };
-        assert_eq!(jobs(&uses[0]), Some(1));
-        let mut uses = uses;
-        uses.iter_mut().for_each(TraceReport::quarantine_timings);
-        assert_eq!(uses[0], uses[1]);
+        assert!(host.snapshot().root.children.is_empty());
+        // ...the claims keep the job's record: the `group` span tree, its
+        // counters, its stats.
+        let record = claims.trace();
+        assert_eq!((record.root.name.as_str(), record.root.calls), ("group", 1));
+        assert!(record.root.child("shuffle").is_some());
+        assert!(record.root.total_ns > 0);
+        assert_eq!(counter(record, "mr.jobs"), Some(1));
+        assert_eq!(counter(record, "mr.map_input"), Some(batch.len() as u64));
+        assert_eq!(claims.stats().map_input, batch.len() as u64);
     }
 
-    /// What `n` successive uses of `artifact` each record.
-    fn replays(artifact: &GroupedArtifact, n: usize) -> Vec<TraceReport> {
-        (0..n)
-            .map(|_| {
-                let trace = Trace::new();
-                {
-                    let _t = kf_telemetry::install(&trace);
-                    artifact.replay_telemetry();
-                }
-                trace.snapshot()
-            })
-            .collect()
-    }
-
-    fn group(r: &TraceReport) -> SpanNode {
-        r.root.child("group").expect("group span").clone()
+    fn counter(r: &TraceReport, name: &str) -> Option<u64> {
+        r.counters.iter().find(|c| c.name == name).map(|c| c.value)
     }
 
     #[test]
@@ -955,22 +822,24 @@ mod tests {
             .collect();
         let mr = MrConfig::with_workers(2);
         let claims = Claims::build(&batch, &mr);
-        let mut job_ns = Vec::new();
+        let mut shared_record = claims.trace().clone();
+        shared_record.quarantine_timings();
         for granularity in Granularity::ALL {
-            let shared = GroupedArtifact::project(&claims, granularity);
-            let alone = GroupedArtifact::build(&batch, granularity, &mr);
-            assert_eq!(shared.grouped(), alone.grouped(), "{granularity:?}");
-            assert_eq!(shared.stats(), alone.stats());
-            let mut shared_use = replays(&shared, 1).remove(0);
-            let mut alone_use = replays(&alone, 1).remove(0);
-            let shuffle = |r: &TraceReport| group(r).child("shuffle").map(|s| s.total_ns);
-            job_ns.push(shuffle(&shared_use).expect("shuffle span"));
-            shared_use.quarantine_timings();
-            alone_use.quarantine_timings();
-            assert_eq!(shared_use, alone_use, "{granularity:?}");
+            // A graph built alone grafts its own grouping job into the
+            // caller's trace, once, next to its projection...
+            let host = Trace::new();
+            let alone = {
+                let _t = kf_telemetry::install(&host);
+                Grouped::build(&batch, granularity, &mr)
+            };
+            assert_eq!(claims.project(granularity), alone, "{granularity:?}");
+            let mut recorded = host.snapshot();
+            recorded.quarantine_timings();
+            let spans: Vec<_> = recorded.root.children.iter().map(|c| &c.name).collect();
+            assert_eq!(spans, ["group", "project"], "{granularity:?}");
+            // ...which is the record the shared claims carry.
+            assert_eq!(recorded.root.children[0], shared_record.root);
+            assert_eq!(recorded.counters, shared_record.counters);
         }
-        // The one job's wall-clock went with the first projection only.
-        assert!(job_ns[0] > 0);
-        assert!(job_ns[1..].iter().all(|&ns| ns == 0), "{job_ns:?}");
     }
 }

@@ -28,9 +28,9 @@
 
 use crate::config::{FusionConfig, InitAccuracy, Method};
 use crate::methods;
-use crate::observation::{Grouped, GroupedArtifact};
+use crate::observation::{Claims, Grouped};
 use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
-use kf_mapreduce::{run_tasks, IterativeDriver, Reservoir};
+use kf_mapreduce::{run_tasks, IterativeDriver, JobStats, Reservoir};
 use kf_types::{hash, ExtractionBatch, GoldStandard, Label};
 use std::ops::Range;
 
@@ -77,10 +77,12 @@ impl Fuser {
     /// Run fusion over `batch`. `gold` is only consulted when the
     /// configuration asks for gold-standard accuracy initialisation; pass
     /// `None` for fully unsupervised runs.
+    ///
+    /// The grouping job and the projection are recorded into the caller's
+    /// trace as `group` and `project` spans, siblings of `fuse`.
     pub fn run(&self, batch: &ExtractionBatch, gold: Option<&GoldStandard>) -> FusionOutput {
-        let graph =
-            GroupedArtifact::build(&batch.records, self.config.granularity, &self.config.mr);
-        self.run_unattributed(&graph, gold)
+        let (graph, stats) = self.group(batch);
+        self.run_unattributed(&graph, stats, gold)
     }
 
     /// [`Fuser::run`] that also returns the per-value
@@ -94,50 +96,60 @@ impl Fuser {
         batch: &ExtractionBatch,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, ProvenanceAttribution) {
-        let graph =
-            GroupedArtifact::build(&batch.records, self.config.granularity, &self.config.mr);
-        self.run_prebuilt(&graph, gold)
+        let (graph, stats) = self.group(batch);
+        self.run_prebuilt(&graph, stats, gold)
     }
 
-    /// [`Fuser::run`] over a claim graph built earlier — by
-    /// [`GroupedArtifact::build`] from the same records (or projected from
-    /// their [`Claims`](crate::Claims)), at this configuration's
-    /// granularity — and possibly shared with other runs. Output,
-    /// `FusionOutput::stats` and recorded telemetry are exactly those of a
-    /// run that built the graph itself.
+    /// Group `batch` ([`Claims::build`]), graft the job's record into the
+    /// caller's trace and project the claims at this configuration's
+    /// granularity under a `project` span; the claims are dropped once
+    /// projected.
+    fn group(&self, batch: &ExtractionBatch) -> (Grouped, JobStats) {
+        let claims = Claims::build(&batch.records, &self.config.mr);
+        kf_telemetry::graft(claims.trace());
+        let _span = kf_telemetry::span("project");
+        (claims.project(self.config.granularity), claims.stats())
+    }
+
+    /// [`Fuser::run`] over a claim graph built earlier — projected from
+    /// the [`Claims`] of the same records at this configuration's
+    /// granularity, and possibly shared with other runs — whose grouping
+    /// job's counters were `stats`. Output and `FusionOutput::stats` are
+    /// exactly those of [`Fuser::run`]; the trace records the rounds only
+    /// (a `fuse` span), the grouping job being its builder's to record.
     pub fn run_unattributed(
         &self,
-        graph: &GroupedArtifact,
+        graph: &Grouped,
+        stats: JobStats,
         gold: Option<&GoldStandard>,
     ) -> FusionOutput {
-        self.run_graph(graph, gold).0
+        self.run_graph(graph, stats, gold).0
     }
 
     /// [`Fuser::run_unattributed`] that also returns the
     /// [`ProvenanceAttribution`], as [`Fuser::run_with_attribution`] does.
     pub fn run_prebuilt(
         &self,
-        graph: &GroupedArtifact,
+        graph: &Grouped,
+        stats: JobStats,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, ProvenanceAttribution) {
-        let (output, run) = self.run_graph(graph, gold);
+        let (output, run) = self.run_graph(graph, stats, gold);
         let attribution = ProvenanceAttribution::new(run.grouped, run.accuracy, run.evaluated);
         debug_assert_eq!(attribution.len(), output.scored.len());
         (output, attribution)
     }
 
-    /// The engine behind every entry point: fuse over `graph` and hand
+    /// The engine behind every entry point: fuse over `grouped` and hand
     /// back the finished run with the output.
     fn run_graph<'a>(
         &'a self,
-        graph: &'a GroupedArtifact,
+        grouped: &'a Grouped,
+        stats: JobStats,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, Run<'a>) {
         let cfg = &self.config;
         let _fuse = kf_telemetry::span("fuse");
-        // The grouping job is part of every run's record, whoever ran it.
-        graph.replay_telemetry();
-        let grouped = graph.grouped();
 
         // ---- Accuracy initialisation (§4.3.3) -----------------------------
         let n = grouped.n_provenances();
@@ -211,7 +223,7 @@ impl Fuser {
             outcome,
             round_deltas,
             n_provenances: n,
-            stats: graph.stats(),
+            stats,
         };
         (output, run)
     }

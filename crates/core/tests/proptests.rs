@@ -478,17 +478,10 @@ proptest! {
         batch in arb_batch(),
         chunk_records in 1usize..64,
     ) {
-        let (_, one_wave) = Grouped::build_with_stats(
-            &batch,
-            Granularity::ExtractorPage,
-            &MrConfig::sequential(),
-        );
+        let one_wave = Claims::build(&batch, &MrConfig::sequential()).stats();
         prop_assert_eq!(one_wave.peak_resident_records, batch.len() as u64);
-        let (_, chunked) = Grouped::build_with_stats(
-            &batch,
-            Granularity::ExtractorPage,
-            &MrConfig::sequential().with_chunk_records(chunk_records),
-        );
+        let chunked_mr = MrConfig::sequential().with_chunk_records(chunk_records);
+        let chunked = Claims::build(&batch, &chunked_mr).stats();
         prop_assert!(
             chunked.peak_resident_records <= (chunk_records as u64).min(batch.len() as u64)
         );

@@ -72,11 +72,11 @@ impl SupportIndex {
     /// Group `records` ([`Claims::build`], one MapReduce job honouring
     /// every engine residency knob in `mr`) and index the claims
     /// ([`SupportIndex::from_claims`]). Returns the job's counters and
-    /// replays its telemetry into the installed trace. Callers that fuse
-    /// the same records share one `Claims` with the fusion runs instead.
+    /// grafts its trace into the installed one. Callers that fuse the
+    /// same records share one `Claims` with the fusion runs instead.
     pub fn build(records: &[Extraction], mr: &MrConfig) -> (SupportIndex, JobStats) {
         let claims = Claims::build(records, mr);
-        claims.replay_telemetry();
+        kf_telemetry::graft(claims.trace());
         (SupportIndex::from_claims(&claims), claims.stats())
     }
 

@@ -154,7 +154,10 @@ pub struct MethodEval {
     /// `(k, precision@k)` for the configured cut-offs (only cut-offs ≤ the
     /// number of predictions appear).
     pub precision_at: Vec<(usize, f64)>,
-    /// Wall-clock milliseconds spent fusing (excludes evaluation).
+    /// Wall-clock milliseconds spent fusing (excludes evaluation). In a
+    /// `repro` report, the rounds over a prebuilt claim graph only: the
+    /// grouping job and the projections run once per corpus, before the
+    /// presets.
     pub fuse_ms: f64,
     /// Fig. 17-style error taxonomy of the method's high-confidence false
     /// positives, when the diagnosis pass ran (`kf-diagnose`; the `repro`

@@ -38,6 +38,7 @@
 //! full distribution through the quarantine.
 
 use crate::histogram::{GaugeSnapshot, HistKind, HistogramSnapshot};
+use kf_types::codec::reserve_for;
 use kf_types::KvCodec;
 use std::fmt::Write as _;
 
@@ -129,7 +130,7 @@ impl SpanNode {
         if n > input.len() {
             return None;
         }
-        let mut children = Vec::with_capacity(n);
+        let mut children = Vec::with_capacity(reserve_for::<SpanNode>(n, input));
         for _ in 0..n {
             children.push(SpanNode::decode_at(input, depth + 1)?);
         }

@@ -359,11 +359,11 @@ impl Trace {
     /// happened here: `report`'s root becomes (or merges into) a child of
     /// the innermost open span, named after itself, and its counters,
     /// series, histograms and gauges merge under the rules of
-    /// [`TraceReport::merge`]. This is how work done once and shared —
-    /// a cached artifact's build — still shows up in the trace of every
-    /// run that uses it; graft a
-    /// [quarantined](TraceReport::quarantine_timings) report to replay the
-    /// deterministic section without re-charging the wall-clock.
+    /// [`TraceReport::merge`]. This is how work recorded on a trace of
+    /// its own — a grouping job, run on whichever thread was free and
+    /// kept with what it built — lands in the trace of whoever it ran
+    /// for: graft it there once, where it ran, and nowhere else, so no
+    /// wall-clock is counted twice.
     pub fn graft(&self, report: &TraceReport) {
         {
             let mut arena = lock_unpoisoned(&self.inner.spans);

@@ -65,18 +65,34 @@ pub trait KvCodec: Sized {
 
     /// Decode `len` values back to back ([`encode_run`](Self::encode_run)'s
     /// inverse), guarding the pre-allocation against a corrupt `len`: each
-    /// element encodes to at least one byte unless `Self` is zero-sized.
+    /// element encodes to at least one byte unless `Self` is zero-sized,
+    /// and no more is reserved up front than the remaining bytes could
+    /// fill ([`reserve_for`]). A run that outgrows the reservation grows
+    /// by as many values as it has decoded, and never past `len`, so a
+    /// genuine run ends at capacity `len`.
     #[inline]
     fn decode_run(input: &mut &[u8], len: usize) -> Option<Vec<Self>> {
         if std::mem::size_of::<Self>() > 0 && len > input.len() {
             return None;
         }
-        let mut items = Vec::with_capacity(len);
+        let mut items = Vec::with_capacity(reserve_for::<Self>(len, input));
         for _ in 0..len {
+            if items.len() == items.capacity() {
+                items.reserve_exact(items.len().clamp(1, len - items.len()));
+            }
             items.push(Self::decode(input)?);
         }
         Some(items)
     }
+}
+
+/// How many `T`s to reserve for a decode that announces `len` of them with
+/// `input` left: at most `len`, and never more bytes of `T` than `input`
+/// holds, so an inflated length prefix cannot make a decoder allocate
+/// more than its input (a value may be far larger in memory than
+/// encoded).
+pub fn reserve_for<T>(len: usize, input: &[u8]) -> usize {
+    len.min(input.len() / std::mem::size_of::<T>().max(1))
 }
 
 /// Split `n` bytes off the front of `input`, advancing it.
@@ -519,8 +535,13 @@ where
         return None;
     }
     let mut map = FxHashMap::default();
-    map.reserve(len);
+    map.reserve(reserve_for::<(K, V)>(len, input));
     for _ in 0..len {
+        // Grown like `KvCodec::decode_run`'s runs: by the entries decoded
+        // so far, never past `len`.
+        if map.len() == map.capacity() {
+            map.reserve(map.len().clamp(1, len - map.len()));
+        }
         let key = K::decode(input)?;
         let value = V::decode(input)?;
         if map.insert(key, value).is_some() {
