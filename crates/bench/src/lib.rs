@@ -797,6 +797,8 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
         });
         run_tasks(mr.workers, vec![group, join]);
         let (support, claims) = grouped.expect("the grouping task ran");
+        // Whichever thread took the grouping task, the job ran for this
+        // one: its record lands here, under `support_index`.
         kf_telemetry::graft(claims.trace());
         let (truth, scenario) = truths.expect("the join task ran");
         DiagnosisContext {
@@ -924,9 +926,7 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
     let grouping = match diagnosis {
         Some(ctx) => &ctx.grouping,
         None => {
-            let claims = Claims::build(&corpus.batch.records, &mr);
-            kf_telemetry::graft(claims.trace());
-            call_local = Grouping::new(claims);
+            call_local = Grouping::new(Claims::build_recorded(&corpus.batch.records, &mr));
             &call_local
         }
     };

@@ -4,8 +4,10 @@
 //! are fused in, merging the shard reports reassembles a combined trace
 //! identical to the single-process run's, because every method's trace
 //! derives only from the corpus and its own configuration (the
-//! determinism ledger), never from which process happened to host it;
-//! the grouping job all presets share is the process's to record.
+//! determinism ledger), never from which process happened to host it.
+//! The grouping job all presets share is the process's to record, so it
+//! stays in each shard's own process-level trace and a merge leaves it
+//! out.
 
 use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, ReproOptions};
 use kf_eval::{merge_reports, AblationRunner, EvalReport, Preset};
@@ -225,16 +227,18 @@ proptest! {
             let single = run_on_corpus(&options(seed), &corpus);
 
             // The same presets fused shard by shard — contiguous slices of
-            // the report order, a split no fan-out uses — then merged.
+            // the report order, a split no fan-out uses — then merged. Each
+            // shard groups the corpus once and records that job in its own
+            // process-level trace.
             let per_shard = Preset::ALL.len().div_ceil(n_shards);
-            let shards: Vec<_> = Preset::ALL
-                .chunks(per_shard)
-                .map(|slice| {
-                    let mut opts = options(seed);
-                    opts.presets = slice.to_vec();
-                    run_on_corpus(&opts, &corpus)
-                })
-                .collect();
+            let mut shards = Vec::new();
+            for slice in Preset::ALL.chunks(per_shard) {
+                let mut opts = options(seed);
+                opts.presets = slice.to_vec();
+                let (shard, process) = traced_run(&opts, &corpus);
+                prop_assert_eq!(counter(&process, "mr.jobs"), Some(1));
+                shards.push(shard);
+            }
             let merged = merge_reports(shards).unwrap();
 
             // Per-method traces are conserved verbatim...
@@ -250,7 +254,17 @@ proptest! {
             // series concatenated in ablation order, span calls unified).
             let single_trace = single.combined_trace().expect("combined trace");
             let merged_trace = merged.combined_trace().expect("combined trace");
-            prop_assert_eq!(single_trace, merged_trace);
+            prop_assert_eq!(&single_trace, &merged_trace);
+
+            // What a merge cannot reassemble is what no shard report
+            // carries: the shards' process-level records. The merged trace
+            // has no `group` span, and one MapReduce job per preset — its
+            // diagnosis pass.
+            let mut groups = Vec::new();
+            spans_named(&merged_trace.root, "group", &mut groups);
+            prop_assert!(groups.is_empty(), "a merged trace records a group");
+            let presets = Some(Preset::ALL.len() as u64);
+            prop_assert_eq!(counter(&merged_trace, "mr.jobs"), presets);
         }
     }
 

@@ -33,8 +33,10 @@
 //! claims at one granularity, and the rounds are kernels over that
 //! immutable graph, which several runs can share
 //! ([`Fuser::run_prebuilt`]). The claims keep their grouping job's trace
-//! ([`Claims::trace`]); whoever built them grafts it into its own trace,
-//! once. See the repository's `ARCHITECTURE.md` for the data flow.
+//! ([`Claims::trace`]); whoever owns the trace they were built for grafts
+//! it there, once ([`Claims::build_recorded`] does both on the calling
+//! thread). A fusion call records its rounds only, however its graph was
+//! built. See the repository's `ARCHITECTURE.md` for the data flow.
 //!
 //! ```
 //! use kf_core::{Fuser, FusionConfig};

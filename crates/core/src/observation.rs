@@ -134,7 +134,9 @@ impl Claims {
     /// Group `batch` with one MapReduce pass, keeping the job's telemetry
     /// with the result ([`Claims::trace`]) instead of recording it into
     /// the installed trace: the claims may be built on any thread, and
-    /// whoever owns the trace the job ran for grafts it there, once.
+    /// whoever owns the trace the job ran for grafts it there, once. A
+    /// caller that owns the calling thread's trace builds with
+    /// [`Claims::build_recorded`] instead.
     ///
     /// The mapper emits `(item, (value, provenance))`; the reducer sorts
     /// an item's observations, so values come out sorted and each value's
@@ -250,6 +252,15 @@ impl Claims {
             trace: trace.snapshot(),
             stats,
         }
+    }
+
+    /// [`Claims::build`] for a caller that owns the calling thread's
+    /// trace: the job's record is grafted there, once, as a `group` span
+    /// under the innermost open one.
+    pub fn build_recorded(batch: &[Extraction], mr: &MrConfig) -> Claims {
+        let claims = Claims::build(batch, mr);
+        kf_telemetry::graft(claims.trace());
+        claims
     }
 
     /// The claim graph of these claims at `granularity` — a kernel over
@@ -415,12 +426,11 @@ pub struct Grouped {
 
 impl Grouped {
     /// Build the claim graph of `batch` at `granularity`: group the batch
-    /// ([`Claims::build`], one MapReduce pass), graft the job's record
-    /// into the installed trace and project the result
-    /// ([`Claims::project`]) under a `project` span.
+    /// ([`Claims::build_recorded`], one MapReduce pass, recorded into the
+    /// installed trace) and project the result ([`Claims::project`])
+    /// under a `project` span.
     pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Grouped {
-        let claims = Claims::build(batch, mr);
-        kf_telemetry::graft(claims.trace());
+        let claims = Claims::build_recorded(batch, mr);
         let _span = kf_telemetry::span("project");
         claims.project(granularity)
     }

@@ -78,8 +78,13 @@ impl Fuser {
     /// configuration asks for gold-standard accuracy initialisation; pass
     /// `None` for fully unsupervised runs.
     ///
-    /// The grouping job and the projection are recorded into the caller's
-    /// trace as `group` and `project` spans, siblings of `fuse`.
+    /// The caller's trace records the rounds only (a `fuse` span), exactly
+    /// what a run over a shared graph ([`Fuser::run_unattributed`])
+    /// records, so a preset's trace does not depend on who grouped its
+    /// batch. The grouping job's counters are in `FusionOutput::stats`;
+    /// to trace the job too, build the claims with
+    /// [`Claims::build_recorded`] and fuse their projection with
+    /// [`Fuser::run_unattributed`].
     pub fn run(&self, batch: &ExtractionBatch, gold: Option<&GoldStandard>) -> FusionOutput {
         let (graph, stats) = self.group(batch);
         self.run_unattributed(&graph, stats, gold)
@@ -100,14 +105,11 @@ impl Fuser {
         self.run_prebuilt(&graph, stats, gold)
     }
 
-    /// Group `batch` ([`Claims::build`]), graft the job's record into the
-    /// caller's trace and project the claims at this configuration's
-    /// granularity under a `project` span; the claims are dropped once
-    /// projected.
+    /// Group `batch` ([`Claims::build`]) and project the claims at this
+    /// configuration's granularity, recording neither; the claims and
+    /// their job's trace are dropped once projected.
     fn group(&self, batch: &ExtractionBatch) -> (Grouped, JobStats) {
         let claims = Claims::build(&batch.records, &self.config.mr);
-        kf_telemetry::graft(claims.trace());
-        let _span = kf_telemetry::span("project");
         (claims.project(self.config.granularity), claims.stats())
     }
 
@@ -841,6 +843,37 @@ mod tests {
         }
         // The iterative run must have evaluated at least one provenance.
         assert!(attribution.evaluated.iter().any(|&e| e));
+    }
+
+    /// A preset's trace does not depend on who grouped its batch: a
+    /// one-call run records its rounds only, byte-equal (timings aside)
+    /// to a run over a graph projected from claims built elsewhere, and
+    /// both report the grouping job's counters in their stats.
+    #[test]
+    fn a_run_records_its_rounds_only_however_its_graph_was_built() {
+        let batch: ExtractionBatch = (0..1500)
+            .map(|i| ext(i % 60, i % 3, i % 5, (i % 6) as u16, i % 200))
+            .collect();
+        let fuser = seq(FusionConfig::popaccu());
+        let traced = |fuse: &dyn Fn() -> FusionOutput| {
+            let trace = kf_telemetry::Trace::new();
+            let output = {
+                let _t = kf_telemetry::install(&trace);
+                fuse()
+            };
+            let mut report = trace.snapshot();
+            report.quarantine_timings();
+            (output, report)
+        };
+        let (alone, alone_trace) = traced(&|| fuser.run_with_attribution(&batch, None).0);
+        let claims = Claims::build(&batch.records, &fuser.config().mr);
+        let graph = claims.project(fuser.config().granularity);
+        let (shared, shared_trace) = traced(&|| fuser.run_prebuilt(&graph, claims.stats(), None).0);
+        let spans: Vec<_> = alone_trace.root.children.iter().map(|c| &c.name).collect();
+        assert_eq!(spans, ["fuse"]);
+        assert_eq!(alone_trace, shared_trace);
+        assert_eq!(alone.stats, shared.stats);
+        assert_eq!(alone.stats.map_input, batch.len() as u64);
     }
 
     #[test]

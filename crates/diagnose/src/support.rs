@@ -69,14 +69,14 @@ pub struct SupportIndex {
 }
 
 impl SupportIndex {
-    /// Group `records` ([`Claims::build`], one MapReduce job honouring
-    /// every engine residency knob in `mr`) and index the claims
-    /// ([`SupportIndex::from_claims`]). Returns the job's counters and
-    /// grafts its trace into the installed one. Callers that fuse the
-    /// same records share one `Claims` with the fusion runs instead.
+    /// Group `records` ([`Claims::build_recorded`], one MapReduce job
+    /// honouring every engine residency knob in `mr`, recorded into the
+    /// installed trace) and index the claims
+    /// ([`SupportIndex::from_claims`]). Returns the job's counters.
+    /// Callers that fuse the same records share one `Claims` with the
+    /// fusion runs instead.
     pub fn build(records: &[Extraction], mr: &MrConfig) -> (SupportIndex, JobStats) {
-        let claims = Claims::build(records, mr);
-        kf_telemetry::graft(claims.trace());
+        let claims = Claims::build_recorded(records, mr);
         (SupportIndex::from_claims(&claims), claims.stats())
     }
 

@@ -35,7 +35,7 @@
 //! checkpoint decode into one arena that [`KbReader`](crate::KbReader)s
 //! then share across threads without copying.
 
-use kf_core::{Fuser, FusionOutput, ProvenanceAttribution};
+use kf_core::{Claims, Fuser, FusionOutput, ProvenanceAttribution};
 use kf_eval::{AblationRunner, CalibrationCurve, CorpusSummary, EvalReport, MethodEval, Preset};
 use kf_synth::Corpus;
 use kf_telemetry::{add, span};
@@ -207,6 +207,29 @@ pub fn calibrate(curve: &CalibrationCurve, p: f64) -> f64 {
     }
 }
 
+/// `preset`'s fusion of `corpus`, under a `serve.compile.fuse` span that
+/// records the grouping job (`group`), the projection (`project`) and
+/// the rounds (`fuse`): a compile owns the trace it runs under, so the
+/// job it runs is recorded there.
+fn fuse(
+    preset: Preset,
+    corpus: &Corpus,
+    workers: Option<usize>,
+) -> (FusionOutput, ProvenanceAttribution) {
+    let _span = span("serve.compile.fuse");
+    let mut config = preset.config();
+    if let Some(w) = workers {
+        config = config.with_workers(w);
+    }
+    let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
+    let graph = {
+        let _span = span("project");
+        claims.project(config.granularity)
+    };
+    let gold = preset.needs_gold().then_some(&corpus.gold);
+    Fuser::new(config).run_prebuilt(&graph, claims.stats(), gold)
+}
+
 impl FusedKb {
     /// Compile a KB from an evaluation report plus the corpus snapshot it
     /// was produced from.
@@ -233,15 +256,7 @@ impl FusedKb {
                 corpus_seed: corpus.seed,
             });
         }
-        let mut config = preset.config();
-        if let Some(w) = opts.workers {
-            config = config.with_workers(w);
-        }
-        let gold = preset.needs_gold().then_some(&corpus.gold);
-        let (output, attribution) = {
-            let _span = span("serve.compile.fuse");
-            Fuser::new(config).run_with_attribution(&corpus.batch, gold)
-        };
+        let (output, attribution) = fuse(preset, corpus, opts.workers);
         let names = corpus.extractors.iter().map(|e| e.name.clone()).collect();
         Ok(Self::compile_from_parts(
             report.corpus.clone(),
@@ -268,15 +283,7 @@ impl FusedKb {
         let _span = span("serve.compile");
         let preset = Preset::by_name(&opts.method)
             .ok_or_else(|| BuildError::UnknownMethod(opts.method.clone()))?;
-        let mut config = preset.config();
-        if let Some(w) = opts.workers {
-            config = config.with_workers(w);
-        }
-        let gold = preset.needs_gold().then_some(&corpus.gold);
-        let (output, attribution) = {
-            let _span = span("serve.compile.fuse");
-            Fuser::new(config).run_with_attribution(&corpus.batch, gold)
-        };
+        let (output, attribution) = fuse(preset, corpus, opts.workers);
         let runner = AblationRunner {
             workers: opts.workers,
             scale: scale.to_string(),

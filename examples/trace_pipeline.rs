@@ -7,6 +7,7 @@
 //! cargo run --release --example trace_pipeline
 //! ```
 
+use kf::core::Claims;
 use kf::prelude::*;
 use kf::telemetry;
 
@@ -28,15 +29,23 @@ fn main() {
         corpus.gold.n_items(),
     );
 
-    // Fuse under a deliberately small spill envelope so the run exercises
-    // the external shuffle and the trace shows disk traffic.
+    // Group under a deliberately small spill envelope so the one shuffle
+    // of the extractions takes the external path and the trace shows disk
+    // traffic. `Fuser::run` would group too, but records its rounds only;
+    // building the claims here records the grouping job as a `group` span,
+    // the projection as `project`, then the rounds as `fuse`.
     let config = FusionConfig {
         mr: MrConfig::default()
             .with_chunk_records(1 << 10)
             .with_spill_threshold(1 << 12),
         ..FusionConfig::popaccu()
     };
-    let output = Fuser::new(config).run(&corpus.batch, None);
+    let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
+    let graph = {
+        let _span = telemetry::span("project");
+        claims.project(config.granularity)
+    };
+    let output = Fuser::new(config).run_unattributed(&graph, claims.stats(), None);
 
     // Evaluate calibration and PR quality under the same trace.
     let runner = AblationRunner {
