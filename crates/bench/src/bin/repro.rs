@@ -63,11 +63,12 @@ fn full_run_trace(process: &Trace, methods: &[MethodEval], deterministic: bool) 
 /// Write the `trace.json` artifact: the assembled whole-run trace plus
 /// each method's own trace (the same sections that ride inside shard
 /// reports), so per-method numbers stay inspectable after assembly.
-/// Schema 2 added the `histograms`/`gauges` deterministic entries and
-/// the per-trace `histograms` value ledger.
+/// Schema 2 added the `histograms` deterministic entries and the
+/// per-trace `histograms` value ledger; schema 3 dropped the `gauges`
+/// arrays.
 fn write_trace(path: &str, full: &TraceReport, methods: &[MethodEval]) {
     let json = Json::obj([
-        ("schema_version", Json::Uint(2)),
+        ("schema_version", Json::Uint(3)),
         ("run", trace_to_json(full)),
         (
             "methods",

@@ -10,8 +10,8 @@
 //!   through `--dist-addr-file`, one worker killed by `KF_DIST_FAIL`;
 //! * property level, over (worker count × kill point): re-dispatch must
 //!   conserve the deterministic trace section and never duplicate
-//!   `mr.*` counter mass in the merge — including when a survivor serves
-//!   several same-granularity tasks from one cached claim graph.
+//!   method-trace counter mass in the merge — including when a survivor
+//!   serves several same-granularity tasks from one cached claim graph.
 
 use kf_bench::{run_on_corpus, ReproOptions};
 use kf_dist::{run_worker, Coordinator, CoordinatorConfig, FailSpec, WorkerConfig};
@@ -242,8 +242,7 @@ fn repro_binary_distributed_run_survives_killed_worker() {
 /// Three-preset options for the property sweep. All three presets share
 /// one granularity and diagnosis stays on, so a worker's per-connection
 /// context holds one claim graph and every task after its first is served
-/// from the cache: with two workers and the victim dead, the survivor
-/// builds once and replays the grouping job twice.
+/// from the cache.
 fn prop_options() -> ReproOptions {
     ReproOptions {
         presets: vec![Preset::Vote, Preset::Accu, Preset::PopAccu],
@@ -252,19 +251,18 @@ fn prop_options() -> ReproOptions {
 }
 
 /// Reference single-process report for the property sweep, computed once:
-/// its JSON projection and its total `mr.*` counter mass.
+/// its JSON projection and its total method-trace counter mass.
 fn prop_reference() -> &'static (String, u64) {
     static REF: OnceLock<(String, u64)> = OnceLock::new();
     REF.get_or_init(|| {
         let opts = prop_options();
         let corpus = Corpus::generate(&SynthConfig::tiny(), opts.seed);
         let single = run_on_corpus(&opts, &corpus);
-        let mass = mr_counter_mass(&single);
-        assert!(mass > 0, "tiny corpus fusion must record mr.* counters");
+        let mass = counter_mass(&single);
+        assert!(mass > 0, "tiny corpus fusion must record counters");
         // The single-process run shares its graph too (one build, two
-        // reuses). A replayed grouping job must weigh exactly what a
-        // fresh one does: the mass is that of three runs that each built
-        // their own graph.
+        // reuses). A shared graph must weigh nothing in a method's trace:
+        // the mass is that of three runs that each built their own.
         let alone: u64 = opts
             .presets
             .iter()
@@ -273,23 +271,22 @@ fn prop_reference() -> &'static (String, u64) {
                     presets: vec![preset],
                     ..opts.clone()
                 };
-                mr_counter_mass(&run_on_corpus(&one, &corpus))
+                counter_mass(&run_on_corpus(&one, &corpus))
             })
             .sum();
-        assert_eq!(mass, alone, "a cached graph changed the mr.* mass");
+        assert_eq!(mass, alone, "a cached graph changed the counter mass");
         (single.to_json_string(), mass)
     })
 }
 
-/// Total mass of every `mr.*` counter across all method traces — the
-/// quantity a double-merged replica would inflate.
-fn mr_counter_mass(report: &EvalReport) -> u64 {
+/// Total mass of every counter across all method traces — the quantity a
+/// double-merged replica would inflate.
+fn counter_mass(report: &EvalReport) -> u64 {
     report
         .methods
         .iter()
         .filter_map(|m| m.trace.as_ref())
         .flat_map(|t| &t.counters)
-        .filter(|c| c.name.starts_with("mr."))
         .map(|c| c.value)
         .sum()
 }
@@ -309,10 +306,9 @@ proptest! {
     /// Whatever the worker count and whenever the victim dies (frame 4
     /// is its first task; later points fall mid-stream or after its
     /// work), re-dispatch reassembles the exact single-process report:
-    /// the deterministic trace section is conserved and `mr.*` counter
-    /// mass is never duplicated — not by a replica completion, and not by
-    /// a survivor replaying one cached graph's grouping job into each of
-    /// the tasks it serves.
+    /// the deterministic trace section is conserved and method-trace
+    /// counter mass is never duplicated — not by a replica completion,
+    /// and not by a survivor serving several tasks from one cached graph.
     #[test]
     fn redispatch_conserves_trace_and_never_duplicates_mr_mass(
         n_workers in 2usize..=3,
@@ -325,9 +321,9 @@ proptest! {
             let fail = format!("victim:{kill_at}:kill");
             let merged = distributed_run(&opts, &corpus, n_workers, Some(&fail));
             prop_assert_eq!(
-                mr_counter_mass(&merged),
+                counter_mass(&merged),
                 *reference_mass,
-                "a replica completion or a cached-graph replay leaked into the merge"
+                "a replica completion or a cached graph leaked into the merge"
             );
             prop_assert_eq!(
                 &merged.to_json_string(),

@@ -96,16 +96,15 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     assert_eq!(groups[0].calls, 1);
     assert_eq!(process.root.children[0].children, [groups[0].clone()]);
 
-    // The whole-run trace sees every job once: the claims build and one
-    // diagnosis pass per preset. None sets a quota, so each is one wave —
-    // a ramp would count about log2(inputs) waves a job.
+    // The whole-run trace sees one job, the claims build: the diagnosis
+    // passes fold in place. It sets no quota, so it is one wave — a ramp
+    // would count about log2(inputs) waves.
     let mut run = process.clone();
     for m in &shared.methods {
         run.absorb(&m.name, m.trace.as_ref().expect("method trace"));
     }
-    let jobs = 1 + Preset::ALL.len() as u64;
-    assert_eq!(counter(&run, "mr.jobs"), Some(jobs));
-    assert_eq!(counter(&run, "mr.waves"), Some(jobs));
+    assert_eq!(counter(&run, "mr.jobs"), Some(1));
+    assert_eq!(counter(&run, "mr.waves"), Some(1));
 
     // The summary read off the claims is the one counted off the records.
     let runner = AblationRunner {
@@ -139,17 +138,15 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
             "{}: a method records a group",
             method.name
         );
-        // Fusion rounds are kernels over the claim graph: the only
-        // shuffle in a method's trace is its diagnosis pass's.
+        // Fusion rounds are kernels over the claim graph and diagnosis is
+        // a fold: a method's trace holds no shuffle and no job counter.
         let paths = trace.flat_timings();
-        let shuffles_below = |ancestor: &str| {
-            paths.iter().any(|(path, _)| {
-                let mut below = path.split('/').skip_while(|&span| span != ancestor);
-                below.any(|span| span == "shuffle")
-            })
-        };
-        assert!(shuffles_below("diagnose"), "{}", method.name);
-        assert!(!shuffles_below("fuse"), "{}: fusion shuffles", method.name);
+        let shuffles = paths
+            .iter()
+            .any(|(path, _)| path.split('/').any(|s| s == "shuffle"));
+        assert!(!shuffles, "{}: a method shuffles", method.name);
+        let mr = trace.counters.iter().find(|c| c.name.starts_with("mr."));
+        assert!(mr.is_none(), "{}: a method counts {mr:?}", method.name);
     }
 }
 
@@ -258,13 +255,13 @@ proptest! {
 
             // What a merge cannot reassemble is what no shard report
             // carries: the shards' process-level records. The merged trace
-            // has no `group` span, and one MapReduce job per preset — its
-            // diagnosis pass.
+            // has no `group` span and no MapReduce counter — the grouping
+            // job is the only one a run has.
             let mut groups = Vec::new();
             spans_named(&merged_trace.root, "group", &mut groups);
             prop_assert!(groups.is_empty(), "a merged trace records a group");
-            let presets = Some(Preset::ALL.len() as u64);
-            prop_assert_eq!(counter(&merged_trace, "mr.jobs"), presets);
+            let mr = merged_trace.counters.iter().find(|c| c.name.starts_with("mr."));
+            prop_assert!(mr.is_none(), "a merged trace counts {:?}", mr);
         }
     }
 

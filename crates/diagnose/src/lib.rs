@@ -17,9 +17,10 @@
 //!    chunked/spill residency envelope.
 //! 2. [`Diagnoser::run`] classifies every labelled false positive in the
 //!    configured high-confidence bands with the heuristic rules of
-//!    [`classify::classify`] (a second MapReduce job), and aggregates
+//!    [`classify::classify`] — contiguous ranges of the scored triples
+//!    side by side, no shuffle — and folds the rows in slot order into
 //!    error mass per confidence band, per predicate, per extractor and
-//!    per support spread into a [`TaxonomyReport`].
+//!    per support spread: a [`TaxonomyReport`].
 //! 3. Because the synthetic corpus tags each extraction with its
 //!    generator-truth `ExtractionOutcome` (`kf-synth` exposes the join
 //!    as `Corpus::taxonomy_truth`), the heuristic attribution is
@@ -54,8 +55,11 @@ pub mod support;
 pub use classify::{classify, ClassifierThresholds};
 pub use support::{SupportIndex, SupportProfile};
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use kf_core::{FusionOutput, ProvenanceAttribution};
-use kf_mapreduce::{map_reduce_with_stats, Emitter, JobStats, MrConfig};
+use kf_mapreduce::{run_tasks, JobStats, MrConfig};
 use kf_types::{
     BandBreakdown, CategoryAccuracy, CategoryCounts, ConfusionCell, ErrorCategory, FxHashMap,
     GoldStandard, GroupBreakdown, ScenarioPhenomenon, Spread, TaxonomyReport, Triple,
@@ -74,7 +78,8 @@ pub struct DiagnoseConfig {
     pub band_edges: Vec<f64>,
     /// Classifier thresholds (rules 2 and 3).
     pub thresholds: ClassifierThresholds,
-    /// Engine configuration for the classification job.
+    /// Only `mr.workers` is read: how many contiguous ranges of the
+    /// scored triples are classified side by side.
     pub mr: MrConfig,
 }
 
@@ -102,31 +107,6 @@ pub struct Diagnoser<'a, H: ValueHierarchy + Sync> {
     extractor_labels: &'a [String],
     cfg: DiagnoseConfig,
 }
-
-// Shuffle key of the classification job: (dimension, key-within-
-// dimension, category-or-tag). One reducer call per taxonomy cell.
-type TaxKey = (u8, u32, u8);
-// Shuffle value: (count, accuracy mass).
-type TaxVal = (u64, f64);
-
-/// Band stat rows (`DIM_BAND_STAT`): labelled / true counters.
-const DIM_BAND_STAT: u8 = 0;
-const TAG_LABELLED: u8 = 0;
-const TAG_TRUE: u8 = 1;
-/// False positives per (band, category).
-const DIM_BAND_CAT: u8 = 1;
-/// False positives per (predicate, category).
-const DIM_PREDICATE: u8 = 2;
-/// False positives per (supporting extractor, category).
-const DIM_EXTRACTOR: u8 = 3;
-/// False positives per (support spread class, category).
-const DIM_SPREAD: u8 = 4;
-/// Confusion cells: key = injected category, tag = heuristic category.
-const DIM_CONFUSION: u8 = 5;
-/// Mean-provenance-accuracy mass per heuristic category.
-const DIM_ACCURACY: u8 = 6;
-/// False positives per (injected hostile-scenario phenomenon, category).
-const DIM_SCENARIO: u8 = 7;
 
 impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     /// A diagnoser over the required context: the gold standard the
@@ -187,10 +167,13 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     }
 
     /// Classify `output`'s high-band false positives and assemble the
-    /// taxonomy. Runs as one MapReduce job on the configured engine;
-    /// returns the job's execution counters alongside the report. The
-    /// report is deterministic: independent of workers, partitions,
-    /// chunking and spilling.
+    /// taxonomy. Contiguous ranges of `output.scored` are classified on
+    /// [`run_tasks`]; their in-scope rows then fold in slot order into
+    /// the report, so it does not depend on the worker count. The
+    /// returned [`JobStats`] describe a map-only pass: `map_input` is the
+    /// number of scored triples, `map_output` the number classified (the
+    /// labelled false positives), and every shuffle field is 0. Nothing
+    /// is recorded into the installed trace.
     pub fn run(&self, output: &FusionOutput) -> (TaxonomyReport, JobStats) {
         // Sanitised ascending band edges (callers constructing configs by
         // hand may pass unsorted or empty edges).
@@ -207,97 +190,76 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
             edges.push(0.0);
         }
 
-        let indices: Vec<usize> = (0..output.scored.len()).collect();
+        let n = output.scored.len();
+        let workers = self.cfg.mr.workers.max(1);
+        let per_range = n.div_ceil(workers).max(1);
         let edges_ref = &edges;
-        let (cells, stats) = map_reduce_with_stats(
-            &self.cfg.mr,
-            &indices,
-            |&i, emit: &mut Emitter<TaxKey, TaxVal>| self.map_one(output, edges_ref, i, emit),
-            // Values arrive in input order (engine guarantee), so the f64
-            // accuracy mass sums deterministically.
-            |key, values| {
-                let mut count = 0u64;
-                let mut mass = 0.0f64;
-                for (c, m) in values {
-                    count += c;
-                    mass += m;
-                }
-                vec![(*key, (count, mass))]
-            },
-        );
-        (self.assemble(&edges, cells), stats)
+        let ranges: Vec<_> = (0..n)
+            .step_by(per_range)
+            .map(|lo| move || self.classify_range(output, edges_ref, lo..n.min(lo + per_range)))
+            .collect();
+        let rows = run_tasks(workers, ranges);
+        let report = self.fold(output, &edges, rows.iter().flatten());
+        let stats = JobStats {
+            map_output: report.n_false_positives,
+            ..JobStats::new(n as u64)
+        };
+        (report, stats)
     }
 
-    /// Mapper: classify scored triple `i` and emit its taxonomy cells.
-    fn map_one(
+    /// The in-scope rows of `output.scored[range]`, in slot order: the
+    /// labelled triples with a finite probability at or above the lowest
+    /// band edge, each false positive classified.
+    fn classify_range<'s>(
+        &'s self,
+        output: &'s FusionOutput,
+        edges: &[f64],
+        range: Range<usize>,
+    ) -> Vec<Row<'s>> {
+        let mut rows = Vec::new();
+        for slot in range {
+            let s = &output.scored[slot];
+            let Some(p) = s.probability else { continue };
+            // Non-finite probabilities (a hand-built FusionOutput; fusion
+            // never produces them) cannot be banded — out of scope, like
+            // sub-threshold triples.
+            if !p.is_finite() || p < edges[0] {
+                continue;
+            }
+            let Some(is_true) = self.gold.label(&s.triple).as_bool() else {
+                continue;
+            };
+            let band = edges.iter().take_while(|&&e| p >= e).count() - 1;
+            let profile = (!is_true).then(|| self.support.get(&s.triple)).flatten();
+            let category = (!is_true).then(|| {
+                let gold_values = self.gold.values(&s.triple.data_item()).unwrap_or(&[]);
+                classify(
+                    &s.triple,
+                    gold_values,
+                    profile,
+                    self.hierarchy,
+                    &self.cfg.thresholds,
+                )
+            });
+            rows.push(Row {
+                slot,
+                band,
+                category,
+                profile,
+            });
+        }
+        rows
+    }
+
+    /// Fold in-scope rows, in slot order, into a [`TaxonomyReport`]. The
+    /// group maps yield key-sorted group lists, and each category's
+    /// accuracy mass sums in slot order.
+    fn fold<'r>(
         &self,
         output: &FusionOutput,
         edges: &[f64],
-        i: usize,
-        emit: &mut Emitter<TaxKey, TaxVal>,
-    ) {
-        let s = &output.scored[i];
-        let Some(p) = s.probability else { return };
-        // Non-finite probabilities (a hand-built FusionOutput; fusion
-        // never produces them) cannot be banded — out of scope, like
-        // sub-threshold triples.
-        if !p.is_finite() || p < edges[0] {
-            return;
-        }
-        let band = (edges.iter().take_while(|&&e| p >= e).count() - 1) as u32;
-        let label = self.gold.label(&s.triple);
-        let Some(is_true) = label.as_bool() else {
-            return;
-        };
-        emit.emit((DIM_BAND_STAT, band, TAG_LABELLED), (1, 0.0));
-        if is_true {
-            emit.emit((DIM_BAND_STAT, band, TAG_TRUE), (1, 0.0));
-            return;
-        }
-
-        // A labelled-false triple: classify it.
-        let gold_values = self.gold.values(&s.triple.data_item()).unwrap_or(&[]);
-        let profile = self.support.get(&s.triple);
-        let cat = classify(
-            &s.triple,
-            gold_values,
-            profile,
-            self.hierarchy,
-            &self.cfg.thresholds,
-        );
-        let cat_tag = cat.index() as u8;
-        emit.emit((DIM_BAND_CAT, band, cat_tag), (1, 0.0));
-        emit.emit((DIM_PREDICATE, s.triple.predicate.raw(), cat_tag), (1, 0.0));
-        let spread = Spread::of(s.n_extractors, s.n_pages);
-        emit.emit((DIM_SPREAD, spread as u32, cat_tag), (1, 0.0));
-        if let Some(p) = profile {
-            for &(ext, _) in &p.per_extractor {
-                emit.emit((DIM_EXTRACTOR, ext.raw() as u32, cat_tag), (1, 0.0));
-            }
-        }
-        if let Some(truth) = self.truth {
-            if let Some(&injected) = truth.get(&s.triple) {
-                emit.emit((DIM_CONFUSION, injected.index() as u32, cat_tag), (1, 0.0));
-            }
-        }
-        if let Some(scenario) = self.scenario {
-            if let Some(&phenomenon) = scenario.get(&s.triple) {
-                emit.emit((DIM_SCENARIO, phenomenon.index() as u32, cat_tag), (1, 0.0));
-            }
-        }
-        if let Some(attribution) = self.attribution {
-            if let Some(mean) = attribution.mean_accuracy(i) {
-                emit.emit((DIM_ACCURACY, cat.index() as u32, 0), (1, mean));
-            }
-        }
-    }
-
-    /// Assemble the reduced cells into a [`TaxonomyReport`]. Cells are
-    /// re-sorted globally so the report does not depend on the engine's
-    /// partition layout.
-    fn assemble(&self, edges: &[f64], mut cells: Vec<(TaxKey, TaxVal)>) -> TaxonomyReport {
-        cells.sort_unstable_by_key(|&(key, _)| key);
-
+        rows: impl Iterator<Item = &'r Row<'r>>,
+    ) -> TaxonomyReport {
         let mut bands: Vec<BandBreakdown> = edges
             .iter()
             .enumerate()
@@ -309,92 +271,55 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
                 counts: CategoryCounts::default(),
             })
             .collect();
-        let mut predicates: Vec<GroupBreakdown> = Vec::new();
-        let mut extractors: Vec<GroupBreakdown> = Vec::new();
-        let mut spread: Vec<GroupBreakdown> = Vec::new();
-        let mut scenarios: Vec<GroupBreakdown> = Vec::new();
-        let mut confusion: Vec<ConfusionCell> = Vec::new();
+        let mut predicates: BTreeMap<u32, CategoryCounts> = BTreeMap::new();
+        let mut extractors: BTreeMap<u32, CategoryCounts> = BTreeMap::new();
+        let mut spread: BTreeMap<Spread, CategoryCounts> = BTreeMap::new();
+        let mut scenarios: BTreeMap<ScenarioPhenomenon, CategoryCounts> = BTreeMap::new();
+        // Keyed (heuristic, injected): the confusion matrix's order.
+        let mut confusion: BTreeMap<(ErrorCategory, ErrorCategory), u64> = BTreeMap::new();
         let mut accuracy_mass = [(0u64, 0.0f64); ErrorCategory::COUNT];
 
-        // Cells arrive sorted by (dim, key, tag): group rows append in
-        // order within each dimension.
-        fn group_slot(
-            groups: &mut Vec<GroupBreakdown>,
-            key: u32,
-            label: String,
-        ) -> &mut GroupBreakdown {
-            if groups.last().map(|g| g.key) != Some(key) {
-                groups.push(GroupBreakdown {
-                    key,
-                    label,
-                    counts: CategoryCounts::default(),
-                });
+        for row in rows {
+            let band = &mut bands[row.band];
+            band.n_labelled += 1;
+            let Some(cat) = row.category else {
+                band.n_true += 1;
+                continue;
+            };
+            band.counts.add(cat, 1);
+            let s = &output.scored[row.slot];
+            predicates
+                .entry(s.triple.predicate.raw())
+                .or_default()
+                .add(cat, 1);
+            spread
+                .entry(Spread::of(s.n_extractors, s.n_pages))
+                .or_default()
+                .add(cat, 1);
+            for &(ext, _) in row.profile.map_or(&[][..], |p| &p.per_extractor) {
+                extractors.entry(ext.raw() as u32).or_default().add(cat, 1);
             }
-            groups.last_mut().expect("slot just ensured")
-        }
-
-        for ((dim, key, tag), (count, mass)) in cells {
-            let cat = ErrorCategory::from_index(tag as usize);
-            match dim {
-                DIM_BAND_STAT => {
-                    let band = &mut bands[key as usize];
-                    match tag {
-                        TAG_LABELLED => band.n_labelled += count,
-                        TAG_TRUE => band.n_true += count,
-                        _ => unreachable!("unknown band stat tag {tag}"),
-                    }
-                }
-                DIM_BAND_CAT => {
-                    bands[key as usize]
-                        .counts
-                        .add(cat.expect("category tag"), count);
-                }
-                DIM_PREDICATE => {
-                    group_slot(&mut predicates, key, format!("predicate_{key}"))
-                        .counts
-                        .add(cat.expect("category tag"), count);
-                }
-                DIM_EXTRACTOR => {
-                    let label = self
-                        .extractor_labels
-                        .get(key as usize)
-                        .cloned()
-                        .unwrap_or_else(|| format!("extractor_{key}"));
-                    group_slot(&mut extractors, key, label)
-                        .counts
-                        .add(cat.expect("category tag"), count);
-                }
-                DIM_SPREAD => {
-                    let class = Spread::ALL[key as usize];
-                    group_slot(&mut spread, key, class.name().to_string())
-                        .counts
-                        .add(cat.expect("category tag"), count);
-                }
-                DIM_SCENARIO => {
-                    let phenomenon = ScenarioPhenomenon::from_index(key as usize)
-                        .expect("scenario phenomenon key");
-                    group_slot(&mut scenarios, key, phenomenon.name().to_string())
-                        .counts
-                        .add(cat.expect("category tag"), count);
-                }
-                DIM_CONFUSION => {
-                    confusion.push(ConfusionCell {
-                        heuristic: cat.expect("category tag"),
-                        injected: ErrorCategory::from_index(key as usize)
-                            .expect("injected category key"),
-                        count,
-                    });
-                }
-                DIM_ACCURACY => {
-                    let slot = &mut accuracy_mass[key as usize];
-                    slot.0 += count;
-                    slot.1 += mass;
-                }
-                other => unreachable!("unknown taxonomy dimension {other}"),
+            if let Some(&injected) = self.truth.and_then(|t| t.get(&s.triple)) {
+                *confusion.entry((cat, injected)).or_default() += 1;
+            }
+            if let Some(&phenomenon) = self.scenario.and_then(|t| t.get(&s.triple)) {
+                scenarios.entry(phenomenon).or_default().add(cat, 1);
+            }
+            if let Some(mean) = self.attribution.and_then(|a| a.mean_accuracy(row.slot)) {
+                let slot = &mut accuracy_mass[cat.index()];
+                slot.0 += 1;
+                slot.1 += mean;
             }
         }
-        confusion.sort_unstable_by_key(|c| (c.heuristic, c.injected));
 
+        let confusion: Vec<ConfusionCell> = confusion
+            .into_iter()
+            .map(|((heuristic, injected), count)| ConfusionCell {
+                heuristic,
+                injected,
+                count,
+            })
+            .collect();
         let gate = |injected: ErrorCategory| -> Option<CategoryAccuracy> {
             self.truth?;
             let mut acc = CategoryAccuracy::default();
@@ -423,16 +348,45 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
             systematic_attribution: gate(ErrorCategory::SystematicExtraction),
             generalized_attribution: gate(ErrorCategory::WrongButGeneral),
             bands,
-            predicates,
-            extractors,
-            spread,
-            scenarios,
+            predicates: groups(predicates, |key| (key, format!("predicate_{key}"))),
+            extractors: groups(extractors, |key| {
+                let label = self.extractor_labels.get(key as usize).cloned();
+                (key, label.unwrap_or_else(|| format!("extractor_{key}")))
+            }),
+            spread: groups(spread, |class| (class as u32, class.name().to_string())),
+            scenarios: groups(scenarios, |p| (p.index() as u32, p.name().to_string())),
             confusion,
             mean_prov_accuracy,
             n_false_positives,
             n_labelled,
         }
     }
+}
+
+/// An in-scope scored triple: labelled, with a finite probability at or
+/// above the lowest band edge.
+struct Row<'s> {
+    /// Index into `FusionOutput::scored`.
+    slot: usize,
+    band: usize,
+    /// The heuristic category of a false positive; `None` for a true one.
+    category: Option<ErrorCategory>,
+    /// A false positive's support profile; `None` for a true one.
+    profile: Option<&'s SupportProfile>,
+}
+
+/// One secondary dimension's group rows, in key order; `name` gives each
+/// key's raw dimension key and label.
+fn groups<K>(
+    map: BTreeMap<K, CategoryCounts>,
+    name: impl Fn(K) -> (u32, String),
+) -> Vec<GroupBreakdown> {
+    map.into_iter()
+        .map(|(k, counts)| {
+            let (key, label) = name(k);
+            GroupBreakdown { key, label, counts }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -554,6 +508,43 @@ mod tests {
         ] {
             assert_eq!(base, run(mr));
         }
+    }
+
+    #[test]
+    fn a_run_records_nothing_into_the_installed_trace() {
+        let corpus = Corpus::generate(&SynthConfig::tiny(), 6);
+        let (output, attribution) = Fuser::new(FusionConfig::popaccu().with_workers(2))
+            .run_with_attribution(&corpus.batch, None);
+        let (support, _) = SupportIndex::build(&corpus.batch.records, &MrConfig::with_workers(2));
+        let truth = corpus.taxonomy_truth();
+        let trace = kf_telemetry::Trace::new();
+        let (report, stats) = {
+            let _installed = kf_telemetry::install(&trace);
+            Diagnoser::new(&corpus.gold, &corpus.world, &support)
+                .with_truth(&truth)
+                .with_attribution(&attribution)
+                .with_config(DiagnoseConfig {
+                    mr: MrConfig::with_workers(2),
+                    ..Default::default()
+                })
+                .run(&output)
+        };
+        assert!(report.n_false_positives > 0, "no FPs diagnosed");
+        let recorded = trace.snapshot();
+        assert!(recorded.root.children.is_empty(), "{:?}", recorded.root);
+        assert!(recorded.counters.is_empty(), "{:?}", recorded.counters);
+        assert!(recorded.series.is_empty() && recorded.histograms.is_empty());
+        // A map-only pass: no shuffle.
+        assert_eq!(stats.map_input, output.scored.len() as u64);
+        assert_eq!(stats.map_output, report.n_false_positives);
+        assert_eq!(
+            stats,
+            JobStats {
+                map_input: stats.map_input,
+                map_output: stats.map_output,
+                ..JobStats::default()
+            }
+        );
     }
 
     #[test]

@@ -89,8 +89,7 @@
 //!           "series": [ {"name": "fuse.round_delta", "values": [ … ]}, … ],
 //!           "histograms": [          // observation counts only
 //!             {"name": "fuse.round_ns", "kind": "time"|"value",
-//!              "count": …}, … ],
-//!           "gauges": [ {"name": …, "value": …}, … ]
+//!              "count": …}, … ]
 //!         },
 //!         "timings": [               // wall clock, quarantined: all zero
 //!           {"path": "run/fuse/round", "total_ns": …}, …  // under --deterministic
@@ -238,7 +237,7 @@ impl MethodEval {
 }
 
 /// Serialize a [`TraceReport`] with its deterministic section (span
-/// calls, counters, series, gauges, histogram observation counts) split
+/// calls, counters, series, histogram observation counts) split
 /// from the quarantined sections: flat span paths with `total_ns`, and
 /// a `histograms` value ledger whose buckets/sums/quantiles survive for
 /// `value`-kind histograms but are zeroed for `time`-kind ones under
@@ -286,15 +285,6 @@ pub fn trace_to_json(t: &TraceReport) -> Json {
                     ("name", Json::from(h.name.clone())),
                     ("kind", Json::from(h.kind.name())),
                     ("count", Json::from(h.count)),
-                ])
-            })),
-        ),
-        (
-            "gauges",
-            Json::arr(t.gauges.iter().map(|g| {
-                Json::obj([
-                    ("name", Json::from(g.name.clone())),
-                    ("value", Json::from(g.value)),
                 ])
             })),
         ),

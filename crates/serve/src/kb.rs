@@ -476,7 +476,9 @@ impl FusedKb {
 
     /// Structural invariants the read path relies on unchecked (distinct
     /// sorted item keys for the derived item table, sorted runs and ids
-    /// for the searches inside them, in-range rows and offsets).
+    /// for the searches inside them, in-range rows and offsets), and that
+    /// each index run serves its own key's rows: item run `i` only item
+    /// `i`'s, predicate run `j` only `pred_ids[j]`'s, in rank order.
     /// Checked after every decode so a corrupted-but-parseable payload is
     /// rejected as `Corrupt` instead of serving garbage.
     fn validate(&self) -> bool {
@@ -522,8 +524,15 @@ impl FusedKb {
         {
             return false;
         }
+        // ...and every row of item run `i` is item `i`'s.
+        let item_rows = |i: usize| self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize;
+        if !(0..m).all(|i| {
+            item_rows(i).all(|row| (self.subjects[row], self.predicates[row]) == item_key(i))
+        }) {
+            return false;
+        }
         // Predicate index: sorted ids, monotone offsets, a permutation of
-        // the rows.
+        // the rows, each run holding its predicate's rows in rank order.
         let k = self.pred_ids.len();
         if self.pred_offsets.len() != k + 1 || self.rank.len() != n {
             return false;
@@ -547,6 +556,22 @@ impl FusedKb {
                 Some(s) if !*s => *s = true,
                 _ => return false,
             }
+        }
+        let ranked_before = |a: u32, b: u32| {
+            let (a, b) = (a as usize, b as usize);
+            self.calibrated[b]
+                .total_cmp(&self.calibrated[a])
+                .then(a.cmp(&b))
+                .is_lt()
+        };
+        let pred_runs_ok = (0..k).all(|j| {
+            let run = &self.rank[self.pred_offsets[j] as usize..self.pred_offsets[j + 1] as usize];
+            run.iter()
+                .all(|&row| self.predicates[row as usize] == self.pred_ids[j])
+                && run.windows(2).all(|w| ranked_before(w[0], w[1]))
+        });
+        if !pred_runs_ok {
+            return false;
         }
         // Provenance registry: aligned columns, in-range ids, monotone
         // offsets.

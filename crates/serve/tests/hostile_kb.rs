@@ -1,0 +1,161 @@
+//! Hostile bytes for the KB checkpoint decoder — what `kf-serve` runs on
+//! every file it is asked to open: truncation at every offset, every
+//! length prefix inflated and seeded single-bit flips, on a small
+//! POPACCU+ KB. Every case must return an error or a KB, never panic. A
+//! truncated file or an inflated length prefix must not make the decoder
+//! allocate more than the file's length. And a KB that decodes must answer
+//! `belief`, `top_k`, `lookup` and `drilldown` with its own rows: a flip
+//! that leaves the file parseable must not make an index serve another
+//! item's or another predicate's rows.
+//!
+//! The decode runs on the calling thread, so the per-thread
+//! largest-allocation reading covers the whole decode.
+
+#[path = "../../types/tests/support/largest_alloc.rs"]
+mod largest_alloc;
+
+use kf_serve::{FusedKb, KbBuildOptions, KbReader, TripleView};
+use kf_synth::{Corpus, SynthConfig};
+use kf_types::checkpoint::{self, ArtifactKind};
+use kf_types::{DataItem, EntityId, PredicateId};
+use largest_alloc::largest_during;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// Magic (4) + format version (2) + artifact kind (1).
+const HEADER: usize = 7;
+
+/// Decode one case; a panic fails the test naming the case. Returns the
+/// decoded KB, if any, and the largest allocation the decode made.
+fn decode_case(case: &str, bytes: &[u8]) -> (Option<FusedKb>, usize) {
+    let caught = std::panic::catch_unwind(|| {
+        largest_during(|| checkpoint::decode::<FusedKb>(ArtifactKind::FusedKb, bytes).ok())
+    });
+    caught.unwrap_or_else(|_| panic!("{case}: the KB decoder panicked"))
+}
+
+/// Every query of a decoded KB agrees with a scan of its own rows: each
+/// triple looks up and drills down to its row, each item's belief is
+/// exactly its rows in row order, and each predicate's full ranking is
+/// exactly its rows, calibrated descending with ties in row order.
+fn assert_answers_its_own_rows(case: &str, kb: FusedKb) {
+    let reader = KbReader::new(kb);
+    let rows: Vec<TripleView> = (0..reader.kb().n_triples() as u32)
+        .map(|row| reader.view(row))
+        .collect();
+    let mut items: BTreeMap<(u32, u32), Vec<u32>> = BTreeMap::new();
+    let mut predicates: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for v in &rows {
+        let t = v.triple;
+        items
+            .entry((t.subject.0, t.predicate.0))
+            .or_default()
+            .push(v.row);
+        predicates.entry(t.predicate.0).or_default().push(v.row);
+        let found = reader.lookup(&t).map(|found| found.row);
+        assert_eq!(found, Some(v.row), "{case}: lookup of row {}", v.row);
+        let drilled = reader.drilldown(&t).expect("a served triple drills down");
+        assert_eq!(
+            drilled.view().row,
+            v.row,
+            "{case}: drilldown of row {}",
+            v.row
+        );
+        assert_eq!(drilled.iter().count(), drilled.len(), "{case}");
+    }
+    for ((subject, predicate), want) in &items {
+        let item = DataItem::new(EntityId(*subject), PredicateId(*predicate));
+        let belief = reader.belief(item).expect("a served item has a belief");
+        let got: Vec<u32> = belief.iter().map(|v| v.row).collect();
+        assert_eq!(&got, want, "{case}: belief of {item:?}");
+    }
+    for (predicate, want) in &mut predicates {
+        want.sort_by(|&a, &b| {
+            let (ca, cb) = (rows[a as usize].calibrated, rows[b as usize].calibrated);
+            cb.total_cmp(&ca).then(a.cmp(&b))
+        });
+        let top = reader.top_k(PredicateId(*predicate), usize::MAX);
+        let got: Vec<u32> = top
+            .expect("a served predicate ranks")
+            .iter()
+            .map(|v| v.row)
+            .collect();
+        assert_eq!(&got, want, "{case}: top_k of predicate {predicate}");
+    }
+}
+
+#[test]
+fn hostile_kb_checkpoints_never_panic_or_serve_foreign_rows() {
+    // A fifth of `tiny`'s pages: a few hundred triples over every
+    // predicate, small enough to truncate at every offset.
+    let mut config = SynthConfig::tiny();
+    config.web.n_pages = 40;
+    let corpus = Corpus::generate(&config, 42);
+    let kb = FusedKb::build_from_corpus(&corpus, &KbBuildOptions::default(), "tiny").unwrap();
+    let bytes = checkpoint::encode(ArtifactKind::FusedKb, &kb);
+    let len = bytes.len();
+    let (decoded, largest) = decode_case("untouched", &bytes);
+    assert_eq!(decoded.as_ref(), Some(&kb), "the untouched KB decodes");
+    assert!(largest <= len, "untouched: allocated {largest} of {len}");
+    assert_answers_its_own_rows("untouched", kb);
+
+    // Truncated anywhere, the KB does not decode.
+    for cut in 0..len {
+        let case = format!("truncated at {cut}");
+        let (decoded, largest) = decode_case(&case, &bytes[..cut]);
+        assert!(decoded.is_none(), "{case}: decoded");
+        assert!(largest <= len, "{case}: allocated {largest} of {len}");
+    }
+
+    // Every 8-byte window that could be a length prefix — its value fits
+    // in the bytes after it, as every genuine prefix's does — set to one
+    // past the bytes left and to `u64::MAX`. A window that was really a
+    // plain integer may still decode, but only to a KB that encodes back
+    // to exactly the bytes given; a length prefix never decodes.
+    let mut inflated_prefixes = 0;
+    for at in HEADER..len - 8 {
+        let value = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let left = (len - at - 8) as u64;
+        if value > left {
+            continue;
+        }
+        for inflated in [left + 1, u64::MAX] {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 8].copy_from_slice(&inflated.to_le_bytes());
+            let case = format!("window at {at} set from {value} to {inflated}");
+            let (decoded, largest) = decode_case(&case, &hostile);
+            assert!(largest <= len, "{case}: allocated {largest} of {len}");
+            match decoded {
+                Some(kb) => {
+                    let again = checkpoint::encode(ArtifactKind::FusedKb, &kb);
+                    assert!(again == hostile, "{case}: decoded to other bytes");
+                }
+                None => inflated_prefixes += 1,
+            }
+        }
+    }
+    // The KB's columns, strings and registry lists all carry prefixes.
+    assert!(
+        inflated_prefixes > 40,
+        "{inflated_prefixes} rejected windows"
+    );
+
+    // Seeded single-bit flips: many land in a value column and still
+    // decode; each such KB must answer from its own rows.
+    let mut rng = SmallRng::seed_from_u64(0x6b66_6b62);
+    let mut decoded_flips = 0;
+    for _ in 0..20_000 {
+        let bit = rng.gen_range(HEADER * 8..len * 8);
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let case = format!("bit {bit} flipped");
+        let (decoded, largest) = decode_case(&case, &flipped);
+        assert!(largest <= len, "{case}: allocated {largest} of {len}");
+        if let Some(kb) = decoded {
+            decoded_flips += 1;
+            assert_answers_its_own_rows(&case, kb);
+        }
+    }
+    assert!(decoded_flips > 1_000, "{decoded_flips} flipped KBs decoded");
+}

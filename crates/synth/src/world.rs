@@ -375,7 +375,7 @@ impl World {
     }
 
     /// Expected number of truths per item of each predicate, learned from
-    /// the world — used by the functionality-learning extension (§5.3).
+    /// the world (the functionality statistic of §5.3).
     pub fn predicate_truth_means(&self) -> FxHashMap<PredicateId, f64> {
         let mut sums: FxHashMap<PredicateId, (f64, f64)> = FxHashMap::default();
         for (item, values) in &self.facts {

@@ -1,4 +1,4 @@
-//! Log-bucketed histograms and gauges: the distribution-shaped members
+//! Log-bucketed histograms: the distribution-shaped members
 //! of the trace merge algebra.
 //!
 //! # Bucket layout
@@ -233,19 +233,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time level (resident bytes, loaded triples, live
-/// readers). Unlike counters, a gauge is *set*, not accumulated; the
-/// merged trace keeps the most recent observation in merge order (the
-/// right operand overwrites), matching how a single process would end
-/// up with its last-set value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSnapshot {
-    /// Dotted gauge name (e.g. `serve.kb_triples`).
-    pub name: String,
-    /// The last value set.
-    pub value: f64,
-}
-
 impl KvCodec for HistKind {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(match self {
@@ -313,19 +300,6 @@ impl KvCodec for HistogramSnapshot {
             count,
             sum,
             buckets,
-        })
-    }
-}
-
-impl KvCodec for GaugeSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.value.encode(out);
-    }
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(GaugeSnapshot {
-            name: String::decode(input)?,
-            value: f64::decode(input)?,
         })
     }
 }

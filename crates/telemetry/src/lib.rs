@@ -11,8 +11,8 @@
 //! * [`Trace`] — a run-scoped registry: a tree of timed spans (opened
 //!   via RAII [`SpanGuard`]s, aggregated by name so a thousand waves
 //!   make one compact `wave` node), thread-safe atomic counters with
-//!   explicit [`MergeRule`]s, named numeric series, log-bucketed
-//!   histograms, and gauges.
+//!   explicit [`MergeRule`]s, named numeric series, and log-bucketed
+//!   histograms.
 //! * [`LiveHistogram`] / [`HistogramSnapshot`] — HDR-style power-of-two
 //!   sub-bucketed latency/size distributions over a fixed layout
 //!   (quantile relative error ≤ `2^-SUB_BUCKET_BITS`): lock-free
@@ -22,12 +22,12 @@
 //! * a thread-local installation ([`install`]) with free functions
 //!   ([`span`], [`add`], [`record_max`], [`push_series`],
 //!   [`record_time`], [`record_value`], [`record_traffic`],
-//!   [`set_gauge`], [`graft`]) that are
+//!   [`graft`]) that are
 //!   no-ops when no trace is installed — so library code instruments
 //!   unconditionally and pays nothing in untraced runs.
 //! * [`TraceReport`] — the frozen snapshot: mergeable across shard runs
 //!   under documented rules, splittable into a *deterministic* section
-//!   (calls, counters, series, gauges, histogram counts —
+//!   (calls, counters, series, histogram counts —
 //!   byte-identical across same-seed runs) and a quarantined *timing*
 //!   section ([`TraceReport::quarantine_timings`]), and
 //!   `KvCodec`-encodable so traces ride inside shard reports.
@@ -56,16 +56,16 @@ mod report;
 mod runtime;
 
 pub use histogram::{
-    bucket_bounds, bucket_index, GaugeSnapshot, HistBucket, HistKind, HistogramSnapshot,
-    BUCKET_COUNT, SUB_BUCKET_BITS, SUB_BUCKET_COUNT,
+    bucket_bounds, bucket_index, HistBucket, HistKind, HistogramSnapshot, BUCKET_COUNT,
+    SUB_BUCKET_BITS, SUB_BUCKET_COUNT,
 };
 pub use report::{
     fmt_ns, CounterSnapshot, MergeRule, SeriesSnapshot, SpanNode, TraceReport, MAX_SPAN_DEPTH,
 };
 pub use runtime::{
     add, current, graft, install, push_series, record_max, record_time, record_traffic,
-    record_value, set_gauge, span, ActiveSpan, CounterHandle, HistogramHandle, InstallGuard,
-    LiveHistogram, SpanGuard, Trace,
+    record_value, span, ActiveSpan, CounterHandle, HistogramHandle, InstallGuard, LiveHistogram,
+    SpanGuard, Trace,
 };
 
 #[cfg(test)]
@@ -419,7 +419,6 @@ mod tests {
         t.record_time("mr.wave.map_ns", 1_500);
         t.record_time("mr.wave.map_ns", 90_000);
         t.record_value("mr.wave.records", 64);
-        t.set_gauge("mr.quota", 4096.0);
         let mut a = t.snapshot();
         let b = a.clone();
         a.merge(&b);
@@ -434,7 +433,6 @@ mod tests {
         assert_eq!(get(&a, "mr.wave.map_ns").sum, 2 * 91_500);
         assert_eq!(get(&a, "mr.wave.records").buckets.len(), 1);
         assert_eq!(get(&a, "mr.wave.records").buckets[0].count, 2);
-        assert_eq!(a.gauges[0].value, 4096.0, "gauge keeps last-set value");
 
         // Quarantine: Time histograms keep their count but lose their
         // distribution; Value histograms keep everything.
@@ -445,7 +443,6 @@ mod tests {
         let value = get(&a, "mr.wave.records");
         assert_eq!((value.count, value.sum), (2, 128));
         assert_eq!(value.buckets.len(), 1);
-        assert_eq!(a.gauges.len(), 1, "gauges survive the quarantine");
     }
 
     #[test]

@@ -21,13 +21,10 @@
 //! * **Histograms** merge by name via bucket-wise addition (see
 //!   [`HistogramSnapshot::merge`]) — associative and commutative with
 //!   the empty histogram as identity, exactly like `Add` counters.
-//! * **Gauges** are levels, not accumulations: the right operand
-//!   overwrites, so the merged trace reports the most recent
-//!   observation in merge order.
 //!
 //! # Deterministic vs timing
 //!
-//! Span `calls`, counters, series, gauges, and histogram *observation
+//! Span `calls`, counters, series, and histogram *observation
 //! counts* depend only on the input and the configuration — they are
 //! byte-identical across same-seed runs and are CI-gated as such. Span
 //! `total_ns` is wall clock, and so is the bucket occupancy of a
@@ -37,7 +34,7 @@
 //! [`HistKind::Value`] histograms record data quantities and keep their
 //! full distribution through the quarantine.
 
-use crate::histogram::{GaugeSnapshot, HistKind, HistogramSnapshot};
+use crate::histogram::{HistKind, HistogramSnapshot};
 use kf_types::codec::reserve_for;
 use kf_types::KvCodec;
 use std::fmt::Write as _;
@@ -164,8 +161,8 @@ pub struct SeriesSnapshot {
     pub values: Vec<f64>,
 }
 
-/// A frozen trace: the span tree plus counters, series, histograms, and
-/// gauges (each list sorted by name).
+/// A frozen trace: the span tree plus counters, series and histograms
+/// (each list sorted by name).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     /// The phase tree, rooted at the trace's root span.
@@ -176,8 +173,6 @@ pub struct TraceReport {
     pub series: Vec<SeriesSnapshot>,
     /// Histograms sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Gauges sorted by name.
-    pub gauges: Vec<GaugeSnapshot>,
 }
 
 impl TraceReport {
@@ -191,7 +186,6 @@ impl TraceReport {
             counters: Vec::new(),
             series: Vec::new(),
             histograms: Vec::new(),
-            gauges: Vec::new(),
         }
     }
 
@@ -244,13 +238,6 @@ impl TraceReport {
             }
         }
         self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        for og in &other.gauges {
-            match self.gauges.iter_mut().find(|g| g.name == og.name) {
-                Some(g) => g.value = og.value,
-                None => self.gauges.push(og.clone()),
-            }
-        }
-        self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
     /// Zero every wall-clock field: span `total_ns` throughout the tree,
@@ -258,7 +245,7 @@ impl TraceReport {
     /// [`HistKind::Time`] histogram, and *all* of every
     /// [`HistKind::Traffic`] histogram — wire frame counts depend on
     /// heartbeat scheduling, so even their observation count is
-    /// scheduling noise. Calls, counters, series, gauges, `Time`
+    /// scheduling noise. Calls, counters, series, `Time`
     /// observation counts, and [`HistKind::Value`] histograms — the
     /// deterministic section — stay untouched. The `--deterministic`
     /// quarantine.
@@ -340,9 +327,6 @@ impl TraceReport {
                     q(0.99)
                 );
             }
-        }
-        for g in &self.gauges {
-            let _ = writeln!(s, "{:<44} {:>21.4}", g.name, g.value);
         }
         for series in &self.series {
             let values: Vec<String> = series.values.iter().map(|v| format!("{v:.4}")).collect();
@@ -429,7 +413,6 @@ impl KvCodec for TraceReport {
         self.counters.encode(out);
         self.series.encode(out);
         self.histograms.encode(out);
-        self.gauges.encode(out);
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
         Some(TraceReport {
@@ -437,7 +420,6 @@ impl KvCodec for TraceReport {
             counters: Vec::<CounterSnapshot>::decode(input)?,
             series: Vec::<SeriesSnapshot>::decode(input)?,
             histograms: Vec::<HistogramSnapshot>::decode(input)?,
-            gauges: Vec::<GaugeSnapshot>::decode(input)?,
         })
     }
 }

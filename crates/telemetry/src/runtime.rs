@@ -20,7 +20,7 @@
 //! trace ([`current`] captured before the fan-out, [`install`]ed on
 //! whichever thread runs the task) may add to them from there.
 
-use crate::histogram::{bucket_index, GaugeSnapshot, HistKind, HistogramSnapshot, BUCKET_COUNT};
+use crate::histogram::{bucket_index, HistKind, HistogramSnapshot, BUCKET_COUNT};
 use crate::report::{CounterSnapshot, MergeRule, SeriesSnapshot, SpanNode, TraceReport};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -48,7 +48,7 @@ struct ArenaNode {
     children: Vec<usize>,
 }
 
-/// A span, counter, series, histogram or gauge name: `&'static str` from
+/// A span, counter, series or histogram name: `&'static str` from
 /// instrumented code (borrowed, no allocation), owned when it arrives
 /// inside a grafted [`TraceReport`].
 type Name = Cow<'static, str>;
@@ -199,7 +199,6 @@ struct Inner {
     counters: Mutex<BTreeMap<Name, Arc<CounterCell>>>,
     series: Mutex<BTreeMap<Name, Vec<f64>>>,
     histograms: Mutex<BTreeMap<Name, Arc<HistogramCell>>>,
-    gauges: Mutex<BTreeMap<Name, f64>>,
 }
 
 /// A run-scoped telemetry registry: a tree of timed spans, a set of
@@ -242,7 +241,6 @@ impl Trace {
                 counters: Mutex::new(BTreeMap::new()),
                 series: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -350,15 +348,10 @@ impl Trace {
         self.histogram(name, HistKind::Traffic).record(bytes);
     }
 
-    /// Set the named gauge to `value` (last write wins).
-    pub fn set_gauge(&self, name: &'static str, value: f64) {
-        lock_unpoisoned(&self.inner.gauges).insert(Cow::Borrowed(name), value);
-    }
-
     /// Replay a frozen trace into this one, as if its recording had
     /// happened here: `report`'s root becomes (or merges into) a child of
     /// the innermost open span, named after itself, and its counters,
-    /// series, histograms and gauges merge under the rules of
+    /// series and histograms merge under the rules of
     /// [`TraceReport::merge`]. This is how work recorded on a trace of
     /// its own — a grouping job, run on whichever thread was free and
     /// kept with what it built — lands in the trace of whoever it ran
@@ -392,15 +385,6 @@ impl Trace {
                 .live
                 .absorb(h);
         }
-        for g in &report.gauges {
-            let mut gauges = lock_unpoisoned(&self.inner.gauges);
-            match gauges.get_mut(g.name.as_str()) {
-                Some(value) => *value = g.value,
-                None => {
-                    gauges.insert(Cow::Owned(g.name.clone()), g.value);
-                }
-            }
-        }
     }
 
     /// Freeze the current state into a [`TraceReport`]. Open spans
@@ -433,19 +417,11 @@ impl Trace {
             .iter()
             .map(|(name, cell)| cell.live.snapshot(name, cell.kind))
             .collect();
-        let gauges = lock_unpoisoned(&self.inner.gauges)
-            .iter()
-            .map(|(name, &value)| GaugeSnapshot {
-                name: name.to_string(),
-                value,
-            })
-            .collect();
         TraceReport {
             root,
             counters,
             series,
             histograms,
-            gauges,
         }
     }
 
@@ -657,12 +633,5 @@ pub fn record_traffic(name: &'static str, bytes: u64) {
 pub fn graft(report: &TraceReport) {
     if let Some(t) = current() {
         t.graft(report);
-    }
-}
-
-/// Set a gauge on the installed trace; no-op without one.
-pub fn set_gauge(name: &'static str, value: f64) {
-    if let Some(t) = current() {
-        t.set_gauge(name, value);
     }
 }

@@ -63,7 +63,9 @@ pub const MAGIC: [u8; 4] = *b"KFCP";
 /// quarantined `Traffic` variant for wire-traffic histograms whose
 /// message *counts* depend on heartbeat scheduling; histogram kinds
 /// ride inside checkpointed traces, so older readers must reject.
-pub const FORMAT_VERSION: u16 = 6;
+/// Version 7: `TraceReport` lost its gauge section, changing the bytes
+/// of every checkpointed trace.
+pub const FORMAT_VERSION: u16 = 7;
 
 /// What a checkpoint file contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
