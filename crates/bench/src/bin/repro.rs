@@ -26,8 +26,9 @@
 //! ```
 //!
 //! A process runs in exactly one [`Mode`], so `main` is one `match` over
-//! it; the report it produces is shown, written, compiled into the KB and
-//! traced by one shared tail.
+//! it; the report it produces is shown, written and traced by one shared
+//! tail. A servable KB is built from the corpus checkpoint by
+//! `kf-serve build`.
 
 use kf_bench::{merge_shards, obtain_corpus, shard_presets, Mode, ParseError, ReproOptions};
 use kf_dist::{run_worker, Coordinator, CoordinatorConfig, FailSpec, WorkerConfig};
@@ -132,9 +133,8 @@ fn main() {
     let process = Trace::with_root("run");
     let _telemetry = kf_telemetry::install(&process);
 
-    // What the mode produced: a report (a shard's is partial) and, when
-    // it has one, the corpus that report measured.
-    let (report, corpus) = match &opts.mode {
+    // What the mode produced: a report (a shard's is partial), if any.
+    let report = match &opts.mode {
         Mode::Worker { addr, name } => {
             // The corpus and every fusion parameter arrive over the wire.
             let mut config = WorkerConfig::new(addr.clone(), name.clone());
@@ -147,7 +147,7 @@ fn main() {
             })
             .unwrap_or_else(|e| fail(&format!("worker {name}: {e}")));
             println!("worker {name}: coordinator shut us down cleanly");
-            (None, None)
+            None
         }
         Mode::Merge(paths) => {
             let report = merge_shards(paths).unwrap_or_else(|e| fail(&e));
@@ -158,13 +158,7 @@ fn main() {
                 report.corpus.scale,
                 report.corpus.seed,
             );
-            // Shard reports carry no extractions: the KB compiles against
-            // the snapshot the shards fused (parse requires --corpus).
-            let corpus = opts.build_kb.as_ref().map(|_| {
-                let (corpus, _) = obtain_corpus(&opts).unwrap_or_else(|e| fail(&e));
-                corpus
-            });
-            (Some(report), corpus)
+            Some(report)
         }
         Mode::SaveCorpus(path) => {
             let corpus = load_corpus(&opts);
@@ -178,14 +172,14 @@ fn main() {
                 bytes as f64 / (1024.0 * 1024.0),
                 start.elapsed().as_secs_f64(),
             );
-            (None, None)
+            None
         }
         Mode::Shard { index, of } => {
             let corpus = load_corpus(&opts);
             opts.presets = shard_presets(&opts.presets, *index, *of);
             let names: Vec<&str> = opts.presets.iter().map(|p| p.name()).collect();
             println!("shard {index}/{of}: presets [{}]", names.join(", "));
-            (Some(kf_bench::run_on_corpus(&opts, &corpus)), Some(corpus))
+            Some(kf_bench::run_on_corpus(&opts, &corpus))
         }
         Mode::Coordinator { bind, addr_file } => {
             let corpus = load_corpus(&opts);
@@ -216,34 +210,17 @@ fn main() {
             let report = coordinator
                 .run_merged()
                 .unwrap_or_else(|e| fail(&format!("distributed run failed: {e}")));
-            (Some(report), Some(corpus))
+            Some(report)
         }
         Mode::Run => {
             let corpus = load_corpus(&opts);
-            (Some(kf_bench::run_on_corpus(&opts, &corpus)), Some(corpus))
+            Some(kf_bench::run_on_corpus(&opts, &corpus))
         }
     };
 
     if let Some(report) = &report {
         println!();
         print!("{}", report.summary_table());
-        // The report is still in memory: the KB compiles straight from it,
-        // without a load/decode round-trip (parse rejects --build-kb where
-        // there is no corpus to compile against).
-        if let Some(path) = &opts.build_kb {
-            let corpus = corpus
-                .as_ref()
-                .expect("parse pairs --build-kb with a corpus");
-            let kb = kf_bench::compile_kb(&opts, report, corpus).unwrap_or_else(|e| fail(&e));
-            println!(
-                "\nbuilt fused KB {path} [{}]: {} triples, {} items, {} predicates, {} provenances",
-                kb.method,
-                kb.n_triples(),
-                kb.n_items(),
-                kb.n_predicates(),
-                kb.n_provenances(),
-            );
-        }
         // Before the trace is read: a shard report's save is on it.
         if let Some(path) = &opts.out {
             let written = match opts.mode {

@@ -118,14 +118,6 @@ pub struct ReproOptions {
     /// Write the whole-run trace (span tree, counters, series) to this
     /// path as JSON (`--trace PATH`).
     pub trace: Option<String>,
-    /// Also compile the finished report into a servable `FusedKb`
-    /// checkpoint at this path (`--build-kb PATH`). Works for single
-    /// runs and for `--merge` (which then needs `--corpus`, since shard
-    /// reports carry no extractions).
-    pub build_kb: Option<String>,
-    /// Which preset's scores the KB serves (`--kb-method`, default
-    /// `popaccu_plus`). Must be among the presets the report contains.
-    pub kb_method: String,
 }
 
 impl Default for ReproOptions {
@@ -143,14 +135,12 @@ impl Default for ReproOptions {
             corpus: None,
             deterministic: false,
             trace: None,
-            build_kb: None,
-            kb_method: "popaccu_plus".to_string(),
         }
     }
 }
 
 /// The flags a worker takes: the coordinator ships the corpus and every
-/// fusion parameter, and a worker writes no report and no KB, so any other
+/// fusion parameter, and a worker writes no report, so any other
 /// flag would be parsed and then ignored.
 const WORKER_FLAGS: [&str; 4] = ["--worker", "--worker-name", "--trace", "--deterministic"];
 
@@ -268,14 +258,6 @@ impl ReproOptions {
                 "--merge" => choose("--merge", Mode::Merge(Vec::new()))?,
                 "--deterministic" => opts.deterministic = true,
                 "--trace" => opts.trace = Some(value("--trace")?),
-                "--build-kb" => opts.build_kb = Some(value("--build-kb")?),
-                "--kb-method" => {
-                    let v = value("--kb-method")?;
-                    if Preset::by_name(&v).is_none() {
-                        return Err(invalid(format!("unknown --kb-method {v:?}")));
-                    }
-                    opts.kb_method = v;
-                }
                 "--serve-coordinator" => {
                     let bind = value("--serve-coordinator")?;
                     let addr_file = None;
@@ -328,16 +310,7 @@ impl ReproOptions {
         }
 
         match &opts.mode {
-            Mode::Run | Mode::Coordinator { .. } => {}
-            Mode::SaveCorpus(_) | Mode::Shard { .. } if opts.build_kb.is_some() => {
-                return Err(invalid(
-                    "--build-kb needs a finished report: --save-corpus exits before \
-                     fusing, and a --shard report is partial (build the KB from the \
-                     merged report instead)"
-                        .to_string(),
-                ))
-            }
-            Mode::SaveCorpus(_) => {}
+            Mode::Run | Mode::Coordinator { .. } | Mode::SaveCorpus(_) => {}
             Mode::Shard { index, of } => {
                 // An explicit --out is honoured verbatim (and --no-out
                 // skips the write); only the default is replaced.
@@ -351,23 +324,11 @@ impl ReproOptions {
                         "--merge needs at least one shard-report path".to_string(),
                     ));
                 }
-                // Shard reports carry no extractions, so compiling a KB
-                // out of a merge needs the corpus snapshot the shards ran
-                // on; without --build-kb a corpus would be silently unused.
-                match (&opts.build_kb, &opts.corpus) {
-                    (Some(_), None) => {
-                        return Err(invalid(
-                            "--merge --build-kb needs --corpus (the snapshot the shards \
-                             fused, to compile the KB from)"
-                                .to_string(),
-                        ))
-                    }
-                    (None, Some(_)) => {
-                        return Err(invalid(
-                            "--merge only accepts --corpus together with --build-kb".to_string(),
-                        ))
-                    }
-                    _ => {}
+                // A merge reads shard reports only: a corpus would go unused.
+                if opts.corpus.is_some() {
+                    return Err(invalid(
+                        "--merge takes no --corpus: it reads the shard reports only".to_string(),
+                    ));
                 }
             }
             Mode::Worker { .. } => {
@@ -392,21 +353,6 @@ impl ReproOptions {
                  scenario"
                     .to_string(),
             ));
-        }
-        if opts.build_kb.is_none() && given("--kb-method") {
-            return Err(invalid(
-                "--kb-method only makes sense with --build-kb".to_string(),
-            ));
-        }
-        // In merge mode the preset list describes this process, not the
-        // shard runs; membership is checked against the merged report at
-        // runtime instead.
-        let fused = opts.presets.iter().any(|p| p.name() == opts.kb_method);
-        if opts.build_kb.is_some() && !merge && !fused {
-            return Err(invalid(format!(
-                "--kb-method {} is not among the presets this run fuses",
-                opts.kb_method
-            )));
         }
         Ok(opts)
     }
@@ -481,14 +427,9 @@ distributed execution:
                                    scripts can start workers without
                                    guessing ports
 
-serving:
-  --build-kb PATH                  also compile the finished report into
-                                   a servable FusedKb checkpoint (query
-                                   it with kf-serve); with --merge this
-                                   needs --corpus, so sharded runs emit
-                                   a servable artifact in one pass
-  --kb-method NAME                 --build-kb: preset the KB serves
-                                   (default: popaccu_plus)
+A servable fused KB is built from a corpus checkpoint by kf-serve:
+  kf-serve build --corpus PATH --out KB [--method NAME] [--workers N]
+                 [--scale LABEL]
 ";
 
 /// The corpus configuration for a scale name.
@@ -651,37 +592,6 @@ pub fn merge_shards(paths: &[String]) -> Result<EvalReport, String> {
             .push(EvalReport::load(path).map_err(|e| format!("cannot load shard {path:?}: {e}"))?);
     }
     kf_eval::merge_reports(shards).map_err(|e| e.to_string())
-}
-
-/// Compile the `--build-kb` artifact from a finished report and the
-/// corpus it measured, and save it at `opts.build_kb`. Returns the
-/// serving KB for log lines.
-///
-/// `repro` calls it on whichever finished report its mode produced — a
-/// single run's, a coordinator's or a `--merge`'s — so a sharded
-/// reproduction emits a servable artifact directly from the in-memory
-/// merged report, with no second load/decode pass over the artifacts it
-/// just wrote. It goes through [`kf_serve::FusedKb::compile`],
-/// which re-runs the `kb_method` preset's fusion: the report keeps no
-/// per-triple scores.
-pub fn compile_kb(
-    opts: &ReproOptions,
-    report: &EvalReport,
-    corpus: &Corpus,
-) -> Result<kf_serve::FusedKb, String> {
-    let path = opts
-        .build_kb
-        .as_ref()
-        .ok_or_else(|| "compile_kb called without --build-kb".to_string())?;
-    let kb_opts = kf_serve::KbBuildOptions {
-        method: opts.kb_method.clone(),
-        workers: opts.workers,
-    };
-    let kb = kf_serve::FusedKb::compile(report, corpus, &kb_opts)
-        .map_err(|e| format!("cannot compile KB: {e}"))?;
-    kb.save(path)
-        .map_err(|e| format!("cannot write KB {path:?}: {e}"))?;
-    Ok(kb)
 }
 
 /// End-to-end: generate, fuse each preset, evaluate, assemble the report.
@@ -1092,32 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_build_kb_flags() {
-        let opts = ReproOptions::parse(["--build-kb", "out.kb"]).unwrap();
-        assert_eq!(opts.build_kb.as_deref(), Some("out.kb"));
-        assert_eq!(opts.kb_method, "popaccu_plus");
-
-        let opts = ReproOptions::parse(["--build-kb", "out.kb", "--kb-method", "vote"]).unwrap();
-        assert_eq!(opts.kb_method, "vote");
-
-        // Merge mode emits the KB straight from the merged report, but
-        // needs the corpus snapshot the shards fused.
-        let opts = ReproOptions::parse([
-            "--merge",
-            "a.bin",
-            "b.bin",
-            "--build-kb",
-            "out.kb",
-            "--corpus",
-            "c.kfc",
-        ])
-        .unwrap();
-        assert_eq!(opts.mode, Mode::Merge(vec!["a.bin".into(), "b.bin".into()]));
-        assert_eq!(opts.build_kb.as_deref(), Some("out.kb"));
-        assert_eq!(opts.corpus.as_deref(), Some("c.kfc"));
-    }
-
-    #[test]
     fn parse_dist_flags() {
         let opts = ReproOptions::parse([
             "--serve-coordinator",
@@ -1171,35 +1055,30 @@ mod tests {
         invalid(&["--save-corpus", "c.kfc", "--shard", "0/2"]);
     }
 
+    /// `repro` builds no KB (`kf-serve build` does): `--build-kb` and
+    /// `--kb-method` are unknown arguments.
+    #[test]
+    fn parse_build_kb_flags() {
+        for args in [&["--build-kb", "o.kb"][..], &["--kb-method", "vote"]] {
+            assert!(invalid(args).contains("unknown argument"), "{args:?}");
+        }
+    }
+
+    /// No mode takes a KB path, and a merge, which reads shard reports
+    /// only, takes no corpus to build one from.
     #[test]
     fn parse_rejects_invalid_build_kb_combos() {
-        // Unknown or un-run serving method.
-        invalid(&["--build-kb", "o.kb", "--kb-method", "nope"]);
-        invalid(&[
-            "--build-kb",
-            "o.kb",
-            "--presets",
-            "vote",
-            "--kb-method",
-            "accu",
-        ]);
-        // A shard report is partial; the snapshot mode never fuses.
-        invalid(&["--build-kb", "o.kb", "--shard", "0/2"]);
-        invalid(&["--build-kb", "o.kb", "--save-corpus", "c.kfc"]);
-        // Merge + KB without the corpus, and merge + corpus without a KB.
-        invalid(&["--merge", "a.bin", "--build-kb", "o.kb"]);
-        invalid(&["--merge", "a.bin", "--corpus", "c.kfc"]);
-        // A serving method with no KB to serve it.
-        invalid(&["--kb-method", "vote"]);
-        invalid(&[
-            "--scale",
-            "tiny",
-            "--no-out",
-            "--worker-name",
-            "ghost",
-            "--kb-method",
-            "vote",
-        ]);
+        for mode in [
+            &["--merge", "a.bin", "--corpus", "c.kfc"][..],
+            &["--shard", "0/2"],
+            &["--save-corpus", "c.kfc"],
+            &["--serve-coordinator", "127.0.0.1:0"],
+        ] {
+            let msg = invalid(&[mode, &["--build-kb", "o.kb"]].concat());
+            assert!(msg.contains("unknown argument"), "{mode:?}: {msg}");
+        }
+        let msg = invalid(&["--merge", "a.bin", "--corpus", "c.kfc"]);
+        assert!(msg.contains("--merge takes no --corpus"), "{msg}");
     }
 
     #[test]
@@ -1215,13 +1094,12 @@ mod tests {
             invalid(&["--serve-coordinator", "127.0.0.1:0", extra[0], extra[1]]);
         }
         // A worker's corpus and parameters come over the wire, and it
-        // writes no report or KB.
-        let extras: [&[&str]; 14] = [
+        // writes no report.
+        let extras: [&[&str]; 13] = [
             &["--shard", "0/2"],
             &["--merge", "a.bin"],
             &["--save-corpus", "c.kfc"],
             &["--corpus", "c.kfc"],
-            &["--build-kb", "o.kb"],
             &["--out", "r.json"],
             &["--no-out"],
             &["--scenario", "spam"],

@@ -108,9 +108,8 @@ fn shard_reports_roundtrip_and_refuse_foreign_corpora() {
 
 /// The same flow through the `repro` binary, from a scratch working
 /// directory: the shards run without `--out`, so they write their default
-/// `report-shard{i}of{n}.bin` names there, and a `--merge` of those with
-/// `--build-kb` must reproduce a single `--deterministic` run's report and
-/// KB byte for byte.
+/// `report-shard{i}of{n}.bin` names there, and a `--merge` of those must
+/// reproduce a single `--deterministic` run's report byte for byte.
 #[test]
 fn repro_binary_shards_and_merges_like_a_single_run() {
     use std::process::Command;
@@ -133,33 +132,30 @@ fn repro_binary_shards_and_merges_like_a_single_run() {
     let tiny = ["--scale", "tiny", "--deterministic", "--corpus", "c.kfc"];
 
     repro(&["--scale", "tiny", "--seed", "11", "--save-corpus", "c.kfc"]);
-    repro(
-        &[
-            &tiny[..],
-            &["--out", "single.json", "--build-kb", "single.kb"],
-        ]
-        .concat(),
-    );
+    repro(&[&tiny[..], &["--out", "single.json"]].concat());
     repro(&[&tiny[..], &["--shard", "0/2"]].concat());
     repro(&[&tiny[..], &["--shard", "1/2"]].concat());
-    repro(&[
-        "--merge",
-        "report-shard0of2.bin",
-        "report-shard1of2.bin",
-        "--build-kb",
-        "m.kb",
-        "--corpus",
-        "c.kfc",
-    ]);
+    repro(&["--merge", "report-shard0of2.bin", "report-shard1of2.bin"]);
 
     let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
     assert!(
         read("report.json") == read("single.json"),
         "the merged report differs from the single run's"
     );
-    assert!(
-        read("m.kb") == read("single.kb"),
-        "the merged run's KB differs from the single run's"
-    );
+
+    // `repro` builds no KB (`kf-serve build` does), and a merge reads no
+    // corpus: each is a usage error.
+    for args in [
+        &["--build-kb", "x"][..],
+        &["--kb-method", "vote"],
+        &["--merge", "report-shard0of2.bin", "--corpus", "c.kfc"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro spawns");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

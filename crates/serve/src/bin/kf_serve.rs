@@ -1,17 +1,17 @@
 //! `kf-serve` — build, query and watch fused knowledge bases.
 //!
 //! ```text
-//! kf-serve build --corpus PATH --out KB [--report PATH] [--method NAME]
-//!                [--workers N] [--scale LABEL]
+//! kf-serve build --corpus PATH --out KB [--method NAME] [--workers N]
+//!                [--scale LABEL]
 //! kf-serve query KB [--cmd 'LINE']...
 //! kf-serve stats KB [--metrics]
 //! kf-serve watch KB [--clients N] [--ticks T] [--interval-ms MS]
 //!                   [--json-out PATH]
 //! ```
 //!
-//! `build` compiles a [`FusedKb`] from a corpus snapshot — against an
-//! existing evaluation report when `--report` is given (refusing a
-//! mismatched pair), or by fusing and evaluating in-process otherwise.
+//! `build` compiles a [`FusedKb`] from a corpus snapshot, fusing and
+//! evaluating the `--method` preset in-process; the KB is the same bytes
+//! whatever `--workers` is.
 //! `query` opens a REPL (or runs `--cmd` lines non-interactively);
 //! `stats` prints the KB header plus the run's `serve.*` trace counters,
 //! and with `--metrics` probes each query surface once and prints the
@@ -23,7 +23,6 @@
 //! [`Trace`](kf_telemetry::Trace), so library-layer counters (`serve.*`
 //! and friends) land somewhere visible instead of the no-op default.
 
-use kf_eval::EvalReport;
 use kf_serve::repl::{eval_command, run_repl, ReplOutput};
 use kf_serve::{FusedKb, KbBuildOptions, KbReader, ServeMetrics, SnapshotRing};
 use kf_synth::Corpus;
@@ -34,8 +33,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const USAGE: &str = "usage:
-  kf-serve build --corpus PATH --out KB [--report PATH] [--method NAME]
-                 [--workers N] [--scale LABEL]
+  kf-serve build --corpus PATH --out KB [--method NAME] [--workers N]
+                 [--scale LABEL]
   kf-serve query KB [--cmd 'LINE']...
   kf-serve stats KB [--metrics]
   kf-serve watch KB [--clients N] [--ticks T] [--interval-ms MS]
@@ -70,7 +69,6 @@ fn main() -> ExitCode {
 
 fn build(args: &[String]) -> ExitCode {
     let mut corpus_path = None;
-    let mut report_path = None;
     let mut out_path = None;
     let mut opts = KbBuildOptions::default();
     let mut scale = "snapshot".to_string();
@@ -83,7 +81,6 @@ fn build(args: &[String]) -> ExitCode {
         };
         let result = match arg.as_str() {
             "--corpus" => value("--corpus").map(|v| corpus_path = Some(v)),
-            "--report" => value("--report").map(|v| report_path = Some(v)),
             "--out" => value("--out").map(|v| out_path = Some(v)),
             "--method" => value("--method").map(|v| opts.method = v),
             "--scale" => value("--scale").map(|v| scale = v),
@@ -106,14 +103,7 @@ fn build(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(e) => return fail(&format!("loading corpus {corpus_path}: {e}")),
     };
-    let kb = match &report_path {
-        Some(path) => match EvalReport::load(path) {
-            Ok(report) => FusedKb::compile(&report, &corpus, &opts),
-            Err(e) => return fail(&format!("loading report {path}: {e}")),
-        },
-        None => FusedKb::build_from_corpus(&corpus, &opts, &scale),
-    };
-    let kb = match kb {
+    let kb = match FusedKb::build_from_corpus(&corpus, &opts, &scale) {
         Ok(kb) => kb,
         Err(e) => return fail(&format!("compiling KB: {e}")),
     };

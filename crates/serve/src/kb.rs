@@ -1,8 +1,8 @@
 //! The `FusedKb` artifact: a fused run compiled into read-only columnar
 //! indexes.
 //!
-//! A fusion run produces a [`FusionOutput`] (scored triples) and an
-//! [`EvalReport`] (calibration curves, PR curves). Neither is shaped for
+//! A fusion run produces a [`FusionOutput`] (scored triples) and a
+//! [`MethodEval`] (calibration curves, PR curves). Neither is shaped for
 //! *queries*: answering "what does the KB believe about `(subject,
 //! predicate)`?" or "the 10 most confident triples for predicate P" from
 //! the batch artifacts means a full scan. [`FusedKb`] is the serving
@@ -26,7 +26,7 @@
 //!   per-triple provenance id lists, so drill-down walks an offset range.
 //!
 //! Confidences are stored twice: the fuser's raw probability and the
-//! *calibrated* probability read off the report's equal-width calibration
+//! *calibrated* probability read off the method's equal-width calibration
 //! curve (the bin's observed accuracy where the bin has mass — §5.2's
 //! "among triples predicted with probability ~p, a fraction ~p is true"
 //! made actionable per triple).
@@ -36,7 +36,7 @@
 //! then share across threads without copying.
 
 use kf_core::{Claims, Fuser, FusionOutput, ProvenanceAttribution};
-use kf_eval::{AblationRunner, CalibrationCurve, CorpusSummary, EvalReport, MethodEval, Preset};
+use kf_eval::{AblationRunner, CalibrationCurve, CorpusSummary, MethodEval, Preset};
 use kf_synth::Corpus;
 use kf_telemetry::{add, span};
 use kf_types::checkpoint::{self, ArtifactKind, CheckpointError};
@@ -45,13 +45,13 @@ use kf_types::{EntityId, GoldStandard, KvCodec, Label, Triple, Value};
 use std::fmt;
 use std::path::Path;
 
-/// Options for compiling a [`FusedKb`] from a report + corpus.
+/// Options for building a [`FusedKb`] from a corpus snapshot.
 #[derive(Debug, Clone)]
 pub struct KbBuildOptions {
-    /// Preset whose scores the KB serves (must appear in the report).
+    /// Preset whose scores the KB serves.
     pub method: String,
-    /// Worker override for the compile-time fusion re-run (`None` keeps
-    /// the preset's default).
+    /// Worker override for the build's fusion and evaluation (`None`
+    /// keeps the preset's default); the KB does not depend on it.
     pub workers: Option<usize>,
 }
 
@@ -64,38 +64,17 @@ impl Default for KbBuildOptions {
     }
 }
 
-/// Why a KB compile was refused.
+/// Why a KB build was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// The requested method is not a known preset.
     UnknownMethod(String),
-    /// The report does not contain an evaluation for the method.
-    MethodNotInReport(String),
-    /// The report was produced from a different corpus than the one
-    /// supplied (seed or record count disagree).
-    CorpusMismatch {
-        /// Seed recorded in the report header.
-        report_seed: u64,
-        /// Seed of the supplied corpus snapshot.
-        corpus_seed: u64,
-    },
 }
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::UnknownMethod(m) => write!(f, "unknown fusion method `{m}`"),
-            BuildError::MethodNotInReport(m) => {
-                write!(f, "report has no evaluation for method `{m}`")
-            }
-            BuildError::CorpusMismatch {
-                report_seed,
-                corpus_seed,
-            } => write!(
-                f,
-                "report was built from corpus seed {report_seed}, \
-                 but the supplied corpus has seed {corpus_seed}"
-            ),
         }
     }
 }
@@ -192,7 +171,7 @@ pub(crate) fn label_from_tag(tag: u8) -> Option<Label> {
 ///
 /// Bin assignment mirrors `kf_eval`'s curve construction exactly
 /// (`(p·n) as usize`, clamped), so a probability maps to the same bin it
-/// was counted into when the report was built.
+/// was counted into when the curve was built.
 pub fn calibrate(curve: &CalibrationCurve, p: f64) -> f64 {
     let n = curve.bins.len();
     let p = p.clamp(0.0, 1.0);
@@ -207,74 +186,15 @@ pub fn calibrate(curve: &CalibrationCurve, p: f64) -> f64 {
     }
 }
 
-/// `preset`'s fusion of `corpus`, under a `serve.compile.fuse` span that
-/// records the grouping job (`group`), the projection (`project`) and
-/// the rounds (`fuse`): a compile owns the trace it runs under, so the
-/// job it runs is recorded there.
-fn fuse(
-    preset: Preset,
-    corpus: &Corpus,
-    workers: Option<usize>,
-) -> (FusionOutput, ProvenanceAttribution) {
-    let _span = span("serve.compile.fuse");
-    let mut config = preset.config();
-    if let Some(w) = workers {
-        config = config.with_workers(w);
-    }
-    let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
-    let graph = {
-        let _span = span("project");
-        claims.project(config.granularity)
-    };
-    let gold = preset.needs_gold().then_some(&corpus.gold);
-    Fuser::new(config).run_prebuilt(&graph, claims.stats(), gold)
-}
-
 impl FusedKb {
-    /// Compile a KB from an evaluation report plus the corpus snapshot it
-    /// was produced from.
+    /// Build a KB from a corpus snapshot (`kf-serve build`): run the
+    /// preset's fusion, evaluate it in-process, and read each triple's
+    /// calibrated confidence off the evaluation's equal-width curve.
+    /// `scale` is the label recorded in the KB header.
     ///
-    /// The report carries aggregate curves, not per-triple scores, so the
-    /// compile re-runs the preset's fusion (bit-deterministic — identical
-    /// to the run the report measured) and reads calibrated confidences
-    /// off the report's equal-width curve. Refuses a report/corpus pair
-    /// that disagrees on the generating seed.
-    pub fn compile(
-        report: &EvalReport,
-        corpus: &Corpus,
-        opts: &KbBuildOptions,
-    ) -> Result<FusedKb, BuildError> {
-        let _span = span("serve.compile");
-        let preset = Preset::by_name(&opts.method)
-            .ok_or_else(|| BuildError::UnknownMethod(opts.method.clone()))?;
-        let method = report
-            .method(preset.name())
-            .ok_or_else(|| BuildError::MethodNotInReport(opts.method.clone()))?;
-        if report.corpus.seed != corpus.seed {
-            return Err(BuildError::CorpusMismatch {
-                report_seed: report.corpus.seed,
-                corpus_seed: corpus.seed,
-            });
-        }
-        let (output, attribution) = fuse(preset, corpus, opts.workers);
-        let names = corpus.extractors.iter().map(|e| e.name.clone()).collect();
-        Ok(Self::compile_from_parts(
-            report.corpus.clone(),
-            method,
-            &output,
-            &attribution,
-            &corpus.gold,
-            names,
-        ))
-    }
-
-    /// Compile a KB straight from a corpus snapshot, when no evaluation
-    /// report exists yet: runs the preset's fusion and evaluates it
-    /// in-process (the `kf-serve build` path). `scale` is the label
-    /// recorded in the KB header.
-    ///
-    /// No wall-clock measurement enters the artifact, so two builds from
-    /// the same snapshot are byte-identical.
+    /// No wall-clock measurement enters the artifact, and fusion and
+    /// evaluation are bit-deterministic whatever `opts.workers` is, so
+    /// two builds from the same snapshot are byte-identical.
     pub fn build_from_corpus(
         corpus: &Corpus,
         opts: &KbBuildOptions,
@@ -283,7 +203,23 @@ impl FusedKb {
         let _span = span("serve.compile");
         let preset = Preset::by_name(&opts.method)
             .ok_or_else(|| BuildError::UnknownMethod(opts.method.clone()))?;
-        let (output, attribution) = fuse(preset, corpus, opts.workers);
+        let mut config = preset.config();
+        if let Some(w) = opts.workers {
+            config = config.with_workers(w);
+        }
+        // The build owns the trace it runs under, so its grouping job
+        // (`group`), projection (`project`) and rounds (`fuse`) are all
+        // recorded under this span.
+        let (output, attribution) = {
+            let _span = span("serve.compile.fuse");
+            let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
+            let graph = {
+                let _span = span("project");
+                claims.project(config.granularity)
+            };
+            let gold = preset.needs_gold().then_some(&corpus.gold);
+            Fuser::new(config).run_prebuilt(&graph, claims.stats(), gold)
+        };
         let runner = AblationRunner {
             workers: opts.workers,
             scale: scale.to_string(),
@@ -302,12 +238,9 @@ impl FusedKb {
     }
 
     /// Compile a KB from an already-fused output and its evaluation, with
-    /// no fusion of its own. [`compile`](Self::compile) (what
-    /// `repro --build-kb` and `kf-serve build --report` call) and
-    /// [`build_from_corpus`](Self::build_from_corpus) (`kf-serve build`)
-    /// end here after fusing the preset themselves, and the repo
-    /// benchmark's publish cycle calls it directly; `repro` does not — its
-    /// report keeps no per-triple scores, so its KB re-runs one fusion.
+    /// no fusion of its own. [`build_from_corpus`](Self::build_from_corpus)
+    /// ends here after fusing and evaluating the preset, and the repo
+    /// benchmark's publish cycle calls it directly.
     pub fn compile_from_parts(
         corpus: CorpusSummary,
         method: &MethodEval,

@@ -1,10 +1,11 @@
 //! # kf-serve — an online query engine over fused checkpoints
 //!
-//! The fusion pipeline ends in batch artifacts: an
-//! [`EvalReport`](kf_eval::EvalReport) checkpoint and a corpus snapshot. This crate turns them into
-//! something a *consumer* can query at interactive latency, the way the
-//! paper frames its output — calibrated triple probabilities plus the
-//! provenance evidence behind each belief (§3.1.1, §5.2):
+//! The fusion pipeline ends in batch artifacts: a corpus snapshot and an
+//! [`EvalReport`](kf_eval::EvalReport) of aggregate curves. This crate
+//! turns the snapshot into something a *consumer* can query at
+//! interactive latency, the way the paper frames its output — calibrated
+//! triple probabilities plus the provenance evidence behind each belief
+//! (§3.1.1, §5.2):
 //!
 //! * [`FusedKb`] — the serving artifact: one method's scored triples
 //!   compiled into read-only columnar indexes (item → belief
@@ -22,24 +23,19 @@
 //! * [`repl`] — the line-oriented query language behind the `kf-serve`
 //!   CLI, exposed as a library so tests can drive it.
 //!
-//! Build a KB from a corpus snapshot and its evaluation report
-//! ([`FusedKb::compile`]: `kf-serve build --report`, and the end of a
-//! `repro --build-kb` run, which hands over the report and corpus still
-//! in memory), or from the snapshot alone ([`FusedKb::build_from_corpus`]:
-//! `kf-serve build`). A report holds no per-triple scores, so both re-run
-//! the served preset's fusion and finish in
+//! A KB is built one way, from a corpus snapshot
+//! ([`FusedKb::build_from_corpus`], behind `kf-serve build`): fuse the
+//! served preset, evaluate it in-process, and finish in
 //! [`FusedKb::compile_from_parts`], which compiles an output already
 //! fused and evaluated.
 //!
 //! ```
 //! use kf_serve::{FusedKb, KbBuildOptions, KbReader};
-//! use kf_eval::AblationRunner;
 //! use kf_synth::{Corpus, SynthConfig};
 //! use kf_types::DataItem;
 //!
 //! let corpus = Corpus::generate(&SynthConfig::tiny(), 42);
-//! let report = AblationRunner::default().run(&corpus);
-//! let kb = FusedKb::compile(&report, &corpus, &KbBuildOptions::default()).unwrap();
+//! let kb = FusedKb::build_from_corpus(&corpus, &KbBuildOptions::default(), "tiny").unwrap();
 //! let reader = KbReader::new(kb);
 //!
 //! // Every served triple belongs to some item's belief distribution.
@@ -64,11 +60,3 @@ pub use metrics::{
 };
 pub use reader::{Belief, Drilldown, KbReader, ProvSupport, TopK, TripleView};
 pub use repl::{eval_command, run_repl, ReplOutput};
-
-// Re-exported for the doc example above.
-#[doc(hidden)]
-pub use kf_eval;
-#[doc(hidden)]
-pub use kf_synth;
-#[doc(hidden)]
-pub use kf_types;

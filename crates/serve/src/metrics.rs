@@ -154,7 +154,6 @@ fn thread_shard() -> usize {
 /// clone to every [`crate::KbReader`] that should report into it.
 pub struct ServeMetrics {
     shards: Vec<Shard>,
-    started: Instant,
 }
 
 impl ServeMetrics {
@@ -167,7 +166,6 @@ impl ServeMetrics {
                     errors: AtomicU64::new(0),
                 })
                 .collect(),
-            started: Instant::now(),
         }
     }
 
@@ -193,11 +191,6 @@ impl ServeMetrics {
         self.shards[thread_shard()]
             .errors
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Seconds since the recorder was constructed.
-    pub fn uptime_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
     }
 
     /// Merge every shard into one cumulative snapshot.

@@ -1,4 +1,6 @@
-//! Binary-level tests for the `kf-serve` CLI: the run-scoped trace must
+//! Binary-level tests for the `kf-serve` CLI: `build` must write the
+//! bytes of the library build whatever its worker count, the run-scoped
+//! trace must
 //! make `serve.*` counters visible to `counters`/`stats` (they used to
 //! be silent no-ops without an installed trace), `stats --metrics` must
 //! print the Prometheus-style exposition after its self-probe, and
@@ -34,6 +36,42 @@ fn run(args: &[&str]) -> (String, String, bool) {
         String::from_utf8(out.stderr).expect("utf8 stderr"),
         out.status.success(),
     )
+}
+
+/// `kf-serve build` writes the bytes [`FusedKb::build_from_corpus`] does
+/// for the preset `--method` names, on one thread as on three, and takes
+/// no evaluation report.
+#[test]
+fn build_writes_the_library_kb_whatever_the_worker_count() {
+    let corpus = Corpus::generate(&SynthConfig::tiny(), 42);
+    let corpus_path = tmp_path("build-corpus.kfc");
+    corpus.save(&corpus_path).expect("saves");
+    let opts = KbBuildOptions {
+        method: "vote".to_string(),
+        workers: None,
+    };
+    let expected = kf_types::checkpoint::encode(
+        kf_types::ArtifactKind::FusedKb,
+        &FusedKb::build_from_corpus(&corpus, &opts, "tiny").expect("builds"),
+    );
+    let out = tmp_path("build.kb");
+    let build = |extra: &[&str]| {
+        let path = [corpus_path.to_str().unwrap(), out.to_str().unwrap()];
+        let args = [&["build", "--corpus", path[0], "--out", path[1]][..], extra].concat();
+        run(&args)
+    };
+    for workers in ["1", "3"] {
+        let args = ["--method", "vote", "--scale", "tiny", "--workers", workers];
+        let (_, stderr, ok) = build(&args);
+        assert!(ok, "build failed: {stderr}");
+        let written = std::fs::read(&out).expect("KB written");
+        assert!(written == expected, "--workers {workers} wrote other bytes");
+        std::fs::remove_file(&out).unwrap();
+    }
+    let (_, stderr, ok) = build(&["--report", "report.bin"]);
+    assert!(!ok && stderr.contains("--report"), "{stderr}");
+    assert!(!out.exists());
+    std::fs::remove_file(&corpus_path).ok();
 }
 
 #[test]

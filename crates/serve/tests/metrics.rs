@@ -4,7 +4,6 @@
 //! result sizes, and the exposition formats must keep their pinned
 //! shapes.
 
-use kf_eval::AblationRunner;
 use kf_serve::{
     FusedKb, KbBuildOptions, KbReader, MetricsSnapshot, QueryKind, ServeMetrics, SnapshotRing,
 };
@@ -14,8 +13,8 @@ use std::sync::Arc;
 
 fn tiny_reader() -> KbReader {
     let corpus = Corpus::generate(&SynthConfig::tiny(), 42);
-    let report = AblationRunner::default().run(&corpus);
-    let kb = FusedKb::compile(&report, &corpus, &KbBuildOptions::default()).expect("compiles");
+    let kb =
+        FusedKb::build_from_corpus(&corpus, &KbBuildOptions::default(), "tiny").expect("builds");
     KbReader::new(kb)
 }
 

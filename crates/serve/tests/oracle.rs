@@ -8,7 +8,7 @@
 //! and the checkpoint roundtrip is compared as encoded bytes.
 
 use kf_core::{Fuser, ProvenanceAttribution, ScoredTriple};
-use kf_eval::{AblationRunner, CalibrationCurve, EvalReport, Preset};
+use kf_eval::{AblationRunner, CalibrationCurve, Preset};
 use kf_serve::{FusedKb, KbBuildOptions, KbReader};
 use kf_synth::{Corpus, SynthConfig, WebConfig, WorldConfig};
 use kf_types::{DataItem, EntityId, KvCodec, Label, Numeric, PredicateId, StrId, Triple, Value};
@@ -72,30 +72,30 @@ fn oracle_calibrate(curve: &CalibrationCurve, p: f64) -> f64 {
     }
 }
 
-/// Run the full oracle over one (config, seed, preset) triple: compile a
-/// KB through the report path, independently re-derive every answer by
+/// Run the full oracle over one (config, seed, preset) triple: build a
+/// KB from the corpus, independently re-derive every answer by
 /// sequential scan, and compare byte-for-byte.
 fn check_oracle(cfg: &SynthConfig, seed: u64, preset: Preset) {
     let corpus = Corpus::generate(cfg, seed);
-    let runner = AblationRunner {
-        scale: "oracle".to_string(),
-        ..AblationRunner::default()
-    };
-    let report = EvalReport {
-        corpus: runner.corpus_summary(&corpus),
-        methods: vec![runner.run_preset(&corpus, preset)],
-    };
     let opts = KbBuildOptions {
         method: preset.name().to_string(),
         workers: None,
     };
-    let kb = FusedKb::compile(&report, &corpus, &opts).expect("compile succeeds");
+    let kb = FusedKb::build_from_corpus(&corpus, &opts, "oracle").expect("build succeeds");
 
-    // The independent scan: re-fuse exactly as the preset specifies.
+    // The independent scan: re-fuse exactly as the preset specifies, and
+    // evaluate through the ablation runner's own preset run.
     let gold = preset.needs_gold().then_some(&corpus.gold);
     let (output, attribution) =
         Fuser::new(preset.config()).run_with_attribution(&corpus.batch, gold);
-    let curve = &report.methods[0].calibration_width;
+    let runner = AblationRunner {
+        scale: "oracle".to_string(),
+        ..AblationRunner::default()
+    };
+    let method = runner.run_preset(&corpus, preset);
+    let curve = &method.calibration_width;
+    assert_eq!(kb.corpus, runner.corpus_summary(&corpus));
+    assert_eq!(kb.wdev.to_bits(), method.wdev().to_bits());
 
     // Expected rows: predicted triples in ascending triple order.
     let mut expected: Vec<(usize, &ScoredTriple)> = output
@@ -375,63 +375,49 @@ proptest! {
     }
 }
 
-/// Compiling the same report + corpus twice — and compiling from a
-/// freshly regenerated same-seed corpus — yields byte-identical KBs
-/// (the property the CI `cmp` gate holds the CLI to).
+/// Building twice from the same corpus, from a freshly regenerated
+/// same-seed corpus, or on one thread instead of three yields
+/// byte-identical KBs (the property the CI `cmp` gate holds the CLI to).
 #[test]
 fn kb_compilation_is_deterministic() {
     let cfg = SynthConfig::tiny();
     let corpus = Corpus::generate(&cfg, 7);
-    let opts = KbBuildOptions::default();
-    let a = FusedKb::build_from_corpus(&corpus, &opts, "tiny").expect("build");
-    let b = FusedKb::build_from_corpus(&corpus, &opts, "tiny").expect("build");
     let regenerated = Corpus::generate(&cfg, 7);
-    let c = FusedKb::build_from_corpus(&regenerated, &opts, "tiny").expect("build");
-    let (mut ba, mut bb, mut bc) = (Vec::new(), Vec::new(), Vec::new());
-    a.encode(&mut ba);
-    b.encode(&mut bb);
-    c.encode(&mut bc);
-    assert_eq!(ba, bb);
-    assert_eq!(ba, bc);
+    let on = |workers| KbBuildOptions {
+        workers,
+        ..KbBuildOptions::default()
+    };
+    let builds = [
+        (&corpus, on(None)),
+        (&corpus, on(None)),
+        (&regenerated, on(None)),
+        (&corpus, on(Some(1))),
+        (&corpus, on(Some(3))),
+    ];
+    let bytes: Vec<Vec<u8>> = builds
+        .iter()
+        .map(|(corpus, opts)| {
+            let kb = FusedKb::build_from_corpus(corpus, opts, "tiny").expect("build");
+            let mut buf = Vec::new();
+            kb.encode(&mut buf);
+            buf
+        })
+        .collect();
+    for (at, b) in bytes.iter().enumerate().skip(1) {
+        assert!(b == &bytes[0], "build {at} differs from build 0");
+    }
 }
 
-/// A report from one corpus must not compile against another corpus —
-/// the seed guard catches the mismatch.
+/// A method that names no preset is refused before anything is fused.
 #[test]
-fn compile_rejects_mismatched_corpus() {
+fn build_rejects_unknown_method() {
     let corpus = Corpus::generate(&SynthConfig::tiny(), 1);
-    let other = Corpus::generate(&SynthConfig::tiny(), 2);
-    let runner = AblationRunner::default();
-    let report = EvalReport {
-        corpus: runner.corpus_summary(&corpus),
-        methods: vec![runner.run_preset(&corpus, Preset::Vote)],
-    };
     let opts = KbBuildOptions {
-        method: "vote".to_string(),
+        method: "no-such-method".to_string(),
         workers: None,
     };
-    let err = FusedKb::compile(&report, &other, &opts).expect_err("must refuse");
-    assert!(matches!(err, kf_serve::BuildError::CorpusMismatch { .. }));
-    let err = FusedKb::compile(
-        &report,
-        &corpus,
-        &KbBuildOptions {
-            method: "no-such-method".to_string(),
-            workers: None,
-        },
-    )
-    .expect_err("must refuse");
+    let err = FusedKb::build_from_corpus(&corpus, &opts, "tiny").expect_err("must refuse");
     assert!(matches!(err, kf_serve::BuildError::UnknownMethod(_)));
-    let err = FusedKb::compile(
-        &report,
-        &corpus,
-        &KbBuildOptions {
-            method: "popaccu_plus".to_string(),
-            workers: None,
-        },
-    )
-    .expect_err("must refuse");
-    assert!(matches!(err, kf_serve::BuildError::MethodNotInReport(_)));
 }
 
 /// Labels survive the round through the KB: a served row's label always

@@ -10,7 +10,7 @@
 use crate::config::WorldConfig;
 use kf_types::{
     Catalog, DataItem, EntityId, FxHashMap, FxHashSet, KvCodec, Numeric, PredicateId,
-    PredicateInfo, Triple, TypeId, Value, ValueHierarchy, ValueKind,
+    PredicateInfo, Triple, Value, ValueHierarchy, ValueKind,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -357,33 +357,10 @@ impl World {
         &self.hierarchy_entities
     }
 
-    /// Entities of a given type.
-    pub fn entities_of_type(&self, t: TypeId) -> &[EntityId] {
-        &self.entities_by_type[t.index()]
-    }
-
     /// A deterministic junk value indexed by `salt` (triple-identification
     /// error substrate).
     pub fn noise_value(&self, salt: u64) -> Value {
         self.noise_values[(salt as usize) % self.noise_values.len()]
-    }
-
-    /// Whether a value belongs to the junk pool (used by the automated
-    /// error taxonomy).
-    pub fn is_noise(&self, v: Value) -> bool {
-        self.noise_values.contains(&v)
-    }
-
-    /// Expected number of truths per item of each predicate, learned from
-    /// the world (the functionality statistic of §5.3).
-    pub fn predicate_truth_means(&self) -> FxHashMap<PredicateId, f64> {
-        let mut sums: FxHashMap<PredicateId, (f64, f64)> = FxHashMap::default();
-        for (item, values) in &self.facts {
-            let e = sums.entry(item.predicate).or_insert((0.0, 0.0));
-            e.0 += values.len() as f64;
-            e.1 += 1.0;
-        }
-        sums.into_iter().map(|(p, (s, n))| (p, s / n)).collect()
     }
 }
 
@@ -654,18 +631,6 @@ mod tests {
         let mut buf2 = Vec::new();
         w2.encode(&mut buf2);
         assert_eq!(buf, buf2, "same-seed world encodings must be identical");
-    }
-
-    #[test]
-    fn predicate_truth_means_cover_all_seen_predicates() {
-        let w = world();
-        let means = w.predicate_truth_means();
-        for (&p, &m) in &means {
-            assert!(m >= 1.0, "predicate {p} mean {m} below 1");
-            if w.catalog.is_functional(p) {
-                assert!((m - 1.0).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -563,21 +563,15 @@ pub fn current() -> Option<Trace> {
 #[must_use = "a span measures the lifetime of this guard; bind it with `let _span = ...`"]
 pub fn span(name: &'static str) -> ActiveSpan {
     ActiveSpan {
-        guard: current().map(|t| t.span(name)),
+        _guard: current().map(|t| t.span(name)),
     }
 }
 
 /// The guard returned by the free [`span`] function: a real span guard
 /// when a trace is installed, a no-op otherwise.
 pub struct ActiveSpan {
-    guard: Option<SpanGuard>,
-}
-
-impl ActiveSpan {
-    /// Whether this span is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.guard.is_some()
-    }
+    /// Held for its `Drop`, which closes the span.
+    _guard: Option<SpanGuard>,
 }
 
 /// Add `delta` to a [`MergeRule::Add`] counter on the installed trace;

@@ -34,7 +34,9 @@
 //! # Robustness
 //!
 //! [`read_frame`] rejects frames whose declared length exceeds
-//! [`MAX_FRAME_BYTES`] *before* allocating, payloads that do not decode,
+//! [`MAX_FRAME_BYTES`] *before* allocating, grows its buffer only with
+//! the payload bytes that actually arrive (a short frame costs what it
+//! sent, not what it declared), and rejects payloads that do not decode
 //! and payloads with trailing bytes after the message — a
 //! length-vs-content mismatch is treated as corruption, mirroring the
 //! checkpoint container's `TrailingBytes` rule.
@@ -314,8 +316,8 @@ pub fn write_frame(w: &mut impl Write, msg: &WireMsg) -> io::Result<usize> {
 
 /// Read one frame, returning the message and the total bytes consumed.
 ///
-/// A clean EOF before the length prefix surfaces as
-/// [`io::ErrorKind::UnexpectedEof`] (the peer hung up); an oversized
+/// A clean EOF before the length prefix, or inside the payload, surfaces
+/// as [`io::ErrorKind::UnexpectedEof`] (the peer hung up); an oversized
 /// length, a payload that does not decode, or trailing bytes after the
 /// message surface as [`io::ErrorKind::InvalidData`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<(WireMsg, usize)> {
@@ -328,8 +330,19 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(WireMsg, usize)> {
             format!("declared frame length {len} exceeds the cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The prefix is the peer's claim, not its bytes: grow the buffer with
+    // what has arrived (doubling from 64 KiB), never past the claim.
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let step = (len - payload.len()).min(payload.len().max(64 << 10));
+        payload.reserve_exact(step);
+        if r.take(step as u64).read_to_end(&mut payload)? < step {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "frame payload ends before its declared length",
+            ));
+        }
+    }
     let mut input = &payload[..];
     let msg = WireMsg::decode(&mut input).ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidData, "frame payload does not parse")

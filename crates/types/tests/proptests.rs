@@ -9,7 +9,9 @@ use proptest::prelude::*;
 
 /// A length prefix that promises more elements than there are bytes left
 /// is refused before anything is reserved for it — on `u8`'s one-copy
-/// path and on the element-wise default alike.
+/// path and on the element-wise default alike — and a wire frame that
+/// declares the largest allowed payload but sends 16 bytes of it ends in
+/// `UnexpectedEof` having buffered only what arrived.
 #[test]
 fn inflated_length_prefix_is_refused_without_allocating() {
     let mut buf = Vec::new();
@@ -21,6 +23,12 @@ fn inflated_length_prefix_is_refused_without_allocating() {
         assert_eq!(Vec::<String>::decode(&mut &buf[..]), None);
     });
     assert!(largest <= buf.len(), "decode allocated {largest} bytes");
+
+    let mut frame = (wire::MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&[7; 16]);
+    let (read, largest) = largest_during(|| wire::read_frame(&mut &frame[..]).map(|_| ()));
+    assert_eq!(read.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(largest <= 64 << 10, "read_frame allocated {largest} bytes");
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {
