@@ -17,6 +17,11 @@
 //! * POPACCU with one single-triple provenance yields exactly `P = A`
 //!   (the calibration-curve valleys at 0.8, and at 0.5 for two conflicting
 //!   singleton values — Fig. 9).
+//!
+//! Stage I calls the `*_into` forms with per-value score sums and reused
+//! buffers. The POPACCU fixpoint there skips the logarithms,
+//! exponentials and passes whose results it already has, and is
+//! proptested to the bit against the plain per-value loop.
 
 /// Clamp an accuracy away from 0/1 before taking logs.
 #[inline]
@@ -96,51 +101,81 @@ pub fn popaccu(cands: &[Vec<f64>], counts: &[usize], inner_iters: usize) -> Vec<
 }
 
 /// [`popaccu`] from per-value base scores (sums of [`log_odds`], fixed
-/// across the fixpoint) into `probs`, with `work` as scratch.
+/// across the fixpoint) into `probs`, with `work` as scratch. Returns the
+/// fixpoint passes it ran.
+///
+/// Each pass is four sweeps over the values, every `f64` sum and the max
+/// fold in value order, and skips only work whose result is known — the
+/// output is bit-for-bit that of one softmax per pass over
+/// `s(v) − n(v)·ln ρ(v)`:
+///
+/// * A value with no provenance (`n = 0`) has `ρ ≤ ½`, as the item has
+///   another value, so `n·ln ρ = −0.0`: its score is `s` up to a zero's
+///   sign, with no logarithm. That `s` is the empty sum, and any score
+///   of ±0 exponentiates to the extra mass's `e^(−max)` (`e^(±0) = 1`),
+///   so all such values share one exponential. A zero's sign changes no
+///   sum and not the max fold's value.
+/// * A one-value item has `ρ = w/w = 1` in every pass, so every pass
+///   computes its first: one pass is its fixpoint.
 pub(crate) fn popaccu_into(
     base_scores: &[f64],
     counts: &[usize],
     inner_iters: usize,
     work: &mut Vec<f64>,
     probs: &mut Vec<f64>,
-) {
+) -> usize {
     let total: usize = counts.iter().sum();
     // Initialise with the vote shares.
     vote_into(counts, probs);
     if total == 0 {
-        return;
+        return 0;
     }
 
     const RHO_FLOOR: f64 = 1e-6;
     const DELTA: f64 = 1e-3; // popularity smoothing
-    for _ in 0..inner_iters.max(1) {
+    let passes = if counts.len() == 1 {
+        1
+    } else {
+        inner_iters.max(1)
+    };
+    work.resize(counts.len(), 0.0);
+    for pass in 1..=passes {
         // ρ(v) ∝ n(v)·(1 − P(v)): the expected share of value v among the
         // *false* observations of this item.
-        work.clear();
-        work.extend(
-            counts
-                .iter()
-                .zip(probs.iter())
-                .map(|(&n, &p)| n as f64 * (1.0 - p) + DELTA),
-        );
-        let mass_total: f64 = work.iter().sum();
+        let mut mass_total = 0.0;
+        for ((w, &n), &p) in work.iter_mut().zip(counts).zip(probs.iter()) {
+            *w = n as f64 * (1.0 - p) + DELTA;
+            mass_total += *w;
+        }
+        let mut max = 0.0f64; // includes the 0 of the extra mass
         for ((w, &s), &n) in work.iter_mut().zip(base_scores).zip(counts) {
-            let rho = (*w / mass_total).max(RHO_FLOOR);
-            *w = s - n as f64 * rho.ln();
+            *w = match n {
+                0 => s,
+                n => s - n as f64 * (*w / mass_total).max(RHO_FLOOR).ln(),
+            };
+            max = max.max(*w);
         }
         // One unit of extra mass models the unobserved-truth event; it is
         // what pins the singleton case to P = A exactly:
         // P = (A/(1−A)) / (A/(1−A) + 1) = A.
-        softmax_with_extra_mass(work, 1.0);
+        let extra = (-max).exp();
+        let mut sum = 0.0;
+        for w in work.iter_mut() {
+            *w = if *w == 0.0 { extra } else { (*w - max).exp() };
+            sum += *w;
+        }
+        let denom = sum + extra;
         let mut delta = 0.0;
-        for (p, &new) in probs.iter_mut().zip(work.iter()) {
+        for (p, &e) in probs.iter_mut().zip(work.iter()) {
+            let new = e / denom;
             delta += (new - *p).abs();
             *p = new;
         }
         if delta < 1e-9 {
-            break;
+            return pass;
         }
     }
+    passes
 }
 
 /// Replace `scores` with `exp(scores) / (Σ exp(scores) +
@@ -322,6 +357,96 @@ mod tests {
         let b = popaccu(&cands, &counts, 64);
         for (x, y) in a.iter().zip(&b) {
             assert!(approx(*x, *y, 1e-3), "{x} vs {y}");
+        }
+    }
+
+    /// The POPACCU fixpoint as one softmax per pass over every value,
+    /// kept verbatim as the oracle of [`popaccu_into`]'s shortcuts.
+    fn popaccu_reference(
+        base_scores: &[f64],
+        counts: &[usize],
+        inner_iters: usize,
+        work: &mut Vec<f64>,
+        probs: &mut Vec<f64>,
+    ) {
+        let total: usize = counts.iter().sum();
+        // Initialise with the vote shares.
+        vote_into(counts, probs);
+        if total == 0 {
+            return;
+        }
+
+        const RHO_FLOOR: f64 = 1e-6;
+        const DELTA: f64 = 1e-3; // popularity smoothing
+        for _ in 0..inner_iters.max(1) {
+            // ρ(v) ∝ n(v)·(1 − P(v)): the expected share of value v among the
+            // *false* observations of this item.
+            work.clear();
+            work.extend(
+                counts
+                    .iter()
+                    .zip(probs.iter())
+                    .map(|(&n, &p)| n as f64 * (1.0 - p) + DELTA),
+            );
+            let mass_total: f64 = work.iter().sum();
+            for ((w, &s), &n) in work.iter_mut().zip(base_scores).zip(counts) {
+                let rho = (*w / mass_total).max(RHO_FLOOR);
+                *w = s - n as f64 * rho.ln();
+            }
+            // One unit of extra mass models the unobserved-truth event; it is
+            // what pins the singleton case to P = A exactly:
+            // P = (A/(1−A)) / (A/(1−A) + 1) = A.
+            softmax_with_extra_mass(work, 1.0);
+            let mut delta = 0.0;
+            for (p, &new) in probs.iter_mut().zip(work.iter()) {
+                delta += (new - *p).abs();
+                *p = new;
+            }
+            if delta < 1e-9 {
+                break;
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Items of 1–300 values, about half of them without provenance
+        /// (scored the empty sum, as Stage I scores them, now and then
+        /// something else), interleaved with values whose scores repeat
+        /// from a small pool or are fresh, up to ±800.
+        #[test]
+        fn popaccu_into_matches_the_reference_bit_for_bit(
+            values in prop::collection::vec(
+                (any::<bool>(), 0usize..8, 1usize..40, -800.0f64..800.0),
+                1..301,
+            ),
+            keep in prop_oneof![1usize..4, 1usize..301],
+            pool in prop::collection::vec(-800.0f64..800.0, 1..5),
+            inner_iters in 1usize..17,
+        ) {
+            let empty_sum: f64 = std::iter::empty::<f64>().sum();
+            let (mut scores, mut counts) = (Vec::new(), Vec::new());
+            for &(zero, pick, n, fresh) in values.iter().take(keep) {
+                let score = pool.get(pick).copied().unwrap_or(fresh);
+                if zero {
+                    counts.push(0);
+                    scores.push(if pick == 7 { score } else { empty_sum });
+                } else {
+                    counts.push(n);
+                    scores.push(score);
+                }
+            }
+            let (mut work, mut want) = (Vec::new(), Vec::new());
+            popaccu_reference(&scores, &counts, inner_iters, &mut work, &mut want);
+            let mut got = Vec::new();
+            let passes = popaccu_into(&scores, &counts, inner_iters, &mut work, &mut got);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?}", counts, scores);
+            prop_assert!(passes <= inner_iters);
+            if counts.len() == 1 && counts[0] > 0 {
+                prop_assert_eq!(passes, 1);
+            }
         }
     }
 

@@ -286,6 +286,16 @@ impl Run<'_> {
                 .collect(),
             Method::PopAccu => accuracy.map(|&a| methods::log_odds(a)).collect(),
         };
+        // So does whether it survives the refinements (§4.3.2), checked
+        // once per provenance per round, not once per claim: coverage
+        // drops the never-evaluated after round 1, the threshold drops
+        // accuracies below θ (an unevaluated one is the default).
+        let coverage = cfg.filter_by_coverage && round > 0;
+        let active: Vec<bool> = (self.accuracy.iter().zip(&self.evaluated))
+            .map(|(&a, &evaluated)| {
+                (evaluated || !coverage) && !cfg.accuracy_threshold.is_some_and(|t| a < t)
+            })
+            .collect();
         let scorer = ItemScorer {
             cfg,
             grouped,
@@ -293,6 +303,7 @@ impl Run<'_> {
             accuracy: &self.accuracy,
             evaluated: &self.evaluated,
             terms: &terms,
+            active: &active,
         };
         let (mut probs, mut fallback) = (&mut self.probs[..], &mut self.fallback[..]);
         let mut tasks = Vec::with_capacity(self.item_cuts.len());
@@ -306,7 +317,13 @@ impl Run<'_> {
             let scorer = &scorer;
             tasks.push(move || scorer.score_items(items.clone(), p, f));
         }
-        run_tasks(cfg.mr.workers, tasks);
+        let work = run_tasks(cfg.mr.workers, tasks);
+        if cfg.method == Method::PopAccu {
+            let passes = work.iter().map(|w| w.passes).sum();
+            kf_telemetry::add("fuse.popaccu_passes", passes);
+            let value_passes = work.iter().map(|w| w.value_passes).sum();
+            kf_telemetry::add("fuse.popaccu_value_passes", value_passes);
+        }
     }
 
     /// Stage II: re-estimate provenance accuracies as the mean probability
@@ -393,7 +410,7 @@ fn balanced_cuts(n: usize, parts: usize, before: impl Fn(usize) -> usize) -> Vec
 }
 
 /// Stage I's view of one round: the graph, the configuration and the
-/// accuracies the round reads.
+/// per-provenance columns the round reads.
 struct ItemScorer<'a> {
     cfg: &'a FusionConfig,
     grouped: &'a Grouped,
@@ -402,18 +419,19 @@ struct ItemScorer<'a> {
     evaluated: &'a [bool],
     /// Per-provenance vote terms under the configured method.
     terms: &'a [f64],
+    /// Per provenance: whether it survives the refinements this round.
+    active: &'a [bool],
+}
+
+/// The POPACCU fixpoint work of one range of items: passes, and passes
+/// times values, summed over its items.
+#[derive(Default)]
+struct KernelWork {
+    passes: u64,
+    value_passes: u64,
 }
 
 impl ItemScorer<'_> {
-    /// A provenance is *active* when it survives the refinements.
-    fn active(&self, pid: u32) -> bool {
-        let (cfg, i) = (self.cfg, pid as usize);
-        let unevaluable = cfg.filter_by_coverage && self.round > 0 && !self.evaluated[i];
-        // The threshold applies to evaluated accuracies; an unevaluated
-        // provenance still carries the default.
-        !unevaluable && !cfg.accuracy_threshold.is_some_and(|t| self.accuracy[i] < t)
-    }
-
     /// The prediction for a value none of whose provenances is active.
     /// With an accuracy threshold the paper compensates with the mean
     /// accuracy of the triple's own provenances; with pure coverage
@@ -432,16 +450,21 @@ impl ItemScorer<'_> {
 
     /// Score `items` under the configured method and filters into
     /// `probs` / `fallback`, the slices of those items' slots.
-    fn score_items(&self, items: Range<usize>, probs: &mut [Option<f64>], fallback: &mut [bool]) {
+    fn score_items(
+        &self,
+        items: Range<usize>,
+        probs: &mut [Option<f64>],
+        fallback: &mut [bool],
+    ) -> KernelWork {
         let (cfg, grouped) = (self.cfg, self.grouped);
         let base = grouped.item_slots(items.start).start;
-        let filtering =
-            (cfg.filter_by_coverage && self.round > 0) || cfg.accuracy_threshold.is_some();
-        // Buffers reused from item to item: one value's active provenances;
-        // per value, their (sampled) count and summed vote terms; the
+        let active = |&p: &u32| self.active[p as usize];
+        // Buffers reused from item to item: one value's sampled active
+        // provenances; per value, their count and summed vote terms; the
         // method's scratch and output.
-        let (mut active, mut counts, mut scores) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut sampled, mut counts, mut scores) = (Vec::new(), Vec::new(), Vec::new());
         let (mut work, mut out) = (Vec::new(), Vec::new());
+        let mut kernel = KernelWork::default();
         probs.fill(None);
         fallback.fill(false);
         for i in items {
@@ -464,27 +487,28 @@ impl ItemScorer<'_> {
             }
 
             // Active provenances per value (sampled at L): their count
-            // and their summed vote terms.
+            // and their summed vote terms, in claim order.
             counts.clear();
             scores.clear();
             for slot in slots.clone() {
                 let mut pids = grouped.slot_provs(slot);
-                if filtering {
-                    active.clear();
-                    active.extend(pids.iter().copied().filter(|&p| self.active(p)));
-                    pids = &active;
-                }
-                let sampled;
+                // Only a list longer than L can have more than L active.
                 if pids.len() > cfg.sample_limit {
+                    sampled.clear();
+                    sampled.extend(pids.iter().copied().filter(active));
                     let seed =
                         hash::hash_u64(grouped.item(i).encode() ^ (self.round as u64) ^ cfg.seed);
-                    sampled = Reservoir::sample_vec(pids.to_vec(), cfg.sample_limit, seed);
+                    sampled = Reservoir::sample_vec(sampled, cfg.sample_limit, seed);
                     pids = &sampled;
                 }
-                counts.push(pids.len());
-                if cfg.method != Method::Vote {
-                    let terms = pids.iter().map(|&p| self.terms[p as usize]);
-                    scores.push(terms.sum());
+                let live = pids.iter().filter(|p| active(p));
+                if cfg.method == Method::Vote {
+                    counts.push(live.count());
+                } else {
+                    let mut count = 0;
+                    let terms = live.inspect(|_| count += 1);
+                    scores.push(terms.map(|&p| self.terms[p as usize]).sum());
+                    counts.push(count);
                 }
             }
 
@@ -494,13 +518,17 @@ impl ItemScorer<'_> {
                 match cfg.method {
                     Method::Vote => methods::vote_into(&counts, &mut out),
                     Method::Accu => methods::accu_into(&scores, cfg.n_false_values, &mut out),
-                    Method::PopAccu => methods::popaccu_into(
-                        &scores,
-                        &counts,
-                        cfg.popaccu_inner_iters,
-                        &mut work,
-                        &mut out,
-                    ),
+                    Method::PopAccu => {
+                        let passes = methods::popaccu_into(
+                            &scores,
+                            &counts,
+                            cfg.popaccu_inner_iters,
+                            &mut work,
+                            &mut out,
+                        ) as u64;
+                        kernel.passes += passes;
+                        kernel.value_passes += passes * counts.len() as u64;
+                    }
                 }
             }
             for (vi, slot) in slots.enumerate() {
@@ -514,6 +542,7 @@ impl ItemScorer<'_> {
                 }
             }
         }
+        kernel
     }
 }
 
@@ -874,6 +903,31 @@ mod tests {
         assert_eq!(alone_trace, shared_trace);
         assert_eq!(alone.stats, shared.stats);
         assert_eq!(alone.stats.map_input, batch.len() as u64);
+    }
+
+    /// A one-value item's first fixpoint pass is its last, and the
+    /// round's work counters add up every item's passes.
+    #[test]
+    fn one_value_items_take_one_popaccu_pass_per_round() {
+        // 30 items, each one value from three provenances.
+        let batch: ExtractionBatch = (0..90)
+            .map(|i| ext(i % 30, 1, 7, (i % 4) as u16, i))
+            .collect();
+        let trace = kf_telemetry::Trace::new();
+        let out = {
+            let _t = kf_telemetry::install(&trace);
+            seq(FusionConfig::popaccu()).run(&batch, None)
+        };
+        let report = trace.snapshot();
+        let counter = |name: &str| {
+            let found = report.counters.iter().find(|c| c.name == name);
+            found.map_or(0, |c| c.value)
+        };
+        let rounds = out.outcome.rounds() as u64;
+        assert!(rounds > 1, "the counters must cover several rounds");
+        assert_eq!(counter("fuse.rounds"), rounds);
+        assert_eq!(counter("fuse.popaccu_passes"), 30 * rounds);
+        assert_eq!(counter("fuse.popaccu_value_passes"), 30 * rounds);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use kf_types::KvCodec;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,24 +136,46 @@ impl<K: KvCodec, V: KvCodec> RunReader<K, V> {
         }
     }
 
-    /// The next group, or `None` at end of run.
+    /// The next group, or `None` at end of run. Panics, naming the run,
+    /// when it cannot be read or its frame is truncated or corrupt.
     pub(crate) fn next_group(&mut self) -> Option<(K, Vec<V>)> {
+        self.read_group().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RunReader::next_group`] with its failure as the panic message.
+    fn read_group(&mut self) -> Result<Option<(K, Vec<V>)>, String> {
+        let path = self.path.display();
         let mut len_bytes = [0u8; 8];
         match self.reader.read_exact(&mut len_bytes) {
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => return None,
-            r => r.unwrap_or_else(|e| panic!("cannot read spill run {}: {e}", self.path.display())),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
+            r => r.map_err(|e| format!("cannot read spill run {path}: {e}"))?,
         }
-        let len = u64::from_le_bytes(len_bytes) as usize;
-        self.frame.resize(len, 0);
-        self.reader
-            .read_exact(&mut self.frame)
-            .unwrap_or_else(|e| panic!("truncated spill run {}: {e}", self.path.display()));
+        let len = u64::from_le_bytes(len_bytes);
+        // The prefix is the run's claim, not its bytes: grow the frame
+        // with what arrives, never past the claim.
+        self.frame.clear();
+        let mut payload = (&mut self.reader).take(len);
+        loop {
+            let chunk = payload
+                .fill_buf()
+                .map_err(|e| format!("cannot read spill run {path}: {e}"))?;
+            if chunk.is_empty() {
+                break;
+            }
+            let n = chunk.len();
+            self.frame.extend_from_slice(chunk);
+            payload.consume(n);
+        }
+        if (self.frame.len() as u64) < len {
+            let got = self.frame.len();
+            return Err(format!("truncated spill run {path}: {got} of {len} bytes"));
+        }
         let mut input = &self.frame[..];
-        let key = K::decode(&mut input)
-            .unwrap_or_else(|| panic!("corrupt spill frame (key) in {}", self.path.display()));
+        let key =
+            K::decode(&mut input).ok_or_else(|| format!("corrupt spill frame (key) in {path}"))?;
         let values = Vec::<V>::decode(&mut input)
-            .unwrap_or_else(|| panic!("corrupt spill frame (values) in {}", self.path.display()));
-        Some((key, values))
+            .ok_or_else(|| format!("corrupt spill frame (values) in {path}"))?;
+        Ok(Some((key, values)))
     }
 }
 
@@ -280,9 +302,15 @@ where
     }
 }
 
+/// The largest-allocation probe the hostile-bytes tests share.
+#[cfg(test)]
+#[path = "../../types/tests/support/largest_alloc.rs"]
+mod largest_alloc;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use largest_alloc::largest_during;
     use std::sync::Mutex;
 
     #[test]
@@ -405,6 +433,32 @@ mod tests {
             remaining <= MAX_MERGE_FANIN,
             "{remaining} files left after compaction"
         );
+    }
+
+    #[test]
+    fn a_truncated_run_is_refused_without_trusting_its_prefix() {
+        // One frame whose prefix claims 64 MiB over a few hundred bytes.
+        let dir = SpillDir::create(None);
+        let path = dir.run_path(0, 0);
+        let mut bytes = (64u64 << 20).to_le_bytes().to_vec();
+        bytes.extend((0..600u32).map(|i| i as u8));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut reader: RunReader<u32, u64> = RunReader::open(&path);
+        let (read, largest) = largest_during(|| reader.read_group());
+        let err = read.unwrap_err();
+        assert!(err.starts_with("truncated spill run"), "{err}");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(
+            largest <= bytes.len(),
+            "reading a {}-byte run allocated {largest} bytes at once",
+            bytes.len()
+        );
+
+        let mut reader: RunReader<u32, u64> = RunReader::open(&path);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reader.next_group()));
+        let message = panic.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(*message, err);
     }
 
     #[test]
