@@ -21,7 +21,7 @@
 //! serves many runs; accuracies, probabilities and every other per-run
 //! value live in the run, not here.
 
-use kf_mapreduce::{map_reduce_combined_with_stats, Emitter, JobStats, MrConfig};
+use kf_mapreduce::{map_reduce_with_stats, Emitter, JobStats, MrConfig};
 use kf_telemetry::{Trace, TraceReport};
 use kf_types::{
     DataItem, Extraction, ExtractorId, FxMixHashMap, Granularity, KvCodec, PageId, PatternId,
@@ -35,10 +35,9 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("claim graph exceeds u32 offsets")
 }
 
-/// One extraction as it rides the grouping shuffle, 32 bytes: the value,
-/// the raw provenance (its fields inline and in [`Provenance`]'s order, so
-/// sorting observations sorts each value's provenances) and how many
-/// input records it stands for.
+/// One extraction record as it rides the grouping shuffle, 32 bytes: the
+/// value and the raw provenance (its fields inline and in [`Provenance`]'s
+/// order, so sorting observations sorts each value's provenances).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Obs {
     value: Value,
@@ -46,30 +45,11 @@ struct Obs {
     page: PageId,
     site: SiteId,
     pattern: PatternId,
-    /// Exact duplicates collapse in the combiner; their number survives
-    /// here. A run that outgrows a `u16` stays split in two.
-    records: u16,
 }
 
 impl Obs {
     fn provenance(&self) -> Provenance {
         Provenance::new(self.extractor, self.page, self.site, self.pattern)
-    }
-
-    /// Sort `observations` and fold exact duplicates — same value, same
-    /// provenance — into one observation carrying their record count.
-    fn combine(observations: &mut Vec<Obs>) {
-        observations.sort_unstable();
-        observations.dedup_by(|next, kept| {
-            let same = (next.value, next.provenance()) == (kept.value, kept.provenance());
-            match kept.records.checked_add(next.records) {
-                Some(sum) if same => {
-                    kept.records = sum;
-                    true
-                }
-                _ => false,
-            }
-        });
     }
 }
 
@@ -77,7 +57,6 @@ impl KvCodec for Obs {
     fn encode(&self, out: &mut Vec<u8>) {
         KvCodec::encode(&self.value, out);
         self.provenance().encode(out);
-        self.records.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
@@ -89,7 +68,6 @@ impl KvCodec for Obs {
             page: p.page,
             site: p.site,
             pattern: p.pattern,
-            records: u16::decode(input)?,
         })
     }
 }
@@ -138,21 +116,13 @@ impl Claims {
     /// caller that owns the calling thread's trace builds with
     /// [`Claims::build_recorded`] instead.
     ///
-    /// The mapper emits `(item, (value, provenance))`; the reducer sorts
-    /// an item's observations, so values come out sorted and each value's
-    /// provenances form a sorted run that deduplicates by adjacency — no
-    /// per-value hash sets, and one flat provenance buffer per item.
-    ///
-    /// The pass registers a sort-and-fold
-    /// [`Combiner`](kf_mapreduce::Combiner): on the chunked/external
-    /// shuffle path (`MrConfig::chunk_records` /
-    /// `MrConfig::spill_threshold_records`), per-item observation buffers
-    /// are sorted and exact duplicates folded into a record count while
-    /// waves merge and before partitions spill. The reducer does the same
-    /// regardless, so output is byte-identical with or without the
-    /// combiner — it only shrinks grouped residency and spilled bytes on
-    /// duplicate-heavy corpora (the same `(triple, provenance)` seen in
-    /// several re-crawls).
+    /// The mapper emits `(item, (value, provenance))`, one observation per
+    /// extraction record; the reducer sorts an item's observations, so
+    /// values come out sorted and each value's provenances form a sorted
+    /// run that deduplicates by adjacency — no per-value hash sets, and
+    /// one flat provenance buffer per item. An exact duplicate (same
+    /// value, same provenance) is an equal neighbour: one more record of
+    /// the claim, not another claim.
     pub fn build(batch: &[Extraction], mr: &MrConfig) -> Claims {
         /// One per-value header: `(value, distinct provenances,
         /// n_extractors, n_pages, n_records)`; the value's provenances
@@ -160,7 +130,7 @@ impl Claims {
         type Headers = Vec<(Value, u32, u16, u32, u32)>;
         let trace = Trace::with_root("group");
         let recording = kf_telemetry::install(&trace);
-        let (mut raw, stats) = map_reduce_combined_with_stats(
+        let (mut raw, stats) = map_reduce_with_stats(
             mr,
             batch,
             |e: &Extraction, emit: &mut Emitter<DataItem, Obs>| {
@@ -172,15 +142,11 @@ impl Claims {
                         page: e.provenance.page,
                         site: e.provenance.site,
                         pattern: e.provenance.pattern,
-                        records: 1,
                     },
                 );
             },
-            // A reducer-invariant rewrite (engine contract): the reducer
-            // below folds again, and record counts add up either way.
-            Obs::combine,
             |item, mut observations| {
-                Obs::combine(&mut observations);
+                observations.sort_unstable();
                 let mut headers: Headers = Vec::new();
                 let mut flat: Vec<Provenance> = Vec::with_capacity(observations.len());
                 let mut pages: Vec<PageId> = Vec::new();
@@ -193,8 +159,6 @@ impl Claims {
                     while i < observations.len() && observations[i].value == value {
                         let p = observations[i].provenance();
                         let previous = flat[start..].last().copied();
-                        // Equal neighbours are one duplicate run, split
-                        // because it outgrew a `u16`.
                         if previous != Some(p) {
                             // Sorted by extractor first: a new extractor
                             // shows as a change from the predecessor.
@@ -204,7 +168,7 @@ impl Claims {
                             flat.push(p);
                             pages.push(p.page);
                         }
-                        n_records += u32::from(observations[i].records);
+                        n_records += 1;
                         i += 1;
                     }
                     pages.sort_unstable();
@@ -718,25 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn combiner_shrinks_duplicate_heavy_shuffles() {
-        // The same (triple, provenance) extracted 50×: the dedup combiner
-        // collapses the duplicates while waves merge, so grouped residency
-        // stays near the number of *distinct* observations.
-        let batch: Vec<Extraction> = (0..5_000).map(|i| ext(i % 5, 1, 1, 0, i % 2)).collect();
-        let (in_memory, _) = graph_and_stats(&batch, &MrConfig::sequential());
-        let (combined, stats) =
-            graph_and_stats(&batch, &MrConfig::sequential().with_chunk_records(200));
-        assert_eq!(in_memory, combined);
-        // 10 distinct (item, value, prov) observations; without combining
-        // the grouped peak would be the full 5,000.
-        assert!(
-            stats.peak_grouped_records < 500,
-            "dedup combiner did not shrink the accumulators (peak {})",
-            stats.peak_grouped_records
-        );
-    }
-
-    #[test]
     fn claims_keep_raw_provenances_and_record_counts() {
         // Triple (1, 1, 10): extractor 0 on page 100 twice and on page 101
         // (same site), extractor 1 on page 100.
@@ -774,8 +719,9 @@ mod tests {
 
     #[test]
     fn record_counts_survive_the_combiner_past_a_u16() {
-        // 70,000 copies of one extraction outgrow the observation's `u16`
-        // count while waves merge; the per-slot count is exact anyway.
+        // 70,000 copies of one extraction: more records of one claim than
+        // a `u16` counts, through every shuffle path, and the per-slot
+        // count is exact.
         assert_eq!(std::mem::size_of::<Obs>(), 32);
         let mut batch = vec![ext(1, 1, 10, 0, 100); 70_000];
         batch.push(ext(1, 1, 10, 2, 7));

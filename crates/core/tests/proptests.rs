@@ -443,11 +443,11 @@ proptest! {
     }
 
     /// One shuffle, many projections: claims grouped in memory, in
-    /// chunked waves or through spilled run files (k-way merged, the
-    /// folding combiner active) project, at every granularity, to exactly
-    /// the graph of the ordered-map oracle — for any corpus shape, worker
-    /// count, chunk quota and spill threshold (order included: `Grouped`
-    /// equality covers item order, value order and dense provenance ids).
+    /// chunked waves or through spilled run files (k-way merged) project,
+    /// at every granularity, to exactly the graph of the ordered-map
+    /// oracle — for any corpus shape, worker count, chunk quota and spill
+    /// threshold (order included: `Grouped` equality covers item order,
+    /// value order and dense provenance ids).
     #[test]
     fn projected_claims_match_the_graph_oracle_under_every_engine_configuration(
         batch in arb_batch(),

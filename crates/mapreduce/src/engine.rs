@@ -9,13 +9,12 @@
 //!   shuffle volume (`JobStats::map_output`); `C > 0` sizes each wave to
 //!   emit roughly `C` records, so the peak is the largest single wave
 //!   ([`JobStats::peak_resident_records`]).
-//! * **`spill_threshold_records`** bounds the *grouped* residency. An
-//!   optional [`Combiner`] partially reduces group accumulators as waves
-//!   merge, and when the grouped records resident across all partitions
-//!   would cross the threshold, partitions spill to sorted run files
-//!   (encoded with [`kf_types::KvCodec`], see the `spill` module) and
-//!   reduce by a k-way merge of runs. [`JobStats::peak_grouped_records`]
-//!   and [`JobStats::spilled_bytes`] report the envelope.
+//! * **`spill_threshold_records`** bounds the *grouped* residency. When
+//!   the grouped records resident across all partitions would cross the
+//!   threshold, partitions spill to sorted run files (encoded with
+//!   [`kf_types::KvCodec`], see the `spill` module) and reduce by a k-way
+//!   merge of runs. [`JobStats::peak_grouped_records`] and
+//!   [`JobStats::spilled_bytes`] report the envelope.
 //!
 //! Every wave schedule produces identical output: waves are processed in
 //! input order and, within a wave, worker buffers are merged in worker
@@ -31,7 +30,7 @@ use crate::stats::JobStats;
 use kf_types::hash::hash_one;
 use kf_types::{FxHashMap, KvCodec};
 use std::hash::Hash;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Engine configuration.
@@ -152,68 +151,6 @@ impl MrConfig {
     }
 }
 
-/// Partial reduction applied to group accumulators while the shuffle is
-/// still running — the classic MapReduce combiner, adapted to this
-/// engine's reduce-side accumulation: it rewrites a group's value buffer
-/// in place (typically folding many records into few) as waves merge and
-/// immediately before a partition spills to disk.
-///
-/// # Contract
-///
-/// The reducer must produce **identical output** from a combined buffer
-/// and from the raw one — combining must be a reducer-invariant rewrite.
-/// That holds for associative, order-insensitive folds over the values
-/// (integer counts and sums, min/max, sort-and-deduplicate) but *not* for
-/// order-sensitive reductions (floating-point accumulation, reservoir
-/// sampling): for those, don't combine. A combiner only bounds memory, so
-/// a job with neither `chunk_records` nor a spill threshold (one wave,
-/// nothing to bound) never runs it; the crate's proptests check combined
-/// output against a sequential fold.
-///
-/// Closures implement the trait directly:
-///
-/// ```
-/// use kf_mapreduce::{map_reduce_combined_with_stats, Emitter, MrConfig};
-///
-/// let docs = ["a b a", "b a", "a"];
-/// let (counts, _stats) = map_reduce_combined_with_stats(
-///     &MrConfig::sequential().with_chunk_records(2),
-///     &docs,
-///     |doc: &&str, emit: &mut Emitter<String, u64>| {
-///         for word in doc.split_whitespace() {
-///             emit.emit(word.to_string(), 1);
-///         }
-///     },
-///     // Combiner: fold partial counts into one.
-///     |counts: &mut Vec<u64>| {
-///         let sum: u64 = counts.drain(..).sum();
-///         counts.push(sum);
-///     },
-///     // Reducer: total the (possibly pre-combined) counts.
-///     |word, counts| vec![(word.clone(), counts.iter().sum::<u64>())],
-/// );
-/// assert!(counts.contains(&("a".to_string(), 4)));
-/// ```
-pub trait Combiner<V>: Sync {
-    /// Rewrite `values` in place to a smaller reducer-equivalent buffer.
-    fn combine(&self, values: &mut Vec<V>);
-}
-
-impl<V, F> Combiner<V> for F
-where
-    F: Fn(&mut Vec<V>) + Sync,
-{
-    #[inline]
-    fn combine(&self, values: &mut Vec<V>) {
-        self(values)
-    }
-}
-
-/// A group's value buffer is combined when it reaches this many records
-/// (and again at each doubling, so combine work stays amortized-linear
-/// even for incompressible buffers).
-const COMBINE_TRIGGER: usize = 64;
-
 /// Collects `(key, value)` records emitted by a mapper and routes them to
 /// shuffle partitions by key hash.
 pub struct Emitter<K, V> {
@@ -280,48 +217,6 @@ where
     M: Fn(&I, &mut Emitter<K, V>) + Sync,
     R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
 {
-    run_job(cfg, inputs, mapper, None, reducer)
-}
-
-/// [`map_reduce_with_stats`] with a [`Combiner`] partially reducing group
-/// accumulators as waves merge and partitions spill. With
-/// `chunk_records == 0` and spilling disabled the job is one wave and the
-/// combiner never runs.
-pub fn map_reduce_combined_with_stats<I, K, V, O, M, C, R>(
-    cfg: &MrConfig,
-    inputs: &[I],
-    mapper: M,
-    combiner: C,
-    reducer: R,
-) -> (Vec<O>, JobStats)
-where
-    I: Sync,
-    K: Hash + Eq + Ord + Send + KvCodec,
-    V: Send + KvCodec,
-    O: Send,
-    M: Fn(&I, &mut Emitter<K, V>) + Sync,
-    C: Combiner<V>,
-    R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
-{
-    run_job(cfg, inputs, mapper, Some(&combiner), reducer)
-}
-
-/// The engine behind both public entry points.
-fn run_job<I, K, V, O, M, R>(
-    cfg: &MrConfig,
-    inputs: &[I],
-    mapper: M,
-    combiner: Option<&dyn Combiner<V>>,
-    reducer: R,
-) -> (Vec<O>, JobStats)
-where
-    I: Sync,
-    K: Hash + Eq + Ord + Send + KvCodec,
-    V: Send + KvCodec,
-    O: Send,
-    M: Fn(&I, &mut Emitter<K, V>) + Sync,
-    R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
-{
     let workers = cfg.workers.max(1);
     let partitions = cfg.partitions.max(1);
     let mut stats = JobStats::new(inputs.len() as u64);
@@ -329,14 +224,12 @@ where
     // ---- Map + shuffle ---------------------------------------------------
     // Spilling needs more than one wave, so without an explicit quota the
     // waves are sized at the spill threshold itself; with neither, the
-    // whole input is one wave. One wave has nothing for a combiner to
-    // bound, so it runs without one.
+    // whole input is one wave.
     let quota = if cfg.chunk_records > 0 {
         cfg.chunk_records
     } else {
         cfg.spill_threshold_records
     };
-    let combiner = combiner.filter(|_| quota > 0);
     // Bind the spill-dir guard so run files survive until reduction
     // finishes; the drop at the end of this function (or during a panic
     // unwind) removes the spill directory.
@@ -349,7 +242,6 @@ where
             quota,
             cfg.spill_threshold_records,
             cfg.spill_dir,
-            combiner,
             &mapper,
             &mut stats,
         )
@@ -400,7 +292,6 @@ where
         t.add("mr.waves", waves);
         t.add("mr.spill_runs", stats.spill_runs);
         t.add("mr.spilled_bytes", stats.spilled_bytes);
-        t.add("mr.combiner_invocations", stats.combiner_invocations);
         t.record_max("mr.peak_resident_records", stats.peak_resident_records);
         t.record_max("mr.peak_grouped_records", stats.peak_grouped_records);
     }
@@ -437,33 +328,22 @@ where
     )
 }
 
-/// One batch handed to the spill-writer thread: taken partition
-/// accumulators with the run paths they must be written to.
-type SpillBatch<K, V> = Vec<(Groups<K, V>, PathBuf)>;
-
 /// The shuffle: map input waves, merging each wave's buffers into
 /// per-partition group accumulators as they fill (so at most roughly
 /// `quota` raw records are resident at once; `0` maps the whole input as
-/// one wave), combining group buffers as they grow, and spilling all
-/// accumulators to sorted run files whenever merging the next wave would
-/// push grouped residency past `spill_threshold` (`0` = never). Wave
-/// sizes adapt to the observed mapper fan-out.
+/// one wave), and spilling all accumulators to sorted run files whenever
+/// merging the next wave would push grouped residency past
+/// `spill_threshold` (`0` = never). Wave sizes adapt to the observed
+/// mapper fan-out.
 ///
-/// Writes the six shuffle counters of `stats` (`map_output`, both peaks,
-/// `spilled_bytes`, `spill_runs`, `combiner_invocations`) and returns the
-/// reduce-side partitions, the number of waves, and the spill directory
-/// guard, which must outlive the reduce phase that reads its run files.
+/// Writes the five shuffle counters of `stats` (`map_output`, both peaks,
+/// `spilled_bytes`, `spill_runs`) and returns the reduce-side partitions,
+/// the number of waves, and the spill directory guard, which must outlive
+/// the reduce phase that reads its run files.
 ///
-/// Run-file encode+write runs on a dedicated **spill-writer thread**,
-/// double-buffered against the next wave's map work: the coordinating
-/// thread snapshots the accumulators, records the (deterministic) run
-/// paths, hands the batch over a rendezvous channel and immediately goes
-/// back to mapping, so disk I/O overlaps CPU work instead of stalling the
-/// wave loop. At most one batch is in flight (plus at most one waiting at
-/// the rendezvous), so transient memory stays bounded by ~2× the spill
-/// threshold; spill *points*, run contents and all `JobStats` counters
-/// are byte-identical to the synchronous path — the writer thread only
-/// changes *when* the bytes hit disk, never which bytes.
+/// Spills are written synchronously on the calling thread, inside the
+/// wave's `spill` span: their I/O time is then the span's own, and a write
+/// failure panics where the job was called.
 #[allow(clippy::too_many_arguments)]
 fn shuffle<I, K, V, M>(
     inputs: &[I],
@@ -472,7 +352,6 @@ fn shuffle<I, K, V, M>(
     quota: usize,
     spill_threshold: usize,
     spill_base: Option<&'static str>,
-    combiner: Option<&dyn Combiner<V>>,
     mapper: &M,
     stats: &mut JobStats,
 ) -> (Vec<Partition<K, V>>, u64, Option<SpillDir>)
@@ -489,152 +368,80 @@ where
     let mut spill_dir: Option<SpillDir> = None;
     let mut waves = 0u64;
     let mut resident = 0u64; // grouped records currently accumulated
-    std::thread::scope(|scope| {
-        type Writer<'s, K, V> = (
-            std::sync::mpsc::SyncSender<SpillBatch<K, V>>,
-            std::thread::ScopedJoinHandle<'s, (u64, u64)>,
-        );
-        // Spawned lazily on the first spill; jobs that never spill never
-        // pay for the thread.
-        let mut writer: Option<Writer<'_, K, V>> = None;
-        let mut consumed = 0usize;
-        let mut last_wave = (0usize, 0u64);
-        while consumed < inputs.len() {
-            // Two rules size each wave:
-            //
-            // 1. The PREVIOUS wave's observed fan-out divides the quota — a
-            //    local estimate tracks skewed inputs (e.g. items sorted so
-            //    that high-fan-out regions cluster) far better than a global
-            //    running average. It is floored at 1, so a wave never takes
-            //    more than `quota` inputs and a low-emission prefix cannot
-            //    grow a catch-up wave whose emissions dwarf the quota once
-            //    the mapper starts emitting again. (Sub-quota waves from
-            //    fan-out < 1 are cheap: small waves merge inline, and the
-            //    map scan cost is the same however it is sliced.)
-            // 2. A wave takes at most 2× the previous wave's inputs,
-            //    starting from 1 — a geometric ramp, so even when the input
-            //    *starts* in its hottest region (Zipf-head items first) the
-            //    cold estimate can only overshoot the quota by ~2×, at the
-            //    cost of ~log2(quota) tiny ramp-up waves.
-            //
-            // A quota of 0 takes the whole input as one wave, past the ramp.
-            let wave_len = if quota == 0 {
-                inputs.len()
-            } else if consumed == 0 {
-                1
-            } else {
-                let fanout = (last_wave.1 as f64 / last_wave.0 as f64).max(1.0);
-                (((quota as f64) / fanout).ceil() as usize).min(last_wave.0.saturating_mul(2))
-            }
-            .clamp(1, inputs.len() - consumed);
-            let _wave_span = kf_telemetry::span("wave");
-            waves += 1;
-            let wave = &inputs[consumed..consumed + wave_len];
-            let emitters = {
-                let _map = kf_telemetry::span("map");
-                let map_start = Instant::now();
-                let emitters = map_slice(wave, workers, partitions, mapper);
-                kf_telemetry::record_time("mr.wave.map_ns", map_start.elapsed().as_nanos() as u64);
-                emitters
-            };
-            let wave_emitted: u64 = emitters.iter().map(|e| e.emitted).sum();
-            kf_telemetry::record_value("mr.wave.records", wave_emitted);
-            stats.peak_resident_records = stats.peak_resident_records.max(wave_emitted);
-            stats.map_output += wave_emitted;
-            consumed += wave_len;
-            last_wave = (wave_len, wave_emitted);
-            // Spill BEFORE the merge that would cross the threshold, so the
-            // grouped residency never exceeds it (as long as a single wave
-            // fits under the threshold — waves never split).
-            if spill_threshold > 0
-                && resident > 0
-                && resident + wave_emitted > spill_threshold as u64
-            {
-                let _spill = kf_telemetry::span("spill");
-                let spill_start = Instant::now();
-                let dir = spill_dir.get_or_insert_with(|| SpillDir::create(spill_base));
-                // Snapshot non-empty accumulators and assign their run
-                // paths now — path order is what the k-way merge replays,
-                // so it must be fixed on the coordinating thread.
-                let mut batch: SpillBatch<K, V> = Vec::new();
-                for (p, group) in groups.iter_mut().enumerate() {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    let path = dir.run_path(p, runs[p].len());
-                    runs[p].push(path.clone());
-                    batch.push((std::mem::take(group), path));
-                }
-                stats.spill_runs += batch.len() as u64;
-                let (tx, _) = writer.get_or_insert_with(|| {
-                    let (tx, rx) = std::sync::mpsc::sync_channel::<SpillBatch<K, V>>(0);
-                    let handle = scope.spawn(move || {
-                        let (mut bytes, mut combines) = (0u64, 0u64);
-                        while let Ok(batch) = rx.recv() {
-                            for (group, path) in batch {
-                                let (b, c) = spill_one(group, &path, combiner);
-                                bytes += b;
-                                combines += c;
-                            }
-                        }
-                        (bytes, combines)
-                    });
-                    (tx, handle)
-                });
-                // The rendezvous send blocks while the writer is still on
-                // the previous batch — that block is the spill-writer
-                // queue stall.
-                let _stall = kf_telemetry::span("stall");
-                if tx.send(batch).is_err() {
-                    // The writer died mid-job (an I/O panic): join it so
-                    // the original panic propagates instead of a send
-                    // error.
-                    let (_, handle) = writer.take().expect("writer just inserted");
-                    match handle.join() {
-                        Err(panic) => std::panic::resume_unwind(panic),
-                        Ok(_) => unreachable!("writer exited while the sender was alive"),
-                    }
-                }
-                // Coordinator-side spill cost: accumulator snapshot plus
-                // the rendezvous stall. The writer thread's own I/O time
-                // has no installed trace and is deliberately not recorded.
-                kf_telemetry::record_time(
-                    "mr.wave.spill_ns",
-                    spill_start.elapsed().as_nanos() as u64,
-                );
-                resident = 0;
-            }
-            let delta = {
-                let _merge = kf_telemetry::span("merge");
-                let merge_start = Instant::now();
-                let (delta, combines) = merge_wave(emitters, &mut groups, workers, combiner);
-                kf_telemetry::record_time(
-                    "mr.wave.merge_ns",
-                    merge_start.elapsed().as_nanos() as u64,
-                );
-                stats.combiner_invocations += combines;
-                delta
-            };
-            resident = resident.saturating_add_signed(delta);
-            stats.peak_grouped_records = stats.peak_grouped_records.max(resident);
+    let mut consumed = 0usize;
+    let mut last_wave = (0usize, 0u64);
+    while consumed < inputs.len() {
+        // Two rules size each wave:
+        //
+        // 1. The PREVIOUS wave's observed fan-out divides the quota — a
+        //    local estimate tracks skewed inputs (e.g. items sorted so
+        //    that high-fan-out regions cluster) far better than a global
+        //    running average. It is floored at 1, so a wave never takes
+        //    more than `quota` inputs and a low-emission prefix cannot
+        //    grow a catch-up wave whose emissions dwarf the quota once
+        //    the mapper starts emitting again. (Sub-quota waves from
+        //    fan-out < 1 are cheap: small waves merge inline, and the
+        //    map scan cost is the same however it is sliced.)
+        // 2. A wave takes at most 2× the previous wave's inputs,
+        //    starting from 1 — a geometric ramp, so even when the input
+        //    *starts* in its hottest region (Zipf-head items first) the
+        //    cold estimate can only overshoot the quota by ~2×, at the
+        //    cost of ~log2(quota) tiny ramp-up waves.
+        //
+        // A quota of 0 takes the whole input as one wave, past the ramp.
+        let wave_len = if quota == 0 {
+            inputs.len()
+        } else if consumed == 0 {
+            1
+        } else {
+            let fanout = (last_wave.1 as f64 / last_wave.0 as f64).max(1.0);
+            (((quota as f64) / fanout).ceil() as usize).min(last_wave.0.saturating_mul(2))
         }
-        // Drain the writer before reading any run file back.
-        if let Some((tx, handle)) = writer.take() {
-            drop(tx);
-            match handle.join() {
-                Ok((bytes, combines)) => {
-                    stats.spilled_bytes += bytes;
-                    stats.combiner_invocations += combines;
+        .clamp(1, inputs.len() - consumed);
+        let _wave_span = kf_telemetry::span("wave");
+        waves += 1;
+        let wave = &inputs[consumed..consumed + wave_len];
+        let emitters = {
+            let _map = kf_telemetry::span("map");
+            let map_start = Instant::now();
+            let emitters = map_slice(wave, workers, partitions, mapper);
+            kf_telemetry::record_time("mr.wave.map_ns", map_start.elapsed().as_nanos() as u64);
+            emitters
+        };
+        let wave_emitted: u64 = emitters.iter().map(|e| e.emitted).sum();
+        kf_telemetry::record_value("mr.wave.records", wave_emitted);
+        stats.peak_resident_records = stats.peak_resident_records.max(wave_emitted);
+        stats.map_output += wave_emitted;
+        consumed += wave_len;
+        last_wave = (wave_len, wave_emitted);
+        // Spill BEFORE the merge that would cross the threshold, so the
+        // grouped residency never exceeds it (as long as a single wave
+        // fits under the threshold — waves never split).
+        if spill_threshold > 0 && resident > 0 && resident + wave_emitted > spill_threshold as u64 {
+            let _spill = kf_telemetry::span("spill");
+            let spill_start = Instant::now();
+            let dir = spill_dir.get_or_insert_with(|| SpillDir::create(spill_base));
+            for (p, group) in groups.iter_mut().enumerate() {
+                if !group.is_empty() {
+                    spill_one(std::mem::take(group), dir, p, &mut runs[p], stats);
                 }
-                Err(panic) => std::panic::resume_unwind(panic),
             }
+            kf_telemetry::record_time("mr.wave.spill_ns", spill_start.elapsed().as_nanos() as u64);
+            resident = 0;
         }
-    });
+        {
+            let _merge = kf_telemetry::span("merge");
+            let merge_start = Instant::now();
+            merge_wave(emitters, &mut groups, workers);
+            kf_telemetry::record_time("mr.wave.merge_ns", merge_start.elapsed().as_nanos() as u64);
+        }
+        resident += wave_emitted;
+        stats.peak_grouped_records = stats.peak_grouped_records.max(resident);
+    }
 
     // A partition that ever spilled flushes its in-memory tail as one
     // final run (the latest input, so it merges last); partitions that
-    // never spilled reduce from memory. The writer thread has already
-    // been joined, so these writes cannot race an in-flight batch.
+    // never spilled reduce from memory.
     let _flush = kf_telemetry::span("flush");
     let partitions_out: Vec<Partition<K, V>> = groups
         .into_iter()
@@ -642,63 +449,45 @@ where
         .enumerate()
         .map(|(p, (group, mut run_files))| {
             if run_files.is_empty() {
-                Partition::Grouped(group)
-            } else {
-                if !group.is_empty() {
-                    let dir = spill_dir.as_ref().expect("runs exist without a spill dir");
-                    let path = dir.run_path(p, run_files.len());
-                    let (bytes, combines) = spill_one(group, &path, combiner);
-                    stats.spilled_bytes += bytes;
-                    stats.combiner_invocations += combines;
-                    stats.spill_runs += 1;
-                    run_files.push(path);
-                }
-                Partition::Spilled(run_files)
+                return Partition::Grouped(group);
             }
+            if !group.is_empty() {
+                let dir = spill_dir.as_ref().expect("runs exist without a spill dir");
+                spill_one(group, dir, p, &mut run_files, stats);
+            }
+            Partition::Spilled(run_files)
         })
         .collect();
     drop(_flush);
     (partitions_out, waves, spill_dir)
 }
 
-/// Sort, (re-)combine and write one partition accumulator as the run file
-/// at `path`. Runs on the spill-writer thread for mid-job spills and on
-/// the coordinating thread for the final tail flush. Returns the bytes
-/// written and the combiner invocations made.
+/// Sort one accumulator of partition `p` by key and write it as the
+/// partition's next run file, appending the run's path to `run_files` and
+/// its bytes to `stats`.
 fn spill_one<K, V>(
     group: Groups<K, V>,
-    path: &Path,
-    combiner: Option<&dyn Combiner<V>>,
-) -> (u64, u64)
-where
-    K: Hash + Eq + Ord + KvCodec,
+    dir: &SpillDir,
+    p: usize,
+    run_files: &mut Vec<PathBuf>,
+    stats: &mut JobStats,
+) where
+    K: Ord + KvCodec,
     V: KvCodec,
 {
     let mut sorted: Vec<(K, Vec<V>)> = group.into_iter().collect();
     sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut combines = 0u64;
-    if let Some(c) = combiner {
-        // One last squeeze before paying for the bytes.
-        for (_, values) in &mut sorted {
-            c.combine(values);
-            combines += 1;
-        }
-    }
-    (write_run(path, &sorted), combines)
+    let path = dir.run_path(p, run_files.len());
+    stats.spilled_bytes += write_run(&path, &sorted);
+    stats.spill_runs += 1;
+    run_files.push(path);
 }
 
 /// Drain one wave's emitter buffers into the per-partition group
 /// accumulators. Buffers are appended in worker order, preserving per-key
 /// input order; partitions are merged in parallel (each partition is owned
-/// by exactly one merge task, so no locks). Returns the net change in
-/// grouped records resident (additions minus records folded away by the
-/// combiner) and the number of combiner invocations.
-fn merge_wave<K, V>(
-    emitters: Vec<Emitter<K, V>>,
-    groups: &mut [Groups<K, V>],
-    workers: usize,
-    combiner: Option<&dyn Combiner<V>>,
-) -> (i64, u64)
+/// by exactly one merge task, so no locks).
+fn merge_wave<K, V>(emitters: Vec<Emitter<K, V>>, groups: &mut [Groups<K, V>], workers: usize)
 where
     K: Hash + Eq + Send,
     V: Send,
@@ -722,39 +511,14 @@ where
         }
     }
     let tasks = groups.iter_mut().zip(per_partition);
-    let tasks = tasks.map(|(group, bufs)| move || merge_buffers(group, bufs, combiner));
-    let merged = run_tasks(workers, tasks.collect()).into_iter();
-    merged.fold((0, 0), |(delta, combines), (d, c)| {
-        (delta + d, combines + c)
-    })
-}
-
-/// Append raw buffers into a group accumulator, combining any group whose
-/// buffer reaches a power-of-two length ≥ [`COMBINE_TRIGGER`]. Returns
-/// the net change in resident records and the combiner invocations made.
-fn merge_buffers<K: Hash + Eq, V>(
-    group: &mut Groups<K, V>,
-    bufs: Vec<Vec<(K, V)>>,
-    combiner: Option<&dyn Combiner<V>>,
-) -> (i64, u64) {
-    let mut delta = 0i64;
-    let mut combines = 0u64;
-    for buf in bufs {
-        for (k, v) in buf {
-            let values = group.entry(k).or_default();
-            values.push(v);
-            delta += 1;
-            if let Some(c) = combiner {
-                let len = values.len();
-                if len >= COMBINE_TRIGGER && len.is_power_of_two() {
-                    c.combine(values);
-                    combines += 1;
-                    delta += values.len() as i64 - len as i64;
-                }
+    let tasks = tasks.map(|(group, bufs)| {
+        move || {
+            for (k, v) in bufs.into_iter().flatten() {
+                group.entry(k).or_default().push(v);
             }
         }
-    }
-    (delta, combines)
+    });
+    run_tasks(workers, tasks.collect());
 }
 
 #[cfg(test)]
@@ -940,67 +704,12 @@ mod tests {
     }
 
     #[test]
-    fn combiner_folds_counts_without_changing_output() {
-        let inputs: Vec<u64> = (0..20_000).collect();
-        let mapper = |&x: &u64, emit: &mut Emitter<u64, u64>| emit.emit(x % 7, 1);
-        let reducer = |k: &u64, vs: Vec<u64>| vec![(*k, vs.iter().sum::<u64>())];
-        let (base_out, base) =
-            map_reduce_with_stats(&MrConfig::with_workers(4), &inputs, mapper, reducer);
-
-        let cfg = MrConfig::with_workers(4).with_chunk_records(1_024);
-        let combine = |vs: &mut Vec<u64>| {
-            let sum: u64 = vs.drain(..).sum();
-            vs.push(sum);
-        };
-        let (out, stats) = map_reduce_combined_with_stats(&cfg, &inputs, mapper, combine, reducer);
-        assert_eq!(base_out, out);
-        // 7 hot keys × 20k records: combining must collapse the grouped
-        // residency far below the uncombined total.
-        assert!(
-            stats.peak_grouped_records < base.peak_grouped_records / 10,
-            "combined grouped peak {} vs uncombined {}",
-            stats.peak_grouped_records,
-            base.peak_grouped_records
-        );
-    }
-
-    #[test]
-    fn combiner_plus_spill_compose() {
-        let inputs: Vec<u64> = (0..30_000).collect();
-        // Many distinct keys (little to combine) plus hot keys (much to
-        // combine) — both paths exercised together with spilling.
-        let mapper = |&x: &u64, emit: &mut Emitter<u64, u64>| {
-            let key = if x % 5 == 0 { 100_000 + x } else { x % 17 };
-            emit.emit(key, 1);
-        };
-        let reducer = |k: &u64, vs: Vec<u64>| vec![(*k, vs.iter().sum::<u64>())];
-        let (baseline, _) =
-            map_reduce_with_stats(&MrConfig::with_workers(4), &inputs, mapper, reducer);
-        let cfg = MrConfig::with_workers(4)
-            .with_chunk_records(512)
-            .with_spill_threshold(2_048);
-        let combine = |vs: &mut Vec<u64>| {
-            let sum: u64 = vs.drain(..).sum();
-            vs.push(sum);
-        };
-        let (out, stats) = map_reduce_combined_with_stats(&cfg, &inputs, mapper, combine, reducer);
-        assert_eq!(baseline, out);
-        assert!(stats.spilled_bytes > 0);
-        assert!(stats.peak_grouped_records <= 2_048 + 1_024);
-        assert!(stats.spill_runs > 0, "spilling must write run files");
-        assert!(
-            stats.combiner_invocations > 0,
-            "hot keys must trip the combiner"
-        );
-    }
-
-    #[test]
     fn async_spill_writer_keeps_stats_deterministic() {
-        // The spill-writer thread overlaps I/O with mapping; spill points,
-        // run contents and every JobStats counter must nevertheless be
-        // identical run-to-run (the determinism ledger says wave sizing —
-        // and therefore spilled_bytes and both peaks — depends only on
-        // the input and the config, never on thread interleaving).
+        // Map and merge run on worker threads; spill points, run contents
+        // and every JobStats counter must nevertheless be identical
+        // run-to-run (the determinism ledger says wave sizing — and
+        // therefore spilled_bytes and both peaks — depends only on the
+        // input and the config, never on thread interleaving).
         let inputs: Vec<u64> = (0..30_000).collect();
         let job = || {
             map_reduce_with_stats(
@@ -1066,7 +775,10 @@ mod tests {
         let wave = shuffle.child("wave").expect("wave span");
         assert_eq!(wave.calls, counter("mr.waves"));
         assert!(wave.child("map").is_some());
+        // Spills are written inside the `spill` span: nothing waits on
+        // another thread's writes.
         assert!(wave.child("spill").is_some());
+        assert!(wave.child("spill").unwrap().child("stall").is_none());
         assert!(wave.child("merge").is_some());
         assert!(report.root.child("reduce").is_some());
         // Per-wave histograms: one records the emitted record count per
@@ -1239,6 +951,44 @@ mod tests {
     }
 
     #[test]
+    fn an_uncreatable_spill_dir_panics_the_caller_and_leaves_nothing() {
+        // The spill dir is configured under a regular file, so the first
+        // spill cannot create its job directory.
+        let base = std::env::temp_dir().join(format!("kf-mr-io-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        let file = base.join("not-a-dir");
+        std::fs::write(&file, b"x").unwrap();
+        let under_file = file.join("spill");
+        let spill_dir: &'static str =
+            Box::leak(under_file.to_str().unwrap().to_string().into_boxed_str());
+        let cfg = MrConfig::with_workers(2)
+            .with_chunk_records(64)
+            .with_spill_threshold(128)
+            .with_spill_dir(spill_dir);
+        let inputs: Vec<u64> = (0..2_000).collect();
+        // The spill is written where the job was called, so its failure
+        // unwinds straight into the caller.
+        let result = std::panic::catch_unwind(|| {
+            map_reduce_with_stats(
+                &cfg,
+                &inputs,
+                |&x, emit: &mut Emitter<u64, u64>| emit.emit(x % 13, x),
+                |k, vs| vec![(*k, vs.len())],
+            )
+        });
+        let message = *result.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.starts_with("cannot create spill dir"), "{message}");
+        assert!(message.contains(spill_dir), "{message}");
+        let left: Vec<_> = std::fs::read_dir(&base)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["not-a-dir"], "the job left files behind");
+        assert_eq!(std::fs::read(&file).unwrap(), b"x");
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
     fn partitions_zero_is_clamped() {
         // Regression: a directly constructed `partitions: 0` (or
         // `workers: 0`) must be clamped by the engine, not panic with a
@@ -1337,20 +1087,15 @@ mod tests {
     fn one_wave_job_skips_the_ramp_and_the_combiner() {
         // Neither a chunk quota nor a spill threshold: the whole input is
         // mapped as one wave (the ramp would cut it into ~log2(n) waves),
-        // and the supplied combiner never runs — one wave has nothing for
-        // it to bound, though these 7 hot keys would trip it at once.
+        // and every record of these 7 hot keys is grouped as emitted.
         let job = |inputs: &[u64]| {
             let trace = kf_telemetry::Trace::new();
             let (_, stats) = {
                 let _t = kf_telemetry::install(&trace);
-                map_reduce_combined_with_stats(
+                map_reduce_with_stats(
                     &MrConfig::with_workers(4),
                     inputs,
                     |&x, emit: &mut Emitter<u64, u64>| emit.emit(x % 7, 1),
-                    |vs: &mut Vec<u64>| {
-                        let sum: u64 = vs.drain(..).sum();
-                        vs.push(sum);
-                    },
                     |k, vs| vec![(*k, vs.iter().sum::<u64>())],
                 )
             };

@@ -27,10 +27,8 @@
 //!   accumulators spill to sorted run files (serialized with the
 //!   hand-rolled [`kf_types::KvCodec`]) and reduce by k-way merge,
 //!   capping grouped residency too ([`JobStats::peak_grouped_records`],
-//!   [`JobStats::spilled_bytes`]),
-//! * [`Combiner`] / [`map_reduce_combined_with_stats`] — partial
-//!   reduction of group accumulators while the shuffle runs (counts, sums,
-//!   dedup), shrinking both the resident groups and the spilled bytes,
+//!   [`JobStats::spilled_bytes`]). Runs are written synchronously on the
+//!   calling thread, so their I/O time lands in the wave's `spill` span,
 //! * [`Reservoir`] — the reducer-side uniform sampling the paper uses to cap
 //!   per-key work at `L` records (§4.1 "we sample L triples each time"),
 //! * [`IterativeDriver`] — round iteration with convergence detection and
@@ -40,8 +38,8 @@
 //!
 //! The engine is deterministic: given the same inputs, configuration and
 //! (pure) mapper/reducer functions, output order and content are reproducible
-//! regardless of thread interleaving — and regardless of chunking, combining
-//! or spilling — because records are grouped per partition, per-key values
+//! regardless of thread interleaving — and regardless of chunking or
+//! spilling — because records are grouped per partition, per-key values
 //! arrive in input order (spilled runs replay in spill order, which *is*
 //! input order), and keys are processed in sorted order. The external
 //! shuffle design is documented in the repository's `ARCHITECTURE.md`.
@@ -54,9 +52,7 @@ mod spill;
 pub mod stats;
 
 pub use driver::{IterativeDriver, RoundOutcome};
-pub use engine::{
-    map_reduce_combined_with_stats, map_reduce_with_stats, Combiner, Emitter, MrConfig,
-};
+pub use engine::{map_reduce_with_stats, Emitter, MrConfig};
 pub use fanout::run_tasks;
 pub use sampling::Reservoir;
 pub use stats::JobStats;

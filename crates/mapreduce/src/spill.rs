@@ -137,7 +137,8 @@ impl<K: KvCodec, V: KvCodec> RunReader<K, V> {
     }
 
     /// The next group, or `None` at end of run. Panics, naming the run,
-    /// when it cannot be read or its frame is truncated or corrupt.
+    /// when it cannot be read or its frame is truncated, corrupt or has
+    /// bytes left over after the values.
     pub(crate) fn next_group(&mut self) -> Option<(K, Vec<V>)> {
         self.read_group().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -175,6 +176,12 @@ impl<K: KvCodec, V: KvCodec> RunReader<K, V> {
             K::decode(&mut input).ok_or_else(|| format!("corrupt spill frame (key) in {path}"))?;
         let values = Vec::<V>::decode(&mut input)
             .ok_or_else(|| format!("corrupt spill frame (values) in {path}"))?;
+        if !input.is_empty() {
+            let n = input.len();
+            return Err(format!(
+                "trailing bytes in spill frame ({n} after the values) in {path}"
+            ));
+        }
         Ok(Some((key, values)))
     }
 }
@@ -459,6 +466,60 @@ mod tests {
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reader.next_group()));
         let message = panic.unwrap_err().downcast::<String>().unwrap();
         assert_eq!(*message, err);
+    }
+
+    #[test]
+    fn a_frame_with_trailing_bytes_is_refused() {
+        // A well-formed group followed, inside its frame, by three stray
+        // bytes that the length prefix counts.
+        let dir = SpillDir::create(None);
+        let path = dir.run_path(0, 0);
+        let mut frame = Vec::new();
+        7u32.encode(&mut frame);
+        vec![70u64, 71].encode(&mut frame);
+        frame.extend_from_slice(&[1, 2, 3]);
+        let mut bytes = (frame.len() as u64).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&frame);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut reader: RunReader<u32, u64> = RunReader::open(&path);
+        let err = reader.read_group().unwrap_err();
+        assert!(err.starts_with("trailing bytes in spill frame"), "{err}");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+    }
+
+    #[test]
+    fn every_cut_and_bit_flip_of_a_run_reads_without_panicking_or_overallocating() {
+        let dir = SpillDir::create(None);
+        let path = dir.run_path(0, 0);
+        let groups: Vec<(String, Vec<u64>)> = vec![
+            ("alpha".into(), vec![1, 2, 3]),
+            ("beta".into(), Vec::new()),
+            ("gamma".into(), (0..24).map(|i| i * 0x0101_0101).collect()),
+        ];
+        write_run(&path, &groups);
+        let valid = std::fs::read(&path).unwrap();
+        let cuts = (0..valid.len()).map(|at| valid[..at].to_vec());
+        let flips = (0..valid.len() * 8).map(|bit| {
+            let mut bytes = valid.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            bytes
+        });
+        for (case, bytes) in cuts.chain(flips).enumerate() {
+            std::fs::write(&path, &bytes).unwrap();
+            let mut reader: RunReader<String, u64> = RunReader::open(&path);
+            let (_, largest) = largest_during(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    while let Ok(Some(_)) = reader.read_group() {}
+                }))
+                .unwrap_or_else(|_| panic!("case {case}: reading the run panicked"))
+            });
+            assert!(
+                largest <= valid.len(),
+                "case {case}: a {}-byte run allocated {largest} bytes at once",
+                valid.len()
+            );
+        }
     }
 
     #[test]

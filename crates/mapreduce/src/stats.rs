@@ -22,20 +22,19 @@ pub struct JobStats {
     /// (every grouped value waits in memory for its reducer); with
     /// [`MrConfig::spill_threshold_records`](crate::MrConfig) set it
     /// stays at or under the threshold as long as a single wave fits it.
-    /// A [`Combiner`](crate::Combiner) lowers it further by folding
-    /// group buffers while the shuffle runs.
     pub peak_grouped_records: u64,
     /// Total bytes written to spill run files (frames plus their length
-    /// prefixes); `0` when the job never spilled.
+    /// prefixes); `0` when the job never spilled. Every emitted record is
+    /// written as emitted: nothing folds duplicates before a spill.
     pub spilled_bytes: u64,
     /// Sorted run files written by the external shuffle (mid-wave spills
     /// plus end-of-job tail flushes); `0` when the job never spilled.
     /// Compaction re-merges of existing runs do not count — like
     /// `spilled_bytes`, this counts shuffle output leaving memory.
     pub spill_runs: u64,
-    /// Times a [`Combiner`](crate::Combiner) folded a group buffer —
-    /// during wave merges, while spilling, or in compaction. `0` when the
-    /// job has no combiner. Deterministic for a fixed input and config.
+    /// Always `0`: the engine folds no group buffers before the reducer.
+    /// The field stays only because the repository benchmark
+    /// (`benchmark/src/workloads.rs`) still reads it.
     pub combiner_invocations: u64,
 }
 

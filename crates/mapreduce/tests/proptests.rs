@@ -153,10 +153,9 @@ proptest! {
         prop_assert!(stats.peak_resident_records <= (chunk_records as u64).min(n as u64));
     }
 
-    /// Combining (an associative integer-sum fold) composed with spilling
-    /// produces exactly the sequential sums, and the spilled run respects
-    /// the grouped-residency threshold whenever a single wave fits under
-    /// it.
+    /// An integer-sum reducer over a spilled shuffle produces exactly the
+    /// sequential sums, and the spilled run respects the grouped-residency
+    /// threshold whenever a single wave fits under it.
     #[test]
     fn combined_and_spilled_sum_matches_in_memory(
         pairs in prop::collection::vec((any::<u8>(), 0u32..1000), 0..400),
@@ -171,20 +170,10 @@ proptest! {
         let cfg = MrConfig::with_workers(workers)
             .with_chunk_records(chunk_records)
             .with_spill_threshold(spill_threshold);
-        let (combined, stats) = kf_mapreduce::map_reduce_combined_with_stats(
-            &cfg,
-            &pairs,
-            mapper,
-            |vs: &mut Vec<u64>| {
-                let sum: u64 = vs.drain(..).sum();
-                vs.push(sum);
-            },
-            reducer,
-        );
-        let combined: BTreeMap<u16, u64> =
-            combined.into_iter().map(|(k, s)| (k.into(), s)).collect();
+        let (sums, stats) = map_reduce_with_stats(&cfg, &pairs, mapper, reducer);
+        let sums: BTreeMap<u16, u64> = sums.into_iter().map(|(k, s)| (k.into(), s)).collect();
         let wide: Vec<(u16, u32)> = pairs.iter().map(|&(k, v)| (k.into(), v)).collect();
-        prop_assert_eq!(combined, reference_sum(&wide));
+        prop_assert_eq!(sums, reference_sum(&wide));
         if chunk_records <= spill_threshold {
             // A wave can overshoot the chunk quota ~2× during the ramp,
             // but the pre-merge spill keeps the grouped residency bounded

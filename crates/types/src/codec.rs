@@ -68,8 +68,9 @@ pub trait KvCodec: Sized {
     /// element encodes to at least one byte unless `Self` is zero-sized,
     /// and no more is reserved up front than the remaining bytes could
     /// fill ([`reserve_for`]). A run that outgrows the reservation grows
-    /// by as many values as it has decoded, and never past `len`, so a
-    /// genuine run ends at capacity `len`.
+    /// only once its next value has decoded, by as many values as it has
+    /// decoded, never past `len` and never past what the remaining bytes
+    /// could fill, so a genuine run ends at capacity `len`.
     #[inline]
     fn decode_run(input: &mut &[u8], len: usize) -> Option<Vec<Self>> {
         if std::mem::size_of::<Self>() > 0 && len > input.len() {
@@ -77,10 +78,12 @@ pub trait KvCodec: Sized {
         }
         let mut items = Vec::with_capacity(reserve_for::<Self>(len, input));
         for _ in 0..len {
+            let item = Self::decode(input)?;
             if items.len() == items.capacity() {
-                items.reserve_exact(items.len().clamp(1, len - items.len()));
+                let more = items.len().min(len - items.len() - 1);
+                items.reserve_exact(1 + reserve_for::<Self>(more, input));
             }
-            items.push(Self::decode(input)?);
+            items.push(item);
         }
         Some(items)
     }

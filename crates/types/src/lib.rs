@@ -12,7 +12,7 @@
 //! partitions to sorted run files; and the [`checkpoint`] container —
 //! magic bytes + format version + artifact kind over `KvCodec` payloads —
 //! that corpus snapshots and shard reports persist through, including the
-//! atomic write-then-rename helper shared with the spill writer.
+//! atomic write-then-rename helper that spill runs are written with too.
 //!
 //! Everything here is deliberately plain data: `Copy` ids, interned strings,
 //! and hash maps keyed by those ids using a fast multiplicative hasher

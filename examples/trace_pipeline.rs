@@ -70,10 +70,9 @@ fn main() {
             .map_or(0, |c| c.value)
     };
     println!(
-        "spill accounting: {} sorted run files, {:.1} MiB spilled, {} combiner invocations",
+        "spill accounting: {} sorted run files, {:.1} MiB spilled",
         counter("mr.spill_runs"),
         counter("mr.spilled_bytes") as f64 / (1024.0 * 1024.0),
-        counter("mr.combiner_invocations"),
     );
     assert!(
         counter("mr.spilled_bytes") > 0,

@@ -126,9 +126,8 @@ fn main() {
         spill_secs,
     );
     println!(
-        "  spill accounting: {} sorted run files written, {} combiner invocations \
-         folded duplicates before reduce",
-        spilled.stats.spill_runs, spilled.stats.combiner_invocations,
+        "  spill accounting: {} sorted run files written",
+        spilled.stats.spill_runs
     );
 
     // Reducer-side sampling (the paper's L) barely moves the output while

@@ -8,7 +8,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`types`] | data model: ids, triples, extractions, provenance, gold standard (LCWA) |
-//! | [`mapreduce`] | local MapReduce substrate: map/shuffle/reduce with combiners + spill-to-disk, reservoir sampling, round driver |
+//! | [`mapreduce`] | local MapReduce substrate: map/shuffle/reduce with spill-to-disk, reservoir sampling, round driver |
 //! | [`core`] | fusion methods VOTE / ACCU / POPACCU plus the §4.3 refinement stack (POPACCU+) |
 //! | [`synth`] | synthetic web-extraction corpus with the paper's statistical artifacts |
 //! | [`eval`] | calibration (WDEV/ECE), PR curves (AUC-PR, precision@k), ablation runner |
