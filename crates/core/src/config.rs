@@ -179,17 +179,16 @@ impl FusionConfig {
     }
 
     /// Builder-style: set worker parallelism — of the grouping job and of
-    /// the round kernels. Adjusts workers and the partition ratio in
-    /// place, preserving other engine knobs (`chunk_records`,
-    /// `spill_threshold_records`, `spill_dir`).
+    /// the round kernels. Adjusts workers in place, preserving the other
+    /// engine knobs (`chunk_records`, `spill_threshold_records`,
+    /// `spill_dir`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.mr.workers = workers.max(1);
-        self.mr.partitions = workers.max(1) * 4;
         self
     }
 
     /// Builder-style: bound the grouping job's grouped shuffle residency
-    /// to roughly `records`, spilling partition accumulators to sorted run
+    /// to roughly `records`, spilling its pending buffer to sorted run
     /// files beyond it (`0` disables spilling). The grouping job
     /// ([`Claims::build`](crate::Claims::build)) is the only shuffle a
     /// fusion run performs — the claim graph is a projection of the
@@ -264,7 +263,6 @@ mod tests {
         .with_workers(4)
         .with_spill_threshold(1 << 18);
         assert_eq!(c.mr.workers, 4);
-        assert_eq!(c.mr.partitions, 16);
         assert_eq!(c.mr.chunk_records, 1 << 16);
         assert_eq!(c.mr.spill_threshold_records, 1 << 18);
         // And the other direction: re-tuning workers afterwards must not

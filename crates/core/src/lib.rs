@@ -56,7 +56,6 @@
 //! ```
 
 pub mod config;
-pub mod ext;
 pub mod methods;
 pub mod observation;
 pub mod pipeline;

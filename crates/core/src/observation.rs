@@ -130,7 +130,7 @@ impl Claims {
         type Headers = Vec<(Value, u32, u16, u32, u32)>;
         let trace = Trace::with_root("group");
         let recording = kf_telemetry::install(&trace);
-        let (mut raw, stats) = map_reduce_with_stats(
+        let (raw, stats) = map_reduce_with_stats(
             mr,
             batch,
             |e: &Extraction, emit: &mut Emitter<DataItem, Obs>| {
@@ -179,9 +179,6 @@ impl Claims {
                 vec![(*item, headers, flat)]
             },
         );
-        // The engine only orders keys within a shuffle partition; sort
-        // globally so output order is independent of the partition count.
-        raw.sort_unstable_by_key(|g| g.0);
 
         // ---- Flatten into columns ------------------------------------------
         let mut items = Vec::with_capacity(raw.len());

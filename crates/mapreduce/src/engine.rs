@@ -1,49 +1,48 @@
 //! The map → shuffle → reduce execution engine.
 //!
-//! There is one shuffle: inputs are mapped in *waves*, and each wave's
-//! buffers merge into per-partition reduce-side group accumulators as
-//! soon as it is mapped. Two knobs shape it and nothing else:
+//! There is one shuffle, append → sort → merge: inputs are mapped in
+//! *waves*, and each wave's records are appended, in input order, to one
+//! pending buffer. Two knobs shape it and nothing else:
 //!
 //! * **`chunk_records`** sizes the waves. `0` (the default) maps the
 //!   whole input as one wave, so peak raw-record residency is the whole
 //!   shuffle volume (`JobStats::map_output`); `C > 0` sizes each wave to
 //!   emit roughly `C` records, so the peak is the largest single wave
 //!   ([`JobStats::peak_resident_records`]).
-//! * **`spill_threshold_records`** bounds the *grouped* residency. When
-//!   the grouped records resident across all partitions would cross the
-//!   threshold, partitions spill to sorted run files (encoded with
-//!   [`kf_types::KvCodec`], see the `spill` module) and reduce by a k-way
-//!   merge of runs. [`JobStats::peak_grouped_records`] and
-//!   [`JobStats::spilled_bytes`] report the envelope.
+//! * **`spill_threshold_records`** bounds the *grouped* residency — the
+//!   pending buffer. When the next wave would push it past the threshold,
+//!   the buffer is sorted and written as one sorted run file (encoded
+//!   with [`kf_types::KvCodec`], see the `spill` module), and the job
+//!   reduces by a k-way merge of its runs. [`JobStats::peak_grouped_records`]
+//!   and [`JobStats::spilled_bytes`] report the envelope.
 //!
-//! Every wave schedule produces identical output: waves are processed in
-//! input order and, within a wave, worker buffers are merged in worker
-//! order (workers own contiguous input chunks), so a key's values always
-//! reach the reducer ordered by input index — and spilled runs replay in
-//! spill order, which preserves exactly that order. The crate's proptests
-//! check that order against a sequential group-by. The design is
-//! documented in the repository's `ARCHITECTURE.md`.
+//! Sorting is the same everywhere: contiguous chunks of the buffer are
+//! stably sorted by key in parallel and k-way merged, a key's values
+//! concatenated in chunk order. In memory, the key space is first cut at
+//! key boundaries into at most `workers` ranges, each merging its slice
+//! of every chunk into the reducer. So the output comes back in key
+//! order, and a key's values reach the reducer in input order — chunks
+//! are contiguous and sorted stably, and spilled runs merge in spill
+//! order — for every wave schedule, worker count and spill setting. The
+//! crate's proptests check that order against a sequential group-by. The
+//! design is documented in the repository's `ARCHITECTURE.md`.
 
 use crate::fanout::run_tasks;
-use crate::spill::{merge_reduce_runs, write_run, SpillDir};
+use crate::spill::{merge, merge_reduce_runs, reduce_groups, write_run, SpillDir};
 use crate::stats::JobStats;
-use kf_types::hash::hash_one;
-use kf_types::{FxHashMap, KvCodec};
-use std::hash::Hash;
+use kf_types::KvCodec;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MrConfig {
-    /// How many map chunks a wave is cut into, and the most threads the
-    /// map, merge and reduce phases keep busy ([`run_tasks`]: fewer when
-    /// the job runs inside a task of a run whose worker budget is spent).
+    /// How many map tasks a wave is cut into, how many chunks the shuffle
+    /// sorts and key ranges the reduce merges, and the most threads each
+    /// of those phases keeps busy ([`run_tasks`]: fewer when the job runs
+    /// inside a task of a run whose worker budget is spent).
     pub workers: usize,
-    /// Number of shuffle partitions. More partitions smooth out key skew at
-    /// the cost of per-partition overhead; defaults to `4 × workers`.
-    /// Clamped to at least 1 by the engine (a directly constructed
-    /// `partitions: 0` must not panic the shuffle router).
+    /// Unused; kept only because `benchmark/src/fuse.rs` sets it.
     pub partitions: usize,
     /// Soft cap on raw (mapper-emitted, not yet grouped) shuffle records
     /// resident in memory at once. `0` maps the whole input as one wave
@@ -51,17 +50,15 @@ pub struct MrConfig {
     /// wave may overshoot when the mapper fan-out spikes, and a single
     /// input's emissions are never split across waves.
     pub chunk_records: usize,
-    /// Soft cap on *grouped* records resident across all partition
-    /// accumulators at once — the external shuffle. `0` disables
-    /// spilling (grouped values accumulate in memory until reduced, the
-    /// historical behaviour); like the `partitions: 0` clamp, a directly
-    /// constructed `0` is safe and simply means "never spill". When the
-    /// threshold would be crossed by merging the next wave, every
-    /// non-empty partition serializes its accumulator to a sorted run
-    /// file and frees the memory; the partition later reduces by k-way
-    /// merging its runs. Spilling needs more than one wave: when
-    /// `chunk_records == 0`, the engine sizes waves at this threshold. The cap
-    /// is respected exactly as long as a single wave fits it (i.e.
+    /// Soft cap on *grouped* records — the pending buffer — resident at
+    /// once: the external shuffle. `0` disables spilling (every record
+    /// waits in memory until reduced); a directly constructed `0` is safe
+    /// and simply means "never spill". When appending the next wave would
+    /// cross the threshold, the buffer is sorted, written as one sorted
+    /// run file and freed; the job later reduces by k-way merging its
+    /// runs. Spilling needs more than one wave: when `chunk_records == 0`,
+    /// the engine sizes waves at this threshold. The cap is respected
+    /// exactly as long as a single wave fits it (i.e.
     /// `chunk_records <= spill_threshold_records`); a single oversized
     /// wave can overshoot, because waves never split.
     ///
@@ -102,18 +99,13 @@ impl MrConfig {
     /// A single-threaded configuration; useful for debugging and for
     /// baseline measurements.
     pub fn sequential() -> Self {
-        MrConfig {
-            workers: 1,
-            partitions: 1,
-            ..Default::default()
-        }
+        MrConfig::with_workers(1)
     }
 
-    /// Configuration with `workers` threads and the default partition ratio.
+    /// Configuration with `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         MrConfig {
             workers: workers.max(1),
-            partitions: workers.max(1) * 4,
             ..Default::default()
         }
     }
@@ -126,7 +118,7 @@ impl MrConfig {
     }
 
     /// Builder-style: bound grouped residency to roughly `records`,
-    /// spilling partition accumulators to disk beyond it (`0` disables
+    /// spilling the pending buffer to disk beyond it (`0` disables
     /// spilling).
     ///
     /// ```
@@ -151,42 +143,17 @@ impl MrConfig {
     }
 }
 
-/// Collects `(key, value)` records emitted by a mapper and routes them to
-/// shuffle partitions by key hash.
+/// Collects the `(key, value)` records a mapper emits, in emission order.
 pub struct Emitter<K, V> {
-    buffers: Vec<Vec<(K, V)>>,
-    emitted: u64,
+    records: Vec<(K, V)>,
 }
 
-impl<K: Hash, V> Emitter<K, V> {
-    fn new(partitions: usize) -> Self {
-        // Clamp defensively: routing needs at least one bucket even if a
-        // caller hands the engine `partitions: 0`.
-        Emitter {
-            buffers: (0..partitions.max(1)).map(|_| Vec::new()).collect(),
-            emitted: 0,
-        }
-    }
-
+impl<K, V> Emitter<K, V> {
     /// Emit one record.
     #[inline]
     pub fn emit(&mut self, key: K, value: V) {
-        let p = (hash_one(&key) as usize) % self.buffers.len();
-        self.buffers[p].push((key, value));
-        self.emitted += 1;
+        self.records.push((key, value));
     }
-}
-
-/// Reduce-side accumulator: one group of values per distinct key.
-type Groups<K, V> = FxHashMap<K, Vec<V>>;
-
-/// What the shuffle hands to a reduce worker for one partition.
-enum Partition<K, V> {
-    /// In memory: records already merged into groups wave by wave.
-    Grouped(Groups<K, V>),
-    /// External: the partition spilled; reduce by k-way merging its
-    /// sorted run files (in spill order).
-    Spilled(Vec<PathBuf>),
 }
 
 /// Run a MapReduce job and return its output with execution counters.
@@ -198,11 +165,11 @@ enum Partition<K, V> {
 ///   deterministic order: values are ordered by input index); returns the
 ///   output records for that key.
 ///
-/// Output records are returned grouped by partition and sorted by key within
-/// each partition, so the overall output is deterministic — and identical
-/// whether the job runs as one wave, in waves of
-/// [`MrConfig::chunk_records`], or spilled to disk
-/// ([`MrConfig::spill_threshold_records`]).
+/// Output records are returned in key order, so the output is
+/// deterministic — and identical whatever the worker count, and whether
+/// the job runs as one wave, in waves of [`MrConfig::chunk_records`], or
+/// spilled to disk ([`MrConfig::spill_threshold_records`]). Keys and
+/// values are cloned out of the sorted buffer into each key's group.
 pub fn map_reduce_with_stats<I, K, V, O, M, R>(
     cfg: &MrConfig,
     inputs: &[I],
@@ -211,14 +178,13 @@ pub fn map_reduce_with_stats<I, K, V, O, M, R>(
 ) -> (Vec<O>, JobStats)
 where
     I: Sync,
-    K: Hash + Eq + Ord + Send + KvCodec,
-    V: Send + KvCodec,
+    K: Ord + Clone + Send + Sync + KvCodec,
+    V: Clone + Send + Sync + KvCodec,
     O: Send,
     M: Fn(&I, &mut Emitter<K, V>) + Sync,
     R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
 {
     let workers = cfg.workers.max(1);
-    let partitions = cfg.partitions.max(1);
     let mut stats = JobStats::new(inputs.len() as u64);
 
     // ---- Map + shuffle ---------------------------------------------------
@@ -233,12 +199,11 @@ where
     // Bind the spill-dir guard so run files survive until reduction
     // finishes; the drop at the end of this function (or during a panic
     // unwind) removes the spill directory.
-    let (payloads, waves, _spill_dir) = {
+    let (sorted, runs, waves, _spill_dir) = {
         let _shuffle = kf_telemetry::span("shuffle");
         shuffle(
             inputs,
             workers,
-            partitions,
             quota,
             cfg.spill_threshold_records,
             cfg.spill_dir,
@@ -248,30 +213,14 @@ where
     };
 
     // ---- Reduce phase ----------------------------------------------------
-    // One task per partition. Keys are reduced in sorted order within a
-    // partition for deterministic output; the results come back in
-    // partition order.
+    // In memory, one task per key range; a spilled job merges its runs on
+    // the calling thread. Either way the results come back in key order.
     let _reduce = kf_telemetry::span("reduce");
-    let reducer = &reducer;
-    let reduce_partition = |payload: Partition<K, V>| {
-        let groups = match payload {
-            // Runs are key-sorted; the streaming merge reduces directly.
-            Partition::Spilled(runs) => return merge_reduce_runs(&runs, reducer),
-            Partition::Grouped(groups) => groups,
-        };
-        let mut keyed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let n_keys = keyed.len() as u64;
-        let mut out = Vec::new();
-        for (k, vs) in keyed {
-            out.extend(reducer(&k, vs));
-        }
-        (out, n_keys)
+    let results = if runs.is_empty() {
+        reduce_sorted(&sorted, workers, &reducer)
+    } else {
+        vec![merge_reduce_runs(&runs, &reducer)]
     };
-    let tasks = payloads.into_iter();
-    let tasks = tasks.map(|payload| move || reduce_partition(payload));
-    let results = run_tasks(workers, tasks.collect());
-
     let mut output = Vec::new();
     for (out, n_keys) in results {
         stats.reduce_keys += n_keys;
@@ -298,76 +247,70 @@ where
     (output, stats)
 }
 
-/// Map `inputs` as up to `workers` tasks (contiguous chunks, so per-key
-/// value order follows input order) and return the emitters in chunk
-/// (= input) order.
-fn map_slice<I, K, V, M>(
-    inputs: &[I],
-    workers: usize,
-    partitions: usize,
-    mapper: &M,
-) -> Vec<Emitter<K, V>>
+/// Map `inputs` as up to `workers` tasks (contiguous chunks, so records
+/// follow input order) and return the emitted records in chunk (= input)
+/// order.
+fn map_slice<I, K, V, M>(inputs: &[I], workers: usize, mapper: &M) -> Vec<Vec<(K, V)>>
 where
     I: Sync,
-    K: Hash + Send,
+    K: Send,
     V: Send,
     M: Fn(&I, &mut Emitter<K, V>) + Sync,
 {
-    let chunk_size = inputs.len().div_ceil(workers).max(1);
     let map_chunk = |chunk: &[I]| {
-        let mut emitter = Emitter::new(partitions);
+        let mut emitter = Emitter {
+            records: Vec::new(),
+        };
         for input in chunk {
             mapper(input, &mut emitter);
         }
-        emitter
+        emitter.records
     };
-    let chunks = inputs.chunks(chunk_size);
+    let chunks = inputs.chunks(chunk_len(inputs.len(), workers));
     run_tasks(
         workers,
         chunks.map(|chunk| move || map_chunk(chunk)).collect(),
     )
 }
 
-/// The shuffle: map input waves, merging each wave's buffers into
-/// per-partition group accumulators as they fill (so at most roughly
-/// `quota` raw records are resident at once; `0` maps the whole input as
-/// one wave), and spilling all accumulators to sorted run files whenever
-/// merging the next wave would push grouped residency past
-/// `spill_threshold` (`0` = never). Wave sizes adapt to the observed
-/// mapper fan-out.
+/// The shuffle: map input waves of roughly `quota` emitted records (`0`
+/// maps the whole input as one wave), appending each wave's records to
+/// one pending buffer, and writing the buffer as one sorted run file
+/// whenever appending the next wave would push it past `spill_threshold`
+/// (`0` = never). Wave sizes adapt to the observed mapper fan-out.
 ///
 /// Writes the five shuffle counters of `stats` (`map_output`, both peaks,
-/// `spilled_bytes`, `spill_runs`) and returns the reduce-side partitions,
-/// the number of waves, and the spill directory guard, which must outlive
-/// the reduce phase that reads its run files.
+/// `spilled_bytes`, `spill_runs`) and returns the buffer sorted in
+/// chunks ([`sort_chunks`]) when nothing spilled — else empty, its tail
+/// written as the last of the returned runs — the number of waves, and
+/// the spill directory guard, which must outlive the reduce phase that
+/// reads its run files.
 ///
 /// Spills are written synchronously on the calling thread, inside the
 /// wave's `spill` span: their I/O time is then the span's own, and a write
 /// failure panics where the job was called.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::type_complexity)]
 fn shuffle<I, K, V, M>(
     inputs: &[I],
     workers: usize,
-    partitions: usize,
     quota: usize,
     spill_threshold: usize,
     spill_base: Option<&'static str>,
     mapper: &M,
     stats: &mut JobStats,
-) -> (Vec<Partition<K, V>>, u64, Option<SpillDir>)
+) -> (Vec<(K, V)>, Vec<PathBuf>, u64, Option<SpillDir>)
 where
     I: Sync,
-    K: Hash + Eq + Ord + Send + KvCodec,
-    V: Send + KvCodec,
+    K: Ord + Clone + Send + Sync + KvCodec,
+    V: Clone + Send + Sync + KvCodec,
     M: Fn(&I, &mut Emitter<K, V>) + Sync,
 {
-    let mut groups: Vec<Groups<K, V>> = (0..partitions).map(|_| FxHashMap::default()).collect();
-    let mut runs: Vec<Vec<PathBuf>> = (0..partitions).map(|_| Vec::new()).collect();
+    let mut pending: Vec<(K, V)> = Vec::new();
+    let mut runs: Vec<PathBuf> = Vec::new();
     // Created lazily on the first spill, so jobs that stay under the
     // threshold never touch the filesystem.
     let mut spill_dir: Option<SpillDir> = None;
     let mut waves = 0u64;
-    let mut resident = 0u64; // grouped records currently accumulated
     let mut consumed = 0usize;
     let mut last_wave = (0usize, 0u64);
     while consumed < inputs.len() {
@@ -380,8 +323,8 @@ where
         //    more than `quota` inputs and a low-emission prefix cannot
         //    grow a catch-up wave whose emissions dwarf the quota once
         //    the mapper starts emitting again. (Sub-quota waves from
-        //    fan-out < 1 are cheap: small waves merge inline, and the
-        //    map scan cost is the same however it is sliced.)
+        //    fan-out < 1 are cheap: the map scan cost is the same however
+        //    it is sliced.)
         // 2. A wave takes at most 2× the previous wave's inputs,
         //    starting from 1 — a geometric ramp, so even when the input
         //    *starts* in its hottest region (Zipf-head items first) the
@@ -401,124 +344,146 @@ where
         let _wave_span = kf_telemetry::span("wave");
         waves += 1;
         let wave = &inputs[consumed..consumed + wave_len];
-        let emitters = {
+        let emitted = {
             let _map = kf_telemetry::span("map");
             let map_start = Instant::now();
-            let emitters = map_slice(wave, workers, partitions, mapper);
+            let emitted = map_slice(wave, workers, mapper);
             kf_telemetry::record_time("mr.wave.map_ns", map_start.elapsed().as_nanos() as u64);
-            emitters
+            emitted
         };
-        let wave_emitted: u64 = emitters.iter().map(|e| e.emitted).sum();
+        let wave_emitted = emitted.iter().map(|r| r.len() as u64).sum::<u64>();
         kf_telemetry::record_value("mr.wave.records", wave_emitted);
         stats.peak_resident_records = stats.peak_resident_records.max(wave_emitted);
         stats.map_output += wave_emitted;
         consumed += wave_len;
         last_wave = (wave_len, wave_emitted);
-        // Spill BEFORE the merge that would cross the threshold, so the
+        // Spill BEFORE the append that would cross the threshold, so the
         // grouped residency never exceeds it (as long as a single wave
         // fits under the threshold — waves never split).
+        let resident = pending.len() as u64;
         if spill_threshold > 0 && resident > 0 && resident + wave_emitted > spill_threshold as u64 {
             let _spill = kf_telemetry::span("spill");
             let spill_start = Instant::now();
             let dir = spill_dir.get_or_insert_with(|| SpillDir::create(spill_base));
-            for (p, group) in groups.iter_mut().enumerate() {
-                if !group.is_empty() {
-                    spill_one(std::mem::take(group), dir, p, &mut runs[p], stats);
-                }
-            }
+            spill(&mut pending, workers, dir, &mut runs, stats);
             kf_telemetry::record_time("mr.wave.spill_ns", spill_start.elapsed().as_nanos() as u64);
-            resident = 0;
         }
         {
             let _merge = kf_telemetry::span("merge");
             let merge_start = Instant::now();
-            merge_wave(emitters, &mut groups, workers);
+            for records in emitted {
+                if pending.is_empty() {
+                    pending = records; // nothing to append to: no copy
+                } else {
+                    pending.extend(records);
+                }
+            }
             kf_telemetry::record_time("mr.wave.merge_ns", merge_start.elapsed().as_nanos() as u64);
         }
-        resident += wave_emitted;
-        stats.peak_grouped_records = stats.peak_grouped_records.max(resident);
+        stats.peak_grouped_records = stats.peak_grouped_records.max(pending.len() as u64);
     }
 
-    // A partition that ever spilled flushes its in-memory tail as one
-    // final run (the latest input, so it merges last); partitions that
-    // never spilled reduce from memory.
+    // A job that spilled flushes its in-memory tail as one final run (the
+    // latest input, so it merges last); a job that never spilled reduces
+    // its buffer from memory.
     let _flush = kf_telemetry::span("flush");
-    let partitions_out: Vec<Partition<K, V>> = groups
-        .into_iter()
-        .zip(runs)
-        .enumerate()
-        .map(|(p, (group, mut run_files))| {
-            if run_files.is_empty() {
-                return Partition::Grouped(group);
-            }
-            if !group.is_empty() {
-                let dir = spill_dir.as_ref().expect("runs exist without a spill dir");
-                spill_one(group, dir, p, &mut run_files, stats);
-            }
-            Partition::Spilled(run_files)
-        })
-        .collect();
+    if let Some(dir) = &spill_dir {
+        if !pending.is_empty() {
+            spill(&mut pending, workers, dir, &mut runs, stats);
+        }
+    } else {
+        sort_chunks(&mut pending, workers);
+    }
     drop(_flush);
-    (partitions_out, waves, spill_dir)
+    (pending, runs, waves, spill_dir)
 }
 
-/// Sort one accumulator of partition `p` by key and write it as the
-/// partition's next run file, appending the run's path to `run_files` and
-/// its bytes to `stats`.
-fn spill_one<K, V>(
-    group: Groups<K, V>,
+/// The length of the contiguous chunks `records` records are sorted and
+/// merged in: `workers` of them, the last possibly shorter.
+fn chunk_len(records: usize, workers: usize) -> usize {
+    records.div_ceil(workers).max(1)
+}
+
+/// Stably sort each contiguous chunk of `records` by key, the chunks in
+/// parallel: a key's records keep their input order within a chunk.
+fn sort_chunks<K: Ord + Send, V: Send>(records: &mut [(K, V)], workers: usize) {
+    let chunks = records.chunks_mut(chunk_len(records.len(), workers));
+    let tasks = chunks.map(|chunk| move || chunk.sort_by(|a, b| a.0.cmp(&b.0)));
+    run_tasks(workers, tasks.collect());
+}
+
+/// The `(key, values)` groups of a key-sorted slice, cloned out of it.
+fn groups<K: Ord + Clone, V: Clone>(sorted: &[(K, V)]) -> impl Iterator<Item = (K, Vec<V>)> + '_ {
+    sorted.chunk_by(|a, b| a.0 == b.0).map(|run| {
+        let values = run.iter().map(|(_, v)| v.clone()).collect();
+        (run[0].0.clone(), values)
+    })
+}
+
+/// Sort the pending buffer in chunks, write it as the job's next run
+/// file — its chunks' merged groups — and empty it, adding the run's
+/// path to `runs` and its bytes to `stats`.
+fn spill<K, V>(
+    pending: &mut Vec<(K, V)>,
+    workers: usize,
     dir: &SpillDir,
-    p: usize,
-    run_files: &mut Vec<PathBuf>,
+    runs: &mut Vec<PathBuf>,
     stats: &mut JobStats,
 ) where
-    K: Ord + KvCodec,
-    V: KvCodec,
+    K: Ord + Clone + Send + KvCodec,
+    V: Clone + Send + KvCodec,
 {
-    let mut sorted: Vec<(K, Vec<V>)> = group.into_iter().collect();
-    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let path = dir.run_path(p, run_files.len());
-    stats.spilled_bytes += write_run(&path, &sorted);
+    sort_chunks(pending, workers);
+    let path = dir.run_path(runs.len());
+    let chunks = pending.chunks(chunk_len(pending.len(), workers));
+    stats.spilled_bytes += write_run(&path, merge(chunks.map(groups)));
     stats.spill_runs += 1;
-    run_files.push(path);
+    runs.push(path);
+    pending.clear();
 }
 
-/// Drain one wave's emitter buffers into the per-partition group
-/// accumulators. Buffers are appended in worker order, preserving per-key
-/// input order; partitions are merged in parallel (each partition is owned
-/// by exactly one merge task, so no locks).
-fn merge_wave<K, V>(emitters: Vec<Emitter<K, V>>, groups: &mut [Groups<K, V>], workers: usize)
+/// Reduce a buffer sorted in chunks ([`sort_chunks`]): cut the key space
+/// at key boundaries into at most `workers` ranges and, one task per
+/// range, k-way merge the range's slice of every chunk into the reducer.
+/// Returns each range's output and key count, in range (= key) order.
+///
+/// The cuts are quantiles of every chunk's `workers`-quantile keys, so
+/// the ranges hold similar record counts unless one key dominates; a key
+/// never straddles a cut, wherever the cuts fall.
+fn reduce_sorted<K, V, O, R>(sorted: &[(K, V)], workers: usize, reducer: &R) -> Vec<(Vec<O>, u64)>
 where
-    K: Hash + Eq + Send,
-    V: Send,
+    K: Ord + Clone + Sync,
+    V: Clone + Sync,
+    O: Send,
+    R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
 {
-    // Below this many records a wave is merged on the calling thread:
-    // helper threads per tiny wave (small `chunk_records`) would cost more
-    // than the moves themselves.
-    const PARALLEL_MERGE_THRESHOLD: u64 = 4_096;
-    let wave_records: u64 = emitters.iter().map(|e| e.emitted).sum();
-    let workers = if wave_records < PARALLEL_MERGE_THRESHOLD {
-        1
-    } else {
-        workers
-    };
-    let mut per_partition: Vec<Vec<Vec<(K, V)>>> = groups.iter().map(|_| Vec::new()).collect();
-    for emitter in emitters {
-        for (p, buf) in emitter.buffers.into_iter().enumerate() {
-            if !buf.is_empty() {
-                per_partition[p].push(buf);
-            }
-        }
-    }
-    let tasks = groups.iter_mut().zip(per_partition);
-    let tasks = tasks.map(|(group, bufs)| {
-        move || {
-            for (k, v) in bufs.into_iter().flatten() {
-                group.entry(k).or_default().push(v);
-            }
-        }
+    let chunks: Vec<&[(K, V)]> = sorted.chunks(chunk_len(sorted.len(), workers)).collect();
+    let candidates = chunks
+        .iter()
+        .flat_map(|c| (1..workers).map(|j| &c[j * c.len() / workers].0));
+    let mut candidates: Vec<&K> = candidates.collect();
+    candidates.sort_unstable();
+    let mut cuts: Vec<&K> = (1..workers)
+        .filter_map(|j| candidates.get(j * candidates.len() / workers).copied())
+        .collect();
+    cuts.dedup();
+    // Per chunk, where each range starts, plus its end.
+    let bounds: Vec<Vec<usize>> = chunks
+        .iter()
+        .map(|c| {
+            let starts = cuts.iter().map(|&cut| c.partition_point(|(k, _)| k < cut));
+            std::iter::once(0).chain(starts).chain([c.len()]).collect()
+        })
+        .collect();
+    let tasks = (0..=cuts.len()).map(|r| {
+        let slices: Vec<&[(K, V)]> = chunks
+            .iter()
+            .zip(&bounds)
+            .map(|(c, b)| &c[b[r]..b[r + 1]])
+            .collect();
+        move || reduce_groups(merge(slices.into_iter().map(groups)), reducer)
     });
-    run_tasks(workers, tasks.collect());
+    run_tasks(workers, tasks.collect())
 }
 
 #[cfg(test)]
@@ -602,7 +567,8 @@ mod tests {
     #[test]
     fn values_arrive_in_input_order_chunked() {
         // The chunked shuffle must preserve the same per-key value order:
-        // waves run in input order and worker buffers merge in input order.
+        // waves append in input order, and the buffer's contiguous chunks
+        // sort stably and merge in chunk order.
         let inputs: Vec<u32> = (0..5_000).collect();
         let (out, _) = map_reduce_with_stats(
             &MrConfig::with_workers(8).with_chunk_records(256),
@@ -648,8 +614,8 @@ mod tests {
                 &MrConfig::with_workers(4).with_chunk_records(chunk),
                 &doc_refs,
             );
-            // Not just set equality: the partition-then-key output order is
-            // identical, so plain == must hold.
+            // Not just set equality: the key-ordered output is identical,
+            // so plain == must hold.
             assert_eq!(one_wave, chunked, "chunk_records = {chunk}");
         }
     }
@@ -806,7 +772,7 @@ mod tests {
 
     #[test]
     fn spill_threshold_zero_is_disabled() {
-        // Mirror of the `partitions: 0` clamp: a directly constructed
+        // Like the `workers: 0` clamp: a directly constructed
         // `spill_threshold_records: 0` must mean "never spill", not panic
         // or spill-every-wave.
         let cfg = MrConfig {
@@ -861,9 +827,9 @@ mod tests {
 
     #[test]
     fn hundreds_of_runs_per_partition_stay_correct() {
-        // A tiny threshold over many waves accumulates far more runs per
-        // partition than MAX_MERGE_FANIN; the bounded-fan-in compaction
-        // must keep the output byte-identical (and the FD count capped).
+        // A tiny threshold over many waves accumulates far more runs than
+        // MAX_MERGE_FANIN; the bounded-fan-in compaction must keep the
+        // output byte-identical (and the FD count capped).
         let inputs: Vec<u64> = (0..3_000).collect();
         let job = |cfg: &MrConfig| {
             map_reduce_with_stats(
@@ -874,13 +840,9 @@ mod tests {
             )
         };
         let (base, _) = job(&MrConfig::sequential());
-        let cfg = MrConfig {
-            workers: 1,
-            partitions: 1,
-            ..MrConfig::default()
-        }
-        .with_chunk_records(8)
-        .with_spill_threshold(8);
+        let cfg = MrConfig::sequential()
+            .with_chunk_records(8)
+            .with_spill_threshold(8);
         let (spilled, stats) = job(&cfg);
         assert_eq!(base, spilled);
         // ~375 spill events → well past the 64-run merge fan-in.
@@ -890,8 +852,8 @@ mod tests {
     #[test]
     fn spill_without_chunking_chunks_at_the_threshold() {
         // chunk_records == 0 but a spill threshold set: the engine must
-        // still take the wave-based path (spilling needs accumulators to
-        // snapshot) and bound both residencies near the threshold.
+        // still take the wave-based path (spilling needs waves to cut
+        // between) and bound both residencies near the threshold.
         let inputs: Vec<u64> = (0..20_000).collect();
         let (out, stats) = map_reduce_with_stats(
             &MrConfig::with_workers(4).with_spill_threshold(1_000),
@@ -990,9 +952,8 @@ mod tests {
 
     #[test]
     fn partitions_zero_is_clamped() {
-        // Regression: a directly constructed `partitions: 0` (or
-        // `workers: 0`) must be clamped by the engine, not panic with a
-        // modulo-by-zero in the shuffle router.
+        // Regression: a directly constructed `workers: 0` must be clamped
+        // by the engine, and the unused `partitions: 0` must not matter.
         for chunk_records in [0usize, 16] {
             let cfg = MrConfig {
                 workers: 0,
@@ -1011,6 +972,49 @@ mod tests {
                     ("c".to_string(), 1)
                 ]
             );
+        }
+    }
+
+    #[test]
+    fn key_range_cuts_keep_every_key_once() {
+        // The in-memory reduce cuts the key space into per-worker ranges
+        // at key boundaries; a cut that dropped or duplicated a key would
+        // show here. Inputs: one key; all distinct keys; and one hot key
+        // in the middle of the key space that every chunk holds, so it
+        // straddles every chunk cut.
+        let inputs: Vec<u64> = (0..2_000).collect();
+        let key_of = |shape: &str, x: u64| match shape {
+            "single" => 7,
+            "distinct" => x,
+            _ if x.is_multiple_of(10) => x,
+            _ => 1_005,
+        };
+        for name in ["single", "distinct", "hot"] {
+            let mut expected: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+            for &x in &inputs {
+                expected.entry(key_of(name, x)).or_default().push(x);
+            }
+            let expected: Vec<(u64, Vec<u64>)> = expected.into_iter().collect();
+            for workers in 1..=8 {
+                for cfg in [
+                    MrConfig::with_workers(workers),
+                    MrConfig::with_workers(workers).with_chunk_records(300),
+                    MrConfig::with_workers(workers)
+                        .with_chunk_records(300)
+                        .with_spill_threshold(700),
+                ] {
+                    let (out, stats) = map_reduce_with_stats(
+                        &cfg,
+                        &inputs,
+                        |&x, emit: &mut Emitter<u64, u64>| emit.emit(key_of(name, x), x),
+                        |k, vs| vec![(*k, vs)],
+                    );
+                    assert_eq!(out, expected, "{name}: {cfg:?}");
+                    assert_eq!(stats.reduce_keys, expected.len() as u64, "{name}: {cfg:?}");
+                    let spills = cfg.spill_threshold_records > 0;
+                    assert_eq!(stats.spill_runs > 0, spills, "{name}: {cfg:?}");
+                }
+            }
         }
     }
 

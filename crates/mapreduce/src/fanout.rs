@@ -6,7 +6,7 @@
 //! thread running tasks holds one; a call made from inside a task shares
 //! the slots of the run it belongs to. So a run scheduled as a few long
 //! tasks (presets) whose stages fan out again (kernel ranges, map chunks,
-//! reduce partitions) spends its slots on the long tasks first, runs the
+//! sorted chunks, reduce key ranges) spends its slots on the long tasks first, runs the
 //! stages inline while every slot is busy, and hands a slot freed by a
 //! finished task to the next stage of whatever is still running.
 //!

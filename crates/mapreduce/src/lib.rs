@@ -10,23 +10,26 @@
 //! This crate provides the same programming model on a single machine:
 //!
 //! * [`map_reduce_with_stats`] — a generic map → shuffle → reduce
-//!   execution over scoped worker threads with hash partitioning, returning
-//!   the output with its [`JobStats`],
+//!   execution over scoped worker threads whose shuffle is append → sort
+//!   → merge: mapped records append to one buffer, contiguous chunks of it
+//!   sort in parallel, and per-worker key ranges k-way merge the chunks
+//!   into the reducer; it returns the output, in key order, with its
+//!   [`JobStats`],
 //! * [`run_tasks`] — the one in-process fan-out every layer shares (the
-//!   engine's map and reduce phases, the fusion kernels, the preset
+//!   engine's map, sort and reduce phases, the fusion kernels, the preset
 //!   schedule), under one worker budget per run; how a run's presets are
 //!   split across processes (`repro --shard`, `kf-dist`) is `kf-bench`'s
 //!   task table, not this crate's,
 //! * [`MrConfig::chunk_records`] — the **chunked shuffle**: inputs are
-//!   mapped in waves whose buffers merge into reduce-side group
-//!   accumulators as they fill. `0` maps the whole input as one wave; a
-//!   quota caps raw shuffle residency near it (reported as
-//!   [`JobStats::peak_resident_records`]),
+//!   mapped in waves whose records append to the pending buffer as they
+//!   fill. `0` maps the whole input as one wave; a quota caps raw shuffle
+//!   residency near it (reported as [`JobStats::peak_resident_records`]),
 //! * [`MrConfig::spill_threshold_records`] — the **external shuffle**:
-//!   when grouped residency would cross the threshold, partition
-//!   accumulators spill to sorted run files (serialized with the
-//!   hand-rolled [`kf_types::KvCodec`]) and reduce by k-way merge,
-//!   capping grouped residency too ([`JobStats::peak_grouped_records`],
+//!   when grouped residency would cross the threshold, the pending buffer
+//!   is sorted the same way and written as one sorted run file
+//!   (serialized with the hand-rolled [`kf_types::KvCodec`]), and the job
+//!   reduces by the same k-way merge over its runs, capping grouped
+//!   residency too ([`JobStats::peak_grouped_records`],
 //!   [`JobStats::spilled_bytes`]). Runs are written synchronously on the
 //!   calling thread, so their I/O time lands in the wave's `spill` span,
 //! * [`Reservoir`] — the reducer-side uniform sampling the paper uses to cap
@@ -39,10 +42,11 @@
 //! The engine is deterministic: given the same inputs, configuration and
 //! (pure) mapper/reducer functions, output order and content are reproducible
 //! regardless of thread interleaving — and regardless of chunking or
-//! spilling — because records are grouped per partition, per-key values
-//! arrive in input order (spilled runs replay in spill order, which *is*
-//! input order), and keys are processed in sorted order. The external
-//! shuffle design is documented in the repository's `ARCHITECTURE.md`.
+//! spilling — because keys come out of one merge in sorted order, and
+//! per-key values arrive in input order (chunks sort stably and merge in
+//! chunk order; spilled runs merge in spill order, which *is* input
+//! order). The external shuffle design is documented in the repository's
+//! `ARCHITECTURE.md`.
 
 pub mod driver;
 pub mod engine;

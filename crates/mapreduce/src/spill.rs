@@ -1,10 +1,10 @@
-//! Disk-backed shuffle partitions: sorted run files and their k-way merge.
+//! Sorted run files and the one k-way merge.
 //!
 //! When [`MrConfig::spill_threshold_records`](crate::MrConfig) is set and
-//! the grouped records resident across all partitions would cross it, the
-//! engine serializes every non-empty partition accumulator to a **run
-//! file** and frees the memory. A run holds one partition's groups,
-//! sorted by key, encoded with [`kf_types::KvCodec`]:
+//! the pending buffer plus the next wave would cross it, the engine sorts
+//! the buffer and writes it as one **run file**, then frees the memory.
+//! A run holds the buffer's groups, sorted by key, encoded with
+//! [`kf_types::KvCodec`]:
 //!
 //! ```text
 //! run file := frame*
@@ -14,11 +14,13 @@
 //!
 //! The frame prefix lets the reader pull one group at a time into a
 //! reusable buffer, so merging R runs holds at most R groups in memory
-//! (plus the one being reduced). At reduce time the runs of a partition
-//! are merged k-way: runs are individually key-sorted, and within a key,
-//! earlier runs hold earlier input — so visiting runs in spill order
-//! reconstructs exactly the sorted-key, input-ordered view the in-memory
-//! path produces. Output is byte-identical either way.
+//! (plus the one being reduced). [`merge`] is the one k-way merge of the
+//! engine, over any key-sorted source of `(key, values)` groups: the
+//! sorted chunks of the buffer a spill writes, the chunk slices of an
+//! in-memory key range, and the runs a spilled job reduces. Sources are
+//! individually key-sorted, and within a key earlier sources hold earlier
+//! input — so visiting them in order reconstructs exactly the sorted-key,
+//! input-ordered view. Output is byte-identical either way.
 //!
 //! All spill files live in one job-scoped temp directory ([`SpillDir`])
 //! that is removed on drop — including the unwind when a mapper or
@@ -26,7 +28,7 @@
 
 use kf_types::KvCodec;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,9 +58,9 @@ impl SpillDir {
         SpillDir { path }
     }
 
-    /// Path for the next run file of `partition`.
-    pub(crate) fn run_path(&self, partition: usize, seq: usize) -> PathBuf {
-        self.path.join(format!("p{partition}-run{seq}.bin"))
+    /// Path for the job's run file number `seq`.
+    pub(crate) fn run_path(&self, seq: usize) -> PathBuf {
+        self.path.join(format!("run{seq}.bin"))
     }
 
     #[cfg(test)]
@@ -75,48 +77,38 @@ impl Drop for SpillDir {
     }
 }
 
-/// Append one `(key, values)` frame to an open run writer. Returns the
-/// bytes written (frame plus its length prefix).
-fn write_group<K: KvCodec, V: KvCodec>(
-    writer: &mut BufWriter<File>,
-    frame: &mut Vec<u8>,
-    path: &Path,
-    key: &K,
-    values: &Vec<V>,
-) -> u64 {
-    frame.clear();
-    key.encode(frame);
-    values.encode(frame);
-    let err = |e| panic!("cannot write spill run {}: {e}", path.display());
-    writer
-        .write_all(&(frame.len() as u64).to_le_bytes())
-        .unwrap_or_else(err);
-    writer.write_all(frame).unwrap_or_else(err);
-    8 + frame.len() as u64
-}
-
-/// Write one partition's accumulated groups to a sorted run file.
+/// Write key-sorted `groups` to a run file, one frame each.
 ///
-/// `groups` must already be sorted by key. Returns the number of bytes
-/// written (frames plus their length prefixes). Goes through the shared
+/// Returns the number of bytes written (frames plus their length
+/// prefixes). Goes through the shared
 /// [`kf_types::checkpoint::write_atomic`] helper (temp file + rename), so
 /// a process killed mid-spill never leaves a truncated run under the run
 /// path — the k-way merge either sees a complete run or no file at all.
-pub(crate) fn write_run<K: KvCodec, V: KvCodec>(path: &Path, groups: &[(K, Vec<V>)]) -> u64 {
+pub(crate) fn write_run<K: KvCodec, V: KvCodec>(
+    path: &Path,
+    groups: impl Iterator<Item = (K, Vec<V>)>,
+) -> u64 {
+    let err = |e| panic!("cannot write spill run {}: {e}", path.display());
     kf_types::checkpoint::write_atomic(path, |writer| {
         let mut frame = Vec::new();
         let mut bytes = 0u64;
         for (key, values) in groups {
-            bytes += write_group(writer, &mut frame, path, key, values);
+            frame.clear();
+            key.encode(&mut frame);
+            values.encode(&mut frame);
+            writer.write_all(&(frame.len() as u64).to_le_bytes())?;
+            writer.write_all(&frame)?;
+            bytes += 8 + frame.len() as u64;
         }
         Ok(bytes)
     })
-    .unwrap_or_else(|e| panic!("cannot write spill run {}: {e}", path.display()))
+    .unwrap_or_else(err)
 }
 
 /// Streaming reader over one run file: yields `(key, values)` groups in
 /// the order they were written (sorted by key), holding one frame in
-/// memory at a time.
+/// memory at a time. Panics, naming the run, when it cannot be read or a
+/// frame is truncated, corrupt or has bytes left over after the values.
 pub(crate) struct RunReader<K, V> {
     reader: BufReader<File>,
     path: PathBuf,
@@ -136,14 +128,8 @@ impl<K: KvCodec, V: KvCodec> RunReader<K, V> {
         }
     }
 
-    /// The next group, or `None` at end of run. Panics, naming the run,
-    /// when it cannot be read or its frame is truncated, corrupt or has
-    /// bytes left over after the values.
-    pub(crate) fn next_group(&mut self) -> Option<(K, Vec<V>)> {
-        self.read_group().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`RunReader::next_group`] with its failure as the panic message.
+    /// The next group, or `None` at end of run, with the failure the
+    /// iterator panics with.
     fn read_group(&mut self) -> Result<Option<(K, Vec<V>)>, String> {
         let path = self.path.display();
         let mut len_bytes = [0u8; 8];
@@ -186,23 +172,90 @@ impl<K: KvCodec, V: KvCodec> RunReader<K, V> {
     }
 }
 
+impl<K: KvCodec, V: KvCodec> Iterator for RunReader<K, V> {
+    type Item = (K, Vec<V>);
+
+    fn next(&mut self) -> Option<(K, Vec<V>)> {
+        self.read_group().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The k-way merge of key-sorted group sources; see [`merge`].
+pub(crate) struct Merge<K, V, S> {
+    sources: Vec<S>,
+    heads: Vec<Option<(K, Vec<V>)>>,
+}
+
+/// Merge key-sorted `sources` — each yielding a key at most once — into
+/// one stream of `(key, values)` groups in ascending key order, a key's
+/// values concatenated across sources in source order.
+pub(crate) fn merge<K, V, S>(sources: impl IntoIterator<Item = S>) -> Merge<K, V, S>
+where
+    K: Ord,
+    S: Iterator<Item = (K, Vec<V>)>,
+{
+    let mut sources: Vec<S> = sources.into_iter().collect();
+    let heads = sources.iter_mut().map(Iterator::next).collect();
+    Merge { sources, heads }
+}
+
+impl<K: Ord, V, S: Iterator<Item = (K, Vec<V>)>> Iterator for Merge<K, V, S> {
+    type Item = (K, Vec<V>);
+
+    fn next(&mut self) -> Option<(K, Vec<V>)> {
+        // The earliest source holding the smallest key wins; `<` keeps the
+        // lowest index on ties.
+        let mut min: Option<(usize, &K)> = None;
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some((key, _)) = head {
+                if min.is_none_or(|(_, smallest)| key < smallest) {
+                    min = Some((i, key));
+                }
+            }
+        }
+        let (mi, _) = min?;
+        let (key, mut values) = self.heads[mi].take().expect("the smallest head is set");
+        self.heads[mi] = self.sources[mi].next();
+        // Later sources hold later input: append in ascending source order.
+        for j in mi + 1..self.heads.len() {
+            if let Some((_, more)) = self.heads[j].take_if(|(k, _)| *k == key) {
+                values.extend(more);
+                self.heads[j] = self.sources[j].next();
+            }
+        }
+        Some((key, values))
+    }
+}
+
+/// Reduce each group in order. Returns the reduced output and the number
+/// of distinct keys.
+pub(crate) fn reduce_groups<K, V, O>(
+    groups: impl Iterator<Item = (K, Vec<V>)>,
+    reducer: &impl Fn(&K, Vec<V>) -> Vec<O>,
+) -> (Vec<O>, u64) {
+    let mut out = Vec::new();
+    let mut n_keys = 0u64;
+    for (key, values) in groups {
+        n_keys += 1;
+        out.extend(reducer(&key, values));
+    }
+    (out, n_keys)
+}
+
 /// The most run files a single merge opens simultaneously. Heavy spills
-/// (tiny thresholds over big corpora) can accumulate hundreds of runs per
-/// partition, and each reduce worker merges a partition concurrently —
-/// without a cap, `workers × runs` open descriptors blow through common
+/// (tiny thresholds over big corpora) can accumulate hundreds of runs —
+/// without a cap, the merge's open descriptors blow through common
 /// 1024-FD ulimits. Runs beyond the cap are first *compacted*: contiguous
 /// batches merge into one run each (preserving key order and, within a
 /// key, run order) until the count fits.
 const MAX_MERGE_FANIN: usize = 64;
 
-/// K-way merge the runs of one partition and reduce each key.
-///
-/// Every run is sorted by key; ties across runs are visited in run order
-/// (earlier run = earlier input), so the reducer sees each key exactly
-/// once with its values in input order — the same view the in-memory
-/// path delivers. At most [`MAX_MERGE_FANIN`] files are open at once;
-/// larger run sets are compacted first. Returns the reduced output and
-/// the number of distinct keys.
+/// K-way merge a job's runs, in spill order, and reduce each key: the
+/// reducer sees each key exactly once with its values in input order —
+/// the same view the in-memory path delivers. At most
+/// [`MAX_MERGE_FANIN`] files are open at once; larger run sets are
+/// compacted first. Returns the reduced output and the number of distinct
+/// keys.
 pub(crate) fn merge_reduce_runs<K, V, O, R>(runs: &[PathBuf], reducer: &R) -> (Vec<O>, u64)
 where
     K: KvCodec + Ord,
@@ -211,13 +264,10 @@ where
 {
     let compacted = compact_to_fanin::<K, V>(runs);
     let active: &[PathBuf] = compacted.as_deref().unwrap_or(runs);
-    let mut out = Vec::new();
-    let mut n_keys = 0u64;
-    merge_runs_each::<K, V, _>(active, |key, values| {
-        n_keys += 1;
-        out.extend(reducer(&key, values));
-    });
-    (out, n_keys)
+    reduce_groups(
+        merge(active.iter().map(|p| RunReader::<K, V>::open(p))),
+        reducer,
+    )
 }
 
 /// Repeatedly merge contiguous batches of ≤ [`MAX_MERGE_FANIN`] runs into
@@ -248,14 +298,10 @@ where
             let mut name = batch[0].file_name().expect("run has a name").to_os_string();
             name.push(format!(".m{level}-{i}"));
             let out_path = batch[0].with_file_name(name);
-            kf_types::checkpoint::write_atomic(&out_path, |writer| {
-                let mut frame = Vec::new();
-                merge_runs_each::<K, V, _>(batch, |key, values| {
-                    write_group(writer, &mut frame, &out_path, &key, &values);
-                });
-                Ok(())
-            })
-            .unwrap_or_else(|e| panic!("cannot write compacted run {}: {e}", out_path.display()));
+            write_run(
+                &out_path,
+                merge(batch.iter().map(|p| RunReader::<K, V>::open(p))),
+            );
             for consumed in batch {
                 let _ = std::fs::remove_file(consumed);
             }
@@ -265,48 +311,6 @@ where
         level += 1;
     }
     Some(current)
-}
-
-/// The k-way merge core: stream `(key, values)` groups out of `runs` in
-/// ascending key order, concatenating a key's values across runs in run
-/// order, and hand each merged group to `each`. Opens every listed run —
-/// callers bound the list via [`MAX_MERGE_FANIN`].
-fn merge_runs_each<K, V, F>(runs: &[PathBuf], mut each: F)
-where
-    K: KvCodec + Ord,
-    V: KvCodec,
-    F: FnMut(K, Vec<V>),
-{
-    let mut readers: Vec<RunReader<K, V>> = runs.iter().map(|p| RunReader::open(p)).collect();
-    let mut heads: Vec<Option<(K, Vec<V>)>> = readers.iter_mut().map(|r| r.next_group()).collect();
-    loop {
-        // The earliest run holding the smallest key wins; `<` keeps the
-        // lowest index on ties.
-        let mut min_idx: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some((key, _)) = head {
-                let is_smaller = match min_idx {
-                    None => true,
-                    Some(m) => key < &heads[m].as_ref().unwrap().0,
-                };
-                if is_smaller {
-                    min_idx = Some(i);
-                }
-            }
-        }
-        let Some(mi) = min_idx else { break };
-        let (key, mut values) = heads[mi].take().unwrap();
-        heads[mi] = readers[mi].next_group();
-        // Later runs contribute later input: append in ascending run order.
-        for j in mi + 1..heads.len() {
-            if heads[j].as_ref().is_some_and(|(k, _)| *k == key) {
-                let (_, vs) = heads[j].take().unwrap();
-                values.extend(vs);
-                heads[j] = readers[j].next_group();
-            }
-        }
-        each(key, values);
-    }
 }
 
 /// The largest-allocation probe the hostile-bytes tests share.
@@ -324,7 +328,7 @@ mod tests {
     fn spill_dir_is_removed_on_drop() {
         let dir = SpillDir::create(None);
         let path = dir.path().to_path_buf();
-        std::fs::write(dir.run_path(0, 0), b"payload").unwrap();
+        std::fs::write(dir.run_path(0), b"payload").unwrap();
         assert!(path.is_dir());
         drop(dir);
         assert!(!path.exists(), "spill dir must be removed on drop");
@@ -339,7 +343,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let dir = SpillDir::create(None);
             *observed.lock().unwrap() = Some(dir.path().to_path_buf());
-            std::fs::write(dir.run_path(3, 1), b"x").unwrap();
+            std::fs::write(dir.run_path(1), b"x").unwrap();
             panic!("reducer panicked");
         }));
         assert!(result.is_err());
@@ -351,45 +355,41 @@ mod tests {
     fn run_roundtrip_preserves_groups_and_order() {
         let dir = SpillDir::create(None);
         let groups: Vec<(u32, Vec<u64>)> = vec![(1, vec![10, 11]), (5, vec![50]), (9, Vec::new())];
-        let path = dir.run_path(0, 0);
-        let bytes = write_run(&path, &groups);
+        let path = dir.run_path(0);
+        let bytes = write_run(&path, groups.iter().cloned());
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
-        let mut reader: RunReader<u32, u64> = RunReader::open(&path);
-        let mut back = Vec::new();
-        while let Some(g) = reader.next_group() {
-            back.push(g);
-        }
+        let back: Vec<(u32, Vec<u64>)> = RunReader::open(&path).collect();
         assert_eq!(back, groups);
     }
 
     #[test]
     fn run_writes_are_atomic_and_leave_no_temp_litter() {
         let dir = SpillDir::create(None);
-        let path = dir.run_path(0, 0);
-        write_run(&path, &[(1u32, vec![1u64]), (2, vec![2])]);
+        let path = dir.run_path(0);
+        write_run(&path, [(1u32, vec![1u64]), (2, vec![2])].into_iter());
         // Overwrite with different content: the rename must fully replace.
-        let bytes = write_run(&path, &[(9u32, vec![9u64])]);
+        let bytes = write_run(&path, [(9u32, vec![9u64])].into_iter());
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
         let mut reader: RunReader<u32, u64> = RunReader::open(&path);
-        assert_eq!(reader.next_group(), Some((9, vec![9])));
-        assert_eq!(reader.next_group(), None);
+        assert_eq!(reader.next(), Some((9, vec![9])));
+        assert_eq!(reader.next(), None);
         // Only the run file itself lives in the spill dir — no `.tmp-`
         // staging files survive the rename.
         let names: Vec<String> = std::fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(names, vec!["p0-run0.bin".to_string()], "{names:?}");
+        assert_eq!(names, vec!["run0.bin".to_string()], "{names:?}");
     }
 
     #[test]
     fn merge_interleaves_runs_in_key_then_run_order() {
         let dir = SpillDir::create(None);
         // Run 0 (earlier input): keys 1, 3. Run 1: keys 1, 2.
-        let r0 = dir.run_path(0, 0);
-        let r1 = dir.run_path(0, 1);
-        write_run(&r0, &[(1u32, vec![10u64, 11]), (3, vec![30])]);
-        write_run(&r1, &[(1u32, vec![12u64]), (2, vec![20])]);
+        let r0 = dir.run_path(0);
+        let r1 = dir.run_path(1);
+        write_run(&r0, [(1u32, vec![10u64, 11]), (3, vec![30])].into_iter());
+        write_run(&r1, [(1u32, vec![12u64]), (2, vec![20])].into_iter());
         let (out, n_keys) = merge_reduce_runs(&[r0, r1], &|k: &u32, vs: Vec<u64>| vec![(*k, vs)]);
         assert_eq!(n_keys, 3);
         assert_eq!(
@@ -411,15 +411,16 @@ mod tests {
         let n_runs = 150usize;
         let runs: Vec<PathBuf> = (0..n_runs)
             .map(|r| {
-                let path = dir.run_path(0, r);
+                let path = dir.run_path(r);
                 // Every run holds keys r%5 and 1000+r, values tagged with
                 // the run index so cross-run order is observable.
                 write_run(
                     &path,
-                    &[
+                    [
                         ((r % 5) as u32, vec![r as u64]),
                         (1_000 + r as u32, vec![r as u64]),
-                    ],
+                    ]
+                    .into_iter(),
                 );
                 path
             })
@@ -446,7 +447,7 @@ mod tests {
     fn a_truncated_run_is_refused_without_trusting_its_prefix() {
         // One frame whose prefix claims 64 MiB over a few hundred bytes.
         let dir = SpillDir::create(None);
-        let path = dir.run_path(0, 0);
+        let path = dir.run_path(0);
         let mut bytes = (64u64 << 20).to_le_bytes().to_vec();
         bytes.extend((0..600u32).map(|i| i as u8));
         std::fs::write(&path, &bytes).unwrap();
@@ -463,7 +464,7 @@ mod tests {
         );
 
         let mut reader: RunReader<u32, u64> = RunReader::open(&path);
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reader.next_group()));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reader.next()));
         let message = panic.unwrap_err().downcast::<String>().unwrap();
         assert_eq!(*message, err);
     }
@@ -473,7 +474,7 @@ mod tests {
         // A well-formed group followed, inside its frame, by three stray
         // bytes that the length prefix counts.
         let dir = SpillDir::create(None);
-        let path = dir.run_path(0, 0);
+        let path = dir.run_path(0);
         let mut frame = Vec::new();
         7u32.encode(&mut frame);
         vec![70u64, 71].encode(&mut frame);
@@ -491,13 +492,13 @@ mod tests {
     #[test]
     fn every_cut_and_bit_flip_of_a_run_reads_without_panicking_or_overallocating() {
         let dir = SpillDir::create(None);
-        let path = dir.run_path(0, 0);
+        let path = dir.run_path(0);
         let groups: Vec<(String, Vec<u64>)> = vec![
             ("alpha".into(), vec![1, 2, 3]),
             ("beta".into(), Vec::new()),
             ("gamma".into(), (0..24).map(|i| i * 0x0101_0101).collect()),
         ];
-        write_run(&path, &groups);
+        write_run(&path, groups.iter().cloned());
         let valid = std::fs::read(&path).unwrap();
         let cuts = (0..valid.len()).map(|at| valid[..at].to_vec());
         let flips = (0..valid.len() * 8).map(|bit| {

@@ -17,8 +17,8 @@ pub struct JobStats {
     /// [`MrConfig::chunk_records`](crate::MrConfig) set it is bounded near
     /// the configured quota.
     pub peak_resident_records: u64,
-    /// Peak number of *grouped* records resident across all partition
-    /// accumulators at once. Equals `map_output` when nothing spills
+    /// Peak number of *grouped* records — the shuffle's pending buffer —
+    /// resident at once. Equals `map_output` when nothing spills
     /// (every grouped value waits in memory for its reducer); with
     /// [`MrConfig::spill_threshold_records`](crate::MrConfig) set it
     /// stays at or under the threshold as long as a single wave fits it.

@@ -1,9 +1,8 @@
 //! Property-based tests for the MapReduce engine: the parallel execution
 //! must be observationally equivalent to a sequential group-by, for any
-//! input and any worker/partition configuration.
+//! input and any worker, chunk and spill configuration.
 
 use kf_mapreduce::{map_reduce_with_stats, Emitter, MrConfig, Reservoir};
-use kf_types::hash::hash_one;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -27,8 +26,7 @@ fn reference_groups(pairs: &[(u16, u32)]) -> BTreeMap<u16, Vec<u32>> {
 
 /// Asserts the engine's output under `cfg` is a sequential group-by
 /// exactly: each key's value list is its values in input order, and the
-/// output runs partition by partition (the key's hash modulo the partition
-/// count, the router `Emitter::emit` uses), keys sorted within each.
+/// keys come out in ascending order.
 fn assert_matches_sequential_groupby(cfg: &MrConfig, pairs: &[(u16, u32)]) {
     let (out, _) = map_reduce_with_stats(
         cfg,
@@ -36,8 +34,7 @@ fn assert_matches_sequential_groupby(cfg: &MrConfig, pairs: &[(u16, u32)]) {
         |&(k, v), emit: &mut Emitter<u16, u32>| emit.emit(k, v),
         |k, vs| vec![(*k, vs)],
     );
-    let mut expected: Vec<(u16, Vec<u32>)> = reference_groups(pairs).into_iter().collect();
-    expected.sort_by_key(|(k, _)| (hash_one(k) % cfg.partitions as u64, *k));
+    let expected: Vec<(u16, Vec<u32>)> = reference_groups(pairs).into_iter().collect();
     assert_eq!(out, expected);
 }
 
@@ -48,10 +45,9 @@ proptest! {
     fn equivalent_to_sequential_groupby(
         pairs in prop::collection::vec((any::<u16>(), 0u32..1000), 0..300),
         workers in 1usize..9,
-        partitions in 1usize..17,
         chunk_records in 0usize..65,
     ) {
-        let cfg = MrConfig { workers, partitions, chunk_records, ..MrConfig::default() };
+        let cfg = MrConfig::with_workers(workers).with_chunk_records(chunk_records);
         let (out, _) = map_reduce_with_stats(
             &cfg,
             &pairs,
@@ -106,10 +102,9 @@ proptest! {
     fn chunked_shuffle_matches_unchunked_exactly(
         pairs in prop::collection::vec((any::<u16>(), any::<u32>()), 0..400),
         workers in 1usize..9,
-        partitions in 1usize..17,
         chunk_records in 0usize..130,
     ) {
-        let cfg = MrConfig { workers, partitions, chunk_records, ..MrConfig::default() };
+        let cfg = MrConfig::with_workers(workers).with_chunk_records(chunk_records);
         assert_matches_sequential_groupby(&cfg, &pairs);
     }
 
@@ -120,17 +115,12 @@ proptest! {
     fn spilled_output_matches_in_memory_exactly(
         pairs in prop::collection::vec((any::<u16>(), any::<u32>()), 0..400),
         workers in 1usize..9,
-        partitions in 1usize..17,
         chunk_records in 0usize..130,
         spill_threshold in 0usize..200,
     ) {
-        let cfg = MrConfig {
-            workers,
-            partitions,
-            chunk_records,
-            spill_threshold_records: spill_threshold,
-            ..MrConfig::default()
-        };
+        let cfg = MrConfig::with_workers(workers)
+            .with_chunk_records(chunk_records)
+            .with_spill_threshold(spill_threshold);
         assert_matches_sequential_groupby(&cfg, &pairs);
     }
 

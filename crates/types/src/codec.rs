@@ -1,7 +1,7 @@
 //! Hand-rolled binary key/value codec for the external shuffle.
 //!
-//! The MapReduce engine's spill-to-disk partitions (see `kf-mapreduce`)
-//! need to serialize `(key, values)` groups to sorted run files and read
+//! The MapReduce engine's external shuffle (see `kf-mapreduce`) needs
+//! to serialize `(key, values)` groups to sorted run files and read
 //! them back byte-identically. This module is the workspace's one
 //! codec: a small, explicit binary format of fixed-width little-endian
 //! integers, tagged enums, and length-prefixed sequences. No
@@ -32,7 +32,7 @@ use crate::value::{Numeric, Value};
 use std::hash::Hash;
 
 /// Binary encoding for shuffle keys and values, so the MapReduce engine
-/// can spill grouped partitions to disk and merge them back losslessly.
+/// can spill sorted groups to disk and merge them back losslessly.
 ///
 /// ```
 /// use kf_types::KvCodec;
@@ -540,13 +540,15 @@ where
     let mut map = FxHashMap::default();
     map.reserve(reserve_for::<(K, V)>(len, input));
     for _ in 0..len {
-        // Grown like `KvCodec::decode_run`'s runs: by the entries decoded
-        // so far, never past `len`.
-        if map.len() == map.capacity() {
-            map.reserve(map.len().clamp(1, len - map.len()));
-        }
         let key = K::decode(input)?;
         let value = V::decode(input)?;
+        // Grown like `KvCodec::decode_run`'s runs: once the entry has
+        // decoded, by the entries decoded so far, never past `len` and
+        // never past what the remaining bytes could fill.
+        if map.len() == map.capacity() {
+            let more = map.len().min(len - map.len() - 1);
+            map.reserve(1 + reserve_for::<(K, V)>(more, input));
+        }
         if map.insert(key, value).is_some() {
             return None;
         }

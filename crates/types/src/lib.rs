@@ -8,8 +8,8 @@
 //! confidence); [`Granularity`]-parameterised provenance keys (§4.3.1 of the
 //! paper); the [`GoldStandard`] with its local closed-world assumption
 //! (LCWA) labelling (§3.2.1); [`KvCodec`], the hand-rolled binary
-//! codec the MapReduce engine's external shuffle uses to spill grouped
-//! partitions to sorted run files; and the [`checkpoint`] container —
+//! codec the MapReduce engine's external shuffle uses to write its
+//! sorted buffer to run files; and the [`checkpoint`] container —
 //! magic bytes + format version + artifact kind over `KvCodec` payloads —
 //! that corpus snapshots and shard reports persist through, including the
 //! atomic write-then-rename helper that spill runs are written with too.

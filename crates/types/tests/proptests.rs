@@ -31,6 +31,51 @@ fn inflated_length_prefix_is_refused_without_allocating() {
     assert!(largest <= 64 << 10, "read_frame allocated {largest} bytes");
 }
 
+/// `decode_map` decodes an entry before it grows for it: cut at any byte,
+/// an encoded map allocates no more than decoding a valid map of the
+/// entries before the cut.
+#[test]
+fn a_cut_map_allocates_no_more_than_its_whole_entries() {
+    let mut entries: Vec<(Value, Value)> = (0..100u32)
+        .map(|i| {
+            let value = Value::Num(Numeric(i64::from(i) * 7_919 - 300_000));
+            (Value::Entity(EntityId(i * 3)), value)
+        })
+        .collect();
+    entries.sort();
+    let encode = |entries: &[(Value, Value)]| {
+        let mut buf = Vec::new();
+        codec::encode_map_sorted(&entries.iter().copied().collect(), &mut buf);
+        buf
+    };
+    let full = encode(&entries);
+    // Where each entry's bytes end: the 8-byte count, then the entries in
+    // key order.
+    let mut ends = Vec::new();
+    let mut end = 8;
+    for (key, value) in &entries {
+        let mut bytes = Vec::new();
+        key.encode(&mut bytes);
+        value.encode(&mut bytes);
+        end += bytes.len();
+        ends.push(end);
+    }
+    assert_eq!(end, full.len());
+    for cut in 0..full.len() {
+        let whole = ends.iter().filter(|&&e| e <= cut).count();
+        let valid = encode(&entries[..whole]);
+        let (_, allowed) =
+            largest_during(|| codec::decode_map::<Value, Value>(&mut &valid[..]).unwrap());
+        let (decoded, largest) =
+            largest_during(|| codec::decode_map::<Value, Value>(&mut &full[..cut]));
+        assert!(decoded.is_none(), "cut at {cut} decoded");
+        assert!(
+            largest <= allowed,
+            "cut at {cut} ({whole} whole entries) allocated {largest} B, a valid map of them {allowed} B"
+        );
+    }
+}
+
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (0u32..10_000).prop_map(|e| Value::Entity(EntityId(e))),

@@ -70,10 +70,10 @@ fn main() {
     );
 
     // External shuffle: additionally bound the *grouped* records resident
-    // across partition accumulators. Past the threshold, partitions spill
-    // to sorted run files (KvCodec-encoded) and the grouping job reduces
-    // by k-way merging its runs — the claim graph, and so the output,
-    // must still be byte-identical.
+    // in the pending buffer. Past the threshold, the buffer is sorted and
+    // written as one sorted run file (KvCodec-encoded), and the grouping
+    // job reduces by k-way merging its runs — the claim graph, and so the
+    // output, must still be byte-identical.
     // KF_SPILL_THRESHOLD overrides the envelope; CI sets it tiny so the
     // disk path is exercised on every push.
     let spill_threshold: usize = std::env::var("KF_SPILL_THRESHOLD")
