@@ -25,7 +25,7 @@ use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
 use kf_eval::{AblationRunner, CorpusSummary, EvalReport, MethodEval, Preset};
 use kf_mapreduce::{run_tasks, MrConfig};
 use kf_synth::{Corpus, SynthConfig};
-use kf_telemetry::Trace;
+use kf_telemetry::{Trace, TraceReport};
 use kf_types::{Granularity, TaskSpec};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -670,7 +670,7 @@ type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 /// worker count the diagnoser fans out under.
 ///
 /// Building this is the expensive prefix of a diagnosing run (the one
-/// MapReduce job over the extraction batch), so callers that fuse the
+/// grouping job over the extraction batch), so callers that fuse the
 /// same corpus repeatedly — a `kf-dist` worker's [`task_runner`], one task
 /// per preset — build it once with [`build_diagnosis_context`] and hand
 /// it to [`run_on_corpus_with_context`] for every task.
@@ -683,13 +683,33 @@ pub struct DiagnosisContext {
     grouping: Grouping,
 }
 
+/// `work`'s result and its record: a trace of its own rooted at `name`,
+/// installed while `work` runs on whichever thread took it, for the
+/// caller it ran for to graft, once ([`kf_telemetry::graft`]).
+fn recorded<T>(name: &'static str, work: impl FnOnce() -> T) -> (T, TraceReport) {
+    let trace = Trace::with_root(name);
+    let result = {
+        let _installed = kf_telemetry::install(&trace);
+        work()
+    };
+    (result, trace.snapshot())
+}
+
 /// Build the shared diagnosis inputs for `corpus`, or `None` when
 /// `opts.diagnose` is off. The grouped claims and the support index — a
 /// projection of them — are shared by all presets, so their cost is
-/// recorded on the *process-level* trace (the grouping job as a `group`
-/// span under a `support_index` span), not any method's. The truth joins
-/// do not read the claims: they run beside the grouping job, as the
-/// second task of a two-task fan-out.
+/// recorded on the *process-level* trace, not any method's: under a
+/// `support_index` span, the grouping job as `group`, the index as
+/// `index` and the truth joins as `truth_joins`. The truth joins do not
+/// read the claims: they run beside the grouping job and the index, as
+/// the second task of a two-task fan-out.
+///
+/// `support_index`'s children attribute its wall time along the critical
+/// path, so they add up to no more than it whatever the worker budget:
+/// `group` and `index` hold their whole time, and `truth_joins` the part
+/// of its time that the grouping lane did not cover — all of it on one
+/// worker, where the two tasks run in turn, and only what the run waited
+/// for the joins once the index was built when they ran side by side.
 pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<DiagnosisContext> {
     let mr = engine_config(opts.workers);
     opts.diagnose.then(|| {
@@ -697,20 +717,30 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
         let (mut grouped, mut truths) = (None, None);
         let group: Task = Box::new(|| {
             let claims = Claims::build(&corpus.batch.records, &mr);
-            grouped = Some((SupportIndex::from_claims(&claims), claims));
+            let index = recorded("index", || SupportIndex::from_claims(&claims));
+            grouped = Some((index, claims, Instant::now()));
         });
         // The scenario join is empty for honest corpora; hostile
         // checkpoints carry their injected phenomena into every method's
         // taxonomy section.
         let join: Task = Box::new(|| {
-            truths = Some((corpus.taxonomy_truth(), corpus.scenario_truth()));
+            let start = Instant::now();
+            let joins = recorded("truth_joins", || {
+                (corpus.taxonomy_truth(), corpus.scenario_truth())
+            });
+            truths = Some((joins, start, Instant::now()));
         });
         run_tasks(mr.workers, vec![group, join]);
-        let (support, claims) = grouped.expect("the grouping task ran");
-        // Whichever thread took the grouping task, the job ran for this
-        // one: its record lands here, under `support_index`.
+        let ((support, index), claims, grouped_at) = grouped.expect("the grouping task ran");
+        let (((truth, scenario), mut joins), joins_from, joined_at) =
+            truths.expect("the join task ran");
+        let uncovered = joined_at.saturating_duration_since(grouped_at.max(joins_from));
+        joins.root.total_ns = uncovered.as_nanos() as u64;
+        // Whichever threads took the two tasks, they ran for this one:
+        // their records land here, under `support_index`.
         kf_telemetry::graft(claims.trace());
-        let (truth, scenario) = truths.expect("the join task ran");
+        kf_telemetry::graft(&index);
+        kf_telemetry::graft(&joins);
         DiagnosisContext {
             support,
             truth,
@@ -1407,7 +1437,7 @@ mod tests {
             // ...every span duration is quarantined to zero...
             assert!(trace.flat_timings().iter().all(|(_, ns)| *ns == 0));
             // ...the fusion counters made it across the crate seam, and
-            // no MapReduce job ran for the method: its graph was shared and
+            // no grouping job ran for the method: its graph was shared and
             // diagnosis runs none.
             assert!(trace.counters.iter().any(|c| c.name == "fuse.rounds"));
             assert!(!trace.counters.iter().any(|c| c.name.starts_with("mr.")));

@@ -70,7 +70,8 @@ fn counter(trace: &TraceReport, name: &str) -> Option<u64> {
 /// One `run_on_corpus` shuffles the extractions once, before the presets
 /// fan out, and records that job once, where it ran: the process-level
 /// trace holds the one `group` subtree (under `support_index`, beside the
-/// truth joins) with its `mr.*` counters, and one `project` span, in
+/// `index` built from the claims and the `truth_joins`) with its `mr.*`
+/// counters, and one `project` span, in
 /// which the graphs of the two granularities the five presets span were
 /// projected side by side. The support index and the summary counts read
 /// the same claims. No method trace has a `group` span, and no method's
@@ -94,7 +95,13 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     spans_named(&process.root, "group", &mut groups);
     assert_eq!(groups.len(), 1);
     assert_eq!(groups[0].calls, 1);
-    assert_eq!(process.root.children[0].children, [groups[0].clone()]);
+    // Beside the grouping job, `support_index` holds the index built from
+    // its claims and the truth joins, each recorded once where it ran.
+    let support = &process.root.children[0];
+    assert_eq!(support.children[0], *groups[0]);
+    let children = support.children.iter();
+    let children: Vec<_> = children.map(|s| (s.name.as_str(), s.calls)).collect();
+    assert_eq!(children, [("group", 1), ("index", 1), ("truth_joins", 1)]);
 
     // The whole-run trace sees one job, the claims build: the diagnosis
     // passes fold in place. It sets no quota, so it is one wave — a ramp

@@ -24,11 +24,11 @@
 //!
 //! Execution follows the paper's three-stage architecture (Fig. 8), with
 //! reservoir sampling (`L`) and forced termination (`R`). The grouping
-//! stage ([`Claims::build`]) is a single MapReduce pass on the
-//! [`kf_mapreduce`] substrate — raw provenances ship through the shuffle,
-//! whatever granularity will name them — and honours the engine's memory
+//! stage ([`Claims::build`]) is a single typed sort of one fixed-width
+//! record per extraction — raw provenances ride along, whatever
+//! granularity will name them — and honours the [`kf_mapreduce`] memory
 //! envelope (`MrConfig::chunk_records`,
-//! `MrConfig::spill_threshold_records`). It shuffles the extractions
+//! `MrConfig::spill_threshold_records`), spilling through its run files. It shuffles the extractions
 //! once; a claim graph ([`Grouped`]) is a projection of the grouped
 //! claims at one granularity, and the rounds are kernels over that
 //! immutable graph, which several runs can share

@@ -5,9 +5,10 @@
 //! This is Stage I's shuffle (map by data item) plus the provenance
 //! dimension-reduction of §4.1 — an *(Extractor, URL)* pair (or a coarser /
 //! finer key, §4.3.1) becomes a dense integer id. The batch is shuffled
-//! **once** ([`Claims::build`], a single MapReduce pass): the mapper emits
-//! each extraction's value and raw [`Provenance`] keyed by data item, and
-//! the reducer leaves every triple its sorted, distinct provenances. A
+//! **once** ([`Claims::build`], one typed sort): each extraction becomes
+//! one fixed-width record of its data item, value and raw [`Provenance`],
+//! the records are sorted by item, and each item's run folds straight
+//! into columns that leave every triple its sorted, distinct provenances. A
 //! granularity only decides how a provenance is *named*, so a claim graph
 //! is a projection kernel over those columns ([`Claims::project`]): key
 //! each claim with [`ProvenanceKey::at`], deduplicate within the triple,
@@ -21,13 +22,15 @@
 //! serves many runs; accuracies, probabilities and every other per-run
 //! value live in the run, not here.
 
-use kf_mapreduce::{map_reduce_with_stats, Emitter, JobStats, MrConfig};
+use kf_mapreduce::{merge_runs, write_run, JobStats, MrConfig, SpillDir};
 use kf_telemetry::{Trace, TraceReport};
 use kf_types::{
-    DataItem, Extraction, ExtractorId, FxMixHashMap, Granularity, KvCodec, PageId, PatternId,
-    Provenance, ProvenanceKey, SiteId, Triple, Value,
+    DataItem, EntityId, Extraction, ExtractorId, FxMixHashMap, Granularity, Numeric, PageId,
+    PatternId, PredicateId, Provenance, ProvenanceKey, SiteId, StrId, Triple, Value,
 };
 use std::ops::Range;
+use std::path::PathBuf;
+use std::time::Instant;
 
 /// Offsets into the flat columns are `u32`: 4 bytes per claim in each
 /// direction is the whole point of the layout.
@@ -35,41 +38,165 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("claim graph exceeds u32 offsets")
 }
 
-/// One extraction record as it rides the grouping shuffle, 32 bytes: the
-/// value and the raw provenance (its fields inline and in [`Provenance`]'s
-/// order, so sorting observations sorts each value's provenances).
+/// One extraction as the grouping sort orders it: five words, compared
+/// as plain integers — its data item ([`DataItem::encode`]), its value
+/// (variant tag, then payload, in [`Value`]'s order) and its raw
+/// provenance (extractor and page, then site and pattern, in
+/// [`Provenance`]'s order). 40 bytes; sorting records sorts items, each
+/// item's values and each value's provenances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Obs {
-    value: Value,
-    extractor: ExtractorId,
-    page: PageId,
-    site: SiteId,
-    pattern: PatternId,
-}
+struct Record([u64; 5]);
 
-impl Obs {
+impl Record {
+    fn new(item: DataItem, value: Value, p: &Provenance) -> Record {
+        let (tag, payload) = match value {
+            Value::Entity(e) => (0, u64::from(e.0)),
+            Value::Str(s) => (1, u64::from(s.0)),
+            // Flipping the sign bit orders an `i64` as a `u64`.
+            Value::Num(n) => (2, n.0 as u64 ^ 1 << 63),
+        };
+        Record([
+            item.encode(),
+            tag,
+            payload,
+            u64::from(p.extractor.0) << 32 | u64::from(p.page.0),
+            u64::from(p.site.0) << 32 | u64::from(p.pattern.0),
+        ])
+    }
+
+    fn of(e: &Extraction) -> Record {
+        Record::new(e.triple.data_item(), e.triple.object, &e.provenance)
+    }
+
+    fn item(&self) -> DataItem {
+        let w = self.0[0];
+        DataItem::new(EntityId((w >> 32) as u32), PredicateId(w as u32))
+    }
+
+    fn value(&self) -> Value {
+        let payload = self.0[2];
+        match self.0[1] {
+            0 => Value::Entity(EntityId(payload as u32)),
+            1 => Value::Str(StrId(payload as u32)),
+            _ => Value::Num(Numeric((payload ^ 1 << 63) as i64)),
+        }
+    }
+
     fn provenance(&self) -> Provenance {
-        Provenance::new(self.extractor, self.page, self.site, self.pattern)
+        let [.., ep, sp] = self.0;
+        let (extractor, page) = (ExtractorId((ep >> 32) as u16), PageId(ep as u32));
+        Provenance::new(
+            extractor,
+            page,
+            SiteId((sp >> 32) as u32),
+            PatternId(sp as u32),
+        )
+    }
+
+    fn same_item(&self, other: &Record) -> bool {
+        self.0[0] == other.0[0]
+    }
+
+    fn same_value(&self, other: &Record) -> bool {
+        self.0[..3] == other.0[..3]
     }
 }
 
-impl KvCodec for Obs {
-    fn encode(&self, out: &mut Vec<u8>) {
-        KvCodec::encode(&self.value, out);
-        self.provenance().encode(out);
+/// Sort `records` by data item (unstably: the fold sorts each item's run
+/// itself).
+fn sort_by_item(records: &mut [Record]) {
+    records.sort_unstable_by_key(|r| r.0[0]);
+}
+
+/// The grouping shuffle: materialise `batch` as [`Record`]s in waves of
+/// `chunk_records` extractions (`0`: the spill threshold, or the whole
+/// batch as one wave when that is `0` too), appending each wave to one
+/// pending buffer, and sort the buffer and write it as one run file
+/// whenever the next wave would push it past `spill_threshold_records`.
+///
+/// Writes the shuffle counters of `stats` (`map_output`, both peaks,
+/// `spilled_bytes`, `spill_runs`) and returns the buffer sorted by item
+/// when nothing spilled — else empty, its tail written as the last of
+/// the returned runs — the number of waves, and the spill directory
+/// guard. Runs are written on the calling thread, inside the wave's
+/// `spill` span, so a write failure panics where the job was called.
+fn shuffle(
+    batch: &[Extraction],
+    mr: &MrConfig,
+    stats: &mut JobStats,
+) -> (Vec<Record>, Vec<PathBuf>, u64, Option<SpillDir>) {
+    let threshold = mr.spill_threshold_records;
+    let wave_len = match (mr.chunk_records, threshold) {
+        (0, 0) => batch.len(),
+        (0, t) => t,
+        (c, _) => c,
+    };
+    let resident = match threshold {
+        0 => batch.len(),
+        t => t.max(wave_len).min(batch.len()),
+    };
+    let mut pending: Vec<Record> = Vec::with_capacity(resident);
+    let mut runs: Vec<PathBuf> = Vec::new();
+    // Created on the first spill: a job under the threshold never touches
+    // the filesystem.
+    let mut spill_dir: Option<SpillDir> = None;
+    let mut waves = 0u64;
+    for wave in batch.chunks(wave_len.max(1)) {
+        let _wave = kf_telemetry::span("wave");
+        waves += 1;
+        let records = wave.len() as u64;
+        kf_telemetry::record_value("mr.wave.records", records);
+        stats.map_output += records;
+        stats.peak_resident_records = stats.peak_resident_records.max(records);
+        // Spill BEFORE the append that would cross the threshold, so the
+        // pending buffer never exceeds it while a wave fits under it.
+        if threshold > 0 && !pending.is_empty() && pending.len() + wave.len() > threshold {
+            let _spill = kf_telemetry::span("spill");
+            let start = Instant::now();
+            let dir = spill_dir.get_or_insert_with(|| SpillDir::create(mr.spill_dir));
+            spill(&mut pending, dir, &mut runs, stats);
+            kf_telemetry::record_time("mr.wave.spill_ns", start.elapsed().as_nanos() as u64);
+        }
+        let _map = kf_telemetry::span("map");
+        let start = Instant::now();
+        pending.extend(wave.iter().map(Record::of));
+        kf_telemetry::record_time("mr.wave.map_ns", start.elapsed().as_nanos() as u64);
+        stats.peak_grouped_records = stats.peak_grouped_records.max(pending.len() as u64);
     }
 
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let value = Value::decode(input)?;
-        let p = Provenance::decode(input)?;
-        Some(Obs {
-            value,
-            extractor: p.extractor,
-            page: p.page,
-            site: p.site,
-            pattern: p.pattern,
-        })
+    // A job that spilled flushes its tail as one final run (the latest
+    // input, so it merges last); one that never spilled sorts in memory.
+    let _flush = kf_telemetry::span("flush");
+    match &spill_dir {
+        Some(dir) => {
+            if !pending.is_empty() {
+                spill(&mut pending, dir, &mut runs, stats);
+            }
+            pending = Vec::new();
+        }
+        None => sort_by_item(&mut pending),
     }
+    (pending, runs, waves, spill_dir)
+}
+
+/// One extraction's value and raw provenance as a spill run stores them,
+/// grouped under its data item.
+type Observation = (Value, Provenance);
+
+/// Sort `pending` by item and write it as the job's next run file, one
+/// `(item, observations)` group per item; empty it, adding the run's path
+/// to `runs` and its bytes to `stats`.
+fn spill(pending: &mut Vec<Record>, dir: &SpillDir, runs: &mut Vec<PathBuf>, stats: &mut JobStats) {
+    sort_by_item(pending);
+    let path = dir.run_path(runs.len());
+    let groups = pending.chunk_by(Record::same_item).map(|run| {
+        let observations = run.iter().map(|r| (r.value(), r.provenance()));
+        (run[0].item(), observations.collect::<Vec<Observation>>())
+    });
+    stats.spilled_bytes += write_run(&path, groups);
+    stats.spill_runs += 1;
+    runs.push(path);
+    pending.clear();
 }
 
 /// The grouped extractions of a batch, before a provenance granularity is
@@ -109,110 +236,134 @@ pub struct Claims {
 }
 
 impl Claims {
-    /// Group `batch` with one MapReduce pass, keeping the job's telemetry
-    /// with the result ([`Claims::trace`]) instead of recording it into
-    /// the installed trace: the claims may be built on any thread, and
-    /// whoever owns the trace the job ran for grafts it there, once. A
-    /// caller that owns the calling thread's trace builds with
+    /// Group `batch` with one typed sort, keeping the job's telemetry with
+    /// the result ([`Claims::trace`]) instead of recording it into the
+    /// installed trace: the claims may be built on any thread, and whoever
+    /// owns the trace the job ran for grafts it there, once. A caller that
+    /// owns the calling thread's trace builds with
     /// [`Claims::build_recorded`] instead.
     ///
-    /// The mapper emits `(item, (value, provenance))`, one observation per
-    /// extraction record; the reducer sorts an item's observations, so
-    /// values come out sorted and each value's provenances form a sorted
-    /// run that deduplicates by adjacency — no per-value hash sets, and
-    /// one flat provenance buffer per item. An exact duplicate (same
-    /// value, same provenance) is an equal neighbour: one more record of
-    /// the claim, not another claim.
+    /// Each extraction becomes one fixed-width record of five integer
+    /// words — its item, value and raw provenance; the records are sorted
+    /// by item and each item's run, sorted by value and provenance, is
+    /// folded straight into the columns (`Claims::push_item`): values come
+    /// out sorted and each value's provenances form a sorted run that
+    /// deduplicates by adjacency. An exact duplicate (same value, same
+    /// provenance) is an equal neighbour: one more record of the claim,
+    /// not another claim.
+    ///
+    /// `mr` shapes the job as it shapes a MapReduce shuffle, and its
+    /// [`JobStats`] and `mr.*` counters mean what they mean there: records
+    /// are materialised in waves of `chunk_records` extractions (the whole
+    /// batch as one wave when `0`), and past `spill_threshold_records` the
+    /// pending records are sorted and written as one run file; a job that
+    /// spilled folds the k-way merge of its runs ([`merge_runs`]). The
+    /// columns are the same for every configuration.
     pub fn build(batch: &[Extraction], mr: &MrConfig) -> Claims {
-        /// One per-value header: `(value, distinct provenances,
-        /// n_extractors, n_pages, n_records)`; the value's provenances
-        /// follow its predecessors' in the item's flat buffer.
-        type Headers = Vec<(Value, u32, u16, u32, u32)>;
         let trace = Trace::with_root("group");
         let recording = kf_telemetry::install(&trace);
-        let (raw, stats) = map_reduce_with_stats(
-            mr,
-            batch,
-            |e: &Extraction, emit: &mut Emitter<DataItem, Obs>| {
-                emit.emit(
-                    e.triple.data_item(),
-                    Obs {
-                        value: e.triple.object,
-                        extractor: e.provenance.extractor,
-                        page: e.provenance.page,
-                        site: e.provenance.site,
-                        pattern: e.provenance.pattern,
-                    },
-                );
-            },
-            |item, mut observations| {
-                observations.sort_unstable();
-                let mut headers: Headers = Vec::new();
-                let mut flat: Vec<Provenance> = Vec::with_capacity(observations.len());
-                let mut pages: Vec<PageId> = Vec::new();
-                let mut i = 0;
-                while i < observations.len() {
-                    let value = observations[i].value;
-                    let start = flat.len();
-                    let (mut n_extractors, mut n_records) = (0u16, 0u32);
-                    pages.clear();
-                    while i < observations.len() && observations[i].value == value {
-                        let p = observations[i].provenance();
-                        let previous = flat[start..].last().copied();
-                        if previous != Some(p) {
-                            // Sorted by extractor first: a new extractor
-                            // shows as a change from the predecessor.
-                            let same_extractor =
-                                previous.is_some_and(|q| q.extractor == p.extractor);
-                            n_extractors += u16::from(!same_extractor);
-                            flat.push(p);
-                            pages.push(p.page);
-                        }
-                        n_records += 1;
-                        i += 1;
-                    }
-                    pages.sort_unstable();
-                    pages.dedup();
-                    let n_provs = (flat.len() - start) as u32;
-                    headers.push((value, n_provs, n_extractors, pages.len() as u32, n_records));
-                }
-                vec![(*item, headers, flat)]
-            },
-        );
+        let mut stats = JobStats::new(batch.len() as u64);
+        // The spill directory guard outlives the reduce that reads its runs.
+        let (mut sorted, runs, waves, _spill_dir) = {
+            let _shuffle = kf_telemetry::span("shuffle");
+            shuffle(batch, mr, &mut stats)
+        };
 
-        // ---- Flatten into columns ------------------------------------------
-        let mut items = Vec::with_capacity(raw.len());
-        let (mut item_offsets, mut slot_offsets) = (vec![0], vec![0]);
-        let (mut values, mut n_extractors, mut n_pages) = (Vec::new(), Vec::new(), Vec::new());
-        let mut n_records = Vec::new();
-        let mut provs = Vec::with_capacity(raw.iter().map(|g| g.2.len()).sum());
-        let mut claims = 0usize;
-        for (item, headers, flat) in raw {
-            items.push(item);
-            for (value, n_provs, extractors, pages, records) in headers {
-                values.push(value);
-                n_extractors.push(extractors);
-                n_pages.push(pages);
-                n_records.push(records);
-                claims += n_provs as usize;
-                slot_offsets.push(offset(claims));
-            }
-            item_offsets.push(offset(values.len()));
-            provs.extend(flat);
-        }
-        drop(recording);
-        Claims {
-            items,
-            item_offsets,
-            values,
-            n_extractors,
-            n_pages,
-            n_records,
-            slot_offsets,
-            provs,
-            trace: trace.snapshot(),
+        let reduce = kf_telemetry::span("reduce");
+        let mut claims = Claims {
+            items: Vec::new(),
+            item_offsets: vec![0],
+            values: Vec::new(),
+            n_extractors: Vec::new(),
+            n_pages: Vec::new(),
+            n_records: Vec::new(),
+            slot_offsets: vec![0],
+            provs: Vec::with_capacity(batch.len()),
+            trace: TraceReport::empty("group"),
             stats,
+        };
+        let mut pages = Vec::new();
+        if runs.is_empty() {
+            for run in sorted.chunk_by_mut(Record::same_item) {
+                run.sort_unstable();
+                claims.push_item(run, &mut pages);
+            }
+        } else {
+            // A merged item's observations arrive run by run: re-sort them,
+            // as records, in one buffer every item reuses.
+            for (item, observations) in merge_runs::<DataItem, Observation>(&runs) {
+                let records = observations.iter().map(|(v, p)| Record::new(item, *v, p));
+                sorted.clear();
+                sorted.extend(records);
+                sorted.sort_unstable();
+                claims.push_item(&sorted, &mut pages);
+            }
         }
+        drop(sorted);
+        drop(reduce);
+
+        let n_items = claims.items.len() as u64;
+        claims.stats.reduce_keys = n_items;
+        claims.stats.reduce_output = n_items;
+        let stats = claims.stats;
+        trace.add("mr.jobs", 1);
+        trace.add("mr.map_input", stats.map_input);
+        trace.add("mr.map_output", stats.map_output);
+        trace.add("mr.reduce_keys", stats.reduce_keys);
+        trace.add("mr.reduce_output", stats.reduce_output);
+        trace.add("mr.waves", waves);
+        trace.add("mr.spill_runs", stats.spill_runs);
+        trace.add("mr.spilled_bytes", stats.spilled_bytes);
+        trace.record_max("mr.peak_resident_records", stats.peak_resident_records);
+        trace.record_max("mr.peak_grouped_records", stats.peak_grouped_records);
+        drop(recording);
+        claims.trace = trace.snapshot();
+        claims
+    }
+
+    /// Fold one item's `run` of records, sorted, into the columns: one
+    /// slot per distinct value, with its distinct provenances, the
+    /// distinct extractors and pages among them, and its record count.
+    /// `pages` is scratch, left empty.
+    fn push_item(&mut self, run: &[Record], pages: &mut Vec<PageId>) {
+        self.items.push(run[0].item());
+        let mut previous: Option<&Record> = None;
+        for r in run {
+            let same_value = previous.is_some_and(|q| q.same_value(r));
+            if !same_value {
+                if previous.is_some() {
+                    self.close_slot(pages);
+                }
+                self.values.push(r.value());
+                self.n_extractors.push(0);
+                self.n_records.push(0);
+            }
+            // Sorted by value, then provenance: a value's distinct
+            // provenances, and among them its extractors, are runs, and an
+            // exact duplicate is a record equal to its predecessor.
+            if previous != Some(r) {
+                let p = r.provenance();
+                let same_extractor =
+                    same_value && self.provs.last().map(|q| q.extractor) == Some(p.extractor);
+                *self.n_extractors.last_mut().expect("an open slot") += u16::from(!same_extractor);
+                self.provs.push(p);
+                pages.push(p.page);
+            }
+            *self.n_records.last_mut().expect("an open slot") += 1;
+            previous = Some(r);
+        }
+        self.close_slot(pages);
+        self.item_offsets.push(offset(self.values.len()));
+    }
+
+    /// Close the open slot: count its distinct `pages` (then clear them)
+    /// and end its provenance run.
+    fn close_slot(&mut self, pages: &mut Vec<PageId>) {
+        pages.sort_unstable();
+        pages.dedup();
+        self.n_pages.push(pages.len() as u32);
+        pages.clear();
+        self.slot_offsets.push(offset(self.provs.len()));
     }
 
     /// [`Claims::build`] for a caller that owns the calling thread's
@@ -327,6 +478,11 @@ impl Claims {
         Triple::new(item.subject, item.predicate, self.values[slot])
     }
 
+    /// Distinct extractors supporting `slot`.
+    pub fn n_extractors(&self, slot: usize) -> u16 {
+        self.n_extractors[slot]
+    }
+
     /// Distinct pages supporting `slot`.
     pub fn n_pages(&self, slot: usize) -> u32 {
         self.n_pages[slot]
@@ -387,7 +543,7 @@ pub struct Grouped {
 
 impl Grouped {
     /// Build the claim graph of `batch` at `granularity`: group the batch
-    /// ([`Claims::build_recorded`], one MapReduce pass, recorded into the
+    /// ([`Claims::build_recorded`], one typed sort, recorded into the
     /// installed trace) and project the result ([`Claims::project`])
     /// under a `project` span.
     pub fn build(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Grouped {
@@ -719,7 +875,7 @@ mod tests {
         // 70,000 copies of one extraction: more records of one claim than
         // a `u16` counts, through every shuffle path, and the per-slot
         // count is exact.
-        assert_eq!(std::mem::size_of::<Obs>(), 32);
+        assert_eq!(std::mem::size_of::<Record>(), 40);
         let mut batch = vec![ext(1, 1, 10, 0, 100); 70_000];
         batch.push(ext(1, 1, 10, 2, 7));
         for mr in [

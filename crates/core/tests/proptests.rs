@@ -10,22 +10,30 @@ use kf_core::{Claims, Fuser, FusionConfig, Grouped, InitAccuracy, Method};
 use kf_mapreduce::{MrConfig, Reservoir};
 use kf_types::{
     hash, DataItem, EntityId, Extraction, ExtractionBatch, ExtractorId, GoldStandard, Granularity,
-    Label, PageId, PatternId, PredicateId, Provenance, ProvenanceKey, SiteId, Triple, Value,
+    Label, Numeric, PageId, PatternId, PredicateId, Provenance, ProvenanceKey, SiteId, StrId,
+    Triple, Value,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Arbitrary extraction batches spanning the corpus shapes that matter for
-/// grouping: few/many items, value conflicts, shared and singleton
-/// provenances, multi-site pages.
+/// grouping: few/many items, value conflicts — entities, strings and
+/// numbers, negative ones included, so an item's values span every
+/// variant of [`Value`]'s order — shared and singleton provenances,
+/// multi-site pages.
 fn arb_batch() -> impl Strategy<Value = Vec<Extraction>> {
-    prop::collection::vec((0u32..20, 0u32..4, 0u32..8, 0u16..5, 0u32..40), 0..250).prop_map(
+    let value = (0u8..3, 0u32..8).prop_map(|(kind, o)| match kind {
+        0 => Value::Entity(EntityId(o)),
+        1 => Value::Str(StrId(o)),
+        _ => Value::Num(Numeric(o as i64 - 4)),
+    });
+    prop::collection::vec((0u32..20, 0u32..4, value, 0u16..5, 0u32..40), 0..250).prop_map(
         |tuples| {
             tuples
                 .into_iter()
                 .map(|(s, p, o, extractor, page)| {
                     Extraction::new(
-                        Triple::new(EntityId(s), PredicateId(p), Value::Entity(EntityId(o))),
+                        Triple::new(EntityId(s), PredicateId(p), o),
                         Provenance::new(
                             ExtractorId(extractor),
                             PageId(page),
@@ -37,6 +45,22 @@ fn arb_batch() -> impl Strategy<Value = Vec<Extraction>> {
                 .collect()
         },
     )
+}
+
+/// [`arb_batch`] plus exact copies of some of its records (the index of
+/// each copied record taken modulo the batch length), anywhere in the
+/// batch: the duplicates a claim's record count must include.
+fn arb_batch_with_duplicates() -> impl Strategy<Value = Vec<Extraction>> {
+    let copies = prop::collection::vec((0usize..1_000, 0usize..1_000), 0..60);
+    (arb_batch(), copies).prop_map(|(mut batch, copies)| {
+        for (from, to) in copies {
+            if !batch.is_empty() {
+                let record = batch[from % batch.len()];
+                batch.insert(to % (batch.len() + 1), record);
+            }
+        }
+        batch
+    })
 }
 
 /// Candidate sets: up to 8 values, each with up to 10 provenances whose
@@ -115,6 +139,41 @@ fn assert_matches_graph_oracle(graph: &Grouped, batch: &[Extraction], granularit
         before += slots.len();
     }
     assert_eq!(graph.claims_before_prov(keys.len()), claims);
+}
+
+/// What [`Claims::build`] must produce, spelled out as a `BTreeMap`
+/// group-by of the raw records: per triple in canonical order, its record
+/// count (exact duplicates included) and its distinct raw provenances, in
+/// order. Distinct extractors and pages are counted off those.
+fn assert_matches_claims_oracle(claims: &Claims, batch: &[Extraction]) {
+    let mut slots: BTreeMap<Triple, (u32, BTreeSet<Provenance>)> = BTreeMap::new();
+    for e in batch {
+        let slot = slots.entry(e.triple).or_default();
+        slot.0 += 1;
+        slot.1.insert(e.provenance);
+    }
+    let items: BTreeSet<DataItem> = slots.keys().map(Triple::data_item).collect();
+    assert_eq!(claims.n_items(), items.len());
+    assert_eq!(claims.n_triples(), slots.len());
+    let mut oracle = slots.iter();
+    for i in 0..items.len() {
+        for slot in claims.item_slots(i) {
+            let (triple, (records, provs)) = oracle.next().expect("a slot too many");
+            assert_eq!(claims.triple(i, slot), *triple);
+            assert_eq!(claims.n_records(slot), *records, "{triple:?}");
+            let provs: Vec<Provenance> = provs.iter().copied().collect();
+            assert_eq!(claims.slot_provenances(slot), &provs[..], "{triple:?}");
+            let pages: BTreeSet<PageId> = provs.iter().map(|p| p.page).collect();
+            assert_eq!(claims.n_pages(slot) as usize, pages.len(), "{triple:?}");
+            let extractors: BTreeSet<ExtractorId> = provs.iter().map(|p| p.extractor).collect();
+            assert_eq!(
+                claims.n_extractors(slot) as usize,
+                extractors.len(),
+                "{triple:?}"
+            );
+        }
+    }
+    assert!(oracle.next().is_none(), "a slot too few");
 }
 
 // ---- The sequential oracle ------------------------------------------------
@@ -469,6 +528,30 @@ proptest! {
         // Another worker count changes nothing either.
         let sequential = Grouped::build(&batch, Granularity::ExtractorSite, &MrConfig::sequential());
         prop_assert_eq!(&sequential, &claims[2].project(Granularity::ExtractorSite));
+    }
+
+    /// The claims themselves, not only their projections, against a
+    /// `BTreeMap` group-by of the raw records: grouped in memory, in
+    /// chunked waves and through spilled run files, at 1–4 workers, every
+    /// slot's record count (duplicates included), raw provenances,
+    /// distinct pages and distinct extractors match.
+    #[test]
+    fn claims_match_a_group_by_oracle_under_every_engine_configuration(
+        batch in arb_batch_with_duplicates(),
+        workers in 1usize..5,
+        chunk_records in 1usize..100,
+        spill_threshold in 1usize..50,
+    ) {
+        let in_memory = MrConfig::with_workers(workers);
+        let chunked = in_memory.with_chunk_records(chunk_records);
+        let spilled = chunked.with_spill_threshold(spill_threshold);
+        for mr in [in_memory, chunked, spilled] {
+            let claims = Claims::build(&batch, &mr);
+            assert_matches_claims_oracle(&claims, &batch);
+            let stats = claims.stats();
+            prop_assert_eq!(stats.reduce_keys, claims.n_items() as u64);
+            prop_assert_eq!(stats.spill_runs > 0, stats.spilled_bytes > 0);
+        }
     }
 
     /// The chunked grouping peak respects the quota (grouping emits one

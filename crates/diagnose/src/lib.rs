@@ -13,8 +13,8 @@
 //!
 //! 1. [`SupportIndex::build`] derives each unique triple's support shape
 //!    (distinct pages per extractor) from the raw extraction batch — one
-//!    MapReduce job on the `kf-mapreduce` engine, inheriting its
-//!    chunked/spill residency envelope.
+//!    grouping job (`Claims::build`), inheriting its chunked/spill
+//!    residency envelope.
 //! 2. [`Diagnoser::run`] classifies every labelled false positive in the
 //!    configured high-confidence bands with the heuristic rules of
 //!    [`classify::classify`] — contiguous ranges of the scored triples

@@ -69,8 +69,8 @@ pub struct SupportIndex {
 }
 
 impl SupportIndex {
-    /// Group `records` ([`Claims::build_recorded`], one MapReduce job
-    /// honouring every engine residency knob in `mr`, recorded into the
+    /// Group `records` ([`Claims::build_recorded`], one grouping job
+    /// honouring every residency knob in `mr`, recorded into the
     /// installed trace) and index the claims
     /// ([`SupportIndex::from_claims`]). Returns the job's counters.
     /// Callers that fuse the same records share one `Claims` with the

@@ -1,4 +1,7 @@
-//! The map → shuffle → reduce execution engine.
+//! The generic map → shuffle → reduce execution engine. No job of a run
+//! goes through it any more — the grouping is `kf-core`'s typed sort —
+//! and it is kept for the benchmark's `mapreduce.*` probe, which compiles
+//! against [`map_reduce_with_stats`] and [`Emitter`].
 //!
 //! There is one shuffle, append → sort → merge: inputs are mapped in
 //! *waves*, and each wave's records are appended, in input order, to one
@@ -143,7 +146,8 @@ impl MrConfig {
     }
 }
 
-/// Collects the `(key, value)` records a mapper emits, in emission order.
+/// Collects the `(key, value)` records a mapper emits, in emission order
+/// (kept, with [`map_reduce_with_stats`], for the benchmark's probe).
 pub struct Emitter<K, V> {
     records: Vec<(K, V)>,
 }
@@ -157,6 +161,9 @@ impl<K, V> Emitter<K, V> {
 }
 
 /// Run a MapReduce job and return its output with execution counters.
+///
+/// Kept for the benchmark's `mapreduce.*` probe: the grouping of the
+/// extractions (`kf_core::Claims::build`) no longer uses it.
 ///
 /// * `inputs` — the input records; read-only, shared across map workers.
 /// * `mapper` — called once per input with an [`Emitter`]; may emit any

@@ -7,37 +7,36 @@
 //! forced cut-off after `R` rounds), and Stage III partitions by **triple**
 //! to deduplicate the output.
 //!
-//! This crate provides the same programming model on a single machine:
+//! In this workspace Stage I's partition by data item is `kf-core`'s
+//! grouping job (`Claims::build`), a typed sort of fixed-width records;
+//! Stages I and II iterate as kernels over the claim graph it yields. This
+//! crate provides what they share, on a single machine:
 //!
-//! * [`map_reduce_with_stats`] — a generic map → shuffle → reduce
-//!   execution over scoped worker threads whose shuffle is append → sort
-//!   → merge: mapped records append to one buffer, contiguous chunks of it
-//!   sort in parallel, and per-worker key ranges k-way merge the chunks
-//!   into the reducer; it returns the output, in key order, with its
-//!   [`JobStats`],
+//! * [`MrConfig`] and [`JobStats`] — the shape of a shuffle and its record:
+//!   [`MrConfig::chunk_records`] cuts the input into waves, capping raw
+//!   shuffle residency (the **chunked shuffle**,
+//!   [`JobStats::peak_resident_records`]), and
+//!   [`MrConfig::spill_threshold_records`] writes the pending records as
+//!   sorted run files past a threshold, capping grouped residency too
+//!   (the **external shuffle**, [`JobStats::peak_grouped_records`],
+//!   [`JobStats::spilled_bytes`]),
+//! * the run files themselves — [`SpillDir`], [`write_run`] and
+//!   [`merge_runs`]: one frame format (serialized with the hand-rolled
+//!   [`kf_types::KvCodec`]), one streaming reader and one k-way merge with
+//!   a bounded fan-in, for every job that spills,
 //! * [`run_tasks`] — the one in-process fan-out every layer shares (the
-//!   engine's map, sort and reduce phases, the fusion kernels, the preset
-//!   schedule), under one worker budget per run; how a run's presets are
-//!   split across processes (`repro --shard`, `kf-dist`) is `kf-bench`'s
-//!   task table, not this crate's,
-//! * [`MrConfig::chunk_records`] — the **chunked shuffle**: inputs are
-//!   mapped in waves whose records append to the pending buffer as they
-//!   fill. `0` maps the whole input as one wave; a quota caps raw shuffle
-//!   residency near it (reported as [`JobStats::peak_resident_records`]),
-//! * [`MrConfig::spill_threshold_records`] — the **external shuffle**:
-//!   when grouped residency would cross the threshold, the pending buffer
-//!   is sorted the same way and written as one sorted run file
-//!   (serialized with the hand-rolled [`kf_types::KvCodec`]), and the job
-//!   reduces by the same k-way merge over its runs, capping grouped
-//!   residency too ([`JobStats::peak_grouped_records`],
-//!   [`JobStats::spilled_bytes`]). Runs are written synchronously on the
-//!   calling thread, so their I/O time lands in the wave's `spill` span,
+//!   fusion kernels, the preset schedule, the engine's phases), under one
+//!   worker budget per run; how a run's presets are split across
+//!   processes (`repro --shard`, `kf-dist`) is `kf-bench`'s task table,
+//!   not this crate's,
 //! * [`Reservoir`] — the reducer-side uniform sampling the paper uses to cap
 //!   per-key work at `L` records (§4.1 "we sample L triples each time"),
 //! * [`IterativeDriver`] — round iteration with convergence detection and
 //!   forced termination after `R` rounds (§4.1, Fig. 14),
-//! * [`JobStats`] — counters for observability, the benchmark, and
-//!   the memory-envelope gates.
+//! * [`map_reduce_with_stats`] and [`Emitter`] — the generic map →
+//!   shuffle → reduce engine. The grouping no longer runs through it; it
+//!   is kept for the benchmark's `mapreduce.*` probe, which compiles
+//!   against it, until that probe times the grouping job instead.
 //!
 //! The engine is deterministic: given the same inputs, configuration and
 //! (pure) mapper/reducer functions, output order and content are reproducible
@@ -59,4 +58,5 @@ pub use driver::{IterativeDriver, RoundOutcome};
 pub use engine::{map_reduce_with_stats, Emitter, MrConfig};
 pub use fanout::run_tasks;
 pub use sampling::Reservoir;
+pub use spill::{merge_runs, write_run, SpillDir};
 pub use stats::JobStats;

@@ -1,10 +1,12 @@
 //! Sorted run files and the one k-way merge.
 //!
 //! When [`MrConfig::spill_threshold_records`](crate::MrConfig) is set and
-//! the pending buffer plus the next wave would cross it, the engine sorts
-//! the buffer and writes it as one **run file**, then frees the memory.
-//! A run holds the buffer's groups, sorted by key, encoded with
-//! [`kf_types::KvCodec`]:
+//! the pending buffer plus the next wave would cross it, a job — the
+//! grouping in `kf-core` or the generic engine — sorts the buffer and
+//! writes it as one **run file** ([`write_run`], into a [`SpillDir`]),
+//! then frees the memory; it reduces by k-way merging its runs
+//! ([`merge_runs`]). A run holds the buffer's groups, sorted by key,
+//! encoded with [`kf_types::KvCodec`]:
 //!
 //! ```text
 //! run file := frame*
@@ -38,14 +40,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The directory name embeds the process id and a process-global sequence
 /// number, so concurrent jobs — and concurrent processes sharing a temp
 /// dir — never collide.
-pub(crate) struct SpillDir {
+pub struct SpillDir {
     path: PathBuf,
 }
 
 impl SpillDir {
     /// Create a fresh spill directory under `base` (the OS temp dir when
-    /// `None` — see [`MrConfig::spill_dir`](crate::MrConfig)).
-    pub(crate) fn create(base: Option<&str>) -> SpillDir {
+    /// `None` — see [`MrConfig::spill_dir`](crate::MrConfig)). Panics,
+    /// naming the path, when it cannot be created: the job that spills
+    /// fails where it was called.
+    pub fn create(base: Option<&str>) -> SpillDir {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let base = base.map_or_else(std::env::temp_dir, PathBuf::from);
         let path = base.join(format!(
@@ -59,7 +63,7 @@ impl SpillDir {
     }
 
     /// Path for the job's run file number `seq`.
-    pub(crate) fn run_path(&self, seq: usize) -> PathBuf {
+    pub fn run_path(&self, seq: usize) -> PathBuf {
         self.path.join(format!("run{seq}.bin"))
     }
 
@@ -84,7 +88,8 @@ impl Drop for SpillDir {
 /// [`kf_types::checkpoint::write_atomic`] helper (temp file + rename), so
 /// a process killed mid-spill never leaves a truncated run under the run
 /// path — the k-way merge either sees a complete run or no file at all.
-pub(crate) fn write_run<K: KvCodec, V: KvCodec>(
+/// Panics, naming the run, when it cannot be written.
+pub fn write_run<K: KvCodec, V: KvCodec>(
     path: &Path,
     groups: impl Iterator<Item = (K, Vec<V>)>,
 ) -> u64 {
@@ -250,24 +255,30 @@ pub(crate) fn reduce_groups<K, V, O>(
 /// key, run order) until the count fits.
 const MAX_MERGE_FANIN: usize = 64;
 
-/// K-way merge a job's runs, in spill order, and reduce each key: the
-/// reducer sees each key exactly once with its values in input order —
-/// the same view the in-memory path delivers. At most
-/// [`MAX_MERGE_FANIN`] files are open at once; larger run sets are
-/// compacted first. Returns the reduced output and the number of distinct
-/// keys.
+/// K-way merge a job's runs, in spill order, into one stream of
+/// `(key, values)` groups: each key exactly once, in ascending order, with
+/// its values in run (= input) order — the view the in-memory path
+/// delivers. At most 64 files (`MAX_MERGE_FANIN`) are open at once; larger
+/// run sets are compacted first.
+pub fn merge_runs<K, V>(runs: &[PathBuf]) -> impl Iterator<Item = (K, Vec<V>)>
+where
+    K: KvCodec + Ord,
+    V: KvCodec,
+{
+    let compacted = compact_to_fanin::<K, V>(runs);
+    let active: &[PathBuf] = compacted.as_deref().unwrap_or(runs);
+    merge(active.iter().map(|p| RunReader::<K, V>::open(p)))
+}
+
+/// Reduce each key of a job's runs ([`merge_runs`]). Returns the reduced
+/// output and the number of distinct keys.
 pub(crate) fn merge_reduce_runs<K, V, O, R>(runs: &[PathBuf], reducer: &R) -> (Vec<O>, u64)
 where
     K: KvCodec + Ord,
     V: KvCodec,
     R: Fn(&K, Vec<V>) -> Vec<O>,
 {
-    let compacted = compact_to_fanin::<K, V>(runs);
-    let active: &[PathBuf] = compacted.as_deref().unwrap_or(runs);
-    reduce_groups(
-        merge(active.iter().map(|p| RunReader::<K, V>::open(p))),
-        reducer,
-    )
+    reduce_groups(merge_runs(runs), reducer)
 }
 
 /// Repeatedly merge contiguous batches of ≤ [`MAX_MERGE_FANIN`] runs into

@@ -331,10 +331,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(WireMsg, usize)> {
         ));
     }
     // The prefix is the peer's claim, not its bytes: grow the buffer with
-    // what has arrived (doubling from 64 KiB), never past the claim.
+    // what has arrived (doubling from a few bytes), never past the claim,
+    // so a frame cut short costs a small multiple of what it sent.
     let mut payload = Vec::new();
     while payload.len() < len {
-        let step = (len - payload.len()).min(payload.len().max(64 << 10));
+        let step = (len - payload.len()).min(payload.len().max(16));
         payload.reserve_exact(step);
         if r.take(step as u64).read_to_end(&mut payload)? < step {
             return Err(io::Error::new(

@@ -1,6 +1,6 @@
 //! Observability walkthrough: run the fusion pipeline end to end under a
 //! `kf-telemetry` trace and read the run back — the phase tree with
-//! wall-clock timings, the engine's spill accounting, and the per-round
+//! wall-clock timings, the grouping job's spill accounting, and the per-round
 //! convergence deltas of the iterative fuser.
 //!
 //! ```text

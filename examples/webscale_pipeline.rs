@@ -1,7 +1,7 @@
 //! The scaling story: run the three-stage fusion pipeline (the paper's
 //! Fig. 8 architecture) over the large corpus preset with explicit worker
-//! counts and inspect the execution counters of its one MapReduce job,
-//! the grouping pass that builds the claim graph — including a forced
+//! counts and inspect the execution counters of its one grouping job,
+//! the sort that builds the claim graph — including a forced
 //! spill-to-disk run proving the external shuffle reproduces the
 //! in-memory output byte-for-byte under a bounded memory envelope.
 //!
