@@ -1,7 +1,9 @@
 //! End-to-end corpus generation: world → web → extractions → gold labels.
 
 use crate::config::SynthConfig;
-use crate::extractor::{default_extractors, ExtractionOutcome, ExtractorSpec, SimulatedExtraction};
+use crate::extractor::{
+    default_extractors, section_mask, ExtractionOutcome, ExtractorSpec, Reader, SimulatedExtraction,
+};
 use crate::freebase::build_gold;
 use crate::web::{ContentType, Web};
 use crate::world::World;
@@ -96,10 +98,19 @@ impl Corpus {
         seed: u64,
     ) -> Corpus {
         let sc = &cfg.scenarios;
-        let world =
-            World::generate_with_confusable_ring(&cfg.world, sc.linkage.confusable_ring, seed);
-        let (web, injection) = Web::generate_with_scenarios(&world, &cfg.web, sc, seed);
-        let gold = build_gold(&world, &cfg.gold, seed);
+        let world = {
+            let _span = kf_telemetry::span("world");
+            World::generate_with_confusable_ring(&cfg.world, sc.linkage.confusable_ring, seed)
+        };
+        let (web, injection) = {
+            let _span = kf_telemetry::span("web");
+            Web::generate_with_scenarios(&world, &cfg.web, sc, seed)
+        };
+        let gold = {
+            let _span = kf_telemetry::span("gold");
+            build_gold(&world, &cfg.gold, seed)
+        };
+        let _extraction = kf_telemetry::span("extraction");
 
         // Hard linkage: scale every extractor's linkage error weights (the
         // corruption sampler normalizes, so composition shifts toward
@@ -129,18 +140,32 @@ impl Corpus {
         // Copying scratch: the source (even-indexed) extractor's per-claim
         // output on the current page, consumed by the copier one index up.
         let mut source_sims: Vec<Option<SimulatedExtraction>> = Vec::new();
+        let mut readers: Vec<Reader> = extractors
+            .iter()
+            .enumerate()
+            .map(|(ex_index, spec)| Reader::new(spec, ExtractorId(ex_index as u16)))
+            .collect();
 
         for page in &web.pages {
             let class = Web::site_class(page.site, web.n_sites);
+            let page_sections = section_mask(page.claims.iter().map(|c| c.section));
             let mut source_from = usize::MAX;
             for (ex_index, spec) in extractors.iter().enumerate() {
                 let ex_id = ExtractorId(ex_index as u16);
+                let reader = &mut readers[ex_index];
                 let is_source = copying && ex_index % 2 == 0;
                 if is_source {
                     // A source that skips the page leaves nothing to copy.
                     source_from = usize::MAX;
                 }
                 if !spec.site_filter.admits(class) {
+                    continue;
+                }
+                // An extractor that reads none of the page's sections
+                // draws nothing and emits nothing (a source among them
+                // leaves nothing to copy); only a copier still copies.
+                let copier = copying && ex_index % 2 == 1 && source_from == ex_index - 1;
+                if !copier && !reader.reads_any(page_sections) {
                     continue;
                 }
                 // Deterministic per-(page, extractor) randomness: corpus
@@ -160,14 +185,13 @@ impl Corpus {
                 // The copier's dedicated rng keeps copy decisions out of
                 // the extraction stream (same salt shape as the
                 // per-(page, extractor) rng, distinct stream).
-                let mut copy_rng = (copying && ex_index % 2 == 1 && source_from == ex_index - 1)
-                    .then(|| {
-                        SmallRng::seed_from_u64(hash::hash_u64(
-                            seed ^ 0xc0b1_ed0f_f51e_57a1
-                                ^ ((page.id.raw() as u64) << 16)
-                                ^ ex_index as u64,
-                        ))
-                    });
+                let mut copy_rng = copier.then(|| {
+                    SmallRng::seed_from_u64(hash::hash_u64(
+                        seed ^ 0xc0b1_ed0f_f51e_57a1
+                            ^ ((page.id.raw() as u64) << 16)
+                            ^ ex_index as u64,
+                    ))
+                });
                 for (ci, claim) in page.claims.iter().enumerate() {
                     if let Some(crng) = copy_rng.as_mut() {
                         if let Some(src) = source_sims[ci] {
@@ -192,7 +216,18 @@ impl Corpus {
                             }
                         }
                     }
-                    let Some(sim) = spec.extract(ex_id, &world, claim, page.site, &mut rng) else {
+                    if !reader.reads(claim.section) {
+                        continue;
+                    }
+                    // A generated claim is world-true exactly when its
+                    // source is not in error (wrong values never hit a truth).
+                    let claim_true = || {
+                        debug_assert_eq!(world.is_true(&claim.triple()), !claim.source_error);
+                        !claim.source_error
+                    };
+                    let Some(sim) =
+                        spec.extract_with(reader, &world, claim, page.site, &mut rng, claim_true)
+                    else {
                         continue;
                     };
                     if is_source {
@@ -260,31 +295,13 @@ impl Corpus {
     /// a fused triple is *injected-systematic* when most of the records
     /// that produced it came from a broken (pattern, item) cell.
     pub fn dominant_outcomes(&self) -> kf_types::FxHashMap<Triple, ExtractionOutcome> {
-        // Tie-break priority per outcome slot: rarer, more structured
-        // error kinds win so a 50/50 split never degrades to Faithful.
-        fn priority(o: ExtractionOutcome) -> u8 {
-            match o {
-                ExtractionOutcome::SystematicError => 5,
-                ExtractionOutcome::Generalized => 4,
-                ExtractionOutcome::EntityLinkageError => 3,
-                ExtractionOutcome::PredicateLinkageError => 2,
-                ExtractionOutcome::TripleIdError => 1,
-                ExtractionOutcome::Faithful => 0,
-            }
-        }
         let mut counts: kf_types::FxHashMap<Triple, [u32; 6]> = kf_types::FxHashMap::default();
         for (e, &outcome) in self.batch.iter().zip(&self.outcomes) {
             counts.entry(e.triple).or_default()[outcome.index()] += 1;
         }
         counts
             .into_iter()
-            .map(|(triple, per_outcome)| {
-                let dominant = ExtractionOutcome::ALL
-                    .into_iter()
-                    .max_by_key(|&o| (per_outcome[o.index()], priority(o)))
-                    .expect("ALL is non-empty");
-                (triple, dominant)
-            })
+            .map(|(triple, per_outcome)| (triple, dominant(&per_outcome)))
             .collect()
     }
 
@@ -304,31 +321,29 @@ impl Corpus {
     /// systematic category is reserved for triples whose wrong value was
     /// actually replicated across ≥ 2 distinct pages.
     pub fn taxonomy_truth(&self) -> kf_types::FxHashMap<Triple, kf_types::ErrorCategory> {
-        use kf_types::{ErrorCategory, PageId};
-        let dominant = self.dominant_outcomes();
-        // Only systematic-dominant triples need the page check, and only
-        // the ≥ 2 distinction matters — track (first page, saw another)
-        // for that subset instead of a page set per unique triple.
-        let mut spread: kf_types::FxHashMap<Triple, (PageId, bool)> =
-            kf_types::FxHashMap::default();
-        for e in self.batch.iter() {
-            if dominant.get(&e.triple) == Some(&ExtractionOutcome::SystematicError) {
-                let slot = spread.entry(e.triple).or_insert((e.provenance.page, false));
-                slot.1 |= slot.0 != e.provenance.page;
-            }
+        use kf_types::{ErrorCategory, FxHashMap, PageId};
+        // One pass over the records: per triple, its per-outcome counts
+        // and whether a second distinct page carried it (first page,
+        // saw another) — only the ≥ 2 distinction matters. The map grows
+        // as it fills: sized for one triple per record it would hold
+        // twice the buckets the corpora here need (2.4 records per
+        // triple), and the join runs beside the grouping, at its peak.
+        let mut per_triple: FxHashMap<Triple, ([u32; 6], PageId, bool)> = FxHashMap::default();
+        for (e, &outcome) in self.batch.iter().zip(&self.outcomes) {
+            let page = e.provenance.page;
+            let slot = per_triple.entry(e.triple).or_insert(([0; 6], page, false));
+            slot.0[outcome.index()] += 1;
+            slot.2 |= slot.1 != page;
         }
-        dominant
-            .into_iter()
-            .map(|(t, o)| {
-                let mut cat = o.taxonomy_category();
-                if cat == ErrorCategory::SystematicExtraction
-                    && !spread.get(&t).is_some_and(|&(_, multi)| multi)
-                {
-                    cat = ErrorCategory::LinkageError;
-                }
-                (t, cat)
-            })
-            .collect()
+        let mut truth = FxHashMap::with_capacity_and_hasher(per_triple.len(), Default::default());
+        for (triple, (per_outcome, _, multi_page)) in per_triple {
+            let mut cat = dominant(&per_outcome).taxonomy_category();
+            if cat == ErrorCategory::SystematicExtraction && !multi_page {
+                cat = ErrorCategory::LinkageError;
+            }
+            truth.insert(triple, cat);
+        }
+        truth
     }
 
     /// The per-triple scenario-phenomenon join: which injected hostile
@@ -397,6 +412,27 @@ impl Corpus {
             correct as f64 / labelled as f64
         }
     }
+}
+
+/// The most frequent outcome of a triple's records (`per_outcome` is
+/// indexed by [`ExtractionOutcome::index`]), frequency ties broken by
+/// severity: rarer, more structured error kinds win, so a 50/50 split
+/// never degrades to Faithful.
+fn dominant(per_outcome: &[u32; 6]) -> ExtractionOutcome {
+    fn priority(o: ExtractionOutcome) -> u8 {
+        match o {
+            ExtractionOutcome::SystematicError => 5,
+            ExtractionOutcome::Generalized => 4,
+            ExtractionOutcome::EntityLinkageError => 3,
+            ExtractionOutcome::PredicateLinkageError => 2,
+            ExtractionOutcome::TripleIdError => 1,
+            ExtractionOutcome::Faithful => 0,
+        }
+    }
+    ExtractionOutcome::ALL
+        .into_iter()
+        .max_by_key(|&o| (per_outcome[o.index()], priority(o)))
+        .expect("ALL is non-empty")
 }
 
 #[cfg(test)]
@@ -553,6 +589,132 @@ mod tests {
         }
     }
 
+    /// The `small` preset under each scenario of the hostile-corpus matrix
+    /// (honest first), with `kf-bench`'s `scenario_config` knobs.
+    fn small_under_every_scenario() -> Vec<(&'static str, SynthConfig)> {
+        use crate::config::{
+            CopyingConfig, DriftConfig, LinkageConfig, ScenarioConfig, SpamConfig,
+        };
+        let base = SynthConfig::small();
+        let scenarios = [
+            ("honest", ScenarioConfig::default()),
+            (
+                "copying",
+                ScenarioConfig {
+                    copying: CopyingConfig { dependence: 0.6 },
+                    ..Default::default()
+                },
+            ),
+            (
+                "spam",
+                ScenarioConfig {
+                    spam: SpamConfig {
+                        n_pages: base.web.n_pages / 8,
+                        n_items: 50,
+                        claims_per_page: 4,
+                        n_sites: 8,
+                    },
+                    ..Default::default()
+                },
+            ),
+            (
+                "drift",
+                ScenarioConfig {
+                    drift: DriftConfig {
+                        fraction: 0.2,
+                        position: 0.5,
+                    },
+                    ..Default::default()
+                },
+            ),
+            (
+                "linkage",
+                ScenarioConfig {
+                    linkage: LinkageConfig {
+                        confusable_ring: 6,
+                        error_boost: 3.0,
+                    },
+                    ..Default::default()
+                },
+            ),
+        ];
+        scenarios
+            .into_iter()
+            .map(|(name, scenarios)| {
+                let mut cfg = base.clone();
+                cfg.scenarios = scenarios;
+                (name, cfg)
+            })
+            .collect()
+    }
+
+    /// The three-pass definition of [`Corpus::taxonomy_truth`]: dominant
+    /// outcomes, then the page spread of the systematic-dominant triples,
+    /// then the category map.
+    fn taxonomy_truth_three_pass(
+        c: &Corpus,
+    ) -> kf_types::FxHashMap<Triple, kf_types::ErrorCategory> {
+        use kf_types::{ErrorCategory, PageId};
+        let dominant = c.dominant_outcomes();
+        let mut spread: kf_types::FxHashMap<Triple, (PageId, bool)> =
+            kf_types::FxHashMap::default();
+        for e in c.batch.iter() {
+            if dominant.get(&e.triple) == Some(&ExtractionOutcome::SystematicError) {
+                let slot = spread.entry(e.triple).or_insert((e.provenance.page, false));
+                slot.1 |= slot.0 != e.provenance.page;
+            }
+        }
+        dominant
+            .into_iter()
+            .map(|(t, o)| {
+                let mut cat = o.taxonomy_category();
+                if cat == ErrorCategory::SystematicExtraction
+                    && !spread.get(&t).is_some_and(|&(_, multi)| multi)
+                {
+                    cat = ErrorCategory::LinkageError;
+                }
+                (t, cat)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_taxonomy_truth_matches_the_three_pass_definition() {
+        for (name, cfg) in small_under_every_scenario() {
+            let c = Corpus::generate(&cfg, 42);
+            let truth = c.taxonomy_truth();
+            assert_eq!(truth.len(), c.batch.unique_triples(), "{name}");
+            assert_eq!(truth, taxonomy_truth_three_pass(&c), "{name}");
+            // Every page-spread branch is exercised.
+            let systematic = truth
+                .values()
+                .filter(|&&cat| cat == kf_types::ErrorCategory::SystematicExtraction)
+                .count();
+            assert!(systematic > 0, "{name}: no multi-page systematic triple");
+        }
+    }
+
+    #[test]
+    fn generated_claims_are_true_exactly_when_their_source_is_right() {
+        // Corpus generation reads a claim's world truth off its
+        // `source_error` flag instead of probing the world per record.
+        for (name, cfg) in small_under_every_scenario() {
+            let world = World::generate_with_confusable_ring(
+                &cfg.world,
+                cfg.scenarios.linkage.confusable_ring,
+                42,
+            );
+            let (web, _) = Web::generate_with_scenarios(&world, &cfg.web, &cfg.scenarios, 42);
+            for claim in web.pages.iter().flat_map(|p| &p.claims) {
+                assert_eq!(
+                    world.is_true(&claim.triple()),
+                    !claim.source_error,
+                    "{name}: {claim:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn outcome_taxonomy_mapping_matches_fig17() {
         use kf_types::ErrorCategory;
@@ -579,6 +741,25 @@ mod tests {
         for (i, o) in ExtractionOutcome::ALL.into_iter().enumerate() {
             assert_eq!(o.index(), i);
         }
+    }
+
+    #[test]
+    fn generation_records_its_four_stages_in_order() {
+        let trace = kf_telemetry::Trace::with_root("corpus");
+        {
+            let _installed = kf_telemetry::install(&trace);
+            Corpus::generate(&SynthConfig::tiny(), 5);
+        }
+        let root = trace.snapshot().root;
+        let stages: Vec<(&str, u64)> = root
+            .children
+            .iter()
+            .map(|c| (c.name.as_str(), c.calls))
+            .collect();
+        assert_eq!(
+            stages,
+            [("world", 1), ("web", 1), ("gold", 1), ("extraction", 1)]
+        );
     }
 
     #[test]

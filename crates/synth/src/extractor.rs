@@ -191,6 +191,79 @@ impl ExtractionOutcome {
     }
 }
 
+/// The sections of `sections` as a bit mask (bit [`ContentType::index`]).
+pub(crate) fn section_mask(sections: impl IntoIterator<Item = ContentType>) -> u8 {
+    sections
+        .into_iter()
+        .fold(0, |mask, section| mask | 1 << section.index())
+}
+
+/// One extractor as corpus generation drives it, holding what every claim
+/// read would otherwise recompute: the sections it reads as a bit mask and
+/// its [`ExtractorSpec::error_rate`] per pattern, each rate computed (an
+/// `ln` and an `exp`) on its pattern's first read. An unheld table, or a
+/// pattern set past [`Reader::MAX_PATTERNS`], computes the rate on every
+/// read.
+pub(crate) struct Reader {
+    /// The extractor reading.
+    id: ExtractorId,
+    /// [`section_mask`] of the spec's sections.
+    sections: u8,
+    /// Rate per pattern index; NaN until first read.
+    rates: Vec<f64>,
+}
+
+impl Reader {
+    const MAX_PATTERNS: u32 = 1 << 20;
+
+    /// `spec` reading as extractor `id`, with a rate table.
+    pub(crate) fn new(spec: &ExtractorSpec, id: ExtractorId) -> Self {
+        let n = if spec.n_patterns <= Self::MAX_PATTERNS {
+            spec.n_patterns as usize
+        } else {
+            0
+        };
+        Reader {
+            rates: vec![f64::NAN; n],
+            ..Self::unheld(spec, id)
+        }
+    }
+
+    /// `spec` reading as extractor `id`, holding no rates (no allocation).
+    fn unheld(spec: &ExtractorSpec, id: ExtractorId) -> Self {
+        Reader {
+            id,
+            sections: section_mask(spec.sections.iter().copied()),
+            rates: Vec::new(),
+        }
+    }
+
+    /// Does the extractor read some section of `mask`?
+    pub(crate) fn reads_any(&self, mask: u8) -> bool {
+        self.sections & mask != 0
+    }
+
+    /// Does the extractor read `section`?
+    pub(crate) fn reads(&self, section: ContentType) -> bool {
+        self.reads_any(section_mask([section]))
+    }
+
+    /// `spec.error_rate(id, pattern)`, `spec` being the extractor the
+    /// reader was built for.
+    fn error_rate(&mut self, spec: &ExtractorSpec, pattern: PatternId) -> f64 {
+        // `PatternId::NONE` indexes past every table.
+        match self.rates.get_mut(pattern.raw() as usize) {
+            Some(rate) => {
+                if rate.is_nan() {
+                    *rate = spec.error_rate(self.id, pattern);
+                }
+                *rate
+            }
+            None => spec.error_rate(self.id, pattern),
+        }
+    }
+}
+
 /// One simulated extraction produced by [`ExtractorSpec::extract`].
 #[derive(Debug, Clone, Copy)]
 pub struct SimulatedExtraction {
@@ -232,6 +305,11 @@ impl ExtractorSpec {
         ((2.0 * u - 1.0) * ln_s).exp()
     }
 
+    /// Random-corruption probability of a claim read through `pattern`.
+    fn error_rate(&self, id: ExtractorId, pattern: PatternId) -> f64 {
+        (self.base_error * self.pattern_multiplier(id, pattern)).clamp(0.0, 0.95)
+    }
+
     /// Simulate this extractor reading one claim. Returns `None` when the
     /// claim is skipped (bounded recall). `rng` drives the *random* error
     /// component; systematic behaviour is hash-derived and independent of
@@ -244,7 +322,30 @@ impl ExtractorSpec {
         site: SiteId,
         rng: &mut SmallRng,
     ) -> Option<SimulatedExtraction> {
-        if !self.sections.contains(&claim.section) {
+        self.extract_with(
+            &mut Reader::unheld(self, id),
+            world,
+            claim,
+            site,
+            rng,
+            || world.is_true(&claim.triple()),
+        )
+    }
+
+    /// [`ExtractorSpec::extract`] through `reader`, built for this spec,
+    /// taking the claim's world truth from `claim_true`, so corpus
+    /// generation repeats no per-extractor or per-claim work per record.
+    pub(crate) fn extract_with(
+        &self,
+        reader: &mut Reader,
+        world: &World,
+        claim: &Claim,
+        site: SiteId,
+        rng: &mut SmallRng,
+        claim_true: impl FnOnce() -> bool,
+    ) -> Option<SimulatedExtraction> {
+        let id = reader.id;
+        if !reader.reads(claim.section) {
             return None;
         }
         if !rng.gen_bool(self.recall) {
@@ -252,7 +353,7 @@ impl ExtractorSpec {
         }
 
         let pattern = self.pattern_for(id, claim, site);
-        let base_triple = Triple::new(claim.item.subject, claim.item.predicate, claim.value);
+        let base_triple = claim.triple();
 
         // --- Systematic (pattern, item) breakage --------------------------
         let cell = hash::hash_u64(
@@ -288,10 +389,12 @@ impl ExtractorSpec {
         }
 
         // --- Random corruption ---------------------------------------------
-        let err = (self.base_error * self.pattern_multiplier(id, pattern)).clamp(0.0, 0.95);
-        if rng.gen_bool(err) {
+        if rng.gen_bool(reader.error_rate(self, pattern)) {
             let (triple, outcome) = self.random_corruption(world, &base_triple, rng);
-            let correct = world.is_true(&triple);
+            // A triple-identification error carries a junk value, and the
+            // junk pool is disjoint from every world fact.
+            let correct = outcome != ExtractionOutcome::TripleIdError && world.is_true(&triple);
+            debug_assert_eq!(correct, world.is_true(&triple));
             return Some(SimulatedExtraction {
                 triple,
                 pattern,
@@ -301,11 +404,10 @@ impl ExtractorSpec {
         }
 
         // --- Faithful extraction -------------------------------------------
-        let correct = world.is_true(&base_triple);
         Some(SimulatedExtraction {
             triple: base_triple,
             pattern,
-            confidence: self.confidence_for(correct, rng),
+            confidence: self.confidence_for(claim_true(), rng),
             outcome: ExtractionOutcome::Faithful,
         })
     }
@@ -1012,6 +1114,61 @@ mod tests {
         }
         assert!(lo < 0.6, "low multiplier {lo}");
         assert!(hi > 1.8, "high multiplier {hi}");
+    }
+
+    #[test]
+    fn held_error_rates_equal_computed_ones_bit_for_bit() {
+        for (i, spec) in default_extractors().iter().enumerate() {
+            let id = ExtractorId(i as u16);
+            let mut held = Reader::new(spec, id);
+            let mut patterns: Vec<PatternId> =
+                (0..spec.n_patterns.min(500)).map(PatternId).collect();
+            patterns.push(PatternId::NONE);
+            // Twice: the first read fills the table, the second reads it.
+            for _ in 0..2 {
+                for &p in &patterns {
+                    let want = spec.error_rate(id, p);
+                    assert_eq!(held.error_rate(spec, p).to_bits(), want.to_bits());
+                    let unheld = Reader::unheld(spec, id).error_rate(spec, p);
+                    assert_eq!(unheld.to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extract_reads_truth_from_the_world_not_the_source_flag() {
+        // A caller's own claim may carry any `source_error` flag; the
+        // confidence still follows the claim's world truth.
+        let (world, web, specs) = setup();
+        let spec = ExtractorSpec {
+            sections: ContentType::ALL.to_vec(),
+            recall: 1.0,
+            systematic_rate: 0.0,
+            generalize_rate: 0.0,
+            base_error: 0.0,
+            confidence: ConfidenceModel::Central,
+            ..specs[0].clone()
+        };
+        let mut checked = 0;
+        for page in web.pages.iter().take(100) {
+            for claim in &page.claims {
+                let flipped = Claim {
+                    source_error: !claim.source_error,
+                    ..*claim
+                };
+                let read = |c: &Claim| {
+                    let mut rng = SmallRng::seed_from_u64(7);
+                    let sim = spec
+                        .extract(ExtractorId(0), &world, c, page.site, &mut rng)
+                        .expect("full recall");
+                    (sim.triple, sim.confidence, sim.outcome)
+                };
+                assert_eq!(read(claim), read(&flipped));
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::config::{ScenarioConfig, WebConfig};
 use crate::world::World;
-use kf_types::{hash, DataItem, EntityId, FxHashMap, PageId, SiteId, Value};
+use kf_types::{hash, DataItem, FxHashMap, PageId, SiteId, Triple, Value};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -68,6 +68,13 @@ pub struct Claim {
     pub section: ContentType,
     /// Whether the source itself is wrong about this (before extraction).
     pub source_error: bool,
+}
+
+impl Claim {
+    /// The triple the claim states.
+    pub(crate) fn triple(&self) -> Triple {
+        Triple::new(self.item.subject, self.item.predicate, self.value)
+    }
 }
 
 /// One web page.
@@ -161,7 +168,7 @@ impl Web {
                     let mut irng = SmallRng::seed_from_u64(hash::hash_u64(
                         item.encode() ^ seed ^ 0x5707_a1b2_c3d4_e5f6,
                     ));
-                    let stale = wrong_value(world, item, &mut irng);
+                    let stale = wrong_value(world, world.truths(&item), &mut irng);
                     drift_map.insert(item, stale);
                     drift_sorted.push((item, stale));
                 }
@@ -170,36 +177,39 @@ impl Web {
         }
         let mut drift_stale_claims = 0u64;
 
-        // Per-entity item index for topical page generation.
-        let mut items_by_entity: FxHashMap<EntityId, Vec<DataItem>> = FxHashMap::default();
-        for &item in world.items() {
-            items_by_entity.entry(item.subject).or_default().push(item);
-        }
-        let entities_with_items: Vec<EntityId> = {
-            let mut es: Vec<EntityId> = items_by_entity.keys().copied().collect();
-            es.sort_unstable();
-            es
-        };
+        // Per-entity item lists for topical page generation, indexed by
+        // entity rank: the entities that have items in ascending id order,
+        // each entity's items in world order (the sort is stable), each
+        // item with its truths (one world lookup per item, not per claim).
+        let mut items_by_subject: Vec<(DataItem, &[Value])> = world
+            .items()
+            .iter()
+            .map(|&item| (item, world.truths(&item)))
+            .collect();
+        items_by_subject.sort_by_key(|&(item, _)| item.subject);
+        let items_by_rank: Vec<&[(DataItem, &[Value])]> = items_by_subject
+            .chunk_by(|(a, _), (b, _)| a.subject == b.subject)
+            .collect();
         assert!(
-            !entities_with_items.is_empty(),
+            !items_by_rank.is_empty(),
             "world has no data items; check WorldConfig::item_density"
         );
 
         // Popular-entity sampling: approximate a Zipf law over the entity
         // list by index rank.
-        let zipf_entity = |rng: &mut SmallRng| -> EntityId {
-            let n = entities_with_items.len() as f64;
+        let zipf_rank = |rng: &mut SmallRng| -> usize {
+            let n = items_by_rank.len() as f64;
             let u: f64 = rng.gen_range(0.0..1.0);
             // Inverse-CDF of a power law on ranks [1, n].
             let rank = (n.powf(u) - 1.0).max(0.0) as usize;
-            entities_with_items[rank.min(entities_with_items.len() - 1)]
+            rank.min(items_by_rank.len() - 1)
         };
 
         // Mint popular false values for a fraction of items up front.
         let mut popular_false: FxHashMap<DataItem, Value> = FxHashMap::default();
         for &item in world.items() {
             if hash::hash_u64(item.encode() ^ seed) % 100 < 30 {
-                let wrong = wrong_value(world, item, &mut rng);
+                let wrong = wrong_value(world, world.truths(&item), &mut rng);
                 popular_false.insert(item, wrong);
             }
         }
@@ -225,18 +235,19 @@ impl Web {
             };
 
             // Sections present on this page.
-            let mut sections = Vec::with_capacity(4);
+            let mut present = [ContentType::Dom; 4];
+            let mut n_present = 0;
             for (ct, &w) in ContentType::ALL.iter().zip(&cfg.section_weights) {
                 if rng.gen_bool(w) {
-                    sections.push(*ct);
+                    present[n_present] = *ct;
+                    n_present += 1;
                 }
             }
-            if sections.is_empty() {
-                sections.push(ContentType::Dom);
-            }
+            // No section drawn leaves the page its one DOM section.
+            let sections = &present[..n_present.max(1)];
 
-            // Topic entity plus occasional off-topic claims.
-            let topic = zipf_entity(&mut rng);
+            // Topic entity (by rank) plus occasional off-topic claims.
+            let topic = zipf_rank(&mut rng);
             let n_claims = pareto_claims(&mut rng);
             // Boost head pages (only) to roughly match mean_claims_per_page
             // while keeping the paper's "half the pages contribute a single
@@ -251,16 +262,14 @@ impl Web {
 
             let mut claims = Vec::with_capacity(n_claims);
             for _ in 0..n_claims {
-                let entity = if rng.gen_bool(0.7) {
+                let rank = if rng.gen_bool(0.7) {
                     topic
                 } else {
-                    zipf_entity(&mut rng)
+                    zipf_rank(&mut rng)
                 };
-                let Some(items) = items_by_entity.get(&entity) else {
-                    continue;
-                };
-                let item = *items.choose(&mut rng).expect("non-empty item list");
-                let truths = world.truths(&item);
+                let (item, truths) = *items_by_rank[rank]
+                    .choose(&mut rng)
+                    .expect("non-empty item list");
                 debug_assert!(!truths.is_empty());
 
                 // Temporal drift: before the flip, pages claim the stale
@@ -280,9 +289,9 @@ impl Web {
                             popular_false
                                 .get(&item)
                                 .copied()
-                                .unwrap_or_else(|| wrong_value(world, item, &mut rng))
+                                .unwrap_or_else(|| wrong_value(world, truths, &mut rng))
                         } else {
-                            wrong_value(world, item, &mut rng)
+                            wrong_value(world, truths, &mut rng)
                         }
                     } else {
                         *truths.choose(&mut rng).expect("non-empty truths")
@@ -351,7 +360,7 @@ impl Web {
                     let wrong = popular_false
                         .get(&item)
                         .copied()
-                        .unwrap_or_else(|| wrong_value(world, item, &mut srng));
+                        .unwrap_or_else(|| wrong_value(world, world.truths(&item), &mut srng));
                     (item, wrong)
                 })
                 .collect();
@@ -587,12 +596,11 @@ impl KvCodec for Web {
     }
 }
 
-/// Mint a wrong value for `item`: a confusable entity, a perturbed number,
-/// or a junk value, depending on the kind of the true value. Guaranteed not
-/// to collide with any of the item's true values (multi-truth items could
-/// otherwise be "wrong" onto another truth).
-fn wrong_value(world: &World, item: DataItem, rng: &mut SmallRng) -> Value {
-    let truths = world.truths(&item);
+/// Mint a wrong value for an item whose true values are `truths`: a
+/// confusable entity, a perturbed number, or a junk value, depending on the
+/// kind of the true value. Guaranteed not to collide with any of the true
+/// values (multi-truth items could otherwise be "wrong" onto another truth).
+fn wrong_value(world: &World, truths: &[Value], rng: &mut SmallRng) -> Value {
     for _ in 0..4 {
         let truth = truths[rng.gen_range(0..truths.len())];
         let candidate = match truth {

@@ -47,6 +47,15 @@ pub struct World {
     noise_values: Vec<Value>,
 }
 
+/// `args` formatted into `buf`, reusing its allocation.
+fn format_in<'a>(buf: &'a mut String, args: std::fmt::Arguments) -> &'a str {
+    use std::fmt::Write;
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+    buf
+}
+
 impl World {
     /// Generate a world from `cfg`, deterministically from `seed`.
     pub fn generate(cfg: &WorldConfig, seed: u64) -> Self {
@@ -62,6 +71,9 @@ impl World {
     pub fn generate_with_confusable_ring(cfg: &WorldConfig, ring: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut catalog = Catalog::new();
+        // Names are formatted into one reused buffer; the interner keeps
+        // its own copy.
+        let mut name_buf = String::new();
 
         // ---- Types -------------------------------------------------------
         let type_names = [
@@ -109,7 +121,8 @@ impl World {
                 };
                 let mut level = Vec::with_capacity(width);
                 for i in 0..width.max(1) {
-                    let e = catalog.add_entity(&format!("loc_d{depth}_{i}"), location_ty);
+                    let name = format_in(&mut name_buf, format_args!("loc_d{depth}_{i}"));
+                    let e = catalog.add_entity(name, location_ty);
                     hierarchy_entities.push(e);
                     if let Some(parent) = prev.get(i % prev.len().max(1)) {
                         if !prev.is_empty() {
@@ -141,7 +154,8 @@ impl World {
             for t in 1..n_types {
                 let share = ((weights[t] / total) * n_ordinary as f64).ceil() as usize;
                 for i in 0..share.max(2) {
-                    let e = catalog.add_entity(&format!("ent_t{t}_{i}"), type_ids[t]);
+                    let name = format_in(&mut name_buf, format_args!("ent_t{t}_{i}"));
+                    let e = catalog.add_entity(name, type_ids[t]);
                     entities_by_type[t].push(e);
                 }
             }
@@ -261,7 +275,9 @@ impl World {
                             }
                             ValueKind::Str => {
                                 str_counter += 1;
-                                Value::Str(catalog.strings.intern(&format!("strval_{str_counter}")))
+                                let s =
+                                    format_in(&mut name_buf, format_args!("strval_{str_counter}"));
+                                Value::Str(catalog.strings.intern(s))
                             }
                             ValueKind::Num => {
                                 Value::Num(Numeric::from_i64(rng.gen_range(1800..2_100)))
@@ -282,7 +298,8 @@ impl World {
         // Junk strings and numbers for triple-identification errors.
         let mut noise_values = Vec::with_capacity(2_048);
         for i in 0..1_536 {
-            noise_values.push(Value::Str(catalog.strings.intern(&format!("noise_{i}"))));
+            let s = format_in(&mut name_buf, format_args!("noise_{i}"));
+            noise_values.push(Value::Str(catalog.strings.intern(s)));
         }
         for i in 0..512 {
             noise_values.push(Value::Num(Numeric::from_i64(100_000 + i)));
@@ -358,9 +375,17 @@ impl World {
     }
 
     /// A deterministic junk value indexed by `salt` (triple-identification
-    /// error substrate).
+    /// error substrate). Never a true value of any data item: the pool is
+    /// disjoint from the facts by construction.
     pub fn noise_value(&self, salt: u64) -> Value {
-        self.noise_values[(salt as usize) % self.noise_values.len()]
+        let n = self.noise_values.len();
+        // The generated pool is a power of two, where the modulo is a mask.
+        let i = if n.is_power_of_two() {
+            salt as usize & (n - 1)
+        } else {
+            salt as usize % n
+        };
+        self.noise_values[i]
     }
 }
 

@@ -1,4 +1,4 @@
-//! Default-path byte-identity regression.
+//! Corpus byte-identity regression.
 //!
 //! The hostile-corpus scenario layer (copying, spam, drift, hard linkage)
 //! must be *inert* when every knob sits at its default: disabled scenarios
@@ -10,8 +10,16 @@
 //! drifts, scenario plumbing has leaked into the honest path and every
 //! pinned corpus snapshot, CI gate baseline and published report silently
 //! changes meaning.
+//!
+//! The hostile corpora are pinned the same way, one `small` seed-42
+//! corpus per scenario, so a change to the copy path or to the spam and
+//! drift web paths cannot move a scenario corpus by a byte unnoticed.
+//! Their knobs mirror the scenario matrix of `kf-bench`
+//! (`scenario_config`), proportioned to the `small` shape.
 
-use kf_synth::{Corpus, SynthConfig};
+use kf_synth::{
+    CopyingConfig, Corpus, DriftConfig, LinkageConfig, ScenarioConfig, SpamConfig, SynthConfig,
+};
 use kf_types::{hash, KvCodec};
 
 fn fp<T: KvCodec>(value: &T) -> u64 {
@@ -49,6 +57,10 @@ fn assert_fingerprints(cfg: &SynthConfig, expected: &Expected, label: &str) {
         corpus.scenario_truth().is_empty(),
         "{label}: default corpus must join to an empty scenario-truth map"
     );
+    assert_corpus_fingerprints(&corpus, expected, label);
+}
+
+fn assert_corpus_fingerprints(corpus: &Corpus, expected: &Expected, label: &str) {
     assert_eq!(corpus.batch.len(), expected.n_records, "{label}: n_records");
     assert_eq!(corpus.web.pages.len(), expected.n_pages, "{label}: n_pages");
     let sections: Vec<u8> = corpus.sections.iter().map(|s| s.index() as u8).collect();
@@ -67,6 +79,23 @@ fn assert_fingerprints(cfg: &SynthConfig, expected: &Expected, label: &str) {
         expected.outcomes,
         "{label}: outcome bytes"
     );
+}
+
+/// The `small` seed-42 corpus under `scenarios`, which must be active and
+/// must leave injected ground truth behind.
+fn hostile_small(scenarios: ScenarioConfig, label: &str) -> Corpus {
+    let mut cfg = SynthConfig::small();
+    cfg.scenarios = scenarios;
+    assert!(
+        cfg.scenarios.any_active(),
+        "{label}: scenario must be active"
+    );
+    let corpus = Corpus::generate(&cfg, 42);
+    assert!(
+        !corpus.scenario.is_empty(),
+        "{label}: hostile corpus must carry scenario ground truth"
+    );
+    corpus
 }
 
 #[test]
@@ -123,5 +152,117 @@ fn paper_default_corpus_is_byte_identical_to_pre_scenario_generator() {
             n_pages: 24000,
         },
         "paper",
+    );
+}
+
+#[test]
+fn small_copying_corpus_is_byte_identical() {
+    let corpus = hostile_small(
+        ScenarioConfig {
+            copying: CopyingConfig { dependence: 0.6 },
+            ..Default::default()
+        },
+        "copying",
+    );
+    assert_corpus_fingerprints(
+        &corpus,
+        &Expected {
+            world: 0x00e019747f95440e,
+            web: 0xdab4fbfab9ee6dbe,
+            gold: 0x6e14120d7857e35d,
+            batch: 0x07af58cf35967168,
+            sections: 0xb9fbddce0bcf803c,
+            outcomes: 0x5a5585e8919c34f3,
+            n_records: 52394,
+            n_pages: 5000,
+        },
+        "copying",
+    );
+}
+
+#[test]
+fn small_spam_corpus_is_byte_identical() {
+    let n_pages = SynthConfig::small().web.n_pages / 8;
+    let corpus = hostile_small(
+        ScenarioConfig {
+            spam: SpamConfig {
+                n_pages,
+                n_items: 50,
+                claims_per_page: 4,
+                n_sites: 8,
+            },
+            ..Default::default()
+        },
+        "spam",
+    );
+    assert_corpus_fingerprints(
+        &corpus,
+        &Expected {
+            world: 0x00e019747f95440e,
+            web: 0x580f35003c3c49ca,
+            gold: 0x6e14120d7857e35d,
+            batch: 0xf5e0e413877e933f,
+            sections: 0x82769b65363d21e4,
+            outcomes: 0x229cbb57991a7fd9,
+            n_records: 54020,
+            n_pages: 5625,
+        },
+        "spam",
+    );
+}
+
+#[test]
+fn small_drift_corpus_is_byte_identical() {
+    let corpus = hostile_small(
+        ScenarioConfig {
+            drift: DriftConfig {
+                fraction: 0.2,
+                position: 0.5,
+            },
+            ..Default::default()
+        },
+        "drift",
+    );
+    assert_corpus_fingerprints(
+        &corpus,
+        &Expected {
+            world: 0x00e019747f95440e,
+            web: 0x383decb54ecb8f81,
+            gold: 0x6e14120d7857e35d,
+            batch: 0x4ed4852cad8d9936,
+            sections: 0xb4711b4a932f7f6a,
+            outcomes: 0xced25b69fe133736,
+            n_records: 49873,
+            n_pages: 5000,
+        },
+        "drift",
+    );
+}
+
+#[test]
+fn small_linkage_corpus_is_byte_identical() {
+    let corpus = hostile_small(
+        ScenarioConfig {
+            linkage: LinkageConfig {
+                confusable_ring: 6,
+                error_boost: 3.0,
+            },
+            ..Default::default()
+        },
+        "linkage",
+    );
+    assert_corpus_fingerprints(
+        &corpus,
+        &Expected {
+            world: 0xe1041c83cbf10d5b,
+            web: 0xf2bf07b2005c6faa,
+            gold: 0x6e14120d7857e35d,
+            batch: 0x252aacba20c0ace8,
+            sections: 0xcf779ec272a9caba,
+            outcomes: 0xe9f4ea307f364ab0,
+            n_records: 49841,
+            n_pages: 5000,
+        },
+        "linkage",
     );
 }

@@ -541,4 +541,49 @@ mod tests {
             .collect();
         assert_eq!(paths, ["run", "run/fuse", "run/fuse/round"]);
     }
+
+    #[test]
+    fn summary_prints_a_self_row_under_every_parent() {
+        let node = |name: &str, total_ns: u64, children: Vec<SpanNode>| SpanNode {
+            name: name.to_owned(),
+            calls: 1,
+            total_ns,
+            children,
+        };
+        let mut report = TraceReport::empty("run");
+        report.root = node(
+            "run",
+            10_000,
+            vec![
+                node("corpus", 7_000, vec![node("world", 2_000, Vec::new())]),
+                // Side-by-side children may sum past their parent.
+                node("presets", 1_000, vec![node("a", 900, Vec::new()); 2]),
+            ],
+        );
+        let rows: Vec<(String, String)> = report
+            .summary()
+            .lines()
+            .skip(1)
+            .map(|l| {
+                let fields: Vec<&str> = l[44..].split_whitespace().collect();
+                (l[..44].trim_end().to_owned(), fields.join(" "))
+            })
+            .collect();
+        let want = [
+            ("run", "1 10.0 µs"),
+            ("  corpus", "1 7.0 µs"),
+            ("    world", "1 2.0 µs"),
+            ("    (self)", "5.0 µs"),
+            ("  presets", "1 1.0 µs"),
+            ("    a", "1 900 ns"),
+            ("    a", "1 900 ns"),
+            ("    (self)", "0 ns"),
+            ("  (self)", "2.0 µs"),
+        ];
+        let want: Vec<(String, String)> = want
+            .iter()
+            .map(|&(a, b)| (a.to_owned(), b.to_owned()))
+            .collect();
+        assert_eq!(rows, want);
+    }
 }

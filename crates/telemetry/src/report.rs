@@ -107,6 +107,13 @@ impl SpanNode {
         self.children.iter().find(|c| c.name == name)
     }
 
+    /// Time no child covers: `total_ns` less the children's, floored at
+    /// zero (children that ran side by side can sum past their parent).
+    fn self_ns(&self) -> u64 {
+        let children: u64 = self.children.iter().map(|c| c.total_ns).sum();
+        self.total_ns.saturating_sub(children)
+    }
+
     fn zero_timings(&mut self) {
         self.total_ns = 0;
         for c in &mut self.children {
@@ -283,7 +290,9 @@ impl TraceReport {
     }
 
     /// Human-readable phase table: the span tree with call counts and
-    /// durations, then counters and series.
+    /// durations, then counters and series. Under every span that has
+    /// children, a `(self)` row holds the span's time that no child
+    /// covers (zero when children ran side by side and overlap).
     pub fn summary(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{:<44} {:>8} {:>12}", "phase", "calls", "total");
@@ -297,6 +306,10 @@ impl TraceReport {
             );
             for c in &node.children {
                 walk(c, depth + 1, s);
+            }
+            if !node.children.is_empty() {
+                let label = format!("{}(self)", "  ".repeat(depth + 1));
+                let _ = writeln!(s, "{label:<44} {:>8} {:>12}", "", fmt_ns(node.self_ns()));
             }
         }
         walk(&self.root, 0, &mut s);

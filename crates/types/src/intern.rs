@@ -3,33 +3,42 @@
 //! Raw-string object values (80M of the paper's 102M unique objects) are
 //! interned once so the rest of the system moves `Copy` [`StrId`]s around.
 
-use crate::hash::{FxBuildHasher, FxHashMap};
+use crate::hash::FxHashMap;
 use crate::ids::StrId;
-use std::hash::BuildHasher;
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
 /// An append-only string interner. Not thread-safe by itself; corpus
 /// construction happens single-threaded (or behind a lock) while fusion, the
 /// hot phase, only reads.
 ///
-/// The reverse index maps a string's 64-bit Fx hash to the id carrying
-/// that hash; the rare hash collisions overflow into a side list scanned
-/// by string comparison. Keying by hash instead of by owned `String`
-/// keeps the index clone-free and allocation-free per entry, which makes
-/// [`Interner::rebuild_index`] — and therefore checkpoint loading —
-/// cheap.
+/// The reverse index maps a string's 64-bit SipHash to the id carrying
+/// that hash; a string whose hash another string already owns overflows
+/// into a side list scanned by string comparison. Keying by hash instead
+/// of by owned `String` keeps the index clone-free and allocation-free
+/// per entry, which makes [`Interner::rebuild_index`] — and therefore
+/// checkpoint loading — cheap.
+///
+/// The hash must not collide on the generator's names, because every new
+/// string scans the whole overflow list: with the Fx hash the sequential
+/// names `strval_1..=300000` collide 4,444 times, the list held 4,604
+/// strings at `large` scale, and interning went quadratic. SipHash
+/// collides on none of them, so in practice the list is empty.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Interner {
     strings: Vec<String>,
     index: FxHashMap<u64, StrId>,
-    /// Ids displaced from `index` by a hash collision (kept tiny; scanned
+    /// Ids displaced from `index` by a 64-bit hash collision (scanned
     /// linearly with full string comparison).
     collisions: Vec<StrId>,
 }
 
-/// The index hash of a string.
+/// The index hash of a string: std's SipHash-1-3 under its fixed default
+/// keys. The index is never persisted (it is rebuilt on decode), so the
+/// hash may change with the toolchain without touching checkpoint bytes.
 #[inline]
 fn hash_str(s: &str) -> u64 {
-    FxBuildHasher::default().hash_one(s)
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(s)
 }
 
 /// Checkpoint encoding: the dense string table only. The reverse index is
@@ -57,19 +66,25 @@ impl Interner {
 
     /// Intern `s`, returning its id (existing id when already interned).
     pub fn intern(&mut self, s: &str) -> StrId {
-        if let Some(id) = self.lookup(s) {
-            return id;
-        }
         let id = StrId::from_index(self.strings.len());
-        self.strings.push(s.to_owned());
         match self.index.entry(hash_str(s)) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
+            Entry::Vacant(slot) => {
                 slot.insert(id);
             }
-            // A different string owns this hash slot; keep the new id
-            // reachable through the collision overflow list.
-            std::collections::hash_map::Entry::Occupied(_) => self.collisions.push(id),
+            Entry::Occupied(slot) => {
+                let owner = *slot.get();
+                if self.strings[owner.index()] == s {
+                    return owner;
+                }
+                if let Some(found) = self.find_collision(s) {
+                    return found;
+                }
+                // A different string owns this hash slot; keep the new id
+                // reachable through the collision overflow list.
+                self.collisions.push(id);
+            }
         }
+        self.strings.push(s.to_owned());
         id
     }
 
@@ -86,15 +101,25 @@ impl Interner {
 
     /// Look up an already-interned string without inserting.
     pub fn lookup(&self, s: &str) -> Option<StrId> {
-        if let Some(&id) = self.index.get(&hash_str(s)) {
-            if self.strings[id.index()] == s {
-                return Some(id);
-            }
+        // An overflowed string's hash always has an owner in the index.
+        let &owner = self.index.get(&hash_str(s))?;
+        if self.strings[owner.index()] == s {
+            return Some(owner);
         }
+        self.find_collision(s)
+    }
+
+    fn find_collision(&self, s: &str) -> Option<StrId> {
         self.collisions
             .iter()
             .copied()
             .find(|&id| self.strings[id.index()] == s)
+    }
+
+    /// Ids living on the collision overflow list.
+    #[cfg(test)]
+    fn n_collisions(&self) -> usize {
+        self.collisions.len()
     }
 
     /// Number of distinct interned strings.
@@ -117,10 +142,10 @@ impl Interner {
         self.collisions.clear();
         for (i, s) in self.strings.iter().enumerate() {
             match self.index.entry(hash_str(s)) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(StrId::from_index(i));
                 }
-                std::collections::hash_map::Entry::Occupied(_) => {
+                Entry::Occupied(_) => {
                     self.collisions.push(StrId::from_index(i));
                 }
             }
@@ -194,6 +219,40 @@ mod tests {
         assert_eq!(back.lookup("Syracuse NY"), Some(a));
         assert_eq!(back.lookup("New York City"), Some(b));
         assert_eq!(back.lookup("nope"), None);
+    }
+
+    #[test]
+    fn sequential_generator_names_intern_without_collisions() {
+        // The world generator's string values: the Fx hash collides on
+        // 4,444 of these, each one a linear overflow scan per new string.
+        let names: Vec<String> = (1..=300_000).map(|n| format!("strval_{n}")).collect();
+        let mut i = Interner::new();
+        for (n, name) in names.iter().enumerate() {
+            assert_eq!(i.intern(name).index(), n, "ids follow insertion order");
+        }
+        assert_eq!(i.n_collisions(), 0, "no string overflows the index");
+        for (n, name) in names.iter().enumerate() {
+            assert_eq!(i.lookup(name), Some(StrId::from_index(n)));
+            assert_eq!(i.resolve(StrId::from_index(n)), name);
+        }
+        i.rebuild_index();
+        assert_eq!(i.n_collisions(), 0, "nor does the rebuilt index");
+    }
+
+    #[test]
+    fn overflowed_strings_stay_reachable() {
+        // Force a collision: "b"'s hash slot is owned by "a".
+        let mut i = Interner::new();
+        let a = i.intern("a");
+        i.index.insert(hash_str("b"), a);
+        let b = i.intern("b");
+        assert_ne!(a, b);
+        assert_eq!(i.n_collisions(), 1);
+        assert_eq!(i.intern("b"), b, "interning an overflowed string again");
+        assert_eq!(i.lookup("b"), Some(b));
+        assert_eq!(i.lookup("a"), Some(a));
+        assert_eq!(i.resolve(b), "b");
+        assert_eq!(i.len(), 2);
     }
 
     #[test]
