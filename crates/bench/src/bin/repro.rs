@@ -32,7 +32,7 @@
 
 use kf_bench::{merge_shards, obtain_corpus, shard_presets, Mode, ParseError, ReproOptions};
 use kf_dist::{run_worker, Coordinator, CoordinatorConfig, FailSpec, WorkerConfig};
-use kf_eval::{trace_to_json, Json, MethodEval};
+use kf_eval::{trace_to_json, CorpusSummary, Json, MethodEval};
 use kf_synth::Corpus;
 use kf_telemetry::{Trace, TraceReport};
 use kf_types::checkpoint::{self, ArtifactKind};
@@ -89,28 +89,49 @@ fn write_trace(path: &str, full: &TraceReport, methods: &[MethodEval]) {
     }
 }
 
+/// How `repro` obtained its corpus, for the corpus line.
+struct Obtained {
+    /// `<scale> seed=<seed>, loaded|generated`.
+    label: String,
+    /// Seconds the load or generation took.
+    secs: f64,
+}
+
+impl Obtained {
+    /// Print the corpus line with `counts`, what is known of the corpus.
+    fn print(&self, counts: &str) {
+        println!("corpus[{}]: {counts} ({:.2}s)", self.label, self.secs);
+    }
+
+    /// The corpus line of a run's report: every count comes from its
+    /// [`CorpusSummary`], read off the grouped claims, so printing it
+    /// costs no pass over the records.
+    fn print_summary(&self, summary: &CorpusSummary) {
+        self.print(&format!(
+            "{} records, {} unique triples, {} items, {} gold items, lcwa accuracy {:.3}",
+            summary.n_records,
+            summary.n_unique_triples,
+            summary.n_data_items,
+            summary.n_gold_items,
+            summary.lcwa_accuracy,
+        ));
+    }
+}
+
 /// Load the corpus checkpoint or generate the corpus, under the
 /// process-level `corpus` span.
-fn load_corpus(opts: &ReproOptions) -> Corpus {
+fn load_corpus(opts: &ReproOptions) -> (Corpus, Obtained) {
     let start = Instant::now();
     let (corpus, loaded) = {
         let _span = kf_telemetry::span("corpus");
         obtain_corpus(opts).unwrap_or_else(|e| fail(&e))
     };
-    println!(
-        "corpus[{} seed={}, {}]: {} records, {} unique triples, {} items, \
-         {} gold items, lcwa accuracy {:.3} ({:.2}s)",
-        opts.scale,
-        corpus.seed,
-        if loaded { "loaded" } else { "generated" },
-        corpus.batch.len(),
-        corpus.batch.unique_triples(),
-        corpus.batch.unique_data_items(),
-        corpus.gold.n_items(),
-        corpus.lcwa_accuracy(),
-        start.elapsed().as_secs_f64(),
-    );
-    corpus
+    let how = if loaded { "loaded" } else { "generated" };
+    let obtained = Obtained {
+        label: format!("{} seed={}, {how}", opts.scale, corpus.seed),
+        secs: start.elapsed().as_secs_f64(),
+    };
+    (corpus, obtained)
 }
 
 fn main() {
@@ -133,8 +154,9 @@ fn main() {
     let process = Trace::with_root("run");
     let _telemetry = kf_telemetry::install(&process);
 
-    // What the mode produced: a report (a shard's is partial), if any.
-    let report = match &opts.mode {
+    // What the mode produced: a report (a shard's is partial), if any,
+    // and how it obtained its corpus, if it did.
+    let (report, obtained) = match &opts.mode {
         Mode::Worker { addr, name } => {
             // The corpus and every fusion parameter arrive over the wire.
             let mut config = WorkerConfig::new(addr.clone(), name.clone());
@@ -147,7 +169,7 @@ fn main() {
             })
             .unwrap_or_else(|e| fail(&format!("worker {name}: {e}")));
             println!("worker {name}: coordinator shut us down cleanly");
-            None
+            (None, None)
         }
         Mode::Merge(paths) => {
             let report = merge_shards(paths).unwrap_or_else(|e| fail(&e));
@@ -158,10 +180,14 @@ fn main() {
                 report.corpus.scale,
                 report.corpus.seed,
             );
-            Some(report)
+            (Some(report), None)
         }
         Mode::SaveCorpus(path) => {
-            let corpus = load_corpus(&opts);
+            // No run groups the records, so the line shows only what
+            // needs no pass over them.
+            let (corpus, obtained) = load_corpus(&opts);
+            let (records, gold_items) = (corpus.batch.len(), corpus.gold.n_items());
+            obtained.print(&format!("{records} records, {gold_items} gold items"));
             let start = Instant::now();
             corpus
                 .save(path)
@@ -172,17 +198,18 @@ fn main() {
                 bytes as f64 / (1024.0 * 1024.0),
                 start.elapsed().as_secs_f64(),
             );
-            None
+            (None, None)
         }
         Mode::Shard { index, of } => {
-            let corpus = load_corpus(&opts);
+            let (corpus, obtained) = load_corpus(&opts);
             opts.presets = shard_presets(&opts.presets, *index, *of);
             let names: Vec<&str> = opts.presets.iter().map(|p| p.name()).collect();
             println!("shard {index}/{of}: presets [{}]", names.join(", "));
-            Some(kf_bench::run_on_corpus(&opts, &corpus))
+            let report = kf_bench::run_on_corpus(&opts, &corpus);
+            (Some(report), Some(obtained))
         }
         Mode::Coordinator { bind, addr_file } => {
-            let corpus = load_corpus(&opts);
+            let (corpus, obtained) = load_corpus(&opts);
             let coordinator = Coordinator::bind(
                 bind,
                 kf_bench::dist_task_specs(&opts),
@@ -210,15 +237,19 @@ fn main() {
             let report = coordinator
                 .run_merged()
                 .unwrap_or_else(|e| fail(&format!("distributed run failed: {e}")));
-            Some(report)
+            (Some(report), Some(obtained))
         }
         Mode::Run => {
-            let corpus = load_corpus(&opts);
-            Some(kf_bench::run_on_corpus(&opts, &corpus))
+            let (corpus, obtained) = load_corpus(&opts);
+            let report = kf_bench::run_on_corpus(&opts, &corpus);
+            (Some(report), Some(obtained))
         }
     };
 
     if let Some(report) = &report {
+        if let Some(obtained) = &obtained {
+            obtained.print_summary(&report.corpus);
+        }
         println!();
         print!("{}", report.summary_table());
         // Before the trace is read: a shard report's save is on it.

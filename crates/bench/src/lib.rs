@@ -27,7 +27,7 @@ use kf_mapreduce::{run_tasks, MrConfig};
 use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::{Trace, TraceReport};
 use kf_types::{Granularity, TaskSpec};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Why [`ReproOptions::parse`] did not produce options.
@@ -611,15 +611,15 @@ fn engine_config(workers: Option<usize>) -> MrConfig {
 /// projected from them, filled before the first preset that needs it
 /// fans out. Presets of one granularity fuse over one shared graph: the
 /// three basic presets over the *(extractor, page)* graph, the two
-/// POPACCU+ presets over the fine one; the support index and the corpus
-/// summary read the claims.
+/// POPACCU+ presets over the fine one; the support index (a handle on
+/// the same claims) and the corpus summary read the claims.
 struct Grouping {
-    claims: Claims,
+    claims: Arc<Claims>,
     graphs: [OnceLock<Grouped>; Granularity::ALL.len()],
 }
 
 impl Grouping {
-    fn new(claims: Claims) -> Self {
+    fn new(claims: Arc<Claims>) -> Self {
         Grouping {
             claims,
             graphs: Default::default(),
@@ -665,9 +665,9 @@ type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 /// The per-corpus state every preset's run shares: the grouped claims
 /// and the claim graphs projected from them (one per granularity, on
 /// first use), and the inputs of the error-taxonomy diagnosis pass — the
-/// batch-level support index, the generator-truth and scenario-truth
-/// joins, the extractor labels, and the engine configuration whose
-/// worker count the diagnoser fans out under.
+/// support index over the same claims, the generator-truth and
+/// scenario-truth joins, the extractor labels, and the engine
+/// configuration whose worker count the diagnoser fans out under.
 ///
 /// Building this is the expensive prefix of a diagnosing run (the one
 /// grouping job over the extraction batch), so callers that fuse the
@@ -696,29 +696,27 @@ fn recorded<T>(name: &'static str, work: impl FnOnce() -> T) -> (T, TraceReport)
 }
 
 /// Build the shared diagnosis inputs for `corpus`, or `None` when
-/// `opts.diagnose` is off. The grouped claims and the support index — a
-/// projection of them — are shared by all presets, so their cost is
-/// recorded on the *process-level* trace, not any method's: under a
-/// `support_index` span, the grouping job as `group`, the index as
-/// `index` and the truth joins as `truth_joins`. The truth joins do not
-/// read the claims: they run beside the grouping job and the index, as
-/// the second task of a two-task fan-out.
+/// `opts.diagnose` is off. The grouped claims are shared by all presets,
+/// and the support index is a handle on them that derives a profile per
+/// classified false positive, so the grouping's cost is recorded on the
+/// *process-level* trace, not any method's: under a `support_index`
+/// span, the grouping job as `group` and the truth joins as
+/// `truth_joins`. The truth joins do not read the claims: they run beside
+/// the grouping job, as the second task of a two-task fan-out.
 ///
 /// `support_index`'s children attribute its wall time along the critical
 /// path, so they add up to no more than it whatever the worker budget:
-/// `group` and `index` hold their whole time, and `truth_joins` the part
-/// of its time that the grouping lane did not cover — all of it on one
-/// worker, where the two tasks run in turn, and only what the run waited
-/// for the joins once the index was built when they ran side by side.
+/// `group` holds its whole time, and `truth_joins` the part of its time
+/// that the grouping lane did not cover — all of it on one worker, where
+/// the two tasks run in turn, and only what the run waited for the joins
+/// once the claims were built when they ran side by side.
 pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<DiagnosisContext> {
     let mr = engine_config(opts.workers);
     opts.diagnose.then(|| {
         let _span = kf_telemetry::span("support_index");
         let (mut grouped, mut truths) = (None, None);
         let group: Task = Box::new(|| {
-            let claims = Claims::build(&corpus.batch.records, &mr);
-            let index = recorded("index", || SupportIndex::from_claims(&claims));
-            grouped = Some((index, claims, Instant::now()));
+            grouped = Some((Claims::build(&corpus.batch.records, &mr), Instant::now()));
         });
         // The scenario join is empty for honest corpora; hostile
         // checkpoints carry their injected phenomena into every method's
@@ -731,7 +729,7 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
             truths = Some((joins, start, Instant::now()));
         });
         run_tasks(mr.workers, vec![group, join]);
-        let ((support, index), claims, grouped_at) = grouped.expect("the grouping task ran");
+        let (claims, grouped_at) = grouped.expect("the grouping task ran");
         let (((truth, scenario), mut joins), joins_from, joined_at) =
             truths.expect("the join task ran");
         let uncovered = joined_at.saturating_duration_since(grouped_at.max(joins_from));
@@ -739,10 +737,10 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
         // Whichever threads took the two tasks, they ran for this one:
         // their records land here, under `support_index`.
         kf_telemetry::graft(claims.trace());
-        kf_telemetry::graft(&index);
         kf_telemetry::graft(&joins);
+        let claims = Arc::new(claims);
         DiagnosisContext {
-            support,
+            support: SupportIndex::from_claims(Arc::clone(&claims)),
             truth,
             scenario,
             labels: corpus.extractors.iter().map(|e| e.name.clone()).collect(),
@@ -813,8 +811,8 @@ pub fn run_on_corpus(opts: &ReproOptions, corpus: &Corpus) -> EvalReport {
 /// groups the corpus within this call only). The context must have been
 /// built from the same corpus and equivalent options; reusing it changes
 /// nothing about the produced bytes — no method's trace records the
-/// grouping job or a projection — only skips regrouping the corpus and
-/// recomputing the support index and the graphs it already holds.
+/// grouping job or a projection — only skips regrouping the corpus,
+/// rejoining the truths and reprojecting the graphs it already holds.
 pub fn run_on_corpus_with_context(
     opts: &ReproOptions,
     corpus: &Corpus,
@@ -866,7 +864,8 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
     let grouping = match diagnosis {
         Some(ctx) => &ctx.grouping,
         None => {
-            call_local = Grouping::new(Claims::build_recorded(&corpus.batch.records, &mr));
+            let claims = Claims::build_recorded(&corpus.batch.records, &mr);
+            call_local = Grouping::new(Arc::new(claims));
             &call_local
         }
     };

@@ -70,8 +70,7 @@ fn counter(trace: &TraceReport, name: &str) -> Option<u64> {
 /// One `run_on_corpus` shuffles the extractions once, before the presets
 /// fan out, and records that job once, where it ran: the process-level
 /// trace holds the one `group` subtree (under `support_index`, beside the
-/// `index` built from the claims and the `truth_joins`) with its `mr.*`
-/// counters, and one `project` span, in
+/// `truth_joins`) with its `mr.*` counters, and one `project` span, in
 /// which the graphs of the two granularities the five presets span were
 /// projected side by side. The support index and the summary counts read
 /// the same claims. No method trace has a `group` span, and no method's
@@ -95,13 +94,14 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     spans_named(&process.root, "group", &mut groups);
     assert_eq!(groups.len(), 1);
     assert_eq!(groups[0].calls, 1);
-    // Beside the grouping job, `support_index` holds the index built from
-    // its claims and the truth joins, each recorded once where it ran.
+    // Beside the grouping job, `support_index` holds the truth joins,
+    // each recorded once where it ran; the support index is a handle on
+    // the claims and builds nothing.
     let support = &process.root.children[0];
     assert_eq!(support.children[0], *groups[0]);
     let children = support.children.iter();
     let children: Vec<_> = children.map(|s| (s.name.as_str(), s.calls)).collect();
-    assert_eq!(children, [("group", 1), ("index", 1), ("truth_joins", 1)]);
+    assert_eq!(children, [("group", 1), ("truth_joins", 1)]);
 
     // The whole-run trace sees one job, the claims build: the diagnosis
     // passes fold in place. It sets no quota, so it is one wave — a ramp
@@ -112,6 +112,16 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     }
     assert_eq!(counter(&run, "mr.jobs"), Some(1));
     assert_eq!(counter(&run, "mr.waves"), Some(1));
+    // Each preset derived one support profile per false positive it
+    // classified, and recorded that on its own trace.
+    let classified: u64 = shared
+        .methods
+        .iter()
+        .map(|m| m.taxonomy.as_ref().unwrap().n_false_positives)
+        .sum();
+    assert!(classified > 0);
+    assert_eq!(counter(&process, "diagnose.profiles"), None);
+    assert_eq!(counter(&run, "diagnose.profiles"), Some(classified));
 
     // The summary read off the claims is the one counted off the records.
     let runner = AblationRunner {

@@ -478,6 +478,18 @@ impl Claims {
         Triple::new(item.subject, item.predicate, self.values[slot])
     }
 
+    /// The slot of `triple`, if the batch extracted it: a binary search
+    /// over the sorted items, then over that item's sorted values (the
+    /// grouping sort's order is [`DataItem`]'s and [`Value`]'s).
+    pub fn slot_of(&self, triple: &Triple) -> Option<usize> {
+        let i = self.items.binary_search(&triple.data_item()).ok()?;
+        let slots = self.item_slots(i);
+        let at = self.values[slots.clone()]
+            .binary_search(&triple.object)
+            .ok()?;
+        Some(slots.start + at)
+    }
+
     /// Distinct extractors supporting `slot`.
     pub fn n_extractors(&self, slot: usize) -> u16 {
         self.n_extractors[slot]
@@ -922,6 +934,56 @@ mod tests {
 
     fn counter(r: &TraceReport, name: &str) -> Option<u64> {
         r.counters.iter().find(|c| c.name == name).map(|c| c.value)
+    }
+
+    #[test]
+    fn slot_of_agrees_with_a_linear_scan() {
+        // Every value variant on shared items, negative numerics (whose
+        // record payload flips the sign bit) and zero among them.
+        let objects = [
+            Value::Entity(EntityId(0)),
+            Value::Entity(EntityId(u32::MAX)),
+            Value::Str(StrId(3)),
+            Value::Str(StrId(0)),
+            Value::Num(Numeric(-5_000)),
+            Value::Num(Numeric(i64::MIN)),
+            Value::Num(Numeric(0)),
+            Value::Num(Numeric(-1)),
+            Value::Num(Numeric(i64::MAX)),
+            Value::Num(Numeric(42)),
+        ];
+        let batch: Vec<Extraction> = (0..400u32)
+            .map(|i| {
+                let mut e = ext(i % 13, i % 3, 0, (i % 4) as u16, i % 50);
+                e.triple.object = objects[(i as usize * 7) % objects.len()];
+                e
+            })
+            .collect();
+        let claims = Claims::build(&batch, &MrConfig::with_workers(2));
+        let slot_triples: Vec<Triple> = (0..claims.n_items())
+            .flat_map(|i| claims.item_slots(i).map(move |s| (i, s)))
+            .map(|(i, slot)| claims.triple(i, slot))
+            .collect();
+        let scan = |t: &Triple| slot_triples.iter().position(|s| s == t);
+        for (slot, triple) in slot_triples.iter().enumerate() {
+            assert_eq!(claims.slot_of(triple), Some(slot), "{triple:?}");
+        }
+        // Absent triples: unknown subjects and predicates, and every
+        // variant on known items without that value.
+        let mut probed_absent = 0;
+        for s in 0..15 {
+            for p in 0..4 {
+                for &object in objects.iter().chain(&[Value::Num(Numeric(-2))]) {
+                    let t = Triple::new(EntityId(s), PredicateId(p), object);
+                    let scanned = scan(&t);
+                    assert_eq!(claims.slot_of(&t), scanned, "{t:?}");
+                    probed_absent += usize::from(scanned.is_none());
+                }
+            }
+        }
+        assert!(probed_absent > 0);
+        let empty = Claims::build(&[], &MrConfig::sequential());
+        assert_eq!(empty.slot_of(&slot_triples[0]), None);
     }
 
     #[test]

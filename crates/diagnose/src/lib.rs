@@ -11,10 +11,13 @@
 //! reproduces that analysis automatically, with per-extractor
 //! attribution:
 //!
-//! 1. [`SupportIndex::build`] derives each unique triple's support shape
-//!    (distinct pages per extractor) from the raw extraction batch — one
-//!    grouping job (`Claims::build`), inheriting its chunked/spill
-//!    residency envelope.
+//! 1. A [`SupportIndex`] is a shared handle on the batch's grouped
+//!    claims — [`SupportIndex::build`] runs the one grouping job
+//!    (`Claims::build`, inheriting its chunked/spill residency envelope),
+//!    [`SupportIndex::from_claims`] shares claims a run already grouped
+//!    for fusion. It holds no per-triple table: a triple's support shape
+//!    (distinct pages per extractor) is derived from its slot when the
+//!    diagnoser asks, once per false positive it classifies.
 //! 2. [`Diagnoser::run`] classifies every labelled false positive in the
 //!    configured high-confidence bands with the heuristic rules of
 //!    [`classify::classify`] — contiguous ranges of the scored triples
@@ -22,8 +25,9 @@
 //!    error mass per confidence band, per predicate, per extractor and
 //!    per support spread: a [`TaxonomyReport`].
 //! 3. Because the synthetic corpus tags each extraction with its
-//!    generator-truth `ExtractionOutcome` (`kf-synth` exposes the join
-//!    as `Corpus::taxonomy_truth`), the heuristic attribution is
+//!    generator-truth `ExtractionOutcome` (`kf-synth` exposes the join,
+//!    over the gold-false triples a false positive can be, as
+//!    `Corpus::taxonomy_truth`), the heuristic attribution is
 //!    *measured*: the report carries the heuristic-vs-injected confusion
 //!    matrix, and a CI gate keeps attribution accuracy on injected
 //!    systematic/generalized errors at ≥ 90%.
@@ -53,7 +57,7 @@ pub mod classify;
 pub mod support;
 
 pub use classify::{classify, ClassifierThresholds};
-pub use support::{SupportIndex, SupportProfile};
+pub use support::{Profiles, SupportIndex, SupportProfile};
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -100,7 +104,7 @@ impl Default for DiagnoseConfig {
 pub struct Diagnoser<'a, H: ValueHierarchy + Sync> {
     gold: &'a GoldStandard,
     hierarchy: &'a H,
-    support: &'a SupportIndex,
+    support: &'a dyn Profiles,
     truth: Option<&'a FxHashMap<Triple, ErrorCategory>>,
     scenario: Option<&'a FxHashMap<Triple, ScenarioPhenomenon>>,
     attribution: Option<&'a ProvenanceAttribution>,
@@ -111,8 +115,8 @@ pub struct Diagnoser<'a, H: ValueHierarchy + Sync> {
 impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     /// A diagnoser over the required context: the gold standard the
     /// output was labelled against, the value-hierarchy ontology, and the
-    /// batch's [`SupportIndex`].
-    pub fn new(gold: &'a GoldStandard, hierarchy: &'a H, support: &'a SupportIndex) -> Self {
+    /// batch's support profiles (its [`SupportIndex`]).
+    pub fn new(gold: &'a GoldStandard, hierarchy: &'a H, support: &'a dyn Profiles) -> Self {
         Diagnoser {
             gold,
             hierarchy,
@@ -172,8 +176,10 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     /// the report, so it does not depend on the worker count. The
     /// returned [`JobStats`] describe a map-only pass: `map_input` is the
     /// number of scored triples, `map_output` the number classified (the
-    /// labelled false positives), and every shuffle field is 0. Nothing
-    /// is recorded into the installed trace.
+    /// labelled false positives), and every shuffle field is 0. Each
+    /// classified false positive derives its [`SupportProfile`] from the
+    /// index, and that count is the one thing recorded into the installed
+    /// trace: the `diagnose.profiles` counter.
     pub fn run(&self, output: &FusionOutput) -> (TaxonomyReport, JobStats) {
         // Sanitised ascending band edges (callers constructing configs by
         // hand may pass unsorted or empty edges).
@@ -200,6 +206,7 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
             .collect();
         let rows = run_tasks(workers, ranges);
         let report = self.fold(output, &edges, rows.iter().flatten());
+        kf_telemetry::add("diagnose.profiles", report.n_false_positives);
         let stats = JobStats {
             map_output: report.n_false_positives,
             ..JobStats::new(n as u64)
@@ -210,12 +217,12 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     /// The in-scope rows of `output.scored[range]`, in slot order: the
     /// labelled triples with a finite probability at or above the lowest
     /// band edge, each false positive classified.
-    fn classify_range<'s>(
-        &'s self,
-        output: &'s FusionOutput,
+    fn classify_range(
+        &self,
+        output: &FusionOutput,
         edges: &[f64],
         range: Range<usize>,
-    ) -> Vec<Row<'s>> {
+    ) -> Vec<Row> {
         let mut rows = Vec::new();
         for slot in range {
             let s = &output.scored[slot];
@@ -230,13 +237,15 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
                 continue;
             };
             let band = edges.iter().take_while(|&&e| p >= e).count() - 1;
-            let profile = (!is_true).then(|| self.support.get(&s.triple)).flatten();
+            let profile = (!is_true)
+                .then(|| self.support.profile(&s.triple))
+                .flatten();
             let category = (!is_true).then(|| {
                 let gold_values = self.gold.values(&s.triple.data_item()).unwrap_or(&[]);
                 classify(
                     &s.triple,
                     gold_values,
-                    profile,
+                    profile.as_ref(),
                     self.hierarchy,
                     &self.cfg.thresholds,
                 )
@@ -258,7 +267,7 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
         &self,
         output: &FusionOutput,
         edges: &[f64],
-        rows: impl Iterator<Item = &'r Row<'r>>,
+        rows: impl Iterator<Item = &'r Row>,
     ) -> TaxonomyReport {
         let mut bands: Vec<BandBreakdown> = edges
             .iter()
@@ -296,7 +305,7 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
                 .entry(Spread::of(s.n_extractors, s.n_pages))
                 .or_default()
                 .add(cat, 1);
-            for &(ext, _) in row.profile.map_or(&[][..], |p| &p.per_extractor) {
+            for &(ext, _) in row.profile.as_ref().map_or(&[][..], |p| &p.per_extractor) {
                 extractors.entry(ext.raw() as u32).or_default().add(cat, 1);
             }
             if let Some(&injected) = self.truth.and_then(|t| t.get(&s.triple)) {
@@ -365,14 +374,15 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
 
 /// An in-scope scored triple: labelled, with a finite probability at or
 /// above the lowest band edge.
-struct Row<'s> {
+struct Row {
     /// Index into `FusionOutput::scored`.
     slot: usize,
     band: usize,
     /// The heuristic category of a false positive; `None` for a true one.
     category: Option<ErrorCategory>,
-    /// A false positive's support profile; `None` for a true one.
-    profile: Option<&'s SupportProfile>,
+    /// A false positive's support profile, derived for it alone; `None`
+    /// for a true one.
+    profile: Option<SupportProfile>,
 }
 
 /// One secondary dimension's group rows, in key order; `name` gives each
@@ -511,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn a_run_records_nothing_into_the_installed_trace() {
+    fn a_run_records_only_its_profile_count_into_the_installed_trace() {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 6);
         let (output, attribution) = Fuser::new(FusionConfig::popaccu().with_workers(2))
             .run_with_attribution(&corpus.batch, None);
@@ -532,7 +542,13 @@ mod tests {
         assert!(report.n_false_positives > 0, "no FPs diagnosed");
         let recorded = trace.snapshot();
         assert!(recorded.root.children.is_empty(), "{:?}", recorded.root);
-        assert!(recorded.counters.is_empty(), "{:?}", recorded.counters);
+        // One profile per classified false positive, and no job counter.
+        let counters: Vec<_> = recorded
+            .counters
+            .iter()
+            .map(|c| (c.name.as_str(), c.value))
+            .collect();
+        assert_eq!(counters, [("diagnose.profiles", report.n_false_positives)]);
         assert!(recorded.series.is_empty() && recorded.histograms.is_empty());
         // A map-only pass: no shuffle.
         assert_eq!(stats.map_input, output.scored.len() as u64);

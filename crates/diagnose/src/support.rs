@@ -7,16 +7,20 @@
 //! of a systematic (pattern, data item) extraction breakage, while broad
 //! cross-extractor agreement marks a faithfully extracted (and therefore
 //! probably LCWA-artifact) triple. That attribution is a projection of
-//! the batch's grouped [`Claims`] — each triple's distinct raw
-//! provenances, reduced to (extractor, page) pairs
-//! ([`SupportIndex::from_claims`]) — so it costs no shuffle of its own
-//! when the claims are already grouped for fusion, and the grouping job's
-//! chunked/spill residency envelope
+//! the batch's grouped [`Claims`] — a triple's distinct raw provenances,
+//! reduced to (extractor, page) pairs — so a [`SupportIndex`] is a shared
+//! handle on the claims a run already grouped for fusion, not a table of
+//! its own: it derives a triple's profile when asked
+//! ([`Profiles::profile`]), and the diagnoser asks once per false
+//! positive it classifies. It costs no shuffle of its own, and the
+//! grouping job's chunked/spill residency envelope
 //! (`MrConfig::spill_threshold_records`) is the only one it is under.
+
+use std::sync::Arc;
 
 use kf_core::Claims;
 use kf_mapreduce::{JobStats, MrConfig};
-use kf_types::{Extraction, ExtractorId, FxHashMap, Triple};
+use kf_types::{Extraction, ExtractorId, Triple};
 
 /// The support shape of one unique triple: how many distinct pages
 /// produced it, and how those pages distribute over extractors.
@@ -62,10 +66,19 @@ impl SupportProfile {
     }
 }
 
-/// Per-unique-triple [`SupportProfile`]s for one extraction batch.
-#[derive(Debug, Clone, Default)]
+/// Where a [`Diagnoser`](crate::Diagnoser) reads a false positive's
+/// support profile: a [`SupportIndex`] in every run; a test may hand it
+/// any other table of the same profiles.
+pub trait Profiles: std::fmt::Debug + Sync {
+    /// The profile of `triple`, if the batch extracted it.
+    fn profile(&self, triple: &Triple) -> Option<SupportProfile>;
+}
+
+/// The [`SupportProfile`]s of one extraction batch's unique triples,
+/// derived on demand from its grouped [`Claims`].
+#[derive(Debug, Clone)]
 pub struct SupportIndex {
-    map: FxHashMap<Triple, SupportProfile>,
+    claims: Arc<Claims>,
 }
 
 impl SupportIndex {
@@ -77,52 +90,49 @@ impl SupportIndex {
     /// fusion runs instead.
     pub fn build(records: &[Extraction], mr: &MrConfig) -> (SupportIndex, JobStats) {
         let claims = Claims::build_recorded(records, mr);
-        (SupportIndex::from_claims(&claims), claims.stats())
+        let stats = claims.stats();
+        (SupportIndex::from_claims(Arc::new(claims)), stats)
     }
 
-    /// The index of grouped `claims`: per unique triple, its distinct
-    /// (extractor, page) support pairs counted per extractor.
-    pub fn from_claims(claims: &Claims) -> SupportIndex {
-        let mut map = FxHashMap::default();
-        map.reserve(claims.n_triples());
-        for i in 0..claims.n_items() {
-            for slot in claims.item_slots(i) {
-                // Provenances are distinct and sorted by (extractor, page,
-                // …), so distinct pairs are runs, and so are extractors.
-                let mut per_extractor: Vec<(ExtractorId, u32)> = Vec::new();
-                let mut last_page = None;
-                for p in claims.slot_provenances(slot) {
-                    match per_extractor.last_mut() {
-                        Some((extractor, n)) if *extractor == p.extractor => {
-                            *n += u32::from(last_page != Some(p.page));
-                        }
-                        _ => per_extractor.push((p.extractor, 1)),
-                    }
-                    last_page = Some(p.page);
-                }
-                let profile = SupportProfile {
-                    n_pages: claims.n_pages(slot),
-                    per_extractor,
-                };
-                map.insert(claims.triple(i, slot), profile);
-            }
-        }
-        SupportIndex { map }
+    /// The index of grouped `claims`, shared: nothing is copied or
+    /// precomputed.
+    pub fn from_claims(claims: Arc<Claims>) -> SupportIndex {
+        SupportIndex { claims }
     }
 
-    /// The profile of a triple, if it appears in the batch.
-    pub fn get(&self, triple: &Triple) -> Option<&SupportProfile> {
-        self.map.get(triple)
-    }
-
-    /// Number of indexed unique triples.
+    /// Number of unique triples in the batch.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.claims.n_triples()
     }
 
-    /// True when the index is empty.
+    /// True when the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+}
+
+impl Profiles for SupportIndex {
+    /// The triple's slot's distinct (extractor, page) support pairs,
+    /// counted per extractor.
+    fn profile(&self, triple: &Triple) -> Option<SupportProfile> {
+        let slot = self.claims.slot_of(triple)?;
+        // Provenances are distinct and sorted by (extractor, page, …), so
+        // distinct pairs are runs, and so are extractors.
+        let mut per_extractor: Vec<(ExtractorId, u32)> = Vec::new();
+        let mut last_page = None;
+        for p in self.claims.slot_provenances(slot) {
+            match per_extractor.last_mut() {
+                Some((extractor, n)) if *extractor == p.extractor => {
+                    *n += u32::from(last_page != Some(p.page));
+                }
+                _ => per_extractor.push((p.extractor, 1)),
+            }
+            last_page = Some(p.page);
+        }
+        Some(SupportProfile {
+            n_pages: self.claims.n_pages(slot),
+            per_extractor,
+        })
     }
 }
 
@@ -143,13 +153,23 @@ mod tests {
         )
     }
 
+    /// Every distinct triple of `records` with its profile, in triple
+    /// order.
+    fn profiles(index: &SupportIndex, records: &[Extraction]) -> Vec<(Triple, SupportProfile)> {
+        let mut triples: Vec<Triple> = records.iter().map(|e| e.triple).collect();
+        triples.sort_unstable();
+        triples.dedup();
+        let profile = |t: Triple| (t, index.profile(&t).expect("an extracted triple"));
+        triples.into_iter().map(profile).collect()
+    }
+
     #[test]
     fn profiles_count_distinct_pages_per_extractor() {
         // Triple 7: extractor 0 on pages {1, 2, 2}, extractor 3 on page 1.
         let records = vec![ext(7, 0, 1), ext(7, 0, 2), ext(7, 0, 2), ext(7, 3, 1)];
         let (index, _) = SupportIndex::build(&records, &MrConfig::sequential());
         assert_eq!(index.len(), 1);
-        let p = index.get(&records[0].triple).unwrap();
+        let p = index.profile(&records[0].triple).unwrap();
         assert_eq!(p.n_pages, 2);
         assert_eq!(
             p.per_extractor,
@@ -158,13 +178,15 @@ mod tests {
         assert_eq!(p.n_extractors(), 2);
         assert_eq!(p.top_extractor(), Some((ExtractorId(0), 2)));
         assert!((p.top_share() - 2.0 / 3.0).abs() < 1e-12);
+        // A triple the batch never extracted has no profile.
+        assert_eq!(index.profile(&ext(8, 0, 1).triple), None);
     }
 
     #[test]
     fn top_extractor_tie_prefers_smaller_id() {
         let records = vec![ext(7, 4, 1), ext(7, 2, 2)];
         let (index, _) = SupportIndex::build(&records, &MrConfig::sequential());
-        let p = index.get(&records[0].triple).unwrap();
+        let p = index.profile(&records[0].triple).unwrap();
         assert_eq!(p.top_extractor(), Some((ExtractorId(2), 1)));
         assert_eq!(p.top_share(), 0.5);
     }
@@ -175,6 +197,7 @@ mod tests {
             .map(|i| ext(i % 40, (i % 7) as u16, i % 180))
             .collect();
         let (base, _) = SupportIndex::build(&records, &MrConfig::sequential());
+        let base = profiles(&base, &records);
         for mr in [
             MrConfig::with_workers(4),
             MrConfig::with_workers(4).with_chunk_records(256),
@@ -183,7 +206,7 @@ mod tests {
                 .with_spill_threshold(512),
         ] {
             let (other, stats) = SupportIndex::build(&records, &mr);
-            assert_eq!(base.map, other.map, "mr {mr:?}");
+            assert_eq!(base, profiles(&other, &records), "mr {mr:?}");
             if mr.spill_threshold_records > 0 {
                 assert!(stats.spilled_bytes > 0, "spill path not exercised");
                 // Every wave (≤ 256) fits under the threshold, so the
@@ -217,7 +240,7 @@ mod tests {
                 .with_chunk_records(200)
                 .with_spill_threshold(300),
         ] {
-            let index = SupportIndex::from_claims(&Claims::build(&records, &mr));
+            let index = SupportIndex::from_claims(Arc::new(Claims::build(&records, &mr)));
             assert_eq!(index.len(), pairs.len());
             for (triple, pairs) in &pairs {
                 let pages: BTreeSet<PageId> = pairs.iter().map(|&(_, page)| page).collect();
@@ -229,7 +252,7 @@ mod tests {
                     n_pages: pages.len() as u32,
                     per_extractor: per_extractor.into_iter().collect(),
                 };
-                assert_eq!(index.get(triple), Some(&expected), "{triple:?}");
+                assert_eq!(index.profile(triple), Some(expected), "{triple:?}");
             }
         }
     }
@@ -241,5 +264,6 @@ mod tests {
         assert_eq!(p.top_share(), 0.0);
         let (index, _) = SupportIndex::build(&[], &MrConfig::sequential());
         assert!(index.is_empty());
+        assert_eq!(index.profile(&ext(7, 0, 1).triple), None);
     }
 }

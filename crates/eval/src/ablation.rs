@@ -129,6 +129,9 @@ impl AblationRunner {
         gold: &GoldStandard,
         fuse_ms: f64,
     ) -> MethodEval {
+        // The span covers the labelling too: one gold probe per scored
+        // triple.
+        let _eval = kf_telemetry::span("eval");
         let labeled = LabeledOutput::label(output, gold);
         evaluate_labeled(
             preset.name(),

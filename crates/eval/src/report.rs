@@ -567,7 +567,10 @@ impl EvalReport {
     }
 }
 
-/// Assemble a [`MethodEval`] from a labelled output.
+/// Assemble a [`MethodEval`] from a labelled output, recording its `pr`
+/// and `calibration` spans into the installed trace (under the caller's
+/// `eval` span, which [`AblationRunner::evaluate`](crate::AblationRunner::evaluate)
+/// opens before it labels the output).
 pub fn evaluate_labeled(
     name: &str,
     label: &str,
@@ -580,7 +583,6 @@ pub fn evaluate_labeled(
     use crate::calibration::{calibration_curve, Binning};
     use crate::pr::{pr_curve_sorted, precision_at_k_sorted, sort_descending};
 
-    let _eval = kf_telemetry::span("eval");
     kf_telemetry::add("eval.labelled", labeled.n_labelled() as u64);
     let preds = labeled.predictions();
     // One descending sort serves the PR curve and every precision@k.

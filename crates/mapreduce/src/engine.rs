@@ -35,6 +35,7 @@ use crate::spill::{merge, merge_reduce_runs, reduce_groups, write_run, SpillDir}
 use crate::stats::JobStats;
 use kf_types::KvCodec;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Engine configuration.
@@ -84,10 +85,17 @@ pub struct MrConfig {
 }
 
 impl Default for MrConfig {
+    /// One worker per core the process may use (4 when that is unknown).
+    /// The core count is read once per process: every preset and
+    /// diagnosis config reaches this, and each read of it re-reads the
+    /// cgroup quota files.
     fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let workers = *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        });
         MrConfig {
             workers,
             partitions: workers * 4,

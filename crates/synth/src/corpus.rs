@@ -306,8 +306,11 @@ impl Corpus {
     }
 
     /// [`Corpus::dominant_outcomes`] mapped onto the Fig. 17 category
-    /// space — the ground-truth side of the heuristic-vs-injected
-    /// confusion matrix.
+    /// space, for each triple the gold standard labels **false** — the
+    /// ground-truth side of the heuristic-vs-injected confusion matrix.
+    /// Only gold-false triples can be false positives, so they are the
+    /// only ones the taxonomy looks up (28 % of the unique triples at
+    /// paper scale); true and unlabelled triples are left out.
     ///
     /// One refinement over the raw per-record outcome: Fig. 17's
     /// "systematic extraction error" is a *phenomenon* — "common
@@ -321,15 +324,17 @@ impl Corpus {
     /// systematic category is reserved for triples whose wrong value was
     /// actually replicated across ≥ 2 distinct pages.
     pub fn taxonomy_truth(&self) -> kf_types::FxHashMap<Triple, kf_types::ErrorCategory> {
-        use kf_types::{ErrorCategory, FxHashMap, PageId};
-        // One pass over the records: per triple, its per-outcome counts
-        // and whether a second distinct page carried it (first page,
-        // saw another) — only the ≥ 2 distinction matters. The map grows
-        // as it fills: sized for one triple per record it would hold
-        // twice the buckets the corpora here need (2.4 records per
-        // triple), and the join runs beside the grouping, at its peak.
+        use kf_types::{ErrorCategory, FxHashMap, Label, PageId};
+        // One pass over the records, folding each gold-false one: per
+        // triple, its per-outcome counts and whether a second distinct
+        // page carried it (first page, saw another) — only the ≥ 2
+        // distinction matters. The map grows as it fills: the share of
+        // gold-false triples is not known up front.
         let mut per_triple: FxHashMap<Triple, ([u32; 6], PageId, bool)> = FxHashMap::default();
         for (e, &outcome) in self.batch.iter().zip(&self.outcomes) {
+            if self.gold.label(&e.triple) != Label::False {
+                continue;
+            }
             let page = e.provenance.page;
             let slot = per_triple.entry(e.triple).or_insert(([0; 6], page, false));
             slot.0[outcome.index()] += 1;
@@ -568,17 +573,25 @@ mod tests {
                 assert_eq!(dominant[triple], outcomes[0]);
             }
         }
-        // The truth join maps onto the taxonomy categories, except that a
-        // dominant systematic outcome without the multi-page phenomenon
-        // degrades to the linkage category.
+        // The truth join covers exactly the gold-false triples and maps
+        // them onto the taxonomy categories, except that a dominant
+        // systematic outcome without the multi-page phenomenon degrades
+        // to the linkage category.
         let truth = c.taxonomy_truth();
-        assert_eq!(truth.len(), dominant.len());
+        let gold_false = |t: &Triple| c.gold.label(t) == kf_types::Label::False;
+        let n_false = dominant.keys().filter(|t| gold_false(t)).count();
+        assert!(0 < n_false && n_false < dominant.len());
+        assert_eq!(truth.len(), n_false);
         let mut pages: kf_types::FxHashMap<_, std::collections::HashSet<_>> =
             kf_types::FxHashMap::default();
         for e in c.batch.iter() {
             pages.entry(e.triple).or_default().insert(e.provenance.page);
         }
         for (triple, o) in dominant {
+            if !gold_false(&triple) {
+                assert!(!truth.contains_key(&triple), "{triple:?}");
+                continue;
+            }
             let expected = match o.taxonomy_category() {
                 kf_types::ErrorCategory::SystematicExtraction if pages[&triple].len() < 2 => {
                     kf_types::ErrorCategory::LinkageError
@@ -648,9 +661,9 @@ mod tests {
             .collect()
     }
 
-    /// The three-pass definition of [`Corpus::taxonomy_truth`]: dominant
-    /// outcomes, then the page spread of the systematic-dominant triples,
-    /// then the category map.
+    /// The three-pass definition of [`Corpus::taxonomy_truth`] over every
+    /// unique triple: dominant outcomes, then the page spread of the
+    /// systematic-dominant triples, then the category map.
     fn taxonomy_truth_three_pass(
         c: &Corpus,
     ) -> kf_types::FxHashMap<Triple, kf_types::ErrorCategory> {
@@ -678,13 +691,21 @@ mod tests {
             .collect()
     }
 
+    /// The join holds exactly the gold-false triples, each with the
+    /// three-pass definition's category.
     #[test]
     fn one_pass_taxonomy_truth_matches_the_three_pass_definition() {
         for (name, cfg) in small_under_every_scenario() {
             let c = Corpus::generate(&cfg, 42);
             let truth = c.taxonomy_truth();
-            assert_eq!(truth.len(), c.batch.unique_triples(), "{name}");
-            assert_eq!(truth, taxonomy_truth_three_pass(&c), "{name}");
+            let every_triple = taxonomy_truth_three_pass(&c);
+            assert_eq!(every_triple.len(), c.batch.unique_triples(), "{name}");
+            let gold_false: kf_types::FxHashMap<_, _> = every_triple
+                .into_iter()
+                .filter(|(t, _)| c.gold.label(t) == kf_types::Label::False)
+                .collect();
+            assert!(gold_false.len() < c.batch.unique_triples(), "{name}");
+            assert_eq!(truth, gold_false, "{name}");
             // Every page-spread branch is exercised.
             let systematic = truth
                 .values()

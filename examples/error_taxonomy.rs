@@ -19,11 +19,11 @@ fn main() {
         corpus.lcwa_accuracy(),
     );
 
-    // The shared context: support shapes from the raw batch, the
-    // generator-truth category join, extractor names.
+    // The shared context: the grouped batch the support shapes are read
+    // from, the generator-truth category join, extractor names.
     let (support, stats) = SupportIndex::build(&corpus.batch.records, &MrConfig::default());
     println!(
-        "support index: {} profiles (map_output {}, grouped peak {})",
+        "support index: {} unique triples (map_output {}, grouped peak {})",
         support.len(),
         stats.map_output,
         stats.peak_grouped_records,
