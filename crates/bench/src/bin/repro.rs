@@ -155,8 +155,8 @@ fn main() {
     let _telemetry = kf_telemetry::install(&process);
 
     // What the mode produced: a report (a shard's is partial), if any,
-    // and how it obtained its corpus, if it did.
-    let (report, obtained) = match &opts.mode {
+    // and the corpus with how it was obtained, if it was.
+    let (report, obtained, corpus) = match &opts.mode {
         Mode::Worker { addr, name } => {
             // The corpus and every fusion parameter arrive over the wire.
             let mut config = WorkerConfig::new(addr.clone(), name.clone());
@@ -169,7 +169,7 @@ fn main() {
             })
             .unwrap_or_else(|e| fail(&format!("worker {name}: {e}")));
             println!("worker {name}: coordinator shut us down cleanly");
-            (None, None)
+            (None, None, None)
         }
         Mode::Merge(paths) => {
             let report = merge_shards(paths).unwrap_or_else(|e| fail(&e));
@@ -180,7 +180,7 @@ fn main() {
                 report.corpus.scale,
                 report.corpus.seed,
             );
-            (Some(report), None)
+            (Some(report), None, None)
         }
         Mode::SaveCorpus(path) => {
             // No run groups the records, so the line shows only what
@@ -198,7 +198,7 @@ fn main() {
                 bytes as f64 / (1024.0 * 1024.0),
                 start.elapsed().as_secs_f64(),
             );
-            (None, None)
+            (None, None, Some(corpus))
         }
         Mode::Shard { index, of } => {
             let (corpus, obtained) = load_corpus(&opts);
@@ -206,7 +206,7 @@ fn main() {
             let names: Vec<&str> = opts.presets.iter().map(|p| p.name()).collect();
             println!("shard {index}/{of}: presets [{}]", names.join(", "));
             let report = kf_bench::run_on_corpus(&opts, &corpus);
-            (Some(report), Some(obtained))
+            (Some(report), Some(obtained), Some(corpus))
         }
         Mode::Coordinator { bind, addr_file } => {
             let (corpus, obtained) = load_corpus(&opts);
@@ -237,12 +237,12 @@ fn main() {
             let report = coordinator
                 .run_merged()
                 .unwrap_or_else(|e| fail(&format!("distributed run failed: {e}")));
-            (Some(report), Some(obtained))
+            (Some(report), Some(obtained), Some(corpus))
         }
         Mode::Run => {
             let (corpus, obtained) = load_corpus(&opts);
             let report = kf_bench::run_on_corpus(&opts, &corpus);
-            (Some(report), Some(obtained))
+            (Some(report), Some(obtained), Some(corpus))
         }
     };
 
@@ -274,4 +274,8 @@ fn main() {
     if let Some(path) = &opts.trace {
         write_trace(path, &full, methods);
     }
+    // Freeing the corpus (tens of milliseconds at paper scale, outside
+    // every span) buys nothing: the process exits next and the system
+    // reclaims its memory at once.
+    std::mem::forget(corpus);
 }

@@ -110,8 +110,18 @@ fn build(args: &[String]) -> ExitCode {
     if let Err(e) = kb.save(&out_path) {
         return fail(&format!("writing {out_path}: {e}"));
     }
+    // The serving artifact's cost: the file's bytes per served triple.
+    let bytes = match std::fs::metadata(&out_path) {
+        Ok(m) => m.len(),
+        Err(e) => return fail(&format!("reading the size of {out_path}: {e}")),
+    };
+    let per_triple = match kb.n_triples() {
+        0 => String::new(),
+        n => format!(", {:.2} B per triple", bytes as f64 / n as f64),
+    };
     println!(
-        "wrote {out_path}: {} triples, {} items, {} predicates, {} provenances ({})",
+        "wrote {out_path}: {} triples, {} items, {} predicates, {} provenances ({}), \
+         {bytes} bytes{per_triple}",
         kb.n_triples(),
         kb.n_items(),
         kb.n_predicates(),

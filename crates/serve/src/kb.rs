@@ -25,11 +25,19 @@
 //!   (packed keys, final learned accuracies, evaluated flags) plus
 //!   per-triple provenance id lists, so drill-down walks an offset range.
 //!
-//! Confidences are stored twice: the fuser's raw probability and the
-//! *calibrated* probability read off the method's equal-width calibration
-//! curve (the bin's observed accuracy where the bin has mass — §5.2's
-//! "among triples predicted with probability ~p, a fraction ~p is true"
-//! made actionable per triple).
+//! Each triple carries two confidences: the fuser's raw probability and
+//! the *calibrated* probability read off the method's equal-width
+//! calibration curve (the bin's observed accuracy where the bin has mass
+//! — §5.2's "among triples predicted with probability ~p, a fraction ~p
+//! is true" made actionable per triple). The file stores the raw column
+//! and the curve; decode derives the calibrated column from them with
+//! the same [`calibrate`] the compiler calls, so the bits are equal and
+//! the two can never disagree.
+//!
+//! The file stores no more than decode cannot rebuild: besides the
+//! calibrated column, the per-row `subjects` and `predicates` are not
+//! written either — each row's `(subject, predicate)` is its item's key,
+//! so decode expands the item index's runs back into them.
 //!
 //! Everything is columnar `Vec`s of plain data: loading a KB is one
 //! checkpoint decode into one arena that [`KbReader`](crate::KbReader)s
@@ -144,6 +152,26 @@ pub struct FusedKb {
 
     /// Extractor display names, indexed by extractor id.
     pub(crate) extractor_names: Vec<String>,
+
+    /// The serving method's equal-width calibration curve, stored in
+    /// place of the `calibrated` column it determines.
+    pub(crate) curve: StoredCurve,
+}
+
+/// A [`CalibrationCurve`] compared by its encoded bits: an empty bin's
+/// observed accuracy is NaN, which `==` on `f64` never equals.
+#[derive(Debug, Clone)]
+pub(crate) struct StoredCurve(pub(crate) CalibrationCurve);
+
+impl PartialEq for StoredCurve {
+    fn eq(&self, other: &Self) -> bool {
+        let bytes = |curve: &CalibrationCurve| {
+            let mut out = Vec::new();
+            curve.encode(&mut out);
+            out
+        };
+        bytes(&self.0) == bytes(&other.0)
+    }
 }
 
 /// `Label` → stored tag. (False = 0, True = 1, Unknown = 2.)
@@ -292,6 +320,7 @@ impl FusedKb {
             prov_offsets: Vec::with_capacity(n + 1),
             prov_ids: Vec::new(),
             extractor_names,
+            curve: StoredCurve(method.calibration_width.clone()),
         };
 
         let attributed = !scored.is_empty() && attribution.len() == scored.len();
@@ -407,21 +436,65 @@ impl FusedKb {
         Ok(kb)
     }
 
-    /// Structural invariants the read path relies on unchecked (distinct
-    /// sorted item keys for the derived item table, sorted runs and ids
-    /// for the searches inside them, in-range rows and offsets), and that
-    /// each index run serves its own key's rows: item run `i` only item
-    /// `i`'s, predicate run `j` only `pred_ids[j]`'s, in rank order.
-    /// Checked after every decode so a corrupted-but-parseable payload is
-    /// rejected as `Corrupt` instead of serving garbage.
+    /// Rebuild the columns the file does not store, after checking the
+    /// item index they come from: strictly ascending keys (distinct, as
+    /// the derived item table needs) and strictly increasing offsets from
+    /// 0 to the row count the object columns fix. Each item run then
+    /// expands into its rows' `subjects` and `predicates`, so every row of
+    /// item run `i` is item `i`'s by construction, and each row's
+    /// calibrated confidence is read off the stored curve by [`calibrate`],
+    /// as in [`compile_from_parts`](Self::compile_from_parts).
+    ///
+    /// The rows are counted from columns the file holds in full (8 bytes a
+    /// row in `obj_payloads` and `raw`), never from a length prefix alone,
+    /// so no expanded column outgrows the file.
+    fn rebuild_derived(&mut self) -> bool {
+        let n = self.obj_tags.len();
+        if self.obj_payloads.len() != n || self.raw.len() != n {
+            return false;
+        }
+        let m = self.item_subjects.len();
+        if self.item_predicates.len() != m || self.item_offsets.len() != m + 1 {
+            return false;
+        }
+        let item_key = |i: usize| (self.item_subjects[i], self.item_predicates[i]);
+        if !(1..m).all(|i| item_key(i - 1) < item_key(i)) {
+            return false;
+        }
+        if self.item_offsets[0] != 0
+            || self.item_offsets[m] as usize != n
+            || !(1..=m).all(|i| self.item_offsets[i - 1] < self.item_offsets[i])
+        {
+            return false;
+        }
+        self.subjects = Vec::with_capacity(n);
+        self.predicates = Vec::with_capacity(n);
+        for (i, run) in self.item_offsets.windows(2).enumerate() {
+            let len = (run[1] - run[0]) as usize;
+            self.subjects
+                .extend(std::iter::repeat_n(self.item_subjects[i], len));
+            self.predicates
+                .extend(std::iter::repeat_n(self.item_predicates[i], len));
+        }
+        self.calibrated = self
+            .raw
+            .iter()
+            .map(|&p| calibrate(&self.curve.0, p))
+            .collect();
+        true
+    }
+
+    /// Structural invariants the read path relies on unchecked (sorted
+    /// runs and ids for the searches inside item runs, in-range rows and
+    /// offsets), and that each predicate run `j` serves only
+    /// `pred_ids[j]`'s rows, in rank order. Checked after every decode,
+    /// once [`rebuild_derived`](Self::rebuild_derived) has checked the
+    /// item index and sized the columns it reads or rebuilds, so a
+    /// corrupted-but-parseable payload is rejected as `Corrupt` instead
+    /// of serving garbage.
     fn validate(&self) -> bool {
         let n = self.subjects.len();
-        let columns_aligned = self.predicates.len() == n
-            && self.obj_tags.len() == n
-            && self.obj_payloads.len() == n
-            && self.raw.len() == n
-            && self.calibrated.len() == n
-            && self.labels.len() == n
+        let columns_aligned = self.labels.len() == n
             && self.pages.len() == n
             && self.extractor_counts.len() == n
             && self.fallback.len() == n
@@ -440,28 +513,6 @@ impl FusedKb {
         // Canonical order, strictly: equal adjacent triples would break
         // lookup uniqueness.
         if !(1..n).all(|i| self.triple_at(i - 1) < self.triple_at(i)) {
-            return false;
-        }
-        // Item index: sorted keys, monotone offsets covering every row.
-        let m = self.item_subjects.len();
-        if self.item_predicates.len() != m || self.item_offsets.len() != m + 1 {
-            return false;
-        }
-        let item_key = |i: usize| (self.item_subjects[i], self.item_predicates[i]);
-        if !(1..m).all(|i| item_key(i - 1) < item_key(i)) {
-            return false;
-        }
-        if self.item_offsets[0] != 0
-            || self.item_offsets[m] as usize != n
-            || !(1..=m).all(|i| self.item_offsets[i - 1] < self.item_offsets[i])
-        {
-            return false;
-        }
-        // ...and every row of item run `i` is item `i`'s.
-        let item_rows = |i: usize| self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize;
-        if !(0..m).all(|i| {
-            item_rows(i).all(|row| (self.subjects[row], self.predicates[row]) == item_key(i))
-        }) {
             return false;
         }
         // Predicate index: sorted ids, monotone offsets, a permutation of
@@ -534,12 +585,10 @@ impl KvCodec for FusedKb {
         self.ece.encode(out);
         self.auc_pr.encode(out);
         self.n_dropped.encode(out);
-        encode_column(&self.subjects, out);
-        encode_column(&self.predicates, out);
+        self.curve.0.encode(out);
         encode_column(&self.obj_tags, out);
         encode_column(&self.obj_payloads, out);
         self.raw.encode(out);
-        self.calibrated.encode(out);
         encode_column(&self.labels, out);
         encode_column(&self.pages, out);
         encode_column(&self.extractor_counts, out);
@@ -559,7 +608,7 @@ impl KvCodec for FusedKb {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let kb = FusedKb {
+        let mut kb = FusedKb {
             corpus: CorpusSummary::decode(input)?,
             method: String::decode(input)?,
             method_label: String::decode(input)?,
@@ -567,12 +616,13 @@ impl KvCodec for FusedKb {
             ece: f64::decode(input)?,
             auc_pr: f64::decode(input)?,
             n_dropped: u64::decode(input)?,
-            subjects: decode_column(input)?,
-            predicates: decode_column(input)?,
+            curve: StoredCurve(CalibrationCurve::decode(input)?),
+            subjects: Vec::new(),
+            predicates: Vec::new(),
             obj_tags: decode_column(input)?,
             obj_payloads: decode_column(input)?,
             raw: Vec::decode(input)?,
-            calibrated: Vec::decode(input)?,
+            calibrated: Vec::new(),
             labels: decode_column(input)?,
             pages: decode_column(input)?,
             extractor_counts: decode_column(input)?,
@@ -590,7 +640,7 @@ impl KvCodec for FusedKb {
             prov_ids: decode_column(input)?,
             extractor_names: Vec::decode(input)?,
         };
-        kb.validate().then_some(kb)
+        (kb.rebuild_derived() && kb.validate()).then_some(kb)
     }
 }
 
@@ -627,8 +677,16 @@ pub(crate) mod tests {
         out_of_range_rank.rank[0] = kb.n_triples() as u32 + 7;
         assert!(reencode_decodes(&out_of_range_rank).is_none());
 
+        // Two rows of one item with their objects swapped: each row still
+        // gets its item's key, but the run is out of canonical order.
         let mut non_canonical = kb.clone();
-        non_canonical.subjects[0] = u32::MAX;
+        let first = kb
+            .item_offsets
+            .windows(2)
+            .find(|run| run[1] - run[0] >= 2)
+            .expect("an item with two rows")[0] as usize;
+        non_canonical.obj_tags.swap(first, first + 1);
+        non_canonical.obj_payloads.swap(first, first + 1);
         assert!(reencode_decodes(&non_canonical).is_none());
 
         let mut misaligned = kb.clone();
@@ -649,6 +707,24 @@ pub(crate) mod tests {
         let last = non_monotone.item_offsets.len() - 1;
         non_monotone.item_offsets[last] += 1;
         assert!(reencode_decodes(&non_monotone).is_none());
+    }
+
+    /// The file stores neither the per-row `(subject, predicate)` keys
+    /// nor the calibrated column: overwriting them in memory leaves the
+    /// encoding byte-identical, and decode rebuilds the originals from
+    /// the item index and the stored curve.
+    #[test]
+    fn row_keys_and_calibrated_are_not_stored() {
+        let kb = fixture();
+        let bytes = checkpoint::encode(ArtifactKind::FusedKb, &kb);
+        let mut overwritten = kb.clone();
+        overwritten.subjects.iter_mut().for_each(|s| *s = !*s);
+        overwritten.predicates.reverse();
+        overwritten.calibrated.iter_mut().for_each(|c| *c = -1.0);
+        assert!(overwritten != kb);
+        assert!(checkpoint::encode(ArtifactKind::FusedKb, &overwritten) == bytes);
+        let decoded: FusedKb = checkpoint::decode(ArtifactKind::FusedKb, &bytes).expect("decodes");
+        assert_eq!(decoded, kb);
     }
 
     /// Duplicate rows in the rank permutation (a row served twice under

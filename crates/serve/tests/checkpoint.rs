@@ -4,6 +4,7 @@
 //! and KB writes must be atomic (a torn write leaves the previous file
 //! intact).
 
+use kf_eval::Preset;
 use kf_serve::{FusedKb, KbBuildOptions, KbReader};
 use kf_synth::{Corpus, SynthConfig};
 use kf_types::checkpoint::{self, ArtifactKind, CheckpointError, FORMAT_VERSION, MAGIC};
@@ -30,6 +31,45 @@ fn save_load_roundtrips_exactly() {
     let loaded = FusedKb::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded, kb);
+}
+
+/// For every preset at `tiny` and `small`, the decoded KB equals the
+/// compiled one — calibrated confidences, which decode derives from the
+/// stored curve, compared by their bits — and encodes back to the same
+/// bytes.
+#[test]
+fn every_preset_roundtrips_bit_for_bit() {
+    for (scale, config) in [
+        ("tiny", SynthConfig::tiny()),
+        ("small", SynthConfig::small()),
+    ] {
+        let corpus = Corpus::generate(&config, 42);
+        for preset in Preset::ALL {
+            let case = format!("{scale} {}", preset.name());
+            let opts = KbBuildOptions {
+                method: preset.name().to_string(),
+                workers: None,
+            };
+            let kb = FusedKb::build_from_corpus(&corpus, &opts, scale).expect("build");
+            let bytes = kb_bytes(&kb);
+            let decoded: FusedKb =
+                checkpoint::decode(ArtifactKind::FusedKb, &bytes).expect("decodes");
+            assert!(decoded == kb, "{case}: decoded KB differs");
+            assert!(
+                kb_bytes(&decoded) == bytes,
+                "{case}: re-encoded to other bytes"
+            );
+            let (compiled, decoded) = (KbReader::new(kb), KbReader::new(decoded));
+            assert!(compiled.kb().n_triples() > 0, "{case}: empty KB");
+            for row in 0..compiled.kb().n_triples() as u32 {
+                assert_eq!(
+                    decoded.view(row).calibrated.to_bits(),
+                    compiled.view(row).calibrated.to_bits(),
+                    "{case}: calibrated of row {row}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -88,9 +128,10 @@ fn wrong_kind_is_rejected_both_ways() {
 fn version_skew_is_rejected_with_found_version() {
     let kb = fixture_kb();
     let mut bytes = kb_bytes(&kb);
-    // A pre-serving (version 2) writer's header: same magic, older
-    // version — the skew must be reported before the kind is examined,
-    // so a v2 reader meeting a KB file sees a version error, not an
+    // The previous version's header (a KB that still stored its row
+    // keys and calibrated column): same magic, older version — the skew
+    // must be reported before the kind is examined, so an older reader
+    // meeting a newer file sees a version error, not a misparse or an
     // unknown-kind one.
     bytes[4..6].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
     match checkpoint::decode::<FusedKb>(ArtifactKind::FusedKb, &bytes) {

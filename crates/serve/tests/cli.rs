@@ -1,5 +1,6 @@
 //! Binary-level tests for the `kf-serve` CLI: `build` must write the
-//! bytes of the library build whatever its worker count, the run-scoped
+//! bytes of the library build whatever its worker count, and report
+//! their count and bytes per served triple, the run-scoped
 //! trace must
 //! make `serve.*` counters visible to `counters`/`stats` (they used to
 //! be silent no-ops without an installed trace), `stats --metrics` must
@@ -50,9 +51,13 @@ fn build_writes_the_library_kb_whatever_the_worker_count() {
         method: "vote".to_string(),
         workers: None,
     };
-    let expected = kf_types::checkpoint::encode(
-        kf_types::ArtifactKind::FusedKb,
-        &FusedKb::build_from_corpus(&corpus, &opts, "tiny").expect("builds"),
+    let kb = FusedKb::build_from_corpus(&corpus, &opts, "tiny").expect("builds");
+    let expected = kf_types::checkpoint::encode(kf_types::ArtifactKind::FusedKb, &kb);
+    // The `wrote …` line ends in the file's cost.
+    let per_triple = expected.len() as f64 / kb.n_triples() as f64;
+    let cost = format!(
+        "), {} bytes, {per_triple:.2} B per triple\n",
+        expected.len()
     );
     let out = tmp_path("build.kb");
     let build = |extra: &[&str]| {
@@ -62,8 +67,9 @@ fn build_writes_the_library_kb_whatever_the_worker_count() {
     };
     for workers in ["1", "3"] {
         let args = ["--method", "vote", "--scale", "tiny", "--workers", workers];
-        let (_, stderr, ok) = build(&args);
+        let (stdout, stderr, ok) = build(&args);
         assert!(ok, "build failed: {stderr}");
+        assert!(stdout.ends_with(&cost), "{stdout}");
         let written = std::fs::read(&out).expect("KB written");
         assert!(written == expected, "--workers {workers} wrote other bytes");
         std::fs::remove_file(&out).unwrap();

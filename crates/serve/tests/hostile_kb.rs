@@ -6,7 +6,10 @@
 //! allocate more than the file's length. And a KB that decodes must answer
 //! `belief`, `top_k`, `lookup` and `drilldown` with its own rows: a flip
 //! that leaves the file parseable must not make an index serve another
-//! item's or another predicate's rows.
+//! item's or another predicate's rows. Targeted cases damage what decode
+//! rebuilds the unstored columns from: the item offsets that expand into
+//! the row keys and the calibration curve that yields the calibrated
+//! column.
 //!
 //! The decode runs on the calling thread, so the per-thread
 //! largest-allocation reading covers the whole decode.
@@ -17,7 +20,7 @@ mod largest_alloc;
 use kf_serve::{FusedKb, KbBuildOptions, KbReader, TripleView};
 use kf_synth::{Corpus, SynthConfig};
 use kf_types::checkpoint::{self, ArtifactKind};
-use kf_types::{DataItem, EntityId, PredicateId};
+use kf_types::{DataItem, EntityId, KvCodec, PredicateId};
 use largest_alloc::largest_during;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -85,15 +88,21 @@ fn assert_answers_its_own_rows(case: &str, kb: FusedKb) {
     }
 }
 
-#[test]
-fn hostile_kb_checkpoints_never_panic_or_serve_foreign_rows() {
-    // A fifth of `tiny`'s pages: a few hundred triples over every
-    // predicate, small enough to truncate at every offset.
+/// A fifth of `tiny`'s pages: a few hundred triples over every
+/// predicate, small enough to truncate at every offset. Returned with its
+/// checkpoint bytes.
+fn fixture() -> (FusedKb, Vec<u8>) {
     let mut config = SynthConfig::tiny();
     config.web.n_pages = 40;
     let corpus = Corpus::generate(&config, 42);
     let kb = FusedKb::build_from_corpus(&corpus, &KbBuildOptions::default(), "tiny").unwrap();
     let bytes = checkpoint::encode(ArtifactKind::FusedKb, &kb);
+    (kb, bytes)
+}
+
+#[test]
+fn hostile_kb_checkpoints_never_panic_or_serve_foreign_rows() {
+    let (kb, bytes) = fixture();
     let len = bytes.len();
     let (decoded, largest) = decode_case("untouched", &bytes);
     assert_eq!(decoded.as_ref(), Some(&kb), "the untouched KB decodes");
@@ -158,4 +167,112 @@ fn hostile_kb_checkpoints_never_panic_or_serve_foreign_rows() {
         }
     }
     assert!(decoded_flips > 1_000, "{decoded_flips} flipped KBs decoded");
+}
+
+/// The byte range of the stored calibration curve: it follows the header
+/// fields, and is the binning (tag + bin count), the length-prefixed bins
+/// (five 8-byte fields each), then the curve's WDEV and ECE.
+fn curve_range(kb: &FusedKb, bytes: &[u8]) -> std::ops::Range<usize> {
+    let mut head = Vec::new();
+    kb.corpus.encode(&mut head);
+    kb.method.encode(&mut head);
+    kb.method_label.encode(&mut head);
+    kb.wdev.encode(&mut head);
+    kb.ece.encode(&mut head);
+    kb.auc_pr.encode(&mut head);
+    kb.n_dropped.encode(&mut head);
+    let at = HEADER + head.len();
+    let bins_at = at + 9;
+    let bins = u64::from_le_bytes(bytes[bins_at..bins_at + 8].try_into().unwrap()) as usize;
+    let wdev_at = bins_at + 8 + 40 * bins;
+    // The curve's own WDEV is the KB's: the range is where it should be.
+    assert_eq!(bytes[wdev_at..wdev_at + 8], kb.wdev.to_bits().to_le_bytes());
+    at..wdev_at + 16
+}
+
+/// Where the item offset column's values start: the one place where an
+/// `n_items + 1` length prefix is followed by offset 0 and, `n_items`
+/// values on, by the row count.
+fn item_offsets_at(kb: &FusedKb, bytes: &[u8]) -> usize {
+    let (m, n) = (kb.n_items(), kb.n_triples() as u32);
+    let prefix = (m as u64 + 1).to_le_bytes();
+    let found: Vec<usize> = (HEADER..bytes.len() - 12 - 4 * m)
+        .filter(|&at| {
+            let values = at + 8;
+            bytes[at..values] == prefix
+                && bytes[values..values + 4] == 0u32.to_le_bytes()
+                && bytes[values + 4 * m..values + 4 * m + 4] == n.to_le_bytes()
+        })
+        .map(|at| at + 8)
+        .collect();
+    assert_eq!(found.len(), 1, "item offset column candidates: {found:?}");
+    found[0]
+}
+
+/// Targeted damage to what decode rebuilds from: the item index that
+/// expands into the row keys, and the curve that yields the calibrated
+/// column. Every case is an error or a KB that answers its own rows, and
+/// no case allocates more than the file's length — the rebuilt columns
+/// are sized by rows present in the file, never by a prefix.
+#[test]
+fn damaged_item_index_or_curve_never_panics_or_serves_foreign_rows() {
+    let (kb, bytes) = fixture();
+    let len = bytes.len();
+    let (m, n) = (kb.n_items(), kb.n_triples() as u32);
+    let offsets = item_offsets_at(&kb, &bytes);
+    let curve = curve_range(&kb, &bytes);
+
+    let must_fail = |case: &str, at: usize, value: &[u8]| {
+        let mut hostile = bytes.clone();
+        hostile[at..at + value.len()].copy_from_slice(value);
+        let (decoded, largest) = decode_case(case, &hostile);
+        assert!(decoded.is_none(), "{case}: decoded");
+        assert!(largest <= len, "{case}: allocated {largest} of {len}");
+    };
+    let (last, middle) = (offsets + 4 * m, offsets + 4 * (m / 2));
+    must_fail("last offset one short", last, &(n - 1).to_le_bytes());
+    must_fail(
+        "last offset one past the rows",
+        last,
+        &(n + 1).to_le_bytes(),
+    );
+    must_fail("an offset past the rows", middle, &(n + 5).to_le_bytes());
+    must_fail("an offset at u32::MAX", middle, &u32::MAX.to_le_bytes());
+    must_fail("first offset not 0", offsets, &1u32.to_le_bytes());
+    let bins_at = curve.start + 9;
+    let left = (len - bins_at - 8) as u64;
+    for value in [left + 1, u64::MAX] {
+        let case = format!("curve bin count set to {value}");
+        must_fail(&case, bins_at, &value.to_le_bytes());
+    }
+
+    // Every single-bit flip inside the curve: many still decode, to
+    // calibrated confidences read off the flipped curve, and each such KB
+    // must rank and answer from its own rows.
+    let original: Vec<u64> = {
+        let reader = KbReader::new(kb.clone());
+        (0..n)
+            .map(|row| reader.view(row).calibrated.to_bits())
+            .collect()
+    };
+    let (mut decoded_flips, mut recalibrated) = (0, 0);
+    for bit in curve.start * 8..curve.end * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let case = format!("curve bit {bit} flipped");
+        let (decoded, largest) = decode_case(&case, &flipped);
+        assert!(largest <= len, "{case}: allocated {largest} of {len}");
+        if let Some(kb) = decoded {
+            decoded_flips += 1;
+            let reader = KbReader::new(kb.clone());
+            let calibrated = (0..n).map(|row| reader.view(row).calibrated.to_bits());
+            recalibrated += !calibrated.eq(original.iter().copied()) as usize;
+            assert_answers_its_own_rows(&case, kb);
+        }
+    }
+    assert!(decoded_flips > 0, "no flipped curve decoded");
+    assert!(
+        recalibrated > 0,
+        "no flipped curve changed a calibrated row"
+    );
 }

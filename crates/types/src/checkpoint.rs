@@ -65,7 +65,11 @@ pub const MAGIC: [u8; 4] = *b"KFCP";
 /// ride inside checkpointed traces, so older readers must reject.
 /// Version 7: `TraceReport` lost its gauge section, changing the bytes
 /// of every checkpointed trace.
-pub const FORMAT_VERSION: u16 = 7;
+/// Version 8: `FusedKb` stops writing its per-row `subjects`,
+/// `predicates` and `calibrated` columns and writes the serving
+/// calibration curve instead; decode rebuilds the three from the item
+/// index and the curve.
+pub const FORMAT_VERSION: u16 = 8;
 
 /// What a checkpoint file contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
