@@ -615,7 +615,7 @@ fn engine_config(workers: Option<usize>) -> MrConfig {
 /// the same claims) and the corpus summary read the claims.
 struct Grouping {
     claims: Arc<Claims>,
-    graphs: [OnceLock<Grouped>; Granularity::ALL.len()],
+    graphs: [OnceLock<Arc<Grouped>>; Granularity::ALL.len()],
 }
 
 impl Grouping {
@@ -626,7 +626,7 @@ impl Grouping {
         }
     }
 
-    fn cell(&self, granularity: Granularity) -> &OnceLock<Grouped> {
+    fn cell(&self, granularity: Granularity) -> &OnceLock<Arc<Grouped>> {
         let at = Granularity::ALL.iter().position(|&g| g == granularity);
         &self.graphs[at.expect("every granularity is in ALL")]
     }
@@ -647,12 +647,13 @@ impl Grouping {
         let _span = kf_telemetry::span("project");
         // A run sharing this grouping may have set a cell first; its graph
         // is the same.
-        let project = |g: Granularity| move || drop(self.cell(g).set(self.claims.project(g)));
+        let project =
+            |g: Granularity| move || drop(self.cell(g).set(Arc::new(self.claims.project(g))));
         run_tasks(workers, missing.into_iter().map(project).collect());
     }
 
     /// The graph at `granularity`, once [`Grouping::project`]ed.
-    fn graph(&self, granularity: Granularity) -> &Grouped {
+    fn graph(&self, granularity: Granularity) -> &Arc<Grouped> {
         let graph = self.cell(granularity).get();
         graph.expect("graphs are projected before the presets fan out")
     }
@@ -755,11 +756,12 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
 /// unique triples, and a triple's LCWA label counts once per record.
 fn corpus_summary(scale: &str, corpus: &Corpus, claims: &Claims) -> CorpusSummary {
     let (mut labelled, mut correct) = (0usize, 0usize);
-    for i in 0..claims.n_items() {
-        for slot in claims.item_slots(i) {
-            if let Some(ok) = corpus.gold.label(&claims.triple(i, slot)).as_bool() {
-                labelled += claims.n_records(slot) as usize;
-                correct += claims.n_records(slot) as usize * ok as usize;
+    let table = claims.table();
+    for i in 0..table.n_items() {
+        for slot in table.item_slots(i) {
+            if let Some(ok) = corpus.gold.label(&table.triple(i, slot)).as_bool() {
+                labelled += table.n_records(slot) as usize;
+                correct += table.n_records(slot) as usize * ok as usize;
             }
         }
     }
@@ -767,8 +769,8 @@ fn corpus_summary(scale: &str, corpus: &Corpus, claims: &Claims) -> CorpusSummar
         scale: scale.to_string(),
         seed: corpus.seed,
         n_records: corpus.batch.len(),
-        n_unique_triples: claims.n_triples(),
-        n_data_items: claims.n_items(),
+        n_unique_triples: table.n_triples(),
+        n_data_items: table.n_items(),
         n_gold_items: corpus.gold.n_items(),
         lcwa_accuracy: match labelled {
             0 => 0.0,
@@ -897,17 +899,10 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
             let installed = kf_telemetry::install(&trace);
             let fuser = Fuser::new(config);
             let start = Instant::now();
-            // Only the taxonomy pass reads the attribution columns.
-            let (output, diagnosis) = match diagnosis {
-                None => (fuser.run_unattributed(graph, stats, gold), None),
-                Some(ctx) => {
-                    let (output, attribution) = fuser.run_prebuilt(graph, stats, gold);
-                    (output, Some((ctx, attribution)))
-                }
-            };
+            let (output, attribution) = fuser.run_prebuilt(graph, stats, gold);
             let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
             let mut method = runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
-            if let Some((ctx, attribution)) = diagnosis {
+            if let Some(ctx) = diagnosis {
                 let _span = kf_telemetry::span("diagnose");
                 let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &ctx.support)
                     .with_truth(&ctx.truth)

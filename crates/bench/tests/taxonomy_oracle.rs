@@ -23,8 +23,9 @@ struct MapIndex(FxHashMap<Triple, SupportProfile>);
 impl MapIndex {
     fn from_claims(claims: &Claims) -> MapIndex {
         let mut map = FxHashMap::default();
-        for i in 0..claims.n_items() {
-            for slot in claims.item_slots(i) {
+        let table = claims.table();
+        for i in 0..table.n_items() {
+            for slot in table.item_slots(i) {
                 let mut per_extractor: Vec<(ExtractorId, u32)> = Vec::new();
                 let mut last_page = None;
                 for p in claims.slot_provenances(slot) {
@@ -37,10 +38,10 @@ impl MapIndex {
                     last_page = Some(p.page);
                 }
                 let profile = SupportProfile {
-                    n_pages: claims.n_pages(slot),
+                    n_pages: table.n_pages(slot),
                     per_extractor,
                 };
-                map.insert(claims.triple(i, slot), profile);
+                map.insert(table.triple(i, slot), profile);
             }
         }
         MapIndex(map)

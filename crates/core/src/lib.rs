@@ -30,8 +30,9 @@
 //! envelope (`MrConfig::chunk_records`,
 //! `MrConfig::spill_threshold_records`), spilling through its run files. It shuffles the extractions
 //! once; a claim graph ([`Grouped`]) is a projection of the grouped
-//! claims at one granularity, and the rounds are kernels over that
-//! immutable graph, which several runs can share
+//! claims at one granularity that shares their per-slot columns
+//! ([`SlotTable`]) rather than copying them, and the rounds are kernels
+//! over that immutable graph, which several runs can share
 //! ([`Fuser::run_prebuilt`]). The claims keep their grouping job's trace
 //! ([`Claims::trace`]); whoever owns the trace they were built for grafts
 //! it there, once ([`Claims::build_recorded`] does both on the calling
@@ -62,6 +63,6 @@ pub mod pipeline;
 pub mod result;
 
 pub use config::{FusionConfig, InitAccuracy, Method};
-pub use observation::{Claims, Grouped};
+pub use observation::{Claims, Grouped, SlotTable};
 pub use pipeline::Fuser;
 pub use result::{FusionOutput, ProvenanceAttribution, ScoredTriple};

@@ -30,6 +30,7 @@ use kf_types::{
 };
 use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Offsets into the flat columns are `u32`: 4 bytes per claim in each
@@ -199,20 +200,17 @@ fn spill(pending: &mut Vec<Record>, dir: &SpillDir, runs: &mut Vec<PathBuf>, sta
     pending.clear();
 }
 
-/// The grouped extractions of a batch, before a provenance granularity is
-/// chosen: every data item's candidate values and, per value, the sorted
-/// distinct raw provenances that extracted it — the output of the **one**
-/// shuffle a corpus needs, with the record of the job that ran it
-/// ([`Claims::trace`], [`Claims::stats`]). Claim graphs at any
-/// granularity ([`Claims::project`]), the diagnosis support index and the
-/// corpus summary counts are all projections of these columns.
+/// The granularity-free per-slot columns of a batch: its sorted data
+/// items, each item's run of slots, and per slot the candidate value and
+/// its support counts. [`Claims::build`] fills the table once; the claims
+/// and every claim graph projected from them hold that one copy
+/// ([`Claims::table`], [`Grouped::table`]).
 ///
 /// Slot `s` is one unique triple; item `i` owns the contiguous slots
-/// [`Claims::item_slots`]`(i)`, in value order, and items are sorted, so
-/// slot order is canonical triple order — every projected [`Grouped`] has
-/// the same slots.
-#[derive(Debug)]
-pub struct Claims {
+/// [`SlotTable::item_slots`]`(i)`, in value order, and items are sorted, so
+/// slot order is canonical triple order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotTable {
     /// Data items, sorted.
     items: Vec<DataItem>,
     /// Item `i`'s slots are `item_offsets[i]..item_offsets[i + 1]`.
@@ -225,6 +223,77 @@ pub struct Claims {
     n_pages: Vec<u32>,
     /// Per slot: extraction records carrying it, duplicates included.
     n_records: Vec<u32>,
+}
+
+impl SlotTable {
+    /// Number of data items.
+    pub fn n_items(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Total number of unique triples (slots).
+    pub fn n_triples(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Data item `i` (items are sorted).
+    pub fn item(&self, i: usize) -> DataItem {
+        self.items[i]
+    }
+
+    /// The slots of item `i`: its candidate values, in value order.
+    #[inline]
+    pub fn item_slots(&self, i: usize) -> Range<usize> {
+        self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize
+    }
+
+    /// The triple in `slot`, whose data item is item `i`.
+    pub fn triple(&self, i: usize, slot: usize) -> Triple {
+        let item = self.items[i];
+        Triple::new(item.subject, item.predicate, self.values[slot])
+    }
+
+    /// The slot of `triple`, if the batch extracted it: a binary search
+    /// over the sorted items, then over that item's sorted values (the
+    /// grouping sort's order is [`DataItem`]'s and [`Value`]'s).
+    pub fn slot_of(&self, triple: &Triple) -> Option<usize> {
+        let i = self.items.binary_search(&triple.data_item()).ok()?;
+        let slots = self.item_slots(i);
+        let at = self.values[slots.clone()]
+            .binary_search(&triple.object)
+            .ok()?;
+        Some(slots.start + at)
+    }
+
+    /// Distinct extractors supporting `slot`.
+    pub fn n_extractors(&self, slot: usize) -> u16 {
+        self.n_extractors[slot]
+    }
+
+    /// Distinct pages supporting `slot`.
+    pub fn n_pages(&self, slot: usize) -> u32 {
+        self.n_pages[slot]
+    }
+
+    /// Extraction records carrying `slot`'s triple, duplicates included.
+    pub fn n_records(&self, slot: usize) -> u32 {
+        self.n_records[slot]
+    }
+}
+
+/// The grouped extractions of a batch, before a provenance granularity is
+/// chosen: every data item's candidate values ([`Claims::table`]) and, per
+/// value, the sorted distinct raw provenances that extracted it — the
+/// output of the **one** shuffle a corpus needs, with the record of the
+/// job that ran it ([`Claims::trace`], [`Claims::stats`]). Claim graphs at
+/// any granularity ([`Claims::project`]), the diagnosis support index and
+/// the corpus summary counts are all projections of these columns, and
+/// every graph shares the claims' [`SlotTable`], so all have the same
+/// slots.
+#[derive(Debug)]
+pub struct Claims {
+    /// The per-slot columns, shared with every projection.
+    table: Arc<SlotTable>,
     /// Slot `s`'s provenances are `provs[slot_offsets[s]..slot_offsets[s + 1]]`.
     slot_offsets: Vec<u32>,
     /// Raw provenances, distinct and sorted within a slot.
@@ -233,6 +302,63 @@ pub struct Claims {
     trace: TraceReport,
     /// The grouping job's execution counters.
     stats: JobStats,
+}
+
+/// The columns [`Claims::build`] folds sorted records into, item by item.
+struct Fold {
+    table: SlotTable,
+    slot_offsets: Vec<u32>,
+    provs: Vec<Provenance>,
+    /// Scratch: the open slot's distinct pages, left empty between slots.
+    pages: Vec<PageId>,
+}
+
+impl Fold {
+    /// Fold one item's `run` of records, sorted, into the columns: one
+    /// slot per distinct value, with its distinct provenances, the
+    /// distinct extractors and pages among them, and its record count.
+    fn push_item(&mut self, run: &[Record]) {
+        self.table.items.push(run[0].item());
+        let mut previous: Option<&Record> = None;
+        for r in run {
+            let same_value = previous.is_some_and(|q| q.same_value(r));
+            if !same_value {
+                if previous.is_some() {
+                    self.close_slot();
+                }
+                self.table.values.push(r.value());
+                self.table.n_extractors.push(0);
+                self.table.n_records.push(0);
+            }
+            // Sorted by value, then provenance: a value's distinct
+            // provenances, and among them its extractors, are runs, and an
+            // exact duplicate is a record equal to its predecessor.
+            if previous != Some(r) {
+                let p = r.provenance();
+                let same_extractor =
+                    same_value && self.provs.last().map(|q| q.extractor) == Some(p.extractor);
+                let n_extractors = self.table.n_extractors.last_mut();
+                *n_extractors.expect("an open slot") += u16::from(!same_extractor);
+                self.provs.push(p);
+                self.pages.push(p.page);
+            }
+            *self.table.n_records.last_mut().expect("an open slot") += 1;
+            previous = Some(r);
+        }
+        self.close_slot();
+        let table = &mut self.table;
+        table.item_offsets.push(offset(table.values.len()));
+    }
+
+    /// Close the open slot: count its distinct pages (then clear them)
+    /// and end its provenance run.
+    fn close_slot(&mut self) {
+        self.pages.sort_unstable();
+        self.pages.dedup();
+        self.table.n_pages.push(self.pages.len() as u32);
+        self.pages.clear();
+        self.slot_offsets.push(offset(self.provs.len()));
+    }
 }
 
 impl Claims {
@@ -246,7 +372,7 @@ impl Claims {
     /// Each extraction becomes one fixed-width record of five integer
     /// words — its item, value and raw provenance; the records are sorted
     /// by item and each item's run, sorted by value and provenance, is
-    /// folded straight into the columns (`Claims::push_item`): values come
+    /// folded straight into the columns (`Fold::push_item`): values come
     /// out sorted and each value's provenances form a sorted run that
     /// deduplicates by adjacency. An exact duplicate (same value, same
     /// provenance) is an equal neighbour: one more record of the claim,
@@ -270,23 +396,23 @@ impl Claims {
         };
 
         let reduce = kf_telemetry::span("reduce");
-        let mut claims = Claims {
-            items: Vec::new(),
-            item_offsets: vec![0],
-            values: Vec::new(),
-            n_extractors: Vec::new(),
-            n_pages: Vec::new(),
-            n_records: Vec::new(),
+        let mut fold = Fold {
+            table: SlotTable {
+                items: Vec::new(),
+                item_offsets: vec![0],
+                values: Vec::new(),
+                n_extractors: Vec::new(),
+                n_pages: Vec::new(),
+                n_records: Vec::new(),
+            },
             slot_offsets: vec![0],
             provs: Vec::with_capacity(batch.len()),
-            trace: TraceReport::empty("group"),
-            stats,
+            pages: Vec::new(),
         };
-        let mut pages = Vec::new();
         if runs.is_empty() {
             for run in sorted.chunk_by_mut(Record::same_item) {
                 run.sort_unstable();
-                claims.push_item(run, &mut pages);
+                fold.push_item(run);
             }
         } else {
             // A merged item's observations arrive run by run: re-sort them,
@@ -296,16 +422,15 @@ impl Claims {
                 sorted.clear();
                 sorted.extend(records);
                 sorted.sort_unstable();
-                claims.push_item(&sorted, &mut pages);
+                fold.push_item(&sorted);
             }
         }
         drop(sorted);
         drop(reduce);
 
-        let n_items = claims.items.len() as u64;
-        claims.stats.reduce_keys = n_items;
-        claims.stats.reduce_output = n_items;
-        let stats = claims.stats;
+        let n_items = fold.table.n_items() as u64;
+        stats.reduce_keys = n_items;
+        stats.reduce_output = n_items;
         trace.add("mr.jobs", 1);
         trace.add("mr.map_input", stats.map_input);
         trace.add("mr.map_output", stats.map_output);
@@ -317,53 +442,13 @@ impl Claims {
         trace.record_max("mr.peak_resident_records", stats.peak_resident_records);
         trace.record_max("mr.peak_grouped_records", stats.peak_grouped_records);
         drop(recording);
-        claims.trace = trace.snapshot();
-        claims
-    }
-
-    /// Fold one item's `run` of records, sorted, into the columns: one
-    /// slot per distinct value, with its distinct provenances, the
-    /// distinct extractors and pages among them, and its record count.
-    /// `pages` is scratch, left empty.
-    fn push_item(&mut self, run: &[Record], pages: &mut Vec<PageId>) {
-        self.items.push(run[0].item());
-        let mut previous: Option<&Record> = None;
-        for r in run {
-            let same_value = previous.is_some_and(|q| q.same_value(r));
-            if !same_value {
-                if previous.is_some() {
-                    self.close_slot(pages);
-                }
-                self.values.push(r.value());
-                self.n_extractors.push(0);
-                self.n_records.push(0);
-            }
-            // Sorted by value, then provenance: a value's distinct
-            // provenances, and among them its extractors, are runs, and an
-            // exact duplicate is a record equal to its predecessor.
-            if previous != Some(r) {
-                let p = r.provenance();
-                let same_extractor =
-                    same_value && self.provs.last().map(|q| q.extractor) == Some(p.extractor);
-                *self.n_extractors.last_mut().expect("an open slot") += u16::from(!same_extractor);
-                self.provs.push(p);
-                pages.push(p.page);
-            }
-            *self.n_records.last_mut().expect("an open slot") += 1;
-            previous = Some(r);
+        Claims {
+            table: Arc::new(fold.table),
+            slot_offsets: fold.slot_offsets,
+            provs: fold.provs,
+            trace: trace.snapshot(),
+            stats,
         }
-        self.close_slot(pages);
-        self.item_offsets.push(offset(self.values.len()));
-    }
-
-    /// Close the open slot: count its distinct `pages` (then clear them)
-    /// and end its provenance run.
-    fn close_slot(&mut self, pages: &mut Vec<PageId>) {
-        pages.sort_unstable();
-        pages.dedup();
-        self.n_pages.push(pages.len() as u32);
-        pages.clear();
-        self.slot_offsets.push(offset(self.provs.len()));
     }
 
     /// [`Claims::build`] for a caller that owns the calling thread's
@@ -387,8 +472,9 @@ impl Claims {
         let mut slot_offsets = Vec::with_capacity(self.slot_offsets.len());
         slot_offsets.push(0);
         let mut run: Vec<u128> = Vec::new();
-        for (i, item) in self.items.iter().enumerate() {
-            for slot in self.item_slots(i) {
+        let table = &*self.table;
+        for (i, item) in table.items.iter().enumerate() {
+            for slot in table.item_slots(i) {
                 let keys = self.slot_provenances(slot).iter();
                 run.clear();
                 run.extend(keys.map(|p| ProvenanceKey::at(granularity, p, item.predicate).pack()));
@@ -437,18 +523,14 @@ impl Claims {
         }
         let mut cursor = prov_offsets.clone();
         let mut slots = vec![0; provs.len()];
-        for slot in 0..self.values.len() {
+        for slot in 0..table.n_triples() {
             for &p in &provs[slot_offsets[slot] as usize..slot_offsets[slot + 1] as usize] {
                 slots[cursor[p as usize] as usize] = slot as u32;
                 cursor[p as usize] += 1;
             }
         }
         Grouped {
-            items: self.items.clone(),
-            item_offsets: self.item_offsets.clone(),
-            values: self.values.clone(),
-            n_extractors: self.n_extractors.clone(),
-            n_pages: self.n_pages.clone(),
+            table: Arc::clone(&self.table),
             slot_offsets,
             provs,
             keys,
@@ -457,52 +539,9 @@ impl Claims {
         }
     }
 
-    /// Number of data items.
-    pub fn n_items(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Total number of unique triples (slots).
-    pub fn n_triples(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The slots of item `i`: its candidate values, in value order.
-    pub fn item_slots(&self, i: usize) -> Range<usize> {
-        self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize
-    }
-
-    /// The triple in `slot`, whose data item is item `i`.
-    pub fn triple(&self, i: usize, slot: usize) -> Triple {
-        let item = self.items[i];
-        Triple::new(item.subject, item.predicate, self.values[slot])
-    }
-
-    /// The slot of `triple`, if the batch extracted it: a binary search
-    /// over the sorted items, then over that item's sorted values (the
-    /// grouping sort's order is [`DataItem`]'s and [`Value`]'s).
-    pub fn slot_of(&self, triple: &Triple) -> Option<usize> {
-        let i = self.items.binary_search(&triple.data_item()).ok()?;
-        let slots = self.item_slots(i);
-        let at = self.values[slots.clone()]
-            .binary_search(&triple.object)
-            .ok()?;
-        Some(slots.start + at)
-    }
-
-    /// Distinct extractors supporting `slot`.
-    pub fn n_extractors(&self, slot: usize) -> u16 {
-        self.n_extractors[slot]
-    }
-
-    /// Distinct pages supporting `slot`.
-    pub fn n_pages(&self, slot: usize) -> u32 {
-        self.n_pages[slot]
-    }
-
-    /// Extraction records carrying `slot`'s triple, duplicates included.
-    pub fn n_records(&self, slot: usize) -> u32 {
-        self.n_records[slot]
+    /// The per-slot columns: items, values and support counts.
+    pub fn table(&self) -> &Arc<SlotTable> {
+        &self.table
     }
 
     /// The raw provenances that extracted `slot`'s triple, distinct and
@@ -524,23 +563,15 @@ impl Claims {
     }
 }
 
-/// The claim graph of a batch at one granularity.
-///
-/// Slot `s` is one unique triple; item `i` owns the contiguous slots
-/// [`Grouped::item_slots`]`(i)`, in value order, and items are sorted, so
-/// slot order is canonical triple order.
+/// The claim graph of a batch at one granularity: the granularity's
+/// columns — each slot's dense provenance ids, the ids' keys and the
+/// transpose — over the [`SlotTable`] of the claims it was projected from,
+/// which it shares ([`Grouped::table`]). Equality compares columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grouped {
-    /// Data items, sorted.
-    items: Vec<DataItem>,
-    /// Item `i`'s slots are `item_offsets[i]..item_offsets[i + 1]`.
-    item_offsets: Vec<u32>,
-    /// Per slot: the candidate value (sorted within an item).
-    values: Vec<Value>,
-    /// Per slot: distinct extractors supporting it (Fig. 18's second axis).
-    n_extractors: Vec<u16>,
-    /// Per slot: distinct pages supporting it (Fig. 7's axis).
-    n_pages: Vec<u32>,
+    /// The per-slot columns, shared with the claims and their other
+    /// projections.
+    table: Arc<SlotTable>,
     /// Slot `s`'s provenances are `provs[slot_offsets[s]..slot_offsets[s + 1]]`.
     slot_offsets: Vec<u32>,
     /// Dense provenance ids, deduplicated and sorted within a slot.
@@ -564,14 +595,14 @@ impl Grouped {
         claims.project(granularity)
     }
 
-    /// Number of data items.
-    pub fn n_items(&self) -> usize {
-        self.items.len()
+    /// The per-slot columns: items, values and support counts.
+    pub fn table(&self) -> &Arc<SlotTable> {
+        &self.table
     }
 
     /// Total number of unique triples (slots).
     pub fn n_triples(&self) -> usize {
-        self.values.len()
+        self.table.n_triples()
     }
 
     /// Number of provenances at the graph's granularity.
@@ -584,36 +615,9 @@ impl Grouped {
         self.provs.len()
     }
 
-    /// Data item `i` (items are sorted).
-    pub fn item(&self, i: usize) -> DataItem {
-        self.items[i]
-    }
-
-    /// The slots of item `i`: its candidate values, in value order.
-    #[inline]
-    pub fn item_slots(&self, i: usize) -> Range<usize> {
-        self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize
-    }
-
-    /// Claims on the items before `i` (`i` may be `n_items()`).
+    /// Claims on the items before `i` (`i` may be the table's `n_items()`).
     pub fn claims_before_item(&self, i: usize) -> usize {
-        self.slot_offsets[self.item_offsets[i] as usize] as usize
-    }
-
-    /// The triple in `slot`, whose data item is item `i`.
-    pub fn triple(&self, i: usize, slot: usize) -> Triple {
-        let item = self.items[i];
-        Triple::new(item.subject, item.predicate, self.values[slot])
-    }
-
-    /// Distinct extractors supporting `slot`.
-    pub fn n_extractors(&self, slot: usize) -> u16 {
-        self.n_extractors[slot]
-    }
-
-    /// Distinct pages supporting `slot`.
-    pub fn n_pages(&self, slot: usize) -> u32 {
-        self.n_pages[slot]
+        self.slot_offsets[self.table.item_offsets[i] as usize] as usize
     }
 
     /// Dense ids of the provenances claiming `slot` (deduplicated, sorted).
@@ -643,12 +647,6 @@ impl Grouped {
     /// §4.3.2 terms).
     pub fn support(&self, p: usize) -> u32 {
         self.prov_offsets[p + 1] - self.prov_offsets[p]
-    }
-
-    /// The claim columns `(slot_offsets, provs)` — what a
-    /// [`ProvenanceAttribution`](crate::ProvenanceAttribution) copies.
-    pub(crate) fn claim_columns(&self) -> (&[u32], &[u32]) {
-        (&self.slot_offsets, &self.provs)
     }
 }
 
@@ -689,17 +687,18 @@ mod tests {
             ext(2, 1, 10, 0, 100), // different item
         ];
         let g = build(&batch);
-        assert_eq!(g.n_items(), 2);
+        let table = g.table();
+        assert_eq!(table.n_items(), 2);
         assert_eq!(g.n_triples(), 3);
         assert_eq!(g.n_claims(), 4);
-        assert_eq!(g.item(0), DataItem::new(EntityId(1), PredicateId(1)));
-        assert_eq!(g.item_slots(0), 0..2);
-        assert_eq!(g.item_slots(1), 2..3);
+        assert_eq!(table.item(0), DataItem::new(EntityId(1), PredicateId(1)));
+        assert_eq!(table.item_slots(0), 0..2);
+        assert_eq!(table.item_slots(1), 2..3);
         // Values come out sorted, so slot 0 is the value 10.
-        assert_eq!(g.triple(0, 0).object, Value::Entity(EntityId(10)));
+        assert_eq!(table.triple(0, 0).object, Value::Entity(EntityId(10)));
         assert_eq!(g.slot_provs(0).len(), 2);
-        assert_eq!(g.n_extractors(0), 2);
-        assert_eq!(g.n_pages(0), 2);
+        assert_eq!(table.n_extractors(0), 2);
+        assert_eq!(table.n_pages(0), 2);
         assert_eq!(g.slot_provs(1).len(), 1);
         assert_eq!(g.claims_before_item(1), 3);
     }
@@ -766,7 +765,7 @@ mod tests {
         assert_eq!(page_g.slot_provs(0).len(), 2);
         assert_eq!(site_g.slot_provs(0).len(), 1);
         // Page-level detail (n_pages) survives the merge.
-        assert_eq!(site_g.n_pages(0), 2);
+        assert_eq!(site_g.table().n_pages(0), 2);
     }
 
     #[test]
@@ -782,9 +781,13 @@ mod tests {
         );
         assert_eq!(a, b);
         // Sorted by data item, values sorted within an item, keys sorted.
-        assert!((1..a.n_items()).all(|i| a.item(i - 1) < a.item(i)));
-        for i in 0..a.n_items() {
-            let values: Vec<Value> = a.item_slots(i).map(|s| a.triple(i, s).object).collect();
+        let table = a.table();
+        assert!((1..table.n_items()).all(|i| table.item(i - 1) < table.item(i)));
+        for i in 0..table.n_items() {
+            let values: Vec<Value> = table
+                .item_slots(i)
+                .map(|s| table.triple(i, s).object)
+                .collect();
             assert!(values.windows(2).all(|w| w[0] < w[1]));
         }
         assert!(a.keys().windows(2).all(|w| w[0] < w[1]));
@@ -793,7 +796,8 @@ mod tests {
     #[test]
     fn empty_batch_builds_empty_grouping() {
         let g = build(&[]);
-        assert_eq!((g.n_items(), g.n_triples(), g.n_provenances()), (0, 0, 0));
+        assert_eq!(g.table().n_items(), 0);
+        assert_eq!((g.n_triples(), g.n_provenances()), (0, 0));
         assert_eq!(g.claims_before_item(0), 0);
         assert_eq!(g.claims_before_prov(0), 0);
     }
@@ -858,21 +862,23 @@ mod tests {
             ext(1, 1, 11, 0, 100),
         ];
         let claims = Claims::build(&batch, &MrConfig::sequential());
-        assert_eq!((claims.n_items(), claims.n_triples()), (1, 2));
-        assert_eq!(claims.item_slots(0), 0..2);
-        assert_eq!(claims.triple(0, 1), batch[4].triple);
+        let table = claims.table();
+        assert_eq!((table.n_items(), table.n_triples()), (1, 2));
+        assert_eq!(table.item_slots(0), 0..2);
+        assert_eq!(table.triple(0, 1), batch[4].triple);
         let distinct = [
             batch[0].provenance,
             batch[2].provenance,
             batch[3].provenance,
         ];
         assert_eq!(claims.slot_provenances(0), &distinct);
-        assert_eq!((claims.n_records(0), claims.n_pages(0)), (4, 2));
-        assert_eq!((claims.n_records(1), claims.n_pages(1)), (1, 1));
+        assert_eq!((table.n_records(0), table.n_pages(0)), (4, 2));
+        assert_eq!((table.n_records(1), table.n_pages(1)), (1, 1));
         // Site granularity merges the two pages of extractor 0.
         let site = claims.project(Granularity::ExtractorSite);
         assert_eq!(site.slot_provs(0).len(), 2);
-        assert_eq!((site.n_extractors(0), site.n_pages(0)), (2, 2));
+        let site_table = site.table();
+        assert_eq!((site_table.n_extractors(0), site_table.n_pages(0)), (2, 2));
         assert_eq!(
             claims
                 .project(Granularity::ExtractorPage)
@@ -898,10 +904,13 @@ mod tests {
                 .with_spill_threshold(1),
         ] {
             let claims = Claims::build(&batch, &mr);
-            assert_eq!(claims.n_records(0), 70_001, "{mr:?}");
+            assert_eq!(claims.table().n_records(0), 70_001, "{mr:?}");
             assert_eq!(claims.slot_provenances(0).len(), 2);
             assert_eq!(
-                claims.project(Granularity::ExtractorPage).n_extractors(0),
+                claims
+                    .project(Granularity::ExtractorPage)
+                    .table()
+                    .n_extractors(0),
                 2
             );
         }
@@ -960,13 +969,14 @@ mod tests {
             })
             .collect();
         let claims = Claims::build(&batch, &MrConfig::with_workers(2));
-        let slot_triples: Vec<Triple> = (0..claims.n_items())
-            .flat_map(|i| claims.item_slots(i).map(move |s| (i, s)))
-            .map(|(i, slot)| claims.triple(i, slot))
+        let table = claims.table();
+        let slot_triples: Vec<Triple> = (0..table.n_items())
+            .flat_map(|i| table.item_slots(i).map(move |s| (i, s)))
+            .map(|(i, slot)| table.triple(i, slot))
             .collect();
         let scan = |t: &Triple| slot_triples.iter().position(|s| s == t);
         for (slot, triple) in slot_triples.iter().enumerate() {
-            assert_eq!(claims.slot_of(triple), Some(slot), "{triple:?}");
+            assert_eq!(table.slot_of(triple), Some(slot), "{triple:?}");
         }
         // Absent triples: unknown subjects and predicates, and every
         // variant on known items without that value.
@@ -976,14 +986,14 @@ mod tests {
                 for &object in objects.iter().chain(&[Value::Num(Numeric(-2))]) {
                     let t = Triple::new(EntityId(s), PredicateId(p), object);
                     let scanned = scan(&t);
-                    assert_eq!(claims.slot_of(&t), scanned, "{t:?}");
+                    assert_eq!(table.slot_of(&t), scanned, "{t:?}");
                     probed_absent += usize::from(scanned.is_none());
                 }
             }
         }
         assert!(probed_absent > 0);
         let empty = Claims::build(&[], &MrConfig::sequential());
-        assert_eq!(empty.slot_of(&slot_triples[0]), None);
+        assert_eq!(empty.table().slot_of(&slot_triples[0]), None);
     }
 
     #[test]

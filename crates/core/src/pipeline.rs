@@ -28,11 +28,12 @@
 
 use crate::config::{FusionConfig, InitAccuracy, Method};
 use crate::methods;
-use crate::observation::{Claims, Grouped};
+use crate::observation::{Claims, Grouped, SlotTable};
 use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
 use kf_mapreduce::{run_tasks, IterativeDriver, JobStats, Reservoir};
 use kf_types::{hash, ExtractionBatch, GoldStandard, Label};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The fusion engine. Construct with a [`FusionConfig`], then call
 /// [`Fuser::run`] on a batch of extractions (optionally with a gold
@@ -78,78 +79,52 @@ impl Fuser {
     /// configuration asks for gold-standard accuracy initialisation; pass
     /// `None` for fully unsupervised runs.
     ///
+    /// This is [`Fuser::run_with_attribution`] without the attribution.
     /// The caller's trace records the rounds only (a `fuse` span), exactly
-    /// what a run over a shared graph ([`Fuser::run_unattributed`])
-    /// records, so a preset's trace does not depend on who grouped its
-    /// batch. The grouping job's counters are in `FusionOutput::stats`;
-    /// to trace the job too, build the claims with
-    /// [`Claims::build_recorded`] and fuse their projection with
-    /// [`Fuser::run_unattributed`].
+    /// what a run over a shared graph ([`Fuser::run_prebuilt`]) records,
+    /// so a preset's trace does not depend on who grouped its batch. The
+    /// grouping job's counters are in `FusionOutput::stats`; to trace the
+    /// job too, build the claims with [`Claims::build_recorded`] and fuse
+    /// their projection with [`Fuser::run_prebuilt`].
     pub fn run(&self, batch: &ExtractionBatch, gold: Option<&GoldStandard>) -> FusionOutput {
-        let (graph, stats) = self.group(batch);
-        self.run_unattributed(&graph, stats, gold)
+        self.run_with_attribution(batch, gold).0
     }
 
     /// [`Fuser::run`] that also returns the per-value
     /// [`ProvenanceAttribution`] — which provenances support each scored
     /// triple, with their final learned accuracies. Row `i` of the
     /// attribution lines up with `scored[i]`. The error-taxonomy
-    /// classifiers (`kf-diagnose`) consume this; plain [`Fuser::run`]
-    /// skips building it.
+    /// classifiers (`kf-diagnose`) consume this.
     pub fn run_with_attribution(
         &self,
         batch: &ExtractionBatch,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, ProvenanceAttribution) {
-        let (graph, stats) = self.group(batch);
-        self.run_prebuilt(&graph, stats, gold)
+        // Group and project, recording neither; the claims and their
+        // job's trace are dropped once projected.
+        let (graph, stats) = {
+            let claims = Claims::build(&batch.records, &self.config.mr);
+            (claims.project(self.config.granularity), claims.stats())
+        };
+        self.run_prebuilt(&Arc::new(graph), stats, gold)
     }
 
-    /// Group `batch` ([`Claims::build`]) and project the claims at this
-    /// configuration's granularity, recording neither; the claims and
-    /// their job's trace are dropped once projected.
-    fn group(&self, batch: &ExtractionBatch) -> (Grouped, JobStats) {
-        let claims = Claims::build(&batch.records, &self.config.mr);
-        (claims.project(self.config.granularity), claims.stats())
-    }
-
-    /// [`Fuser::run`] over a claim graph built earlier — projected from
-    /// the [`Claims`] of the same records at this configuration's
-    /// granularity, and possibly shared with other runs — whose grouping
-    /// job's counters were `stats`. Output and `FusionOutput::stats` are
-    /// exactly those of [`Fuser::run`]; the trace records the rounds only
+    /// [`Fuser::run_with_attribution`] over a claim graph built earlier —
+    /// projected from the [`Claims`] of the same records at this
+    /// configuration's granularity, and possibly shared with other runs —
+    /// whose grouping job's counters were `stats`. Output, attribution and
+    /// `FusionOutput::stats` are exactly those of
+    /// [`Fuser::run_with_attribution`]; the trace records the rounds only
     /// (a `fuse` span), the grouping job being its builder's to record.
-    pub fn run_unattributed(
-        &self,
-        graph: &Grouped,
-        stats: JobStats,
-        gold: Option<&GoldStandard>,
-    ) -> FusionOutput {
-        self.run_graph(graph, stats, gold).0
-    }
-
-    /// [`Fuser::run_unattributed`] that also returns the
-    /// [`ProvenanceAttribution`], as [`Fuser::run_with_attribution`] does.
+    /// The attribution holds `graph`, not a copy of it.
     pub fn run_prebuilt(
         &self,
-        graph: &Grouped,
+        graph: &Arc<Grouped>,
         stats: JobStats,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, ProvenanceAttribution) {
-        let (output, run) = self.run_graph(graph, stats, gold);
-        let attribution = ProvenanceAttribution::new(run.grouped, run.accuracy, run.evaluated);
-        debug_assert_eq!(attribution.len(), output.scored.len());
-        (output, attribution)
-    }
-
-    /// The engine behind every entry point: fuse over `grouped` and hand
-    /// back the finished run with the output.
-    fn run_graph<'a>(
-        &'a self,
-        grouped: &'a Grouped,
-        stats: JobStats,
-        gold: Option<&GoldStandard>,
-    ) -> (FusionOutput, Run<'a>) {
+        let grouped: &Grouped = graph;
+        let table: &SlotTable = grouped.table();
         let cfg = &self.config;
         let _fuse = kf_telemetry::span("fuse");
 
@@ -159,7 +134,7 @@ impl Fuser {
         let mut run = Run {
             cfg,
             grouped,
-            item_cuts: balanced_cuts(grouped.n_items(), workers * CHUNKS_PER_WORKER, |i| {
+            item_cuts: balanced_cuts(table.n_items(), workers * CHUNKS_PER_WORKER, |i| {
                 grouped.claims_before_item(i)
             }),
             prov_cuts: balanced_cuts(n, workers * CHUNKS_PER_WORKER, |p| {
@@ -205,14 +180,14 @@ impl Fuser {
 
         // ---- Stage III: deduplicated output --------------------------------
         let mut scored = Vec::with_capacity(grouped.n_triples());
-        for i in 0..grouped.n_items() {
-            for slot in grouped.item_slots(i) {
+        for i in 0..table.n_items() {
+            for slot in table.item_slots(i) {
                 scored.push(ScoredTriple {
-                    triple: grouped.triple(i, slot),
+                    triple: table.triple(i, slot),
                     probability: run.probs[slot],
                     n_provenances: grouped.slot_provs(slot).len() as u32,
-                    n_extractors: grouped.n_extractors(slot),
-                    n_pages: grouped.n_pages(slot),
+                    n_extractors: table.n_extractors(slot),
+                    n_pages: table.n_pages(slot),
                     fallback: run.fallback[slot],
                 });
             }
@@ -227,7 +202,12 @@ impl Fuser {
             n_provenances: n,
             stats,
         };
-        (output, run)
+        let attribution = ProvenanceAttribution {
+            graph: Arc::clone(graph),
+            accuracy: run.accuracy,
+            evaluated: run.evaluated,
+        };
+        (output, attribution)
     }
 }
 
@@ -237,21 +217,21 @@ impl Run<'_> {
     /// triples that are labelled true, over a `sample_rate` subset of gold
     /// items; provenances with no labelled triples keep the default.
     fn init_accuracy_from_gold(&mut self, gold: &GoldStandard, sample_rate: f64) {
-        let grouped = self.grouped;
+        let (grouped, table) = (self.grouped, self.grouped.table());
         let n = grouped.n_provenances();
         let mut true_counts = vec![0u32; n];
         let mut labelled_counts = vec![0u32; n];
 
-        for i in 0..grouped.n_items() {
+        for i in 0..table.n_items() {
             // Item-level subsampling of the gold standard, deterministic.
             if sample_rate < 1.0 {
-                let h = hash::hash_u64(grouped.item(i).encode() ^ self.cfg.seed ^ 0x00c0_ffee);
+                let h = hash::hash_u64(table.item(i).encode() ^ self.cfg.seed ^ 0x00c0_ffee);
                 if (h % 1_000_000) as f64 / 1_000_000.0 >= sample_rate {
                     continue;
                 }
             }
-            for slot in grouped.item_slots(i) {
-                let is_true = match gold.label(&grouped.triple(i, slot)) {
+            for slot in table.item_slots(i) {
+                let is_true = match gold.label(&table.triple(i, slot)) {
                     Label::True => true,
                     Label::False => false,
                     Label::Unknown => continue,
@@ -275,7 +255,7 @@ impl Run<'_> {
     /// the current accuracies. Each task scores one range of items into
     /// the matching disjoint slices of the slot columns.
     fn stage_one(&mut self, round: usize) {
-        let (cfg, grouped) = (self.cfg, self.grouped);
+        let (cfg, table) = (self.cfg, self.grouped.table());
         // A provenance's vote term depends on its accuracy alone: one
         // logarithm per provenance per round, not one per claim.
         let accuracy = self.accuracy.iter();
@@ -298,7 +278,7 @@ impl Run<'_> {
             .collect();
         let scorer = ItemScorer {
             cfg,
-            grouped,
+            grouped: self.grouped,
             round,
             accuracy: &self.accuracy,
             evaluated: &self.evaluated,
@@ -308,8 +288,7 @@ impl Run<'_> {
         let (mut probs, mut fallback) = (&mut self.probs[..], &mut self.fallback[..]);
         let mut tasks = Vec::with_capacity(self.item_cuts.len());
         for items in &self.item_cuts {
-            let n_slots =
-                grouped.item_slots(items.end - 1).end - grouped.item_slots(items.start).start;
+            let n_slots = table.item_slots(items.end - 1).end - table.item_slots(items.start).start;
             let (p, rest) = probs.split_at_mut(n_slots);
             probs = rest;
             let (f, rest) = fallback.split_at_mut(n_slots);
@@ -457,7 +436,9 @@ impl ItemScorer<'_> {
         fallback: &mut [bool],
     ) -> KernelWork {
         let (cfg, grouped) = (self.cfg, self.grouped);
-        let base = grouped.item_slots(items.start).start;
+        // Bound once per range: the kernel reads the table item by item.
+        let table: &SlotTable = grouped.table();
+        let base = table.item_slots(items.start).start;
         let active = |&p: &u32| self.active[p as usize];
         // Buffers reused from item to item: one value's sampled active
         // provenances; per value, their count and summed vote terms; the
@@ -468,7 +449,7 @@ impl ItemScorer<'_> {
         probs.fill(None);
         fallback.fill(false);
         for i in items {
-            let slots = grouped.item_slots(i);
+            let slots = table.item_slots(i);
             // Coverage filter, round 1 (§4.3.2): only score items where at
             // least one triple has more than one provenance, so that the
             // subsequent accuracy evaluation rests on non-trivial
@@ -497,7 +478,7 @@ impl ItemScorer<'_> {
                     sampled.clear();
                     sampled.extend(pids.iter().copied().filter(active));
                     let seed =
-                        hash::hash_u64(grouped.item(i).encode() ^ (self.round as u64) ^ cfg.seed);
+                        hash::hash_u64(table.item(i).encode() ^ (self.round as u64) ^ cfg.seed);
                     sampled = Reservoir::sample_vec(sampled, cfg.sample_limit, seed);
                     pids = &sampled;
                 }
@@ -863,7 +844,7 @@ mod tests {
         // sets match the recorded n_extractors (ExtractorPage granularity
         // keeps the extractor in the key), accuracies are final values.
         assert_eq!(attribution.len(), out.scored.len());
-        assert_eq!(attribution.keys.len(), out.n_provenances);
+        assert_eq!(attribution.keys().len(), out.n_provenances);
         for (i, s) in out.scored.iter().enumerate() {
             assert_eq!(attribution.provs(i).len(), s.n_provenances as usize);
             assert_eq!(attribution.extractors(i).len(), s.n_extractors as usize);
@@ -896,13 +877,40 @@ mod tests {
         };
         let (alone, alone_trace) = traced(&|| fuser.run_with_attribution(&batch, None).0);
         let claims = Claims::build(&batch.records, &fuser.config().mr);
-        let graph = claims.project(fuser.config().granularity);
+        let graph = Arc::new(claims.project(fuser.config().granularity));
         let (shared, shared_trace) = traced(&|| fuser.run_prebuilt(&graph, claims.stats(), None).0);
         let spans: Vec<_> = alone_trace.root.children.iter().map(|c| &c.name).collect();
         assert_eq!(spans, ["fuse"]);
         assert_eq!(alone_trace, shared_trace);
         assert_eq!(alone.stats, shared.stats);
         assert_eq!(alone.stats.map_input, batch.len() as u64);
+    }
+
+    /// One copy of the per-slot columns: the claims, both preset
+    /// projections of them and the attribution of a run over either graph
+    /// point at one slot table, and graph equality still compares columns
+    /// only, whatever job grouped the claims.
+    #[test]
+    fn claims_graphs_and_attributions_share_one_slot_table() {
+        let batch: ExtractionBatch = (0..900)
+            .map(|i| ext(i % 31, i % 3, i % 6, (i % 4) as u16, i % 70))
+            .collect();
+        let claims = Claims::build(&batch.records, &MrConfig::sequential());
+        let spilled_mr = MrConfig::sequential()
+            .with_chunk_records(64)
+            .with_spill_threshold(128);
+        let spilled = Claims::build(&batch.records, &spilled_mr);
+        assert_ne!(claims.stats(), spilled.stats());
+        assert!(!Arc::ptr_eq(claims.table(), spilled.table()));
+        for cfg in [FusionConfig::popaccu(), FusionConfig::popaccu_plus_unsup()] {
+            let graph = Arc::new(claims.project(cfg.granularity));
+            assert!(Arc::ptr_eq(graph.table(), claims.table()));
+            let (out, attribution) = seq(cfg).run_prebuilt(&graph, claims.stats(), None);
+            assert_eq!(attribution.len(), out.scored.len());
+            assert!(Arc::ptr_eq(&attribution.graph, &graph));
+            assert!(Arc::ptr_eq(attribution.graph.table(), claims.table()));
+            assert_eq!(*graph, spilled.project(cfg.granularity));
+        }
     }
 
     /// A one-value item's first fixpoint pass is its last, and the

@@ -3,6 +3,7 @@
 use crate::observation::Grouped;
 use kf_mapreduce::{JobStats, RoundOutcome};
 use kf_types::{ExtractorId, FxHashMap, ProvenanceKey, Triple};
+use std::sync::Arc;
 
 /// One unique triple with its estimated truthfulness probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,41 +90,29 @@ impl FusionOutput {
 /// *who* supports a high-confidence false positive (one extractor on many
 /// pages is the systematic-error signature) and how much the fusion ended
 /// up trusting that support. Obtain one from
-/// [`Fuser::run_with_attribution`](crate::Fuser::run_with_attribution) —
-/// the table is built from the same grouped view the run used, so index
-/// `i` lines up with `FusionOutput::scored[i]`.
-#[derive(Debug, Clone, Default)]
+/// [`Fuser::run_with_attribution`](crate::Fuser::run_with_attribution) or
+/// [`Fuser::run_prebuilt`](crate::Fuser::run_prebuilt): it holds the
+/// claim graph the run fused over, shared rather than copied, so index `i`
+/// lines up with `FusionOutput::scored[i]` and building it costs nothing.
+#[derive(Debug, Clone)]
 pub struct ProvenanceAttribution {
-    /// Provenance keys, indexed by dense provenance id.
-    pub keys: Vec<ProvenanceKey>,
+    /// The claim graph the run fused over.
+    pub(crate) graph: Arc<Grouped>,
     /// Final (post-iteration) accuracy per provenance id.
     pub accuracy: Vec<f64>,
     /// Whether the accuracy was ever re-estimated from data.
     pub evaluated: Vec<bool>,
-    /// `offsets[i]..offsets[i + 1]` indexes `prov_ids` for scored triple
-    /// `i`.
-    offsets: Vec<u32>,
-    /// Flattened per-triple provenance id lists (sorted, deduplicated).
-    prov_ids: Vec<u32>,
 }
 
 impl ProvenanceAttribution {
-    /// Assemble from the claim graph the run used and the run's final
-    /// accuracy columns.
-    pub(crate) fn new(grouped: &Grouped, accuracy: Vec<f64>, evaluated: Vec<bool>) -> Self {
-        let (offsets, prov_ids) = grouped.claim_columns();
-        ProvenanceAttribution {
-            keys: grouped.keys().to_vec(),
-            accuracy,
-            evaluated,
-            offsets: offsets.to_vec(),
-            prov_ids: prov_ids.to_vec(),
-        }
+    /// Provenance keys, indexed by dense provenance id.
+    pub fn keys(&self) -> &[ProvenanceKey] {
+        self.graph.keys()
     }
 
     /// Number of attributed triples.
     pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.graph.n_triples()
     }
 
     /// True when no triples are attributed.
@@ -133,7 +122,7 @@ impl ProvenanceAttribution {
 
     /// Dense provenance ids supporting scored triple `i` (sorted).
     pub fn provs(&self, i: usize) -> &[u32] {
-        &self.prov_ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        self.graph.slot_provs(i)
     }
 
     /// Distinct extractors supporting scored triple `i`, in id order.
@@ -143,7 +132,7 @@ impl ProvenanceAttribution {
         let mut out: Vec<ExtractorId> = self
             .provs(i)
             .iter()
-            .filter_map(|&pid| self.keys[pid as usize].extractor)
+            .filter_map(|&pid| self.keys()[pid as usize].extractor)
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -243,8 +232,11 @@ mod tests {
             claim(8, 2, 12),
         ];
         let grouped = Grouped::build(&batch, Granularity::ExtractorPage, &MrConfig::sequential());
-        let attribution =
-            ProvenanceAttribution::new(&grouped, vec![0.9, 0.5, 0.2], vec![true, true, false]);
+        let attribution = ProvenanceAttribution {
+            graph: Arc::new(grouped),
+            accuracy: vec![0.9, 0.5, 0.2],
+            evaluated: vec![true, true, false],
+        };
         assert_eq!(attribution.len(), 2);
         assert_eq!(attribution.provs(0), &[0, 1, 2]);
         assert_eq!(attribution.provs(1), &[2]);
@@ -255,6 +247,5 @@ mod tests {
         );
         let mean = attribution.mean_accuracy(0).unwrap();
         assert!((mean - (0.9 + 0.5 + 0.2) / 3.0).abs() < 1e-12);
-        assert_eq!(ProvenanceAttribution::default().len(), 0);
     }
 }

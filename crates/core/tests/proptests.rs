@@ -103,7 +103,8 @@ fn assert_matches_graph_oracle(graph: &Grouped, batch: &[Extraction], granularit
     let id = |key: &ProvenanceKey| keys.binary_search(key).expect("a known key") as u32;
     let items: BTreeSet<DataItem> = slots.keys().map(Triple::data_item).collect();
 
-    assert_eq!(graph.n_items(), items.len());
+    let table = graph.table();
+    assert_eq!(table.n_items(), items.len());
     assert_eq!(graph.n_triples(), slots.len());
     assert_eq!(graph.keys(), &keys[..]);
     // Forward lists: triples in canonical order, ids sorted per slot.
@@ -111,15 +112,15 @@ fn assert_matches_graph_oracle(graph: &Grouped, batch: &[Extraction], granularit
     let mut oracle = slots.iter();
     let mut claims = 0;
     for (i, item) in items.iter().enumerate() {
-        assert_eq!(graph.item(i), *item);
+        assert_eq!(table.item(i), *item);
         assert_eq!(graph.claims_before_item(i), claims);
-        for slot in graph.item_slots(i) {
+        for slot in table.item_slots(i) {
             let (triple, (provs, extractors, pages)) = oracle.next().expect("a slot too many");
-            assert_eq!(graph.triple(i, slot), *triple);
+            assert_eq!(table.triple(i, slot), *triple);
             let ids: Vec<u32> = provs.iter().map(id).collect();
             assert_eq!(graph.slot_provs(slot), &ids[..], "{triple:?}");
-            assert_eq!(graph.n_extractors(slot) as usize, extractors.len());
-            assert_eq!(graph.n_pages(slot) as usize, pages.len());
+            assert_eq!(table.n_extractors(slot) as usize, extractors.len());
+            assert_eq!(table.n_pages(slot) as usize, pages.len());
             ids.iter()
                 .for_each(|&p| transpose[p as usize].push(slot as u32));
             claims += ids.len();
@@ -153,21 +154,22 @@ fn assert_matches_claims_oracle(claims: &Claims, batch: &[Extraction]) {
         slot.1.insert(e.provenance);
     }
     let items: BTreeSet<DataItem> = slots.keys().map(Triple::data_item).collect();
-    assert_eq!(claims.n_items(), items.len());
-    assert_eq!(claims.n_triples(), slots.len());
+    let table = claims.table();
+    assert_eq!(table.n_items(), items.len());
+    assert_eq!(table.n_triples(), slots.len());
     let mut oracle = slots.iter();
     for i in 0..items.len() {
-        for slot in claims.item_slots(i) {
+        for slot in table.item_slots(i) {
             let (triple, (records, provs)) = oracle.next().expect("a slot too many");
-            assert_eq!(claims.triple(i, slot), *triple);
-            assert_eq!(claims.n_records(slot), *records, "{triple:?}");
+            assert_eq!(table.triple(i, slot), *triple);
+            assert_eq!(table.n_records(slot), *records, "{triple:?}");
             let provs: Vec<Provenance> = provs.iter().copied().collect();
             assert_eq!(claims.slot_provenances(slot), &provs[..], "{triple:?}");
             let pages: BTreeSet<PageId> = provs.iter().map(|p| p.page).collect();
-            assert_eq!(claims.n_pages(slot) as usize, pages.len(), "{triple:?}");
+            assert_eq!(table.n_pages(slot) as usize, pages.len(), "{triple:?}");
             let extractors: BTreeSet<ExtractorId> = provs.iter().map(|p| p.extractor).collect();
             assert_eq!(
-                claims.n_extractors(slot) as usize,
+                table.n_extractors(slot) as usize,
                 extractors.len(),
                 "{triple:?}"
             );
@@ -422,10 +424,10 @@ fn fused(batch: &[Extraction], cfg: FusionConfig, gold: Option<&GoldStandard>) -
             .iter()
             .map(|s| (s.triple, s.probability.map(f64::to_bits), s.fallback))
             .collect(),
-        provenances: (0..attribution.keys.len())
+        provenances: (0..attribution.keys().len())
             .map(|p| {
                 (
-                    attribution.keys[p],
+                    attribution.keys()[p],
                     attribution.accuracy[p].to_bits(),
                     attribution.evaluated[p],
                 )
@@ -549,7 +551,7 @@ proptest! {
             let claims = Claims::build(&batch, &mr);
             assert_matches_claims_oracle(&claims, &batch);
             let stats = claims.stats();
-            prop_assert_eq!(stats.reduce_keys, claims.n_items() as u64);
+            prop_assert_eq!(stats.reduce_keys, claims.table().n_items() as u64);
             prop_assert_eq!(stats.spill_runs > 0, stats.spilled_bytes > 0);
         }
     }

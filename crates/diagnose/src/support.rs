@@ -102,7 +102,7 @@ impl SupportIndex {
 
     /// Number of unique triples in the batch.
     pub fn len(&self) -> usize {
-        self.claims.n_triples()
+        self.claims.table().n_triples()
     }
 
     /// True when the batch is empty.
@@ -115,7 +115,7 @@ impl Profiles for SupportIndex {
     /// The triple's slot's distinct (extractor, page) support pairs,
     /// counted per extractor.
     fn profile(&self, triple: &Triple) -> Option<SupportProfile> {
-        let slot = self.claims.slot_of(triple)?;
+        let slot = self.claims.table().slot_of(triple)?;
         // Provenances are distinct and sorted by (extractor, page, …), so
         // distinct pairs are runs, and so are extractors.
         let mut per_extractor: Vec<(ExtractorId, u32)> = Vec::new();
@@ -130,7 +130,7 @@ impl Profiles for SupportIndex {
             last_page = Some(p.page);
         }
         Some(SupportProfile {
-            n_pages: self.claims.n_pages(slot),
+            n_pages: self.claims.table().n_pages(slot),
             per_extractor,
         })
     }

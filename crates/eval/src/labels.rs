@@ -8,26 +8,14 @@
 //! method cannot look better by predicting less.
 
 use kf_core::FusionOutput;
-use kf_types::{GoldStandard, Label, Triple};
+use kf_types::{GoldStandard, Label};
 
-/// One fused triple with its gold label.
-#[derive(Debug, Clone, Copy)]
-pub struct LabeledTriple {
-    /// The triple.
-    pub triple: Triple,
-    /// Fused truthfulness probability (`None` when the method abstained).
-    pub probability: Option<f64>,
-    /// LCWA gold label.
-    pub label: Label,
-    /// Whether the probability came from the mean-accuracy fallback.
-    pub fallback: bool,
-}
-
-/// A fusion output joined with the gold standard.
+/// A fusion output joined with the gold standard: the label counts and
+/// the `(probability, is_true)` pairs the metrics are computed over.
 #[derive(Debug, Clone, Default)]
 pub struct LabeledOutput {
-    /// All fused triples with labels.
-    pub records: Vec<LabeledTriple>,
+    /// Fused triples, labelled or not.
+    pub n_scored: usize,
     /// Labelled true.
     pub n_true: usize,
     /// Labelled false.
@@ -36,13 +24,16 @@ pub struct LabeledOutput {
     pub n_unknown: usize,
     /// Labelled (true or false) but with no predicted probability.
     pub n_unpredicted: usize,
+    /// Labelled triples that received a prediction, as
+    /// `(probability, is_true)`, in output order.
+    predictions: Vec<(f64, bool)>,
 }
 
 impl LabeledOutput {
-    /// Join `output` with `gold`.
+    /// Join `output` with `gold`: one gold probe per scored triple.
     pub fn label(output: &FusionOutput, gold: &GoldStandard) -> LabeledOutput {
         let mut out = LabeledOutput {
-            records: Vec::with_capacity(output.scored.len()),
+            n_scored: output.scored.len(),
             ..Default::default()
         };
         for s in &output.scored {
@@ -52,29 +43,19 @@ impl LabeledOutput {
                 Label::False => out.n_false += 1,
                 Label::Unknown => out.n_unknown += 1,
             }
-            if label != Label::Unknown && s.probability.is_none() {
-                out.n_unpredicted += 1;
+            match (s.probability, label.as_bool()) {
+                (Some(p), Some(is_true)) => out.predictions.push((p, is_true)),
+                (None, Some(_)) => out.n_unpredicted += 1,
+                (_, None) => {}
             }
-            out.records.push(LabeledTriple {
-                triple: s.triple,
-                probability: s.probability,
-                label,
-                fallback: s.fallback,
-            });
         }
         out
     }
 
     /// The `(probability, is_true)` pairs metrics are computed over:
     /// labelled triples that received a prediction.
-    pub fn predictions(&self) -> Vec<(f64, bool)> {
-        self.records
-            .iter()
-            .filter_map(|r| match (r.probability, r.label.as_bool()) {
-                (Some(p), Some(t)) => Some((p, t)),
-                _ => None,
-            })
-            .collect()
+    pub fn predictions(&self) -> &[(f64, bool)] {
+        &self.predictions
     }
 
     /// Labelled triples (true + false).
@@ -108,7 +89,7 @@ mod tests {
     use super::*;
     use kf_core::ScoredTriple;
     use kf_mapreduce::{JobStats, RoundOutcome};
-    use kf_types::{DataItem, EntityId, PredicateId, Value};
+    use kf_types::{DataItem, EntityId, PredicateId, Triple, Value};
 
     fn triple(s: u32, o: u32) -> Triple {
         Triple::new(EntityId(s), PredicateId(0), Value::Entity(EntityId(o)))
@@ -173,8 +154,8 @@ mod tests {
             scored(2, 10, Some(0.5)),
             scored(1, 12, None),
         ]);
-        let preds = LabeledOutput::label(&out, &gold()).predictions();
-        assert_eq!(preds, vec![(0.9, true)]);
+        let labeled = LabeledOutput::label(&out, &gold());
+        assert_eq!(labeled.predictions(), [(0.9, true)]);
     }
 
     #[test]

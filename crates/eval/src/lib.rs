@@ -45,7 +45,7 @@ pub mod report;
 pub use ablation::{AblationRunner, Preset};
 pub use calibration::{calibration_curve, Binning, CalibrationBin, CalibrationCurve};
 pub use json::Json;
-pub use labels::{LabeledOutput, LabeledTriple};
+pub use labels::LabeledOutput;
 pub use persist::{merge_reports, MergeError};
 pub use pr::{pr_curve, precision_at_k, PrCurve, PrPoint};
 pub use report::{evaluate_labeled, trace_to_json, CorpusSummary, EvalReport, MethodEval};

@@ -588,7 +588,7 @@ pub fn evaluate_labeled(
     // One descending sort serves the PR curve and every precision@k.
     let (precision_at, pr) = {
         let _pr = kf_telemetry::span("pr");
-        let sorted = sort_descending(&preds);
+        let sorted = sort_descending(preds);
         let precision_at: Vec<(usize, f64)> = ks
             .iter()
             .filter_map(|&k| precision_at_k_sorted(&sorted, k).map(|p| (k, p)))
@@ -598,14 +598,14 @@ pub fn evaluate_labeled(
     let (calibration_width, calibration_mass) = {
         let _cal = kf_telemetry::span("calibration");
         (
-            calibration_curve(&preds, Binning::EqualWidth(n_bins)),
-            calibration_curve(&preds, Binning::EqualMass(n_bins)),
+            calibration_curve(preds, Binning::EqualWidth(n_bins)),
+            calibration_curve(preds, Binning::EqualMass(n_bins)),
         )
     };
     MethodEval {
         name: name.to_string(),
         label: label.to_string(),
-        n_scored: labeled.records.len(),
+        n_scored: labeled.n_scored,
         n_labelled: labeled.n_labelled(),
         n_true: labeled.n_true,
         n_unpredicted: labeled.n_unpredicted,

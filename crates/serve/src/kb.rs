@@ -52,6 +52,7 @@ use kf_types::codec::{decode_column, encode_column, value_columns, value_from_co
 use kf_types::{EntityId, GoldStandard, KvCodec, Label, Triple, Value};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Options for building a [`FusedKb`] from a corpus snapshot.
 #[derive(Debug, Clone)]
@@ -243,7 +244,7 @@ impl FusedKb {
             let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
             let graph = {
                 let _span = span("project");
-                claims.project(config.granularity)
+                Arc::new(claims.project(config.granularity))
             };
             let gold = preset.needs_gold().then_some(&corpus.gold);
             Fuser::new(config).run_prebuilt(&graph, claims.stats(), gold)
@@ -314,7 +315,7 @@ impl FusedKb {
             pred_ids: Vec::new(),
             pred_offsets: Vec::new(),
             rank: Vec::new(),
-            prov_keys: attribution.keys.iter().map(|k| k.pack()).collect(),
+            prov_keys: attribution.keys().iter().map(|k| k.pack()).collect(),
             prov_accuracy: attribution.accuracy.clone(),
             prov_evaluated: attribution.evaluated.iter().map(|&e| e as u8).collect(),
             prov_offsets: Vec::with_capacity(n + 1),
@@ -824,7 +825,9 @@ pub(crate) mod tests {
             scored: scored.collect(),
             ..Fuser::new(Preset::Vote.config()).run(&corpus.batch, None)
         };
-        let attribution = ProvenanceAttribution::default();
+        // No extraction, no provenance: the attribution of an empty run.
+        let empty = kf_types::ExtractionBatch::new();
+        let (_, attribution) = Fuser::new(Preset::Vote.config()).run_with_attribution(&empty, None);
         let runner = AblationRunner::default();
         let method = runner.evaluate(Preset::Vote, &output, &corpus.gold, 0.0);
         FusedKb::compile_from_parts(

@@ -148,7 +148,7 @@ fn check_rows(
         assert_eq!(d.len(), provs.len());
         for (got, &id) in d.iter().zip(provs) {
             assert_eq!(got.id, id);
-            assert_eq!(got.key, attribution.keys[id as usize]);
+            assert_eq!(got.key, attribution.keys()[id as usize]);
             assert_eq!(
                 got.accuracy.to_bits(),
                 attribution.accuracy[id as usize].to_bits()

@@ -415,7 +415,9 @@ impl KvCodec for ExtractionBatch {
     fn encode(&self, out: &mut Vec<u8>) {
         let n = self.records.len();
         (n as u64).encode(out);
-        out.reserve(n * 32);
+        // The exact size: 32 bytes a record, the value count, 8 bytes a confidence.
+        let confident = self.records.iter().filter(|e| e.confidence.is_some());
+        out.reserve(n * 32 + 8 + 8 * confident.count());
         for e in &self.records {
             e.triple.subject.0.put_le(out);
         }

@@ -10,6 +10,7 @@
 use kf::core::Claims;
 use kf::prelude::*;
 use kf::telemetry;
+use std::sync::Arc;
 
 fn main() {
     // Everything recorded between install() and snapshot() lands in this
@@ -43,9 +44,9 @@ fn main() {
     let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
     let graph = {
         let _span = telemetry::span("project");
-        claims.project(config.granularity)
+        Arc::new(claims.project(config.granularity))
     };
-    let output = Fuser::new(config).run_unattributed(&graph, claims.stats(), None);
+    let (output, _) = Fuser::new(config).run_prebuilt(&graph, claims.stats(), None);
 
     // Evaluate calibration and PR quality under the same trace.
     let runner = AblationRunner {
