@@ -3,7 +3,8 @@
 //! Shared machinery behind the `repro` binary and the repo benchmark
 //! (`benchmark/`, see its README): option parsing for the reproduction
 //! CLI, corpus-scale presets, and the end-to-end generate → fuse →
-//! evaluate driver whose output is the diffable `report.json`.
+//! evaluate driver whose output is the diffable `report.json`: each
+//! preset is `kf-eval`'s shared step plus the diagnosis.
 //!
 //! ```
 //! use kf_bench::{ReproOptions, run};
@@ -20,14 +21,14 @@ pub use scenarios::{
     ScenarioRow, SCENARIO_NAMES,
 };
 
-use kf_core::{Claims, Fuser, FusionConfig, FusionOutput, Grouped, Method};
+use kf_core::{Claims, FusionConfig, FusionOutput, Method};
 use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
 use kf_eval::{AblationRunner, CorpusSummary, EvalReport, MethodEval, Preset};
 use kf_mapreduce::{run_tasks, MrConfig};
 use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::{Trace, TraceReport};
-use kf_types::{Granularity, TaskSpec};
-use std::sync::{Arc, OnceLock};
+use kf_types::TaskSpec;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Why [`ReproOptions::parse`] did not produce options.
@@ -606,69 +607,16 @@ fn engine_config(workers: Option<usize>) -> MrConfig {
     workers.map_or_else(MrConfig::default, MrConfig::with_workers)
 }
 
-/// The grouped state of one corpus: its [`Claims`] — the one shuffle of
-/// the extractions — and one cell per granularity for the claim graph
-/// projected from them, filled before the first preset that needs it
-/// fans out. Presets of one granularity fuse over one shared graph: the
-/// three basic presets over the *(extractor, page)* graph, the two
-/// POPACCU+ presets over the fine one; the support index (a handle on
-/// the same claims) and the corpus summary read the claims.
-struct Grouping {
-    claims: Arc<Claims>,
-    graphs: [OnceLock<Arc<Grouped>>; Granularity::ALL.len()],
-}
-
-impl Grouping {
-    fn new(claims: Arc<Claims>) -> Self {
-        Grouping {
-            claims,
-            graphs: Default::default(),
-        }
-    }
-
-    fn cell(&self, granularity: Granularity) -> &OnceLock<Arc<Grouped>> {
-        let at = Granularity::ALL.iter().position(|&g| g == granularity);
-        &self.graphs[at.expect("every granularity is in ALL")]
-    }
-
-    /// Project each of `granularities` that has no graph yet, side by
-    /// side on `workers` threads, under one `project` span of the calling
-    /// thread's trace (none when every graph exists).
-    fn project(&self, granularities: impl IntoIterator<Item = Granularity>, workers: usize) {
-        let mut missing: Vec<Granularity> = Vec::new();
-        for g in granularities {
-            if self.cell(g).get().is_none() && !missing.contains(&g) {
-                missing.push(g);
-            }
-        }
-        if missing.is_empty() {
-            return;
-        }
-        let _span = kf_telemetry::span("project");
-        // A run sharing this grouping may have set a cell first; its graph
-        // is the same.
-        let project =
-            |g: Granularity| move || drop(self.cell(g).set(Arc::new(self.claims.project(g))));
-        run_tasks(workers, missing.into_iter().map(project).collect());
-    }
-
-    /// The graph at `granularity`, once [`Grouping::project`]ed.
-    fn graph(&self, granularity: Granularity) -> &Arc<Grouped> {
-        let graph = self.cell(granularity).get();
-        graph.expect("graphs are projected before the presets fan out")
-    }
-}
-
 /// A unit of a scheduled run: anything [`run_tasks`] may put on any of the
 /// run's threads, writing its result where its maker told it to.
 type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// The per-corpus state every preset's run shares: the grouped claims
-/// and the claim graphs projected from them (one per granularity, on
-/// first use), and the inputs of the error-taxonomy diagnosis pass — the
-/// support index over the same claims, the generator-truth and
-/// scenario-truth joins, the extractor labels, and the engine
-/// configuration whose worker count the diagnoser fans out under.
+/// (with the claim graphs they hold, and the support index the diagnosis
+/// reads is a handle on them), and the error-taxonomy pass's other inputs
+/// — the generator-truth and scenario-truth joins, the extractor labels,
+/// and the engine configuration whose worker count the diagnoser fans out
+/// under.
 ///
 /// Building this is the expensive prefix of a diagnosing run (the one
 /// grouping job over the extraction batch), so callers that fuse the
@@ -676,12 +624,11 @@ type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 /// per preset — build it once with [`build_diagnosis_context`] and hand
 /// it to [`run_on_corpus_with_context`] for every task.
 pub struct DiagnosisContext {
-    support: SupportIndex,
+    claims: Arc<Claims>,
     truth: kf_types::FxHashMap<kf_types::Triple, kf_types::ErrorCategory>,
     scenario: kf_types::FxHashMap<kf_types::Triple, kf_types::ScenarioPhenomenon>,
     labels: Vec<String>,
     mr: MrConfig,
-    grouping: Grouping,
 }
 
 /// `work`'s result and its record: a trace of its own rooted at `name`,
@@ -739,44 +686,14 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
         // their records land here, under `support_index`.
         kf_telemetry::graft(claims.trace());
         kf_telemetry::graft(&joins);
-        let claims = Arc::new(claims);
         DiagnosisContext {
-            support: SupportIndex::from_claims(Arc::clone(&claims)),
+            claims: Arc::new(claims),
             truth,
             scenario,
             labels: corpus.extractors.iter().map(|e| e.name.clone()).collect(),
             mr,
-            grouping: Grouping::new(claims),
         }
     })
-}
-
-/// [`AblationRunner::corpus_summary`] read off the corpus's grouped
-/// `claims` instead of two more passes over its records: slots are the
-/// unique triples, and a triple's LCWA label counts once per record.
-fn corpus_summary(scale: &str, corpus: &Corpus, claims: &Claims) -> CorpusSummary {
-    let (mut labelled, mut correct) = (0usize, 0usize);
-    let table = claims.table();
-    for i in 0..table.n_items() {
-        for slot in table.item_slots(i) {
-            if let Some(ok) = corpus.gold.label(&table.triple(i, slot)).as_bool() {
-                labelled += table.n_records(slot) as usize;
-                correct += table.n_records(slot) as usize * ok as usize;
-            }
-        }
-    }
-    CorpusSummary {
-        scale: scale.to_string(),
-        seed: corpus.seed,
-        n_records: corpus.batch.len(),
-        n_unique_triples: table.n_triples(),
-        n_data_items: table.n_items(),
-        n_gold_items: corpus.gold.n_items(),
-        lcwa_accuracy: match labelled {
-            0 => 0.0,
-            _ => correct as f64 / labelled as f64,
-        },
-    }
 }
 
 /// [`run`] over an existing corpus.
@@ -790,7 +707,9 @@ fn corpus_summary(scale: &str, corpus: &Corpus, claims: &Claims) -> CorpusSummar
 /// report section carries the Fig. 17 breakdown plus the
 /// heuristic-vs-injected confusion matrix. The batch-level support index
 /// and generator-truth join are computed once
-/// ([`build_diagnosis_context`]) and shared by all presets.
+/// ([`build_diagnosis_context`]) and shared by all presets; the report
+/// header is read off the same claims
+/// ([`AblationRunner::claims_summary`]).
 ///
 /// The presets are independent runs over shared, immutable graphs, so the
 /// run's `workers` go to whole presets first ([`run_tasks`]) and to the
@@ -814,19 +733,14 @@ pub fn run_on_corpus(opts: &ReproOptions, corpus: &Corpus) -> EvalReport {
 /// built from the same corpus and equivalent options; reusing it changes
 /// nothing about the produced bytes — no method's trace records the
 /// grouping job or a projection — only skips regrouping the corpus,
-/// rejoining the truths and reprojecting the graphs it already holds.
+/// rejoining the truths and reprojecting the graphs its claims already
+/// hold.
 pub fn run_on_corpus_with_context(
     opts: &ReproOptions,
     corpus: &Corpus,
     diagnosis: Option<&DiagnosisContext>,
 ) -> EvalReport {
-    let (methods, summary) = fuse_presets(
-        opts,
-        corpus,
-        diagnosis,
-        |_, _, method| method,
-        |claims| corpus_summary(&opts.scale, corpus, claims),
-    );
+    let (methods, summary) = fuse_presets(opts, corpus, diagnosis, |_, _, method| method);
     let mut report = EvalReport {
         corpus: summary,
         methods,
@@ -842,19 +756,20 @@ pub fn run_on_corpus_with_context(
 }
 
 /// The schedule of a run: group the corpus unless `diagnosis` already
-/// has, and project each granularity the presets need that it does not
-/// hold yet ([`Grouping::project`]); then every preset of `opts`
-/// as one task — fuse, evaluate, diagnose, under its own `method` trace,
-/// then `finish(preset, output, evaluation)` — handed to [`run_tasks`] in
-/// task-table order, plus `summarize(claims)` as one more, last. Returns
+/// has, and project each granularity the presets need that the claims
+/// do not hold yet ([`Claims::project_graphs`]); then every preset of
+/// `opts` as one task — the shared step
+/// ([`AblationRunner::fuse_preset`]) and the diagnosis, under its own
+/// `method` trace, then `finish(preset, output, evaluation)` — handed to
+/// [`run_tasks`] in task-table order, plus the corpus summary off the
+/// claims ([`AblationRunner::claims_summary`]) as one more, last. Returns
 /// what the presets finished as, in `opts.presets` order, and the summary.
-pub(crate) fn fuse_presets<T: Send, S: Send>(
+pub(crate) fn fuse_presets<T: Send>(
     opts: &ReproOptions,
     corpus: &Corpus,
     diagnosis: Option<&DiagnosisContext>,
     finish: impl Fn(Preset, &FusionOutput, MethodEval) -> T + Sync,
-    summarize: impl FnOnce(&Claims) -> S + Send,
-) -> (Vec<T>, S) {
+) -> (Vec<T>, CorpusSummary) {
     let runner = AblationRunner {
         n_bins: opts.bins,
         workers: opts.workers,
@@ -863,19 +778,17 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
     };
     let mr = engine_config(opts.workers);
     let call_local;
-    let grouping = match diagnosis {
-        Some(ctx) => &ctx.grouping,
+    let claims: &Claims = match diagnosis {
+        Some(ctx) => &ctx.claims,
         None => {
-            let claims = Claims::build_recorded(&corpus.batch.records, &mr);
-            call_local = Grouping::new(Arc::new(claims));
+            call_local = Claims::build_recorded(&corpus.batch.records, &mr);
             &call_local
         }
     };
-    grouping.project(
+    claims.project_graphs(
         opts.presets.iter().map(|p| p.config().granularity),
         mr.workers,
     );
-    let stats = grouping.claims.stats();
     let (runner, finish) = (&runner, &finish);
 
     let mut finished: Vec<Option<T>> = opts.presets.iter().map(|_| None).collect();
@@ -885,26 +798,18 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
     for at in task_table(&opts.presets) {
         let preset = opts.presets[at];
         let slot = slots[at].take().expect("the table names each preset once");
-        let mut config = preset.config();
-        if let Some(w) = opts.workers {
-            config = config.with_workers(w);
-        }
-        let graph = grouping.graph(config.granularity);
         let fuse = move || {
-            let gold = preset.needs_gold().then_some(&corpus.gold);
             // Each preset runs under its own trace (shadowing the
             // process-level one), so neither the shard nor the thread a
             // preset happens to run in changes what its trace records.
             let trace = Trace::with_root("method");
             let installed = kf_telemetry::install(&trace);
-            let fuser = Fuser::new(config);
-            let start = Instant::now();
-            let (output, attribution) = fuser.run_prebuilt(graph, stats, gold);
-            let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
-            let mut method = runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
+            let (output, attribution, mut method) =
+                runner.fuse_preset(preset, claims, &corpus.gold);
             if let Some(ctx) = diagnosis {
                 let _span = kf_telemetry::span("diagnose");
-                let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &ctx.support)
+                let support = SupportIndex::from_claims(Arc::clone(&ctx.claims));
+                let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &support)
                     .with_truth(&ctx.truth)
                     .with_scenario(&ctx.scenario)
                     .with_attribution(&attribution)
@@ -922,7 +827,9 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
         };
         tasks.push(Box::new(fuse));
     }
-    tasks.push(Box::new(|| summary = Some(summarize(&grouping.claims))));
+    tasks.push(Box::new(|| {
+        summary = Some(runner.claims_summary(corpus, claims))
+    }));
     run_tasks(mr.workers, tasks);
 
     let finished = finished.into_iter().map(|t| t.expect("every preset ran"));
@@ -932,6 +839,7 @@ pub(crate) fn fuse_presets<T: Send, S: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kf_core::Fuser;
     use std::sync::Mutex;
 
     #[test]
@@ -1339,7 +1247,7 @@ mod tests {
         let note = |preset: Preset, _: &FusionOutput, _: MethodEval| {
             order.lock().unwrap().push(preset);
         };
-        let (finished, ()) = fuse_presets(&opts, &corpus, None, note, |_| ());
+        let (finished, _) = fuse_presets(&opts, &corpus, None, note);
         assert_eq!(finished.len(), 3);
         let order = order.into_inner().unwrap();
         assert_eq!(order, [Preset::PopAccuPlus, Preset::Accu, Preset::Vote]);
@@ -1399,8 +1307,7 @@ mod tests {
             };
             let diagnosis = build_diagnosis_context(&opts, &corpus);
             let keep_bits = |_: Preset, output: &FusionOutput, _: MethodEval| bits(output);
-            let (scheduled, ()) =
-                fuse_presets(&opts, &corpus, diagnosis.as_ref(), keep_bits, |_| ());
+            let (scheduled, _) = fuse_presets(&opts, &corpus, diagnosis.as_ref(), keep_bits);
             for (preset, scheduled) in Preset::ALL.into_iter().zip(scheduled) {
                 let gold = preset.needs_gold().then_some(&corpus.gold);
                 let config = preset.config().with_workers(workers);

@@ -287,7 +287,7 @@ fn run_scenario_row(
             phenomenon_mass: eval.taxonomy.expect("rows diagnose").scenarios,
         }
     };
-    let (cells, ()) = crate::fuse_presets(&opts, &corpus, Some(&diagnosis), cell, |_| ());
+    let (cells, _) = crate::fuse_presets(&opts, &corpus, Some(&diagnosis), cell);
     Ok(ScenarioRow {
         scenario: scenario.to_string(),
         n_injected: diagnosis.scenario.len(),

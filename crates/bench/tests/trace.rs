@@ -10,7 +10,7 @@
 //! out.
 
 use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, ReproOptions};
-use kf_eval::{merge_reports, AblationRunner, EvalReport, Preset};
+use kf_eval::{merge_reports, EvalReport, Preset};
 use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::{SpanNode, TraceReport};
 use proptest::prelude::*;
@@ -122,13 +122,6 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     assert!(classified > 0);
     assert_eq!(counter(&process, "diagnose.profiles"), None);
     assert_eq!(counter(&run, "diagnose.profiles"), Some(classified));
-
-    // The summary read off the claims is the one counted off the records.
-    let runner = AblationRunner {
-        scale: opts.scale.clone(),
-        ..Default::default()
-    };
-    assert_eq!(shared.corpus, runner.corpus_summary(&corpus));
 
     assert_eq!(shared.methods.len(), Preset::ALL.len());
     // The task table is costliest-first; a task's section is the method

@@ -33,7 +33,9 @@
 //! claims at one granularity that shares their per-slot columns
 //! ([`SlotTable`]) rather than copying them, and the rounds are kernels
 //! over that immutable graph, which several runs can share
-//! ([`Fuser::run_prebuilt`]). The claims keep their grouping job's trace
+//! ([`Fuser::run_prebuilt`]). The claims are the one owner of that
+//! grouped state: they hold each granularity's graph once projected
+//! ([`Claims::graph`], [`Claims::project_graphs`]). The claims keep their grouping job's trace
 //! ([`Claims::trace`]); whoever owns the trace they were built for grafts
 //! it there, once ([`Claims::build_recorded`] does both on the calling
 //! thread). A fusion call records its rounds only, however its graph was

@@ -22,7 +22,7 @@
 //! serves many runs; accuracies, probabilities and every other per-run
 //! value live in the run, not here.
 
-use kf_mapreduce::{merge_runs, write_run, JobStats, MrConfig, SpillDir};
+use kf_mapreduce::{merge_runs, run_tasks, write_run, JobStats, MrConfig, SpillDir};
 use kf_telemetry::{Trace, TraceReport};
 use kf_types::{
     DataItem, EntityId, Extraction, ExtractorId, FxMixHashMap, Granularity, Numeric, PageId,
@@ -30,7 +30,7 @@ use kf_types::{
 };
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Offsets into the flat columns are `u32`: 4 bytes per claim in each
@@ -289,7 +289,8 @@ impl SlotTable {
 /// any granularity ([`Claims::project`]), the diagnosis support index and
 /// the corpus summary counts are all projections of these columns, and
 /// every graph shares the claims' [`SlotTable`], so all have the same
-/// slots.
+/// slots. The claims are the one owner of that grouped state: they keep
+/// each granularity's graph once projected ([`Claims::graph`]).
 #[derive(Debug)]
 pub struct Claims {
     /// The per-slot columns, shared with every projection.
@@ -302,6 +303,8 @@ pub struct Claims {
     trace: TraceReport,
     /// The grouping job's execution counters.
     stats: JobStats,
+    /// The claim graph of each granularity, in [`Granularity::ALL`] order.
+    graphs: [OnceLock<Arc<Grouped>>; Granularity::ALL.len()],
 }
 
 /// The columns [`Claims::build`] folds sorted records into, item by item.
@@ -448,6 +451,7 @@ impl Claims {
             provs: fold.provs,
             trace: trace.snapshot(),
             stats,
+            graphs: Default::default(),
         }
     }
 
@@ -537,6 +541,39 @@ impl Claims {
             prov_offsets,
             slots,
         }
+    }
+
+    /// The claim graph at `granularity`, projected on first use.
+    pub fn graph(&self, granularity: Granularity) -> &Arc<Grouped> {
+        let cell = self.graph_cell(granularity);
+        cell.get_or_init(|| Arc::new(self.project(granularity)))
+    }
+
+    fn graph_cell(&self, granularity: Granularity) -> &OnceLock<Arc<Grouped>> {
+        let at = Granularity::ALL.iter().position(|&g| g == granularity);
+        &self.graphs[at.expect("every granularity is in ALL")]
+    }
+
+    /// Project each of `granularities` that has no [`Claims::graph`] yet,
+    /// side by side on `workers` threads, under one `project` span of the
+    /// calling thread's trace (none when every graph exists).
+    pub fn project_graphs(
+        &self,
+        granularities: impl IntoIterator<Item = Granularity>,
+        workers: usize,
+    ) {
+        let mut missing: Vec<Granularity> = Vec::new();
+        for g in granularities {
+            if self.graph_cell(g).get().is_none() && !missing.contains(&g) {
+                missing.push(g);
+            }
+        }
+        if missing.is_empty() {
+            return;
+        }
+        let _span = kf_telemetry::span("project");
+        let project = |g: Granularity| move || self.graph(g);
+        run_tasks(workers, missing.into_iter().map(project).collect());
     }
 
     /// The per-slot columns: items, values and support counts.

@@ -8,8 +8,10 @@
 //! byte-identical to the reference single-process report, no matter
 //! which worker died when.
 
+use kf_core::{Claims, Fuser};
 use kf_dist::{run_worker, Coordinator, CoordinatorConfig, DistError, FailSpec, WorkerConfig};
 use kf_eval::{merge_reports, AblationRunner, EvalReport, Preset};
+use kf_mapreduce::MrConfig;
 use kf_synth::{Corpus, SynthConfig};
 use kf_types::checkpoint::{self, ArtifactKind};
 use kf_types::wire::{self, TaskSpec, WireMsg, PROTOCOL_VERSION};
@@ -51,23 +53,36 @@ fn task_specs() -> Vec<TaskSpec> {
         .collect()
 }
 
-/// The worker-side task runner: fuse the task's preset, quarantine
-/// timings (the tasks say `deterministic`).
+/// The worker-side task runner: group the corpus, fuse the task's preset
+/// through the shared step, quarantine timings (the tasks say
+/// `deterministic`).
 fn run_task(corpus: &Corpus, spec: &TaskSpec) -> Result<EvalReport, String> {
     let runner = ablation();
     let preset =
         Preset::by_name(&spec.preset).ok_or_else(|| format!("unknown preset {}", spec.preset))?;
+    let claims = Claims::build(&corpus.batch.records, &MrConfig::with_workers(2));
     let mut report = EvalReport {
-        corpus: runner.corpus_summary(corpus),
-        methods: vec![runner.run_preset(corpus, preset)],
+        corpus: runner.claims_summary(corpus, &claims),
+        methods: vec![runner.fuse_preset(preset, &claims, &corpus.gold).2],
     };
     report.quarantine_timings();
     Ok(report)
 }
 
-/// The single-process reference the distributed merge must reproduce.
+/// The single-process reference the distributed merge must reproduce,
+/// fused and summarised from the records independently of the step the
+/// workers run.
 fn reference_report(corpus: &Corpus) -> EvalReport {
-    let mut report = ablation().run(corpus);
+    let runner = ablation();
+    let methods = Preset::ALL.into_iter().map(|preset| {
+        let gold = preset.needs_gold().then_some(&corpus.gold);
+        let output = Fuser::new(runner.config(preset)).run(&corpus.batch, gold);
+        runner.evaluate(preset, &output, &corpus.gold, 0.0)
+    });
+    let mut report = EvalReport {
+        corpus: runner.corpus_summary(corpus),
+        methods: methods.collect(),
+    };
     report.quarantine_timings();
     report
 }

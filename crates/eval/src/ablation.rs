@@ -2,13 +2,15 @@
 //!
 //! §4.3.4 / Figs. 9–15 compare VOTE, ACCU, POPACCU, POPACCU+unsup and
 //! POPACCU+ (semi-supervised). [`Preset`] names those five configurations;
-//! [`AblationRunner`] fuses a [`kf_synth::Corpus`] under each and evaluates
-//! the result against the corpus's gold standard, producing a diffable
-//! [`EvalReport`].
+//! [`AblationRunner`] fuses one of them over a corpus's grouped
+//! [`Claims`] and evaluates the result against the corpus's gold standard
+//! ([`AblationRunner::fuse_preset`]), and summarises the corpus off the
+//! same claims ([`AblationRunner::claims_summary`]): the sections and the
+//! header of a diffable [`EvalReport`](crate::EvalReport).
 
 use crate::labels::LabeledOutput;
-use crate::report::{evaluate_labeled, CorpusSummary, EvalReport, MethodEval};
-use kf_core::{Fuser, FusionConfig};
+use crate::report::{evaluate_labeled, CorpusSummary, MethodEval};
+use kf_core::{Claims, Fuser, FusionConfig, FusionOutput, ProvenanceAttribution};
 use kf_synth::Corpus;
 use kf_types::GoldStandard;
 use std::time::Instant;
@@ -108,24 +110,40 @@ impl Default for AblationRunner {
 }
 
 impl AblationRunner {
-    /// Evaluate one preset over `corpus`.
-    pub fn run_preset(&self, corpus: &Corpus, preset: Preset) -> MethodEval {
-        let mut config = preset.config();
-        if let Some(w) = self.workers {
-            config = config.with_workers(w);
-        }
-        let gold = preset.needs_gold().then_some(&corpus.gold);
+    /// The one per-preset step of every fused run (`repro`, `kf-dist`
+    /// workers, `kf-serve build`): fuse `preset` over the claims' graph
+    /// ([`Claims::graph`]) with gold only if it consumes it, timed as
+    /// `fuse_ms`, then [`evaluate`](Self::evaluate) the output.
+    pub fn fuse_preset(
+        &self,
+        preset: Preset,
+        claims: &Claims,
+        gold: &GoldStandard,
+    ) -> (FusionOutput, ProvenanceAttribution, MethodEval) {
+        let config = self.config(preset);
+        let graph = claims.graph(config.granularity);
+        let seed = preset.needs_gold().then_some(gold);
         let start = Instant::now();
-        let output = Fuser::new(config).run(&corpus.batch, gold);
+        let (output, attribution) = Fuser::new(config).run_prebuilt(graph, claims.stats(), seed);
         let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
-        self.evaluate(preset, &output, &corpus.gold, fuse_ms)
+        let method = self.evaluate(preset, &output, gold, fuse_ms);
+        (output, attribution, method)
+    }
+
+    /// `preset`'s fusion configuration with the runner's worker override.
+    pub fn config(&self, preset: Preset) -> FusionConfig {
+        let config = preset.config();
+        match self.workers {
+            Some(w) => config.with_workers(w),
+            None => config,
+        }
     }
 
     /// Evaluate an already-fused output as `preset`.
     pub fn evaluate(
         &self,
         preset: Preset,
-        output: &kf_core::FusionOutput,
+        output: &FusionOutput,
         gold: &GoldStandard,
         fuse_ms: f64,
     ) -> MethodEval {
@@ -144,35 +162,55 @@ impl AblationRunner {
         )
     }
 
-    /// Run all five presets and assemble the full report.
-    pub fn run(&self, corpus: &Corpus) -> EvalReport {
-        let methods = Preset::ALL
-            .into_iter()
-            .map(|preset| self.run_preset(corpus, preset))
-            .collect();
-        EvalReport {
-            corpus: self.corpus_summary(corpus),
-            methods,
+    /// [`corpus_summary`](Self::corpus_summary) read off the corpus's
+    /// grouped `claims`, not its records: slots are the unique triples,
+    /// and a triple's LCWA label counts once per record.
+    pub fn claims_summary(&self, corpus: &Corpus, claims: &Claims) -> CorpusSummary {
+        let (mut labelled, mut correct) = (0usize, 0usize);
+        let table = claims.table();
+        for i in 0..table.n_items() {
+            for slot in table.item_slots(i) {
+                if let Some(ok) = corpus.gold.label(&table.triple(i, slot)).as_bool() {
+                    labelled += table.n_records(slot) as usize;
+                    correct += table.n_records(slot) as usize * ok as usize;
+                }
+            }
         }
+        let lcwa = match labelled {
+            0 => 0.0,
+            _ => correct as f64 / labelled as f64,
+        };
+        self.summary(corpus, table.n_triples(), table.n_items(), lcwa)
     }
 
-    /// Corpus context for the report header.
+    /// Corpus context for the report header, counted off the corpus's
+    /// records: the reference for [`claims_summary`](Self::claims_summary).
     pub fn corpus_summary(&self, corpus: &Corpus) -> CorpusSummary {
+        let (triples, items) = (
+            corpus.batch.unique_triples(),
+            corpus.batch.unique_data_items(),
+        );
+        self.summary(corpus, triples, items, corpus.lcwa_accuracy())
+    }
+
+    fn summary(&self, corpus: &Corpus, triples: usize, items: usize, lcwa: f64) -> CorpusSummary {
         CorpusSummary {
             scale: self.scale.clone(),
             seed: corpus.seed,
             n_records: corpus.batch.len(),
-            n_unique_triples: corpus.batch.unique_triples(),
-            n_data_items: corpus.batch.unique_data_items(),
+            n_unique_triples: triples,
+            n_data_items: items,
             n_gold_items: corpus.gold.n_items(),
-            lcwa_accuracy: corpus.lcwa_accuracy(),
+            lcwa_accuracy: lcwa,
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::EvalReport;
+    use kf_mapreduce::MrConfig;
     use kf_synth::SynthConfig;
 
     #[test]
@@ -191,6 +229,19 @@ mod tests {
         assert!(!Preset::PopAccuPlusUnsup.needs_gold());
     }
 
+    /// Every preset through the shared step, as a report.
+    pub(crate) fn report(runner: &AblationRunner, corpus: &Corpus) -> EvalReport {
+        let claims = Claims::build(&corpus.batch.records, &MrConfig::with_workers(2));
+        let methods = Preset::ALL
+            .into_iter()
+            .map(|p| runner.fuse_preset(p, &claims, &corpus.gold).2)
+            .collect();
+        EvalReport {
+            corpus: runner.claims_summary(corpus, &claims),
+            methods,
+        }
+    }
+
     #[test]
     fn ablation_over_tiny_corpus_produces_finite_metrics() {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 7);
@@ -199,9 +250,9 @@ mod tests {
             workers: Some(2),
             ..Default::default()
         };
-        let report = runner.run(&corpus);
+        let report = report(&runner, &corpus);
         assert_eq!(report.methods.len(), 5);
-        assert_eq!(report.corpus.n_records, corpus.batch.len());
+        assert_eq!(report.corpus, runner.corpus_summary(&corpus));
         for m in &report.methods {
             assert!(m.n_labelled > 0, "{}: no labelled triples", m.name);
             assert!(m.wdev().is_finite() && m.wdev() >= 0.0);
@@ -224,8 +275,9 @@ mod tests {
             workers: Some(2),
             ..Default::default()
         };
-        let a = runner.run_preset(&corpus, Preset::PopAccu);
-        let b = runner.run_preset(&corpus, Preset::PopAccu);
+        let claims = Claims::build(&corpus.batch.records, &MrConfig::with_workers(2));
+        let a = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold).2;
+        let b = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold).2;
         assert_eq!(a.wdev(), b.wdev());
         assert_eq!(a.auc_pr(), b.auc_pr());
         assert_eq!(a.coverage, b.coverage);

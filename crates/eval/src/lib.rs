@@ -15,21 +15,25 @@
 //!    precision@k, plus the coverage axis (how many triples get a
 //!    prediction at all).
 //!
-//! [`ablation::AblationRunner`] closes the loop: it executes the paper's
-//! five named systems (`vote`, `accu`, `popaccu`, `popaccu_plus_unsup`,
-//! `popaccu_plus`) over a [`kf_synth::Corpus`] and emits a serializable
-//! [`report::EvalReport`] (JSON via the in-repo [`json`] writer), so every
+//! [`ablation::AblationRunner`] closes the loop: it runs the paper's five
+//! named systems (`vote`, `accu`, `popaccu`, `popaccu_plus_unsup`,
+//! `popaccu_plus`) over a [`kf_synth::Corpus`]'s grouped claims, one
+//! shared step per preset ([`AblationRunner::fuse_preset`]), for a
+//! serializable [`report::EvalReport`] (JSON via the in-repo [`json`] writer), so every
 //! future performance PR can prove it did not regress fusion quality by
 //! diffing `report.json`. The report's JSON schema is documented in the
 //! [`report`] module.
 //!
 //! ```
+//! use kf_core::Claims;
 //! use kf_eval::{AblationRunner, Preset};
+//! use kf_mapreduce::MrConfig;
 //! use kf_synth::{Corpus, SynthConfig};
 //!
 //! let corpus = Corpus::generate(&SynthConfig::tiny(), 42);
+//! let claims = Claims::build(&corpus.batch.records, &MrConfig::default());
 //! let runner = AblationRunner { scale: "tiny".into(), ..Default::default() };
-//! let eval = runner.run_preset(&corpus, Preset::PopAccu);
+//! let (_, _, eval) = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold);
 //! assert!(eval.wdev().is_finite());
 //! assert!(eval.auc_pr() > 0.0);
 //! ```

@@ -318,7 +318,7 @@ mod tests {
             workers: Some(2),
             ..Default::default()
         };
-        runner.run(&corpus)
+        crate::ablation::tests::report(&runner, &corpus)
     }
 
     /// Bit-exact equality via the canonical encoding: report structs can

@@ -43,7 +43,7 @@
 //! checkpoint decode into one arena that [`KbReader`](crate::KbReader)s
 //! then share across threads without copying.
 
-use kf_core::{Claims, Fuser, FusionOutput, ProvenanceAttribution};
+use kf_core::{Claims, FusionOutput, ProvenanceAttribution};
 use kf_eval::{AblationRunner, CalibrationCurve, CorpusSummary, MethodEval, Preset};
 use kf_synth::Corpus;
 use kf_telemetry::{add, span};
@@ -52,7 +52,6 @@ use kf_types::codec::{decode_column, encode_column, value_columns, value_from_co
 use kf_types::{EntityId, GoldStandard, KvCodec, Label, Triple, Value};
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Options for building a [`FusedKb`] from a corpus snapshot.
 #[derive(Debug, Clone)]
@@ -216,8 +215,9 @@ pub fn calibrate(curve: &CalibrationCurve, p: f64) -> f64 {
 }
 
 impl FusedKb {
-    /// Build a KB from a corpus snapshot (`kf-serve build`): run the
-    /// preset's fusion, evaluate it in-process, and read each triple's
+    /// Build a KB from a corpus snapshot (`kf-serve build`): fuse and
+    /// evaluate the preset through the step every fused run shares
+    /// ([`AblationRunner::fuse_preset`]), and read each triple's
     /// calibrated confidence off the evaluation's equal-width curve.
     /// `scale` is the label recorded in the KB header.
     ///
@@ -232,32 +232,25 @@ impl FusedKb {
         let _span = span("serve.compile");
         let preset = Preset::by_name(&opts.method)
             .ok_or_else(|| BuildError::UnknownMethod(opts.method.clone()))?;
-        let mut config = preset.config();
-        if let Some(w) = opts.workers {
-            config = config.with_workers(w);
-        }
-        // The build owns the trace it runs under, so its grouping job
-        // (`group`), projection (`project`) and rounds (`fuse`) are all
-        // recorded under this span.
-        let (output, attribution) = {
-            let _span = span("serve.compile.fuse");
-            let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
-            let graph = {
-                let _span = span("project");
-                Arc::new(claims.project(config.granularity))
-            };
-            let gold = preset.needs_gold().then_some(&corpus.gold);
-            Fuser::new(config).run_prebuilt(&graph, claims.stats(), gold)
-        };
         let runner = AblationRunner {
             workers: opts.workers,
             scale: scale.to_string(),
             ..AblationRunner::default()
         };
-        let method = runner.evaluate(preset, &output, &corpus.gold, 0.0);
+        // The build owns the trace it runs under, so its grouping job
+        // (`group`), projection (`project`), rounds (`fuse`) and
+        // evaluation (`eval`) are all recorded under this span.
+        let (summary, (output, attribution, method)) = {
+            let _span = span("serve.compile.fuse");
+            let config = runner.config(preset);
+            let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
+            claims.project_graphs([config.granularity], config.mr.workers);
+            let step = runner.fuse_preset(preset, &claims, &corpus.gold);
+            (runner.claims_summary(corpus, &claims), step)
+        };
         let names = corpus.extractors.iter().map(|e| e.name.clone()).collect();
         Ok(Self::compile_from_parts(
-            runner.corpus_summary(corpus),
+            summary,
             &method,
             &output,
             &attribution,
@@ -503,17 +496,20 @@ impl FusedKb {
         if !columns_aligned {
             return false;
         }
-        let values_ok = (0..n).all(|i| {
-            value_from_columns(self.obj_tags[i], self.obj_payloads[i]).is_some()
-                && self.labels[i] <= 2
-                && self.fallback[i] <= 1
+        // In-range tags, and canonical order, strictly (equal adjacent
+        // triples would break lookup uniqueness): `rebuild_derived` has
+        // checked that the item runs cover the rows and that their keys
+        // strictly ascend, so only the objects inside each run are left.
+        let rows_ok = self.item_offsets.windows(2).all(|run| {
+            let mut previous = None;
+            (run[0] as usize..run[1] as usize).all(|i| {
+                let object = value_from_columns(self.obj_tags[i], self.obj_payloads[i]);
+                let ascending = object.is_some() && previous < object;
+                previous = object;
+                ascending && self.labels[i] <= 2 && self.fallback[i] <= 1
+            })
         });
-        if !values_ok {
-            return false;
-        }
-        // Canonical order, strictly: equal adjacent triples would break
-        // lookup uniqueness.
-        if !(1..n).all(|i| self.triple_at(i - 1) < self.triple_at(i)) {
+        if !rows_ok {
             return false;
         }
         // Predicate index: sorted ids, monotone offsets, a permutation of
@@ -648,7 +644,7 @@ impl KvCodec for FusedKb {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use kf_core::ScoredTriple;
+    use kf_core::{Fuser, ScoredTriple};
     use kf_eval::{Binning, CalibrationBin};
     use kf_synth::SynthConfig;
     use kf_types::{Numeric, StrId};

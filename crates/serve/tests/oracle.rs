@@ -83,8 +83,8 @@ fn check_oracle(cfg: &SynthConfig, seed: u64, preset: Preset) {
     };
     let kb = FusedKb::build_from_corpus(&corpus, &opts, "oracle").expect("build succeeds");
 
-    // The independent scan: re-fuse exactly as the preset specifies, and
-    // evaluate through the ablation runner's own preset run.
+    // The independent scan: re-fuse exactly as the preset specifies, from
+    // the records and not the build's shared step, and evaluate that.
     let gold = preset.needs_gold().then_some(&corpus.gold);
     let (output, attribution) =
         Fuser::new(preset.config()).run_with_attribution(&corpus.batch, gold);
@@ -92,7 +92,7 @@ fn check_oracle(cfg: &SynthConfig, seed: u64, preset: Preset) {
         scale: "oracle".to_string(),
         ..AblationRunner::default()
     };
-    let method = runner.run_preset(&corpus, preset);
+    let method = runner.evaluate(preset, &output, &corpus.gold, 0.0);
     let curve = &method.calibration_width;
     assert_eq!(kb.corpus, runner.corpus_summary(&corpus));
     assert_eq!(kb.wdev.to_bits(), method.wdev().to_bits());

@@ -14,7 +14,16 @@ fn main() {
         scale: "small".into(),
         ..Default::default()
     };
-    let report = runner.run(&corpus);
+    // Group the extractions once; every preset fuses over these claims.
+    let claims = Claims::build(&corpus.batch.records, &MrConfig::default());
+    let methods = Preset::ALL
+        .into_iter()
+        .map(|preset| runner.fuse_preset(preset, &claims, &corpus.gold).2)
+        .collect();
+    let report = EvalReport {
+        corpus: runner.claims_summary(&corpus, &claims),
+        methods,
+    };
 
     for method in &report.methods {
         println!(

@@ -17,7 +17,9 @@
 //! repro --merge s0.bin s1.bin --out report.json
 //! ```
 
+use kf::core::Claims;
 use kf::eval::{merge_reports, AblationRunner, EvalReport, Preset};
+use kf::mapreduce::MrConfig;
 use kf::synth::{Corpus, SynthConfig};
 use std::time::Instant;
 
@@ -49,8 +51,7 @@ fn main() {
     };
 
     // ---- Reference: one process runs all five presets -------------------
-    let mut single = runner.run(&corpus);
-    zero_fuse_ms(&mut single);
+    let single = fuse(&runner, &corpus, &Preset::ALL);
 
     // ---- Fan out: shard i of 2 loads the checkpoint and fuses its slice -
     // Any disjoint split merges to the same bytes. This one alternates
@@ -65,14 +66,7 @@ fn main() {
             .map(|(_, p)| p)
             .collect();
         let names: Vec<&str> = presets.iter().map(|p| p.name()).collect();
-        let mut report = EvalReport {
-            corpus: runner.corpus_summary(&shard_corpus),
-            methods: presets
-                .iter()
-                .map(|&p| runner.run_preset(&shard_corpus, p))
-                .collect(),
-        };
-        zero_fuse_ms(&mut report);
+        let report = fuse(&runner, &shard_corpus, &presets);
         let path = dir.join(format!("shard{index}.bin"));
         report.save(&path).expect("save shard report");
         println!(
@@ -102,11 +96,19 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Zero the one nondeterministic report field (wall-clock fuse time) so
-/// the byte-comparison is meaningful — `repro --deterministic` does the
-/// same.
-fn zero_fuse_ms(report: &mut EvalReport) {
-    for m in &mut report.methods {
-        m.fuse_ms = 0.0;
+/// `presets` fused over one grouping of `corpus` and evaluated, as a
+/// report, with the one nondeterministic report field (wall-clock fuse
+/// time) zeroed so the byte-comparison is meaningful — `repro
+/// --deterministic` does the same.
+fn fuse(runner: &AblationRunner, corpus: &Corpus, presets: &[Preset]) -> EvalReport {
+    let claims = Claims::build(&corpus.batch.records, &MrConfig::default());
+    let methods = presets.iter().map(|&p| {
+        let mut method = runner.fuse_preset(p, &claims, &corpus.gold).2;
+        method.fuse_ms = 0.0;
+        method
+    });
+    EvalReport {
+        corpus: runner.claims_summary(corpus, &claims),
+        methods: methods.collect(),
     }
 }

@@ -7,10 +7,8 @@
 //! cargo run --release --example trace_pipeline
 //! ```
 
-use kf::core::Claims;
 use kf::prelude::*;
 use kf::telemetry;
-use std::sync::Arc;
 
 fn main() {
     // Everything recorded between install() and snapshot() lands in this
@@ -33,27 +31,19 @@ fn main() {
     // Group under a deliberately small spill envelope so the one shuffle
     // of the extractions takes the external path and the trace shows disk
     // traffic. `Fuser::run` would group too, but records its rounds only;
-    // building the claims here records the grouping job as a `group` span,
-    // the projection as `project`, then the rounds as `fuse`.
-    let config = FusionConfig {
-        mr: MrConfig::default()
-            .with_chunk_records(1 << 10)
-            .with_spill_threshold(1 << 12),
-        ..FusionConfig::popaccu()
-    };
-    let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
-    let graph = {
-        let _span = telemetry::span("project");
-        Arc::new(claims.project(config.granularity))
-    };
-    let (output, _) = Fuser::new(config).run_prebuilt(&graph, claims.stats(), None);
-
-    // Evaluate calibration and PR quality under the same trace.
+    // building the claims here records the grouping job as a `group` span
+    // and the projection as `project`; the shared per-preset step then
+    // records the rounds as `fuse` and the evaluation as `eval`.
+    let mr = MrConfig::default()
+        .with_chunk_records(1 << 10)
+        .with_spill_threshold(1 << 12);
+    let claims = Claims::build_recorded(&corpus.batch.records, &mr);
+    claims.project_graphs([Preset::PopAccu.config().granularity], mr.workers);
     let runner = AblationRunner {
         scale: "small".into(),
         ..Default::default()
     };
-    let eval = runner.evaluate(Preset::PopAccu, &output, &corpus.gold, 0.0);
+    let (output, _, eval) = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold);
 
     drop(installed);
     let report = trace.snapshot();

@@ -63,7 +63,7 @@ pub use kf_types as types;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use kf_core::{
-        Fuser, FusionConfig, FusionOutput, InitAccuracy, Method, ProvenanceAttribution,
+        Claims, Fuser, FusionConfig, FusionOutput, InitAccuracy, Method, ProvenanceAttribution,
         ScoredTriple,
     };
     pub use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex, SupportProfile};
