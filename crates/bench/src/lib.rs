@@ -27,7 +27,7 @@ use kf_eval::{AblationRunner, CorpusSummary, EvalReport, MethodEval, Preset};
 use kf_mapreduce::{run_tasks, MrConfig};
 use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::{Trace, TraceReport};
-use kf_types::TaskSpec;
+use kf_types::{Label, TaskSpec};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -567,20 +567,26 @@ pub fn options_for_task(spec: &TaskSpec) -> Result<ReproOptions, String> {
 
 /// The runner a `kf-dist` worker answers tasks with, one per connection
 /// (`repro --worker` and the tests hand it to `kf_dist::run_worker`):
-/// rebuild the options from the spec ([`options_for_task`]), build the
-/// diagnosis context the first time a task diagnoses and reuse it for
-/// every later one — the corpus is shipped once per connection, so it
-/// cannot change under the cache — and fuse with
+/// rebuild the options from the spec ([`options_for_task`]), group and
+/// label the corpus the first time, with the diagnosis inputs if the
+/// task diagnoses, and reuse that context for every later task — the
+/// corpus is shipped once per connection, so it cannot change under the
+/// cache; only a diagnosing task after a context built without the
+/// diagnosis inputs rebuilds it — and fuse with
 /// [`run_on_corpus_with_context`].
 pub fn task_runner() -> impl FnMut(&Corpus, &TaskSpec) -> Result<EvalReport, String> {
-    let mut diagnosis = None;
+    let mut shared: Option<DiagnosisContext> = None;
     move |corpus: &Corpus, spec: &TaskSpec| {
         let opts = options_for_task(spec)?;
-        if opts.diagnose && diagnosis.is_none() {
-            diagnosis = build_diagnosis_context(&opts, corpus);
+        let stale = match &shared {
+            None => true,
+            Some(ctx) => opts.diagnose && ctx.taxonomy.is_none(),
+        };
+        if stale {
+            let mr = engine_config(opts.workers);
+            shared = Some(corpus_context(corpus, mr, opts.diagnose));
         }
-        let ctx = diagnosis.as_ref().filter(|_| opts.diagnose);
-        Ok(run_on_corpus_with_context(&opts, corpus, ctx))
+        Ok(run_on_corpus_with_context(&opts, corpus, shared.as_ref()))
     }
 }
 
@@ -612,23 +618,34 @@ fn engine_config(workers: Option<usize>) -> MrConfig {
 type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// The per-corpus state every preset's run shares: the grouped claims
-/// (with the claim graphs they hold, and the support index the diagnosis
-/// reads is a handle on them), and the error-taxonomy pass's other inputs
-/// — the generator-truth and scenario-truth joins, the extractor labels,
-/// and the engine configuration whose worker count the diagnoser fans out
-/// under.
+/// (with the claim graphs they hold; the support index the diagnosis
+/// reads is a handle on them), each claim slot's gold label, and — for a
+/// run that diagnoses — the error-taxonomy pass's other inputs, with the
+/// engine configuration whose worker count the diagnoser fans out under.
 ///
-/// Building this is the expensive prefix of a diagnosing run (the one
-/// grouping job over the extraction batch), so callers that fuse the
-/// same corpus repeatedly — a `kf-dist` worker's [`task_runner`], one task
-/// per preset — build it once with [`build_diagnosis_context`] and hand
-/// it to [`run_on_corpus_with_context`] for every task.
+/// Building this is the expensive prefix of a run (the one grouping job
+/// over the extraction batch and the one labelling of its slots), so
+/// callers that fuse the same corpus repeatedly — a `kf-dist` worker's
+/// [`task_runner`], one task per preset — build it once with
+/// [`build_diagnosis_context`] and hand it to
+/// [`run_on_corpus_with_context`] for every task.
 pub struct DiagnosisContext {
     claims: Arc<Claims>,
+    /// Each claim slot's gold label, in slot order
+    /// ([`SlotTable::labels`](kf_core::SlotTable::labels)).
+    gold_labels: Vec<Label>,
+    /// The taxonomy pass's other inputs; `None` in a context built for a
+    /// run that does not diagnose.
+    taxonomy: Option<TaxonomyInputs>,
+    mr: MrConfig,
+}
+
+/// What the error-taxonomy pass reads besides the claims: the
+/// generator-truth and scenario-truth joins and the extractor labels.
+struct TaxonomyInputs {
     truth: kf_types::FxHashMap<kf_types::Triple, kf_types::ErrorCategory>,
     scenario: kf_types::FxHashMap<kf_types::Triple, kf_types::ScenarioPhenomenon>,
-    labels: Vec<String>,
-    mr: MrConfig,
+    extractor_labels: Vec<String>,
 }
 
 /// `work`'s result and its record: a trace of its own rooted at `name`,
@@ -643,14 +660,41 @@ fn recorded<T>(name: &'static str, work: impl FnOnce() -> T) -> (T, TraceReport)
     (result, trace.snapshot())
 }
 
-/// Build the shared diagnosis inputs for `corpus`, or `None` when
-/// `opts.diagnose` is off. The grouped claims are shared by all presets,
-/// and the support index is a handle on them that derives a profile per
-/// classified false positive, so the grouping's cost is recorded on the
-/// *process-level* trace, not any method's: under a `support_index`
-/// span, the grouping job as `group` and the truth joins as
-/// `truth_joins`. The truth joins do not read the claims: they run beside
-/// the grouping job, as the second task of a two-task fan-out.
+/// Build the shared per-corpus state for `corpus`, or `None` when
+/// `opts.diagnose` is off ([`run_on_corpus_with_context`] then groups
+/// and labels the corpus itself).
+pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<DiagnosisContext> {
+    let mr = engine_config(opts.workers);
+    opts.diagnose.then(|| corpus_context(corpus, mr, true))
+}
+
+/// Group `corpus` — with the diagnosis inputs beside it if `diagnose`
+/// ([`group_beside_truth_joins`]), else as a run-level `group` — then
+/// label the claim slots against its gold standard once, under `label`:
+/// all on the *process-level* trace, not any method's.
+fn corpus_context(corpus: &Corpus, mr: MrConfig, diagnose: bool) -> DiagnosisContext {
+    let (claims, taxonomy) = if diagnose {
+        let (claims, taxonomy) = group_beside_truth_joins(corpus, &mr);
+        (claims, Some(taxonomy))
+    } else {
+        (Claims::build_recorded(&corpus.batch.records, &mr), None)
+    };
+    let gold_labels = {
+        let _span = kf_telemetry::span("label");
+        claims.table().labels(&corpus.gold)
+    };
+    DiagnosisContext {
+        claims: Arc::new(claims),
+        gold_labels,
+        taxonomy,
+        mr,
+    }
+}
+
+/// The grouped claims and the taxonomy pass's other inputs, under a
+/// `support_index` span: the grouping job as `group` and the truth
+/// joins as `truth_joins`. The truth joins do not read the claims: they
+/// run beside the grouping job, as the second task of a two-task fan-out.
 ///
 /// `support_index`'s children attribute its wall time along the critical
 /// path, so they add up to no more than it whatever the worker budget:
@@ -658,57 +702,53 @@ fn recorded<T>(name: &'static str, work: impl FnOnce() -> T) -> (T, TraceReport)
 /// that the grouping lane did not cover — all of it on one worker, where
 /// the two tasks run in turn, and only what the run waited for the joins
 /// once the claims were built when they ran side by side.
-pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<DiagnosisContext> {
-    let mr = engine_config(opts.workers);
-    opts.diagnose.then(|| {
-        let _span = kf_telemetry::span("support_index");
-        let (mut grouped, mut truths) = (None, None);
-        let group: Task = Box::new(|| {
-            grouped = Some((Claims::build(&corpus.batch.records, &mr), Instant::now()));
+fn group_beside_truth_joins(corpus: &Corpus, mr: &MrConfig) -> (Claims, TaxonomyInputs) {
+    let _span = kf_telemetry::span("support_index");
+    let (mut grouped, mut truths) = (None, None);
+    let group: Task = Box::new(|| {
+        grouped = Some((Claims::build(&corpus.batch.records, mr), Instant::now()));
+    });
+    // The scenario join is empty for honest corpora; hostile
+    // checkpoints carry their injected phenomena into every method's
+    // taxonomy section.
+    let join: Task = Box::new(|| {
+        let start = Instant::now();
+        let joins = recorded("truth_joins", || {
+            (corpus.taxonomy_truth(), corpus.scenario_truth())
         });
-        // The scenario join is empty for honest corpora; hostile
-        // checkpoints carry their injected phenomena into every method's
-        // taxonomy section.
-        let join: Task = Box::new(|| {
-            let start = Instant::now();
-            let joins = recorded("truth_joins", || {
-                (corpus.taxonomy_truth(), corpus.scenario_truth())
-            });
-            truths = Some((joins, start, Instant::now()));
-        });
-        run_tasks(mr.workers, vec![group, join]);
-        let (claims, grouped_at) = grouped.expect("the grouping task ran");
-        let (((truth, scenario), mut joins), joins_from, joined_at) =
-            truths.expect("the join task ran");
-        let uncovered = joined_at.saturating_duration_since(grouped_at.max(joins_from));
-        joins.root.total_ns = uncovered.as_nanos() as u64;
-        // Whichever threads took the two tasks, they ran for this one:
-        // their records land here, under `support_index`.
-        kf_telemetry::graft(claims.trace());
-        kf_telemetry::graft(&joins);
-        DiagnosisContext {
-            claims: Arc::new(claims),
-            truth,
-            scenario,
-            labels: corpus.extractors.iter().map(|e| e.name.clone()).collect(),
-            mr,
-        }
-    })
+        truths = Some((joins, start, Instant::now()));
+    });
+    run_tasks(mr.workers, vec![group, join]);
+    let (claims, grouped_at) = grouped.expect("the grouping task ran");
+    let (((truth, scenario), mut joins), joins_from, joined_at) =
+        truths.expect("the join task ran");
+    let uncovered = joined_at.saturating_duration_since(grouped_at.max(joins_from));
+    joins.root.total_ns = uncovered.as_nanos() as u64;
+    // Whichever threads took the two tasks, they ran for this one:
+    // their records land here, under `support_index`.
+    kf_telemetry::graft(claims.trace());
+    kf_telemetry::graft(&joins);
+    let taxonomy = TaxonomyInputs {
+        truth,
+        scenario,
+        extractor_labels: corpus.extractors.iter().map(|e| e.name.clone()).collect(),
+    };
+    (claims, taxonomy)
 }
 
 /// [`run`] over an existing corpus.
 ///
-/// The extractions are shuffled once per corpus, and each granularity's
-/// claim graph projected once from the grouped claims, both before the
-/// presets fan out and both recorded on the process-level trace; per
-/// preset: fuse over its granularity's graph, evaluate calibration/PR,
-/// and — unless `opts.diagnose`
-/// is off — run the `kf-diagnose` error-taxonomy pass so every method's
-/// report section carries the Fig. 17 breakdown plus the
-/// heuristic-vs-injected confusion matrix. The batch-level support index
-/// and generator-truth join are computed once
-/// ([`build_diagnosis_context`]) and shared by all presets; the report
-/// header is read off the same claims
+/// The extractions are shuffled once per corpus, their slots labelled
+/// against the gold standard once, and each granularity's claim graph
+/// projected once from the grouped claims, all before the presets fan
+/// out and all recorded on the process-level trace; per preset: fuse
+/// over its granularity's graph, evaluate calibration/PR against the
+/// shared labels, and — unless `opts.diagnose` is off — run the
+/// `kf-diagnose` error-taxonomy pass so every method's report section
+/// carries the Fig. 17 breakdown plus the heuristic-vs-injected
+/// confusion matrix. The claims, labels and generator-truth join are
+/// built once ([`build_diagnosis_context`]) and shared by all presets;
+/// the report header is read off the same claims and labels
 /// ([`AblationRunner::claims_summary`]).
 ///
 /// The presets are independent runs over shared, immutable graphs, so the
@@ -728,13 +768,14 @@ pub fn run_on_corpus(opts: &ReproOptions, corpus: &Corpus) -> EvalReport {
 }
 
 /// [`run_on_corpus`] with the shared per-corpus state prebuilt (`None`
-/// disables the taxonomy pass, exactly like `opts.diagnose == false`, and
-/// groups the corpus within this call only). The context must have been
-/// built from the same corpus and equivalent options; reusing it changes
-/// nothing about the produced bytes — no method's trace records the
-/// grouping job or a projection — only skips regrouping the corpus,
-/// rejoining the truths and reprojecting the graphs its claims already
-/// hold.
+/// groups and labels the corpus within this call only, and disables the
+/// taxonomy pass, exactly like `opts.diagnose == false`; so does a
+/// context built without the diagnosis inputs). The context must have
+/// been built from the same corpus and equivalent options; reusing it
+/// changes nothing about the produced bytes — no method's trace records
+/// the grouping job, the labelling or a projection — only skips
+/// regrouping and relabelling the corpus, rejoining the truths and
+/// reprojecting the graphs its claims already hold.
 pub fn run_on_corpus_with_context(
     opts: &ReproOptions,
     corpus: &Corpus,
@@ -755,19 +796,20 @@ pub fn run_on_corpus_with_context(
     report
 }
 
-/// The schedule of a run: group the corpus unless `diagnosis` already
-/// has, and project each granularity the presets need that the claims
-/// do not hold yet ([`Claims::project_graphs`]); then every preset of
-/// `opts` as one task — the shared step
-/// ([`AblationRunner::fuse_preset`]) and the diagnosis, under its own
-/// `method` trace, then `finish(preset, output, evaluation)` — handed to
+/// The schedule of a run: group and label the corpus unless `shared`
+/// already has, and project each granularity the presets need that the
+/// claims do not hold yet ([`Claims::project_graphs`]); then every
+/// preset of `opts` as one task — the shared step
+/// ([`AblationRunner::fuse_preset`]) and, if `opts.diagnose` and the
+/// context holds its inputs, the diagnosis, under its own `method`
+/// trace, then `finish(preset, output, evaluation)` — handed to
 /// [`run_tasks`] in task-table order, plus the corpus summary off the
 /// claims ([`AblationRunner::claims_summary`]) as one more, last. Returns
 /// what the presets finished as, in `opts.presets` order, and the summary.
 pub(crate) fn fuse_presets<T: Send>(
     opts: &ReproOptions,
     corpus: &Corpus,
-    diagnosis: Option<&DiagnosisContext>,
+    shared: Option<&DiagnosisContext>,
     finish: impl Fn(Preset, &FusionOutput, MethodEval) -> T + Sync,
 ) -> (Vec<T>, CorpusSummary) {
     let runner = AblationRunner {
@@ -778,13 +820,15 @@ pub(crate) fn fuse_presets<T: Send>(
     };
     let mr = engine_config(opts.workers);
     let call_local;
-    let claims: &Claims = match diagnosis {
-        Some(ctx) => &ctx.claims,
+    let ctx: &DiagnosisContext = match shared {
+        Some(ctx) => ctx,
         None => {
-            call_local = Claims::build_recorded(&corpus.batch.records, &mr);
+            call_local = corpus_context(corpus, mr, false);
             &call_local
         }
     };
+    let (claims, labels) = (&*ctx.claims, &ctx.gold_labels[..]);
+    let taxonomy = ctx.taxonomy.as_ref().filter(|_| opts.diagnose);
     claims.project_graphs(
         opts.presets.iter().map(|p| p.config().granularity),
         mr.workers,
@@ -804,16 +848,15 @@ pub(crate) fn fuse_presets<T: Send>(
             // preset happens to run in changes what its trace records.
             let trace = Trace::with_root("method");
             let installed = kf_telemetry::install(&trace);
-            let (output, attribution, mut method) =
-                runner.fuse_preset(preset, claims, &corpus.gold);
-            if let Some(ctx) = diagnosis {
+            let (output, attribution, mut method) = runner.fuse_preset(preset, claims, labels);
+            if let Some(inputs) = taxonomy {
                 let _span = kf_telemetry::span("diagnose");
                 let support = SupportIndex::from_claims(Arc::clone(&ctx.claims));
                 let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &support)
-                    .with_truth(&ctx.truth)
-                    .with_scenario(&ctx.scenario)
+                    .with_truth(&inputs.truth)
+                    .with_scenario(&inputs.scenario)
                     .with_attribution(&attribution)
-                    .with_extractor_labels(&ctx.labels)
+                    .with_extractor_labels(&inputs.extractor_labels)
                     .with_config(DiagnoseConfig {
                         mr: ctx.mr,
                         ..Default::default()
@@ -828,7 +871,7 @@ pub(crate) fn fuse_presets<T: Send>(
         tasks.push(Box::new(fuse));
     }
     tasks.push(Box::new(|| {
-        summary = Some(runner.claims_summary(corpus, claims))
+        summary = Some(runner.claims_summary(corpus, claims, labels))
     }));
     run_tasks(mr.workers, tasks);
 

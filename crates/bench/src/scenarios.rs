@@ -77,12 +77,13 @@ pub fn scenario_corpus(scale: &str, scenario: &str, seed: u64) -> Result<Corpus,
 /// Mean probability assigned to gold-True triples minus mean probability
 /// assigned to gold-False ones: a scale-free view of how well a method
 /// separates truth from error (the quantity behind the paper's Fig. 9
-/// ordering). Zero when a side is empty.
-pub fn separation(corpus: &Corpus, out: &kf_core::FusionOutput) -> f64 {
+/// ordering). Zero when a side is empty. `labels` is the gold label of
+/// each scored triple, in output order (a run's label column).
+pub fn separation(labels: &[Label], out: &kf_core::FusionOutput) -> f64 {
     let (mut st, mut nt, mut sf, mut nf) = (0.0, 0usize, 0.0, 0usize);
-    for s in &out.scored {
+    for (s, label) in out.scored.iter().zip(labels) {
         let Some(p) = s.probability else { continue };
-        match corpus.gold.label(&s.triple) {
+        match label {
             Label::True => {
                 st += p;
                 nt += 1;
@@ -99,20 +100,21 @@ pub fn separation(corpus: &Corpus, out: &kf_core::FusionOutput) -> f64 {
 
 /// Accuracy of the labelled triples scored into `[lo, hi)` and how many
 /// there were. An empty band yields `(NaN, 0)` — callers must branch on
-/// the count before trusting the ratio.
+/// the count before trusting the ratio. `labels` is read as in
+/// [`separation`].
 pub fn band_accuracy(
-    corpus: &Corpus,
+    labels: &[Label],
     out: &kf_core::FusionOutput,
     lo: f64,
     hi: f64,
 ) -> (f64, usize) {
     let (mut t, mut n) = (0usize, 0usize);
-    for s in &out.scored {
+    for (s, label) in out.scored.iter().zip(labels) {
         let Some(p) = s.probability else { continue };
         if p < lo || p >= hi {
             continue;
         }
-        match corpus.gold.label(&s.triple) {
+        match label {
             Label::True => {
                 t += 1;
                 n += 1;
@@ -275,13 +277,14 @@ fn run_scenario_row(
         ..Default::default()
     };
     let diagnosis = crate::build_diagnosis_context(&opts, &corpus).expect("rows diagnose");
+    let labels = &diagnosis.gold_labels;
     let cell = |preset: Preset, output: &FusionOutput, eval: MethodEval| {
-        let (hb, hn) = band_accuracy(&corpus, output, 0.9, 1.01);
+        let (hb, hn) = band_accuracy(labels, output, 0.9, 1.01);
         ScenarioCell {
             method: preset.name().to_string(),
             wdev: eval.wdev(),
             auc_pr: eval.auc_pr(),
-            separation: separation(&corpus, output),
+            separation: separation(labels, output),
             high_band_accuracy: hb,
             high_band_n: hn,
             phenomenon_mass: eval.taxonomy.expect("rows diagnose").scenarios,
@@ -290,7 +293,7 @@ fn run_scenario_row(
     let (cells, _) = crate::fuse_presets(&opts, &corpus, Some(&diagnosis), cell);
     Ok(ScenarioRow {
         scenario: scenario.to_string(),
-        n_injected: diagnosis.scenario.len(),
+        n_injected: diagnosis.taxonomy.as_ref().map_or(0, |t| t.scenario.len()),
         cells,
     })
 }
@@ -330,6 +333,14 @@ mod tests {
         }
     }
 
+    /// `out`'s gold labels, one probe per scored triple.
+    fn labels_of(corpus: &Corpus, out: &FusionOutput) -> Vec<Label> {
+        out.scored
+            .iter()
+            .map(|s| corpus.gold.label(&s.triple))
+            .collect()
+    }
+
     fn synthetic_output(corpus: &Corpus, p: impl Fn(usize) -> Option<f64>) -> FusionOutput {
         output_of(
             gold_triples(corpus)
@@ -352,12 +363,12 @@ mod tests {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 3);
         // Every probability sits below the band.
         let out = synthetic_output(&corpus, |_| Some(0.1));
-        let (acc, n) = band_accuracy(&corpus, &out, 0.9, 1.01);
+        let (acc, n) = band_accuracy(&labels_of(&corpus, &out), &out, 0.9, 1.01);
         assert_eq!(n, 0, "no triple scores into [0.9, 1.01)");
         assert!(acc.is_nan(), "empty band must yield NaN, not a fake 0 or 1");
         // Unscored triples contribute to no band either.
         let out = synthetic_output(&corpus, |_| None);
-        let (acc, n) = band_accuracy(&corpus, &out, 0.0, 1.01);
+        let (acc, n) = band_accuracy(&labels_of(&corpus, &out), &out, 0.0, 1.01);
         assert_eq!((n, acc.is_nan()), (0, true));
     }
 
@@ -365,7 +376,7 @@ mod tests {
     fn band_accuracy_counts_only_labelled_triples_in_range() {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 3);
         let out = synthetic_output(&corpus, |_| Some(0.95));
-        let (acc, n) = band_accuracy(&corpus, &out, 0.9, 1.01);
+        let (acc, n) = band_accuracy(&labels_of(&corpus, &out), &out, 0.9, 1.01);
         assert!(n > 0);
         // Every scored triple is gold-labelled, so the band accuracy is
         // the gold-True share of the labelled set.
@@ -397,11 +408,11 @@ mod tests {
                 })
                 .collect(),
         );
-        assert!((separation(&corpus, &oracle) - 1.0).abs() < 1e-12);
+        assert!((separation(&labels_of(&corpus, &oracle), &oracle) - 1.0).abs() < 1e-12);
         // No scored triples: both sides empty, separation collapses to 0
         // instead of dividing by zero.
         let empty = output_of(vec![]);
-        assert_eq!(separation(&corpus, &empty), 0.0);
+        assert_eq!(separation(&[], &empty), 0.0);
     }
 
     #[test]

@@ -53,8 +53,8 @@ fn test_config() -> CoordinatorConfig {
 }
 
 /// A worker thread answering tasks with the runner `repro --worker` uses
-/// ([`kf_bench::task_runner`]: the diagnosis context built once per
-/// connection and shared across tasks).
+/// ([`kf_bench::task_runner`]: the corpus grouped and labelled, and the
+/// diagnosis inputs joined, once per connection and shared across tasks).
 fn spawn_worker(
     addr: String,
     name: &str,

@@ -20,7 +20,8 @@ fn claims_summary_equals_the_record_pass_in_every_scenario() {
         for scenario in SCENARIO_NAMES {
             let corpus = scenario_corpus(scale, scenario, 42).expect("known scenario");
             let claims = Claims::build(&corpus.batch.records, &MrConfig::with_workers(2));
-            let summary = runner.claims_summary(&corpus, &claims);
+            let labels = claims.table().labels(&corpus.gold);
+            let summary = runner.claims_summary(&corpus, &claims, &labels);
             assert_eq!(
                 summary,
                 runner.corpus_summary(&corpus),

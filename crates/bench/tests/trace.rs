@@ -9,7 +9,7 @@
 //! stays in each shard's own process-level trace and a merge leaves it
 //! out.
 
-use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, ReproOptions};
+use kf_bench::{dist_task_specs, options_for_task, run_on_corpus, task_runner, ReproOptions};
 use kf_eval::{merge_reports, EvalReport, Preset};
 use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::{SpanNode, TraceReport};
@@ -70,13 +70,14 @@ fn counter(trace: &TraceReport, name: &str) -> Option<u64> {
 /// One `run_on_corpus` shuffles the extractions once, before the presets
 /// fan out, and records that job once, where it ran: the process-level
 /// trace holds the one `group` subtree (under `support_index`, beside the
-/// `truth_joins`) with its `mr.*` counters, and one `project` span, in
-/// which the graphs of the two granularities the five presets span were
-/// projected side by side. The support index and the summary counts read
-/// the same claims. No method trace has a `group` span, and no method's
-/// report section can tell what it shared: each is byte-equal to the
-/// same preset run alone, exactly as a `kf-dist` worker would run it from
-/// a task spec.
+/// `truth_joins`) with its `mr.*` counters, one `label` span, in which
+/// the claim slots were labelled against the gold standard for every
+/// preset at once, and one `project` span, in which the graphs of the two
+/// granularities the five presets span were projected side by side. The
+/// support index and the summary counts read the same claims. No method
+/// trace has a `group` span, and no method's report section can tell what
+/// it shared: each is byte-equal to the same preset run alone, exactly as
+/// a `kf-dist` worker would run it from a task spec.
 #[test]
 fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     let opts = options(3);
@@ -89,7 +90,7 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
     );
     let spans = process.root.children.iter();
     let spans: Vec<_> = spans.map(|s| (s.name.as_str(), s.calls)).collect();
-    assert_eq!(spans, [("support_index", 1), ("project", 1)]);
+    assert_eq!(spans, [("support_index", 1), ("label", 1), ("project", 1)]);
     let mut groups = Vec::new();
     spans_named(&process.root, "group", &mut groups);
     assert_eq!(groups.len(), 1);
@@ -157,6 +158,37 @@ fn the_one_shuffle_is_counted_once_and_invisible_in_method_sections() {
         assert!(!shuffles, "{}: a method shuffles", method.name);
         let mr = trace.counters.iter().find(|c| c.name.starts_with("mr."));
         assert!(mr.is_none(), "{}: a method counts {mr:?}", method.name);
+    }
+}
+
+/// A `kf-dist` worker's runner groups and labels its shipped corpus once
+/// per connection, whether or not its tasks diagnose: five
+/// `--no-diagnose` tasks run one grouping job and one label pass between
+/// them, and each task's report is the one its preset run alone writes.
+#[test]
+fn a_task_runner_groups_and_labels_once_per_connection() {
+    let opts = ReproOptions {
+        diagnose: false,
+        ..options(3)
+    };
+    let corpus = Corpus::generate(&SynthConfig::tiny(), opts.seed);
+    let specs = dist_task_specs(&opts);
+    assert_eq!(specs.len(), 5);
+    let process = kf_telemetry::Trace::new();
+    let reports: Vec<EvalReport> = {
+        let _installed = kf_telemetry::install(&process);
+        let mut run_task = task_runner();
+        let run = |spec| run_task(&corpus, spec).expect("task runs");
+        specs.iter().map(run).collect()
+    };
+    let process = process.snapshot();
+    assert_eq!(counter(&process, "mr.jobs"), Some(1));
+    let mut labels = Vec::new();
+    spans_named(&process.root, "label", &mut labels);
+    assert_eq!(labels.iter().map(|s| s.calls).sum::<u64>(), 1);
+    for (spec, report) in specs.iter().zip(&reports) {
+        let alone = run_on_corpus(&options_for_task(spec).unwrap(), &corpus);
+        assert_eq!(report.to_json_string(), alone.to_json_string());
     }
 }
 

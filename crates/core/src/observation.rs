@@ -25,8 +25,9 @@
 use kf_mapreduce::{merge_runs, run_tasks, write_run, JobStats, MrConfig, SpillDir};
 use kf_telemetry::{Trace, TraceReport};
 use kf_types::{
-    DataItem, EntityId, Extraction, ExtractorId, FxMixHashMap, Granularity, Numeric, PageId,
-    PatternId, PredicateId, Provenance, ProvenanceKey, SiteId, StrId, Triple, Value,
+    DataItem, EntityId, Extraction, ExtractorId, FxMixHashMap, GoldStandard, Granularity, Label,
+    Numeric, PageId, PatternId, PredicateId, Provenance, ProvenanceKey, SiteId, StrId, Triple,
+    Value,
 };
 use std::ops::Range;
 use std::path::PathBuf;
@@ -278,6 +279,27 @@ impl SlotTable {
     /// Extraction records carrying `slot`'s triple, duplicates included.
     pub fn n_records(&self, slot: usize) -> u32 {
         self.n_records[slot]
+    }
+
+    /// Every slot's LCWA label against `gold`, in slot order — slot by
+    /// slot what [`GoldStandard::label`] answers for [`SlotTable::triple`],
+    /// from one [`GoldStandard::values`] probe per data item. A label
+    /// belongs to the triple, not to a method: a run labels its claims
+    /// once, and every preset's evaluation (and POPACCU+'s gold seeding)
+    /// reads this column.
+    pub fn labels(&self, gold: &GoldStandard) -> Vec<Label> {
+        let mut labels = Vec::with_capacity(self.n_triples());
+        for (i, item) in self.items.iter().enumerate() {
+            let values = &self.values[self.item_slots(i)];
+            match gold.values(item) {
+                None => labels.resize(labels.len() + values.len(), Label::Unknown),
+                Some(truths) => labels.extend(values.iter().map(|v| match truths.contains(v) {
+                    true => Label::True,
+                    false => Label::False,
+                })),
+            }
+        }
+        labels
     }
 }
 

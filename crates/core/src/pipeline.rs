@@ -100,28 +100,38 @@ impl Fuser {
         batch: &ExtractionBatch,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, ProvenanceAttribution) {
-        // Group and project, recording neither; the claims and their
-        // job's trace are dropped once projected.
-        let (graph, stats) = {
+        // Group, label (only for a gold-seeded run) and project, recording
+        // none of it; the claims and their job's trace are dropped once
+        // projected.
+        let (graph, stats, labels) = {
             let claims = Claims::build(&batch.records, &self.config.mr);
-            (claims.project(self.config.granularity), claims.stats())
+            let seeded = matches!(self.config.init, InitAccuracy::FromGold { .. });
+            let labels = gold.filter(|_| seeded).map(|g| claims.table().labels(g));
+            (
+                claims.project(self.config.granularity),
+                claims.stats(),
+                labels,
+            )
         };
-        self.run_prebuilt(&Arc::new(graph), stats, gold)
+        self.run_prebuilt(&Arc::new(graph), stats, labels.as_deref())
     }
 
     /// [`Fuser::run_with_attribution`] over a claim graph built earlier —
     /// projected from the [`Claims`] of the same records at this
     /// configuration's granularity, and possibly shared with other runs —
-    /// whose grouping job's counters were `stats`. Output, attribution and
-    /// `FusionOutput::stats` are exactly those of
-    /// [`Fuser::run_with_attribution`]; the trace records the rounds only
-    /// (a `fuse` span), the grouping job being its builder's to record.
-    /// The attribution holds `graph`, not a copy of it.
+    /// whose grouping job's counters were `stats`. `labels` is the graph's
+    /// gold label column ([`SlotTable::labels`]), consulted only when the
+    /// configuration asks for gold-standard accuracy initialisation.
+    /// Output, attribution and `FusionOutput::stats` are exactly those of
+    /// [`Fuser::run_with_attribution`] with that gold standard; the trace
+    /// records the rounds only (a `fuse` span), the grouping job and the
+    /// labelling being their builders' to record. The attribution holds
+    /// `graph`, not a copy of it.
     pub fn run_prebuilt(
         &self,
         graph: &Arc<Grouped>,
         stats: JobStats,
-        gold: Option<&GoldStandard>,
+        labels: Option<&[Label]>,
     ) -> (FusionOutput, ProvenanceAttribution) {
         let grouped: &Grouped = graph;
         let table: &SlotTable = grouped.table();
@@ -145,8 +155,8 @@ impl Fuser {
             probs: vec![None; grouped.n_triples()],
             fallback: vec![false; grouped.n_triples()],
         };
-        if let (InitAccuracy::FromGold { sample_rate }, Some(gold)) = (cfg.init, gold) {
-            run.init_accuracy_from_gold(gold, sample_rate);
+        if let (InitAccuracy::FromGold { sample_rate }, Some(labels)) = (cfg.init, labels) {
+            run.init_accuracy_from_gold(labels, sample_rate);
         }
 
         // ---- Iterate Stage I ↔ Stage II ------------------------------------
@@ -212,11 +222,12 @@ impl Fuser {
 }
 
 impl Run<'_> {
-    /// Initialise provenance accuracies from the LCWA gold standard
-    /// (§4.3.3): accuracy = fraction of the provenance's gold-labelled
-    /// triples that are labelled true, over a `sample_rate` subset of gold
-    /// items; provenances with no labelled triples keep the default.
-    fn init_accuracy_from_gold(&mut self, gold: &GoldStandard, sample_rate: f64) {
+    /// Initialise provenance accuracies from the LCWA gold labels of the
+    /// slots (§4.3.3): accuracy = fraction of the provenance's
+    /// gold-labelled triples that are labelled true, over a `sample_rate`
+    /// subset of gold items; provenances with no labelled triples keep
+    /// the default.
+    fn init_accuracy_from_gold(&mut self, labels: &[Label], sample_rate: f64) {
         let (grouped, table) = (self.grouped, self.grouped.table());
         let n = grouped.n_provenances();
         let mut true_counts = vec![0u32; n];
@@ -231,7 +242,7 @@ impl Run<'_> {
                 }
             }
             for slot in table.item_slots(i) {
-                let is_true = match gold.label(&table.triple(i, slot)) {
+                let is_true = match labels[slot] {
                     Label::True => true,
                     Label::False => false,
                     Label::Unknown => continue,

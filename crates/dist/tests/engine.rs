@@ -53,17 +53,18 @@ fn task_specs() -> Vec<TaskSpec> {
         .collect()
 }
 
-/// The worker-side task runner: group the corpus, fuse the task's preset
-/// through the shared step, quarantine timings (the tasks say
+/// The worker-side task runner: group and label the corpus, fuse the
+/// task's preset through the shared step, quarantine timings (the tasks say
 /// `deterministic`).
 fn run_task(corpus: &Corpus, spec: &TaskSpec) -> Result<EvalReport, String> {
     let runner = ablation();
     let preset =
         Preset::by_name(&spec.preset).ok_or_else(|| format!("unknown preset {}", spec.preset))?;
     let claims = Claims::build(&corpus.batch.records, &MrConfig::with_workers(2));
+    let labels = claims.table().labels(&corpus.gold);
     let mut report = EvalReport {
-        corpus: runner.claims_summary(corpus, &claims),
-        methods: vec![runner.fuse_preset(preset, &claims, &corpus.gold).2],
+        corpus: runner.claims_summary(corpus, &claims, &labels),
+        methods: vec![runner.fuse_preset(preset, &claims, &labels).2],
     };
     report.quarantine_timings();
     Ok(report)

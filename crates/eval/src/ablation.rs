@@ -3,16 +3,20 @@
 //! §4.3.4 / Figs. 9–15 compare VOTE, ACCU, POPACCU, POPACCU+unsup and
 //! POPACCU+ (semi-supervised). [`Preset`] names those five configurations;
 //! [`AblationRunner`] fuses one of them over a corpus's grouped
-//! [`Claims`] and evaluates the result against the corpus's gold standard
-//! ([`AblationRunner::fuse_preset`]), and summarises the corpus off the
-//! same claims ([`AblationRunner::claims_summary`]): the sections and the
-//! header of a diffable [`EvalReport`](crate::EvalReport).
+//! [`Claims`] and evaluates the result against the claims' gold label
+//! column ([`AblationRunner::fuse_preset`]), and summarises the corpus
+//! off the same claims and labels ([`AblationRunner::claims_summary`]):
+//! the sections and the header of a diffable
+//! [`EvalReport`](crate::EvalReport). The column
+//! ([`SlotTable::labels`](kf_core::SlotTable::labels)) is built once per
+//! run, by whoever built the claims: a label belongs to a triple,
+//! whichever preset scored it.
 
 use crate::labels::LabeledOutput;
 use crate::report::{evaluate_labeled, CorpusSummary, MethodEval};
 use kf_core::{Claims, Fuser, FusionConfig, FusionOutput, ProvenanceAttribution};
 use kf_synth::Corpus;
-use kf_types::GoldStandard;
+use kf_types::{GoldStandard, Label};
 use std::time::Instant;
 
 /// The five named systems of the paper's evaluation.
@@ -112,21 +116,27 @@ impl Default for AblationRunner {
 impl AblationRunner {
     /// The one per-preset step of every fused run (`repro`, `kf-dist`
     /// workers, `kf-serve build`): fuse `preset` over the claims' graph
-    /// ([`Claims::graph`]) with gold only if it consumes it, timed as
-    /// `fuse_ms`, then [`evaluate`](Self::evaluate) the output.
+    /// ([`Claims::graph`]), seeded with the claims' gold `labels` only if
+    /// it consumes gold, timed as `fuse_ms`, then evaluate the output
+    /// against the same labels. `labels` is the claims' label column
+    /// ([`SlotTable::labels`](kf_core::SlotTable::labels)), built once per
+    /// run and shared by every preset.
     pub fn fuse_preset(
         &self,
         preset: Preset,
         claims: &Claims,
-        gold: &GoldStandard,
+        labels: &[Label],
     ) -> (FusionOutput, ProvenanceAttribution, MethodEval) {
         let config = self.config(preset);
         let graph = claims.graph(config.granularity);
-        let seed = preset.needs_gold().then_some(gold);
+        let seed = preset.needs_gold().then_some(labels);
         let start = Instant::now();
         let (output, attribution) = Fuser::new(config).run_prebuilt(graph, claims.stats(), seed);
         let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
-        let method = self.evaluate(preset, &output, gold, fuse_ms);
+        let method = {
+            let _eval = kf_telemetry::span("eval");
+            self.evaluate_against(preset, &output, labels, fuse_ms)
+        };
         (output, attribution, method)
     }
 
@@ -139,7 +149,11 @@ impl AblationRunner {
         }
     }
 
-    /// Evaluate an already-fused output as `preset`.
+    /// Evaluate an output fused without shared claims as `preset`: label
+    /// its triples against `gold` (one probe each; the output is in slot
+    /// order, so this is the label column of its claims) and evaluate as
+    /// [`fuse_preset`](Self::fuse_preset) does. The `eval` span covers the
+    /// labelling too.
     pub fn evaluate(
         &self,
         preset: Preset,
@@ -147,14 +161,28 @@ impl AblationRunner {
         gold: &GoldStandard,
         fuse_ms: f64,
     ) -> MethodEval {
-        // The span covers the labelling too: one gold probe per scored
-        // triple.
         let _eval = kf_telemetry::span("eval");
-        let labeled = LabeledOutput::label(output, gold);
+        let labels: Vec<Label> = output
+            .scored
+            .iter()
+            .map(|s| gold.label(&s.triple))
+            .collect();
+        self.evaluate_against(preset, output, &labels, fuse_ms)
+    }
+
+    /// `output` evaluated as `preset` against its gold `labels`, in the
+    /// caller's `eval` span.
+    fn evaluate_against(
+        &self,
+        preset: Preset,
+        output: &FusionOutput,
+        labels: &[Label],
+        fuse_ms: f64,
+    ) -> MethodEval {
         evaluate_labeled(
             preset.name(),
             preset.label(),
-            &labeled,
+            &LabeledOutput::new(output, labels),
             output.predicted_fraction(),
             self.n_bins,
             &self.ks,
@@ -163,17 +191,21 @@ impl AblationRunner {
     }
 
     /// [`corpus_summary`](Self::corpus_summary) read off the corpus's
-    /// grouped `claims`, not its records: slots are the unique triples,
-    /// and a triple's LCWA label counts once per record.
-    pub fn claims_summary(&self, corpus: &Corpus, claims: &Claims) -> CorpusSummary {
+    /// grouped `claims` and their gold `labels`, not its records: slots
+    /// are the unique triples, and a triple's LCWA label counts once per
+    /// record.
+    pub fn claims_summary(
+        &self,
+        corpus: &Corpus,
+        claims: &Claims,
+        labels: &[Label],
+    ) -> CorpusSummary {
         let (mut labelled, mut correct) = (0usize, 0usize);
         let table = claims.table();
-        for i in 0..table.n_items() {
-            for slot in table.item_slots(i) {
-                if let Some(ok) = corpus.gold.label(&table.triple(i, slot)).as_bool() {
-                    labelled += table.n_records(slot) as usize;
-                    correct += table.n_records(slot) as usize * ok as usize;
-                }
+        for (slot, label) in labels.iter().enumerate() {
+            if let Some(ok) = label.as_bool() {
+                labelled += table.n_records(slot) as usize;
+                correct += table.n_records(slot) as usize * ok as usize;
             }
         }
         let lcwa = match labelled {
@@ -232,12 +264,13 @@ pub(crate) mod tests {
     /// Every preset through the shared step, as a report.
     pub(crate) fn report(runner: &AblationRunner, corpus: &Corpus) -> EvalReport {
         let claims = Claims::build(&corpus.batch.records, &MrConfig::with_workers(2));
+        let labels = claims.table().labels(&corpus.gold);
         let methods = Preset::ALL
             .into_iter()
-            .map(|p| runner.fuse_preset(p, &claims, &corpus.gold).2)
+            .map(|p| runner.fuse_preset(p, &claims, &labels).2)
             .collect();
         EvalReport {
-            corpus: runner.claims_summary(corpus, &claims),
+            corpus: runner.claims_summary(corpus, &claims, &labels),
             methods,
         }
     }
@@ -276,8 +309,9 @@ pub(crate) mod tests {
             ..Default::default()
         };
         let claims = Claims::build(&corpus.batch.records, &MrConfig::with_workers(2));
-        let a = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold).2;
-        let b = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold).2;
+        let labels = claims.table().labels(&corpus.gold);
+        let a = runner.fuse_preset(Preset::PopAccu, &claims, &labels).2;
+        let b = runner.fuse_preset(Preset::PopAccu, &claims, &labels).2;
         assert_eq!(a.wdev(), b.wdev());
         assert_eq!(a.auc_pr(), b.auc_pr());
         assert_eq!(a.coverage, b.coverage);

@@ -8,10 +8,10 @@
 //! method cannot look better by predicting less.
 
 use kf_core::FusionOutput;
-use kf_types::{GoldStandard, Label};
+use kf_types::Label;
 
-/// A fusion output joined with the gold standard: the label counts and
-/// the `(probability, is_true)` pairs the metrics are computed over.
+/// A fusion output joined with its gold labels: the label counts and the
+/// `(probability, is_true)` pairs the metrics are computed over.
 #[derive(Debug, Clone, Default)]
 pub struct LabeledOutput {
     /// Fused triples, labelled or not.
@@ -30,14 +30,20 @@ pub struct LabeledOutput {
 }
 
 impl LabeledOutput {
-    /// Join `output` with `gold`: one gold probe per scored triple.
-    pub fn label(output: &FusionOutput, gold: &GoldStandard) -> LabeledOutput {
+    /// Join `output` with `labels`, the gold label of each scored triple in
+    /// output order — for a run over claims, their label column
+    /// (`SlotTable::labels`), since `output.scored` is in slot order.
+    pub fn new(output: &FusionOutput, labels: &[Label]) -> LabeledOutput {
+        assert_eq!(
+            labels.len(),
+            output.scored.len(),
+            "one label per scored triple"
+        );
         let mut out = LabeledOutput {
             n_scored: output.scored.len(),
             ..Default::default()
         };
-        for s in &output.scored {
-            let label = gold.label(&s.triple);
+        for (s, &label) in output.scored.iter().zip(labels) {
             match label {
                 Label::True => out.n_true += 1,
                 Label::False => out.n_false += 1,
@@ -89,7 +95,7 @@ mod tests {
     use super::*;
     use kf_core::ScoredTriple;
     use kf_mapreduce::{JobStats, RoundOutcome};
-    use kf_types::{DataItem, EntityId, PredicateId, Triple, Value};
+    use kf_types::{DataItem, EntityId, GoldStandard, PredicateId, Triple, Value};
 
     fn triple(s: u32, o: u32) -> Triple {
         Triple::new(EntityId(s), PredicateId(0), Value::Entity(EntityId(o)))
@@ -129,6 +135,12 @@ mod tests {
         g
     }
 
+    /// `out` joined with `gold()`, one probe per scored triple.
+    fn labelled(out: &FusionOutput) -> LabeledOutput {
+        let labels: Vec<Label> = out.scored.iter().map(|s| gold().label(&s.triple)).collect();
+        LabeledOutput::new(out, &labels)
+    }
+
     #[test]
     fn labels_and_counts() {
         let out = output(vec![
@@ -137,7 +149,7 @@ mod tests {
             scored(2, 10, Some(0.5)), // unknown item
             scored(1, 12, None),      // false, unpredicted
         ]);
-        let l = LabeledOutput::label(&out, &gold());
+        let l = labelled(&out);
         assert_eq!(l.n_true, 1);
         assert_eq!(l.n_false, 2);
         assert_eq!(l.n_unknown, 1);
@@ -154,13 +166,13 @@ mod tests {
             scored(2, 10, Some(0.5)),
             scored(1, 12, None),
         ]);
-        let labeled = LabeledOutput::label(&out, &gold());
+        let labeled = labelled(&out);
         assert_eq!(labeled.predictions(), [(0.9, true)]);
     }
 
     #[test]
     fn empty_output_is_all_zeros() {
-        let l = LabeledOutput::label(&output(vec![]), &gold());
+        let l = labelled(&output(vec![]));
         assert_eq!(l.n_labelled(), 0);
         assert_eq!(l.coverage(), 0.0);
         assert_eq!(l.base_rate(), 0.0);

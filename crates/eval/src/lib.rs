@@ -32,8 +32,9 @@
 //!
 //! let corpus = Corpus::generate(&SynthConfig::tiny(), 42);
 //! let claims = Claims::build(&corpus.batch.records, &MrConfig::default());
+//! let labels = claims.table().labels(&corpus.gold);
 //! let runner = AblationRunner { scale: "tiny".into(), ..Default::default() };
-//! let (_, _, eval) = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold);
+//! let (_, _, eval) = runner.fuse_preset(Preset::PopAccu, &claims, &labels);
 //! assert!(eval.wdev().is_finite());
 //! assert!(eval.auc_pr() > 0.0);
 //! ```

@@ -569,8 +569,8 @@ impl EvalReport {
 
 /// Assemble a [`MethodEval`] from a labelled output, recording its `pr`
 /// and `calibration` spans into the installed trace (under the caller's
-/// `eval` span, which [`AblationRunner::evaluate`](crate::AblationRunner::evaluate)
-/// opens before it labels the output).
+/// `eval` span, which [`AblationRunner::fuse_preset`](crate::AblationRunner::fuse_preset)
+/// and [`AblationRunner::evaluate`](crate::AblationRunner::evaluate) open).
 pub fn evaluate_labeled(
     name: &str,
     label: &str,

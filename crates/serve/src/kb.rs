@@ -238,15 +238,20 @@ impl FusedKb {
             ..AblationRunner::default()
         };
         // The build owns the trace it runs under, so its grouping job
-        // (`group`), projection (`project`), rounds (`fuse`) and
-        // evaluation (`eval`) are all recorded under this span.
+        // (`group`), labelling (`label`), projection (`project`), rounds
+        // (`fuse`) and evaluation (`eval`) are all recorded under this
+        // span.
         let (summary, (output, attribution, method)) = {
             let _span = span("serve.compile.fuse");
             let config = runner.config(preset);
             let claims = Claims::build_recorded(&corpus.batch.records, &config.mr);
+            let labels = {
+                let _span = span("label");
+                claims.table().labels(&corpus.gold)
+            };
             claims.project_graphs([config.granularity], config.mr.workers);
-            let step = runner.fuse_preset(preset, &claims, &corpus.gold);
-            (runner.claims_summary(corpus, &claims), step)
+            let step = runner.fuse_preset(preset, &claims, &labels);
+            (runner.claims_summary(corpus, &claims, &labels), step)
         };
         let names = corpus.extractors.iter().map(|e| e.name.clone()).collect();
         Ok(Self::compile_from_parts(

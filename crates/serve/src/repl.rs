@@ -163,8 +163,17 @@ const HELP: &str = "commands:
   quit                        leave the REPL
 values: e<id> entity, s<id> interned string, n<number> numeric";
 
-/// Evaluate one REPL line against a reader.
+/// Evaluate one REPL line against a reader. A line it rejects counts as
+/// one error on the reader's attached recorder (`kf_serve_errors_total`).
 pub fn eval_command(reader: &KbReader, line: &str) -> Result<ReplOutput, String> {
+    let result = command(reader, line);
+    if let (Err(_), Some(metrics)) = (&result, reader.metrics()) {
+        metrics.record_error();
+    }
+    result
+}
+
+fn command(reader: &KbReader, line: &str) -> Result<ReplOutput, String> {
     let mut words = line.split_whitespace();
     let Some(cmd) = words.next() else {
         return Ok(ReplOutput::Empty);

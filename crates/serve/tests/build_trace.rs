@@ -6,8 +6,8 @@ use kf_synth::{Corpus, SynthConfig};
 use kf_telemetry::{install, SpanNode, Trace};
 
 /// A build records all its work under `serve.compile`, on the trace
-/// installed where it runs: the grouping job, the projection, the
-/// rounds and the evaluation (the shared per-preset step) under
+/// installed where it runs: the grouping job, the labelling, the
+/// projection, the rounds and the evaluation (the shared per-preset step) under
 /// `serve.compile.fuse`, then the index build; one grouping job.
 #[test]
 fn build_is_traced_under_serve_compile() {
@@ -28,7 +28,7 @@ fn build_is_traced_under_serve_compile() {
         ["serve.compile.fuse", "serve.compile.index"]
     );
     let fuse = compile.child("serve.compile.fuse").expect("fuse span");
-    assert_eq!(names(fuse), ["group", "project", "fuse", "eval"]);
+    assert_eq!(names(fuse), ["group", "label", "project", "fuse", "eval"]);
     let jobs = report.counters.iter().find(|c| c.name == "mr.jobs");
     assert_eq!(jobs.map(|c| c.value), Some(1));
 }

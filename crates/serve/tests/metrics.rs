@@ -252,3 +252,17 @@ fn empty_snapshot_renders_and_serializes() {
     assert!(json.contains("\"total_queries\":0"), "{json}");
     assert_eq!(snap.pooled_latency().quantile(0.99), 0);
 }
+
+/// A REPL line the evaluator rejects is a serving-layer error on the
+/// reader's attached recorder; the `metrics` command then shows it.
+#[test]
+fn rejected_repl_lines_count_as_errors() {
+    let metrics = Arc::new(ServeMetrics::new());
+    let reader = tiny_reader().with_metrics(metrics.clone());
+    let mut out = Vec::new();
+    kf_serve::run_repl(&reader, &b"bogus\nmetrics\n"[..], &mut out, false).expect("repl runs");
+    let out = String::from_utf8(out).expect("utf-8 output");
+    assert!(out.starts_with("error: unknown command `bogus`"), "{out}");
+    assert!(out.lines().any(|l| l == "kf_serve_errors_total 1"), "{out}");
+    assert_eq!(metrics.snapshot().errors, 1);
+}

@@ -16,12 +16,13 @@ fn main() {
     };
     // Group the extractions once; every preset fuses over these claims.
     let claims = Claims::build(&corpus.batch.records, &MrConfig::default());
+    let labels = claims.table().labels(&corpus.gold);
     let methods = Preset::ALL
         .into_iter()
-        .map(|preset| runner.fuse_preset(preset, &claims, &corpus.gold).2)
+        .map(|preset| runner.fuse_preset(preset, &claims, &labels).2)
         .collect();
     let report = EvalReport {
-        corpus: runner.claims_summary(&corpus, &claims),
+        corpus: runner.claims_summary(&corpus, &claims, &labels),
         methods,
     };
 

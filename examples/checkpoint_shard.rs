@@ -102,13 +102,14 @@ fn main() {
 /// --deterministic` does the same.
 fn fuse(runner: &AblationRunner, corpus: &Corpus, presets: &[Preset]) -> EvalReport {
     let claims = Claims::build(&corpus.batch.records, &MrConfig::default());
+    let labels = claims.table().labels(&corpus.gold);
     let methods = presets.iter().map(|&p| {
-        let mut method = runner.fuse_preset(p, &claims, &corpus.gold).2;
+        let mut method = runner.fuse_preset(p, &claims, &labels).2;
         method.fuse_ms = 0.0;
         method
     });
     EvalReport {
-        corpus: runner.claims_summary(corpus, &claims),
+        corpus: runner.claims_summary(corpus, &claims, &labels),
         methods: methods.collect(),
     }
 }

@@ -31,19 +31,24 @@ fn main() {
     // Group under a deliberately small spill envelope so the one shuffle
     // of the extractions takes the external path and the trace shows disk
     // traffic. `Fuser::run` would group too, but records its rounds only;
-    // building the claims here records the grouping job as a `group` span
-    // and the projection as `project`; the shared per-preset step then
-    // records the rounds as `fuse` and the evaluation as `eval`.
+    // building the claims here records the grouping job as a `group` span,
+    // their gold labelling as `label` and the projection as `project`; the
+    // shared per-preset step then records the rounds as `fuse` and the
+    // evaluation as `eval`.
     let mr = MrConfig::default()
         .with_chunk_records(1 << 10)
         .with_spill_threshold(1 << 12);
     let claims = Claims::build_recorded(&corpus.batch.records, &mr);
+    let labels = {
+        let _span = kf_telemetry::span("label");
+        claims.table().labels(&corpus.gold)
+    };
     claims.project_graphs([Preset::PopAccu.config().granularity], mr.workers);
     let runner = AblationRunner {
         scale: "small".into(),
         ..Default::default()
     };
-    let (output, _, eval) = runner.fuse_preset(Preset::PopAccu, &claims, &corpus.gold);
+    let (output, _, eval) = runner.fuse_preset(Preset::PopAccu, &claims, &labels);
 
     drop(installed);
     let report = trace.snapshot();
