@@ -37,7 +37,10 @@
 //! The file stores no more than decode cannot rebuild: besides the
 //! calibrated column, the per-row `subjects` and `predicates` are not
 //! written either — each row's `(subject, predicate)` is its item's key,
-//! so decode expands the item index's runs back into them.
+//! so decode expands the item index's runs back into them. What it does
+//! store, it stores small: every integer column is packed at the width
+//! its values need ([`encode_packed`]), offsets as run lengths and the
+//! ascending item subjects as deltas.
 //!
 //! Everything is columnar `Vec`s of plain data: loading a KB is one
 //! checkpoint decode into one arena that [`KbReader`](crate::KbReader)s
@@ -48,7 +51,9 @@ use kf_eval::{AblationRunner, CalibrationCurve, CorpusSummary, MethodEval, Prese
 use kf_synth::Corpus;
 use kf_telemetry::{add, span};
 use kf_types::checkpoint::{self, ArtifactKind, CheckpointError};
-use kf_types::codec::{decode_column, encode_column, value_columns, value_from_columns};
+use kf_types::codec::{
+    decode_packed, encode_packed, unzigzag, value_columns, value_from_columns, zigzag, PackedInt,
+};
 use kf_types::{EntityId, GoldStandard, KvCodec, Label, Triple, Value};
 use std::fmt;
 use std::path::Path;
@@ -444,9 +449,9 @@ impl FusedKb {
     /// calibrated confidence is read off the stored curve by [`calibrate`],
     /// as in [`compile_from_parts`](Self::compile_from_parts).
     ///
-    /// The rows are counted from columns the file holds in full (8 bytes a
-    /// row in `obj_payloads` and `raw`), never from a length prefix alone,
-    /// so no expanded column outgrows the file.
+    /// The rows are counted from a column the file holds in full (8 bytes
+    /// a row in `raw`), never from a length prefix alone, so no expanded
+    /// column outgrows the file.
     fn rebuild_derived(&mut self) -> bool {
         let n = self.obj_tags.len();
         if self.obj_payloads.len() != n || self.raw.len() != n {
@@ -578,7 +583,77 @@ impl FusedKb {
     }
 }
 
+/// The tag [`value_columns`] gives a `Value::Num`, whose payload the file
+/// stores zigzagged.
+const NUM_TAG: u8 = 2;
+
+/// A row's object payload as the file stores it: a number's
+/// two's-complement bits [`zigzag`]ged, so a small negative number packs
+/// as narrowly as a small positive one; ids as they are.
+fn stored_payload(tag: u8, payload: u64) -> u64 {
+    if tag == NUM_TAG {
+        zigzag(payload as i64)
+    } else {
+        payload
+    }
+}
+
+/// Offsets from 0 (one per run, plus the end) as the file stores them:
+/// each run's length.
+fn run_lengths(offsets: &[u32]) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
+    offsets
+        .windows(2)
+        .map(|w| u64::from(w[1].wrapping_sub(w[0])))
+}
+
+/// Append a slice of integers as one packed column.
+fn encode_ints<T: PackedInt>(xs: &[T], out: &mut Vec<u8>) {
+    encode_packed(xs.iter().map(|&x| x.to_u64()), out);
+}
+
+/// A packed column of exactly `len` values, `len` proven by bytes the
+/// decoder has already read: a longer length prefix is refused before
+/// anything is allocated.
+fn decode_exact<T: PackedInt>(input: &mut &[u8], len: usize) -> Option<Vec<T>> {
+    decode_packed(input, len).filter(|column| column.len() == len)
+}
+
+/// `len` run lengths back into offsets from 0, summed with checked
+/// arithmetic: a running sum past `u32::MAX` is refused.
+fn decode_offsets(input: &mut &[u8], len: usize) -> Option<Vec<u32>> {
+    let lengths: Vec<u32> = decode_exact(input, len)?;
+    let mut offsets = Vec::with_capacity(len + 1);
+    let mut at = 0u32;
+    offsets.push(at);
+    for run in lengths {
+        at = at.checked_add(run)?;
+        offsets.push(at);
+    }
+    Some(offsets)
+}
+
+/// The fields of a [`ProvenanceKey::pack`](kf_types::ProvenanceKey::pack)ed
+/// key, each stored as its own packed column: `(shift, bits, bias)` of the
+/// extractor, the page-or-site, the predicate, the pattern and the
+/// presence mask. A field is stored plus its bias, wrapping: the pattern's
+/// 1 makes `PatternId::NONE` (`u32::MAX`) a 0, so a registry of
+/// pattern-less keys does not pack its patterns 4 bytes wide.
+const KEY_FIELDS: [(u32, u32, u32); 5] = [
+    (112, 16, 0),
+    (80, 32, 0),
+    (48, 32, 0),
+    (16, 32, 1),
+    (0, 8, 0),
+];
+
 impl KvCodec for FusedKb {
+    /// Every integer column is packed ([`encode_packed`]) at the width its
+    /// values need. Offsets are stored as run lengths, the ascending item
+    /// subjects as deltas, numbers zigzagged and provenance keys as one
+    /// column per field. The row count comes first, from the `raw`
+    /// column's 8 bytes a row, and the provenance count from
+    /// `prov_accuracy`'s, so every later column's length is checked
+    /// against a count the bytes have proven before it is allocated.
     fn encode(&self, out: &mut Vec<u8>) {
         self.corpus.encode(out);
         self.method.encode(out);
@@ -588,59 +663,121 @@ impl KvCodec for FusedKb {
         self.auc_pr.encode(out);
         self.n_dropped.encode(out);
         self.curve.0.encode(out);
-        encode_column(&self.obj_tags, out);
-        encode_column(&self.obj_payloads, out);
         self.raw.encode(out);
-        encode_column(&self.labels, out);
-        encode_column(&self.pages, out);
-        encode_column(&self.extractor_counts, out);
-        encode_column(&self.fallback, out);
-        encode_column(&self.item_subjects, out);
-        encode_column(&self.item_predicates, out);
-        encode_column(&self.item_offsets, out);
-        encode_column(&self.pred_ids, out);
-        encode_column(&self.pred_offsets, out);
-        encode_column(&self.rank, out);
-        self.prov_keys.encode(out);
+        encode_ints(&self.obj_tags, out);
+        let tags_payloads = self.obj_tags.iter().zip(&self.obj_payloads);
+        encode_packed(tags_payloads.map(|(&t, &p)| stored_payload(t, p)), out);
+        encode_ints(&self.labels, out);
+        encode_ints(&self.pages, out);
+        encode_ints(&self.extractor_counts, out);
+        encode_ints(&self.fallback, out);
+        let subjects = &self.item_subjects;
+        let deltas = (0..subjects.len()).map(|i| {
+            let previous = if i == 0 { 0 } else { subjects[i - 1] };
+            u64::from(subjects[i].wrapping_sub(previous))
+        });
+        encode_packed(deltas, out);
+        encode_ints(&self.item_predicates, out);
+        encode_packed(run_lengths(&self.item_offsets), out);
+        encode_ints(&self.pred_ids, out);
+        encode_packed(run_lengths(&self.pred_offsets), out);
+        encode_ints(&self.rank, out);
         self.prov_accuracy.encode(out);
-        encode_column(&self.prov_evaluated, out);
-        encode_column(&self.prov_offsets, out);
-        encode_column(&self.prov_ids, out);
+        for (shift, bits, bias) in KEY_FIELDS {
+            let field = self.prov_keys.iter().map(|&k| {
+                let value = (k >> shift) as u32 & (u32::MAX >> (32 - bits));
+                u64::from(value.wrapping_add(bias))
+            });
+            encode_packed(field, out);
+        }
+        encode_ints(&self.prov_evaluated, out);
+        encode_packed(run_lengths(&self.prov_offsets), out);
+        encode_ints(&self.prov_ids, out);
         self.extractor_names.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
+        let corpus = CorpusSummary::decode(input)?;
+        let method = String::decode(input)?;
+        let method_label = String::decode(input)?;
+        let wdev = f64::decode(input)?;
+        let ece = f64::decode(input)?;
+        let auc_pr = f64::decode(input)?;
+        let n_dropped = u64::decode(input)?;
+        let curve = StoredCurve(CalibrationCurve::decode(input)?);
+        let raw: Vec<f64> = Vec::decode(input)?;
+        let n = raw.len();
+        let obj_tags: Vec<u8> = decode_exact(input, n)?;
+        let mut obj_payloads: Vec<u64> = decode_exact(input, n)?;
+        for (payload, &tag) in obj_payloads.iter_mut().zip(&obj_tags) {
+            if tag == NUM_TAG {
+                *payload = unzigzag(*payload) as u64;
+            }
+        }
+        let labels = decode_exact(input, n)?;
+        let pages = decode_exact(input, n)?;
+        let extractor_counts = decode_exact(input, n)?;
+        let fallback = decode_exact(input, n)?;
+        // Every item and every predicate holds at least one row.
+        let mut item_subjects: Vec<u32> = decode_packed(input, n)?;
+        let mut subject = 0u32;
+        for delta in &mut item_subjects {
+            subject = subject.checked_add(*delta)?;
+            *delta = subject;
+        }
+        let m = item_subjects.len();
+        let item_predicates = decode_exact(input, m)?;
+        let item_offsets = decode_offsets(input, m)?;
+        let pred_ids: Vec<u32> = decode_packed(input, n)?;
+        let pred_offsets = decode_offsets(input, pred_ids.len())?;
+        let rank = decode_exact(input, n)?;
+        let prov_accuracy: Vec<f64> = Vec::decode(input)?;
+        let p = prov_accuracy.len();
+        let mut prov_keys = vec![0u128; p];
+        for (shift, bits, bias) in KEY_FIELDS {
+            let field: Vec<u32> = decode_exact(input, p)?;
+            for (key, stored) in prov_keys.iter_mut().zip(field) {
+                let value = stored.wrapping_sub(bias);
+                if value > u32::MAX >> (32 - bits) {
+                    return None;
+                }
+                *key |= u128::from(value) << shift;
+            }
+        }
+        let prov_evaluated = decode_exact(input, p)?;
+        let prov_offsets = decode_offsets(input, n)?;
+        let prov_ids = decode_exact(input, prov_offsets[n] as usize)?;
         let mut kb = FusedKb {
-            corpus: CorpusSummary::decode(input)?,
-            method: String::decode(input)?,
-            method_label: String::decode(input)?,
-            wdev: f64::decode(input)?,
-            ece: f64::decode(input)?,
-            auc_pr: f64::decode(input)?,
-            n_dropped: u64::decode(input)?,
-            curve: StoredCurve(CalibrationCurve::decode(input)?),
+            corpus,
+            method,
+            method_label,
+            wdev,
+            ece,
+            auc_pr,
+            n_dropped,
             subjects: Vec::new(),
             predicates: Vec::new(),
-            obj_tags: decode_column(input)?,
-            obj_payloads: decode_column(input)?,
-            raw: Vec::decode(input)?,
+            obj_tags,
+            obj_payloads,
+            raw,
             calibrated: Vec::new(),
-            labels: decode_column(input)?,
-            pages: decode_column(input)?,
-            extractor_counts: decode_column(input)?,
-            fallback: decode_column(input)?,
-            item_subjects: decode_column(input)?,
-            item_predicates: decode_column(input)?,
-            item_offsets: decode_column(input)?,
-            pred_ids: decode_column(input)?,
-            pred_offsets: decode_column(input)?,
-            rank: decode_column(input)?,
-            prov_keys: Vec::decode(input)?,
-            prov_accuracy: Vec::decode(input)?,
-            prov_evaluated: decode_column(input)?,
-            prov_offsets: decode_column(input)?,
-            prov_ids: decode_column(input)?,
+            labels,
+            pages,
+            extractor_counts,
+            fallback,
+            item_subjects,
+            item_predicates,
+            item_offsets,
+            pred_ids,
+            pred_offsets,
+            rank,
+            prov_keys,
+            prov_accuracy,
+            prov_evaluated,
+            prov_offsets,
+            prov_ids,
             extractor_names: Vec::decode(input)?,
+            curve,
         };
         (kb.rebuild_derived() && kb.validate()).then_some(kb)
     }
@@ -652,7 +789,7 @@ pub(crate) mod tests {
     use kf_core::{Fuser, ScoredTriple};
     use kf_eval::{Binning, CalibrationBin};
     use kf_synth::SynthConfig;
-    use kf_types::{Numeric, StrId};
+    use kf_types::{Numeric, PredicateId, StrId};
 
     fn fixture() -> FusedKb {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 9);
@@ -808,6 +945,8 @@ pub(crate) mod tests {
             assert_eq!(label_from_tag(label_tag(l)), Some(l));
         }
         assert_eq!(label_from_tag(3), None);
+        // The file zigzags the payloads that carry this tag.
+        assert_eq!(value_columns(Value::Num(Numeric(-1))).0, NUM_TAG);
     }
 
     /// A KB serving exactly `triples` (unattributed, every probability
@@ -850,5 +989,18 @@ pub(crate) mod tests {
         assert_eq!(kb.n_predicates(), 0);
         let decoded = reencode_decodes(&kb).expect("empty KB roundtrips");
         assert_eq!(decoded, kb);
+    }
+
+    /// Numbers are stored zigzagged: a KB serving small negative numbers
+    /// is no larger than one serving their magnitudes (two's complement
+    /// would need all 8 bytes), and decodes back to them.
+    #[test]
+    fn small_negative_numbers_pack_narrowly() {
+        let triple = |s, v| Triple::new(EntityId(s), PredicateId(1), Value::Num(Numeric(v)));
+        let negative = kb_serving(&[triple(1, -3), triple(2, -100), triple(3, 7)]);
+        let positive = kb_serving(&[triple(1, 3), triple(2, 100), triple(3, 7)]);
+        let bytes = |kb: &FusedKb| checkpoint::encode(ArtifactKind::FusedKb, kb).len();
+        assert_eq!(bytes(&negative), bytes(&positive));
+        assert_eq!(reencode_decodes(&negative).as_ref(), Some(&negative));
     }
 }

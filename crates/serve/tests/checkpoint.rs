@@ -128,8 +128,8 @@ fn wrong_kind_is_rejected_both_ways() {
 fn version_skew_is_rejected_with_found_version() {
     let kb = fixture_kb();
     let mut bytes = kb_bytes(&kb);
-    // The previous version's header (a KB that still stored its row
-    // keys and calibrated column): same magic, older version — the skew
+    // The previous version's header (a KB that wrote every integer
+    // column at its type's full width): same magic, older version — the skew
     // must be reported before the kind is examined, so an older reader
     // meeting a newer file sees a version error, not a misparse or an
     // unknown-kind one.
@@ -188,5 +188,36 @@ fn kb_writes_are_atomic_on_the_build_path() {
     assert!(
         leftovers.is_empty(),
         "temp files left behind: {leftovers:?}"
+    );
+}
+
+/// The encoded size of the `small` seed-42 KB of every method, pinned to
+/// the byte: a layout change that grows (or shrinks) the file shows as a
+/// diff here. POPACCU+, the KB the benchmark serves, stays within 32
+/// bytes a triple (49.70 when every integer column was written at its
+/// type's full width).
+#[test]
+fn small_kb_sizes_are_pinned() {
+    let corpus = Corpus::generate(&SynthConfig::small(), 42);
+    let pinned = [
+        (Preset::Vote, 671_318, 18_914),
+        (Preset::Accu, 671_318, 18_914),
+        (Preset::PopAccu, 671_324, 18_914),
+        (Preset::PopAccuPlusUnsup, 524_165, 18_268),
+        (Preset::PopAccuPlus, 529_932, 18_511),
+    ];
+    for (preset, bytes, triples) in pinned {
+        let opts = KbBuildOptions {
+            method: preset.name().to_string(),
+            workers: None,
+        };
+        let kb = FusedKb::build_from_corpus(&corpus, &opts, "small").expect("build");
+        let got = (kb_bytes(&kb).len(), kb.n_triples());
+        assert_eq!(got, (bytes, triples), "{}: (bytes, triples)", preset.name());
+    }
+    let (_, bytes, triples) = pinned[4];
+    assert!(
+        bytes <= 32 * triples,
+        "POPACCU+: {bytes} B for {triples} triples"
     );
 }

@@ -7,9 +7,10 @@
 //! `belief`, `top_k`, `lookup` and `drilldown` with its own rows: a flip
 //! that leaves the file parseable must not make an index serve another
 //! item's or another predicate's rows. Targeted cases damage what decode
-//! rebuilds the unstored columns from: the item offsets that expand into
-//! the row keys and the calibration curve that yields the calibrated
-//! column.
+//! rebuilds the unstored columns from: the item run lengths that expand
+//! into the row keys and the calibration curve that yields the calibrated
+//! column; others forge the packed columns' framing: widths, lengths,
+//! running sums, and the counts one column fixes for another.
 //!
 //! The decode runs on the calling thread, so the per-thread
 //! largest-allocation reading covers the whole decode.
@@ -20,11 +21,12 @@ mod largest_alloc;
 use kf_serve::{FusedKb, KbBuildOptions, KbReader, TripleView};
 use kf_synth::{Corpus, SynthConfig};
 use kf_types::checkpoint::{self, ArtifactKind};
-use kf_types::{DataItem, EntityId, KvCodec, PredicateId};
+use kf_types::{codec, DataItem, EntityId, KvCodec, PredicateId};
 use largest_alloc::largest_during;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Magic (4) + format version (2) + artifact kind (1).
 const HEADER: usize = 7;
@@ -172,7 +174,7 @@ fn hostile_kb_checkpoints_never_panic_or_serve_foreign_rows() {
 /// The byte range of the stored calibration curve: it follows the header
 /// fields, and is the binning (tag + bin count), the length-prefixed bins
 /// (five 8-byte fields each), then the curve's WDEV and ECE.
-fn curve_range(kb: &FusedKb, bytes: &[u8]) -> std::ops::Range<usize> {
+fn curve_range(kb: &FusedKb, bytes: &[u8]) -> Range<usize> {
     let mut head = Vec::new();
     kb.corpus.encode(&mut head);
     kb.method.encode(&mut head);
@@ -190,60 +192,226 @@ fn curve_range(kb: &FusedKb, bytes: &[u8]) -> std::ops::Range<usize> {
     at..wdev_at + 16
 }
 
-/// Where the item offset column's values start: the one place where an
-/// `n_items + 1` length prefix is followed by offset 0 and, `n_items`
-/// values on, by the row count.
-fn item_offsets_at(kb: &FusedKb, bytes: &[u8]) -> usize {
-    let (m, n) = (kb.n_items(), kb.n_triples() as u32);
-    let prefix = (m as u64 + 1).to_le_bytes();
-    let found: Vec<usize> = (HEADER..bytes.len() - 12 - 4 * m)
-        .filter(|&at| {
-            let values = at + 8;
-            bytes[at..values] == prefix
-                && bytes[values..values + 4] == 0u32.to_le_bytes()
-                && bytes[values + 4 * m..values + 4 * m + 4] == n.to_le_bytes()
-        })
-        .map(|at| at + 8)
-        .collect();
-    assert_eq!(found.len(), 1, "item offset column candidates: {found:?}");
-    found[0]
+/// The KB's columns after the curve, in file order. `raw` and
+/// `prov_accuracy` are `f64` columns (a length, then 8 bytes a value);
+/// every other one is packed (a length, a width byte, then `len × width`
+/// bytes). The extractor names follow them to the end of the file.
+const COLUMNS: [&str; 22] = [
+    "raw",
+    "obj_tags",
+    "obj_payloads",
+    "labels",
+    "pages",
+    "extractor_counts",
+    "fallback",
+    "item_subject_deltas",
+    "item_predicates",
+    "item_runs",
+    "pred_ids",
+    "pred_runs",
+    "rank",
+    "prov_accuracy",
+    "prov_extractors",
+    "prov_pages_or_sites",
+    "prov_predicates",
+    "prov_patterns",
+    "prov_masks",
+    "prov_evaluated",
+    "prov_runs",
+    "prov_ids",
+];
+
+/// Each column's byte range, found by walking the length prefixes from
+/// the end of the curve: the walk must end where the extractor names
+/// start, and the `raw` column must hold one value a served triple.
+fn column_ranges(kb: &FusedKb, bytes: &[u8]) -> BTreeMap<&'static str, Range<usize>> {
+    let mut at = curve_range(kb, bytes).end;
+    let mut ranges = BTreeMap::new();
+    for name in COLUMNS {
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let end = match name {
+            "raw" | "prov_accuracy" => at + 8 + 8 * len,
+            _ => at + 9 + len * usize::from(bytes[at + 8]),
+        };
+        ranges.insert(name, at..end);
+        at = end;
+    }
+    let mut names = &bytes[at..];
+    assert!(Vec::<String>::decode(&mut names).is_some() && names.is_empty());
+    let raw = &ranges["raw"];
+    assert_eq!(raw.len(), 8 + 8 * kb.n_triples(), "the raw column");
+    ranges
 }
 
-/// Targeted damage to what decode rebuilds from: the item index that
+/// The values of the packed column at `range`.
+fn column_values(bytes: &[u8], range: &Range<usize>) -> Vec<u64> {
+    let mut input = &bytes[range.clone()];
+    let values = codec::decode_packed(&mut input, usize::MAX).expect("a packed column");
+    assert!(input.is_empty());
+    values
+}
+
+/// A packed column of `values`, at the width they need.
+fn packed(values: &[u64]) -> Vec<u8> {
+    let mut column = Vec::new();
+    codec::encode_packed(values.iter().copied(), &mut column);
+    column
+}
+
+/// A packed column's length and width bytes followed by `body`, however
+/// ill-matched.
+fn packed_raw(len: u64, width: u8, body: &[u8]) -> Vec<u8> {
+    let mut column = len.to_le_bytes().to_vec();
+    column.push(width);
+    column.extend_from_slice(body);
+    column
+}
+
+/// Targeted damage to what decode rebuilds from — the item index that
 /// expands into the row keys, and the curve that yields the calibrated
-/// column. Every case is an error or a KB that answers its own rows, and
-/// no case allocates more than the file's length — the rebuilt columns
-/// are sized by rows present in the file, never by a prefix.
+/// column — and to the packed columns' own framing: widths, lengths,
+/// running sums and the counts one column fixes for another. Every case
+/// is an error or a KB that answers its own rows, and no case allocates
+/// more than the file's length — the rebuilt columns are sized by rows
+/// present in the file, never by a prefix.
 #[test]
 fn damaged_item_index_or_curve_never_panics_or_serves_foreign_rows() {
     let (kb, bytes) = fixture();
     let len = bytes.len();
-    let (m, n) = (kb.n_items(), kb.n_triples() as u32);
-    let offsets = item_offsets_at(&kb, &bytes);
+    let n = kb.n_triples() as u32;
+    let columns = column_ranges(&kb, &bytes);
     let curve = curve_range(&kb, &bytes);
 
-    let must_fail = |case: &str, at: usize, value: &[u8]| {
-        let mut hostile = bytes.clone();
-        hostile[at..at + value.len()].copy_from_slice(value);
+    let must_fail = |case: &str, hostile: Vec<u8>| {
         let (decoded, largest) = decode_case(case, &hostile);
         assert!(decoded.is_none(), "{case}: decoded");
-        assert!(largest <= len, "{case}: allocated {largest} of {len}");
+        let bound = len.min(hostile.len());
+        assert!(largest <= bound, "{case}: allocated {largest} of {bound}");
     };
-    let (last, middle) = (offsets + 4 * m, offsets + 4 * (m / 2));
-    must_fail("last offset one short", last, &(n - 1).to_le_bytes());
+    let with_column = |name: &str, column: &[u8]| {
+        let range = columns[name].clone();
+        [&bytes[..range.start], column, &bytes[range.end..]].concat()
+    };
+    // `name`'s values with the one at `i` replaced by `f` of it.
+    let edited = |name: &str, i: usize, f: &dyn Fn(&[u64]) -> u64| {
+        let mut values = column_values(&bytes, &columns[name]);
+        values[i] = f(&values);
+        with_column(name, &packed(&values))
+    };
+
+    // The item index: one row count a run, summing to the rows.
+    let runs = column_values(&bytes, &columns["item_runs"]);
+    let m = runs.len();
+    assert_eq!((m, runs.iter().sum::<u64>()), (kb.n_items(), n as u64));
+    let (last, middle) = (m - 1, m / 2);
+    let before_middle: u64 = runs[..middle].iter().sum();
+    assert!(before_middle > 0);
     must_fail(
-        "last offset one past the rows",
-        last,
-        &(n + 1).to_le_bytes(),
+        "last run one short",
+        edited("item_runs", last, &|r| r[last] - 1),
     );
-    must_fail("an offset past the rows", middle, &(n + 5).to_le_bytes());
-    must_fail("an offset at u32::MAX", middle, &u32::MAX.to_le_bytes());
-    must_fail("first offset not 0", offsets, &1u32.to_le_bytes());
+    must_fail(
+        "last run one past the rows",
+        edited("item_runs", last, &|r| r[last] + 1),
+    );
+    must_fail(
+        "a run past the rows",
+        edited("item_runs", middle, &|r| r[middle] + n as u64 + 5),
+    );
+    must_fail(
+        "a run ending at u32::MAX",
+        edited("item_runs", middle, &|_| {
+            u64::from(u32::MAX) - before_middle
+        }),
+    );
+    must_fail(
+        "runs whose running sum passes u32::MAX",
+        edited("item_runs", middle, &|_| u64::from(u32::MAX)),
+    );
+    let mut empty_first = runs.clone();
+    empty_first[1] += std::mem::take(&mut empty_first[0]);
+    must_fail(
+        "an empty first run",
+        with_column("item_runs", &packed(&empty_first)),
+    );
+
+    // Item subjects ascend, stored as deltas: one whose running sum
+    // passes `u32::MAX` is refused, not wrapped.
+    let deltas = column_values(&bytes, &columns["item_subject_deltas"]);
+    let before_last: u64 = deltas[..last].iter().sum();
+    assert!(before_last > 0);
+    must_fail(
+        "subject deltas whose running sum passes u32::MAX",
+        edited("item_subject_deltas", last, &|_| {
+            u64::from(u32::MAX) - before_last + 1
+        }),
+    );
+    must_fail(
+        "provenance runs whose running sum passes u32::MAX",
+        edited("prov_runs", n as usize - 1, &|_| u64::from(u32::MAX)),
+    );
+
+    // Widths: 0, past 8, and wider than the column's type, with a top
+    // byte set so that the type is all that is wrong.
+    let rows = u64::from(n);
+    must_fail(
+        "pages at width 0",
+        with_column("pages", &packed_raw(rows, 0, &[])),
+    );
+    let wide = |width: usize| vec![0xff; n as usize * width];
+    must_fail(
+        "pages at width 9",
+        with_column("pages", &packed_raw(rows, 9, &wide(9))),
+    );
+    must_fail(
+        "u32 pages at width 5",
+        with_column("pages", &packed_raw(rows, 5, &wide(5))),
+    );
+    must_fail(
+        "u16 extractor counts at width 3",
+        with_column("extractor_counts", &packed_raw(rows, 3, &wide(3))),
+    );
+
+    // A `u64::MAX` length, in a per-row column, the item index and the
+    // provenance id list.
+    for name in ["pages", "item_subject_deltas", "prov_ids"] {
+        let mut hostile = bytes.clone();
+        let at = columns[name].start;
+        hostile[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        must_fail(&format!("{name} length u64::MAX"), hostile);
+    }
+
+    // Lengths one column fixes for another: a per-row column one row
+    // short or long, and a provenance id list that is not as long as the
+    // per-row provenance runs sum to.
+    let pages = column_values(&bytes, &columns["pages"]);
+    must_fail(
+        "one page count short",
+        with_column("pages", &packed(&pages[1..])),
+    );
+    let one_more = [&pages[..], &[1]].concat();
+    must_fail(
+        "one page count more",
+        with_column("pages", &packed(&one_more)),
+    );
+    let ids = column_values(&bytes, &columns["prov_ids"]);
+    must_fail(
+        "one provenance id short",
+        with_column("prov_ids", &packed(&ids[1..])),
+    );
+    let one_more = [&ids[..], &[0]].concat();
+    must_fail(
+        "one provenance id more",
+        with_column("prov_ids", &packed(&one_more)),
+    );
+
     let bins_at = curve.start + 9;
     let left = (len - bins_at - 8) as u64;
     for value in [left + 1, u64::MAX] {
         let case = format!("curve bin count set to {value}");
-        must_fail(&case, bins_at, &value.to_le_bytes());
+        let mut hostile = bytes.clone();
+        hostile[bins_at..bins_at + 8].copy_from_slice(&value.to_le_bytes());
+        must_fail(&case, hostile);
     }
 
     // Every single-bit flip inside the curve: many still decode, to

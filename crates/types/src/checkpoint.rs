@@ -69,7 +69,11 @@ pub const MAGIC: [u8; 4] = *b"KFCP";
 /// `predicates` and `calibrated` columns and writes the serving
 /// calibration curve instead; decode rebuilds the three from the item
 /// index and the curve.
-pub const FORMAT_VERSION: u16 = 8;
+/// Version 9: `FusedKb` writes every integer column packed at the width
+/// its values need (`codec::encode_packed`): offsets as run lengths, item
+/// subjects as deltas, numbers zigzagged, provenance keys one column per
+/// field, and the row count first, proven by the `raw` column.
+pub const FORMAT_VERSION: u16 = 9;
 
 /// What a checkpoint file contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

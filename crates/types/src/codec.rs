@@ -15,6 +15,10 @@
 //! `DataItem`, `Triple`, [`ProvenanceKey`] via its
 //! lossless `u128` packing, and every id newtype).
 //!
+//! Beside the element-wise impls sit bulk columns for checkpoints:
+//! [`encode_column`] writes each value at its type's full width, and
+//! [`encode_packed`] at the width the column's largest value needs.
+//!
 //! # Contract
 //!
 //! For every implementation, decode is the exact inverse of encode:
@@ -606,6 +610,138 @@ pub fn decode_column<T: PodColumn>(input: &mut &[u8]) -> Option<Vec<T>> {
     Some(bytes.chunks_exact(T::WIDTH).map(T::get_le).collect())
 }
 
+/// An unsigned integer a packed column ([`encode_packed`] /
+/// [`decode_packed`]) can hold: its [`PodColumn::WIDTH`] is the widest
+/// packed column it decodes from.
+pub trait PackedInt: PodColumn {
+    /// Widen to `u64`.
+    fn to_u64(self) -> u64;
+    /// Narrow from a `u64` that fits in [`PodColumn::WIDTH`] bytes.
+    fn from_u64(v: u64) -> Self;
+}
+
+macro_rules! packed_int {
+    ($($ty:ty),*) => {$(
+        impl PackedInt for $ty {
+            #[inline]
+            fn to_u64(self) -> u64 {
+                self as u64
+            }
+            #[inline]
+            fn from_u64(v: u64) -> Self {
+                v as $ty
+            }
+        }
+    )*};
+}
+
+packed_int!(u8, u16, u32, u64);
+
+/// Bytes the little-endian encoding of `max` needs: 1 for 0, up to 8.
+#[inline]
+pub fn packed_width(max: u64) -> usize {
+    (8 - max.leading_zeros() as usize / 8).max(1)
+}
+
+/// Append `values` as one packed column: the u64 length, one width byte
+/// `w` (the bytes the largest value needs, 1 ..= 8), then each value's
+/// `w` low little-endian bytes. A column of small numbers in a wide type
+/// costs what the numbers need, not what the type holds.
+pub fn encode_packed<I>(values: I, out: &mut Vec<u8>)
+where
+    I: IntoIterator<Item = u64>,
+    I::IntoIter: ExactSizeIterator + Clone,
+{
+    let values = values.into_iter();
+    let w = packed_width(values.clone().max().unwrap_or(0));
+    (values.len() as u64).encode(out);
+    out.push(w as u8);
+    let start = out.len();
+    out.resize(start + values.len() * w, 0);
+    let body = &mut out[start..];
+    match w {
+        1 => pack_fixed::<1>(values, body),
+        2 => pack_fixed::<2>(values, body),
+        3 => pack_fixed::<3>(values, body),
+        4 => pack_fixed::<4>(values, body),
+        5 => pack_fixed::<5>(values, body),
+        6 => pack_fixed::<6>(values, body),
+        7 => pack_fixed::<7>(values, body),
+        _ => pack_fixed::<8>(values, body),
+    }
+}
+
+/// Write each value's `W` low little-endian bytes into `body`, one
+/// value a `W`-byte chunk: [`unpack_fixed`]'s inverse.
+#[inline]
+fn pack_fixed<const W: usize>(values: impl Iterator<Item = u64>, body: &mut [u8]) {
+    for (chunk, v) in body.chunks_exact_mut(W).zip(values) {
+        chunk.copy_from_slice(&v.to_le_bytes()[..W]);
+    }
+}
+
+/// Decode a column written by [`encode_packed`] into `T`s, refusing one
+/// longer than `max_len` (a count the caller has already proven, or
+/// `usize::MAX`). The length is checked against `max_len` and against
+/// the bytes present (`len × w` of them) before anything is allocated,
+/// so a column takes at most `T::WIDTH` times its input. Rejects a width
+/// of 0, one wider than `T`, and one wider than the largest value needs,
+/// so every column has exactly one encoding.
+pub fn decode_packed<T: PackedInt>(input: &mut &[u8], max_len: usize) -> Option<Vec<T>> {
+    let len = usize::try_from(u64::decode(input)?).ok()?;
+    if len > max_len {
+        return None;
+    }
+    let w = usize::from(u8::decode(input)?);
+    if w == 0 || w > T::WIDTH {
+        return None;
+    }
+    let bytes = take(input, len.checked_mul(w)?)?;
+    // The widest value fills its top byte: otherwise `w` is not the width
+    // the encoder would have chosen.
+    if w > 1 && !bytes.chunks_exact(w).any(|v| v[w - 1] != 0) {
+        return None;
+    }
+    Some(match w {
+        1 => unpack_fixed::<T, 1>(bytes),
+        2 => unpack_fixed::<T, 2>(bytes),
+        3 => unpack_fixed::<T, 3>(bytes),
+        4 => unpack_fixed::<T, 4>(bytes),
+        5 => unpack_fixed::<T, 5>(bytes),
+        6 => unpack_fixed::<T, 6>(bytes),
+        7 => unpack_fixed::<T, 7>(bytes),
+        _ => unpack_fixed::<T, 8>(bytes),
+    })
+}
+
+/// Read `W`-byte little-endian values: a fixed width per loop, so each
+/// compiles to straight-line loads.
+#[inline]
+fn unpack_fixed<T: PackedInt, const W: usize>(bytes: &[u8]) -> Vec<T> {
+    bytes
+        .chunks_exact(W)
+        .map(|v| {
+            let mut word = [0u8; 8];
+            word[..W].copy_from_slice(v);
+            T::from_u64(u64::from_le_bytes(word))
+        })
+        .collect()
+}
+
+/// Map a signed integer to an unsigned one of the same magnitude order
+/// (0, -1, 1, -2, … → 0, 1, 2, 3, …), so a small negative number packs
+/// as narrowly as a small positive one.
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
 /// A [`Value`] as its two column entries, losslessly: the stable one-byte
 /// variant tag (also the tag of the element-wise `Value` encoding) and a
 /// full-fidelity 8-byte payload (unlike [`Value::encode`], which packs the
@@ -951,6 +1087,61 @@ mod tests {
         let mut buf = Vec::new();
         (u64::MAX).encode(&mut buf);
         assert_eq!(Vec::<u32>::decode(&mut &buf[..]), None);
+    }
+
+    #[test]
+    fn packed_columns_take_the_width_of_their_largest_value() {
+        let mut buf = Vec::new();
+        encode_packed([3u64, 0x1_0000, 7], &mut buf);
+        assert_eq!(buf[..9], [3, 0, 0, 0, 0, 0, 0, 0, 3]);
+        assert_eq!(buf.len(), 9 + 3 * 3);
+        let mut input = &buf[..];
+        assert_eq!(
+            decode_packed::<u32>(&mut input, 3),
+            Some(vec![3, 0x1_0000, 7])
+        );
+        assert!(input.is_empty());
+        // A 3-byte column does not fit a u16, nor a bound of two values.
+        assert_eq!(decode_packed::<u16>(&mut &buf[..], 3), None);
+        assert_eq!(decode_packed::<u32>(&mut &buf[..], 2), None);
+        assert_eq!(zigzag(-1), 1);
+        assert_eq!(zigzag(1), 2);
+        assert_eq!(unzigzag(zigzag(i64::MIN)), i64::MIN);
+    }
+
+    #[test]
+    fn malformed_packed_columns_are_rejected() {
+        let column = |len: u64, w: u8, body: &[u8]| {
+            let mut buf = len.to_le_bytes().to_vec();
+            buf.push(w);
+            buf.extend_from_slice(body);
+            buf
+        };
+        for (case, buf) in [
+            ("width 0", column(1, 0, &[1])),
+            ("width 9", column(1, 9, &[1; 9])),
+            ("wider than u32", column(1, 5, &[1; 5])),
+            ("wider than the values need", column(2, 2, &[1, 0, 2, 0])),
+            ("u64::MAX length", column(u64::MAX, 1, &[1; 16])),
+            (
+                "length overflowing len × w",
+                column(u64::MAX / 2, 4, &[1; 16]),
+            ),
+            ("truncated body", column(3, 2, &[1, 1, 1, 1, 1])),
+            ("no width byte", 0u64.to_le_bytes().to_vec()),
+        ] {
+            assert_eq!(
+                decode_packed::<u32>(&mut &buf[..], usize::MAX),
+                None,
+                "{case}"
+            );
+        }
+        // The empty column is one byte wide.
+        assert_eq!(
+            decode_packed::<u8>(&mut &column(0, 1, &[])[..], 0),
+            Some(vec![])
+        );
+        assert_eq!(decode_packed::<u8>(&mut &column(0, 2, &[])[..], 0), None);
     }
 
     #[test]

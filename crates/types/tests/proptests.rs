@@ -351,3 +351,134 @@ fn arb_counts() -> impl Strategy<Value = CategoryCounts> {
     ((0u64..100), (0u64..100), (0u64..100), (0u64..100))
         .prop_map(|(a, b, c, d)| CategoryCounts([a, b, c, d]))
 }
+
+/// 0 and, for every byte count `k` up to `bytes`, `2^(8k) − 1` and (when
+/// it fits) `2^(8k)`: the values on either side of each packed width.
+fn width_boundaries(bytes: usize) -> Vec<u64> {
+    let mut values = vec![0];
+    for k in 1..=bytes {
+        let top = u64::MAX >> (64 - 8 * k);
+        values.push(top);
+        if k < bytes {
+            values.push(top + 1);
+        }
+    }
+    values
+}
+
+/// Encode `xs` as a packed column; check it reads back exactly, is
+/// exactly `8 + 1 + n × w` bytes, and that `w` is the width the largest
+/// value needs.
+fn check_packed<T>(xs: &[T])
+where
+    T: codec::PackedInt + PartialEq + std::fmt::Debug,
+{
+    let mut buf = Vec::new();
+    codec::encode_packed(xs.iter().map(|&x| x.to_u64()), &mut buf);
+    let max = xs.iter().map(|&x| x.to_u64()).max().unwrap_or(0);
+    let w = usize::from(buf[8]);
+    prop_assert!(
+        max >> (8 * w - 1) >> 1 == 0,
+        "{max} does not fit in {w} bytes"
+    );
+    prop_assert!(
+        w == 1 || max >> (8 * (w - 1)) != 0,
+        "{max} fits in {} bytes",
+        w - 1
+    );
+    prop_assert_eq!(w, codec::packed_width(max));
+    prop_assert_eq!(buf.len(), 8 + 1 + xs.len() * w);
+    let mut input = &buf[..];
+    let decoded = codec::decode_packed::<T>(&mut input, xs.len());
+    prop_assert_eq!(decoded.as_deref(), Some(xs));
+    prop_assert!(input.is_empty(), "decode left {} bytes", input.len());
+    if !xs.is_empty() {
+        let refused = codec::decode_packed::<T>(&mut &buf[..], xs.len() - 1);
+        prop_assert_eq!(refused, None, "a column longer than its bound");
+    }
+}
+
+/// Decode arbitrary bytes as a packed column of `T`: never a panic, at
+/// most 8 bytes allocated per input byte, and a column only if the bytes
+/// it consumed are exactly its encoding.
+fn check_hostile_packed<T>(bytes: &[u8])
+where
+    T: codec::PackedInt + PartialEq + std::fmt::Debug,
+{
+    let mut input = bytes;
+    let (decoded, largest) = largest_during(|| codec::decode_packed::<T>(&mut input, usize::MAX));
+    prop_assert!(
+        largest <= 8 * bytes.len(),
+        "allocated {largest} B for {} B of input",
+        bytes.len()
+    );
+    if let Some(column) = decoded {
+        let mut again = Vec::new();
+        codec::encode_packed(column.iter().map(|&x| x.to_u64()), &mut again);
+        prop_assert_eq!(&again[..], &bytes[..bytes.len() - input.len()]);
+    }
+}
+
+proptest! {
+    /// Packed columns of every unsigned width read back exactly, at the
+    /// width their largest value needs, with a value on either side of
+    /// every width boundary somewhere in the column.
+    #[test]
+    fn packed_columns_roundtrip_at_every_width(
+        values in prop::collection::vec((any::<u64>(), 0u32..64), 0..40),
+        boundary in any::<usize>(),
+        at in any::<usize>(),
+    ) {
+        let mut column: Vec<u64> = values.iter().map(|&(v, shift)| v >> shift).collect();
+        fn with<T: codec::PackedInt>(column: &[u64], boundary: u64, at: usize) -> Vec<T> {
+            let mut xs: Vec<T> = column.iter().map(|&v| T::from_u64(v)).collect();
+            xs.insert(at % (xs.len() + 1), T::from_u64(boundary));
+            xs
+        }
+        let pick = |bytes: usize| {
+            let values = width_boundaries(bytes);
+            values[boundary % values.len()]
+        };
+        check_packed(&with::<u8>(&column, pick(1), at));
+        check_packed(&with::<u16>(&column, pick(2), at));
+        check_packed(&with::<u32>(&column, pick(4), at));
+        check_packed(&with::<u64>(&column, pick(8), at));
+        // Every boundary value alone, and the empty column.
+        for bytes in [1, 2, 4, 8] {
+            for v in width_boundaries(bytes) {
+                check_packed(&with::<u64>(&[], v, 0));
+            }
+        }
+        column.clear();
+        check_packed::<u64>(&column);
+    }
+
+    /// Arbitrary bytes — behind a small or arbitrary length and any width
+    /// byte — decode to a column or to `None`, never panic, and allocate
+    /// at most 8 times their length.
+    #[test]
+    fn arbitrary_bytes_decode_to_a_packed_column_or_none(
+        len in prop_oneof![0u64..24, any::<u64>()],
+        width in 0u8..12,
+        body in prop::collection::vec(any::<u8>(), 0..200),
+        raw in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut bytes = len.to_le_bytes().to_vec();
+        bytes.push(width);
+        bytes.extend_from_slice(&body);
+        for input in [&bytes[..], &raw[..]] {
+            check_hostile_packed::<u8>(input);
+            check_hostile_packed::<u16>(input);
+            check_hostile_packed::<u32>(input);
+            check_hostile_packed::<u64>(input);
+        }
+    }
+
+    /// Zigzag maps every signed integer to an unsigned one and back.
+    #[test]
+    fn zigzag_roundtrips(v in any::<i64>()) {
+        prop_assert_eq!(codec::unzigzag(codec::zigzag(v)), v);
+        // `v >= 0` maps to `2v`, `v < 0` to `2|v| - 1`.
+        prop_assert_eq!(codec::zigzag(v) / 2, v.unsigned_abs() - (v < 0) as u64);
+    }
+}
