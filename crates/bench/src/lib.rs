@@ -1340,7 +1340,7 @@ mod tests {
                 .map(|s| (s.triple, s.probability.map(f64::to_bits), s.fallback))
                 .collect();
             let deltas: Vec<u64> = output.round_deltas.iter().map(|d| d.to_bits()).collect();
-            (scored, deltas, output.n_provenances, output.stats)
+            (scored, deltas, output.n_provenances(), output.stats)
         };
         for workers in [1, 2, 8] {
             let opts = ReproOptions {

@@ -77,12 +77,12 @@ pub fn scenario_corpus(scale: &str, scenario: &str, seed: u64) -> Result<Corpus,
 /// Mean probability assigned to gold-True triples minus mean probability
 /// assigned to gold-False ones: a scale-free view of how well a method
 /// separates truth from error (the quantity behind the paper's Fig. 9
-/// ordering). Zero when a side is empty. `labels` is the gold label of
-/// each scored triple, in output order (a run's label column).
-pub fn separation(labels: &[Label], out: &kf_core::FusionOutput) -> f64 {
+/// ordering). Zero when a side is empty. `labels` and `probabilities`
+/// are a run's label and probability columns, both indexed by slot.
+pub fn separation(labels: &[Label], probabilities: &[Option<f64>]) -> f64 {
     let (mut st, mut nt, mut sf, mut nf) = (0.0, 0usize, 0.0, 0usize);
-    for (s, label) in out.scored.iter().zip(labels) {
-        let Some(p) = s.probability else { continue };
+    for (&p, label) in probabilities.iter().zip(labels) {
+        let Some(p) = p else { continue };
         match label {
             Label::True => {
                 st += p;
@@ -100,17 +100,17 @@ pub fn separation(labels: &[Label], out: &kf_core::FusionOutput) -> f64 {
 
 /// Accuracy of the labelled triples scored into `[lo, hi)` and how many
 /// there were. An empty band yields `(NaN, 0)` — callers must branch on
-/// the count before trusting the ratio. `labels` is read as in
+/// the count before trusting the ratio. The columns are read as in
 /// [`separation`].
 pub fn band_accuracy(
     labels: &[Label],
-    out: &kf_core::FusionOutput,
+    probabilities: &[Option<f64>],
     lo: f64,
     hi: f64,
 ) -> (f64, usize) {
     let (mut t, mut n) = (0usize, 0usize);
-    for (s, label) in out.scored.iter().zip(labels) {
-        let Some(p) = s.probability else { continue };
+    for (&p, label) in probabilities.iter().zip(labels) {
+        let Some(p) = p else { continue };
         if p < lo || p >= hi {
             continue;
         }
@@ -279,12 +279,13 @@ fn run_scenario_row(
     let diagnosis = crate::build_diagnosis_context(&opts, &corpus).expect("rows diagnose");
     let labels = &diagnosis.gold_labels;
     let cell = |preset: Preset, output: &FusionOutput, eval: MethodEval| {
-        let (hb, hn) = band_accuracy(labels, output, 0.9, 1.01);
+        let probabilities = output.scored.probabilities();
+        let (hb, hn) = band_accuracy(labels, probabilities, 0.9, 1.01);
         ScenarioCell {
             method: preset.name().to_string(),
             wdev: eval.wdev(),
             auc_pr: eval.auc_pr(),
-            separation: separation(labels, output),
+            separation: separation(labels, probabilities),
             high_band_accuracy: hb,
             high_band_n: hn,
             phenomenon_mass: eval.taxonomy.expect("rows diagnose").scenarios,
@@ -301,12 +302,11 @@ fn run_scenario_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kf_core::ScoredTriple;
     use kf_types::Triple;
 
-    /// Every gold triple (LCWA labels every value of a known item, so
-    /// these are all labelled), sorted for determinism.
-    fn gold_triples(corpus: &Corpus) -> Vec<Triple> {
+    /// Every gold triple's label (LCWA labels every value of a known
+    /// item, so none is unknown), in triple order.
+    fn gold_labels(corpus: &Corpus) -> Vec<Label> {
         let mut ts: Vec<Triple> = corpus
             .gold
             .iter()
@@ -317,73 +317,29 @@ mod tests {
             })
             .collect();
         ts.sort_unstable();
-        ts
-    }
-
-    fn output_of(scored: Vec<ScoredTriple>) -> FusionOutput {
-        FusionOutput {
-            scored,
-            outcome: kf_mapreduce::RoundOutcome::Converged {
-                rounds: 1,
-                delta: 0.0,
-            },
-            round_deltas: vec![0.0],
-            n_provenances: 0,
-            stats: Default::default(),
-        }
-    }
-
-    /// `out`'s gold labels, one probe per scored triple.
-    fn labels_of(corpus: &Corpus, out: &FusionOutput) -> Vec<Label> {
-        out.scored
-            .iter()
-            .map(|s| corpus.gold.label(&s.triple))
-            .collect()
-    }
-
-    fn synthetic_output(corpus: &Corpus, p: impl Fn(usize) -> Option<f64>) -> FusionOutput {
-        output_of(
-            gold_triples(corpus)
-                .into_iter()
-                .enumerate()
-                .map(|(i, triple)| ScoredTriple {
-                    triple,
-                    probability: p(i),
-                    n_provenances: 1,
-                    n_extractors: 1,
-                    n_pages: 1,
-                    fallback: false,
-                })
-                .collect(),
-        )
+        ts.iter().map(|t| corpus.gold.label(t)).collect()
     }
 
     #[test]
     fn band_accuracy_is_nan_on_an_empty_band() {
-        let corpus = Corpus::generate(&SynthConfig::tiny(), 3);
+        let labels = gold_labels(&Corpus::generate(&SynthConfig::tiny(), 3));
         // Every probability sits below the band.
-        let out = synthetic_output(&corpus, |_| Some(0.1));
-        let (acc, n) = band_accuracy(&labels_of(&corpus, &out), &out, 0.9, 1.01);
+        let (acc, n) = band_accuracy(&labels, &vec![Some(0.1); labels.len()], 0.9, 1.01);
         assert_eq!(n, 0, "no triple scores into [0.9, 1.01)");
         assert!(acc.is_nan(), "empty band must yield NaN, not a fake 0 or 1");
         // Unscored triples contribute to no band either.
-        let out = synthetic_output(&corpus, |_| None);
-        let (acc, n) = band_accuracy(&labels_of(&corpus, &out), &out, 0.0, 1.01);
+        let (acc, n) = band_accuracy(&labels, &vec![None; labels.len()], 0.0, 1.01);
         assert_eq!((n, acc.is_nan()), (0, true));
     }
 
     #[test]
     fn band_accuracy_counts_only_labelled_triples_in_range() {
-        let corpus = Corpus::generate(&SynthConfig::tiny(), 3);
-        let out = synthetic_output(&corpus, |_| Some(0.95));
-        let (acc, n) = band_accuracy(&labels_of(&corpus, &out), &out, 0.9, 1.01);
+        let labels = gold_labels(&Corpus::generate(&SynthConfig::tiny(), 3));
+        let (acc, n) = band_accuracy(&labels, &vec![Some(0.95); labels.len()], 0.9, 1.01);
         assert!(n > 0);
         // Every scored triple is gold-labelled, so the band accuracy is
         // the gold-True share of the labelled set.
-        let truth: Vec<bool> = gold_triples(&corpus)
-            .iter()
-            .filter_map(|t| corpus.gold.label(t).as_bool())
-            .collect();
+        let truth: Vec<bool> = labels.iter().filter_map(|l| l.as_bool()).collect();
         assert_eq!(n, truth.len());
         let expect = truth.iter().filter(|&&b| b).count() as f64 / truth.len() as f64;
         assert!((acc - expect).abs() < 1e-12);
@@ -391,28 +347,14 @@ mod tests {
 
     #[test]
     fn separation_is_positive_for_an_oracle_and_zero_for_empty_output() {
-        let corpus = Corpus::generate(&SynthConfig::tiny(), 3);
+        let labels = gold_labels(&Corpus::generate(&SynthConfig::tiny(), 3));
         // An oracle scoring gold-True at 1 and gold-False at 0 separates
         // perfectly.
-        let triples = gold_triples(&corpus);
-        let oracle = output_of(
-            triples
-                .iter()
-                .map(|&triple| ScoredTriple {
-                    triple,
-                    probability: corpus.gold.label(&triple).as_bool().map(f64::from),
-                    n_provenances: 1,
-                    n_extractors: 1,
-                    n_pages: 1,
-                    fallback: false,
-                })
-                .collect(),
-        );
-        assert!((separation(&labels_of(&corpus, &oracle), &oracle) - 1.0).abs() < 1e-12);
+        let oracle: Vec<Option<f64>> = labels.iter().map(|l| l.as_bool().map(f64::from)).collect();
+        assert!((separation(&labels, &oracle) - 1.0).abs() < 1e-12);
         // No scored triples: both sides empty, separation collapses to 0
         // instead of dividing by zero.
-        let empty = output_of(vec![]);
-        assert_eq!(separation(&[], &empty), 0.0);
+        assert_eq!(separation(&[], &[]), 0.0);
     }
 
     #[test]

@@ -54,8 +54,9 @@
 //!     ));
 //! }
 //! let out = Fuser::new(FusionConfig::popaccu()).run(&batch, None);
+//! // One unique triple: slot 0 of the run's probability column.
 //! assert_eq!(out.scored.len(), 1);
-//! assert!(out.scored[0].probability.unwrap() > 0.9);
+//! assert!(out.scored.probability(0).unwrap() > 0.9);
 //! ```
 
 pub mod config;
@@ -67,4 +68,4 @@ pub mod result;
 pub use config::{FusionConfig, InitAccuracy, Method};
 pub use observation::{Claims, Grouped, SlotTable};
 pub use pipeline::Fuser;
-pub use result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
+pub use result::{FusionOutput, ProvenanceAttribution, ScoredSlots, ScoredTriple};

@@ -248,6 +248,11 @@ impl SlotTable {
         self.item_offsets[i] as usize..self.item_offsets[i + 1] as usize
     }
 
+    /// The item owning `slot`: a binary search over the item offsets.
+    pub fn item_of(&self, slot: usize) -> usize {
+        self.item_offsets.partition_point(|&o| o as usize <= slot) - 1
+    }
+
     /// The triple in `slot`, whose data item is item `i`.
     pub fn triple(&self, i: usize, slot: usize) -> Triple {
         let item = self.items[i];

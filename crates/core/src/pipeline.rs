@@ -6,7 +6,8 @@
 //!   probability of (a sample of) its triples.
 //! * Iterate I ↔ II until convergence or `R` rounds (the paper forces
 //!   termination at `R = 5`), then
-//! * **Stage III** — output deduplicated scored triples.
+//! * **Stage III** — output each unique triple's probability: the run's
+//!   slot columns, moved into the output, not copied into rows.
 //!
 //! The paper partitions by data item and by provenance with a MapReduce
 //! shuffle per stage per round. Here the partitioning is done **once**,
@@ -29,7 +30,7 @@
 use crate::config::{FusionConfig, InitAccuracy, Method};
 use crate::methods;
 use crate::observation::{Claims, Grouped, SlotTable};
-use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
+use crate::result::{FusionOutput, ProvenanceAttribution, ScoredSlots};
 use kf_mapreduce::{run_tasks, IterativeDriver, JobStats, Reservoir};
 use kf_types::{hash, ExtractionBatch, GoldStandard, Label};
 use std::ops::Range;
@@ -92,9 +93,10 @@ impl Fuser {
 
     /// [`Fuser::run`] that also returns the per-value
     /// [`ProvenanceAttribution`] — which provenances support each scored
-    /// triple, with their final learned accuracies. Row `i` of the
-    /// attribution lines up with `scored[i]`. The error-taxonomy
-    /// classifiers (`kf-diagnose`) consume this.
+    /// triple, with their final learned accuracies. Output and
+    /// attribution hold one claim graph, so row `i` of the attribution is
+    /// slot `i` of `scored`. The error-taxonomy classifiers
+    /// (`kf-diagnose`) consume this.
     pub fn run_with_attribution(
         &self,
         batch: &ExtractionBatch,
@@ -125,8 +127,11 @@ impl Fuser {
     /// Output, attribution and `FusionOutput::stats` are exactly those of
     /// [`Fuser::run_with_attribution`] with that gold standard; the trace
     /// records the rounds only (a `fuse` span), the grouping job and the
-    /// labelling being their builders' to record. The attribution holds
-    /// `graph`, not a copy of it.
+    /// labelling being their builders' to record. Output and attribution
+    /// hold `graph`, not a copy of it: Stage III moves the run's
+    /// probability and fallback columns into the output, and a
+    /// [`ScoredTriple`](crate::ScoredTriple) row is read off them on
+    /// demand, never stored.
     pub fn run_prebuilt(
         &self,
         graph: &Arc<Grouped>,
@@ -188,28 +193,13 @@ impl Fuser {
             delta
         });
 
-        // ---- Stage III: deduplicated output --------------------------------
-        let mut scored = Vec::with_capacity(grouped.n_triples());
-        for i in 0..table.n_items() {
-            for slot in table.item_slots(i) {
-                scored.push(ScoredTriple {
-                    triple: table.triple(i, slot),
-                    probability: run.probs[slot],
-                    n_provenances: grouped.slot_provs(slot).len() as u32,
-                    n_extractors: table.n_extractors(slot),
-                    n_pages: table.n_pages(slot),
-                    fallback: run.fallback[slot],
-                });
-            }
-        }
-
+        // ---- Stage III: the run's slot columns, moved --------------------
         kf_telemetry::add("fuse.provenances", n as u64);
-        kf_telemetry::add("fuse.scored_triples", scored.len() as u64);
+        kf_telemetry::add("fuse.scored_triples", run.probs.len() as u64);
         let output = FusionOutput {
-            scored,
+            scored: ScoredSlots::new(Arc::clone(graph), run.probs, run.fallback),
             outcome,
             round_deltas,
-            n_provenances: n,
             stats,
         };
         let attribution = ProvenanceAttribution {
@@ -542,6 +532,7 @@ impl ItemScorer<'_> {
 mod tests {
     use super::*;
     use crate::config::{FusionConfig, InitAccuracy, Method};
+    use crate::result::ScoredTriple;
     use kf_mapreduce::MrConfig;
     use kf_types::{
         DataItem, EntityId, Extraction, ExtractorId, PageId, PatternId, PredicateId, Provenance,
@@ -620,7 +611,7 @@ mod tests {
         // Fig. 9's valley at exactly 0.8.
         let batch = ExtractionBatch::from_records(vec![ext(1, 1, 10, 0, 0)]);
         let out = seq(FusionConfig::popaccu()).run(&batch, None);
-        let p = out.scored[0].probability.unwrap();
+        let p = out.scored.probability(0).unwrap();
         assert!((p - 0.8).abs() < 1e-6, "got {p}");
     }
 
@@ -767,7 +758,7 @@ mod tests {
         })
         .run(&batch, Some(&gold));
         let b = seq(FusionConfig::popaccu()).run(&batch, None);
-        for (x, y) in a.scored.iter().zip(&b.scored) {
+        for (x, y) in a.scored.iter().zip(b.scored.iter()) {
             assert_eq!(x.probability, y.probability);
         }
     }
@@ -814,7 +805,7 @@ mod tests {
             })
             .run(&batch, None);
             assert_eq!(base.scored.len(), spilled.scored.len());
-            for (a, b) in base.scored.iter().zip(&spilled.scored) {
+            for (a, b) in base.scored.iter().zip(spilled.scored.iter()) {
                 assert_eq!(a.triple, b.triple);
                 assert_eq!(a.probability, b.probability, "for {:?}", a.triple);
                 assert_eq!(a.fallback, b.fallback);
@@ -847,15 +838,15 @@ mod tests {
         // Identical output to the plain run.
         let plain = fuser.run(&batch, None);
         assert_eq!(out.scored.len(), plain.scored.len());
-        for (a, b) in out.scored.iter().zip(&plain.scored) {
+        for (a, b) in out.scored.iter().zip(plain.scored.iter()) {
             assert_eq!(a.triple, b.triple);
             assert_eq!(a.probability, b.probability);
         }
-        // Row i attributes scored[i]: provenance count matches, extractor
+        // Row i attributes slot i of scored: provenance count matches, extractor
         // sets match the recorded n_extractors (ExtractorPage granularity
         // keeps the extractor in the key), accuracies are final values.
         assert_eq!(attribution.len(), out.scored.len());
-        assert_eq!(attribution.keys().len(), out.n_provenances);
+        assert_eq!(attribution.keys().len(), out.n_provenances());
         for (i, s) in out.scored.iter().enumerate() {
             assert_eq!(attribution.provs(i).len(), s.n_provenances as usize);
             assert_eq!(attribution.extractors(i).len(), s.n_extractors as usize);
@@ -864,6 +855,25 @@ mod tests {
         }
         // The iterative run must have evaluated at least one provenance.
         assert!(attribution.evaluated.iter().any(|&e| e));
+    }
+
+    /// Output and attribution hold one graph, and the output's rows are
+    /// read off it: `iter` yields one row per slot in canonical triple
+    /// order, and `get(s)` is its `s`-th row.
+    #[test]
+    fn scored_rows_are_read_off_the_shared_graph() {
+        let batch: ExtractionBatch = (0..1500)
+            .map(|i| ext(i % 60, i % 3, i % 5, (i % 6) as u16, i % 200))
+            .collect();
+        let (out, attribution) = seq(FusionConfig::popaccu()).run_with_attribution(&batch, None);
+        assert!(Arc::ptr_eq(out.scored.graph(), attribution.graph()));
+        let rows: Vec<ScoredTriple> = out.scored.iter().collect();
+        assert_eq!(rows.len(), out.scored.len());
+        assert!(rows.windows(2).all(|w| w[0].triple < w[1].triple));
+        for (slot, row) in rows.iter().enumerate() {
+            assert_eq!(out.scored.get(slot), Some(*row));
+        }
+        assert_eq!(out.scored.get(rows.len()), None);
     }
 
     /// A preset's trace does not depend on who grouped its batch: a
@@ -970,7 +980,7 @@ mod tests {
     fn empty_batch_yields_empty_output() {
         let out = seq(FusionConfig::popaccu()).run(&ExtractionBatch::new(), None);
         assert!(out.scored.is_empty());
-        assert_eq!(out.n_provenances, 0);
+        assert_eq!(out.n_provenances(), 0);
     }
 
     #[test]
@@ -986,7 +996,7 @@ mod tests {
         ] {
             let out = seq(cfg).run(&batch, None);
             assert_eq!(out.scored.len(), batch.unique_triples());
-            for s in &out.scored {
+            for s in out.scored.iter() {
                 if let Some(p) = s.probability {
                     assert!((0.0..=1.0).contains(&p), "{} out of range", p);
                 }
@@ -1003,7 +1013,7 @@ mod tests {
             let out = seq(FusionConfig::popaccu().with_method(m)).run(&batch, None);
             let mut by_item: std::collections::HashMap<DataItem, f64> =
                 std::collections::HashMap::new();
-            for s in &out.scored {
+            for s in out.scored.iter() {
                 if !s.fallback {
                     if let Some(p) = s.probability {
                         *by_item.entry(s.triple.data_item()).or_default() += p;

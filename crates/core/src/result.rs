@@ -5,7 +5,12 @@ use kf_mapreduce::{JobStats, RoundOutcome};
 use kf_types::{ExtractorId, FxHashMap, ProvenanceKey, Triple};
 use std::sync::Arc;
 
-/// One unique triple with its estimated truthfulness probability.
+/// One unique triple with its estimated truthfulness probability: a row
+/// read off a run's slot columns ([`ScoredSlots::iter`],
+/// [`ScoredSlots::get`]) on demand. Nothing stores it — the triple and
+/// its support counts live once in the claim graph and its
+/// [`SlotTable`](crate::SlotTable), the probability and fallback flag in
+/// the run's columns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredTriple {
     /// The triple.
@@ -26,34 +31,118 @@ pub struct ScoredTriple {
     pub fallback: bool,
 }
 
-/// The result of one fusion run.
+/// A fusion run's per-slot columns over the claim graph it fused: each
+/// slot's probability and fallback flag, indexed by slot. Slot order is
+/// canonical triple order (§4.2 Stage III: one row per unique triple).
+/// A row ([`ScoredTriple`]) is built from these columns and the graph
+/// only when asked for.
+#[derive(Debug, Clone)]
+pub struct ScoredSlots {
+    /// The claim graph the run fused over.
+    graph: Arc<Grouped>,
+    /// Per slot: the probability, `None` when unpredicted.
+    probability: Vec<Option<f64>>,
+    /// Per slot: whether the probability is the mean-accuracy fallback.
+    fallback: Vec<bool>,
+}
+
+impl ScoredSlots {
+    /// The columns of a run over `graph`: one probability and one
+    /// fallback flag per slot.
+    pub fn new(graph: Arc<Grouped>, probability: Vec<Option<f64>>, fallback: Vec<bool>) -> Self {
+        let n = graph.n_triples();
+        assert_eq!(probability.len(), n, "one probability per slot");
+        assert_eq!(fallback.len(), n, "one fallback flag per slot");
+        ScoredSlots {
+            graph,
+            probability,
+            fallback,
+        }
+    }
+
+    /// Number of scored triples (slots).
+    pub fn len(&self) -> usize {
+        self.probability.len()
+    }
+
+    /// True when nothing was scored.
+    pub fn is_empty(&self) -> bool {
+        self.probability.is_empty()
+    }
+
+    /// The claim graph the run fused over.
+    pub fn graph(&self) -> &Arc<Grouped> {
+        &self.graph
+    }
+
+    /// The probability column, in slot order.
+    pub fn probabilities(&self) -> &[Option<f64>] {
+        &self.probability
+    }
+
+    /// `slot`'s probability, `None` when unpredicted.
+    pub fn probability(&self, slot: usize) -> Option<f64> {
+        self.probability[slot]
+    }
+
+    /// Whether `slot`'s probability is the mean-accuracy fallback.
+    pub fn fallback(&self, slot: usize) -> bool {
+        self.fallback[slot]
+    }
+
+    /// The row of `slot`, `None` past the last slot.
+    pub fn get(&self, slot: usize) -> Option<ScoredTriple> {
+        (slot < self.len()).then(|| self.row(self.graph.table().item_of(slot), slot))
+    }
+
+    /// Every row, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = ScoredTriple> + '_ {
+        let table = self.graph.table();
+        (0..table.n_items()).flat_map(move |i| table.item_slots(i).map(move |s| self.row(i, s)))
+    }
+
+    /// The row of `slot`, whose data item is item `i`.
+    fn row(&self, i: usize, slot: usize) -> ScoredTriple {
+        let table = self.graph.table();
+        ScoredTriple {
+            triple: table.triple(i, slot),
+            probability: self.probability[slot],
+            n_provenances: self.graph.slot_provs(slot).len() as u32,
+            n_extractors: table.n_extractors(slot),
+            n_pages: table.n_pages(slot),
+            fallback: self.fallback[slot],
+        }
+    }
+}
+
+/// The result of one fusion run: what the run alone knows — its slot
+/// columns over the graph it fused — and how the iteration went.
 #[derive(Debug, Clone)]
 pub struct FusionOutput {
-    /// Scored unique triples, sorted by data item.
-    pub scored: Vec<ScoredTriple>,
+    /// The scored unique triples, as slot columns over the run's graph.
+    pub scored: ScoredSlots,
     /// How the iteration terminated.
     pub outcome: RoundOutcome,
     /// Mean absolute provenance-accuracy change after each round.
     pub round_deltas: Vec<f64>,
-    /// Number of provenances at the configured granularity.
-    pub n_provenances: usize,
     /// Merged MapReduce counters across all stages and rounds.
     pub stats: JobStats,
 }
 
 impl FusionOutput {
+    /// Number of provenances at the configured granularity.
+    pub fn n_provenances(&self) -> usize {
+        self.scored.graph.n_provenances()
+    }
+
     /// Fraction of triples with a predicted probability (the paper reports
     /// 91.8% → 99.4% across refinement settings).
     pub fn predicted_fraction(&self) -> f64 {
-        if self.scored.is_empty() {
+        let probabilities = self.scored.probabilities();
+        if probabilities.is_empty() {
             return 0.0;
         }
-        let predicted = self
-            .scored
-            .iter()
-            .filter(|s| s.probability.is_some())
-            .count();
-        predicted as f64 / self.scored.len() as f64
+        probabilities.iter().flatten().count() as f64 / probabilities.len() as f64
     }
 
     /// Look-up table from triple to probability.
@@ -63,37 +152,22 @@ impl FusionOutput {
             .filter_map(|s| s.probability.map(|p| (s.triple, p)))
             .collect()
     }
-
-    /// Triples with probability ≥ `threshold` ("trust them and use them
-    /// directly", §3.2.2).
-    pub fn accepted(&self, threshold: f64) -> impl Iterator<Item = &ScoredTriple> {
-        self.scored
-            .iter()
-            .filter(move |s| s.probability.is_some_and(|p| p >= threshold))
-    }
-
-    /// Triples with probability < `threshold` (candidate negative training
-    /// examples, §3.2.2).
-    pub fn rejected(&self, threshold: f64) -> impl Iterator<Item = &ScoredTriple> {
-        self.scored
-            .iter()
-            .filter(move |s| s.probability.is_some_and(|p| p < threshold))
-    }
 }
 
 /// Per-value provenance attribution: which provenances (at the run's
 /// granularity) support each scored triple, with their *final* learned
 /// accuracies.
 ///
-/// [`FusionOutput`] deliberately keeps only support counts per triple; the
+/// [`FusionOutput`] deliberately keeps only the run's slot columns; the
 /// error-taxonomy classifiers of `kf-diagnose` additionally need to know
 /// *who* supports a high-confidence false positive (one extractor on many
 /// pages is the systematic-error signature) and how much the fusion ended
 /// up trusting that support. Obtain one from
 /// [`Fuser::run_with_attribution`](crate::Fuser::run_with_attribution) or
 /// [`Fuser::run_prebuilt`](crate::Fuser::run_prebuilt): it holds the
-/// claim graph the run fused over, shared rather than copied, so index `i`
-/// lines up with `FusionOutput::scored[i]` and building it costs nothing.
+/// claim graph the run fused over — the same `Arc` as its output's
+/// [`ScoredSlots::graph`] — so index `i` is slot `i` of
+/// `FusionOutput::scored` and building it costs nothing.
 #[derive(Debug, Clone)]
 pub struct ProvenanceAttribution {
     /// The claim graph the run fused over.
@@ -105,6 +179,11 @@ pub struct ProvenanceAttribution {
 }
 
 impl ProvenanceAttribution {
+    /// The claim graph the run fused over.
+    pub fn graph(&self) -> &Arc<Grouped> {
+        &self.graph
+    }
+
     /// Provenance keys, indexed by dense provenance id.
     pub fn keys(&self) -> &[ProvenanceKey] {
         self.graph.keys()
@@ -155,76 +234,62 @@ impl ProvenanceAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kf_types::{EntityId, PredicateId, Value};
+    use crate::{Fuser, FusionConfig};
+    use kf_mapreduce::MrConfig;
+    use kf_types::{
+        EntityId, Extraction, ExtractionBatch, Granularity, PageId, PatternId, PredicateId,
+        Provenance, SiteId, Value,
+    };
 
-    fn st(s: u32, p: f64) -> ScoredTriple {
-        ScoredTriple {
-            triple: Triple::new(EntityId(s), PredicateId(0), Value::Entity(EntityId(0))),
-            probability: Some(p),
-            n_provenances: 1,
-            n_extractors: 1,
-            n_pages: 1,
-            fallback: false,
-        }
+    /// Extractor `extractor` claims object `object` of item (1, 0) on
+    /// `page`.
+    fn claim(object: u32, extractor: u16, page: u32) -> Extraction {
+        Extraction::new(
+            Triple::new(EntityId(1), PredicateId(0), Value::Entity(EntityId(object))),
+            Provenance::new(
+                ExtractorId(extractor),
+                PageId(page),
+                SiteId(0),
+                PatternId::NONE,
+            ),
+        )
     }
 
-    fn output(scored: Vec<ScoredTriple>) -> FusionOutput {
-        FusionOutput {
-            scored,
-            outcome: RoundOutcome::Converged {
-                rounds: 1,
-                delta: 0.0,
-            },
-            round_deltas: vec![0.0],
-            n_provenances: 0,
-            stats: JobStats::default(),
-        }
+    /// A VOTE run over `batch`.
+    fn fused(batch: &[Extraction]) -> FusionOutput {
+        let batch = ExtractionBatch::from_records(batch.to_vec());
+        Fuser::new(FusionConfig::vote()).run(&batch, None)
     }
 
     #[test]
     fn predicted_fraction_counts_nones() {
-        let mut missing = st(3, 0.0);
-        missing.probability = None;
-        let out = output(vec![st(1, 0.9), st(2, 0.2), missing]);
+        let mut out = fused(&[claim(7, 0, 10), claim(8, 0, 11), claim(9, 2, 12)]);
+        let graph = Arc::clone(out.scored.graph());
+        out.scored = ScoredSlots::new(graph, vec![Some(0.9), Some(0.2), None], vec![false; 3]);
         assert!((out.predicted_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(out.probability_map().len(), 2);
     }
 
     #[test]
-    fn accept_reject_partition() {
-        let out = output(vec![st(1, 0.95), st(2, 0.5), st(3, 0.05)]);
-        let accepted: Vec<u32> = out.accepted(0.9).map(|s| s.triple.subject.0).collect();
-        let rejected: Vec<u32> = out.rejected(0.1).map(|s| s.triple.subject.0).collect();
-        assert_eq!(accepted, vec![1]);
-        assert_eq!(rejected, vec![3]);
+    fn empty_output() {
+        let out = fused(&[]);
+        assert_eq!(out.predicted_fraction(), 0.0);
+        assert!(out.probability_map().is_empty());
+        assert_eq!(out.scored.iter().count(), 0);
+        assert_eq!(out.scored.get(0), None);
     }
 
     #[test]
-    fn empty_output() {
-        let out = output(vec![]);
-        assert_eq!(out.predicted_fraction(), 0.0);
-        assert!(out.probability_map().is_empty());
+    #[should_panic(expected = "one probability per slot")]
+    fn scored_slots_need_one_probability_per_slot() {
+        let out = fused(&[claim(7, 0, 10), claim(8, 0, 11)]);
+        ScoredSlots::new(Arc::clone(out.scored.graph()), vec![None], vec![false; 2]);
     }
 
     #[test]
     fn attribution_indexing_and_extractor_dedup() {
-        use kf_mapreduce::MrConfig;
-        use kf_types::{
-            Extraction, ExtractorId, Granularity, PageId, PatternId, Provenance, SiteId,
-        };
         // Three provenances: extractor 0 on two pages, extractor 2 on one;
         // the first triple is claimed by all three, the second by the last.
-        let claim = |object: u32, extractor: u16, page: u32| {
-            Extraction::new(
-                Triple::new(EntityId(1), PredicateId(0), Value::Entity(EntityId(object))),
-                Provenance::new(
-                    ExtractorId(extractor),
-                    PageId(page),
-                    SiteId(0),
-                    PatternId::NONE,
-                ),
-            )
-        };
         let batch = [
             claim(7, 0, 10),
             claim(7, 0, 11),

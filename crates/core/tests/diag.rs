@@ -49,7 +49,7 @@ fn diag_bands() {
         let out = Fuser::new(cfg).run(&c.batch, if with_gold { Some(&c.gold) } else { None });
         let mut bands = [(0usize, 0usize); 10];
         let (mut st, mut nt, mut sf, mut nf) = (0.0, 0usize, 0.0, 0usize);
-        for s in &out.scored {
+        for s in out.scored.iter() {
             let Some(p) = s.probability else { continue };
             let b = ((p * 10.0) as usize).min(9);
             match c.gold.label(&s.triple) {

@@ -15,7 +15,7 @@ fn corpus() -> Corpus {
 fn band_accuracy(corpus: &Corpus, out: &kf_core::FusionOutput, lo: f64, hi: f64) -> Option<f64> {
     let mut t = 0usize;
     let mut n = 0usize;
-    for s in &out.scored {
+    for s in out.scored.iter() {
         let Some(p) = s.probability else { continue };
         if p < lo || p >= hi {
             continue;
@@ -52,12 +52,12 @@ fn fusing_a_loaded_checkpoint_equals_fusing_the_generated_corpus() {
         let out_gen = Fuser::new(cfg).run(&generated.batch, gold.then_some(&generated.gold));
         let out_load = Fuser::new(cfg).run(&loaded.batch, gold.then_some(&loaded.gold));
         assert_eq!(out_gen.scored.len(), out_load.scored.len());
-        for (a, b) in out_gen.scored.iter().zip(&out_load.scored) {
+        for (a, b) in out_gen.scored.iter().zip(out_load.scored.iter()) {
             assert_eq!(a.triple, b.triple);
             assert_eq!(a.probability, b.probability, "triple {:?}", a.triple);
         }
         assert_eq!(out_gen.round_deltas, out_load.round_deltas);
-        assert_eq!(out_gen.n_provenances, out_load.n_provenances);
+        assert_eq!(out_gen.n_provenances(), out_load.n_provenances());
     }
 }
 
@@ -101,7 +101,7 @@ fn accu_and_popaccu_beat_vote_on_monotonicity() {
     let separation = |m: Method| {
         let out = Fuser::new(FusionConfig::popaccu().with_method(m)).run(&c.batch, None);
         let (mut st, mut nt, mut sf, mut nf) = (0.0, 0usize, 0.0, 0usize);
-        for s in &out.scored {
+        for s in out.scored.iter() {
             let Some(p) = s.probability else { continue };
             match c.gold.label(&s.triple) {
                 Label::True => {
@@ -152,16 +152,16 @@ fn finer_granularity_changes_provenance_count() {
     )
     .run(&c.batch, None);
     assert!(
-        site.n_provenances < page.n_provenances,
+        site.n_provenances() < page.n_provenances(),
         "site-level must merge provenances: {} vs {}",
-        site.n_provenances,
-        page.n_provenances
+        site.n_provenances(),
+        page.n_provenances()
     );
     assert!(
-        fine.n_provenances > site.n_provenances,
+        fine.n_provenances() > site.n_provenances(),
         "predicate+pattern split must refine: {} vs {}",
-        fine.n_provenances,
-        site.n_provenances
+        fine.n_provenances(),
+        site.n_provenances()
     );
 }
 
@@ -192,7 +192,7 @@ fn fusion_is_deterministic_across_runs_and_workers() {
     let a = run(1);
     let b = run(8);
     assert_eq!(a.scored.len(), b.scored.len());
-    for (x, y) in a.scored.iter().zip(&b.scored) {
+    for (x, y) in a.scored.iter().zip(b.scored.iter()) {
         assert_eq!(x.triple, y.triple);
         match (x.probability, y.probability) {
             (Some(p), Some(q)) => assert!((p - q).abs() < 1e-12),

@@ -189,6 +189,9 @@ fn assert_matches_claims_oracle(claims: &Claims, batch: &[Extraction]) {
 struct Fused {
     /// Per triple in canonical order: probability bits, fallback flag.
     scored: Vec<(Triple, Option<u64>, bool)>,
+    /// Per triple in canonical order: provenances at the run's
+    /// granularity, distinct extractors, distinct pages.
+    support: Vec<(u32, u16, u32)>,
     /// Per provenance in key order: final accuracy bits, evaluated flag.
     provenances: Vec<(ProvenanceKey, u64, bool)>,
     rounds: usize,
@@ -398,7 +401,30 @@ fn oracle(batch: &[Extraction], cfg: &FusionConfig, gold: Option<&GoldStandard>)
         }
     }
 
+    // The support counts, from the raw provenances' own group-by.
+    let mut raw: BTreeMap<Triple, BTreeSet<Provenance>> = BTreeMap::new();
+    for e in batch {
+        raw.entry(e.triple).or_default().insert(e.provenance);
+    }
+    let support = claims
+        .iter()
+        .flat_map(|(item, values)| {
+            let raw = &raw;
+            values.iter().map(move |(value, keys)| {
+                let provs = &raw[&Triple::new(item.subject, item.predicate, *value)];
+                let extractors: BTreeSet<ExtractorId> = provs.iter().map(|p| p.extractor).collect();
+                let pages: BTreeSet<PageId> = provs.iter().map(|p| p.page).collect();
+                (
+                    keys.len() as u32,
+                    extractors.len() as u16,
+                    pages.len() as u32,
+                )
+            })
+        })
+        .collect();
+
     Fused {
+        support,
         scored: probs
             .into_iter()
             .map(|((item, value), (p, fallback))| {
@@ -423,6 +449,11 @@ fn fused(batch: &[Extraction], cfg: FusionConfig, gold: Option<&GoldStandard>) -
             .scored
             .iter()
             .map(|s| (s.triple, s.probability.map(f64::to_bits), s.fallback))
+            .collect(),
+        support: out
+            .scored
+            .iter()
+            .map(|s| (s.n_provenances, s.n_extractors, s.n_pages))
             .collect(),
         provenances: (0..attribution.keys().len())
             .map(|p| {

@@ -171,8 +171,8 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     }
 
     /// Classify `output`'s high-band false positives and assemble the
-    /// taxonomy. Contiguous ranges of `output.scored` are classified on
-    /// [`run_tasks`]; their in-scope rows then fold in slot order into
+    /// taxonomy. Contiguous slot ranges of `output.scored` are classified
+    /// on [`run_tasks`]; their in-scope rows then fold in slot order into
     /// the report, so it does not depend on the worker count. The
     /// returned [`JobStats`] describe a map-only pass: `map_input` is the
     /// number of scored triples, `map_output` the number classified (the
@@ -214,9 +214,11 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
         (report, stats)
     }
 
-    /// The in-scope rows of `output.scored[range]`, in slot order: the
-    /// labelled triples with a finite probability at or above the lowest
-    /// band edge, each false positive classified.
+    /// The in-scope rows of `output.scored`'s slots `range`, in slot
+    /// order: the labelled triples with a finite probability at or above
+    /// the lowest band edge, each false positive classified. A slot's
+    /// triple is read off the graph only once its probability is in
+    /// scope.
     fn classify_range(
         &self,
         output: &FusionOutput,
@@ -225,14 +227,16 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     ) -> Vec<Row> {
         let mut rows = Vec::new();
         for slot in range {
-            let s = &output.scored[slot];
-            let Some(p) = s.probability else { continue };
+            let Some(p) = output.scored.probability(slot) else {
+                continue;
+            };
             // Non-finite probabilities (a hand-built FusionOutput; fusion
             // never produces them) cannot be banded — out of scope, like
             // sub-threshold triples.
             if !p.is_finite() || p < edges[0] {
                 continue;
             }
+            let s = output.scored.get(slot).expect("a slot of the output");
             let Some(is_true) = self.gold.label(&s.triple).as_bool() else {
                 continue;
             };
@@ -296,7 +300,7 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
                 continue;
             };
             band.counts.add(cat, 1);
-            let s = &output.scored[row.slot];
+            let s = output.scored.get(row.slot).expect("a slot of the output");
             predicates
                 .entry(s.triple.predicate.raw())
                 .or_default()
@@ -375,7 +379,7 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
 /// An in-scope scored triple: labelled, with a finite probability at or
 /// above the lowest band edge.
 struct Row {
-    /// Index into `FusionOutput::scored`.
+    /// The slot of `FusionOutput::scored`.
     slot: usize,
     band: usize,
     /// The heuristic category of a false positive; `None` for a true one.
@@ -402,8 +406,9 @@ fn groups<K>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kf_core::{Fuser, FusionConfig};
+    use kf_core::{Fuser, FusionConfig, ScoredSlots};
     use kf_synth::{Corpus, SynthConfig};
+    use std::sync::Arc;
 
     fn diagnose_tiny(seed: u64) -> (Corpus, TaxonomyReport) {
         let corpus = Corpus::generate(&SynthConfig::tiny(), seed);
@@ -437,7 +442,7 @@ mod tests {
         let edges = [0.8, 0.9];
         let mut labelled = [0u64; 2];
         let mut true_count = [0u64; 2];
-        for s in &output.scored {
+        for s in output.scored.iter() {
             let Some(p) = s.probability else { continue };
             if p < edges[0] {
                 continue;
@@ -577,16 +582,22 @@ mod tests {
 
     #[test]
     fn non_finite_probabilities_are_skipped_not_banded() {
-        // All ScoredTriple fields are public, so a hand-built output can
-        // carry a NaN probability; it must fall out of scope instead of
-        // underflowing the band index.
+        // A hand-built probability column can carry a NaN; it must fall
+        // out of scope instead of underflowing the band index.
         let corpus = Corpus::generate(&SynthConfig::tiny(), 4);
         let (support, _) = SupportIndex::build(&corpus.batch.records, &MrConfig::sequential());
         let mut output =
             Fuser::new(FusionConfig::popaccu().with_workers(2)).run(&corpus.batch, None);
         let (finite, _) = Diagnoser::new(&corpus.gold, &corpus.world, &support).run(&output);
-        output.scored[0].probability = Some(f64::NAN);
-        output.scored[1].probability = Some(f64::INFINITY);
+        let mut poisoned = output.scored.probabilities().to_vec();
+        poisoned[0] = Some(f64::NAN);
+        poisoned[1] = Some(f64::INFINITY);
+        let fallback = (0..poisoned.len()).map(|s| output.scored.fallback(s));
+        output.scored = ScoredSlots::new(
+            Arc::clone(output.scored.graph()),
+            poisoned,
+            fallback.collect(),
+        );
         let (report, _) = Diagnoser::new(&corpus.gold, &corpus.world, &support).run(&output);
         // The two poisoned rows contribute nothing; everything else is
         // unchanged, so the labelled mass drops by at most 2.

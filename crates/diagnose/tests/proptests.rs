@@ -52,7 +52,7 @@ proptest! {
         // Independent sequential count of the diagnosed population.
         let mut expect_labelled = 0u64;
         let mut expect_fps = 0u64;
-        for s in &output.scored {
+        for s in output.scored.iter() {
             let Some(p) = s.probability else { continue };
             if p < floor {
                 continue;

@@ -150,8 +150,8 @@ impl AblationRunner {
     }
 
     /// Evaluate an output fused without shared claims as `preset`: label
-    /// its triples against `gold` (one probe each; the output is in slot
-    /// order, so this is the label column of its claims) and evaluate as
+    /// its graph's slots against `gold` ([`SlotTable::labels`](kf_core::SlotTable::labels),
+    /// one probe per data item) and evaluate as
     /// [`fuse_preset`](Self::fuse_preset) does. The `eval` span covers the
     /// labelling too.
     pub fn evaluate(
@@ -162,11 +162,7 @@ impl AblationRunner {
         fuse_ms: f64,
     ) -> MethodEval {
         let _eval = kf_telemetry::span("eval");
-        let labels: Vec<Label> = output
-            .scored
-            .iter()
-            .map(|s| gold.label(&s.triple))
-            .collect();
+        let labels = output.scored.graph().table().labels(gold);
         self.evaluate_against(preset, output, &labels, fuse_ms)
     }
 
@@ -182,7 +178,7 @@ impl AblationRunner {
         evaluate_labeled(
             preset.name(),
             preset.label(),
-            &LabeledOutput::new(output, labels),
+            &LabeledOutput::new(output.scored.probabilities(), labels),
             output.predicted_fraction(),
             self.n_bins,
             &self.ks,

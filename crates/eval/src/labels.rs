@@ -7,7 +7,6 @@
 //! predicted subset; the sizes of the excluded subsets are reported so a
 //! method cannot look better by predicting less.
 
-use kf_core::FusionOutput;
 use kf_types::Label;
 
 /// A fusion output joined with its gold labels: the label counts and the
@@ -30,26 +29,26 @@ pub struct LabeledOutput {
 }
 
 impl LabeledOutput {
-    /// Join `output` with `labels`, the gold label of each scored triple in
-    /// output order — for a run over claims, their label column
-    /// (`SlotTable::labels`), since `output.scored` is in slot order.
-    pub fn new(output: &FusionOutput, labels: &[Label]) -> LabeledOutput {
+    /// Join a run's `probabilities` with `labels`, both indexed by slot:
+    /// the output's probability column (`ScoredSlots::probabilities`) and
+    /// its claims' label column (`SlotTable::labels`).
+    pub fn new(probabilities: &[Option<f64>], labels: &[Label]) -> LabeledOutput {
         assert_eq!(
             labels.len(),
-            output.scored.len(),
+            probabilities.len(),
             "one label per scored triple"
         );
         let mut out = LabeledOutput {
-            n_scored: output.scored.len(),
+            n_scored: probabilities.len(),
             ..Default::default()
         };
-        for (s, &label) in output.scored.iter().zip(labels) {
+        for (&probability, &label) in probabilities.iter().zip(labels) {
             match label {
                 Label::True => out.n_true += 1,
                 Label::False => out.n_false += 1,
                 Label::Unknown => out.n_unknown += 1,
             }
-            match (s.probability, label.as_bool()) {
+            match (probability, label.as_bool()) {
                 (Some(p), Some(is_true)) => out.predictions.push((p, is_true)),
                 (None, Some(_)) => out.n_unpredicted += 1,
                 (_, None) => {}
@@ -93,63 +92,13 @@ impl LabeledOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kf_core::ScoredTriple;
-    use kf_mapreduce::{JobStats, RoundOutcome};
-    use kf_types::{DataItem, EntityId, GoldStandard, PredicateId, Triple, Value};
-
-    fn triple(s: u32, o: u32) -> Triple {
-        Triple::new(EntityId(s), PredicateId(0), Value::Entity(EntityId(o)))
-    }
-
-    fn scored(s: u32, o: u32, p: Option<f64>) -> ScoredTriple {
-        ScoredTriple {
-            triple: triple(s, o),
-            probability: p,
-            n_provenances: 1,
-            n_extractors: 1,
-            n_pages: 1,
-            fallback: false,
-        }
-    }
-
-    fn output(scored_triples: Vec<ScoredTriple>) -> FusionOutput {
-        FusionOutput {
-            scored: scored_triples,
-            outcome: RoundOutcome::Converged {
-                rounds: 1,
-                delta: 0.0,
-            },
-            round_deltas: vec![],
-            n_provenances: 0,
-            stats: JobStats::default(),
-        }
-    }
-
-    fn gold() -> GoldStandard {
-        // Item (1, 0) accepts object 10 only.
-        let mut g = GoldStandard::new();
-        g.insert(
-            DataItem::new(EntityId(1), PredicateId(0)),
-            Value::Entity(EntityId(10)),
-        );
-        g
-    }
-
-    /// `out` joined with `gold()`, one probe per scored triple.
-    fn labelled(out: &FusionOutput) -> LabeledOutput {
-        let labels: Vec<Label> = out.scored.iter().map(|s| gold().label(&s.triple)).collect();
-        LabeledOutput::new(out, &labels)
-    }
 
     #[test]
     fn labels_and_counts() {
-        let out = output(vec![
-            scored(1, 10, Some(0.9)), // true
-            scored(1, 11, Some(0.2)), // false
-            scored(2, 10, Some(0.5)), // unknown item
-            scored(1, 12, None),      // false, unpredicted
-        ]);
-        let l = labelled(&out);
+        let l = LabeledOutput::new(
+            &[Some(0.9), Some(0.2), Some(0.5), None],
+            &[Label::True, Label::False, Label::Unknown, Label::False],
+        );
         assert_eq!(l.n_true, 1);
         assert_eq!(l.n_false, 2);
         assert_eq!(l.n_unknown, 1);
@@ -161,18 +110,16 @@ mod tests {
 
     #[test]
     fn predictions_exclude_unknown_and_unpredicted() {
-        let out = output(vec![
-            scored(1, 10, Some(0.9)),
-            scored(2, 10, Some(0.5)),
-            scored(1, 12, None),
-        ]);
-        let labeled = labelled(&out);
+        let labeled = LabeledOutput::new(
+            &[Some(0.9), Some(0.5), None],
+            &[Label::True, Label::Unknown, Label::False],
+        );
         assert_eq!(labeled.predictions(), [(0.9, true)]);
     }
 
     #[test]
     fn empty_output_is_all_zeros() {
-        let l = labelled(&output(vec![]));
+        let l = LabeledOutput::new(&[], &[]);
         assert_eq!(l.n_labelled(), 0);
         assert_eq!(l.coverage(), 0.0);
         assert_eq!(l.base_rate(), 0.0);

@@ -57,6 +57,7 @@ use kf_types::codec::{
 use kf_types::{EntityId, GoldStandard, KvCodec, Label, Triple, Value};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Options for building a [`FusedKb`] from a corpus snapshot.
 #[derive(Debug, Clone)]
@@ -272,7 +273,10 @@ impl FusedKb {
     /// Compile a KB from an already-fused output and its evaluation, with
     /// no fusion of its own. [`build_from_corpus`](Self::build_from_corpus)
     /// ends here after fusing and evaluating the preset, and the repo
-    /// benchmark's publish cycle calls it directly.
+    /// benchmark's publish cycle calls it directly. `attribution` is the
+    /// run's own (it holds `output`'s graph; anything else panics). The
+    /// served rows are the predicted slots in slot order, labelled against
+    /// `gold` in one pass over the slot table.
     pub fn compile_from_parts(
         corpus: CorpusSummary,
         method: &MethodEval,
@@ -283,13 +287,17 @@ impl FusedKb {
     ) -> FusedKb {
         let _span = span("serve.compile.index");
         let scored = &output.scored;
+        let graph = scored.graph();
+        assert!(
+            Arc::ptr_eq(graph, attribution.graph()),
+            "an output compiles with its own run's attribution"
+        );
+        let table = graph.table();
+        let labels = table.labels(gold);
 
-        // Keep predicted triples only, in canonical triple order.
-        let mut kept: Vec<u32> = (0..scored.len() as u32)
-            .filter(|&i| scored[i as usize].probability.is_some())
-            .collect();
-        kept.sort_unstable_by(|&a, &b| scored[a as usize].triple.cmp(&scored[b as usize].triple));
-        let n = kept.len();
+        // Keep predicted triples only: the predicted slots, in slot order,
+        // which is canonical triple order.
+        let n = scored.probabilities().iter().flatten().count();
         let n_dropped = (scored.len() - n) as u64;
         add("serve.build.triples", n as u64);
         add("serve.build.dropped", n_dropped);
@@ -327,44 +335,35 @@ impl FusedKb {
             curve: StoredCurve(method.calibration_width.clone()),
         };
 
-        let attributed = !scored.is_empty() && attribution.len() == scored.len();
         kb.prov_offsets.push(0);
-        for (row, &orig) in kept.iter().enumerate() {
-            let st = &scored[orig as usize];
-            let t = st.triple;
-            let (tag, payload) = value_columns(t.object);
-            kb.subjects.push(t.subject.0);
-            kb.predicates.push(t.predicate.0);
-            kb.obj_tags.push(tag);
-            kb.obj_payloads.push(payload);
-            let p = st.probability.expect("kept rows are predicted");
-            kb.raw.push(p);
-            kb.calibrated.push(calibrate(&method.calibration_width, p));
-            kb.labels.push(label_tag(gold.label(&t)));
-            kb.pages.push(st.n_pages);
-            kb.extractor_counts.push(st.n_extractors);
-            kb.fallback.push(st.fallback as u8);
-
-            // Item index: a new run starts whenever (subject, predicate)
-            // changes; canonical order makes runs contiguous.
-            let new_item = row == 0
-                || (t.subject.0, t.predicate.0) != (kb.subjects[row - 1], kb.predicates[row - 1]);
-            if new_item {
-                if row > 0 {
-                    kb.item_offsets.push(row as u32);
-                }
-                kb.item_subjects.push(t.subject.0);
-                kb.item_predicates.push(t.predicate.0);
+        for i in 0..table.n_items() {
+            let start = kb.subjects.len();
+            for slot in table.item_slots(i) {
+                let Some(p) = scored.probability(slot) else {
+                    continue;
+                };
+                let t = table.triple(i, slot);
+                let (tag, payload) = value_columns(t.object);
+                kb.subjects.push(t.subject.0);
+                kb.predicates.push(t.predicate.0);
+                kb.obj_tags.push(tag);
+                kb.obj_payloads.push(payload);
+                kb.raw.push(p);
+                kb.calibrated.push(calibrate(&method.calibration_width, p));
+                kb.labels.push(label_tag(labels[slot]));
+                kb.pages.push(table.n_pages(slot));
+                kb.extractor_counts.push(table.n_extractors(slot));
+                kb.fallback.push(scored.fallback(slot) as u8);
+                kb.prov_ids.extend_from_slice(attribution.provs(slot));
+                kb.prov_offsets.push(kb.prov_ids.len() as u32);
             }
-
-            if attributed {
-                kb.prov_ids
-                    .extend_from_slice(attribution.provs(orig as usize));
+            // Item index: one run per item with a kept row.
+            if kb.subjects.len() > start {
+                let item = table.item(i);
+                kb.item_subjects.push(item.subject.0);
+                kb.item_predicates.push(item.predicate.0);
+                kb.item_offsets.push(kb.subjects.len() as u32);
             }
-            kb.prov_offsets.push(kb.prov_ids.len() as u32);
-        }
-        if n > 0 {
-            kb.item_offsets.push(n as u32);
         }
         add("serve.build.provs", kb.prov_ids.len() as u64);
 
@@ -786,10 +785,12 @@ impl KvCodec for FusedKb {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use kf_core::{Fuser, ScoredTriple};
+    use kf_core::Fuser;
     use kf_eval::{Binning, CalibrationBin};
     use kf_synth::SynthConfig;
-    use kf_types::{Numeric, PredicateId, StrId};
+    use kf_types::{
+        Extraction, ExtractorId, Numeric, PageId, PatternId, PredicateId, Provenance, SiteId, StrId,
+    };
 
     fn fixture() -> FusedKb {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 9);
@@ -949,25 +950,18 @@ pub(crate) mod tests {
         assert_eq!(value_columns(Value::Num(Numeric(-1))).0, NUM_TAG);
     }
 
-    /// A KB serving exactly `triples` (unattributed, every probability
-    /// 0.5): the hand-made fixture for edge-case keys.
+    /// A KB serving exactly `triples`: VOTE over a batch that extracts
+    /// each of them once, from one provenance. The fixture for edge-case
+    /// keys.
     pub(crate) fn kb_serving(triples: &[Triple]) -> FusedKb {
         let corpus = Corpus::generate(&SynthConfig::tiny(), 5);
-        let scored = triples.iter().map(|&triple| ScoredTriple {
-            triple,
-            probability: Some(0.5),
-            n_provenances: 1,
-            n_extractors: 1,
-            n_pages: 1,
-            fallback: false,
-        });
-        let output = FusionOutput {
-            scored: scored.collect(),
-            ..Fuser::new(Preset::Vote.config()).run(&corpus.batch, None)
-        };
-        // No extraction, no provenance: the attribution of an empty run.
-        let empty = kf_types::ExtractionBatch::new();
-        let (_, attribution) = Fuser::new(Preset::Vote.config()).run_with_attribution(&empty, None);
+        let provenance = Provenance::new(ExtractorId(0), PageId(0), SiteId(0), PatternId::NONE);
+        let batch = triples
+            .iter()
+            .map(|&triple| Extraction::new(triple, provenance))
+            .collect();
+        let (output, attribution) =
+            Fuser::new(Preset::Vote.config()).run_with_attribution(&batch, None);
         let runner = AblationRunner::default();
         let method = runner.evaluate(Preset::Vote, &output, &corpus.gold, 0.0);
         FusedKb::compile_from_parts(
@@ -978,6 +972,21 @@ pub(crate) mod tests {
             &corpus.gold,
             Vec::new(),
         )
+    }
+
+    /// An output compiles only with its own run's attribution, which
+    /// holds the graph its slots index.
+    #[test]
+    #[should_panic(expected = "its own run's attribution")]
+    fn a_foreign_attribution_is_refused() {
+        let corpus = Corpus::generate(&SynthConfig::tiny(), 5);
+        let fuser = Fuser::new(Preset::Vote.config());
+        let (output, _) = fuser.run_with_attribution(&corpus.batch, None);
+        let (_, foreign) = fuser.run_with_attribution(&corpus.batch, None);
+        let runner = AblationRunner::default();
+        let method = runner.evaluate(Preset::Vote, &output, &corpus.gold, 0.0);
+        let summary = runner.corpus_summary(&corpus);
+        FusedKb::compile_from_parts(summary, &method, &output, &foreign, &corpus.gold, vec![]);
     }
 
     /// An empty fusion output compiles to an empty-but-valid KB.

@@ -98,7 +98,7 @@ fn check_oracle(cfg: &SynthConfig, seed: u64, preset: Preset) {
     assert_eq!(kb.wdev.to_bits(), method.wdev().to_bits());
 
     // Expected rows: predicted triples in ascending triple order.
-    let mut expected: Vec<(usize, &ScoredTriple)> = output
+    let mut expected: Vec<(usize, ScoredTriple)> = output
         .scored
         .iter()
         .enumerate()
@@ -127,7 +127,7 @@ fn check_oracle(cfg: &SynthConfig, seed: u64, preset: Preset) {
 /// Point lookups + provenance drill-down for every served row.
 fn check_rows(
     reader: &KbReader,
-    expected: &[(usize, &ScoredTriple)],
+    expected: &[(usize, ScoredTriple)],
     curve: &CalibrationCurve,
     corpus: &Corpus,
     attribution: &ProvenanceAttribution,
@@ -160,7 +160,7 @@ fn check_rows(
 
 /// Belief distributions: group the scan by (subject, predicate) and
 /// require identical candidate lists in identical (canonical) order.
-fn check_beliefs(reader: &KbReader, expected: &[(usize, &ScoredTriple)]) {
+fn check_beliefs(reader: &KbReader, expected: &[(usize, ScoredTriple)]) {
     let mut i = 0;
     while i < expected.len() {
         let t = expected[i].1.triple;
@@ -235,7 +235,7 @@ fn stepped(v: Value, by: i32) -> Option<Value> {
 /// a served object's payload under another `Value` variant.
 fn check_item_probe(
     reader: &KbReader,
-    expected: &[(usize, &ScoredTriple)],
+    expected: &[(usize, ScoredTriple)],
     curve: &CalibrationCurve,
 ) {
     let served: BTreeSet<Triple> = expected.iter().map(|&(_, st)| st.triple).collect();
@@ -304,11 +304,7 @@ fn check_item_probe(
 /// Predicate rankings: for every predicate, the full top-k must equal
 /// the scan sorted by (calibrated desc, canonical triple asc), and a
 /// smaller k must be exactly its prefix.
-fn check_rankings(
-    reader: &KbReader,
-    expected: &[(usize, &ScoredTriple)],
-    curve: &CalibrationCurve,
-) {
+fn check_rankings(reader: &KbReader, expected: &[(usize, ScoredTriple)], curve: &CalibrationCurve) {
     let mut preds: Vec<u32> = expected
         .iter()
         .map(|(_, st)| st.triple.predicate.0)
@@ -318,7 +314,7 @@ fn check_rankings(
     for &p in &preds {
         let mut rows: Vec<&ScoredTriple> = expected
             .iter()
-            .map(|&(_, st)| st)
+            .map(|(_, st)| st)
             .filter(|st| st.triple.predicate.0 == p)
             .collect();
         rows.sort_by(|a, b| {
@@ -464,7 +460,7 @@ fn paper_scale_oracle_gate() {
     let method = runner.evaluate(preset, &output, &corpus.gold, 0.0);
     let curve = &method.calibration_width;
 
-    let mut expected: Vec<(usize, &ScoredTriple)> = output
+    let mut expected: Vec<(usize, ScoredTriple)> = output
         .scored
         .iter()
         .enumerate()

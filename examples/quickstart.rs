@@ -27,11 +27,15 @@ fn main() {
         "\nfused {} triples in {} rounds ({} provenances)",
         output.scored.len(),
         output.outcome.rounds(),
-        output.n_provenances,
+        output.n_provenances(),
     );
 
     // High-probability triples can be trusted directly (§3.2.2).
-    let trusted: Vec<_> = output.accepted(0.9).collect();
+    let trusted: Vec<_> = output
+        .scored
+        .iter()
+        .filter(|s| s.probability.is_some_and(|p| p >= 0.9))
+        .collect();
     let correct = trusted
         .iter()
         .filter(|s| corpus.gold.label(&s.triple) == Label::True)

@@ -57,7 +57,7 @@ fn main() {
     };
     let chunked = Fuser::new(chunked_cfg).run(&corpus.batch, None);
     assert_eq!(full.scored.len(), chunked.scored.len());
-    for (a, b) in full.scored.iter().zip(&chunked.scored) {
+    for (a, b) in full.scored.iter().zip(chunked.scored.iter()) {
         assert_eq!(a.triple, b.triple);
         assert_eq!(a.probability, b.probability);
     }
@@ -92,7 +92,7 @@ fn main() {
     let spilled = Fuser::new(spilled_cfg).run(&corpus.batch, None);
     let spill_secs = t.elapsed().as_secs_f64();
     assert_eq!(full.scored.len(), spilled.scored.len());
-    for (a, b) in full.scored.iter().zip(&spilled.scored) {
+    for (a, b) in full.scored.iter().zip(spilled.scored.iter()) {
         assert_eq!(a.triple, b.triple);
         assert_eq!(a.probability, b.probability, "spill changed {:?}", a.triple);
     }
@@ -137,7 +137,7 @@ fn main() {
         Fuser::new(FusionConfig::popaccu().with_sample_limit(1_000)).run(&corpus.batch, None);
     let full_map = full.probability_map();
     let (mut moved, mut compared) = (0usize, 0usize);
-    for s in &sampled.scored {
+    for s in sampled.scored.iter() {
         if let (Some(p), Some(&q)) = (s.probability, full_map.get(&s.triple)) {
             compared += 1;
             moved += usize::from((p - q).abs() > 0.05);

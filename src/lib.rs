@@ -30,6 +30,7 @@
 //! // Fuse with the paper's best system (POPACCU+, gold-seeded accuracies).
 //! let output = Fuser::new(FusionConfig::popaccu_plus())
 //!     .run(&corpus.batch, Some(&corpus.gold));
+//! // One row per unique triple, read off the run's slot columns.
 //! assert_eq!(output.scored.len(), corpus.batch.unique_triples());
 //!
 //! // Evaluate: calibration + ranking quality under LCWA.
@@ -64,7 +65,7 @@ pub use kf_types as types;
 pub mod prelude {
     pub use kf_core::{
         Claims, Fuser, FusionConfig, FusionOutput, InitAccuracy, Method, ProvenanceAttribution,
-        ScoredTriple,
+        ScoredSlots, ScoredTriple,
     };
     pub use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex, SupportProfile};
     pub use kf_eval::{
