@@ -52,7 +52,8 @@ use kf_synth::Corpus;
 use kf_telemetry::{add, span};
 use kf_types::checkpoint::{self, ArtifactKind, CheckpointError};
 use kf_types::codec::{
-    decode_packed, encode_packed, unzigzag, value_columns, value_from_columns, zigzag, PackedInt,
+    decode_exact, decode_offsets, decode_packed, decode_value_column, encode_ints, encode_packed,
+    encode_value_column, run_lengths, value_columns, value_from_columns,
 };
 use kf_types::{EntityId, GoldStandard, KvCodec, Label, Triple, Value};
 use std::fmt;
@@ -582,55 +583,6 @@ impl FusedKb {
     }
 }
 
-/// The tag [`value_columns`] gives a `Value::Num`, whose payload the file
-/// stores zigzagged.
-const NUM_TAG: u8 = 2;
-
-/// A row's object payload as the file stores it: a number's
-/// two's-complement bits [`zigzag`]ged, so a small negative number packs
-/// as narrowly as a small positive one; ids as they are.
-fn stored_payload(tag: u8, payload: u64) -> u64 {
-    if tag == NUM_TAG {
-        zigzag(payload as i64)
-    } else {
-        payload
-    }
-}
-
-/// Offsets from 0 (one per run, plus the end) as the file stores them:
-/// each run's length.
-fn run_lengths(offsets: &[u32]) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
-    offsets
-        .windows(2)
-        .map(|w| u64::from(w[1].wrapping_sub(w[0])))
-}
-
-/// Append a slice of integers as one packed column.
-fn encode_ints<T: PackedInt>(xs: &[T], out: &mut Vec<u8>) {
-    encode_packed(xs.iter().map(|&x| x.to_u64()), out);
-}
-
-/// A packed column of exactly `len` values, `len` proven by bytes the
-/// decoder has already read: a longer length prefix is refused before
-/// anything is allocated.
-fn decode_exact<T: PackedInt>(input: &mut &[u8], len: usize) -> Option<Vec<T>> {
-    decode_packed(input, len).filter(|column| column.len() == len)
-}
-
-/// `len` run lengths back into offsets from 0, summed with checked
-/// arithmetic: a running sum past `u32::MAX` is refused.
-fn decode_offsets(input: &mut &[u8], len: usize) -> Option<Vec<u32>> {
-    let lengths: Vec<u32> = decode_exact(input, len)?;
-    let mut offsets = Vec::with_capacity(len + 1);
-    let mut at = 0u32;
-    offsets.push(at);
-    for run in lengths {
-        at = at.checked_add(run)?;
-        offsets.push(at);
-    }
-    Some(offsets)
-}
-
 /// The fields of a [`ProvenanceKey::pack`](kf_types::ProvenanceKey::pack)ed
 /// key, each stored as its own packed column: `(shift, bits, bias)` of the
 /// extractor, the page-or-site, the predicate, the pattern and the
@@ -663,9 +615,8 @@ impl KvCodec for FusedKb {
         self.n_dropped.encode(out);
         self.curve.0.encode(out);
         self.raw.encode(out);
-        encode_ints(&self.obj_tags, out);
-        let tags_payloads = self.obj_tags.iter().zip(&self.obj_payloads);
-        encode_packed(tags_payloads.map(|(&t, &p)| stored_payload(t, p)), out);
+        let objects = self.obj_tags.iter().zip(&self.obj_payloads);
+        encode_value_column(objects.map(|(&tag, &payload)| (tag, payload)), out);
         encode_ints(&self.labels, out);
         encode_ints(&self.pages, out);
         encode_ints(&self.extractor_counts, out);
@@ -706,13 +657,7 @@ impl KvCodec for FusedKb {
         let curve = StoredCurve(CalibrationCurve::decode(input)?);
         let raw: Vec<f64> = Vec::decode(input)?;
         let n = raw.len();
-        let obj_tags: Vec<u8> = decode_exact(input, n)?;
-        let mut obj_payloads: Vec<u64> = decode_exact(input, n)?;
-        for (payload, &tag) in obj_payloads.iter_mut().zip(&obj_tags) {
-            if tag == NUM_TAG {
-                *payload = unzigzag(*payload) as u64;
-            }
-        }
+        let (obj_tags, obj_payloads) = decode_value_column(input, n)?;
         let labels = decode_exact(input, n)?;
         let pages = decode_exact(input, n)?;
         let extractor_counts = decode_exact(input, n)?;
@@ -947,7 +892,10 @@ pub(crate) mod tests {
         }
         assert_eq!(label_from_tag(3), None);
         // The file zigzags the payloads that carry this tag.
-        assert_eq!(value_columns(Value::Num(Numeric(-1))).0, NUM_TAG);
+        assert_eq!(
+            value_columns(Value::Num(Numeric(-1))).0,
+            kf_types::codec::NUM_TAG
+        );
     }
 
     /// A KB serving exactly `triples`: VOTE over a batch that extracts

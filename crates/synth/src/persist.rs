@@ -60,13 +60,13 @@ impl KvCodec for Corpus {
         segment_done("persist.enc.gold_bytes", out);
         codec::encode_segment(&self.batch, out);
         segment_done("persist.enc.batch_bytes", out);
-        // The parallel per-record vectors travel as one-byte index
-        // columns, not element-wise enums.
-        let sections: Vec<u8> = self.sections.iter().map(|s| s.index() as u8).collect();
-        let outcomes: Vec<u8> = self.outcomes.iter().map(|o| o.index() as u8).collect();
-        codec::encode_segment(&sections, out);
+        // The parallel per-record vectors travel as packed index columns,
+        // not element-wise enums.
+        let sections = self.sections.iter().map(|s| s.index() as u64);
+        codec::encode_segment_with(out, |out| codec::encode_packed(sections, out));
         segment_done("persist.enc.sections_bytes", out);
-        codec::encode_segment(&outcomes, out);
+        let outcomes = self.outcomes.iter().map(|o| o.index() as u64);
+        codec::encode_segment_with(out, |out| codec::encode_packed(outcomes, out));
         segment_done("persist.enc.outcomes_bytes", out);
         self.extractors.encode(out);
         self.seed.encode(out);
@@ -94,24 +94,24 @@ impl KvCodec for Corpus {
         let scenario = ScenarioTruth::decode(input)?;
         // Every segment decodes on the calling thread, in file order (see
         // the impl doc for why).
+        let world = codec::decode_segment_all::<World>(world_seg)?;
+        let web = codec::decode_segment_all::<Web>(web_seg)?;
+        let gold = codec::decode_segment_all::<GoldStandard>(gold_seg)?;
+        let batch = codec::decode_segment_all::<ExtractionBatch>(batch_seg)?;
+        // The section/outcome vectors are parallel to the batch; a
+        // checkpoint violating that would poison every consumer.
+        let n = batch.len();
         let corpus = Corpus {
-            world: codec::decode_segment_all::<World>(world_seg)?,
-            web: codec::decode_segment_all::<Web>(web_seg)?,
-            gold: codec::decode_segment_all::<GoldStandard>(gold_seg)?,
-            batch: codec::decode_segment_all::<ExtractionBatch>(batch_seg)?,
-            sections: decode_tags(sections_seg, &ContentType::ALL)?,
-            outcomes: decode_tags(outcomes_seg, &ExtractionOutcome::ALL)?,
+            world,
+            web,
+            gold,
+            batch,
+            sections: decode_tags(sections_seg, n, &ContentType::ALL)?,
+            outcomes: decode_tags(outcomes_seg, n, &ExtractionOutcome::ALL)?,
             extractors,
             seed,
             scenario,
         };
-        // The section/outcome vectors are parallel to the batch; a
-        // checkpoint violating that would poison every consumer.
-        if corpus.sections.len() != corpus.batch.len()
-            || corpus.outcomes.len() != corpus.batch.len()
-        {
-            return None;
-        }
         // Copied-record indices must address the batch, ascending.
         if !corpus
             .scenario
@@ -130,11 +130,10 @@ impl KvCodec for Corpus {
     }
 }
 
-/// Decode a tag segment (sections or outcomes): one byte per record, each
-/// an index into `all`. A `Vec<u8>` encodes to the same bytes as a `u8`
-/// column, so the tags decode as one contiguous block.
-fn decode_tags<T: Copy>(mut seg: &[u8], all: &[T]) -> Option<Vec<T>> {
-    let tags = codec::decode_column::<u8>(&mut seg)?;
+/// Decode a tag segment (sections or outcomes): a packed column of one
+/// tag per each of the `n` records, each an index into `all`.
+fn decode_tags<T: Copy>(mut seg: &[u8], n: usize, all: &[T]) -> Option<Vec<T>> {
+    let tags: Vec<u8> = codec::decode_exact(&mut seg, n)?;
     if !seg.is_empty() {
         return None;
     }

@@ -479,114 +479,70 @@ impl KvCodec for Page {
     }
 }
 
-/// Checkpoint encoding. Pages flatten into columns — page ids / sites /
-/// claim counts, then one column per claim field — so decode is a bulk
+/// Checkpoint encoding. Pages flatten into packed columns — page ids
+/// (which prove the page count), sites and claim counts, then one column
+/// per claim field, the values as one value column — so decode is a bulk
 /// scan instead of an element-wise walk over hundreds of thousands of
 /// claims. The popular-false map encodes in sorted key order so the
 /// bytes are canonical (see [`kf_types::codec::encode_map_sorted`]).
 impl KvCodec for Web {
     fn encode(&self, out: &mut Vec<u8>) {
-        use kf_types::codec::{encode_column, encode_map_sorted, encode_value_columns};
-        let ids: Vec<u32> = self.pages.iter().map(|p| p.id.0).collect();
-        let sites: Vec<u32> = self.pages.iter().map(|p| p.site.0).collect();
-        let counts: Vec<u32> = self.pages.iter().map(|p| p.claims.len() as u32).collect();
-        encode_column(&ids, out);
-        encode_column(&sites, out);
-        encode_column(&counts, out);
-        let claims: Vec<&Claim> = self.pages.iter().flat_map(|p| &p.claims).collect();
-        encode_column(
-            &claims
-                .iter()
-                .map(|c| c.item.subject.0)
-                .collect::<Vec<u32>>(),
-            out,
-        );
-        encode_column(
-            &claims
-                .iter()
-                .map(|c| c.item.predicate.0)
-                .collect::<Vec<u32>>(),
-            out,
-        );
-        encode_value_columns(&claims.iter().map(|c| c.value).collect::<Vec<Value>>(), out);
-        encode_column(
-            &claims
-                .iter()
-                .map(|c| c.section.index() as u8)
-                .collect::<Vec<u8>>(),
-            out,
-        );
-        encode_column(
-            &claims
-                .iter()
-                .map(|c| c.source_error as u8)
-                .collect::<Vec<u8>>(),
-            out,
-        );
+        use kf_types::codec::{
+            encode_map_sorted, encode_packed, encode_value_column, value_columns,
+        };
+        let pages = &self.pages;
+        encode_packed(pages.iter().map(|p| u64::from(p.id.0)), out);
+        encode_packed(pages.iter().map(|p| u64::from(p.site.0)), out);
+        encode_packed(pages.iter().map(|p| p.claims.len() as u64), out);
+        let claims: Vec<&Claim> = pages.iter().flat_map(|p| &p.claims).collect();
+        encode_packed(claims.iter().map(|c| u64::from(c.item.subject.0)), out);
+        encode_packed(claims.iter().map(|c| u64::from(c.item.predicate.0)), out);
+        encode_value_column(claims.iter().map(|c| value_columns(c.value)), out);
+        encode_packed(claims.iter().map(|c| c.section.index() as u64), out);
+        encode_packed(claims.iter().map(|c| u64::from(c.source_error)), out);
         self.n_sites.encode(out);
         encode_map_sorted(&self.popular_false, out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        use kf_types::codec::{decode_column, decode_map, decode_value_columns};
-        let ids: Vec<u32> = decode_column(input)?;
-        let sites: Vec<u32> = decode_column(input)?;
-        let counts: Vec<u32> = decode_column(input)?;
+        use kf_types::codec::{
+            decode_exact, decode_map, decode_offsets, decode_packed, decode_values,
+        };
+        let ids: Vec<u32> = decode_packed(input, usize::MAX)?;
         let n_pages = ids.len();
-        if sites.len() != n_pages || counts.len() != n_pages {
-            return None;
-        }
-        let subjects: Vec<u32> = decode_column(input)?;
-        let predicates: Vec<u32> = decode_column(input)?;
-        let values = decode_value_columns(input)?;
-        let sections: Vec<u8> = decode_column(input)?;
-        let source_errors: Vec<u8> = decode_column(input)?;
-        let n_claims = subjects.len();
-        if [
-            predicates.len(),
-            values.len(),
-            sections.len(),
-            source_errors.len(),
-        ]
-        .iter()
-        .any(|&l| l != n_claims)
-        {
-            return None;
-        }
+        let sites: Vec<u32> = decode_exact(input, n_pages)?;
+        let offsets = decode_offsets(input, n_pages)?;
+        let n_claims = offsets[n_pages] as usize;
+        let subjects: Vec<u32> = decode_exact(input, n_claims)?;
+        let predicates: Vec<u32> = decode_exact(input, n_claims)?;
+        let values = decode_values(input, n_claims)?;
+        let sections: Vec<u8> = decode_exact(input, n_claims)?;
+        let source_errors: Vec<u8> = decode_exact(input, n_claims)?;
 
         let mut pages = Vec::with_capacity(n_pages);
-        let mut at = 0usize;
-        for i in 0..n_pages {
-            let count = counts[i] as usize;
-            let end = at.checked_add(count)?;
-            if end > n_claims {
-                return None;
-            }
-            let mut claims = Vec::with_capacity(count);
-            for j in at..end {
-                claims.push(Claim {
-                    item: DataItem::new(
-                        kf_types::EntityId(subjects[j]),
-                        kf_types::PredicateId(predicates[j]),
-                    ),
-                    value: values[j],
-                    section: *ContentType::ALL.get(sections[j] as usize)?,
-                    source_error: match source_errors[j] {
-                        0 => false,
-                        1 => true,
-                        _ => return None,
-                    },
-                });
-            }
-            at = end;
+        for ((id, site), run) in ids.into_iter().zip(sites).zip(offsets.windows(2)) {
+            let claims = (run[0] as usize..run[1] as usize)
+                .map(|j| {
+                    Some(Claim {
+                        item: DataItem::new(
+                            kf_types::EntityId(subjects[j]),
+                            kf_types::PredicateId(predicates[j]),
+                        ),
+                        value: values[j],
+                        section: *ContentType::ALL.get(sections[j] as usize)?,
+                        source_error: match source_errors[j] {
+                            0 => false,
+                            1 => true,
+                            _ => return None,
+                        },
+                    })
+                })
+                .collect::<Option<Vec<Claim>>>()?;
             pages.push(Page {
-                id: PageId(ids[i]),
-                site: SiteId(sites[i]),
+                id: PageId(id),
+                site: SiteId(site),
                 claims,
             });
-        }
-        if at != n_claims {
-            return None;
         }
         Some(Web {
             pages,

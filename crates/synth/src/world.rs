@@ -401,30 +401,24 @@ impl KvCodec for World {
     fn encode(&self, out: &mut Vec<u8>) {
         kf_types::codec::encode_segment(&self.catalog, out);
         // Body segment, written in place from `self`'s fields.
-        let at = out.len();
-        out.extend_from_slice(&[0u8; 8]);
-        kf_types::codec::encode_item_values_columns(
-            self.items.len(),
-            self.items
-                .iter()
-                .map(|item| (*item, self.facts[item].as_slice())),
-            out,
-        );
-        kf_types::codec::encode_map_sorted(&self.hierarchy, out);
-        kf_types::codec::encode_map_sorted(&self.confusables, out);
-        kf_types::codec::encode_map_sorted(&self.siblings, out);
-        self.hierarchy_entities.encode(out);
-        self.entities_by_type.encode(out);
-        self.noise_values.encode(out);
-        let len = (out.len() - at - 8) as u64;
-        out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        kf_types::codec::encode_segment_with(out, |out| {
+            let facts = self.items.iter();
+            let groups = facts.map(|item| (*item, self.facts[item].as_slice()));
+            kf_types::codec::encode_groups(groups, out);
+            kf_types::codec::encode_map_sorted(&self.hierarchy, out);
+            kf_types::codec::encode_map_sorted(&self.confusables, out);
+            kf_types::codec::encode_map_sorted(&self.siblings, out);
+            self.hierarchy_entities.encode(out);
+            self.entities_by_type.encode(out);
+            self.noise_values.encode(out);
+        });
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let catalog_seg = kf_types::codec::take_segment(input)?;
         let mut body = kf_types::codec::take_segment(input)?;
         let catalog = kf_types::codec::decode_segment_all::<Catalog>(catalog_seg)?;
-        let groups = kf_types::codec::decode_item_values_columns(&mut body)?;
+        let groups = kf_types::codec::decode_groups(&mut body)?;
         let mut items = Vec::with_capacity(groups.len());
         let mut facts = FxHashMap::default();
         facts.reserve(groups.len());

@@ -1,8 +1,11 @@
 //! Hostile bytes for the corpus and world checkpoint decoders: truncation
 //! at and around every segment boundary, inflated segment length
-//! prefixes and seeded single-bit flips. Every case must return an error
-//! or a value, never panic; an inflated prefix must also not make the
-//! decoder allocate more than the checkpoint holds.
+//! prefixes, inflated length prefixes of the packed columns inside the
+//! batch and web segments, and seeded single-bit flips. Every case must
+//! return an error or a value, never panic; an inflated prefix must also
+//! not make the decoder allocate more than the checkpoint holds (a packed
+//! column decodes to at most its type's width times its bytes, so this is
+//! the bound each column decoder must hold).
 //!
 //! The decode runs on the calling thread, so the per-thread
 //! largest-allocation reading covers the whole decode.
@@ -35,6 +38,19 @@ fn prefixes(bytes: &[u8], mut at: usize, n: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Offsets of the length prefixes of `n` back-to-back packed columns
+/// (the u64 length, one width byte, then `length × width` bytes), the
+/// first at `at`.
+fn column_prefixes(bytes: &[u8], mut at: usize, n: usize) -> Vec<usize> {
+    (0..n)
+        .map(|_| {
+            let prefix = at;
+            at += 9 + prefix_at(bytes, prefix) as usize * usize::from(bytes[prefix + 8]);
+            prefix
+        })
+        .collect()
+}
+
 /// Decode one case; a panic fails the test naming the case. Returns
 /// whether the decode succeeded and the largest allocation it made.
 fn decode_case<T: KvCodec>(kind: ArtifactKind, case: &str, bytes: &[u8]) -> (bool, usize) {
@@ -45,8 +61,8 @@ fn decode_case<T: KvCodec>(kind: ArtifactKind, case: &str, bytes: &[u8]) -> (boo
 }
 
 /// Truncate at every segment boundary and one byte either side of it,
-/// then set each length prefix to `len + 1`, to the bytes remaining + 1
-/// and to `u64::MAX`. Only the untruncated checkpoint may decode.
+/// then inflate each segment length prefix. Only the untruncated
+/// checkpoint may decode.
 fn truncations_and_inflated_prefixes<T: KvCodec>(
     kind: ArtifactKind,
     bytes: &[u8],
@@ -73,7 +89,13 @@ fn truncations_and_inflated_prefixes<T: KvCodec>(
             );
         }
     }
+    inflated_prefixes::<T>(kind, bytes, prefixes);
+}
 
+/// Set each length prefix at `prefixes` to `len + 1`, to the bytes
+/// remaining + 1 and to `u64::MAX`: no case may decode, nor allocate
+/// more than the checkpoint holds.
+fn inflated_prefixes<T: KvCodec>(kind: ArtifactKind, bytes: &[u8], prefixes: &[usize]) {
     for &p in prefixes {
         let remaining = (bytes.len() - p - 8) as u64;
         for inflated in [prefix_at(bytes, p) + 1, remaining + 1, u64::MAX] {
@@ -101,6 +123,12 @@ fn hostile_corpus_and_world_checkpoints_never_panic() {
     let mut all_prefixes = prefixes(&bytes, corpus_prefixes[0] + 8, 2);
     all_prefixes.extend(&corpus_prefixes);
     truncations_and_inflated_prefixes::<Corpus>(ArtifactKind::Corpus, &bytes, &all_prefixes);
+
+    // The batch's ten packed columns and the web's nine (three per page,
+    // six per claim), each column's length prefix inflated in turn.
+    let mut columns = column_prefixes(&bytes, corpus_prefixes[3] + 8, 10);
+    columns.extend(column_prefixes(&bytes, corpus_prefixes[1] + 8, 9));
+    inflated_prefixes::<Corpus>(ArtifactKind::Corpus, &bytes, &columns);
 
     let world = checkpoint::encode(ArtifactKind::World, &corpus.world);
     let world_prefixes = prefixes(&world, HEADER, 2);

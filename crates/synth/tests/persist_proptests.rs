@@ -152,13 +152,13 @@ proptest! {
 fn stale_format_versions_are_rejected_with_typed_skew() {
     use kf_types::checkpoint::{self, ArtifactKind, CheckpointError, FORMAT_VERSION};
     assert_eq!(
-        FORMAT_VERSION, 9,
-        "KBs started packing each integer column at the width it needs in v9; \
+        FORMAT_VERSION, 10,
+        "corpora started packing their columns the way the KB does in v10; \
          bump this test alongside the format"
     );
     let corpus = Corpus::generate(&SynthConfig::tiny(), 7);
     let mut bytes = checkpoint::encode(ArtifactKind::Corpus, &corpus);
-    for stale in [8u16, 7, 6, 5, 4, 3, 2, 1] {
+    for stale in [9u16, 8, 7, 6, 5, 4, 3, 2, 1] {
         bytes[4..6].copy_from_slice(&stale.to_le_bytes());
         match checkpoint::decode::<Corpus>(ArtifactKind::Corpus, &bytes) {
             Err(CheckpointError::VersionSkew { found }) => assert_eq!(found, stale),

@@ -73,7 +73,12 @@ pub const MAGIC: [u8; 4] = *b"KFCP";
 /// its values need (`codec::encode_packed`): offsets as run lengths, item
 /// subjects as deltas, numbers zigzagged, provenance keys one column per
 /// field, and the row count first, proven by the `raw` column.
-pub const FORMAT_VERSION: u16 = 9;
+/// Version 10: the corpus, world and gold checkpoints write their columns
+/// through the codec the KB uses (`codec::encode_packed`): every integer
+/// column packed at the width its values need, values as a tag column and
+/// a zigzagged payload column, counts as run lengths, and each table's
+/// first column proving its row count. The KB payload is unchanged.
+pub const FORMAT_VERSION: u16 = 10;
 
 /// What a checkpoint file contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

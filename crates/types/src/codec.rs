@@ -15,9 +15,12 @@
 //! `DataItem`, `Triple`, [`ProvenanceKey`] via its
 //! lossless `u128` packing, and every id newtype).
 //!
-//! Beside the element-wise impls sit bulk columns for checkpoints:
-//! [`encode_column`] writes each value at its type's full width, and
-//! [`encode_packed`] at the width the column's largest value needs.
+//! Beside the element-wise impls sits the one bulk column codec every
+//! checkpoint table goes through: [`encode_packed`] writes an integer
+//! column at the width its largest value needs, [`encode_value_column`]
+//! a column of [`Value`]s as a tag column and a payload column, and
+//! [`encode_groups`] `(item, values)` groups as item columns, run lengths
+//! and one value column.
 //!
 //! # Contract
 //!
@@ -409,103 +412,88 @@ impl KvCodec for Extraction {
     }
 }
 
-/// Columnar encoding: one column per record field (triple subject /
-/// predicate / object, provenance dimensions, confidence presence +
-/// bits). The batch is the largest single block of a corpus checkpoint
-/// (hundreds of thousands of records), and bulk columns decode an order
-/// of magnitude faster than element-wise records — load time is what the
-/// checkpoint-and-fan-out pipeline exists for.
+/// Columnar encoding, one packed column per record field: subjects,
+/// predicates, the objects' value column, the four provenance
+/// dimensions (the pattern plus one, as the KB stores it), the confidence
+/// flags, then the bits of the confidences present. The batch is the
+/// largest single block of a corpus checkpoint (hundreds of thousands of
+/// records), and bulk columns decode an order of magnitude faster than
+/// element-wise records — load time is what the checkpoint-and-fan-out
+/// pipeline exists for.
+///
+/// The subject column comes first and proves the record count (its
+/// bytes hold one value each); every later column must hold exactly that
+/// many values, and the confidence bits exactly as many as the flags set.
 impl KvCodec for ExtractionBatch {
     fn encode(&self, out: &mut Vec<u8>) {
-        let n = self.records.len();
-        (n as u64).encode(out);
-        // The exact size: 32 bytes a record, the value count, 8 bytes a confidence.
-        let confident = self.records.iter().filter(|e| e.confidence.is_some());
-        out.reserve(n * 32 + 8 + 8 * confident.count());
-        for e in &self.records {
-            e.triple.subject.0.put_le(out);
-        }
-        for e in &self.records {
-            e.triple.predicate.0.put_le(out);
-        }
-        let objects: Vec<Value> = self.records.iter().map(|e| e.triple.object).collect();
-        encode_value_columns(&objects, out);
-        for e in &self.records {
-            e.provenance.extractor.0.put_le(out);
-        }
-        for e in &self.records {
-            e.provenance.page.0.put_le(out);
-        }
-        for e in &self.records {
-            e.provenance.site.0.put_le(out);
-        }
-        for e in &self.records {
-            e.provenance.pattern.0.put_le(out);
-        }
-        for e in &self.records {
-            out.push(e.confidence.is_some() as u8);
-        }
-        for e in &self.records {
-            if let Some(c) = e.confidence {
-                c.to_bits().put_le(out);
-            }
-        }
+        let records = &self.records;
+        let column = |field: fn(&Extraction) -> u64, out: &mut Vec<u8>| {
+            encode_packed(records.iter().map(field), out)
+        };
+        column(|e| e.triple.subject.0.into(), out);
+        column(|e| e.triple.predicate.0.into(), out);
+        encode_value_column(records.iter().map(|e| value_columns(e.triple.object)), out);
+        column(|e| e.provenance.extractor.0.into(), out);
+        column(|e| e.provenance.page.0.into(), out);
+        column(|e| e.provenance.site.0.into(), out);
+        // Plus one, wrapping, so `PatternId::NONE` (`u32::MAX`) packs as 0.
+        column(|e| e.provenance.pattern.0.wrapping_add(1).into(), out);
+        column(|e| e.confidence.is_some().into(), out);
+        let confidences: Vec<u32> = records
+            .iter()
+            .filter_map(|e| Some(e.confidence?.to_bits()))
+            .collect();
+        encode_ints(&confidences, out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let n = usize::try_from(u64::decode(input)?).ok()?;
-        let subjects = take(input, n.checked_mul(4)?)?;
-        let predicates = take(input, n.checked_mul(4)?)?;
-        let objects = decode_value_columns(input)?;
-        if objects.len() != n {
-            return None;
-        }
-        let extractors = take(input, n.checked_mul(2)?)?;
-        let pages = take(input, n.checked_mul(4)?)?;
-        let sites = take(input, n.checked_mul(4)?)?;
-        let patterns = take(input, n.checked_mul(4)?)?;
-        let present = take(input, n)?;
-        let n_conf = present.iter().filter(|&&p| p == 1).count();
+        let subjects: Vec<u32> = decode_packed(input, usize::MAX)?;
+        let n = subjects.len();
+        let predicates: Vec<u32> = decode_exact(input, n)?;
+        let (tags, payloads) = decode_value_column(input, n)?;
+        let extractors: Vec<u16> = decode_exact(input, n)?;
+        let pages: Vec<u32> = decode_exact(input, n)?;
+        let sites: Vec<u32> = decode_exact(input, n)?;
+        let patterns: Vec<u32> = decode_exact(input, n)?;
+        let present: Vec<u8> = decode_exact(input, n)?;
         if present.iter().any(|&p| p > 1) {
             return None;
         }
-        let conf_bits = take(input, n_conf.checked_mul(4)?)?;
+        let n_conf = present.iter().filter(|&&p| p == 1).count();
+        let confidences: Vec<u32> = decode_exact(input, n_conf)?;
 
-        // Zipped chunk iterators assemble the rows without per-field
+        // Zipped column iterators assemble the rows without per-field
         // bounds checks; the zip ends exactly at `n` because every
-        // column was sliced to length above.
-        let mut conf_chunks = conf_bits.chunks_exact(4);
+        // column was decoded to that length above.
+        let mut confidences = confidences.into_iter().map(f32::from_bits);
         let rows = subjects
-            .chunks_exact(4)
-            .zip(predicates.chunks_exact(4))
-            .zip(objects.iter())
-            .zip(extractors.chunks_exact(2))
-            .zip(pages.chunks_exact(4))
-            .zip(sites.chunks_exact(4))
-            .zip(patterns.chunks_exact(4))
-            .zip(present.iter());
+            .into_iter()
+            .zip(predicates)
+            .zip(tags.into_iter().zip(payloads))
+            .zip(extractors)
+            .zip(pages)
+            .zip(sites)
+            .zip(patterns)
+            .zip(present);
         let mut records = Vec::with_capacity(n);
-        for (((((((subject, predicate), &object), extractor), page), site), pattern), &with_conf) in
-            rows
+        for (
+            ((((((subject, predicate), (tag, payload)), extractor), page), site), pattern),
+            flag,
+        ) in rows
         {
-            let confidence = if with_conf == 1 {
-                Some(f32::from_bits(u32::get_le(conf_chunks.next()?)))
-            } else {
-                None
-            };
             records.push(Extraction {
                 triple: Triple {
-                    subject: EntityId(u32::get_le(subject)),
-                    predicate: PredicateId(u32::get_le(predicate)),
-                    object,
+                    subject: EntityId(subject),
+                    predicate: PredicateId(predicate),
+                    object: value_from_columns(tag, payload)?,
                 },
                 provenance: Provenance {
-                    extractor: ExtractorId(u16::get_le(extractor)),
-                    page: PageId(u32::get_le(page)),
-                    site: SiteId(u32::get_le(site)),
-                    pattern: PatternId(u32::get_le(pattern)),
+                    extractor: ExtractorId(extractor),
+                    page: PageId(page),
+                    site: SiteId(site),
+                    pattern: PatternId(pattern.wrapping_sub(1)),
                 },
-                confidence,
+                confidence: if flag == 1 { confidences.next() } else { None },
             });
         }
         Some(ExtractionBatch { records })
@@ -562,67 +550,26 @@ where
     Some(map)
 }
 
-/// A fixed-width little-endian scalar usable in bulk [`encode_column`] /
-/// [`decode_column`] encodings. Unlike element-wise `Vec<T>` decoding,
-/// a column is one contiguous `len × WIDTH` byte block, so decoding is a
-/// single bounds check plus a tight chunked loop — the difference between
-/// ~40 ns and ~2 ns per element on checkpoint-sized data.
-pub trait PodColumn: Copy {
-    /// Encoded width in bytes.
-    const WIDTH: usize;
-    /// Append the little-endian encoding.
-    fn put_le(self, out: &mut Vec<u8>);
-    /// Read from exactly [`PodColumn::WIDTH`] bytes.
-    fn get_le(bytes: &[u8]) -> Self;
-}
-
-macro_rules! pod_column {
-    ($($ty:ty),*) => {$(
-        impl PodColumn for $ty {
-            const WIDTH: usize = std::mem::size_of::<$ty>();
-            #[inline]
-            fn put_le(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-            #[inline]
-            fn get_le(bytes: &[u8]) -> Self {
-                <$ty>::from_le_bytes(bytes.try_into().unwrap())
-            }
-        }
-    )*};
-}
-
-pod_column!(u8, u16, u32, u64, i64);
-
-/// Append `xs` as one length-prefixed contiguous column.
-pub fn encode_column<T: PodColumn>(xs: &[T], out: &mut Vec<u8>) {
-    (xs.len() as u64).encode(out);
-    out.reserve(xs.len() * T::WIDTH);
-    for &x in xs {
-        x.put_le(out);
-    }
-}
-
-/// Decode a column written by [`encode_column`].
-pub fn decode_column<T: PodColumn>(input: &mut &[u8]) -> Option<Vec<T>> {
-    let len = usize::try_from(u64::decode(input)?).ok()?;
-    let bytes = take(input, len.checked_mul(T::WIDTH)?)?;
-    Some(bytes.chunks_exact(T::WIDTH).map(T::get_le).collect())
-}
-
 /// An unsigned integer a packed column ([`encode_packed`] /
-/// [`decode_packed`]) can hold: its [`PodColumn::WIDTH`] is the widest
-/// packed column it decodes from.
-pub trait PackedInt: PodColumn {
+/// [`decode_packed`]) can hold. A packed column is one contiguous
+/// `len × w` byte block, so decoding is a single bounds check plus a
+/// tight fixed-width loop — the difference between ~40 ns and ~2 ns per
+/// element against element-wise `Vec<T>` decoding on checkpoint-sized
+/// data.
+pub trait PackedInt: Copy {
+    /// Bytes in memory, and the widest packed column it decodes from: a
+    /// column decodes to at most `WIDTH` times its bytes.
+    const WIDTH: usize;
     /// Widen to `u64`.
     fn to_u64(self) -> u64;
-    /// Narrow from a `u64` that fits in [`PodColumn::WIDTH`] bytes.
+    /// Narrow from a `u64` that fits in [`PackedInt::WIDTH`] bytes.
     fn from_u64(v: u64) -> Self;
 }
 
 macro_rules! packed_int {
     ($($ty:ty),*) => {$(
         impl PackedInt for $ty {
+            const WIDTH: usize = std::mem::size_of::<$ty>();
             #[inline]
             fn to_u64(self) -> u64 {
                 self as u64
@@ -767,113 +714,152 @@ pub fn value_from_columns(tag: u8, payload: u64) -> Option<Value> {
     }
 }
 
-/// Append values as two columns (variant tags, 8-byte payloads) — the
-/// bulk counterpart of encoding each [`Value`] element-wise.
-pub fn encode_value_columns(values: &[Value], out: &mut Vec<u8>) {
-    (values.len() as u64).encode(out);
-    out.reserve(values.len() * 9);
-    for &v in values {
-        out.push(value_columns(v).0);
-    }
-    for &v in values {
-        value_columns(v).1.put_le(out);
+/// The tag [`value_columns`] gives a `Value::Num`, whose payload a value
+/// column stores zigzagged.
+pub const NUM_TAG: u8 = 2;
+
+/// A value's payload as a value column stores it: a number's
+/// two's-complement bits [`zigzag`]ged, so a small negative number packs
+/// as narrowly as a small positive one; ids as they are.
+#[inline]
+pub fn stored_payload(tag: u8, payload: u64) -> u64 {
+    if tag == NUM_TAG {
+        zigzag(payload as i64)
+    } else {
+        payload
     }
 }
 
-/// Decode values written by [`encode_value_columns`].
-pub fn decode_value_columns(input: &mut &[u8]) -> Option<Vec<Value>> {
-    let len = usize::try_from(u64::decode(input)?).ok()?;
-    let tags = take(input, len)?;
-    let payloads = take(input, len.checked_mul(8)?)?;
-    tags.iter()
-        .zip(payloads.chunks_exact(8))
-        .map(|(&tag, p)| value_from_columns(tag, u64::get_le(p)))
+/// Append a slice of integers as one packed column.
+pub fn encode_ints<T: PackedInt>(xs: &[T], out: &mut Vec<u8>) {
+    encode_packed(xs.iter().map(|&x| x.to_u64()), out);
+}
+
+/// A packed column of exactly `len` values. A length prefix that differs
+/// is refused, a longer one before anything is allocated, so `len` may
+/// come from bytes the decoder has already read.
+pub fn decode_exact<T: PackedInt>(input: &mut &[u8], len: usize) -> Option<Vec<T>> {
+    decode_packed(input, len).filter(|column| column.len() == len)
+}
+
+/// Offsets from 0 (one per run, plus the end) as a packed column stores
+/// them: each run's length.
+pub fn run_lengths(offsets: &[u32]) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
+    offsets
+        .windows(2)
+        .map(|w| u64::from(w[1].wrapping_sub(w[0])))
+}
+
+/// `len` run lengths back into `len + 1` offsets from 0, summed with
+/// checked arithmetic: a running sum past `u32::MAX` is refused.
+pub fn decode_offsets(input: &mut &[u8], len: usize) -> Option<Vec<u32>> {
+    let lengths: Vec<u32> = decode_exact(input, len)?;
+    let mut offsets = Vec::with_capacity(len + 1);
+    let mut at = 0u32;
+    offsets.push(at);
+    for run in lengths {
+        at = at.checked_add(run)?;
+        offsets.push(at);
+    }
+    Some(offsets)
+}
+
+/// Append a value column — the [`value_columns`] of each value — as two
+/// packed columns: the variant tags, then the payloads as
+/// [`stored_payload`] stores them.
+pub fn encode_value_column<I>(values: I, out: &mut Vec<u8>)
+where
+    I: IntoIterator<Item = (u8, u64)>,
+    I::IntoIter: ExactSizeIterator + Clone,
+{
+    let values = values.into_iter();
+    encode_packed(values.clone().map(|(tag, _)| u64::from(tag)), out);
+    encode_packed(
+        values.map(|(tag, payload)| stored_payload(tag, payload)),
+        out,
+    );
+}
+
+/// Decode a value column of exactly `len` values into its tags and its
+/// payloads, numbers unzigzagged. The tags are not checked here:
+/// [`value_from_columns`] refuses an unknown one.
+pub fn decode_value_column(input: &mut &[u8], len: usize) -> Option<(Vec<u8>, Vec<u64>)> {
+    let tags: Vec<u8> = decode_exact(input, len)?;
+    let mut payloads: Vec<u64> = decode_exact(input, len)?;
+    for (payload, &tag) in payloads.iter_mut().zip(&tags) {
+        if tag == NUM_TAG {
+            *payload = unzigzag(*payload) as u64;
+        }
+    }
+    Some((tags, payloads))
+}
+
+/// Decode a value column of exactly `len` values, refusing an unknown tag
+/// or an id wider than 32 bits.
+pub fn decode_values(input: &mut &[u8], len: usize) -> Option<Vec<Value>> {
+    let (tags, payloads) = decode_value_column(input, len)?;
+    tags.into_iter()
+        .zip(payloads)
+        .map(|(tag, payload)| value_from_columns(tag, payload))
         .collect()
 }
 
-/// Append `(item, values)` groups in columnar form: item columns
-/// (subjects, predicates), a per-group value-count column, and the
-/// flattened values. Shared by the world fact table and the gold
-/// standard, whose decode cost is otherwise dominated by element-wise
-/// traversal.
-pub fn encode_item_values_columns<'a, I>(n_groups: usize, groups: I, out: &mut Vec<u8>)
+/// Append `(item, values)` groups as packed columns: the item subjects
+/// (which prove the group count), the item predicates, each group's value
+/// count, then the flattened values as one value column. Shared by the
+/// world fact table and the gold standard.
+pub fn encode_groups<'a, I>(groups: I, out: &mut Vec<u8>)
 where
-    I: Iterator<Item = (DataItem, &'a [Value])> + Clone,
+    I: ExactSizeIterator<Item = (DataItem, &'a [Value])> + Clone,
 {
-    (n_groups as u64).encode(out);
-    out.reserve(n_groups * 12);
-    for (item, _) in groups.clone() {
-        item.subject.0.put_le(out);
-    }
-    for (item, _) in groups.clone() {
-        item.predicate.0.put_le(out);
-    }
-    let mut n_values = 0usize;
-    for (_, values) in groups.clone() {
-        (values.len() as u32).put_le(out);
-        n_values += values.len();
-    }
-    (n_values as u64).encode(out);
-    out.reserve(n_values * 9);
-    for (_, values) in groups.clone() {
-        for &v in values {
-            out.push(value_columns(v).0);
-        }
-    }
-    for (_, values) in groups {
-        for &v in values {
-            value_columns(v).1.put_le(out);
-        }
-    }
+    encode_packed(
+        groups.clone().map(|(item, _)| u64::from(item.subject.0)),
+        out,
+    );
+    encode_packed(
+        groups.clone().map(|(item, _)| u64::from(item.predicate.0)),
+        out,
+    );
+    encode_packed(groups.clone().map(|(_, values)| values.len() as u64), out);
+    let values: Vec<Value> = groups
+        .flat_map(|(_, values)| values.iter().copied())
+        .collect();
+    encode_value_column(values.iter().map(|&v| value_columns(v)), out);
 }
 
-/// Decode groups written by [`encode_item_values_columns`].
-pub fn decode_item_values_columns(input: &mut &[u8]) -> Option<Vec<(DataItem, Vec<Value>)>> {
-    let n_groups = usize::try_from(u64::decode(input)?).ok()?;
-    let subjects = take(input, n_groups.checked_mul(4)?)?;
-    let predicates = take(input, n_groups.checked_mul(4)?)?;
-    let counts = take(input, n_groups.checked_mul(4)?)?;
-    let n_values = usize::try_from(u64::decode(input)?).ok()?;
-    let tags = take(input, n_values)?;
-    let payloads = take(input, n_values.checked_mul(8)?)?;
-
-    let mut groups = Vec::with_capacity(n_groups);
-    let mut at = 0usize;
-    let mut payload_chunks = payloads.chunks_exact(8);
-    for i in 0..n_groups {
-        let item = DataItem::new(
-            EntityId(u32::get_le(&subjects[i * 4..i * 4 + 4])),
-            PredicateId(u32::get_le(&predicates[i * 4..i * 4 + 4])),
-        );
-        let count = u32::get_le(&counts[i * 4..i * 4 + 4]) as usize;
-        let end = at.checked_add(count)?;
-        if end > n_values {
-            return None;
-        }
-        let mut values = Vec::with_capacity(count);
-        for &tag in &tags[at..end] {
-            values.push(value_from_columns(
-                tag,
-                u64::get_le(payload_chunks.next()?),
-            )?);
-        }
-        at = end;
-        groups.push((item, values));
-    }
-    // Every flattened value must belong to a group.
-    (at == n_values).then_some(groups)
+/// Decode groups written by [`encode_groups`].
+pub fn decode_groups(input: &mut &[u8]) -> Option<Vec<(DataItem, Vec<Value>)>> {
+    let subjects: Vec<u32> = decode_packed(input, usize::MAX)?;
+    let n = subjects.len();
+    let predicates: Vec<u32> = decode_exact(input, n)?;
+    let offsets = decode_offsets(input, n)?;
+    let values = decode_values(input, offsets[n] as usize)?;
+    let groups = subjects.into_iter().zip(predicates).zip(offsets.windows(2));
+    Some(
+        groups
+            .map(|((subject, predicate), run)| {
+                let item = DataItem::new(EntityId(subject), PredicateId(predicate));
+                (item, values[run[0] as usize..run[1] as usize].to_vec())
+            })
+            .collect(),
+    )
 }
 
-/// Append a length-prefixed segment: 8 placeholder bytes, `value`'s
-/// encoding, then the byte length patched into the placeholder. Segments
+/// Append a length-prefixed segment holding `value`'s encoding. Segments
 /// let a decoder slice a composite encoding into independently decodable
 /// (and independently validated) parts without re-parsing — the
 /// corpus checkpoint codec in `kf-synth` frames its large fields this
 /// way.
 pub fn encode_segment<T: KvCodec>(value: &T, out: &mut Vec<u8>) {
+    encode_segment_with(out, |out| value.encode(out));
+}
+
+/// Append a length-prefixed segment: 8 placeholder bytes, what `body`
+/// writes, then the byte length patched into the placeholder.
+pub fn encode_segment_with(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let at = out.len();
     out.extend_from_slice(&[0u8; 8]);
-    value.encode(out);
+    body(out);
     let len = (out.len() - at - 8) as u64;
     out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
@@ -1142,6 +1128,74 @@ mod tests {
             Some(vec![])
         );
         assert_eq!(decode_packed::<u8>(&mut &column(0, 2, &[])[..], 0), None);
+    }
+
+    #[test]
+    fn value_columns_and_groups_roundtrip() {
+        let values = [
+            Value::Entity(EntityId(u32::MAX)),
+            Value::Str(StrId(7)),
+            Value::Num(Numeric(-3)),
+            Value::Num(Numeric(i64::MIN)),
+        ];
+        let mut buf = Vec::new();
+        encode_value_column(values.iter().map(|&v| value_columns(v)), &mut buf);
+        assert_eq!(decode_values(&mut &buf[..], 4).as_deref(), Some(&values[..]));
+        assert_eq!(decode_values(&mut &buf[..], 3), None, "not exactly 3");
+        // Small negative numbers pack as narrowly as their magnitudes.
+        let mut small = Vec::new();
+        encode_value_column([(NUM_TAG, -3i64 as u64)], &mut small);
+        assert_eq!(small.len(), 2 * (9 + 1));
+
+        let item = |s| DataItem::new(EntityId(s), PredicateId(2));
+        let groups = vec![
+            (item(1), values[..2].to_vec()),
+            (item(9), vec![]),
+            (item(4), values[2..].to_vec()),
+        ];
+        let mut buf = Vec::new();
+        encode_groups(groups.iter().map(|(i, v)| (*i, v.as_slice())), &mut buf);
+        let mut input = &buf[..];
+        assert_eq!(decode_groups(&mut input), Some(groups));
+        assert!(input.is_empty());
+    }
+
+    #[test]
+    fn batch_columns_must_agree_with_the_record_count() {
+        let prov = Provenance::new(ExtractorId(3), PageId(100), SiteId(7), PatternId::NONE);
+        let triple = Triple::new(EntityId(1), PredicateId(2), Value::Num(Numeric(-5)));
+        let batch = ExtractionBatch::from_records(vec![
+            Extraction::with_confidence(triple, prov, 0.5),
+            Extraction::new(triple, prov),
+        ]);
+        let mut buf = Vec::new();
+        batch.encode(&mut buf);
+        // Every column is one byte wide but the value payloads and the
+        // confidence bits: subjects, predicates, tags, payloads (1),
+        // extractors, pages, sites, patterns (`NONE` plus one is 0),
+        // flags, confidences (4).
+        assert_eq!(buf.len(), 10 * 9 + 9 * 2 + 4);
+        // A confidence flag of 2 is malformed.
+        let flags = 8 * (9 + 2);
+        assert_eq!(buf[flags + 9], 1);
+        let mut bad_flag = buf.clone();
+        bad_flag[flags + 9] = 2;
+        assert_eq!(ExtractionBatch::decode(&mut &bad_flag[..]), None);
+        // A predicate column one value short of the subjects.
+        let mut short = buf[..9 + 2].to_vec();
+        encode_packed([2u64], &mut short);
+        short.extend_from_slice(&buf[2 * (9 + 2)..]);
+        assert_eq!(ExtractionBatch::decode(&mut &short[..]), None);
+    }
+
+    #[test]
+    fn offsets_past_u32_are_refused() {
+        let mut buf = Vec::new();
+        encode_packed([u64::from(u32::MAX), 1], &mut buf);
+        assert_eq!(decode_offsets(&mut &buf[..], 2), None);
+        let mut buf = Vec::new();
+        encode_packed(run_lengths(&[0, 3, 3, 10]), &mut buf);
+        assert_eq!(decode_offsets(&mut &buf[..], 3), Some(vec![0, 3, 3, 10]));
     }
 
     #[test]

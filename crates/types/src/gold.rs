@@ -52,16 +52,13 @@ impl crate::KvCodec for GoldStandard {
     fn encode(&self, out: &mut Vec<u8>) {
         let mut entries: Vec<(&DataItem, &Vec<Value>)> = self.items.iter().collect();
         entries.sort_by_key(|(item, _)| **item);
-        crate::codec::encode_item_values_columns(
-            entries.len(),
-            entries
-                .iter()
-                .map(|(item, values)| (**item, values.as_slice())),
-            out,
-        );
+        let groups = entries
+            .iter()
+            .map(|(item, values)| (**item, values.as_slice()));
+        crate::codec::encode_groups(groups, out);
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let groups = crate::codec::decode_item_values_columns(input)?;
+        let groups = crate::codec::decode_groups(input)?;
         let mut n_triples = 0usize;
         let mut items = FxHashMap::default();
         items.reserve(groups.len());
