@@ -103,10 +103,10 @@ fn tiny_default_corpus_is_byte_identical_to_pre_scenario_generator() {
     assert_fingerprints(
         &SynthConfig::tiny(),
         &Expected {
-            world: 0x155dc126d77c32bc,
-            web: 0xb08159ff16bf6148,
-            gold: 0x91f59d036dd94542,
-            batch: 0x192f8ad15147aabf,
+            world: 0xeb270908b6166fe5,
+            web: 0xd3f66fc96a393a0d,
+            gold: 0xbb4ae38f342179b4,
+            batch: 0xfbc9e50ddb9e3ebb,
             sections: 0x05bdfc44ba2efcde,
             outcomes: 0x92c47eb101927b10,
             n_records: 2626,
@@ -121,10 +121,10 @@ fn small_default_corpus_is_byte_identical_to_pre_scenario_generator() {
     assert_fingerprints(
         &SynthConfig::small(),
         &Expected {
-            world: 0x00e019747f95440e,
-            web: 0xdab4fbfab9ee6dbe,
-            gold: 0x6e14120d7857e35d,
-            batch: 0x5f96622f81804c20,
+            world: 0xd00bc15b32d080f2,
+            web: 0xd4f890c943443dd5,
+            gold: 0x4ae0efe0389e7b8e,
+            batch: 0x1477c258be8622bc,
             sections: 0x50c6d74a70d21d64,
             outcomes: 0xa4fb674c5c163313,
             n_records: 49115,
@@ -142,10 +142,10 @@ fn paper_default_corpus_is_byte_identical_to_pre_scenario_generator() {
     assert_fingerprints(
         &SynthConfig::paper(),
         &Expected {
-            world: 0xf4294793e4f8ed69,
-            web: 0xfa0e3dd281551d7b,
-            gold: 0x37550584f3ba783f,
-            batch: 0x1f39d27200f4efce,
+            world: 0xce7887e01cc37943,
+            web: 0x425716742ee24848,
+            gold: 0xb0bffd2381b9ede3,
+            batch: 0xd6d9f7c38612a218,
             sections: 0x1b1b23a773c8e358,
             outcomes: 0xebb246a6a921e728,
             n_records: 247604,
@@ -167,10 +167,10 @@ fn small_copying_corpus_is_byte_identical() {
     assert_corpus_fingerprints(
         &corpus,
         &Expected {
-            world: 0x00e019747f95440e,
-            web: 0xdab4fbfab9ee6dbe,
-            gold: 0x6e14120d7857e35d,
-            batch: 0x07af58cf35967168,
+            world: 0xd00bc15b32d080f2,
+            web: 0xd4f890c943443dd5,
+            gold: 0x4ae0efe0389e7b8e,
+            batch: 0x20dc24fd81ffef03,
             sections: 0xb9fbddce0bcf803c,
             outcomes: 0x5a5585e8919c34f3,
             n_records: 52394,
@@ -198,10 +198,10 @@ fn small_spam_corpus_is_byte_identical() {
     assert_corpus_fingerprints(
         &corpus,
         &Expected {
-            world: 0x00e019747f95440e,
-            web: 0x580f35003c3c49ca,
-            gold: 0x6e14120d7857e35d,
-            batch: 0xf5e0e413877e933f,
+            world: 0xd00bc15b32d080f2,
+            web: 0xf3aa9bce1c650ceb,
+            gold: 0x4ae0efe0389e7b8e,
+            batch: 0xa1580dec63ef170c,
             sections: 0x82769b65363d21e4,
             outcomes: 0x229cbb57991a7fd9,
             n_records: 54020,
@@ -226,10 +226,10 @@ fn small_drift_corpus_is_byte_identical() {
     assert_corpus_fingerprints(
         &corpus,
         &Expected {
-            world: 0x00e019747f95440e,
-            web: 0x383decb54ecb8f81,
-            gold: 0x6e14120d7857e35d,
-            batch: 0x4ed4852cad8d9936,
+            world: 0xd00bc15b32d080f2,
+            web: 0x495eb5038f18a194,
+            gold: 0x4ae0efe0389e7b8e,
+            batch: 0xb5c160be2bd65504,
             sections: 0xb4711b4a932f7f6a,
             outcomes: 0xced25b69fe133736,
             n_records: 49873,
@@ -254,10 +254,10 @@ fn small_linkage_corpus_is_byte_identical() {
     assert_corpus_fingerprints(
         &corpus,
         &Expected {
-            world: 0xe1041c83cbf10d5b,
-            web: 0xf2bf07b2005c6faa,
-            gold: 0x6e14120d7857e35d,
-            batch: 0x252aacba20c0ace8,
+            world: 0xfe805c5e275601b4,
+            web: 0x7e967f2c3fd51b6b,
+            gold: 0x4ae0efe0389e7b8e,
+            batch: 0xda8e1dfaba61913c,
             sections: 0xcf779ec272a9caba,
             outcomes: 0xe9f4ea307f364ab0,
             n_records: 49841,
