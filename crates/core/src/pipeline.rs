@@ -570,8 +570,10 @@ mod tests {
         batch.push(ext(1, 1, 12, 0, 200));
         batch.push(ext(1, 1, 13, 0, 300));
         let out = seq(FusionConfig::vote()).run(&batch, None);
-        let map = out.probability_map();
-        let p10 = map[&Triple::new(EntityId(1), PredicateId(1), Value::Entity(EntityId(10)))];
+        // Slot 0 holds object 10, the first value in canonical order.
+        let t10 = Triple::new(EntityId(1), PredicateId(1), Value::Entity(EntityId(10)));
+        assert_eq!(out.scored.get(0).map(|s| s.triple), Some(t10));
+        let p10 = out.scored.probabilities()[0].unwrap();
         assert!((p10 - 0.7).abs() < 1e-12);
         assert_eq!(out.scored.len(), 4);
         assert_eq!(out.predicted_fraction(), 1.0);
@@ -590,15 +592,17 @@ mod tests {
             batch.push(ext(item, 1, 999, 0, 1000));
         }
         let out = seq(FusionConfig::accu()).run(&batch, None);
-        let map = out.probability_map();
+        // Item `i`'s slots are `2i` (its majority value) and `2i + 1` (999).
+        let probabilities = out.scored.probabilities();
         for item in 0..10u32 {
-            let good = map[&Triple::new(
-                EntityId(item),
-                PredicateId(1),
-                Value::Entity(EntityId(100 + item)),
-            )];
-            let bad =
-                map[&Triple::new(EntityId(item), PredicateId(1), Value::Entity(EntityId(999)))];
+            let slot = 2 * item as usize;
+            let object = |slot| out.scored.get(slot).map(|s| s.triple.object);
+            assert_eq!(object(slot), Some(Value::Entity(EntityId(100 + item))));
+            assert_eq!(object(slot + 1), Some(Value::Entity(EntityId(999))));
+            let (good, bad) = (
+                probabilities[slot].unwrap(),
+                probabilities[slot + 1].unwrap(),
+            );
             assert!(good > 0.95, "good triple {good}");
             assert!(bad < 0.05, "bad triple {bad}");
         }
@@ -731,15 +735,18 @@ mod tests {
         })
         .run(&batch, Some(&gold));
 
+        // Both runs fused one batch, so their slots line up: item 0's
+        // right value is slot 0 and its wrong value slot 1.
         let t_right = Triple::new(EntityId(0), PredicateId(1), Value::Entity(EntityId(100)));
         let t_wrong = Triple::new(EntityId(0), PredicateId(1), Value::Entity(EntityId(200)));
-        let unsup_map = unsup.probability_map();
-        let sup_map = sup.probability_map();
+        assert_eq!(sup.scored.get(0).map(|s| s.triple), Some(t_right));
+        assert_eq!(sup.scored.get(1).map(|s| s.triple), Some(t_wrong));
+        let at = |out: &FusionOutput, slot: usize| out.scored.probabilities()[slot].unwrap();
         // Unsupervised: symmetric conflict, both around 0.45.
-        assert!((unsup_map[&t_right] - unsup_map[&t_wrong]).abs() < 0.05);
+        assert!((at(&unsup, 0) - at(&unsup, 1)).abs() < 0.05);
         // Supervised: gold breaks the tie decisively.
-        assert!(sup_map[&t_right] > 0.9, "got {}", sup_map[&t_right]);
-        assert!(sup_map[&t_wrong] < 0.1, "got {}", sup_map[&t_wrong]);
+        assert!(at(&sup, 0) > 0.9, "got {}", at(&sup, 0));
+        assert!(at(&sup, 1) < 0.1, "got {}", at(&sup, 1));
     }
 
     #[test]
@@ -772,10 +779,12 @@ mod tests {
             .collect();
         let big = seq(FusionConfig::popaccu()).run(&batch, None);
         let small = seq(FusionConfig::popaccu().with_sample_limit(1_000)).run(&batch, None);
-        let map_big = big.probability_map();
-        let map_small = small.probability_map();
-        for (t, p) in &map_big {
-            assert!((p - map_small[t]).abs() < 1e-9);
+        // One batch, so slot `i` is the same triple in both runs.
+        let probabilities = small.scored.probabilities();
+        for (p, q) in big.scored.probabilities().iter().zip(probabilities) {
+            if let Some(p) = p {
+                assert!((p - q.expect("predicted in both runs")).abs() < 1e-9);
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::observation::Grouped;
 use kf_mapreduce::{JobStats, RoundOutcome};
-use kf_types::{ExtractorId, FxHashMap, ProvenanceKey, Triple};
+use kf_types::{ExtractorId, ProvenanceKey, Triple};
 use std::sync::Arc;
 
 /// One unique triple with its estimated truthfulness probability: a row
@@ -144,14 +144,6 @@ impl FusionOutput {
         }
         probabilities.iter().flatten().count() as f64 / probabilities.len() as f64
     }
-
-    /// Look-up table from triple to probability.
-    pub fn probability_map(&self) -> FxHashMap<Triple, f64> {
-        self.scored
-            .iter()
-            .filter_map(|s| s.probability.map(|p| (s.triple, p)))
-            .collect()
-    }
 }
 
 /// Per-value provenance attribution: which provenances (at the run's
@@ -267,14 +259,14 @@ mod tests {
         let graph = Arc::clone(out.scored.graph());
         out.scored = ScoredSlots::new(graph, vec![Some(0.9), Some(0.2), None], vec![false; 3]);
         assert!((out.predicted_fraction() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(out.probability_map().len(), 2);
+        assert_eq!(out.scored.probabilities().iter().flatten().count(), 2);
     }
 
     #[test]
     fn empty_output() {
         let out = fused(&[]);
         assert_eq!(out.predicted_fraction(), 0.0);
-        assert!(out.probability_map().is_empty());
+        assert!(out.scored.probabilities().is_empty());
         assert_eq!(out.scored.iter().count(), 0);
         assert_eq!(out.scored.get(0), None);
     }

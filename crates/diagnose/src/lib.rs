@@ -205,7 +205,7 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
             .map(|lo| move || self.classify_range(output, edges_ref, lo..n.min(lo + per_range)))
             .collect();
         let rows = run_tasks(workers, ranges);
-        let report = self.fold(output, &edges, rows.iter().flatten());
+        let report = self.fold(&edges, rows.iter().flatten());
         kf_telemetry::add("diagnose.profiles", report.n_false_positives);
         let stats = JobStats {
             map_output: report.n_false_positives,
@@ -256,6 +256,8 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
             });
             rows.push(Row {
                 slot,
+                triple: s.triple,
+                spread: Spread::of(s.n_extractors, s.n_pages),
                 band,
                 category,
                 profile,
@@ -267,12 +269,7 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
     /// Fold in-scope rows, in slot order, into a [`TaxonomyReport`]. The
     /// group maps yield key-sorted group lists, and each category's
     /// accuracy mass sums in slot order.
-    fn fold<'r>(
-        &self,
-        output: &FusionOutput,
-        edges: &[f64],
-        rows: impl Iterator<Item = &'r Row>,
-    ) -> TaxonomyReport {
+    fn fold<'r>(&self, edges: &[f64], rows: impl Iterator<Item = &'r Row>) -> TaxonomyReport {
         let mut bands: Vec<BandBreakdown> = edges
             .iter()
             .enumerate()
@@ -300,22 +297,18 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
                 continue;
             };
             band.counts.add(cat, 1);
-            let s = output.scored.get(row.slot).expect("a slot of the output");
             predicates
-                .entry(s.triple.predicate.raw())
+                .entry(row.triple.predicate.raw())
                 .or_default()
                 .add(cat, 1);
-            spread
-                .entry(Spread::of(s.n_extractors, s.n_pages))
-                .or_default()
-                .add(cat, 1);
+            spread.entry(row.spread).or_default().add(cat, 1);
             for &(ext, _) in row.profile.as_ref().map_or(&[][..], |p| &p.per_extractor) {
                 extractors.entry(ext.raw() as u32).or_default().add(cat, 1);
             }
-            if let Some(&injected) = self.truth.and_then(|t| t.get(&s.triple)) {
+            if let Some(&injected) = self.truth.and_then(|t| t.get(&row.triple)) {
                 *confusion.entry((cat, injected)).or_default() += 1;
             }
-            if let Some(&phenomenon) = self.scenario.and_then(|t| t.get(&s.triple)) {
+            if let Some(&phenomenon) = self.scenario.and_then(|t| t.get(&row.triple)) {
                 scenarios.entry(phenomenon).or_default().add(cat, 1);
             }
             if let Some(mean) = self.attribution.and_then(|a| a.mean_accuracy(row.slot)) {
@@ -381,6 +374,11 @@ impl<'a, H: ValueHierarchy + Sync> Diagnoser<'a, H> {
 struct Row {
     /// The slot of `FusionOutput::scored`.
     slot: usize,
+    /// The slot's triple, built once for the gold label and kept for the
+    /// fold's predicate, injected-truth and scenario joins.
+    triple: Triple,
+    /// The slot's support spread (distinct extractors × pages).
+    spread: Spread,
     band: usize,
     /// The heuristic category of a false positive; `None` for a true one.
     category: Option<ErrorCategory>,

@@ -11,6 +11,12 @@
 //! pinned corpus snapshot, CI gate baseline and published report silently
 //! changes meaning.
 //!
+//! The world, web, gold and batch fingerprints hash checkpoint bytes, so
+//! they move with the checkpoint format (the section and outcome ones hash
+//! the raw tag bytes). They were re-pinned for format 10 only after every
+//! corpus here, re-encoded with the format-9 encoders, reproduced its
+//! format-9 pins: the generator did not change.
+//!
 //! The hostile corpora are pinned the same way, one `small` seed-42
 //! corpus per scenario, so a change to the copy path or to the spam and
 //! drift web paths cannot move a scenario corpus by a byte unnoticed.

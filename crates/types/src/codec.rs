@@ -1140,7 +1140,10 @@ mod tests {
         ];
         let mut buf = Vec::new();
         encode_value_column(values.iter().map(|&v| value_columns(v)), &mut buf);
-        assert_eq!(decode_values(&mut &buf[..], 4).as_deref(), Some(&values[..]));
+        assert_eq!(
+            decode_values(&mut &buf[..], 4).as_deref(),
+            Some(&values[..])
+        );
         assert_eq!(decode_values(&mut &buf[..], 3), None, "not exactly 3");
         // Small negative numbers pack as narrowly as their magnitudes.
         let mut small = Vec::new();

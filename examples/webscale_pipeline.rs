@@ -132,13 +132,13 @@ fn main() {
 
     // Reducer-side sampling (the paper's L) barely moves the output while
     // bounding per-key work — Fig. 14's claim. (`full` is the one-wave
-    // run from above.)
+    // run from above; both fused one batch, so their slots line up.)
     let sampled =
         Fuser::new(FusionConfig::popaccu().with_sample_limit(1_000)).run(&corpus.batch, None);
-    let full_map = full.probability_map();
     let (mut moved, mut compared) = (0usize, 0usize);
-    for s in sampled.scored.iter() {
-        if let (Some(p), Some(&q)) = (s.probability, full_map.get(&s.triple)) {
+    let pairs = (sampled.scored.probabilities().iter()).zip(full.scored.probabilities());
+    for (p, q) in pairs {
+        if let (Some(p), Some(q)) = (p, q) {
             compared += 1;
             moved += usize::from((p - q).abs() > 0.05);
         }
