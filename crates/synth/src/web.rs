@@ -519,31 +519,31 @@ impl KvCodec for Web {
         let sections: Vec<u8> = decode_exact(input, n_claims)?;
         let source_errors: Vec<u8> = decode_exact(input, n_claims)?;
 
-        let mut pages = Vec::with_capacity(n_pages);
-        for ((id, site), run) in ids.into_iter().zip(sites).zip(offsets.windows(2)) {
-            let claims = (run[0] as usize..run[1] as usize)
-                .map(|j| {
-                    Some(Claim {
-                        item: DataItem::new(
-                            kf_types::EntityId(subjects[j]),
-                            kf_types::PredicateId(predicates[j]),
-                        ),
-                        value: values[j],
-                        section: *ContentType::ALL.get(sections[j] as usize)?,
-                        source_error: match source_errors[j] {
-                            0 => false,
-                            1 => true,
-                            _ => return None,
-                        },
-                    })
-                })
-                .collect::<Option<Vec<Claim>>>()?;
-            pages.push(Page {
+        // Section tags index `ContentType::ALL`; source-error flags are 0
+        // or 1. Checked up front, each page's claims then collect at their
+        // exact count.
+        let n_sections = ContentType::ALL.len();
+        if sections.iter().any(|&s| usize::from(s) >= n_sections)
+            || source_errors.iter().any(|&e| e > 1)
+        {
+            return None;
+        }
+        let claim = |j: usize| Claim {
+            item: DataItem::new(
+                kf_types::EntityId(subjects[j]),
+                kf_types::PredicateId(predicates[j]),
+            ),
+            value: values[j],
+            section: ContentType::ALL[usize::from(sections[j])],
+            source_error: source_errors[j] == 1,
+        };
+        let pages = (ids.into_iter().zip(sites).zip(offsets.windows(2)))
+            .map(|((id, site), run)| Page {
                 id: PageId(id),
                 site: SiteId(site),
-                claims,
-            });
-        }
+                claims: (run[0] as usize..run[1] as usize).map(claim).collect(),
+            })
+            .collect();
         Some(Web {
             pages,
             n_sites: usize::decode(input)?,

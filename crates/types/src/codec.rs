@@ -447,53 +447,50 @@ impl KvCodec for ExtractionBatch {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let subjects: Vec<u32> = decode_packed(input, usize::MAX)?;
+        // The columns are checked here and read in place by the one pass
+        // that assembles the rows, so no column is decoded into a `Vec`
+        // of its own.
+        let subjects = take_packed::<u32>(input, usize::MAX)?;
         let n = subjects.len();
-        let predicates: Vec<u32> = decode_exact(input, n)?;
-        let (tags, payloads) = decode_value_column(input, n)?;
-        let extractors: Vec<u16> = decode_exact(input, n)?;
-        let pages: Vec<u32> = decode_exact(input, n)?;
-        let sites: Vec<u32> = decode_exact(input, n)?;
-        let patterns: Vec<u32> = decode_exact(input, n)?;
-        let present: Vec<u8> = decode_exact(input, n)?;
-        if present.iter().any(|&p| p > 1) {
-            return None;
+        let predicates = take_exact::<u32>(input, n)?;
+        let objects = take_value_column(input, n)?;
+        let extractors = take_exact::<u16>(input, n)?;
+        let pages = take_exact::<u32>(input, n)?;
+        let sites = take_exact::<u32>(input, n)?;
+        let patterns = take_exact::<u32>(input, n)?;
+        let flags = take_exact::<u8>(input, n)?;
+        let mut n_conf = 0;
+        for i in 0..n {
+            match flags.get(i) {
+                0 => {}
+                1 => n_conf += 1,
+                _ => return None,
+            }
         }
-        let n_conf = present.iter().filter(|&&p| p == 1).count();
-        let confidences: Vec<u32> = decode_exact(input, n_conf)?;
+        let confidences = take_exact::<u32>(input, n_conf)?;
 
-        // Zipped column iterators assemble the rows without per-field
-        // bounds checks; the zip ends exactly at `n` because every
-        // column was decoded to that length above.
-        let mut confidences = confidences.into_iter().map(f32::from_bits);
-        let rows = subjects
-            .into_iter()
-            .zip(predicates)
-            .zip(tags.into_iter().zip(payloads))
-            .zip(extractors)
-            .zip(pages)
-            .zip(sites)
-            .zip(patterns)
-            .zip(present);
+        let mut next_conf = 0;
         let mut records = Vec::with_capacity(n);
-        for (
-            ((((((subject, predicate), (tag, payload)), extractor), page), site), pattern),
-            flag,
-        ) in rows
-        {
+        for i in 0..n {
+            let confidence = (flags.get(i) == 1).then(|| {
+                next_conf += 1;
+                f32::from_bits(confidences.get(next_conf - 1) as u32)
+            });
+            // Each column's width is at most its type's, so the narrowing
+            // casts are lossless.
             records.push(Extraction {
                 triple: Triple {
-                    subject: EntityId(subject),
-                    predicate: PredicateId(predicate),
-                    object: value_from_columns(tag, payload)?,
+                    subject: EntityId(subjects.get(i) as u32),
+                    predicate: PredicateId(predicates.get(i) as u32),
+                    object: objects.get(i)?,
                 },
                 provenance: Provenance {
-                    extractor: ExtractorId(extractor),
-                    page: PageId(page),
-                    site: SiteId(site),
-                    pattern: PatternId(pattern.wrapping_sub(1)),
+                    extractor: ExtractorId(extractors.get(i) as u16),
+                    page: PageId(pages.get(i) as u32),
+                    site: SiteId(sites.get(i) as u32),
+                    pattern: PatternId((patterns.get(i) as u32).wrapping_sub(1)),
                 },
-                confidence: if flag == 1 { confidences.next() } else { None },
+                confidence,
             });
         }
         Some(ExtractionBatch { records })
@@ -627,14 +624,57 @@ fn pack_fixed<const W: usize>(values: impl Iterator<Item = u64>, body: &mut [u8]
     }
 }
 
-/// Decode a column written by [`encode_packed`] into `T`s, refusing one
-/// longer than `max_len` (a count the caller has already proven, or
-/// `usize::MAX`). The length is checked against `max_len` and against
-/// the bytes present (`len × w` of them) before anything is allocated,
-/// so a column takes at most `T::WIDTH` times its input. Rejects a width
-/// of 0, one wider than `T`, and one wider than the largest value needs,
-/// so every column has exactly one encoding.
-pub fn decode_packed<T: PackedInt>(input: &mut &[u8], max_len: usize) -> Option<Vec<T>> {
+/// A packed column ([`encode_packed`]) whose header and bytes are checked
+/// but whose values stay in the input: [`PackedColumn::get`] reads one.
+/// A table that assembles its rows from several columns reads them in
+/// place this way instead of first decoding each into a `Vec`.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedColumn<'a> {
+    bytes: &'a [u8],
+    w: usize,
+    /// The low `w` bytes of a word.
+    mask: u64,
+}
+
+impl PackedColumn<'_> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / self.w
+    }
+
+    /// True when the column holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Value `i`: one unaligned 8-byte load masked to the column's width
+    /// (a copy of its `w` bytes for the last few values). Panics past
+    /// the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        let at = i * self.w;
+        let word = match self.bytes.get(at..at + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().unwrap()),
+            None => {
+                let mut word = [0u8; 8];
+                word[..self.w].copy_from_slice(&self.bytes[at..at + self.w]);
+                u64::from_le_bytes(word)
+            }
+        };
+        word & self.mask
+    }
+}
+
+/// Split a packed column of `T`s off `input` without decoding it,
+/// refusing one longer than `max_len` (a count the caller has already
+/// proven, or `usize::MAX`). The length is checked against `max_len` and
+/// against the bytes present (`len × w` of them). Rejects a width of 0,
+/// one wider than `T`, and one wider than the largest value needs, so
+/// every column has exactly one encoding.
+pub fn take_packed<'a, T: PackedInt>(
+    input: &mut &'a [u8],
+    max_len: usize,
+) -> Option<PackedColumn<'a>> {
     let len = usize::try_from(u64::decode(input)?).ok()?;
     if len > max_len {
         return None;
@@ -649,6 +689,20 @@ pub fn decode_packed<T: PackedInt>(input: &mut &[u8], max_len: usize) -> Option<
     if w > 1 && !bytes.chunks_exact(w).any(|v| v[w - 1] != 0) {
         return None;
     }
+    let mask = u64::MAX >> (64 - 8 * w);
+    Some(PackedColumn { bytes, w, mask })
+}
+
+/// [`take_packed`] of exactly `len` values.
+pub fn take_exact<'a, T: PackedInt>(input: &mut &'a [u8], len: usize) -> Option<PackedColumn<'a>> {
+    take_packed::<T>(input, len).filter(|column| column.len() == len)
+}
+
+/// Decode a column written by [`encode_packed`] into `T`s, checked as
+/// [`take_packed`] checks it, so a column takes at most `T::WIDTH` times
+/// its input.
+pub fn decode_packed<T: PackedInt>(input: &mut &[u8], max_len: usize) -> Option<Vec<T>> {
+    let PackedColumn { bytes, w, .. } = take_packed::<T>(input, max_len)?;
     Some(match w {
         1 => unpack_fixed::<T, 1>(bytes),
         2 => unpack_fixed::<T, 2>(bytes),
@@ -794,14 +848,47 @@ pub fn decode_value_column(input: &mut &[u8], len: usize) -> Option<(Vec<u8>, Ve
     Some((tags, payloads))
 }
 
+/// A value column ([`encode_value_column`]) read in place: its tag and
+/// payload columns, checked but not decoded.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueColumn<'a> {
+    tags: PackedColumn<'a>,
+    payloads: PackedColumn<'a>,
+}
+
+impl ValueColumn<'_> {
+    /// Value `i`, `None` on an unknown tag or an id wider than 32 bits.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<Value> {
+        let tag = self.tags.get(i) as u8;
+        let payload = self.payloads.get(i);
+        let payload = if tag == NUM_TAG {
+            unzigzag(payload) as u64
+        } else {
+            payload
+        };
+        value_from_columns(tag, payload)
+    }
+}
+
+/// Split a value column of exactly `len` values off `input` without
+/// decoding it.
+pub fn take_value_column<'a>(input: &mut &'a [u8], len: usize) -> Option<ValueColumn<'a>> {
+    Some(ValueColumn {
+        tags: take_exact::<u8>(input, len)?,
+        payloads: take_exact::<u64>(input, len)?,
+    })
+}
+
 /// Decode a value column of exactly `len` values, refusing an unknown tag
 /// or an id wider than 32 bits.
 pub fn decode_values(input: &mut &[u8], len: usize) -> Option<Vec<Value>> {
-    let (tags, payloads) = decode_value_column(input, len)?;
-    tags.into_iter()
-        .zip(payloads)
-        .map(|(tag, payload)| value_from_columns(tag, payload))
-        .collect()
+    let column = take_value_column(input, len)?;
+    let mut values = Vec::with_capacity(len);
+    for i in 0..len {
+        values.push(column.get(i)?);
+    }
+    Some(values)
 }
 
 /// Append `(item, values)` groups as packed columns: the item subjects
