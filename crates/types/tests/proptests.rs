@@ -84,6 +84,15 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// A value with ids across all of `u32` and numbers across all of `i64`.
+fn arb_wide_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        any::<u32>().prop_map(|e| Value::Entity(EntityId(e))),
+        any::<u32>().prop_map(|s| Value::Str(StrId(s))),
+        any::<i64>().prop_map(|n| Value::Num(Numeric(n))),
+    ]
+}
+
 fn arb_triple() -> impl Strategy<Value = Triple> {
     ((0u32..5_000), (0u32..500), arb_value())
         .prop_map(|(s, p, o)| Triple::new(EntityId(s), PredicateId(p), o))
@@ -472,6 +481,66 @@ proptest! {
             check_hostile_packed::<u32>(input);
             check_hostile_packed::<u64>(input);
         }
+    }
+
+    /// Extraction batches and `(item, values)` groups read back exactly
+    /// from their packed columns — ids up to `u32::MAX`, numbers of any
+    /// sign, `PatternId::NONE`, confidences present or not — and decode
+    /// consumes precisely what encode wrote. A batch column one value
+    /// short of the record count, or a confidence flag of 2, is refused.
+    #[test]
+    fn packed_tables_roundtrip(
+        records in prop::collection::vec(
+            (arb_triple(), arb_wide_value(), arb_provenance(), (any::<bool>(), any::<bool>(), 0.0f32..1.0)),
+            1..40,
+        ),
+        groups in prop::collection::vec(
+            (any::<u32>(), any::<u32>(), prop::collection::vec(arb_wide_value(), 0..4)),
+            0..20,
+        ),
+    ) {
+        let batch: ExtractionBatch = records
+            .iter()
+            .map(|&(triple, object, provenance, (no_pattern, confident, c))| {
+                let pattern = if no_pattern { PatternId::NONE } else { provenance.pattern };
+                Extraction {
+                    triple: Triple { object, ..triple },
+                    provenance: Provenance { pattern, ..provenance },
+                    confidence: confident.then_some(c),
+                }
+            })
+            .collect();
+        let mut buf = Vec::new();
+        batch.encode(&mut buf);
+        let mut input = &buf[..];
+        prop_assert_eq!(ExtractionBatch::decode(&mut input).as_ref(), Some(&batch));
+        prop_assert!(input.is_empty());
+
+        // The subject column, then a predicate column one value short.
+        let subjects = 9 + buf[8] as usize * batch.len();
+        let mut short = buf[..subjects].to_vec();
+        let predicates: Vec<u32> = batch.records[1..].iter().map(|e| e.triple.predicate.0).collect();
+        codec::encode_ints(&predicates, &mut short);
+        short.extend_from_slice(&buf[subjects + 9 + buf[subjects + 8] as usize * batch.len()..]);
+        prop_assert_eq!(ExtractionBatch::decode(&mut &short[..]), None);
+        // The flag column is the tenth-but-one: set a flag to 2.
+        let mut at = 0;
+        for _ in 0..8 {
+            at += 9 + buf[at + 8] as usize * u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize;
+        }
+        let mut bad_flag = buf.clone();
+        bad_flag[at + 9] = 2;
+        prop_assert_eq!(ExtractionBatch::decode(&mut &bad_flag[..]), None);
+
+        let groups: Vec<(DataItem, Vec<Value>)> = groups
+            .into_iter()
+            .map(|(s, p, values)| (DataItem::new(EntityId(s), PredicateId(p)), values))
+            .collect();
+        let mut buf = Vec::new();
+        codec::encode_groups(groups.iter().map(|(item, values)| (*item, values.as_slice())), &mut buf);
+        let mut input = &buf[..];
+        prop_assert_eq!(codec::decode_groups(&mut input), Some(groups));
+        prop_assert!(input.is_empty());
     }
 
     /// Zigzag maps every signed integer to an unsigned one and back.
