@@ -599,10 +599,7 @@ mod tests {
             let object = |slot| out.scored.get(slot).map(|s| s.triple.object);
             assert_eq!(object(slot), Some(Value::Entity(EntityId(100 + item))));
             assert_eq!(object(slot + 1), Some(Value::Entity(EntityId(999))));
-            let (good, bad) = (
-                probabilities[slot].unwrap(),
-                probabilities[slot + 1].unwrap(),
-            );
+            let [good, bad] = [slot, slot + 1].map(|s| probabilities[s].unwrap());
             assert!(good > 0.95, "good triple {good}");
             assert!(bad < 0.05, "bad triple {bad}");
         }

@@ -483,8 +483,9 @@ impl KvCodec for Page {
 /// (which prove the page count), sites and claim counts, then one column
 /// per claim field, the values as one value column — so decode is a bulk
 /// scan instead of an element-wise walk over hundreds of thousands of
-/// claims. The popular-false map encodes in sorted key order so the
-/// bytes are canonical (see [`kf_types::codec::encode_map_sorted`]).
+/// claims, read side by side through [`kf_types::codec::PackedRows`].
+/// The popular-false map encodes in sorted key order so the bytes are
+/// canonical (see [`kf_types::codec::encode_map_sorted`]).
 impl KvCodec for Web {
     fn encode(&self, out: &mut Vec<u8>) {
         use kf_types::codec::{
@@ -506,32 +507,39 @@ impl KvCodec for Web {
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
         use kf_types::codec::{
-            decode_exact, decode_map, decode_offsets, decode_packed, decode_value_column,
-            value_from_columns,
+            decode_exact, decode_map, decode_offsets, decode_packed, take_exact, value_from_stored,
+            PackedRows,
         };
         let ids: Vec<u32> = decode_packed(input, usize::MAX)?;
         let n_pages = ids.len();
         let sites: Vec<u32> = decode_exact(input, n_pages)?;
         let offsets = decode_offsets(input, n_pages)?;
         let n_claims = offsets[n_pages] as usize;
-        let subjects: Vec<u32> = decode_exact(input, n_claims)?;
-        let predicates: Vec<u32> = decode_exact(input, n_claims)?;
-        let (tags, payloads) = decode_value_column(input, n_claims)?;
-        let sections: Vec<u8> = decode_exact(input, n_claims)?;
-        let source_errors: Vec<u8> = decode_exact(input, n_claims)?;
+        let mut claims = PackedRows::new([
+            take_exact::<u32>(input, n_claims)?,
+            take_exact::<u32>(input, n_claims)?,
+            take_exact::<u8>(input, n_claims)?,
+            take_exact::<u64>(input, n_claims)?,
+            take_exact::<u8>(input, n_claims)?,
+            take_exact::<u8>(input, n_claims)?,
+        ]);
 
+        // Each column's width is at most its type's, so the narrowing
+        // casts are lossless.
         let mut pages = Vec::with_capacity(n_pages);
-        for (i, run) in offsets.windows(2).enumerate() {
-            let mut claims = Vec::with_capacity((run[1] - run[0]) as usize);
-            for j in run[0] as usize..run[1] as usize {
-                claims.push(Claim {
+        for ((&id, &site), run) in ids.iter().zip(&sites).zip(offsets.windows(2)) {
+            let len = (run[1] - run[0]) as usize;
+            let mut page_claims = Vec::with_capacity(len);
+            for row in claims.by_ref().take(len) {
+                let [subject, predicate, tag, payload, section, source_error] = row;
+                page_claims.push(Claim {
                     item: DataItem::new(
-                        kf_types::EntityId(subjects[j]),
-                        kf_types::PredicateId(predicates[j]),
+                        kf_types::EntityId(subject as u32),
+                        kf_types::PredicateId(predicate as u32),
                     ),
-                    value: value_from_columns(tags[j], payloads[j])?,
-                    section: *ContentType::ALL.get(usize::from(sections[j]))?,
-                    source_error: match source_errors[j] {
+                    value: value_from_stored(tag as u8, payload)?,
+                    section: *ContentType::ALL.get(section as usize)?,
+                    source_error: match source_error {
                         0 => false,
                         1 => true,
                         _ => return None,
@@ -539,9 +547,9 @@ impl KvCodec for Web {
                 });
             }
             pages.push(Page {
-                id: PageId(ids[i]),
-                site: SiteId(sites[i]),
-                claims,
+                id: PageId(id),
+                site: SiteId(site),
+                claims: page_claims,
             });
         }
         Some(Web {

@@ -424,6 +424,8 @@ impl KvCodec for Extraction {
 /// The subject column comes first and proves the record count (its
 /// bytes hold one value each); every later column must hold exactly that
 /// many values, and the confidence bits exactly as many as the flags set.
+/// Decode reads the record columns side by side through [`PackedRows`],
+/// so it allocates the records and nothing the size of a column.
 impl KvCodec for ExtractionBatch {
     fn encode(&self, out: &mut Vec<u8>) {
         let records = &self.records;
@@ -449,7 +451,7 @@ impl KvCodec for ExtractionBatch {
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let subjects = take_packed::<u32>(input, usize::MAX)?;
         let n = subjects.len();
-        let columns = [
+        let rows = PackedRows::new([
             subjects,
             take_exact::<u32>(input, n)?,
             take_exact::<u8>(input, n)?,
@@ -458,7 +460,7 @@ impl KvCodec for ExtractionBatch {
             take_exact::<u32>(input, n)?,
             take_exact::<u32>(input, n)?,
             take_exact::<u32>(input, n)?,
-        ];
+        ]);
         let flags: Vec<u8> = decode_exact(input, n)?;
         if flags.iter().any(|&flag| flag > 1) {
             return None;
@@ -466,42 +468,26 @@ impl KvCodec for ExtractionBatch {
         let n_conf = flags.iter().filter(|&&flag| flag == 1).count();
         let confidences: Vec<u32> = decode_exact(input, n_conf)?;
 
-        // The rows are assembled a block at a time: each column's block is
-        // unpacked at its width into a small buffer, so no column is
-        // decoded whole into a `Vec` of its own. Each column's width is at
-        // most its type's, so the narrowing casts are lossless.
-        const BLOCK: usize = 256;
-        let mut block = [[0u64; BLOCK]; 8];
+        // Each column's width is at most its type's, so the narrowing
+        // casts are lossless.
         let mut confidences = confidences.into_iter().map(f32::from_bits);
         let mut records = Vec::with_capacity(n);
-        for start in (0..n).step_by(BLOCK) {
-            let len = BLOCK.min(n - start);
-            for (column, values) in columns.iter().zip(&mut block) {
-                column.read(start, &mut values[..len]);
-            }
-            let [subject, predicate, tag, payload, extractor, page, site, pattern] = &block;
-            for i in 0..len {
-                let tag = tag[i] as u8;
-                let object = value_from_columns(tag, loaded_payload(tag, payload[i]))?;
-                records.push(Extraction {
-                    triple: Triple {
-                        subject: EntityId(subject[i] as u32),
-                        predicate: PredicateId(predicate[i] as u32),
-                        object,
-                    },
-                    provenance: Provenance {
-                        extractor: ExtractorId(extractor[i] as u16),
-                        page: PageId(page[i] as u32),
-                        site: SiteId(site[i] as u32),
-                        pattern: PatternId((pattern[i] as u32).wrapping_sub(1)),
-                    },
-                    confidence: if flags[start + i] == 1 {
-                        confidences.next()
-                    } else {
-                        None
-                    },
-                });
-            }
+        for (row, flag) in rows.zip(flags) {
+            let [subject, predicate, tag, payload, extractor, page, site, pattern] = row;
+            records.push(Extraction {
+                triple: Triple {
+                    subject: EntityId(subject as u32),
+                    predicate: PredicateId(predicate as u32),
+                    object: value_from_stored(tag as u8, payload)?,
+                },
+                provenance: Provenance {
+                    extractor: ExtractorId(extractor as u16),
+                    page: PageId(page as u32),
+                    site: SiteId(site as u32),
+                    pattern: PatternId((pattern as u32).wrapping_sub(1)),
+                },
+                confidence: if flag == 1 { confidences.next() } else { None },
+            });
         }
         Some(ExtractionBatch { records })
     }
@@ -626,7 +612,7 @@ where
 }
 
 /// Write each value's `W` low little-endian bytes into `body`, one
-/// value a `W`-byte chunk: [`unpack_fixed`]'s inverse.
+/// value a `W`-byte chunk: the inverse of [`PackedColumn::read`].
 #[inline]
 fn pack_fixed<const W: usize>(values: impl Iterator<Item = u64>, body: &mut [u8]) {
     for (chunk, v) in body.chunks_exact_mut(W).zip(values) {
@@ -635,11 +621,10 @@ fn pack_fixed<const W: usize>(values: impl Iterator<Item = u64>, body: &mut [u8]
 }
 
 /// A packed column ([`encode_packed`]) whose header and bytes are checked
-/// but whose values stay in the input until [`PackedColumn::read`]
-/// unpacks a run of them. A table that assembles its rows from several
-/// columns reads them a block at a time this way instead of first
-/// decoding each whole column into a `Vec`.
-struct PackedColumn<'a> {
+/// ([`take_exact`]) but whose values stay in the input until they are
+/// read, whole by [`decode_packed`] or a block of rows at a time by
+/// [`PackedRows`].
+pub struct PackedColumn<'a> {
     bytes: &'a [u8],
     w: usize,
 }
@@ -695,9 +680,67 @@ fn take_packed<'a, T: PackedInt>(input: &mut &'a [u8], max_len: usize) -> Option
     Some(PackedColumn { bytes, w })
 }
 
-/// `take_packed` of exactly `len` values.
-fn take_exact<'a, T: PackedInt>(input: &mut &'a [u8], len: usize) -> Option<PackedColumn<'a>> {
+/// Split a packed column of exactly `len` `T`s off `input` without
+/// decoding it, checked as [`decode_exact`] checks it.
+pub fn take_exact<'a, T: PackedInt>(input: &mut &'a [u8], len: usize) -> Option<PackedColumn<'a>> {
     take_packed::<T>(input, len).filter(|column| column.len() == len)
+}
+
+/// Rows a block is unpacked for at a time.
+const ROW_BLOCK: usize = 256;
+
+/// The rows of `K` equally long packed columns, each row its `K` values
+/// widened to `u64` (a column taken as `T` narrows back to `T`
+/// losslessly). The columns are unpacked `ROW_BLOCK` rows at a time
+/// into a buffer, so a table assembled from them allocates nothing the
+/// size of a column.
+pub struct PackedRows<'a, const K: usize> {
+    columns: [PackedColumn<'a>; K],
+    block: [[u64; ROW_BLOCK]; K],
+    /// The next row, and the end of the rows unpacked so far: `block`
+    /// holds the block of rows that ends there.
+    next: usize,
+    end: usize,
+}
+
+impl<'a, const K: usize> PackedRows<'a, K> {
+    /// The rows of `columns`, which must all be one length.
+    pub fn new(columns: [PackedColumn<'a>; K]) -> Self {
+        let len = columns.first().map_or(0, PackedColumn::len);
+        assert!(
+            columns.iter().all(|c| c.len() == len),
+            "packed rows need equally long columns"
+        );
+        PackedRows {
+            columns,
+            block: [[0; ROW_BLOCK]; K],
+            next: 0,
+            end: 0,
+        }
+    }
+}
+
+impl<const K: usize> Iterator for PackedRows<'_, K> {
+    type Item = [u64; K];
+
+    #[inline]
+    fn next(&mut self) -> Option<[u64; K]> {
+        if self.next == self.end {
+            let len = self.columns.first().map_or(0, PackedColumn::len) - self.end;
+            let len = len.min(ROW_BLOCK);
+            if len == 0 {
+                return None;
+            }
+            for (column, values) in self.columns.iter().zip(&mut self.block) {
+                column.read(self.end, &mut values[..len]);
+            }
+            self.end += len;
+        }
+        // Every block but the last holds `ROW_BLOCK` rows.
+        let at = self.next % ROW_BLOCK;
+        self.next += 1;
+        Some(std::array::from_fn(|k| self.block[k][at]))
+    }
 }
 
 /// Decode a column written by [`encode_packed`] into `T`s, refusing one
@@ -708,27 +751,10 @@ fn take_exact<'a, T: PackedInt>(input: &mut &'a [u8], len: usize) -> Option<Pack
 /// of 0, one wider than `T`, and one wider than the largest value needs,
 /// so every column has exactly one encoding.
 pub fn decode_packed<T: PackedInt>(input: &mut &[u8], max_len: usize) -> Option<Vec<T>> {
-    let PackedColumn { bytes, w } = take_packed::<T>(input, max_len)?;
-    Some(match w {
-        1 => unpack_fixed::<T, 1>(bytes),
-        2 => unpack_fixed::<T, 2>(bytes),
-        3 => unpack_fixed::<T, 3>(bytes),
-        4 => unpack_fixed::<T, 4>(bytes),
-        5 => unpack_fixed::<T, 5>(bytes),
-        6 => unpack_fixed::<T, 6>(bytes),
-        7 => unpack_fixed::<T, 7>(bytes),
-        _ => unpack_fixed::<T, 8>(bytes),
-    })
-}
-
-/// Read `W`-byte little-endian values: a fixed width per loop, so each
-/// compiles to straight-line loads.
-#[inline]
-fn unpack_fixed<T: PackedInt, const W: usize>(bytes: &[u8]) -> Vec<T> {
-    bytes
-        .chunks_exact(W)
-        .map(|v| T::from_u64(le_word::<W>(v)))
-        .collect()
+    let column = take_packed::<T>(input, max_len)?;
+    let mut values = vec![T::from_u64(0); column.len()];
+    column.read(0, &mut values);
+    Some(values)
 }
 
 /// A value's `W` little-endian bytes as a `u64`.
@@ -786,7 +812,7 @@ pub const NUM_TAG: u8 = 2;
 /// two's-complement bits [`zigzag`]ged, so a small negative number packs
 /// as narrowly as a small positive one; ids as they are.
 #[inline]
-pub fn stored_payload(tag: u8, payload: u64) -> u64 {
+fn stored_payload(tag: u8, payload: u64) -> u64 {
     if tag == NUM_TAG {
         zigzag(payload as i64)
     } else {
@@ -802,6 +828,14 @@ fn loaded_payload(tag: u8, stored: u64) -> u64 {
     } else {
         stored
     }
+}
+
+/// A value from its row of a value column ([`encode_value_column`]): its
+/// tag and its payload as stored. `None` where [`value_from_columns`]
+/// refuses.
+#[inline]
+pub fn value_from_stored(tag: u8, stored: u64) -> Option<Value> {
+    value_from_columns(tag, loaded_payload(tag, stored))
 }
 
 /// Append a slice of integers as one packed column.
@@ -839,8 +873,8 @@ pub fn decode_offsets(input: &mut &[u8], len: usize) -> Option<Vec<u32>> {
 }
 
 /// Append a value column — the [`value_columns`] of each value — as two
-/// packed columns: the variant tags, then the payloads as
-/// [`stored_payload`] stores them.
+/// packed columns: the variant tags, then the payloads, a number's
+/// two's-complement bits [`zigzag`]ged and ids as they are.
 pub fn encode_value_column<I>(values: I, out: &mut Vec<u8>)
 where
     I: IntoIterator<Item = (u8, u64)>,
@@ -859,10 +893,10 @@ where
 /// [`value_from_columns`] refuses an unknown one.
 pub fn decode_value_column(input: &mut &[u8], len: usize) -> Option<(Vec<u8>, Vec<u64>)> {
     let tags: Vec<u8> = decode_exact(input, len)?;
-    let payloads: Vec<u64> = decode_exact(input, len)?;
-    let payloads = (tags.iter().zip(payloads))
-        .map(|(&tag, payload)| loaded_payload(tag, payload))
-        .collect();
+    let mut payloads: Vec<u64> = decode_exact(input, len)?;
+    for (payload, &tag) in payloads.iter_mut().zip(&tags) {
+        *payload = loaded_payload(tag, *payload);
+    }
     Some((tags, payloads))
 }
 
@@ -886,18 +920,20 @@ where
 
 /// Decode groups written by [`encode_groups`].
 pub fn decode_groups(input: &mut &[u8]) -> Option<Vec<(DataItem, Vec<Value>)>> {
-    let subjects: Vec<u32> = decode_packed(input, usize::MAX)?;
+    let subjects = take_packed::<u32>(input, usize::MAX)?;
     let n = subjects.len();
-    let predicates: Vec<u32> = decode_exact(input, n)?;
+    let items = PackedRows::new([subjects, take_exact::<u32>(input, n)?]);
     let offsets = decode_offsets(input, n)?;
-    let (tags, payloads) = decode_value_column(input, offsets[n] as usize)?;
+    let len = offsets[n] as usize;
+    let tags = take_exact::<u8>(input, len)?;
+    let mut values = PackedRows::new([tags, take_exact::<u64>(input, len)?]);
     let mut groups = Vec::with_capacity(n);
-    for (i, run) in offsets.windows(2).enumerate() {
-        let item = DataItem::new(EntityId(subjects[i]), PredicateId(predicates[i]));
-        let values = (run[0] as usize..run[1] as usize)
-            .map(|j| value_from_columns(tags[j], payloads[j]))
+    for ([subject, predicate], run) in items.zip(offsets.windows(2)) {
+        let item = DataItem::new(EntityId(subject as u32), PredicateId(predicate as u32));
+        let group = (values.by_ref().take((run[1] - run[0]) as usize))
+            .map(|[tag, payload]| value_from_stored(tag as u8, payload))
             .collect::<Option<_>>()?;
-        groups.push((item, values));
+        groups.push((item, group));
     }
     Some(groups)
 }

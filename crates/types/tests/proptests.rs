@@ -543,6 +543,35 @@ proptest! {
         prop_assert!(input.is_empty());
     }
 
+    /// Packed columns read side by side through `PackedRows` give each
+    /// row's values, across block boundaries and when a run of rows is
+    /// taken before the rest.
+    #[test]
+    fn packed_rows_match_their_columns(
+        len in 0usize..700,
+        split in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let wide: Vec<u64> = (0..len as u64)
+            .map(|i| (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let narrow: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let mut buf = Vec::new();
+        codec::encode_ints(&wide, &mut buf);
+        codec::encode_ints(&narrow, &mut buf);
+        let mut input = &buf[..];
+        let mut rows = codec::PackedRows::new([
+            codec::take_exact::<u64>(&mut input, len).unwrap(),
+            codec::take_exact::<u8>(&mut input, len).unwrap(),
+        ]);
+        prop_assert!(input.is_empty());
+        let mut read: Vec<[u64; 2]> = rows.by_ref().take(split % (len + 1)).collect();
+        read.extend(rows);
+        let expected: Vec<[u64; 2]> =
+            wide.iter().zip(&narrow).map(|(&w, &n)| [w, u64::from(n)]).collect();
+        prop_assert_eq!(read, expected);
+    }
+
     /// Zigzag maps every signed integer to an unsigned one and back.
     #[test]
     fn zigzag_roundtrips(v in any::<i64>()) {
